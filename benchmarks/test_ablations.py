@@ -15,7 +15,7 @@
 import pytest
 
 from repro.bench import build_store_scenario
-from repro.engine import XMLEngine
+from repro.engine import ExecOptions, XMLEngine
 from repro.partix import FragMode
 from repro.workloads import build_items_collection, items_queries
 from repro.xmltext import serialize
@@ -414,14 +414,18 @@ class TestShardPipelineGuards:
         try:
             serial_text = engine.execute(query).result_text
             sharded_text = engine.execute(
-                query, parallel_degree=4
+                query,
+                ExecOptions(parallel_degree=4),
             ).result_text
             assert sharded_text == serial_text
 
             def best_of(degree):
                 best = float("inf")
                 for _ in range(5):
-                    result = engine.execute(query, parallel_degree=degree)
+                    result = engine.execute(
+                        query,
+                        ExecOptions(parallel_degree=degree),
+                    )
                     best = min(best, result.elapsed_seconds)
                 return best
 

@@ -69,17 +69,13 @@ def run_rebalance(scale: float, repetitions: int, transmission: bool) -> dict:
     point = scaled_point(100, scale)
     count = items_count_for(point.target_bytes, "small")
     collection = build_items_collection(count, kind="small", seed=42)
-    cluster = Cluster.with_sites(
-        2, use_indexes=False, per_document_overhead=PAPER_DOC_OVERHEAD
-    )
+    engine_options = {
+        "use_indexes": False,
+        "per_document_overhead": PAPER_DOC_OVERHEAD,
+    }
+    cluster = Cluster.with_sites(2, **engine_options)
     for name in IDLE_SITES:
-        cluster.add(
-            Site(
-                name,
-                use_indexes=False,
-                per_document_overhead=PAPER_DOC_OVERHEAD,
-            )
-        )
+        cluster.add(Site(name, **engine_options))
     partix = Partix(cluster)
     partix.publish(
         collection, items_horizontal_fragmentation(2, collection=collection.name)

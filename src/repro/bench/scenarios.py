@@ -597,26 +597,9 @@ def compare_streaming(
 PAPER_DOC_OVERHEAD = 0.0025
 
 
-def _make_cluster(
-    fragment_sites: int,
-    use_indexes: bool,
-    per_document_overhead: float,
-    shard_workers: int = 0,
-) -> Cluster:
-    cluster = Cluster.with_sites(
-        fragment_sites,
-        use_indexes=use_indexes,
-        per_document_overhead=per_document_overhead,
-        shard_workers=shard_workers,
-    )
-    cluster.add(
-        Site(
-            CENTRAL_SITE,
-            use_indexes=use_indexes,
-            per_document_overhead=per_document_overhead,
-            shard_workers=shard_workers,
-        )
-    )
+def _make_cluster(fragment_sites: int, **engine_options) -> Cluster:
+    cluster = Cluster.with_sites(fragment_sites, **engine_options)
+    cluster.add(Site(CENTRAL_SITE, **engine_options))
     return cluster
 
 
@@ -642,7 +625,10 @@ def build_items_scenario(
     count = scaling.items_count_for(point.target_bytes, kind)
     collection = build_items_collection(count, kind=kind, seed=seed)
     cluster = _make_cluster(
-        fragment_count, use_indexes, per_document_overhead, shard_workers
+        fragment_count,
+        use_indexes=use_indexes,
+        per_document_overhead=per_document_overhead,
+        shard_workers=shard_workers,
     )
     partix = Partix(cluster, network=network)
     fragmentation = items_horizontal_fragmentation(fragment_count)
@@ -673,7 +659,11 @@ def build_xbench_scenario(
     doc_bytes = article_bytes or scaling.ARTICLE_BYTES
     count = scaling.articles_count_for(point.target_bytes, doc_bytes)
     collection = build_xbench_collection(count, doc_bytes=doc_bytes, seed=seed)
-    cluster = _make_cluster(3, use_indexes, per_document_overhead)
+    cluster = _make_cluster(
+        3,
+        use_indexes=use_indexes,
+        per_document_overhead=per_document_overhead,
+    )
     partix = Partix(cluster, network=network)
     partix.publish(collection, xbench_vertical_fragmentation(collection.name))
     partix.publish_centralized(collection, CENTRAL_SITE)
@@ -702,7 +692,11 @@ def build_store_scenario(
     point = scaling.scaled_point(paper_mb, scale)
     count = scaling.store_items_for(point.target_bytes, "small")
     collection = build_store_collection(count, item_kind="small", seed=seed)
-    cluster = _make_cluster(item_fragments + 1, use_indexes, per_document_overhead)
+    cluster = _make_cluster(
+        item_fragments + 1,
+        use_indexes=use_indexes,
+        per_document_overhead=per_document_overhead,
+    )
     partix = Partix(cluster, network=network)
     fragmentation = store_hybrid_fragmentation(item_fragments, collection.name)
     partix.publish(collection, fragmentation, frag_mode=frag_mode)

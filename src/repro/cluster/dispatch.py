@@ -55,6 +55,7 @@ from typing import Callable, Optional, Sequence, Union, TYPE_CHECKING
 
 from repro.cluster.health import SiteHealth
 from repro.cluster.site import Cluster, ParallelRound, SubQueryExecution
+from repro.engine.stats import ExecOptions
 from repro.errors import ClusterError, DispatchError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -66,6 +67,19 @@ DEGRADE = "degrade"
 #: Sentinel distinguishing "argument omitted" from an explicit ``None``
 #: (which means "no budget") for per-dispatch timeout overrides.
 _UNSET = object()
+
+
+def exec_options(
+    subquery: "SubQuery", default_collection: Optional[str]
+) -> ExecOptions:
+    """The site-local request record of one sub-query: the lane's plan
+    decisions plus the round's default collection. Everything below a
+    transport passes it through without looking inside."""
+    return ExecOptions(
+        default_collection=default_collection,
+        use_indexes=subquery.use_indexes,
+        parallel_degree=subquery.parallel_degree,
+    )
 
 
 class Transport(abc.ABC):
@@ -148,10 +162,7 @@ class InProcessTransport(Transport):
     ) -> SubQueryExecution:
         site = self.cluster.site(subquery.site)
         result = site.execute(
-            subquery.query,
-            default_collection=default_collection,
-            use_indexes=subquery.use_indexes,
-            parallel_degree=subquery.parallel_degree,
+            subquery.query, exec_options(subquery, default_collection)
         )
         if on_chunk is not None:
             # Chunk emulation: slice the serialized answer into the same

@@ -12,28 +12,29 @@ produce the result", §5).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, TYPE_CHECKING
 
-from typing import TYPE_CHECKING
-
-from repro.engine.stats import QueryResult
+from repro.engine.stats import ExecOptions, QueryResult
 from repro.errors import ClusterError
-from repro.paths.predicates import Predicate
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.partix.driver import PartixDriver
 
 
 class Site:
-    """One DBMS node of the cluster."""
+    """One DBMS node of the cluster.
+
+    Without a ``driver`` the site runs a fresh in-memory MiniX engine,
+    configured by ``engine_options`` — forwarded to
+    :class:`~repro.engine.database.XMLEngine` verbatim, so the engine's
+    constructor is the one place its settings are declared.
+    """
 
     def __init__(
         self,
         name: str,
         driver: Optional["PartixDriver"] = None,
-        use_indexes: bool = True,
-        per_document_overhead: float = 0.0,
-        shard_workers: int = 0,
+        **engine_options,
     ):
         self.name = name
         if driver is None:
@@ -41,38 +42,26 @@ class Site:
             from repro.engine.database import XMLEngine
             from repro.partix.driver import MiniXDriver
 
-            driver = MiniXDriver(
-                XMLEngine(
-                    name,
-                    use_indexes=use_indexes,
-                    per_document_overhead=per_document_overhead,
-                    shard_workers=shard_workers,
-                )
+            driver = MiniXDriver(XMLEngine(name, **engine_options))
+        elif engine_options:
+            raise TypeError(
+                f"site {name!r}: engine options {sorted(engine_options)}"
+                " cannot configure a caller-supplied driver"
             )
         self.driver = driver
 
     def execute(
-        self,
-        query: str,
-        default_collection: Optional[str] = None,
-        extra_predicate: Optional[Predicate] = None,
-        use_indexes: Optional[bool] = None,
-        parallel_degree: Optional[int] = None,
+        self, query: str, options: Optional[ExecOptions] = None
     ) -> QueryResult:
-        # The overrides travel only when set — mirroring the wire
-        # protocol, and keeping duck-typed driver substitutes with the
-        # historical three-argument signature working on plain lanes.
-        kwargs = {}
-        if use_indexes is not None:
-            kwargs["use_indexes"] = use_indexes
-        if parallel_degree is not None:
-            kwargs["parallel_degree"] = parallel_degree
-        return self.driver.execute(
-            query,
-            default_collection=default_collection,
-            extra_predicate=extra_predicate,
-            **kwargs,
-        )
+        return self.driver.execute(query, options)
+
+    def engine_config(self) -> dict:
+        """The settings of this site's local engine (``XMLEngine.config``)
+        — what a remote twin is spawned with and what planning may
+        assume here. Empty for a driver without an introspectable engine
+        (a remote DBMS), which callers read as "assume nothing"."""
+        engine = getattr(self.driver, "engine", None)
+        return engine.config() if engine is not None else {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Site({self.name!r})"
@@ -88,29 +77,20 @@ class Cluster:
 
     @classmethod
     def with_sites(
-        cls,
-        count: int,
-        prefix: str = "site",
-        use_indexes: bool = True,
-        per_document_overhead: float = 0.0,
-        shard_workers: int = 0,
+        cls, count: int, prefix: str = "site", **engine_options
     ) -> "Cluster":
-        """A cluster of ``count`` fresh in-memory MiniX sites.
+        """A cluster of ``count`` fresh in-memory MiniX sites, each
+        configured by ``engine_options`` (see ``XMLEngine``).
 
         ``use_indexes`` toggles document-level index pruning at every
         site — the paper-faithful benchmarks run with it off: eXist (2005)
         evaluated generic XQuery predicates by iterating every document of
         the queried collection. ``per_document_overhead`` is the simulated
-        per-document access cost (see ``XMLEngine``); ``shard_workers``
-        sizes each site's intra-site worker pool (0 = serial).
+        per-document access cost; ``shard_workers`` sizes each site's
+        intra-site worker pool (0 = serial).
         """
         return cls(
-            Site(
-                f"{prefix}{index}",
-                use_indexes=use_indexes,
-                per_document_overhead=per_document_overhead,
-                shard_workers=shard_workers,
-            )
+            Site(f"{prefix}{index}", **engine_options)
             for index in range(count)
         )
 

@@ -6,24 +6,25 @@ from repro.engine.indexes import (
     FullTextIndex,
     RangeIndex,
     ValueIndex,
+    candidate_documents,
     tokenize_text,
 )
-from repro.engine.planner import Planner
-from repro.engine.stats import EngineStats, QueryResult
+from repro.engine.stats import EngineStats, ExecOptions, QueryResult
 from repro.engine.store import DocumentStore, StoredCollection, StoredDocument
 
 __all__ = [
     "DocumentStore",
     "ElementIndex",
     "EngineStats",
+    "ExecOptions",
     "FullTextIndex",
-    "Planner",
     "RangeIndex",
     "QueryResult",
     "StoredCollection",
     "StoredDocument",
     "ValueIndex",
     "XMLEngine",
+    "candidate_documents",
     "serialize_sequence",
     "tokenize_text",
 ]

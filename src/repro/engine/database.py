@@ -29,11 +29,12 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
-from typing import Optional, Union
+from dataclasses import replace
+from typing import Iterable, Optional, Union
 
 from repro.datamodel.document import XMLDocument
 from repro.datamodel.tree import XMLNode
-from repro.engine.planner import Planner
+from repro.engine.indexes import candidate_documents
 from repro.engine.shards import (
     ShardDocument,
     ShardScript,
@@ -46,14 +47,14 @@ from repro.engine.shards import (
     run_shard,
     shard_script,
 )
-from repro.engine.stats import EngineStats, QueryResult
+from repro.engine.stats import EngineStats, ExecOptions, QueryResult
 from repro.engine.store import DocumentStore, StoredDocument
 from repro.errors import (
     CollectionNotFoundError,
     StorageError,
     XQueryEvaluationError,
 )
-from repro.paths.predicates import Predicate
+from repro.paths.predicates import Predicate, evaluate_on_binary
 from repro.xmltext.parser import parse_xml
 from repro.xmltext.serializer import serialize
 from repro.xquery.analysis import analyze_query
@@ -98,11 +99,11 @@ class XMLEngine:
         ``stats.simulated_overhead_seconds``.
     shard_workers:
         Size of the engine's shard worker pool (0 = intra-site
-        parallelism disabled). A query only runs sharded when an
-        executing call also passes ``parallel_degree`` ≥ 2 — the plan's
-        decision, or an explicit per-query override — *and* the query is
-        provably shardable (see :mod:`repro.engine.shards`); everything
-        else silently runs serial, so answers are byte-identical at
+        parallelism disabled). A query only runs sharded when its
+        ``ExecOptions.parallel_degree`` is ≥ 2 — the plan's decision, or
+        an explicit per-query override — *and* the query is provably
+        shardable (see :mod:`repro.engine.shards`); everything else
+        silently runs in-process, so answers are byte-identical at
         every degree. The process pool is created lazily on the first
         sharded execution.
     """
@@ -121,7 +122,7 @@ class XMLEngine:
         self.name = name
         self.store = DocumentStore(storage_dir=storage_dir)
         self.stats = EngineStats()
-        self.planner = Planner(use_indexes=use_indexes)
+        self.use_indexes = use_indexes
         self.label_pushdown = label_pushdown
         self.cache_parsed = cache_parsed
         self.per_document_overhead = per_document_overhead
@@ -316,29 +317,32 @@ class XMLEngine:
         collection_name: str,
         predicate: Optional[Predicate],
         stats: EngineStats,
-        use_indexes: Optional[bool] = None,
+        options: ExecOptions = ExecOptions(),
     ) -> list[str]:
         """The pipeline's **scan/prune** stage: candidate documents of a
-        collection under the (combined) pruning predicate, in store
-        order, with every pruning counter charged to ``stats``.
+        collection under the pruning predicate, in store order, with
+        every pruning counter charged to ``stats``.
 
-        Shared by the serial path (`_EngineProvider.collection_roots`
-        materializes each survivor) and the sharded path (survivors are
-        partitioned into shards instead) — one code path, one set of
-        counters, so per-shard stats can sum exactly to a serial run.
+        Runs once per ``collection()`` call whichever way the survivors
+        are then evaluated (in-process or partitioned into shards) — one
+        code path, one set of counters, so per-shard stats sum exactly
+        to an in-process run. ``options.use_indexes`` overrides the
+        engine's setting for this scan; with indexes off every document
+        is a candidate (the paper-faithful full scan).
         """
         collection = self.store.collection(collection_name)
-        candidates, lookups = self.planner.candidate_documents(
-            collection, predicate, use_indexes=use_indexes
-        )
-        stats.index_lookups += lookups
-        indexing = (
-            self.planner.use_indexes if use_indexes is None else use_indexes
-        )
-        if indexing and self.label_pushdown and predicate is not None:
-            candidates = self._verify_on_binary(
-                collection, predicate, candidates, stats
-            )
+        use_indexes = options.use_indexes
+        if use_indexes is None:
+            use_indexes = self.use_indexes
+        if use_indexes and predicate is not None:
+            candidates, lookups = candidate_documents(collection, predicate)
+            stats.index_lookups += lookups
+            if self.label_pushdown:
+                candidates = self._verify_on_binary(
+                    collection, predicate, candidates, stats
+                )
+        else:
+            candidates = collection.names()
         stats.documents_scanned += len(candidates)
         stats.documents_pruned += len(collection) - len(candidates)
         return candidates
@@ -353,11 +357,10 @@ class XMLEngine:
         """Exact pushdown: evaluate the predicate over each candidate's
         binary node table and drop definite non-matches before any DOM is
         built. Sound because extracted predicates are *necessary*
-        conditions (planner invariant) and the binary evaluation mirrors
-        DOM evaluation exactly; undecidable atoms (``None``) keep the
-        document, as does a record with no table."""
-        from repro.paths.predicates import evaluate_on_binary
-
+        conditions (see :func:`~repro.engine.indexes.candidate_documents`)
+        and the binary evaluation mirrors DOM evaluation exactly;
+        undecidable atoms (``None``) keep the document, as does a record
+        with no table."""
         verified: list[str] = []
         for doc_name in candidates:
             binary = collection.get(doc_name).binary
@@ -374,27 +377,26 @@ class XMLEngine:
         query: Union[str, Expr],
         expr: Expr,
         analysis,
-        default_collection: Optional[str],
-        parallel_degree: Optional[int],
+        options: ExecOptions,
     ) -> Optional[tuple[ShardScript, str]]:
-        """Decide whether this execution runs sharded.
+        """Decide whether this execution may run sharded.
 
         Returns ``(script, collection_name)`` when every gate passes:
         a degree ≥ 2 was requested, the engine has a worker pool
         configured, the query arrived as text (the wire form — shards
         re-parse it in the workers), the query is statically shardable,
         and its one collection resolves here. Any other case returns
-        None and the serial path runs, keeping behaviour — answers and
-        errors — identical at every requested degree.
+        None and the evaluation stays in-process, keeping behaviour —
+        answers and errors — identical at every requested degree.
         """
-        if parallel_degree is None or parallel_degree <= 1:
+        if options.parallel_degree is None or options.parallel_degree <= 1:
             return None
         if self.shard_workers <= 0 or not isinstance(query, str):
             return None
         if multiprocessing.current_process().daemon:
             # A daemonic process (a spawned TCP site server) cannot have
             # children, so no worker pool can exist here — decline and
-            # run serial, the same answer either way.
+            # run in-process, the same answer either way.
             return None
         script = shard_script(expr)
         if script is None:
@@ -402,7 +404,7 @@ class XMLEngine:
         names = set(analysis.collections)
         if len(names) != 1:
             return None
-        collection_name = names.pop() or default_collection
+        collection_name = names.pop() or options.default_collection
         if collection_name is None or not self.store.has_collection(
             collection_name
         ):
@@ -488,33 +490,27 @@ class XMLEngine:
         )
         return items, result_text, parallel_overhead
 
-    def execute(
+    def execute_iter(
         self,
         query: Union[str, Expr],
-        default_collection: Optional[str] = None,
-        extra_predicate: Optional[Predicate] = None,
-        use_indexes: Optional[bool] = None,
-        parallel_degree: Optional[int] = None,
-    ) -> QueryResult:
-        """Execute a query and return its :class:`QueryResult`.
+        options: Optional[ExecOptions] = None,
+    ) -> "StreamedExecution":
+        """Execute a query as a stream of serialized pieces.
 
-        ``default_collection`` resolves bare ``collection()`` calls.
-        ``extra_predicate`` lets a coordinator push an additional pruning
-        predicate (PartiX uses this when it knows a sub-query can only
-        match documents satisfying a fragment's μ). ``use_indexes``
-        overrides the engine's index setting for this query only — the
-        knob an ``IndexScan`` plan leaf turns on at a site whose default
-        is the paper-faithful full scan. ``parallel_degree`` ≥ 2 asks
-        for sharded evaluation across the engine's worker pool (a
-        request, not a command — see :meth:`_shard_plan`); the answer is
-        byte-identical either way.
-
-        Execution is an explicit site-local operator pipeline:
-        **scan/prune** (:meth:`scan_candidates`) → **evaluate** (serial
-        in-process, or per-shard in the worker pool) → **fold** (merge
-        shard partials in shard order; the serial path's fold is the
-        identity).
+        The one site-local operator pipeline: parse and analyse once,
+        decide sharding, **scan/prune** (:meth:`scan_candidates`, once
+        per ``collection()`` call) → **evaluate** (in-process over the
+        candidates, or per shard in the worker pool) → **fold** (merge
+        shard partials in shard order; the in-process fold is the
+        identity) → **serialize**, handed out piece by piece through the
+        returned :class:`StreamedExecution` — a consumer (the streaming
+        site server) can put each piece on the wire while the next one
+        is still being serialized. An in-process run streams one piece
+        per result item; a sharded run folds into the final text, which
+        streams as a single piece. Either way the ``"\\n"``-join of the
+        pieces is exactly the serialized answer.
         """
+        options = options or ExecOptions()
         started = time.perf_counter()
         # Per-query accumulator: every counter this query touches lands
         # here first and is committed to the shared stats exactly once,
@@ -523,138 +519,68 @@ class XMLEngine:
         delta = EngineStats()
         expr = parse_query(query) if isinstance(query, str) else query
         analysis = analyze_query(expr)
-        predicate = analysis.predicate
-        if extra_predicate is not None:
-            from repro.paths.predicates import And
-
-            predicate = (
-                extra_predicate
-                if predicate is None
-                else And((predicate, extra_predicate))
-            )
-        sharded = self._shard_plan(
-            query, expr, analysis, default_collection, parallel_degree
-        )
+        provider = _EngineProvider(self, options, analysis.predicate, delta)
+        pieces = None
+        sharded = self._shard_plan(query, expr, analysis, options)
         if sharded is not None:
             script, collection_name = sharded
-            # Scan/prune runs once, in the parent — the very same stage
-            # (and counters) the serial provider uses.
             candidates = self.scan_candidates(
-                collection_name, predicate, delta, use_indexes=use_indexes
+                collection_name, analysis.predicate, delta, options
             )
-            degree = min(parallel_degree, self.shard_workers, len(candidates))
+            degree = min(
+                options.parallel_degree, self.shard_workers, len(candidates)
+            )
             if degree >= 2:
-                overhead_before = delta.simulated_overhead_seconds
+                modeled_overhead = delta.simulated_overhead_seconds
                 items, result_text, parallel_overhead = self._evaluate_sharded(
                     query, script, collection_name, candidates, degree, delta
                 )
-                delta.queries_executed += 1
-                elapsed = time.perf_counter() - started
-                self._commit_stats(delta)
-                with self._stats_lock:
-                    cumulative = self.stats.snapshot()
-                return QueryResult(
-                    items=items,
-                    result_text=result_text,
-                    result_bytes=len(result_text.encode("utf-8")),
-                    elapsed_seconds=(
-                        elapsed + overhead_before + parallel_overhead
-                    ),
-                    parse_seconds=delta.parse_seconds,
-                    documents_parsed=delta.documents_parsed,
-                    bytes_parsed=delta.bytes_parsed,
-                    documents_scanned=delta.documents_scanned,
-                    documents_pruned=delta.documents_pruned,
-                    cache_hits=delta.cache_hits,
-                    simulated_overhead_seconds=delta.simulated_overhead_seconds,
-                    binary_decodes=delta.binary_decodes,
-                    label_pruned=delta.label_pruned,
-                    stats=cumulative,
-                )
-            # Too few candidates to amortize a shard: pre-charge nothing
-            # extra — the provider below re-runs scan/prune against a
-            # fresh accumulator so counters are charged exactly once.
-            delta = EngineStats()
-        provider = _EngineProvider(
-            self, default_collection, predicate, delta, use_indexes
-        )
-        eval_started = time.perf_counter()
-        items = Evaluator().evaluate(expr, DynamicContext(provider=provider))
-        delta.evaluation_seconds += time.perf_counter() - eval_started
+                modeled_overhead += parallel_overhead
+                pieces = [result_text] if result_text else []
+            else:
+                # Too few candidates to amortize a shard: evaluate
+                # in-process over the candidates already scanned (the
+                # gate guarantees the query's one collection() call asks
+                # for exactly them).
+                provider.scanned[collection_name] = candidates
+        if pieces is None:
+            eval_started = time.perf_counter()
+            items = Evaluator().evaluate(
+                expr, DynamicContext(provider=provider)
+            )
+            delta.evaluation_seconds += time.perf_counter() - eval_started
+            pieces = map(serialize_item, items)
+            modeled_overhead = delta.simulated_overhead_seconds
         delta.queries_executed += 1
-        result_text = serialize_sequence(items)
-        elapsed = time.perf_counter() - started
-        self._commit_stats(delta)
-        with self._stats_lock:
-            cumulative = self.stats.snapshot()
-        return QueryResult(
-            items=items,
-            result_text=result_text,
-            result_bytes=len(result_text.encode("utf-8")),
-            elapsed_seconds=elapsed + delta.simulated_overhead_seconds,
-            parse_seconds=delta.parse_seconds,
-            documents_parsed=delta.documents_parsed,
-            bytes_parsed=delta.bytes_parsed,
-            documents_scanned=delta.documents_scanned,
-            documents_pruned=delta.documents_pruned,
-            cache_hits=delta.cache_hits,
-            simulated_overhead_seconds=delta.simulated_overhead_seconds,
-            binary_decodes=delta.binary_decodes,
-            label_pruned=delta.label_pruned,
-            stats=cumulative,
+        return StreamedExecution(
+            self, items, pieces, delta, started, modeled_overhead
         )
 
-    def execute_iter(
+    def execute(
         self,
         query: Union[str, Expr],
-        default_collection: Optional[str] = None,
-        extra_predicate: Optional[Predicate] = None,
-        use_indexes: Optional[bool] = None,
-        parallel_degree: Optional[int] = None,
-    ) -> "StreamedExecution":
-        """Execute a query as a stream of per-item serialized pieces.
+        options: Optional[ExecOptions] = None,
+    ) -> QueryResult:
+        """Execute a query and return its :class:`QueryResult` — the
+        drained :meth:`execute_iter` stream, with the monolithic
+        ``result_text`` its pieces join to."""
+        stream = self.execute_iter(query, options)
+        result_text = "\n".join(stream)
+        return replace(stream.result, result_text=result_text)
 
-        Same pipeline as :meth:`execute`, but serialization is handed
-        out item by item through the returned :class:`StreamedExecution`
-        instead of being joined into one monolithic string — a consumer
-        (the streaming site server) can put each piece on the wire while
-        the next one is still being serialized.
-
-        A sharded request (``parallel_degree`` ≥ 2) evaluates through
-        :meth:`execute` — shard partials fold into the final text, which
-        streams as one piece. The stream contract is unchanged: the
-        ``"\\n"``-join of the pieces is exactly the serialized answer.
-        """
-        if parallel_degree is not None and parallel_degree > 1:
-            result = self.execute(
-                query,
-                default_collection=default_collection,
-                extra_predicate=extra_predicate,
-                use_indexes=use_indexes,
-                parallel_degree=parallel_degree,
-            )
-            return StreamedExecution.from_result(self, result)
-        started = time.perf_counter()
-        delta = EngineStats()
-        expr = parse_query(query) if isinstance(query, str) else query
-        analysis = analyze_query(expr)
-        predicate = analysis.predicate
-        if extra_predicate is not None:
-            from repro.paths.predicates import And
-
-            predicate = (
-                extra_predicate
-                if predicate is None
-                else And((predicate, extra_predicate))
-            )
-        provider = _EngineProvider(
-            self, default_collection, predicate, delta, use_indexes
-        )
-        eval_started = time.perf_counter()
-        items = Evaluator().evaluate(expr, DynamicContext(provider=provider))
-        delta.evaluation_seconds += time.perf_counter() - eval_started
-        delta.queries_executed += 1
-        return StreamedExecution(self, items, delta, started)
+    def config(self) -> dict:
+        """The constructor settings a twin of this engine needs to behave
+        like it (``XMLEngine(name, **engine.config())``) — what a
+        spawned site server is configured from. ``storage_dir`` is left
+        out on purpose: a twin must not share this engine's files."""
+        return {
+            "cache_parsed": self.cache_parsed,
+            "cache_size": self._cache_size,
+            "use_indexes": self.use_indexes,
+            "label_pushdown": self.label_pushdown,
+            "per_document_overhead": self.per_document_overhead,
+            "shard_workers": self.shard_workers,
+        }
 
     # ------------------------------------------------------------------
     # Introspection
@@ -677,14 +603,15 @@ class XMLEngine:
             resolved = name or default_collection
             if resolved is None or not self.store.has_collection(resolved):
                 continue
-            collection = self.store.collection(resolved)
-            candidates, lookups = self.planner.candidate_documents(
-                collection, analysis.predicate
+            # The real scan/prune stage against a throwaway accumulator.
+            probe = EngineStats()
+            candidates = self.scan_candidates(
+                resolved, analysis.predicate, probe
             )
             collections[resolved] = {
-                "documents": len(collection),
+                "documents": len(self.store.collection(resolved)),
                 "candidates": len(candidates),
-                "index_lookups": lookups,
+                "index_lookups": probe.index_lookups,
             }
         return {
             "predicate": str(analysis.predicate) if analysis.predicate else None,
@@ -695,7 +622,7 @@ class XMLEngine:
 
 
 class _EngineProvider:
-    """DocumentProvider backed by the engine's store and planner.
+    """DocumentProvider backed by the engine's store and indexes.
 
     All counters charge the query's private ``stats`` accumulator — never
     the engine's shared stats — so concurrent queries stay race-free.
@@ -704,36 +631,36 @@ class _EngineProvider:
     def __init__(
         self,
         engine: XMLEngine,
-        default_collection: Optional[str],
+        options: ExecOptions,
         predicate: Optional[Predicate],
         stats: EngineStats,
-        use_indexes: Optional[bool] = None,
     ):
         self._engine = engine
-        self._default = default_collection
+        self._options = options
         self._predicate = predicate
         self._stats = stats
-        self._use_indexes = use_indexes
+        #: Candidates the pipeline scanned ahead of evaluation, by
+        #: collection; consumed by the ``collection()`` call they were
+        #: scanned for, so scan/prune never runs twice for one call.
+        self.scanned: dict[str, list[str]] = {}
 
     def collection_roots(self, name: Optional[str]) -> list[XMLNode]:
-        collection_name = name or self._default
+        collection_name = name or self._options.default_collection
         if collection_name is None:
             raise XQueryEvaluationError(
                 "collection() without a name needs a default collection"
             )
         if not self._engine.store.has_collection(collection_name):
             raise StorageError(f"no collection named {collection_name!r}")
-        engine = self._engine
-        # The shared scan/prune stage, then materialize each survivor —
-        # the serial "evaluate" stage loads DOMs in-process.
-        candidates = engine.scan_candidates(
-            collection_name,
-            self._predicate,
-            self._stats,
-            use_indexes=self._use_indexes,
-        )
+        candidates = self.scanned.pop(collection_name, None)
+        if candidates is None:
+            candidates = self._engine.scan_candidates(
+                collection_name, self._predicate, self._stats, self._options
+            )
+        # Materialize each survivor: the in-process "evaluate" stage
+        # loads DOMs here.
         return [
-            engine.load_parsed(
+            self._engine.load_parsed(
                 collection_name, doc_name, stats=self._stats
             ).root
             for doc_name in candidates
@@ -751,115 +678,71 @@ class _EngineProvider:
 
 
 class StreamedExecution:
-    """One query's result as per-item serialized pieces.
+    """One query's result as serialized pieces.
 
-    Iterating yields each item's serialized string (XML for nodes, the
-    canonical atomic form otherwise). The monolithic answer is exactly
-    ``"\\n".join(pieces)`` — the contract both the streaming wire path
-    and the incremental composer rely on, and by construction identical
-    to :func:`serialize_sequence` over the same items.
+    Iterating yields the pieces — one per result item (XML for nodes,
+    the canonical atomic form otherwise) for an in-process run, the
+    folded text as a single piece for a sharded one. The monolithic
+    answer is exactly ``"\\n".join(pieces)`` — the contract both the
+    streaming wire path and the incremental composer rely on, and by
+    construction identical to :func:`serialize_sequence` over the same
+    items.
 
-    ``result`` is ``None`` until iteration completes; afterwards it holds
-    the same :class:`QueryResult` :meth:`XMLEngine.execute` would have
-    returned, except ``result_text`` stays empty (the text went to the
-    consumer piece by piece) and ``result_bytes`` counts the streamed
-    bytes, separators included.
+    ``result`` is ``None`` until iteration completes; draining the
+    stream commits the query's stats and builds the
+    :class:`QueryResult`, whose ``result_text`` stays empty (the text
+    went to the consumer piece by piece) while ``result_bytes`` counts
+    the streamed bytes, separators included. Elapsed time is the wall
+    clock up to the last piece plus ``modeled_overhead`` — the simulated
+    per-document access cost as the query experienced it: summed for an
+    in-process run, the slowest shard's for a sharded one.
     """
 
     def __init__(
         self,
         engine: XMLEngine,
         items: list,
+        pieces: Iterable[str],
         delta: EngineStats,
         started: float,
+        modeled_overhead: float,
     ):
         self._engine = engine
+        self._pieces = pieces
         self._delta = delta
         self._started = started
+        self._modeled_overhead = modeled_overhead
         self.items = items
         self.result: Optional[QueryResult] = None
-        self._prefolded: Optional[QueryResult] = None
-
-    @classmethod
-    def from_result(
-        cls, engine: XMLEngine, result: QueryResult
-    ) -> "StreamedExecution":
-        """Wrap an already-folded (sharded) result as a stream.
-
-        The folded answer text travels as a single piece — the
-        ``"\\n"``-join contract holds trivially, and the final
-        :class:`QueryResult` is the sharded execution's own (its stats
-        were already committed by :meth:`XMLEngine.execute`)."""
-        stream = cls(engine, result.items, EngineStats(), 0.0)
-        stream._prefolded = result
-        return stream
 
     def __iter__(self):
-        if self._prefolded is not None:
-            prefolded = self._prefolded
-            if prefolded.result_text:
-                yield prefolded.result_text
-            self.result = QueryResult(
-                items=prefolded.items,
-                result_text="",
-                result_bytes=len(prefolded.result_text.encode("utf-8")),
-                elapsed_seconds=prefolded.elapsed_seconds,
-                parse_seconds=prefolded.parse_seconds,
-                documents_parsed=prefolded.documents_parsed,
-                bytes_parsed=prefolded.bytes_parsed,
-                documents_scanned=prefolded.documents_scanned,
-                documents_pruned=prefolded.documents_pruned,
-                cache_hits=prefolded.cache_hits,
-                simulated_overhead_seconds=(
-                    prefolded.simulated_overhead_seconds
-                ),
-                binary_decodes=prefolded.binary_decodes,
-                label_pruned=prefolded.label_pruned,
-                stats=prefolded.stats,
-            )
-            return
         streamed_bytes = 0
-        for index, item in enumerate(self.items):
-            if isinstance(item, XMLNode):
-                piece = serialize(item)
-            else:
-                piece = atomic_to_string(item)
+        for index, piece in enumerate(self._pieces):
             if index:
                 streamed_bytes += 1  # the "\n" separator before this piece
             streamed_bytes += len(piece.encode("utf-8"))
             yield piece
-        self._finish(streamed_bytes)
-
-    def _finish(self, streamed_bytes: int) -> None:
-        engine, delta = self._engine, self._delta
+        engine = self._engine
         elapsed = time.perf_counter() - self._started
-        engine._commit_stats(delta)
+        engine._commit_stats(self._delta)
         with engine._stats_lock:
             cumulative = engine.stats.snapshot()
-        self.result = QueryResult(
+        self.result = QueryResult.from_stats(
+            self._delta,
             items=self.items,
-            result_text="",
             result_bytes=streamed_bytes,
-            elapsed_seconds=elapsed + delta.simulated_overhead_seconds,
-            parse_seconds=delta.parse_seconds,
-            documents_parsed=delta.documents_parsed,
-            bytes_parsed=delta.bytes_parsed,
-            documents_scanned=delta.documents_scanned,
-            documents_pruned=delta.documents_pruned,
-            cache_hits=delta.cache_hits,
-            simulated_overhead_seconds=delta.simulated_overhead_seconds,
-            binary_decodes=delta.binary_decodes,
-            label_pruned=delta.label_pruned,
-            stats=cumulative,
+            elapsed_seconds=elapsed + self._modeled_overhead,
+            cumulative=cumulative,
         )
+
+
+def serialize_item(item) -> str:
+    """One result item the way a driver would ship it."""
+    if isinstance(item, XMLNode):
+        return serialize(item)
+    return atomic_to_string(item)
 
 
 def serialize_sequence(items: list) -> str:
     """Serialize a result sequence the way a driver would ship it."""
-    parts = []
-    for item in items:
-        if isinstance(item, XMLNode):
-            parts.append(serialize(item))
-        else:
-            parts.append(atomic_to_string(item))
-    return "\n".join(parts)
+    return "\n".join(map(serialize_item, items))

@@ -22,17 +22,34 @@ to a node range: the label identifies the node's position and, through
 the table's subtree sizes, the contiguous preorder slice beneath it —
 the engine's post-index verification starts from those labels instead of
 re-scanning whole documents.
+
+:func:`candidate_documents` is the one consumer of the document-level
+lookups: given a query's extracted selection predicate it intersects
+index probes into the documents that must actually be parsed.
 """
 
 from __future__ import annotations
 
+import bisect
 import re
+import threading
+from typing import Optional
 
 from repro.datamodel.binary import (
     KIND_ATTRIBUTE,
     KIND_ELEMENT,
     KIND_TEXT,
     BinaryXMLDocument,
+)
+from repro.paths.ast import Axis
+from repro.paths.predicates import (
+    And,
+    Comparison,
+    Contains,
+    Exists,
+    Or,
+    Predicate,
+    StartsWith,
 )
 
 _WORD_RE = re.compile(r"[A-Za-z0-9]+")
@@ -236,6 +253,7 @@ class RangeIndex:
         self._non_numeric: dict[str, list[tuple[str, str]]] = {}
         self._all: dict[str, list[tuple[str, str]]] = {}
         self._sorted = True
+        self._sort_lock = threading.Lock()
 
     def add_document(self, name: str, binary: BinaryXMLDocument) -> None:
         for index in range(len(binary)):
@@ -283,18 +301,27 @@ class RangeIndex:
         return result
 
     def _ensure_sorted(self) -> None:
+        """Sort the posting lists on the first lookup after an ingest.
+
+        Concurrent queries share this index, and ``list.sort`` empties
+        the list it is sorting for the duration of the sort — a lookup
+        reading one meanwhile would see no entries and prune every
+        document, which breaks the superset guarantee. So the sort runs
+        under a lock, and a lookup that waited re-checks ``_sorted``
+        instead of sorting again."""
         if self._sorted:
             return
-        for table in (self._numeric, self._non_numeric, self._all):
-            for label in table:
-                table[label].sort(key=lambda entry: (entry[0],))
-        self._sorted = True
+        with self._sort_lock:
+            if self._sorted:
+                return
+            for table in (self._numeric, self._non_numeric, self._all):
+                for label in table:
+                    table[label].sort(key=lambda entry: (entry[0],))
+            self._sorted = True
 
 
 def _range_scan(entries, op: str, value) -> set[str]:
     """Documents whose entry value satisfies ``value_entry op value``."""
-    import bisect
-
     keys = [entry[0] for entry in entries]
     if op in ("<", "<="):
         cut = (
@@ -341,3 +368,123 @@ class ElementIndex:
 
     def known_labels(self) -> set[str]:
         return set(self._postings)
+
+
+# ----------------------------------------------------------------------
+# Index-assisted document pruning
+# ----------------------------------------------------------------------
+def candidate_documents(
+    collection, predicate: Optional[Predicate]
+) -> tuple[list[str], int]:
+    """``(candidate document names, index lookups performed)`` for a
+    query's selection predicate over one stored collection.
+
+    Intersects index lookups to compute the documents that must actually
+    be parsed; anything the indexes cannot answer falls back to "all
+    documents" — pruning is an optimization, never a correctness
+    requirement. Soundness: the predicate parts extracted by
+    :mod:`repro.xquery.analysis` are *necessary* conditions for a
+    document to contribute query results, and each index lookup returns
+    a superset of the documents satisfying its atom, so the intersection
+    is a superset of the contributing documents.
+
+    Pure — all state is the call's own — so concurrent queries probing
+    one collection each get their own lookup count. Whether to use the
+    indexes at all is the caller's decision (``XMLEngine.scan_candidates``).
+    """
+    all_names = collection.names()
+    if predicate is None:
+        return all_names, 0
+    candidates, lookups = _candidates_for(collection, predicate)
+    if candidates is None:
+        return all_names, lookups
+    # Preserve store order for determinism.
+    return [name for name in all_names if name in candidates], lookups
+
+
+def _candidates_for(
+    collection, predicate: Predicate
+) -> tuple[Optional[set[str]], int]:
+    """Document-name superset for ``predicate`` (None = no pruning) and
+    the number of index lookups spent finding it."""
+    if isinstance(predicate, And):
+        result: Optional[set[str]] = None
+        lookups = 0
+        for part in predicate.parts:
+            candidates, spent = _candidates_for(collection, part)
+            lookups += spent
+            if candidates is not None:
+                result = candidates if result is None else result & candidates
+        return result, lookups
+    if isinstance(predicate, Or):
+        union: set[str] = set()
+        lookups = 0
+        for part in predicate.parts:
+            candidates, spent = _candidates_for(collection, part)
+            lookups += spent
+            if candidates is None:
+                return None, lookups  # one unprunable branch defeats the union
+            union |= candidates
+        return union, lookups
+    if isinstance(predicate, Contains):
+        return collection.fulltext.lookup_substring(predicate.needle), 1
+    if isinstance(predicate, StartsWith):
+        # A value starting with the prefix contains the prefix's tokens.
+        return collection.fulltext.lookup_substring(predicate.prefix), 1
+    if isinstance(predicate, Comparison) and predicate.op == "=":
+        label = _terminal_label(predicate.path)
+        if label is not None and collection.values.covers_label(label):
+            return collection.values.lookup(label, str(predicate.value)), 1
+        return None, 0
+    if isinstance(predicate, Comparison) and predicate.op in ("<", "<=", ">", ">="):
+        label = _terminal_label(predicate.path)
+        if (
+            label is not None
+            and not label.startswith("@")
+            and collection.ranges.covers_label(label)
+        ):
+            return (
+                collection.ranges.lookup(label, predicate.op, predicate.value),
+                1,
+            )
+        return None, 0
+    if isinstance(predicate, Exists):
+        label = _terminal_label(predicate.path)
+        if label is None:
+            return None, 0
+        structural = _structural_lookup(collection, predicate.path)
+        if structural is not None:
+            return structural, 1
+        return collection.elements.lookup(label), 1
+    return None, 0
+
+
+def _structural_lookup(collection, path) -> Optional[set[str]]:
+    """Use the structural path index when the path is exact enough.
+
+    Simple child-axis paths map to an exact structural key; a single
+    leading ``//`` followed by child steps maps to a suffix probe.
+    Anything else (None) falls back to the label index.
+    """
+    steps = path.steps
+    if any(step.is_wildcard or step.position is not None for step in steps):
+        return None
+    labels = tuple(
+        ("@" + step.name) if step.is_attribute else step.name
+        for step in steps
+    )
+    if all(step.axis is Axis.CHILD for step in steps):
+        return collection.paths.lookup_exact(labels)
+    if steps[0].axis is Axis.DESCENDANT and all(
+        step.axis is Axis.CHILD for step in steps[1:]
+    ):
+        return collection.paths.lookup_suffix(labels)
+    return None
+
+
+def _terminal_label(path) -> Optional[str]:
+    """The index label of a path's last step (None for a wildcard)."""
+    last = path.last
+    if last.is_wildcard:
+        return None
+    return ("@" + last.name) if last.is_attribute else last.name

@@ -8,7 +8,8 @@ and the ablation benches assert on them directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Optional
 
 
 @dataclass
@@ -76,6 +77,45 @@ class EngineStats:
             setattr(self, name, getattr(self, name) + getattr(delta, name))
 
 
+@dataclass(frozen=True)
+class ExecOptions:
+    """The per-query settings of one site-local execution.
+
+    The one request record every layer below ``Transport.execute`` takes
+    as ``(query, options=None)`` and passes through untouched — engine,
+    drivers, :class:`~repro.cluster.site.Site`, wire client and server.
+    A new per-query field is added here (and so to the payload pair
+    below) and nowhere else. ``None`` always means "the site decides".
+
+    ``default_collection`` resolves bare ``collection()`` calls.
+    ``use_indexes`` overrides the site's index setting for this query —
+    how an ``index-scan`` plan lane reaches a site whose default is the
+    paper-faithful full scan. ``parallel_degree`` ≥ 2 asks for sharded
+    evaluation across the site's worker pool: a request the site may
+    decline (no pool, non-shardable query); answers are byte-identical
+    either way.
+    """
+
+    default_collection: Optional[str] = None
+    use_indexes: Optional[bool] = None
+    parallel_degree: Optional[int] = None
+
+    def to_payload(self) -> dict:
+        """The flat EXECUTE-frame keys, set fields only (frames do not
+        grow for options nobody asked for)."""
+        return {
+            name: value
+            for name, value in vars(self).items()
+            if value is not None
+        }
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "ExecOptions":
+        """Read the options out of an EXECUTE payload; keys this version
+        does not know (a newer peer's) are ignored."""
+        return cls(**{f.name: payload.get(f.name) for f in fields(cls)})
+
+
 @dataclass
 class QueryResult:
     """Outcome of one query execution on one engine.
@@ -105,3 +145,61 @@ class QueryResult:
     def measured_seconds(self) -> float:
         """Elapsed time excluding the simulated per-document overhead."""
         return self.elapsed_seconds - self.simulated_overhead_seconds
+
+    @classmethod
+    def from_stats(
+        cls,
+        delta: EngineStats,
+        items: list,
+        result_bytes: int,
+        elapsed_seconds: float,
+        cumulative: EngineStats,
+    ) -> "QueryResult":
+        """The result record of one finished execution: every per-query
+        counter is read off the query's ``delta`` accumulator by field
+        name, so a counter added to both dataclasses needs no third
+        edit. ``result_text`` starts empty — the text went to the
+        consumer piece by piece (see ``XMLEngine.execute_iter``)."""
+        return cls(
+            items=items,
+            result_text="",
+            result_bytes=result_bytes,
+            elapsed_seconds=elapsed_seconds,
+            stats=cumulative,
+            **{name: getattr(delta, name) for name in _COUNTER_FIELDS},
+        )
+
+    def to_payload(self, streamed: bool = False) -> dict:
+        """The RESULT-frame payload, or with ``streamed`` the RESULT_END
+        one: the text already went out as chunks, so its byte count
+        travels in its place."""
+        payload = {name: getattr(self, name) for name in _WIRE_FIELDS}
+        del payload["result_text" if streamed else "result_bytes"]
+        return payload
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "QueryResult":
+        """Rebuild a result from either payload form (``items`` stay
+        empty). Counters a peer does not send keep their defaults and
+        keys this version does not know are ignored."""
+        known = {
+            name: payload[name] for name in _WIRE_FIELDS if name in payload
+        }
+        text = known.setdefault("result_text", "")
+        known.setdefault("result_bytes", len(text.encode("utf-8")))
+        return cls(items=[], **known)
+
+
+# Both lists are read off the dataclasses once, at import, so a new field
+# or counter needs no list updated by hand.
+#: The per-query counters ``from_stats`` copies from the accumulator.
+_COUNTER_FIELDS = tuple(
+    f.name
+    for f in fields(QueryResult)
+    if f.name in {counter.name for counter in fields(EngineStats)}
+)
+#: What crosses the wire: all but the result items (only the serialized
+#: text travels, as with a real remote DBMS) and the cumulative counters.
+_WIRE_FIELDS = tuple(
+    f.name for f in fields(QueryResult) if f.name not in ("items", "stats")
+)

@@ -62,20 +62,6 @@ class SpawnedSite:
         return self.process.is_alive()
 
 
-def engine_config_of(site: "Site") -> dict:
-    """The engine settings a remote twin of ``site`` should run with."""
-    driver = site.driver
-    engine = getattr(driver, "engine", None)
-    if engine is None:
-        return {}
-    return {
-        "use_indexes": engine.planner.use_indexes,
-        "per_document_overhead": engine.per_document_overhead,
-        "cache_parsed": engine.cache_parsed,
-        "shard_workers": engine.shard_workers,
-    }
-
-
 def mirror_site(site: "Site", client: SiteClient) -> tuple[int, int]:
     """Republish a local site's collections to its remote twin.
 

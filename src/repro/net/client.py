@@ -23,9 +23,9 @@ import socket
 import threading
 from typing import Optional, Sequence, Union, TYPE_CHECKING
 
-from repro.cluster.dispatch import Transport
+from repro.cluster.dispatch import Transport, exec_options
 from repro.cluster.site import SubQueryExecution
-from repro.engine.stats import QueryResult
+from repro.engine.stats import ExecOptions, QueryResult
 from repro.errors import (
     ClusterError,
     CollectionNotFoundError,
@@ -45,7 +45,6 @@ from repro.partix.driver import PartixDriver
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.datamodel.document import XMLDocument
-    from repro.paths.predicates import Predicate
     from repro.plan.spec import SubQuery
 
 
@@ -260,67 +259,30 @@ class SiteClient:
     def execute(
         self,
         query: str,
-        default_collection: Optional[str] = None,
-        extra_predicate: Optional["Predicate"] = None,
+        options: Optional[ExecOptions] = None,
         read_timeout: Optional[float] = None,
         debug_sleep_seconds: Optional[float] = None,
-        use_indexes: Optional[bool] = None,
-        parallel_degree: Optional[int] = None,
     ) -> tuple[QueryResult, int, int]:
         """Run a query remotely; returns ``(result, sent, received)``.
 
         The result's ``items`` stay empty — only the serialized text
         crosses the wire, as with any real remote DBMS.
         """
-        payload: dict = {"query": query}
-        if default_collection is not None:
-            payload["default_collection"] = default_collection
-        if extra_predicate is not None:
-            from repro.partix.serialization import predicate_to_dict
-
-            payload["extra_predicate"] = predicate_to_dict(extra_predicate)
+        payload = {"query": query}
+        payload.update((options or ExecOptions()).to_payload())
         if debug_sleep_seconds:
             payload["debug_sleep_seconds"] = debug_sleep_seconds
-        if use_indexes is not None:
-            payload["use_indexes"] = use_indexes
-        if parallel_degree is not None:
-            payload["parallel_degree"] = parallel_degree
         reply, sent, received = self.call(FrameType.EXECUTE, payload, read_timeout)
         if reply.type is not FrameType.RESULT:
             raise TransportError(f"EXECUTE answered with {reply.type.name}")
-        data = reply.payload
-        text = data["result_text"]
-        return (
-            QueryResult(
-                items=[],
-                result_text=text,
-                result_bytes=len(text.encode("utf-8")),
-                elapsed_seconds=data["elapsed_seconds"],
-                parse_seconds=data["parse_seconds"],
-                documents_parsed=data["documents_parsed"],
-                bytes_parsed=data["bytes_parsed"],
-                documents_scanned=data["documents_scanned"],
-                documents_pruned=data["documents_pruned"],
-                cache_hits=data.get("cache_hits", 0),
-                simulated_overhead_seconds=data.get(
-                    "simulated_overhead_seconds", 0.0
-                ),
-                binary_decodes=data.get("binary_decodes", 0),
-                label_pruned=data.get("label_pruned", 0),
-            ),
-            sent,
-            received,
-        )
+        return QueryResult.from_payload(reply.payload), sent, received
 
     def execute_stream(
         self,
         query: str,
-        default_collection: Optional[str] = None,
-        extra_predicate: Optional["Predicate"] = None,
+        options: Optional[ExecOptions] = None,
         on_chunk=None,
         read_timeout: Optional[float] = None,
-        use_indexes: Optional[bool] = None,
-        parallel_degree: Optional[int] = None,
     ) -> tuple[QueryResult, int, int]:
         """Run a query remotely in streaming mode.
 
@@ -332,17 +294,8 @@ class SiteClient:
         dies before RESULT_END raises :class:`TransportError`, so a
         truncated stream can never be mistaken for a short answer.
         """
-        payload: dict = {"query": query, "stream": True}
-        if default_collection is not None:
-            payload["default_collection"] = default_collection
-        if extra_predicate is not None:
-            from repro.partix.serialization import predicate_to_dict
-
-            payload["extra_predicate"] = predicate_to_dict(extra_predicate)
-        if use_indexes is not None:
-            payload["use_indexes"] = use_indexes
-        if parallel_degree is not None:
-            payload["parallel_degree"] = parallel_degree
+        payload = {"query": query, "stream": True}
+        payload.update((options or ExecOptions()).to_payload())
         rid = self._next_request_id()
         sock = self._borrow()
         timeout = read_timeout if read_timeout is not None else self.read_timeout
@@ -399,28 +352,7 @@ class SiteClient:
         self._count(sent, received_total)
         with self._lock:
             self.requests += 1
-        data = reply.payload
-        return (
-            QueryResult(
-                items=[],
-                result_text="",
-                result_bytes=data.get("result_bytes", streamed),
-                elapsed_seconds=data["elapsed_seconds"],
-                parse_seconds=data["parse_seconds"],
-                documents_parsed=data["documents_parsed"],
-                bytes_parsed=data["bytes_parsed"],
-                documents_scanned=data["documents_scanned"],
-                documents_pruned=data["documents_pruned"],
-                cache_hits=data.get("cache_hits", 0),
-                simulated_overhead_seconds=data.get(
-                    "simulated_overhead_seconds", 0.0
-                ),
-                binary_decodes=data.get("binary_decodes", 0),
-                label_pruned=data.get("label_pruned", 0),
-            ),
-            sent,
-            received_total,
-        )
+        return QueryResult.from_payload(reply.payload), sent, received_total
 
     def create_collection(self, name: str) -> None:
         self.call(FrameType.CREATE_COLLECTION, {"collection": name})
@@ -495,21 +427,9 @@ class RemoteSiteDriver(PartixDriver):
         self.client.store_document(collection, text, name=name, origin=origin)
 
     def execute(
-        self,
-        query: str,
-        default_collection: Optional[str] = None,
-        extra_predicate: Optional["Predicate"] = None,
-        use_indexes: Optional[bool] = None,
-        parallel_degree: Optional[int] = None,
+        self, query: str, options: Optional[ExecOptions] = None
     ) -> QueryResult:
-        result, _, _ = self.client.execute(
-            query,
-            default_collection=default_collection,
-            extra_predicate=extra_predicate,
-            use_indexes=use_indexes,
-            parallel_degree=parallel_degree,
-        )
-        return result
+        return self.client.execute(query, options)[0]
 
     def document_count(self, collection: str) -> int:
         # The ERROR-frame class mapping resurfaces the server's typed
@@ -566,22 +486,14 @@ class TcpTransport(Transport):
         client = self.clients.get(subquery.site)
         if client is None:
             raise ClusterError(f"no site named {subquery.site!r}")
+        options = exec_options(subquery, default_collection)
         if on_chunk is not None:
             result, sent, received = client.execute_stream(
-                subquery.query,
-                default_collection=default_collection,
-                on_chunk=on_chunk,
-                read_timeout=timeout,
-                use_indexes=subquery.use_indexes,
-                parallel_degree=subquery.parallel_degree,
+                subquery.query, options, on_chunk=on_chunk, read_timeout=timeout
             )
         else:
             result, sent, received = client.execute(
-                subquery.query,
-                default_collection=default_collection,
-                read_timeout=timeout,
-                use_indexes=subquery.use_indexes,
-                parallel_degree=subquery.parallel_degree,
+                subquery.query, options, read_timeout=timeout
             )
         return SubQueryExecution(
             site=subquery.site,

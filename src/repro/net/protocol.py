@@ -99,7 +99,7 @@ class FrameType(enum.IntEnum):
     REJECT = 3  # server → client: {"reason": str} (connection closes)
     PING = 4  # health check: {}
     PONG = 5  # {"site": str, "queries_executed": int, ...}
-    EXECUTE = 6  # {"query", "default_collection"?, "extra_predicate"?}
+    EXECUTE = 6  # {"query", "stream"?, ExecOptions keys that are set...}
     RESULT = 7  # {"result_text", "elapsed_seconds", per-query stats...}
     ERROR = 8  # {"error_type": str, "message": str}
     CREATE_COLLECTION = 9  # {"collection": str}

@@ -33,6 +33,7 @@ from typing import Optional
 
 from collections import Counter
 
+from repro.engine.stats import ExecOptions
 from repro.errors import ProtocolError
 from repro.net.protocol import (
     DEFAULT_CHUNK_BYTES,
@@ -46,32 +47,6 @@ from repro.net.protocol import (
     send_frame,
 )
 from repro.partix.driver import MiniXDriver, PartixDriver
-
-
-def _result_payload(result) -> dict:
-    """RESULT-frame payload for one QueryResult (items stay site-local:
-    only the serialized text travels, exactly as with a real DBMS)."""
-    return {
-        "result_text": result.result_text,
-        "elapsed_seconds": result.elapsed_seconds,
-        "parse_seconds": result.parse_seconds,
-        "documents_parsed": result.documents_parsed,
-        "bytes_parsed": result.bytes_parsed,
-        "documents_scanned": result.documents_scanned,
-        "documents_pruned": result.documents_pruned,
-        "binary_decodes": result.binary_decodes,
-        "label_pruned": result.label_pruned,
-        "cache_hits": result.cache_hits,
-        "simulated_overhead_seconds": result.simulated_overhead_seconds,
-    }
-
-
-def _stream_end_payload(result) -> dict:
-    """RESULT_END payload: execution stats, no text (it already streamed)."""
-    payload = _result_payload(result)
-    del payload["result_text"]
-    payload["result_bytes"] = result.result_bytes
-    return payload
 
 
 #: How often an idle handler re-checks the server's shutdown flag while
@@ -241,32 +216,29 @@ class _SiteHandler(socketserver.BaseRequestHandler):
             # Test hook: lets fault-injection tests hold a query in
             # flight while they kill the server.
             time.sleep(float(delay))
-        extra = payload.get("extra_predicate")
-        predicate = None
-        if extra is not None:
-            from repro.partix.serialization import predicate_from_dict
-
-            predicate = predicate_from_dict(extra)
+        if "extra_predicate" in payload:
+            # Removed from the protocol: the hint changed answers, so an
+            # old client still sending it must hear a refusal rather than
+            # get a silently different (unpruned) result.
+            raise ProtocolError(
+                "EXECUTE no longer accepts 'extra_predicate': this site"
+                " would ignore the hint and answer a different query"
+            )
+        options = ExecOptions.from_payload(payload)
         if payload.get("stream"):
-            self._execute_stream(sock, owner, rid, payload, predicate)
+            self._execute_stream(sock, owner, rid, payload["query"], options)
             return
-        result = owner.driver.execute(
-            payload["query"],
-            default_collection=payload.get("default_collection"),
-            extra_predicate=predicate,
-            use_indexes=payload.get("use_indexes"),
-            parallel_degree=payload.get("parallel_degree"),
-        )
+        result = owner.driver.execute(payload["query"], options)
         owner._count_query()
-        self._reply(sock, rid, FrameType.RESULT, _result_payload(result))
+        self._reply(sock, rid, FrameType.RESULT, result.to_payload())
 
     def _execute_stream(
         self,
         sock: socket.socket,
         owner: "SiteServer",
         rid: int,
-        payload: dict,
-        predicate,
+        query: str,
+        options: ExecOptions,
     ) -> None:
         """Streamed EXECUTE: RESULT_CHUNK frames as produced, RESULT_END last.
 
@@ -277,13 +249,7 @@ class _SiteHandler(socketserver.BaseRequestHandler):
         reassembling the stream gets a byte-identical answer. Chunks go
         on the wire while later items are still being serialized.
         """
-        stream = owner.driver.execute_iter(
-            payload["query"],
-            default_collection=payload.get("default_collection"),
-            extra_predicate=predicate,
-            use_indexes=payload.get("use_indexes"),
-            parallel_degree=payload.get("parallel_degree"),
-        )
+        stream = owner.driver.execute_iter(query, options)
         chunk_bytes = self.chunk_bytes
         buffer = bytearray()
         first = True
@@ -299,7 +265,10 @@ class _SiteHandler(socketserver.BaseRequestHandler):
             self._reply_raw(sock, rid, bytes(buffer))
         owner._count_query()
         self._reply(
-            sock, rid, FrameType.RESULT_END, _stream_end_payload(stream.result)
+            sock,
+            rid,
+            FrameType.RESULT_END,
+            stream.result.to_payload(streamed=True),
         )
 
     def _reply_raw(self, sock: socket.socket, rid: int, data: bytes) -> None:

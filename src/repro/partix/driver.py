@@ -17,8 +17,7 @@ from typing import Optional, Union
 
 from repro.datamodel.document import XMLDocument
 from repro.engine.database import XMLEngine
-from repro.engine.stats import QueryResult
-from repro.paths.predicates import Predicate
+from repro.engine.stats import ExecOptions, QueryResult
 
 
 class PartixDriver(abc.ABC):
@@ -40,22 +39,14 @@ class PartixDriver(abc.ABC):
 
     @abc.abstractmethod
     def execute(
-        self,
-        query: str,
-        default_collection: Optional[str] = None,
-        extra_predicate: Optional[Predicate] = None,
-        use_indexes: Optional[bool] = None,
-        parallel_degree: Optional[int] = None,
+        self, query: str, options: Optional[ExecOptions] = None
     ) -> QueryResult:
         """Run an XQuery and return its result + execution metrics.
 
-        ``use_indexes`` overrides the DBMS's index configuration for this
-        one query (``None`` leaves the node's own setting in charge) —
-        how an ``index-scan`` plan lane reaches the executing site.
-        ``parallel_degree`` ≥ 2 asks the node to evaluate the query
-        sharded across that many local workers — a request the node may
-        decline (no pool, non-shardable query); answers are
-        byte-identical either way.
+        ``options`` carries the per-query settings (see
+        :class:`~repro.engine.stats.ExecOptions`); every one of them is
+        a request the node may decline — answers are byte-identical
+        either way.
         """
 
     @abc.abstractmethod
@@ -90,14 +81,7 @@ class PartixDriver(abc.ABC):
             self.collection_bytes(collection),
         )
 
-    def execute_iter(
-        self,
-        query: str,
-        default_collection: Optional[str] = None,
-        extra_predicate: Optional[Predicate] = None,
-        use_indexes: Optional[bool] = None,
-        parallel_degree: Optional[int] = None,
-    ):
+    def execute_iter(self, query: str, options: Optional[ExecOptions] = None):
         """Run an XQuery as a stream of serialized result pieces.
 
         Returns an iterable of strings whose ``"\\n"``-join is exactly
@@ -107,15 +91,7 @@ class PartixDriver(abc.ABC):
         yields the whole text as one piece — correct for any driver;
         engine-backed drivers override it with true per-item streaming.
         """
-        return _MaterializedStream(
-            self.execute(
-                query,
-                default_collection=default_collection,
-                extra_predicate=extra_predicate,
-                use_indexes=use_indexes,
-                parallel_degree=parallel_degree,
-            )
-        )
+        return _MaterializedStream(self.execute(query, options))
 
 
 class _MaterializedStream:
@@ -149,36 +125,12 @@ class MiniXDriver(PartixDriver):
         self.engine.store_document(collection, document, name=name, origin=origin)
 
     def execute(
-        self,
-        query: str,
-        default_collection: Optional[str] = None,
-        extra_predicate: Optional[Predicate] = None,
-        use_indexes: Optional[bool] = None,
-        parallel_degree: Optional[int] = None,
+        self, query: str, options: Optional[ExecOptions] = None
     ) -> QueryResult:
-        return self.engine.execute(
-            query,
-            default_collection=default_collection,
-            extra_predicate=extra_predicate,
-            use_indexes=use_indexes,
-            parallel_degree=parallel_degree,
-        )
+        return self.engine.execute(query, options)
 
-    def execute_iter(
-        self,
-        query: str,
-        default_collection: Optional[str] = None,
-        extra_predicate: Optional[Predicate] = None,
-        use_indexes: Optional[bool] = None,
-        parallel_degree: Optional[int] = None,
-    ):
-        return self.engine.execute_iter(
-            query,
-            default_collection=default_collection,
-            extra_predicate=extra_predicate,
-            use_indexes=use_indexes,
-            parallel_degree=parallel_degree,
-        )
+    def execute_iter(self, query: str, options: Optional[ExecOptions] = None):
+        return self.engine.execute_iter(query, options)
 
     def document_count(self, collection: str) -> int:
         if not self.engine.has_collection(collection):

@@ -67,7 +67,7 @@ from repro.net.protocol import DEFAULT_CHUNK_BYTES
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.bootstrap import TcpSiteCluster
 from repro.cluster.network import NetworkModel
-from repro.cluster.site import Cluster, ParallelRound, SubQueryExecution
+from repro.cluster.site import Cluster, ParallelRound
 from repro.datamodel.collection import Collection
 from repro.partix.catalog import (
     DistributionCatalog,
@@ -82,6 +82,7 @@ from repro.plan.cache import PlanCache
 from repro.plan.cost import CostModel
 from repro.plan.executor import ExecutionMode, PlanExecutor
 from repro.plan.lower import lower
+from repro.plan.spec import SubQuery
 
 
 @dataclass
@@ -183,44 +184,20 @@ class PartixResult:
         ]
 
 
-def _cluster_shard_workers(cluster: Cluster) -> int:
-    """Infer the intra-site worker pool size from the cluster's sites.
+def _cluster_engine_floor(cluster: Cluster, setting: str):
+    """The lowest value of one engine setting (see ``XMLEngine.config``)
+    across the cluster's sites — what lowering may assume *everywhere*.
 
-    The minimum across every site's introspectable engine — lowering
-    must never stamp a degree some site cannot honor (it would silently
-    serialize there, skewing the lane estimates). Sites without an
-    engine (remote drivers) count as 0: the conservative answer.
+    Planning must never count on an index probe or a shard degree some
+    site cannot honor (the lane would silently degrade there, skewing
+    its estimate). A site without an introspectable engine (a remote
+    driver) therefore pulls the floor to 0, as does an empty cluster:
+    the conservative answer.
     """
-    sites = cluster.sites()
-    if not sites:
-        return 0
-    workers = None
-    for site in sites:
-        engine = getattr(site.driver, "engine", None)
-        if engine is None:
-            return 0
-        site_workers = int(getattr(engine, "shard_workers", 0))
-        workers = site_workers if workers is None else min(workers, site_workers)
-    return workers or 0
-
-
-def _cluster_uses_indexes(cluster: Cluster) -> bool:
-    """Infer index eligibility from the cluster's site configurations.
-
-    True only when *every* site exposes a local engine whose planner
-    runs with document indexes on. Sites without an introspectable
-    engine (remote drivers) count as off — the conservative answer,
-    since index-scan lanes would silently degrade to full scans there.
-    """
-    sites = cluster.sites()
-    if not sites:
-        return False
-    for site in sites:
-        engine = getattr(site.driver, "engine", None)
-        planner = getattr(engine, "planner", None)
-        if planner is None or not getattr(planner, "use_indexes", False):
-            return False
-    return True
+    return min(
+        (site.engine_config().get(setting, 0) for site in cluster.sites()),
+        default=0,
+    )
 
 
 class Partix:
@@ -246,7 +223,7 @@ class Partix:
         #: before. Like index eligibility, this is a ceiling, not a
         #: commitment — lowering prices serial vs sharded per fragment.
         if shard_workers is None:
-            shard_workers = _cluster_shard_workers(cluster)
+            shard_workers = _cluster_engine_floor(cluster, "shard_workers")
         self.shard_workers = max(0, int(shard_workers))
         #: Are fragment scans *eligible* for the index access path?
         #: ``None`` (the default) infers it from the cluster: eligible
@@ -256,7 +233,7 @@ class Partix:
         #: commitment — lowering still prices both access paths per
         #: fragment and picks the cheaper one.
         if use_indexes is None:
-            use_indexes = _cluster_uses_indexes(cluster)
+            use_indexes = bool(_cluster_engine_floor(cluster, "use_indexes"))
         self.use_indexes = use_indexes
         #: Optional LRU of logical plans keyed on (query, collection,
         #: catalog version). ``None`` (the default) plans every query
@@ -538,14 +515,10 @@ class Partix:
         """
         if self._tcp is not None:
             return self._tcp
-        from repro.net.bootstrap import (
-            TcpSiteCluster,
-            engine_config_of,
-            mirror_site,
-        )
+        from repro.net.bootstrap import TcpSiteCluster, mirror_site
 
         configs = {
-            site.name: engine_config_of(site) for site in self.cluster.sites()
+            site.name: site.engine_config() for site in self.cluster.sites()
         }
         tcp = TcpSiteCluster.spawn(
             configs,
@@ -586,39 +559,30 @@ class Partix:
         query: str,
         site_name: str,
     ) -> PartixResult:
-        """Run a query directly at one site (the centralized baseline)."""
-        site = self.cluster.site(site_name)
+        """Run a query directly at one site (the centralized baseline):
+        a one-lane round through the in-process transport, like every
+        other lane, with nothing to decompose or compose."""
+        subquery = SubQuery(
+            fragment="(centralized)", site=site_name, collection="", query=query
+        )
         started = time.perf_counter()
-        result = site.execute(query)
-        wall_seconds = time.perf_counter() - started
+        execution = InProcessTransport(self.cluster).execute(subquery)
         round_ = ParallelRound(
-            executions=[
-                SubQueryExecution(
-                    site=site_name,
-                    fragment="(centralized)",
-                    query=query,
-                    result=result,
-                    bytes_sent=len(query.encode("utf-8")),
-                    bytes_received=result.result_bytes,
-                    on_wire=False,
-                )
-            ],
-            measured_wall_seconds=wall_seconds,
+            executions=[execution],
+            measured_wall_seconds=time.perf_counter() - started,
         )
         composed = ComposedResult(
-            result_text=result.result_text,
-            result_bytes=result.result_bytes,
+            result_text=execution.result.result_text,
+            result_bytes=execution.result_bytes,
             compose_seconds=0.0,
-        )
-        transmission = self.network.gather_seconds(
-            [result.result_bytes],
-            query_sizes=[len(query.encode("utf-8"))],
         )
         return PartixResult(
             query=query,
-            result_text=result.result_text,
-            result_bytes=result.result_bytes,
+            result_text=composed.result_text,
+            result_bytes=composed.result_bytes,
             round=round_,
             composed=composed,
-            transmission_seconds=transmission,
+            transmission_seconds=self.network.gather_seconds(
+                round_.result_sizes, query_sizes=[execution.bytes_sent]
+            ),
         )

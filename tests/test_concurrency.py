@@ -1,6 +1,7 @@
 """Concurrent execution: threads-vs-simulated determinism, engine
 thread-safety under hammering, and the real-parallelism acceptance check."""
 
+import sys
 import threading
 
 import pytest
@@ -166,6 +167,53 @@ class TestEngineThreadSafety:
             engine.stats.documents_parsed + engine.stats.cache_hits
             == 8 * self.DOCS
         )
+
+
+class TestRangeIndexConcurrentFirstLookup:
+    """The range index sorts its posting lists lazily, on the first
+    lookup after an ingest. ``list.sort`` empties the list while it
+    sorts, so an unsynchronised sort let a concurrent lookup see no
+    entries and prune every document — a wrong answer, not a slow one.
+    Candidates must always be a superset."""
+
+    THREADS = 4
+    ROUNDS = 12
+    DOCS = 1500
+
+    def test_lookups_racing_the_first_sort_never_lose_documents(self):
+        engine = XMLEngine("range-race")
+        for i in range(self.DOCS):
+            engine.store_document(
+                "c", f"<Item><Price>{i}</Price></Item>", name=f"{i}.xml"
+            )
+        ranges = engine.store.collection("c").ranges
+        expected = self.DOCS - 10
+        found = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_index in range(self.ROUNDS):
+                # Every ingest leaves the lists unsorted again.
+                engine.store_document(
+                    "c", "<Item><Price>5</Price></Item>", name=f"x{round_index}"
+                )
+                barrier = threading.Barrier(self.THREADS)
+
+                def worker():
+                    barrier.wait(timeout=10.0)
+                    found.append(len(ranges.lookup("Price", ">=", 10)))
+
+                threads = [
+                    threading.Thread(target=worker) for _ in range(self.THREADS)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert found == [expected] * (self.THREADS * self.ROUNDS)
 
 
 class TestDegradedExecutionThroughMiddleware:

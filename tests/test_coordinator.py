@@ -98,18 +98,10 @@ class _GatedDriver(PartixDriver):
     def collection_bytes(self, collection):
         return self.inner.collection_bytes(collection)
 
-    def execute(
-        self, query, default_collection=None, extra_predicate=None,
-        use_indexes=None,
-    ):
+    def execute(self, query, options=None):
         self.calls += 1
         self.gate.wait(timeout=self.max_wait)
-        return self.inner.execute(
-            query,
-            default_collection=default_collection,
-            extra_predicate=extra_predicate,
-            use_indexes=use_indexes,
-        )
+        return self.inner.execute(query, options)
 
 
 class TestConcurrentServing:

@@ -1,12 +1,17 @@
 """Unit tests for the MiniX storage engine: store, indexes, planner, exec."""
 
+import dataclasses
+
 import pytest
 
 from repro.datamodel import doc, elem
 from repro.engine import (
     DocumentStore,
-    Planner,
+    EngineStats,
+    ExecOptions,
+    QueryResult,
     XMLEngine,
+    candidate_documents,
     serialize_sequence,
     tokenize_text,
 )
@@ -154,22 +159,22 @@ class TestIndexes:
         assert collection.elements.lookup("PictureList") == set()
 
 
-class TestPlanner:
+class TestCandidateDocuments:
     def test_no_predicate_scans_all(self, engine):
         collection = engine.store.collection("items")
-        names, lookups = Planner().candidate_documents(collection, None)
+        names, lookups = candidate_documents(collection, None)
         assert len(names) == 10 and lookups == 0
 
     def test_equality_uses_value_index(self, engine):
         collection = engine.store.collection("items")
-        names, lookups = Planner().candidate_documents(
+        names, lookups = candidate_documents(
             collection, eq("/Item/Section", "CD")
         )
         assert len(names) == 5 and lookups == 1
 
     def test_contains_uses_fulltext(self, engine):
         collection = engine.store.collection("items")
-        names, _ = Planner().candidate_documents(
+        names, _ = candidate_documents(
             collection, contains("/Item/Description", "good")
         )
         assert len(names) == 4
@@ -179,42 +184,73 @@ class TestPlanner:
         predicate = And(
             (eq("/Item/Section", "CD"), contains("/Item/Description", "good"))
         )
-        names, _ = Planner().candidate_documents(collection, predicate)
+        names, _ = candidate_documents(collection, predicate)
         assert set(names) == {"item0.xml", "item2.xml"}
 
     def test_disjunction_unions(self, engine):
         collection = engine.store.collection("items")
         predicate = Or((eq("/Item/Section", "CD"), eq("/Item/Section", "DVD")))
-        names, _ = Planner().candidate_documents(collection, predicate)
+        names, _ = candidate_documents(collection, predicate)
         assert len(names) == 10
 
     def test_unprunable_atom_falls_back(self, engine):
         collection = engine.store.collection("items")
-        names, _ = Planner().candidate_documents(
+        names, _ = candidate_documents(
             collection, ne("/Item/Section", "CD")
         )
         assert len(names) == 10
 
     def test_exists_uses_element_index(self, engine):
         collection = engine.store.collection("items")
-        names, _ = Planner().candidate_documents(
+        names, _ = candidate_documents(
             collection, exists("/Item/PictureList")
         )
         assert names == []
 
     def test_empty_predicate_not_prunable(self, engine):
         collection = engine.store.collection("items")
-        names, _ = Planner().candidate_documents(
+        names, _ = candidate_documents(
             collection, empty("/Item/PictureList")
         )
         assert len(names) == 10
 
-    def test_indexes_can_be_disabled(self, engine):
+    def test_lookup_counts_survive_interleaved_calls(self, engine, monkeypatch):
+        """Regression: the lookup counter lived on the shared Planner, so
+        a query probing between another query's probes corrupted its
+        ``index_lookups`` (2 alone, 3 interleaved). Deterministic
+        interleaving: the outer call's first probe runs a whole second
+        call before returning."""
         collection = engine.store.collection("items")
-        names, lookups = Planner(use_indexes=False).candidate_documents(
-            collection, eq("/Item/Section", "CD")
+        predicate = And((eq("/Item/Section", "CD"), eq("/Item/Code", "I2")))
+        nested = []
+        real_lookup = collection.values.lookup
+
+        def interleaving_lookup(label, value):
+            if not nested:
+                nested.append(None)
+                nested[0] = candidate_documents(collection, predicate)
+            return real_lookup(label, value)
+
+        monkeypatch.setattr(collection.values, "lookup", interleaving_lookup)
+        names, lookups = candidate_documents(collection, predicate)
+        assert (names, lookups) == (["item2.xml"], 2)
+        assert nested[0] == (["item2.xml"], 2)
+
+    def test_indexes_can_be_disabled(self, engine):
+        # The use_indexes decision belongs to scan_candidates: off means
+        # every document is a candidate and no index is probed.
+        stats = EngineStats()
+        names = engine.scan_candidates(
+            "items",
+            eq("/Item/Section", "CD"),
+            stats,
+            ExecOptions(use_indexes=False),
         )
-        assert len(names) == 10 and lookups == 0
+        assert len(names) == 10 and stats.index_lookups == 0
+        engine.use_indexes = False
+        result = engine.execute('collection("items")/Item[Section = "CD"]')
+        assert result.documents_scanned == 10
+        assert engine.stats.index_lookups == 0
 
 
 class TestExecution:
@@ -242,7 +278,8 @@ class TestExecution:
 
     def test_default_collection(self, engine):
         result = engine.execute(
-            "count(collection()/Item)", default_collection="items"
+            "count(collection()/Item)",
+            ExecOptions(default_collection="items"),
         )
         assert result.result_text == "10"
 
@@ -255,15 +292,6 @@ class TestExecution:
     def test_unknown_collection(self, engine):
         with pytest.raises(StorageError):
             engine.execute('collection("nope")/Item')
-
-    def test_extra_predicate_prunes_more(self, engine):
-        result = engine.execute(
-            'count(collection("items")/Item)',
-            extra_predicate=eq("/Item/Section", "CD"),
-        )
-        # The extra predicate is a pruning hint: only CD docs are scanned,
-        # so only they are counted.
-        assert result.documents_parsed == 5
 
     def test_parse_cache_off_by_default(self, engine):
         engine.execute('collection("items")/Item')
@@ -300,6 +328,66 @@ class TestExecution:
         eng.execute('collection("c")/a')
         eng.drop_collection("c")
         assert not eng.has_collection("c")
+
+
+class TestExecutionRecords:
+    """The one request record and the one result record cross the wire
+    through their own payload pairs — enumerated with ``fields`` so the
+    next field cannot be forgotten in one direction."""
+
+    def test_result_round_trips_through_both_payload_forms(self, engine):
+        result = engine.execute(
+            'for $i in collection("items")/Item'
+            ' where contains($i/Description, "good") return $i/Code'
+        )
+        assert result.result_text and result.documents_pruned
+        wire_fields = [
+            f.name
+            for f in dataclasses.fields(QueryResult)
+            if f.name not in ("items", "stats")
+        ]
+        rebuilt = QueryResult.from_payload(result.to_payload())
+        for name in wire_fields:
+            assert getattr(rebuilt, name) == getattr(result, name), name
+        assert rebuilt.items == []
+        # RESULT_END form: the text already streamed, its size travels.
+        streamed = QueryResult.from_payload(result.to_payload(streamed=True))
+        for name in wire_fields:
+            expected = "" if name == "result_text" else getattr(result, name)
+            assert getattr(streamed, name) == expected, name
+        assert set(result.to_payload()) == set(wire_fields) - {"result_bytes"}
+
+    def test_result_payload_tolerates_unknown_and_missing_counters(self):
+        rebuilt = QueryResult.from_payload(
+            {
+                "result_text": "<a/>",
+                "elapsed_seconds": 0.5,
+                "parse_seconds": 0.1,
+                "documents_parsed": 1,
+                "bytes_parsed": 4,
+                "documents_scanned": 1,
+                "documents_pruned": 0,
+                "a_newer_peers_counter": 7,
+            }
+        )
+        assert rebuilt.result_bytes == 4 and rebuilt.label_pruned == 0
+
+    def test_options_round_trip_unset_fields_stay_off_the_wire(self):
+        assert ExecOptions().to_payload() == {}
+        # False is a set value (force full scans), not an unset one.
+        full = ExecOptions(
+            default_collection="c", use_indexes=False, parallel_degree=3
+        )
+        names = [f.name for f in dataclasses.fields(ExecOptions)]
+        assert list(full.to_payload()) == names  # the sample covers every field
+        assert ExecOptions.from_payload(full.to_payload()) == full
+        for name in names:
+            one = ExecOptions(**{name: getattr(full, name)})
+            assert one.to_payload() == {name: getattr(full, name)}
+            assert ExecOptions.from_payload(one.to_payload()) == one
+        assert ExecOptions.from_payload(
+            {"query": "q", "stream": True, "use_indexes": True, "trace_id": "x"}
+        ) == ExecOptions(use_indexes=True)
 
 
 class TestCacheHitAccounting:
@@ -524,13 +612,9 @@ class TestPathIndex:
         from repro.paths import exists
 
         collection = engine.store.collection("c")
-        names, _ = engine.planner.candidate_documents(
-            collection, exists("/r/a/x")
-        )
+        names, _ = candidate_documents(collection, exists("/r/a/x"))
         assert names == ["1.xml"]
-        names, _ = engine.planner.candidate_documents(
-            collection, exists("//b/x")
-        )
+        names, _ = candidate_documents(collection, exists("//b/x"))
         assert names == ["2.xml"]
 
 

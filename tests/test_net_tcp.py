@@ -75,6 +75,29 @@ class TestServerOperations:
         with pytest.raises(XQuerySyntaxError):
             client.execute("for for for")
 
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_removed_extra_predicate_is_refused_not_ignored(
+        self, client, stream
+    ):
+        # An old client's pruning hint changed answers; a server that
+        # dropped it silently would return a different result, so it
+        # answers with a typed ERROR frame — and keeps the connection.
+        client.create_collection("C")
+        client.store_document("C", "<Item><Code>7</Code></Item>", name="d0")
+        payload = {
+            "query": ITEM_QUERY,
+            "extra_predicate": {"type": "exists", "path": "/Item/Code"},
+        }
+        if stream:
+            payload["stream"] = True
+        reply, _, _ = client.request(FrameType.EXECUTE, payload)
+        assert reply.type is FrameType.ERROR
+        assert reply.payload["error_type"] == "ProtocolError"
+        assert "extra_predicate" in reply.payload["message"]
+        result, _, _ = client.execute(ITEM_QUERY)
+        assert result.result_text == "<Code>7</Code>"
+        assert client.connections_created == 1  # same connection, still usable
+
     def test_ping_and_stats(self, server, client):
         payload = client.ping()
         assert payload["site"] == "s0"

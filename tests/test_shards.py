@@ -10,7 +10,7 @@ import pytest
 
 from repro.cluster import Cluster, Site
 from repro.datamodel import doc, elem
-from repro.engine import XMLEngine
+from repro.engine import ExecOptions, XMLEngine
 from repro.engine.shards import (
     _FORK_INHERITED,
     ShardScript,
@@ -117,9 +117,10 @@ class TestEngineByteIdentity:
     def test_sharded_matches_serial(self, query, degree):
         engine = make_engine(shard_workers=4)
         try:
-            serial = engine.execute(query, default_collection="c")
+            serial = engine.execute(query, ExecOptions(default_collection="c"))
             sharded = engine.execute(
-                query, default_collection="c", parallel_degree=degree
+                query,
+                ExecOptions(default_collection="c", parallel_degree=degree),
             )
             assert sharded.result_text == serial.result_text
         finally:
@@ -129,9 +130,10 @@ class TestEngineByteIdentity:
         engine = make_engine(shard_workers=4)
         try:
             query = '(collection("c")/Item)[2]'
-            serial = engine.execute(query, default_collection="c")
+            serial = engine.execute(query, ExecOptions(default_collection="c"))
             forced = engine.execute(
-                query, default_collection="c", parallel_degree=4
+                query,
+                ExecOptions(default_collection="c", parallel_degree=4),
             )
             assert forced.result_text == serial.result_text
         finally:
@@ -142,8 +144,7 @@ class TestEngineByteIdentity:
         try:
             result = engine.execute(
                 'collection("c")/Item/Code',
-                default_collection="c",
-                parallel_degree=4,
+                ExecOptions(default_collection="c", parallel_degree=4),
             )
             assert result.binary_decodes == 16  # the serial path ran
         finally:
@@ -169,6 +170,7 @@ class TestShardStatsExactSum:
         [
             'collection("c")/Item/Code',
             'collection("c")/Item[Section = "CD"]/Code',
+            'collection("c")/Item[Section = "VHS"]/Code',  # empty result
             'count(collection("c")/Item)',
             'sum(collection("c")/Item/Price)',
         ],
@@ -179,16 +181,68 @@ class TestShardStatsExactSum:
             shard_workers=4, per_document_overhead=OVERHEAD
         )
         try:
-            serial = serial_engine.execute(query, default_collection="c")
+            serial = serial_engine.execute(
+                query,
+                ExecOptions(default_collection="c"),
+            )
             sharded = sharded_engine.execute(
-                query, default_collection="c", parallel_degree=4
+                query,
+                ExecOptions(default_collection="c", parallel_degree=4),
             )
             assert sharded.result_text == serial.result_text
             for field in self.EXACT_FIELDS:
                 assert getattr(sharded, field) == getattr(serial, field), field
+            # execute() is the drained execute_iter() stream: the pieces
+            # join to the same text and every counter agrees, sharded
+            # or not.
+            for engine, options, monolithic in (
+                (serial_engine, ExecOptions(), serial),
+                (sharded_engine, ExecOptions(parallel_degree=4), sharded),
+            ):
+                stream = engine.execute_iter(query, options)
+                assert stream.result is None
+                assert "\n".join(stream) == monolithic.result_text
+                assert stream.result.result_text == ""
+                for field in self.EXACT_FIELDS + ["result_bytes"]:
+                    assert getattr(stream.result, field) == getattr(
+                        monolithic, field
+                    ), field
         finally:
             serial_engine.close()
             sharded_engine.close()
+
+    def test_single_survivor_is_scanned_once(self, monkeypatch):
+        """The shard gate passes but one candidate survives pruning: the
+        in-process evaluation reuses the scan, so scan/prune runs once
+        and charges exactly what an engine without a pool charges."""
+        query = 'collection("c")/Item[Code = "I-003"]/Code'
+        options = ExecOptions(parallel_degree=2)
+        plain_engine = make_engine(shard_workers=0)
+        pooled_engine = make_engine(shard_workers=2)
+        scans = []
+        scan_candidates = pooled_engine.scan_candidates
+
+        def counting_scan(*args, **kwargs):
+            scans.append(args[0])
+            return scan_candidates(*args, **kwargs)
+
+        monkeypatch.setattr(pooled_engine, "scan_candidates", counting_scan)
+        try:
+            plain = plain_engine.execute(query, options)
+            pooled = pooled_engine.execute(query, options)
+            assert scans == ["c"]
+            assert pooled.result_text == plain.result_text == "<Code>I-003</Code>"
+            assert pooled.documents_scanned == plain.documents_scanned == 1
+            assert pooled.documents_pruned == plain.documents_pruned == 15
+            assert (
+                pooled_engine.stats.index_lookups
+                == plain_engine.stats.index_lookups
+                > 0
+            )
+            assert pooled_engine._shard_pool is None  # no shard ever ran
+        finally:
+            plain_engine.close()
+            pooled_engine.close()
 
     def test_overhead_accrues_in_parallel_but_sums_serially(self):
         """The counter sums every shard's overhead; elapsed advances by
@@ -197,8 +251,7 @@ class TestShardStatsExactSum:
         try:
             sharded = engine.execute(
                 'collection("c")/Item/Code',
-                default_collection="c",
-                parallel_degree=2,
+                ExecOptions(default_collection="c", parallel_degree=2),
             )
             # 16 documents: the counter charges all 16 seconds...
             assert sharded.simulated_overhead_seconds == 16.0
@@ -215,8 +268,7 @@ class TestForkInheritance:
         try:
             engine.execute(
                 'collection("c")/Item/Code',
-                default_collection="c",
-                parallel_degree=2,
+                ExecOptions(default_collection="c", parallel_degree=2),
             )
             token = engine._fork_token
             if token is not None:  # fork platforms only
@@ -232,10 +284,12 @@ class TestForkInheritance:
         try:
             query = 'collection("c")/Item/Code'
             first = engine.execute(
-                query, default_collection="c", parallel_degree=2
+                query,
+                ExecOptions(default_collection="c", parallel_degree=2),
             )
             second = engine.execute(
-                query, default_collection="c", parallel_degree=2
+                query,
+                ExecOptions(default_collection="c", parallel_degree=2),
             )
             # Every access is either a worker-cache hit or a decode —
             # never both, never neither.
@@ -251,7 +305,8 @@ class TestForkInheritance:
             query = 'collection("c")/Item/Code'
             for _ in range(2):
                 result = engine.execute(
-                    query, default_collection="c", parallel_degree=2
+                    query,
+                    ExecOptions(default_collection="c", parallel_degree=2),
                 )
                 assert result.binary_decodes == 16
                 assert result.cache_hits == 0
