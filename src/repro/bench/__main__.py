@@ -107,7 +107,8 @@ def run_modes(scale: float, repetitions: int, transmission: bool) -> dict:
     scenario = build_items_scenario(
         "small", paper_mb=100, fragment_count=4, scale=scale
     )
-    runs = compare_execution_modes(scenario, repetitions)
+    with scenario.partix:
+        runs = compare_execution_modes(scenario, repetitions)
     print(format_mode_comparison(scenario.name, runs))
     return mode_comparison_payload(scenario.name, runs)
 
@@ -237,6 +238,7 @@ def run_parallel(scale: float, repetitions: int, transmission: bool) -> dict:
                 },
             }
         )
+    partix.close()  # the rounds are over: end their lane threads
 
     top = PARALLEL_DEGREES[-1]
     speedup = modeled[1] / modeled[top] if modeled[top] > 0 else 0.0

@@ -164,6 +164,7 @@ def run_rebalance(scale: float, repetitions: int, transmission: bool) -> dict:
         if control is not None:
             control.close()
         clean = coordinator.close()
+        partix.close()
 
     report = rebalance_reply["report"]
     action = rebalance_reply["action"]

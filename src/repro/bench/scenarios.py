@@ -441,7 +441,7 @@ def compare_transports(
             runs.append(run)
     finally:
         if started_tcp:
-            scenario.partix.stop_tcp()
+            scenario.partix.close()
     return runs
 
 
@@ -581,7 +581,7 @@ def compare_streaming(
             runs.append(run)
     finally:
         if started_tcp:
-            scenario.partix.stop_tcp()
+            scenario.partix.close()
     return runs
 
 

@@ -70,6 +70,7 @@ def run_serving(scale: float, repetitions: int, transmission: bool) -> dict:
         stats = coordinator.stats_payload()
     finally:
         clean = coordinator.close()
+        partix.close()
 
     payload = {
         "figure": "serving",

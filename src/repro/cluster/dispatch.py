@@ -2,12 +2,18 @@
 
 The paper *simulated* inter-site parallelism: sub-queries ran one after
 another and the reported parallel time was the slowest site's busy time.
-:class:`ParallelDispatcher` executes a round for real — a thread pool with
-one worker lane per site, so sub-queries targeting different sites overlap
-while sub-queries sharing a site serialize, exactly the schedule the
-simulated accounting assumes. The measured wall-clock of the round lands
-in ``ParallelRound.measured_wall_seconds``, letting benchmarks print
+:class:`ParallelDispatcher` executes a round for real — one worker lane
+per site, so sub-queries targeting different sites overlap while
+sub-queries sharing a site serialize, exactly the schedule the simulated
+accounting assumes. The measured wall-clock of the round lands in
+``ParallelRound.measured_wall_seconds``, letting benchmarks print
 simulated and real parallel time side by side.
+
+Lanes run on the calling thread plus one long-lived pool the dispatcher
+owns: the caller works through lanes itself and hands only the others to
+pool threads that outlive the round, so a repeated query starts no
+thread, and a round with nothing to overlap (one lane, ``max_workers=1``,
+a non-``concurrent`` transport) never leaves the caller's thread.
 
 Failure handling is explicit because real dispatch can fail in ways the
 sequential loop never did:
@@ -46,10 +52,11 @@ changes.
 from __future__ import annotations
 
 import abc
+import collections
 import random
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union, TYPE_CHECKING
 
@@ -67,6 +74,12 @@ DEGRADE = "degrade"
 #: Sentinel distinguishing "argument omitted" from an explicit ``None``
 #: (which means "no budget") for per-dispatch timeout overrides.
 _UNSET = object()
+
+#: Ceiling of a dispatcher's lane pool, not its size: the executor starts
+#: a thread only when none is idle, so the pool grows to the peak number
+#: of lanes ever running at once — across concurrent rounds — and a lane
+#: never queues behind another round's stalled lane.
+_LANE_POOL_CEILING = 1024
 
 
 def exec_options(
@@ -92,6 +105,11 @@ class Transport(abc.ABC):
     :class:`SubQueryExecution`, including the bytes that crossed (or, in
     process, *would have* crossed) the transport.
     """
+
+    #: False when executions are mutually exclusive anyway (see
+    #: :class:`SerialTransport`): threads would gain nothing, so the
+    #: dispatcher runs every lane on the calling thread, in plan order.
+    concurrent = True
 
     @abc.abstractmethod
     def resolve(self, site_names: Sequence[str]) -> None:
@@ -187,11 +205,15 @@ class SerialTransport(Transport):
     """Serializes every lane of another transport behind one lock.
 
     This is the paper's sequential "simulated" round expressed as a
-    Transport: the dispatcher still fans lanes out, but executions are
-    mutually exclusive, so sub-queries run one at a time exactly like
-    the old in-process loop — execution modes stay nothing more than
-    Transport choices.
+    Transport: executions are mutually exclusive, so sub-queries run one
+    at a time — execution modes stay nothing more than Transport
+    choices. Handed to the dispatcher directly it also says so
+    (``concurrent = False``) and the lanes never leave the caller's
+    thread; wrapped in another transport the lock alone serializes the
+    fanned-out lanes.
     """
+
+    concurrent = False
 
     def __init__(self, inner: Transport):
         self.inner = inner
@@ -268,11 +290,15 @@ class DispatchOutcome:
 class ParallelDispatcher:
     """Executes one round of sub-queries concurrently across sites.
 
+    The dispatcher owns its lane threads: they start on demand, idle
+    between rounds and end with :meth:`close` (or when the dispatcher is
+    garbage-collected — the pool's threads only hold a weak reference).
+
     Parameters
     ----------
     max_workers:
-        Upper bound on concurrent site lanes. Defaults to one worker per
-        distinct site in the round (full fan-out).
+        Upper bound on one round's concurrent site lanes. Defaults to one
+        worker per distinct site in the round (full fan-out).
     subquery_timeout:
         Per-sub-query budget in seconds (see module docstring for the
         after-the-fact enforcement caveat). ``None`` disables it.
@@ -344,6 +370,29 @@ class ParallelDispatcher:
         self.site_health = site_health if site_health is not None else SiteHealth()
         self._sleep = sleep
         self._clock = clock
+        self._pool: Optional[ThreadPoolExecutor] = None
+        self._pool_lock = threading.Lock()
+
+    def _hand_off(self, work: Callable[[], None]) -> Future:
+        """Start ``work`` on a pool thread. The pool is created on first
+        use (and again after :meth:`close`); submitting under the lock
+        means a concurrent ``close()`` can never shut down the pool
+        between the lookup and the submit."""
+        with self._pool_lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=_LANE_POOL_CEILING,
+                    thread_name_prefix="partix-dispatch",
+                )
+            return self._pool.submit(work)
+
+    def close(self) -> None:
+        """Wait for running lanes and end the lane threads (idempotent;
+        the next :meth:`dispatch` that needs one starts a fresh pool)."""
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
 
     def _backoff_wait(
         self,
@@ -419,31 +468,51 @@ class ParallelDispatcher:
         skipped = [0]
 
         wall_started = self._clock()
-        if lanes:
-            workers = len(lanes)
-            if self.max_workers is not None:
-                workers = min(workers, self.max_workers)
-            with ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="partix-dispatch"
-            ) as pool:
-                futures = [
-                    pool.submit(
-                        self._run_lane,
-                        transport,
-                        lane,
-                        default_collection,
-                        results,
-                        failures,
-                        failures_lock,
-                        cancel,
-                        skipped,
-                        chunk_sink,
-                        subquery_timeout,
-                    )
-                    for lane in lanes.values()
-                ]
-                for future in futures:
-                    future.result()
+        # Every worker of the round — the caller first among them — takes
+        # the next unstarted lane until none is left, so at most
+        # ``workers`` lanes run at once and short lanes are not kept
+        # waiting for a pool thread to wake up.
+        pending = collections.deque(lanes.values())
+
+        def run_lanes() -> None:
+            while True:
+                try:
+                    lane = pending.popleft()
+                except IndexError:
+                    return
+                self._run_lane(
+                    transport,
+                    lane,
+                    default_collection,
+                    results,
+                    failures,
+                    failures_lock,
+                    cancel,
+                    skipped,
+                    chunk_sink,
+                    subquery_timeout,
+                )
+
+        workers = len(lanes) if transport.concurrent else 1
+        if self.max_workers is not None:
+            workers = min(workers, self.max_workers)
+        helpers: list[Future] = []
+        try:
+            for _ in range(workers - 1):
+                helpers.append(self._hand_off(run_lanes))
+            run_lanes()
+        finally:
+            # The round ends — by return or by raise — only once every
+            # lane has: nothing may touch ``results`` or the chunk sink
+            # after dispatch() is over. A helper that never got to start
+            # (the caller finished the short lanes first) is withdrawn;
+            # exception() blocks until a started one is done.
+            errors = [
+                helper.exception() for helper in helpers if not helper.cancel()
+            ]
+        for error in errors:
+            if error is not None:
+                raise error
         wall_seconds = self._clock() - wall_started
 
         if failures and self.failure_policy == FAIL_FAST:

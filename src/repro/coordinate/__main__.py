@@ -106,6 +106,7 @@ def main(argv=None) -> int:
         coordinator.serve_forever()
     finally:
         clean = coordinator.close()
+        scenario.partix.close()
         print(
             f"coordinator drained {'cleanly' if clean else 'WITH STRAGGLERS'}",
             flush=True,

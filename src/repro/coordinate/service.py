@@ -17,9 +17,9 @@ instance:
   shed with a typed :class:`~repro.errors.AdmissionRejected` carried by
   a QUERY_ERROR frame (``"shed": true``).
 * **Plan cache** — the middleware's :class:`~repro.plan.cache.PlanCache`
-  (installed by the coordinator when absent) lets repeat queries skip
-  decompose; keyed on the catalog version, so a republish invalidates
-  stale plans, and hits re-lower against live site health.
+  lets repeat queries skip decompose; keyed on the catalog version, so
+  a republish invalidates stale plans, and hits re-lower against live
+  site health.
 * **Deadlines** — a query's ``deadline_seconds`` budget starts at
   arrival: admission wait draws it down, the remainder is handed to the
   dispatcher as the round's shared retry budget
@@ -104,14 +104,12 @@ class Coordinator:
         self.admission = AdmissionController(
             max_active=max_active, queue_limit=queue_limit
         )
-        if plan_cache is None:
-            plan_cache = (
-                partix.plan_cache if partix.plan_cache is not None else PlanCache()
-            )
-        self.plan_cache = plan_cache
-        # Share the cache with the middleware so every served query
-        # (and any in-process caller) plans through it.
-        partix.plan_cache = plan_cache
+        # One cache for the middleware and the service: every served
+        # query (and any in-process caller) plans through the one whose
+        # counters STATS reports — the middleware's own unless given.
+        if plan_cache is not None:
+            partix.plan_cache = plan_cache
+        self.plan_cache = partix.plan_cache
         #: Workload memory for the rebalancing advisor: every successful
         #: query records which fragments it scanned where and how long
         #: each lane took (see ``repro.rebalance``).

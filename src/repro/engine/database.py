@@ -5,7 +5,8 @@ that stores collections of serialized XML documents, maintains document-
 level indexes, and executes the XQuery subset. The execution pipeline per
 query is:
 
-1. parse the query and statically analyze it;
+1. parse the query and statically analyze it — once per distinct text:
+   the compiled ``(expr, analysis)`` pair is kept in a bounded LRU;
 2. for each referenced collection, prune candidate documents through the
    indexes (text-search and equality predicates);
 3. with indexes on, verify each candidate's predicate exactly over its
@@ -57,11 +58,14 @@ from repro.errors import (
 from repro.paths.predicates import Predicate, evaluate_on_binary
 from repro.xmltext.parser import parse_xml
 from repro.xmltext.serializer import serialize
-from repro.xquery.analysis import analyze_query
+from repro.xquery.analysis import QueryAnalysis, analyze_query
 from repro.xquery.ast_nodes import Expr
 from repro.xquery.evaluator import DynamicContext, Evaluator
 from repro.xquery.parser import parse_query
 from repro.xquery.values import atomic_to_string
+
+#: Distinct query texts an engine keeps compiled (LRU beyond that).
+COMPILE_CACHE_CAPACITY = 256
 
 
 class XMLEngine:
@@ -135,6 +139,10 @@ class XMLEngine:
         # and the parsed-document LRU is guarded by its own lock.
         self._stats_lock = threading.Lock()
         self._cache_lock = threading.Lock()
+        self._compiled: OrderedDict[str, tuple[Expr, QueryAnalysis]] = (
+            OrderedDict()
+        )
+        self._compiled_lock = threading.Lock()
         self._shard_pool: Optional[ProcessPoolExecutor] = None
         self._shard_pool_lock = threading.Lock()
         self._fork_token: Optional[int] = None
@@ -312,6 +320,34 @@ class XMLEngine:
     # ------------------------------------------------------------------
     # Query execution
     # ------------------------------------------------------------------
+    def _compile(
+        self, query: Union[str, Expr]
+    ) -> tuple[Expr, QueryAnalysis]:
+        """The pipeline's **parse/analyze** stage: ``(expr, analysis)``
+        of a query, compiled once per distinct text.
+
+        Both are pure functions of the text — AST nodes are frozen and
+        nothing downstream writes to the analysis — so the pair is
+        shared by every execution of that text, under any options, from
+        any thread, and nothing ever invalidates it; the LRU only bounds
+        memory. A text that does not parse raises before anything is
+        stored. An already parsed ``Expr`` is analyzed and not cached.
+        """
+        if not isinstance(query, str):
+            return query, analyze_query(query)
+        with self._compiled_lock:
+            compiled = self._compiled.get(query)
+            if compiled is not None:
+                self._compiled.move_to_end(query)
+                return compiled
+        expr = parse_query(query)
+        compiled = (expr, analyze_query(expr))
+        with self._compiled_lock:
+            self._compiled[query] = compiled
+            if len(self._compiled) > COMPILE_CACHE_CAPACITY:
+                self._compiled.popitem(last=False)
+        return compiled
+
     def scan_candidates(
         self,
         collection_name: str,
@@ -497,9 +533,10 @@ class XMLEngine:
     ) -> "StreamedExecution":
         """Execute a query as a stream of serialized pieces.
 
-        The one site-local operator pipeline: parse and analyse once,
-        decide sharding, **scan/prune** (:meth:`scan_candidates`, once
-        per ``collection()`` call) → **evaluate** (in-process over the
+        The one site-local operator pipeline: parse and analyse
+        (:meth:`_compile`, once per text), decide sharding,
+        **scan/prune** (:meth:`scan_candidates`, once per
+        ``collection()`` call) → **evaluate** (in-process over the
         candidates, or per shard in the worker pool) → **fold** (merge
         shard partials in shard order; the in-process fold is the
         identity) → **serialize**, handed out piece by piece through the
@@ -517,8 +554,7 @@ class XMLEngine:
         # so concurrent queries cannot lose each other's updates (and the
         # reported deltas cannot include a neighbour's work).
         delta = EngineStats()
-        expr = parse_query(query) if isinstance(query, str) else query
-        analysis = analyze_query(expr)
+        expr, analysis = self._compile(query)
         provider = _EngineProvider(self, options, analysis.predicate, delta)
         pieces = None
         sharded = self._shard_plan(query, expr, analysis, options)
@@ -596,8 +632,7 @@ class XMLEngine:
         top-level ``aggregate`` (if any), and per-collection candidate
         counts under the current indexes.
         """
-        expr = parse_query(query) if isinstance(query, str) else query
-        analysis = analyze_query(expr)
+        _, analysis = self._compile(query)
         collections = {}
         for name in analysis.collections:
             resolved = name or default_collection

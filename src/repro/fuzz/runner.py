@@ -360,7 +360,7 @@ def run_case(
                 )
             )
     finally:
-        partix.stop_tcp()
+        partix.close()
     return outcome
 
 
@@ -373,12 +373,6 @@ def _run_migrate_case(
     shards: bool = False,
 ) -> None:
     """Two differential passes with a live migration fired in between."""
-    from repro.plan.cache import PlanCache
-
-    if partix.plan_cache is None:
-        # The version bump must also invalidate cached plans; give the
-        # middleware a cache so both passes plan through it.
-        partix.plan_cache = PlanCache()
     catalog = partix.distribution_catalog
     version_before = catalog.version
 

@@ -235,21 +235,23 @@ class Partix:
         if use_indexes is None:
             use_indexes = bool(_cluster_engine_floor(cluster, "use_indexes"))
         self.use_indexes = use_indexes
-        #: Optional LRU of logical plans keyed on (query, collection,
-        #: catalog version). ``None`` (the default) plans every query
-        #: from scratch; the coordinator service passes a shared cache so
-        #: repeat queries skip decompose. Hits re-lower against the live
-        #: site health, so cached plans still avoid ejected sites.
-        self.plan_cache = plan_cache
+        #: LRU of logical plans keyed on (query, collection, catalog
+        #: version), so a repeated query skips parse/analyze/decompose.
+        #: ``None`` (the default) gives this instance a private one; a
+        #: caller-supplied cache is shared (the coordinator service
+        #: reports from the one it serves through). Hits re-lower
+        #: against the live site health, so cached plans still avoid
+        #: ejected sites.
+        self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
         #: How many times cached planning retries when a concurrent
         #: catalog replace invalidates the version it read mid-decompose,
         #: before raising :class:`~repro.errors.CatalogContention`.
         self.plan_retry_attempts = 4
-        #: Streamed-chunk size: proposed to tcp site servers at connect
-        #: time and used verbatim by the in-process chunk emulation and as
-        #: the incremental composer's spill threshold.
-        self.chunk_bytes = max(1, int(chunk_bytes))
+        self.chunk_bytes = chunk_bytes
         self.network = network if network is not None else NetworkModel()
+        #: :meth:`close` ends the lane threads of a dispatcher created
+        #: here; a caller-supplied one stays the caller's to close.
+        self._owns_dispatcher = dispatcher is None
         self.dispatcher = (
             dispatcher if dispatcher is not None else ParallelDispatcher()
         )
@@ -289,6 +291,37 @@ class Partix:
         self.composer = ResultComposer()
         self.plan_executor = PlanExecutor(self.composer)
         self._tcp: Optional["TcpSiteCluster"] = None
+
+    @property
+    def chunk_bytes(self) -> int:
+        """Streamed-chunk size: proposed to tcp site servers at connect
+        time and used verbatim by the in-process chunk emulation and as
+        the incremental composer's spill threshold."""
+        return self._in_process.chunk_bytes
+
+    @chunk_bytes.setter
+    def chunk_bytes(self, chunk_bytes: int) -> None:
+        # The in-process transport is built here — once per setting, not
+        # once per query; rounds in flight keep the one they started on.
+        self._in_process = InProcessTransport(
+            self.cluster, chunk_bytes=chunk_bytes
+        )
+
+    def close(self) -> None:
+        """Give back what this instance started: the site-server
+        processes of :meth:`start_tcp` and the lane threads of the
+        dispatcher it created. Idempotent, and the instance stays usable
+        (lane threads restart on demand). ``with Partix(...) as partix:``
+        closes on exit."""
+        self.stop_tcp()
+        if self._owns_dispatcher:
+            self.dispatcher.close()
+
+    def __enter__(self) -> "Partix":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # Publication
@@ -431,7 +464,7 @@ class Partix:
     def _plan_for(
         self, query: str, collection: Optional[str]
     ) -> DecomposedQuery:
-        """Plan a query, through :attr:`plan_cache` when one is set.
+        """Plan a query through :attr:`plan_cache`.
 
         The cache stores the *logical* plan keyed on the catalog version;
         every execution (hit or miss) re-lowers it against the live cost
@@ -445,8 +478,6 @@ class Partix:
         of silently planning against a design that may be mixed — the
         caller can retry once the replace storm settles.
         """
-        if self.plan_cache is None:
-            return self.decomposer.decompose(query, collection)
         catalog = self.distribution_catalog
         for _ in range(self.plan_retry_attempts):
             version = catalog.version
@@ -486,14 +517,13 @@ class Partix:
                     " call Partix.start_tcp() first"
                 )
             return self._tcp.transport()
-        transport: Transport = InProcessTransport(
-            self.cluster, chunk_bytes=self.chunk_bytes
-        )
         if not mode.concurrent:
             # The paper's sequential "simulated" round: same dispatcher,
-            # same lanes, executions serialized behind one lock.
-            transport = SerialTransport(transport)
-        return transport
+            # same lanes, one at a time on the calling thread. The
+            # wrapper is per query, so concurrent callers serialize
+            # their own lanes, not each other's.
+            return SerialTransport(self._in_process)
+        return self._in_process
 
     # ------------------------------------------------------------------
     # Real networked sites (execution_mode="tcp")
@@ -566,7 +596,7 @@ class Partix:
             fragment="(centralized)", site=site_name, collection="", query=query
         )
         started = time.perf_counter()
-        execution = InProcessTransport(self.cluster).execute(subquery)
+        execution = self._in_process.execute(subquery)
         round_ = ParallelRound(
             executions=[execution],
             measured_wall_seconds=time.perf_counter() - started,

@@ -15,12 +15,14 @@ from repro.cluster import (
     SiteHealth,
     Transport,
 )
+from repro.cluster.dispatch import SerialTransport
 from repro.engine.stats import QueryResult
 from repro.errors import DispatchError
 from repro.partix.decomposer import SubQuery
 from repro.partix.driver import PartixDriver
 from repro.plan.spec import SubQueryTarget
 from tests.fake_clock import FakeClock
+from tests.lane_threads import lane_threads as _lane_threads
 
 
 def _query_result(text: str = "ok") -> QueryResult:
@@ -52,6 +54,7 @@ class StubDriver(PartixDriver):
         self.error = error
         self.sleep = sleep
         self.calls = []
+        self.threads = []  # ident of the thread each call ran on
         self.active = 0
         self.max_active = 0
         self._lock = threading.Lock()
@@ -71,6 +74,7 @@ class StubDriver(PartixDriver):
     def execute(self, query, options=None):
         with self._lock:
             self.calls.append(query)
+            self.threads.append(threading.get_ident())
             self.active += 1
             self.max_active = max(self.max_active, self.active)
         try:
@@ -647,3 +651,258 @@ class TestTimeouts:
             _cluster(drivers), _subqueries(1, site_for=lambda i: "site0")
         )
         assert outcome.complete
+
+
+class _Gate:
+    """A ``sleep`` stand-in for :class:`StubDriver`: the call parks until
+    the gate opens (bounded, so a broken dispatcher fails, not hangs)."""
+
+    def __init__(self):
+        self.opened = threading.Event()
+        self.entered = threading.Semaphore(0)
+        self.reached = threading.Event()  # by at least one call
+
+    def __call__(self, seconds):
+        self.entered.release()
+        self.reached.set()
+        assert self.opened.wait(10.0), "gate never opened"
+
+    def wait_entered(self, count=1):
+        for _ in range(count):
+            assert self.entered.acquire(timeout=10.0), "no lane reached the gate"
+
+
+class _SinkRecorder:
+    """A chunk sink that logs ``complete`` — the call right after a
+    lane's slot of ``results`` is written."""
+
+    def __init__(self, events):
+        self.events = events
+
+    def begin(self, index):
+        pass
+
+    def chunk(self, index, data):
+        pass
+
+    def complete(self, index):
+        self.events.append(f"complete:{index}")
+
+
+def _in_thread(target):
+    thread = threading.Thread(target=target)
+    thread.start()
+    return thread
+
+
+def _joined(thread):
+    thread.join(10.0)
+    assert not thread.is_alive()
+
+
+class TestSharedLanePool:
+    """Rounds share one long-lived pool; the caller runs lanes itself."""
+
+    def test_fail_fast_raises_only_after_every_lane_of_the_round_ended(self):
+        clock = FakeClock()
+        gate = _Gate()
+        # Fails once the other lane is parked: a failure any earlier
+        # would cancel that lane before it started.
+        failing = StubDriver(
+            delay=1.0, fail_times=1, sleep=lambda _: gate.reached.wait(10.0)
+        )
+        parked = StubDriver(delay=1.0, sleep=gate)
+        dispatcher = ParallelDispatcher(
+            retries=0, clock=clock, sleep=clock.sleep
+        )
+        subqueries = _subqueries(3, site_for=lambda i: f"site{min(i, 1)}")
+        events = []
+
+        def _round():
+            try:
+                dispatcher.dispatch(
+                    _cluster([failing, parked]),
+                    subqueries,
+                    chunk_sink=_SinkRecorder(events),
+                )
+            except DispatchError as exc:
+                events.append(f"raised:{len(exc.failures)}")
+
+        try:
+            caller = _in_thread(_round)
+            gate.wait_entered()
+            deadline = time.monotonic() + 10.0
+            while failing.fail_times and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert failing.fail_times == 0  # the failure is in already...
+            caller.join(0.1)
+            assert caller.is_alive()  # ...yet the round waits for its lane
+            assert events == []
+            gate.opened.set()
+            _joined(caller)
+        finally:
+            gate.opened.set()
+            dispatcher.close()
+        # q1's slot was written before dispatch() raised, q2 was skipped.
+        assert events == ["complete:1", "raised:1"]
+        assert parked.calls == ["q1"]
+
+    def test_a_parked_lane_of_one_round_does_not_delay_another_round(self):
+        gate = _Gate()
+        parked = [StubDriver(delay=1.0, sleep=gate) for _ in range(4)]
+        free = [StubDriver() for _ in range(4)]
+        dispatcher = ParallelDispatcher()
+        outcomes = {}
+
+        def _round_a():
+            outcomes["a"] = dispatcher.dispatch(
+                _cluster(parked), _subqueries(4)
+            )
+
+        try:
+            round_a = _in_thread(_round_a)
+            gate.wait_entered(4)  # caller + 3 pool threads, all parked
+            outcomes["b"] = dispatcher.dispatch(
+                _cluster(free), _subqueries(4)
+            )
+            assert round_a.is_alive() and "a" not in outcomes
+            gate.opened.set()
+            _joined(round_a)
+        finally:
+            gate.opened.set()
+            dispatcher.close()
+        assert outcomes["a"].complete and outcomes["b"].complete
+        assert [
+            e.result.result_text for e in outcomes["b"].executions_by_index
+        ] == [f"result:q{i}" for i in range(4)]
+
+    def test_max_workers_one_serializes_a_four_site_round(self):
+        drivers = [StubDriver(delay=0.005) for _ in range(4)]
+        dispatcher = ParallelDispatcher(max_workers=1)
+        before = _lane_threads()
+        outcome = dispatcher.dispatch(_cluster(drivers), _subqueries(4))
+        assert outcome.complete
+        # One worker = the caller: site after site, in plan order.
+        assert [driver.threads for driver in drivers] == [
+            [threading.get_ident()]
+        ] * 4
+        assert _lane_threads() <= before
+
+    def test_max_workers_caps_the_lanes_running_at_once(self):
+        gate = _Gate()
+        drivers = [StubDriver(delay=1.0, sleep=gate) for _ in range(4)]
+        dispatcher = ParallelDispatcher(max_workers=2)
+        try:
+            caller = _in_thread(
+                lambda: dispatcher.dispatch(_cluster(drivers), _subqueries(4))
+            )
+            gate.wait_entered(2)
+            assert not gate.entered.acquire(timeout=0.1)  # no third lane
+            gate.opened.set()
+            _joined(caller)
+        finally:
+            gate.opened.set()
+            dispatcher.close()
+        assert [driver.calls for driver in drivers] == [
+            [f"q{i}"] for i in range(4)
+        ]
+
+    def test_a_one_lane_round_starts_no_thread(self):
+        driver = StubDriver()
+        dispatcher = ParallelDispatcher()
+        before = _lane_threads()
+        outcome = dispatcher.dispatch(
+            _cluster([driver]), _subqueries(3, site_for=lambda i: "site0")
+        )
+        assert outcome.complete
+        assert driver.threads == [threading.get_ident()] * 3
+        assert _lane_threads() <= before
+
+    def test_a_serial_transport_keeps_the_round_on_the_calling_thread(self):
+        drivers = [StubDriver() for _ in range(4)]
+        dispatcher = ParallelDispatcher()
+        before = _lane_threads()
+        outcome = dispatcher.dispatch(
+            SerialTransport(InProcessTransport(_cluster(drivers))),
+            _subqueries(4),
+        )
+        assert outcome.complete
+        assert [driver.threads for driver in drivers] == [
+            [threading.get_ident()]
+        ] * 4
+        assert _lane_threads() <= before
+
+    def test_rounds_reuse_the_lane_threads(self):
+        drivers = [StubDriver(delay=0.01) for _ in range(4)]
+        dispatcher = ParallelDispatcher()
+        before = _lane_threads()
+        try:
+            dispatcher.dispatch(_cluster(drivers), _subqueries(4))
+            first = _lane_threads() - before
+            for _ in range(5):
+                dispatcher.dispatch(_cluster(drivers), _subqueries(4))
+            assert 1 <= len(first) <= 3  # the caller took a lane itself
+            assert _lane_threads() - before == first
+        finally:
+            dispatcher.close()
+
+    def test_close_ends_the_lane_threads_and_the_pool_comes_back(self):
+        drivers = [StubDriver(delay=0.01) for _ in range(4)]
+        dispatcher = ParallelDispatcher()
+        before = _lane_threads()
+        dispatcher.dispatch(_cluster(drivers), _subqueries(4))
+        mine = _lane_threads() - before
+        assert mine
+        dispatcher.close()
+        assert not any(thread.is_alive() for thread in mine)
+        dispatcher.close()  # idempotent
+        try:
+            outcome = dispatcher.dispatch(_cluster(drivers), _subqueries(4))
+            assert outcome.complete
+            assert _lane_threads() - before
+        finally:
+            dispatcher.close()
+        assert _lane_threads() <= before
+
+    def test_concurrent_rounds_keep_their_results_apart(self):
+        """Stress: more dispatching threads than cores on one dispatcher,
+        short switch interval — every round gets exactly its own answers."""
+        import sys
+
+        dispatcher = ParallelDispatcher()
+        drivers = [StubDriver() for _ in range(4)]
+        cluster = _cluster(drivers)
+        wrong = []
+
+        def _client(tag):
+            subqueries = [
+                SubQuery(
+                    fragment=f"F{i}",
+                    site=f"site{i}",
+                    collection="C",
+                    query=f"{tag}-{i}",
+                )
+                for i in range(4)
+            ]
+            for _ in range(40):
+                outcome = dispatcher.dispatch(cluster, subqueries)
+                texts = [
+                    e.result.result_text for e in outcome.executions_by_index
+                ]
+                if texts != [f"result:{tag}-{i}" for i in range(4)]:
+                    wrong.append(texts)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            clients = [
+                _in_thread(lambda tag=tag: _client(tag)) for tag in "abcdefgh"
+            ]
+            for client in clients:
+                client.join(30.0)
+            assert not any(client.is_alive() for client in clients)
+        finally:
+            sys.setswitchinterval(interval)
+            dispatcher.close()
+        assert not wrong
+        assert sum(len(driver.calls) for driver in drivers) == 8 * 40 * 4

@@ -1,10 +1,15 @@
 """Unit tests for the Partix middleware facade and cluster accounting."""
 
+import gc
+import threading
+import time
+
 import pytest
 
 from repro.cluster import (
     Cluster,
     NetworkModel,
+    ParallelDispatcher,
     ParallelRound,
     Site,
     SubQueryExecution,
@@ -20,6 +25,7 @@ from repro.partix import (
     annotated,
 )
 from repro.paths import eq, ne
+from tests.lane_threads import lane_threads as _lane_threads
 
 
 @pytest.fixture
@@ -194,3 +200,105 @@ class TestExplain:
         # No query reached any site.
         for site in partix.cluster.sites():
             assert site.driver.engine.stats.queries_executed == 0
+
+
+ALL_ITEMS = 'for $i in collection("Citems")/Item return $i/Code'
+
+
+def _all_ended(threads, within=10.0):
+    deadline = time.monotonic() + within
+    for thread in threads:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    return not any(thread.is_alive() for thread in threads)
+
+
+class TestLifetime:
+    def test_simulated_mode_never_leaves_the_callers_thread(self, partix):
+        idents = []
+        for site in partix.cluster.sites():
+            def execute(query, options=None, _inner=site.driver.execute):
+                idents.append(threading.get_ident())
+                return _inner(query, options)
+
+            site.driver.execute = execute
+        before = _lane_threads()
+        plain = partix.execute(ALL_ITEMS, collection="Citems")
+        streamed = partix.execute(
+            ALL_ITEMS, collection="Citems", streaming=True
+        )
+        assert streamed.result_text == plain.result_text
+        assert len(idents) == 4  # two fragments, two rounds
+        assert set(idents) == {threading.get_ident()}
+        assert _lane_threads() <= before
+
+    def test_close_ends_the_lane_threads_and_the_instance_stays_usable(
+        self, partix
+    ):
+        before = _lane_threads()
+        first = partix.execute(
+            ALL_ITEMS, collection="Citems", execution_mode="threads"
+        )
+        mine = _lane_threads() - before
+        assert mine
+        partix.close()
+        assert not any(thread.is_alive() for thread in mine)
+        partix.close()  # idempotent
+        with partix as same:
+            assert same is partix
+            again = partix.execute(
+                ALL_ITEMS, collection="Citems", execution_mode="threads"
+            )
+            assert again.result_text == first.result_text
+            assert _lane_threads() - before
+        assert _lane_threads() <= before
+
+    def test_close_leaves_a_caller_supplied_dispatcher_running(
+        self, items_collection
+    ):
+        dispatcher = ParallelDispatcher()
+        before = _lane_threads()
+        try:
+            with Partix(Cluster.with_sites(2), dispatcher=dispatcher) as px:
+                px.publish(
+                    items_collection,
+                    FragmentationSchema("Citems", [
+                        HorizontalFragment(
+                            "F_cd", "Citems",
+                            predicate=eq("/Item/Section", "CD"),
+                        ),
+                        HorizontalFragment(
+                            "F_rest", "Citems",
+                            predicate=ne("/Item/Section", "CD"),
+                        ),
+                    ], root_label="Item"),
+                )
+                px.execute(
+                    ALL_ITEMS, collection="Citems", execution_mode="threads"
+                )
+            mine = _lane_threads() - before
+            assert mine and all(thread.is_alive() for thread in mine)
+        finally:
+            dispatcher.close()
+        assert _lane_threads() <= before
+
+    def test_an_unreachable_partix_gives_its_threads_back(self, partix):
+        before = _lane_threads()
+        partix.execute(
+            ALL_ITEMS, collection="Citems", execution_mode="threads"
+        )
+        mine = _lane_threads() - before
+        assert mine
+        # A second middleware over the same repository that only this
+        # test points at, used and never closed.
+        lone = Partix(
+            partix.cluster, distribution_catalog=partix.distribution_catalog
+        )
+        lone.execute(ALL_ITEMS, collection="Citems", execution_mode="threads")
+        lone_threads = _lane_threads() - before - mine
+        assert lone_threads
+        del lone
+        gc.collect()
+        assert _all_ended(lone_threads)
+        assert all(thread.is_alive() for thread in mine)  # still owned
+        partix.close()
+        assert not any(thread.is_alive() for thread in mine)

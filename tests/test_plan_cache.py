@@ -138,9 +138,59 @@ class TestPlanCacheInMiddleware:
         )
         assert rerouted.result_text == warm.result_text
 
-    def test_uncached_middleware_still_plans_from_scratch(self):
+    def test_bare_middleware_owns_a_private_cache(self):
+        # Was test_uncached_middleware_still_plans_from_scratch: there
+        # is no uncached planning path any more.
         partix, collection = _replicated_partix(plan_cache=None)
-        assert partix.plan_cache is None
+        other, _ = _replicated_partix(plan_cache=None)
+        assert isinstance(partix.plan_cache, PlanCache)
+        assert partix.plan_cache is not other.plan_cache
         query = _item_query(collection)
-        result = partix.execute(query, collection=collection.name)
+        first = partix.execute(query, collection=collection.name)
+        second = partix.execute(query, collection=collection.name)
+        assert first.result_text
+        assert second.result_text == first.result_text
+        stats = partix.plan_cache.stats()
+        assert (stats["misses"], stats["hits"]) == (1, 1)
+        assert other.plan_cache.stats()["misses"] == 0
+
+    def test_republish_between_two_executes_replans_on_the_new_design(self):
+        partix, collection = _replicated_partix(plan_cache=None)
+        query = _item_query(collection)
+        before = partix.execute(query, collection=collection.name)
+        assert len(before.round.executions) == 2  # the 2-fragment design
+
+        wider = items_horizontal_fragmentation(4)
+        partix.publish(
+            collection,
+            wider,
+            allocations=[
+                FragmentAllocation(
+                    fragment=fragment.name,
+                    site="mirror",
+                    stored_collection=f"{fragment.name}__wide",
+                )
+                for fragment in wider.fragments
+            ],
+            replace=True,
+        )
+        after = partix.execute(query, collection=collection.name)
+        stats = partix.plan_cache.stats()
+        assert (stats["misses"], stats["hits"]) == (2, 0)
+        assert [e.fragment for e in after.round.executions] == [
+            fragment.name for fragment in wider.fragments
+        ]
+        assert {e.site for e in after.round.executions} == {"mirror"}
+        # Same items; a union concatenates fragments in design order.
+        assert sorted(after.result_text.split("\n")) == sorted(
+            before.result_text.split("\n")
+        )
+
+    def test_a_handed_in_plan_touches_no_cache(self):
+        partix, collection = _replicated_partix(plan_cache=None)
+        query = _item_query(collection)
+        plan = partix.explain(query, collection=collection.name)
+        result = partix.execute(query, collection=collection.name, plan=plan)
         assert result.result_text
+        stats = partix.plan_cache.stats()
+        assert (stats["entries"], stats["misses"], stats["hits"]) == (0, 0, 0)
