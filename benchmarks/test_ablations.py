@@ -359,7 +359,9 @@ class TestAdvisorDesign:
         design = FragmentationAdvisor(
             collection, workload, site_count=4
         ).recommend()
-        cluster = _make_cluster(4, False, PAPER_DOC_OVERHEAD)
+        cluster = _make_cluster(
+            4, use_indexes=False, per_document_overhead=PAPER_DOC_OVERHEAD
+        )
         partix = Partix(cluster)
         partix.publish(collection, design.fragmentation)
         partix.publish_centralized(collection, CENTRAL_SITE)

@@ -1,11 +1,16 @@
-"""Benchmark harness: scaling, scenarios and reporting."""
+"""The paper's modeled-clock reproductions: scaling, scenarios, reporting.
+
+Wall-clock measurement lives in ``benchmarks/e2e`` (see ``BENCHMARK.json``);
+this package holds the Figure-7 / headline scenarios on the paper's cost
+model and the plan goldens. The ``parallel`` and ``rebalance`` figures of
+``python -m repro.bench`` stay only until ``benchmarks/e2e`` gains a
+shard-parallel scan workload and a mid-run migration workload.
+"""
 
 from repro.bench.plans import render_scenario_plans, run_plans
 from repro.bench.reporting import (
-    format_mode_comparison,
     format_scenario_table,
     format_speedup_series,
-    mode_comparison_payload,
     summarize_wins,
 )
 from repro.bench.scale import (
@@ -24,14 +29,12 @@ from repro.bench.scale import (
 )
 from repro.bench.scenarios import (
     CENTRAL_SITE,
-    ModeComparisonRun,
     QueryRun,
     Scenario,
     ScenarioResult,
     build_items_scenario,
     build_store_scenario,
     build_xbench_scenario,
-    compare_execution_modes,
 )
 
 __all__ = [
@@ -39,7 +42,6 @@ __all__ = [
     "CENTRAL_SITE",
     "DEFAULT_SCALE",
     "LARGE_ITEM_BYTES",
-    "ModeComparisonRun",
     "PAPER_SIZES_LARGE_MB",
     "PAPER_SIZES_MB",
     "SMALL_ITEM_BYTES",
@@ -51,12 +53,9 @@ __all__ = [
     "build_items_scenario",
     "build_store_scenario",
     "build_xbench_scenario",
-    "compare_execution_modes",
-    "format_mode_comparison",
     "format_scenario_table",
     "format_speedup_series",
     "items_count_for",
-    "mode_comparison_payload",
     "render_scenario_plans",
     "run_plans",
     "scaled_grid",

@@ -6,17 +6,22 @@ Usage::
     python -m repro.bench --figure 7c
     python -m repro.bench --figure 7d --transmission
     python -m repro.bench --figure headline
-    python -m repro.bench --figure modes --json modes.json
-    python -m repro.bench --figure transport --json transport.json
-    python -m repro.bench --figure streaming --json BENCH_streaming.json
-    python -m repro.bench --figure serving --json BENCH_serving.json
     python -m repro.bench --figure plans --golden-dir tests/golden/plans
     python -m repro.bench --figure plans --golden-dir tests/golden/plans --update-golden
 
-Prints the same per-query tables the benchmark suite asserts on. The
-``plans`` figure renders every bench query's cost-annotated physical
-plan (``Partix.explain``) and diffs it against the golden files; with
-``--update-golden`` it rewrites them instead.
+``7a``–``7d`` and ``headline`` print the same per-query tables the
+benchmark suite asserts on, timed on the paper's *modeled* clock (slowest
+site + estimated transfer). The ``plans`` figure renders every bench
+query's cost-annotated physical plan (``Partix.explain``) and diffs it
+against the golden files; with ``--update-golden`` it rewrites them
+instead.
+
+Wall-clock measurement is not done here: ``benchmarks/e2e/run.py`` is the
+repo's one wall-clock harness. Two figures outside the modeled world
+remain, ``parallel`` (shard-degree sweep) and ``rebalance`` (advised
+migration under traffic), and they stay **only** until a benchmark-only
+change ports a shard-parallel scan and a mid-run migration into
+``benchmarks/e2e`` as workloads.
 """
 
 from __future__ import annotations
@@ -26,30 +31,17 @@ import json
 import sys
 
 from repro.bench.plans import run_plans
-from repro.bench.pushdown import run_pushdown
 from repro.bench.rebalance import run_rebalance
-from repro.bench.serving import run_serving
 from repro.bench.reporting import (
     format_kv_table,
-    format_mode_comparison,
-    mode_comparison_payload,
     format_scenario_table,
     format_speedup_series,
-    format_streaming_comparison,
-    format_transport_comparison,
-    streaming_comparison_payload,
-    transport_comparison_payload,
 )
 from repro.bench.scale import DEFAULT_SCALE
 from repro.bench.scenarios import (
-    STREAMING_MODES,
-    TRANSPORT_MODES,
     build_items_scenario,
     build_store_scenario,
     build_xbench_scenario,
-    compare_execution_modes,
-    compare_streaming,
-    compare_transports,
 )
 from repro.partix.publisher import FragMode
 
@@ -96,66 +88,6 @@ def run_headline(scale: float, repetitions: int, transmission: bool) -> None:
     print(format_speedup_series(results, "Q8", transmission))
     best = max(r.run_by_id("Q8").speedup for r in results)
     print(f"\nbest Q8 speedup: {best:.1f}x (paper reports up to 72x)")
-
-
-def run_modes(scale: float, repetitions: int, transmission: bool) -> dict:
-    """Simulated vs real-threads execution on a 4-site horizontal split.
-
-    The JSON summary records, per query and per plan lane, the planner's
-    estimated seconds next to the measured seconds of both modes.
-    """
-    scenario = build_items_scenario(
-        "small", paper_mb=100, fragment_count=4, scale=scale
-    )
-    with scenario.partix:
-        runs = compare_execution_modes(scenario, repetitions)
-    print(format_mode_comparison(scenario.name, runs))
-    return mode_comparison_payload(scenario.name, runs)
-
-
-def run_transport(scale: float, repetitions: int, transmission: bool) -> dict:
-    """Simulated vs threads vs real tcp processes, 4-site horizontal split.
-
-    The tcp lane spawns one site-server process per site, mirrors the
-    published fragments over the wire, and measures real wall time and
-    real framed bytes-on-wire next to the network model's estimates.
-    """
-    scenario = build_items_scenario(
-        "small", paper_mb=100, fragment_count=4, scale=scale
-    )
-    runs = compare_transports(scenario, repetitions, modes=TRANSPORT_MODES)
-    print(format_transport_comparison(scenario.name, runs))
-    return transport_comparison_payload(scenario.name, runs, TRANSPORT_MODES)
-
-
-#: Chunk size for the streaming figure. Small enough that bench results
-#: span many RESULT_CHUNK frames (so peak-buffer bounding is visible),
-#: large enough to stay realistic.
-STREAMING_CHUNK_BYTES = 4096
-
-
-def run_streaming(scale: float, repetitions: int, transmission: bool) -> dict:
-    """Monolithic vs streamed tcp execution, 4-site horizontal split.
-
-    Both lanes run against the same site-server processes. The streamed
-    lane negotiates a small chunk size, routes results through
-    RESULT_CHUNK frames and the incremental composer, and reports peak
-    coordinator buffering plus time-to-first-chunk; aggregate queries
-    (count/sum/…) demonstrate the pushdown's O(fragments) bytes-on-wire.
-    """
-    scenario = build_items_scenario(
-        "small", paper_mb=100, fragment_count=4, scale=scale
-    )
-    scenario.partix.chunk_bytes = STREAMING_CHUNK_BYTES
-    runs = compare_streaming(scenario, repetitions, modes=STREAMING_MODES)
-    print(
-        format_streaming_comparison(
-            scenario.name, runs, STREAMING_CHUNK_BYTES
-        )
-    )
-    return streaming_comparison_payload(
-        scenario.name, runs, STREAMING_MODES, STREAMING_CHUNK_BYTES
-    )
 
 
 #: Degrees compared by the ``parallel`` figure; 1 is the serial baseline.
@@ -284,13 +216,8 @@ FIGURES = {
     "7c": run_figure_7c,
     "7d": run_figure_7d,
     "headline": run_headline,
-    "modes": run_modes,
     "parallel": run_parallel,
-    "transport": run_transport,
-    "streaming": run_streaming,
-    "serving": run_serving,
     "rebalance": run_rebalance,
-    "pushdown": run_pushdown,
     # "plans" is dispatched specially in main(): it takes the golden-file
     # flags instead of repetitions/transmission.
     "plans": run_plans,

@@ -4,19 +4,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.bench.scenarios import (
-    ModeComparisonRun,
-    QueryRun,
-    ScenarioResult,
-    StreamingComparisonRun,
-    TransportComparisonRun,
-)
-
-#: Wire-byte allowance per fragment for a pushed-down aggregate: one
-#: scalar partial (RESULT_CHUNK) plus the RESULT_END stats payload and
-#: frame headers. Far below any real result body, so the O(fragments)
-#: regression check cannot pass by accident.
-AGGREGATE_WIRE_BYTES_PER_FRAGMENT = 2048
+from repro.bench.scenarios import ScenarioResult
 
 
 def format_kv_table(title: str, rows: Sequence[tuple[str, object]]) -> str:
@@ -25,185 +13,6 @@ def format_kv_table(title: str, rows: Sequence[tuple[str, object]]) -> str:
     lines = [title, "-" * len(title)]
     lines.extend(f"{label:<{width}}  {value}" for label, value in rows)
     return "\n".join(lines)
-
-
-def format_mode_comparison(
-    name: str, runs: list[ModeComparisonRun]
-) -> str:
-    """Simulated vs threads execution, one row per query.
-
-    ``modelled`` is the paper-style simulated parallel time (slowest site
-    + compose); the two wall columns are real machine time for the
-    sequential loop vs the concurrent dispatcher.
-    """
-    header = f"{name} — simulated vs threads execution"
-    lines = [header, "-" * len(header)]
-    lines.append(
-        f"{'query':<6} {'modelled':>10} {'seq-wall':>10} {'thr-wall':>10}"
-        f" {'speedup':>8} {'subq':>5} {'match':>6}  description"
-    )
-    for run in runs:
-        failover = (
-            f" [failovers={run.failover_count}]" if run.failover_count else ""
-        )
-        lines.append(
-            f"{run.qid:<6} {run.parallel_seconds * 1000:>8.1f}ms"
-            f" {run.simulated_wall_seconds * 1000:>8.1f}ms"
-            f" {run.threads_wall_seconds * 1000:>8.1f}ms"
-            f" {run.wall_speedup:>7.2f}x {run.subqueries:>5}"
-            f" {'ok' if run.byte_identical else 'DIFF':>6}"
-            f"  {run.description}{failover}"
-        )
-    return "\n".join(lines)
-
-
-def format_transport_comparison(
-    name: str, runs: list[TransportComparisonRun]
-) -> str:
-    """Per-transport wall time and bytes-on-wire, one block per query.
-
-    The in-process lanes report the payload bytes that *would* have
-    traveled; the ``tcp`` lane ("wire") reports real framed socket bytes,
-    printed next to the :class:`NetworkModel`'s transmission estimate so
-    the model can be eyeballed against the measurement.
-    """
-    header = f"{name} — transport comparison (wall time and bytes)"
-    lines = [header, "-" * len(header)]
-    for run in runs:
-        lines.append(
-            f"{run.qid}: {run.description}"
-            f" (subqueries={run.subqueries},"
-            f" {'byte-identical' if run.byte_identical else 'ANSWERS DIFFER'},"
-            f" est. transmission"
-            f" {run.estimated_transmission_seconds * 1000:.2f}ms)"
-        )
-        for lane in run.lanes:
-            kind = "wire" if lane.wire_measured else "payload"
-            lines.append(
-                f"  {lane.mode:<10} {lane.wall_seconds * 1000:>8.1f}ms"
-                f"  sent {lane.bytes_sent:>8}B"
-                f"  recv {lane.bytes_received:>8}B  ({kind})"
-            )
-    return "\n".join(lines)
-
-
-def mode_comparison_payload(
-    name: str, runs: list[ModeComparisonRun]
-) -> dict:
-    """JSON-able summary of a mode comparison (CI artifact).
-
-    Each run carries ``lane_timings``: the planner's per-lane estimated
-    seconds next to the measured seconds of both modes, joined on the
-    plan-node identity, so estimate quality is a recorded artifact.
-    """
-    return {
-        "figure": "modes",
-        "scenario": name,
-        "byte_identical": all(run.byte_identical for run in runs),
-        "runs": [run.to_dict() for run in runs],
-    }
-
-
-def transport_comparison_payload(
-    name: str, runs: list[TransportComparisonRun], modes: Sequence[str]
-) -> dict:
-    """JSON-able summary of a transport comparison (CI artifact)."""
-    return {
-        "figure": "transport",
-        "scenario": name,
-        "modes": list(modes),
-        "byte_identical": all(run.byte_identical for run in runs),
-        "runs": [run.to_dict() for run in runs],
-    }
-
-
-def format_streaming_comparison(
-    name: str, runs: list[StreamingComparisonRun], chunk_bytes: int
-) -> str:
-    """Monolithic vs streamed execution, one block per query.
-
-    Shows what the streaming pipeline buys: the coordinator's peak
-    in-memory buffering (bounded by the spill threshold per lane, not by
-    result size), time-to-first-chunk, and — for pushed-down aggregates —
-    bytes-on-wire collapsing to one scalar per fragment.
-    """
-    header = f"{name} — monolithic vs streamed (chunk {chunk_bytes}B)"
-    lines = [header, "-" * len(header)]
-    for run in runs:
-        composition = run.composition + (
-            f"[{run.aggregate}]" if run.aggregate else ""
-        )
-        lines.append(
-            f"{run.qid}: {run.description}"
-            f" (subqueries={run.subqueries}, composition={composition},"
-            f" {'byte-identical' if run.byte_identical else 'ANSWERS DIFFER'})"
-        )
-        for lane in run.lanes:
-            extra = ""
-            if lane.streamed:
-                first = (
-                    f"{lane.first_chunk_seconds * 1000:.1f}ms"
-                    if lane.first_chunk_seconds is not None
-                    else "n/a"
-                )
-                extra = (
-                    f"  peak-buffer {lane.peak_buffered_bytes:>8}B"
-                    f"  first-chunk {first}"
-                )
-            lines.append(
-                f"  {lane.mode:<10} {lane.wall_seconds * 1000:>8.1f}ms"
-                f"  recv {lane.bytes_received:>8}B{extra}"
-            )
-    return "\n".join(lines)
-
-
-def streaming_comparison_payload(
-    name: str,
-    runs: list[StreamingComparisonRun],
-    modes: Sequence[str],
-    chunk_bytes: int,
-) -> dict:
-    """JSON-able summary of a streaming comparison (CI artifact).
-
-    ``checks`` carries the two acceptance invariants so CI can assert on
-    the artifact directly:
-
-    * ``peak_buffer_bounded`` — every streamed lane's coordinator peak
-      in-memory buffering stays within ``2 × chunk_bytes`` per active
-      lane (a :class:`~repro.partix.composer.SpillBuffer` may hold up to
-      threshold + one chunk before spilling to disk).
-    * ``aggregate_wire_o_fragments`` — for pushed-down aggregates, the
-      streamed lane's bytes-on-wire is O(fragments): at most
-      ``AGGREGATE_WIRE_BYTES_PER_FRAGMENT`` per sub-query, regardless of
-      result size.
-    """
-    peak_bounded = True
-    aggregate_o_fragments = True
-    for run in runs:
-        for lane in run.lanes:
-            if not lane.streamed:
-                continue
-            if lane.peak_buffered_bytes > 2 * chunk_bytes * run.subqueries:
-                peak_bounded = False
-            if (
-                run.aggregate
-                and lane.wire_measured
-                and lane.bytes_received
-                > AGGREGATE_WIRE_BYTES_PER_FRAGMENT * run.subqueries
-            ):
-                aggregate_o_fragments = False
-    return {
-        "figure": "streaming",
-        "scenario": name,
-        "modes": list(modes),
-        "chunk_bytes": chunk_bytes,
-        "byte_identical": all(run.byte_identical for run in runs),
-        "checks": {
-            "peak_buffer_bounded": peak_bounded,
-            "aggregate_wire_o_fragments": aggregate_o_fragments,
-        },
-        "runs": [run.to_dict() for run in runs],
-    }
 
 
 def format_scenario_table(result: ScenarioResult, transmission: bool = False) -> str:

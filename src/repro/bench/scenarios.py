@@ -16,9 +16,8 @@ from repro.cluster.network import NetworkModel
 from repro.cluster.site import Cluster, Site
 from repro.datamodel.collection import Collection
 from repro.partix.fragments import FragmentationSchema
-from repro.partix.middleware import Partix, PartixResult
+from repro.partix.middleware import Partix
 from repro.partix.publisher import FragMode
-from repro.plan.executor import ExecutionMode
 from repro.workloads.queries import BenchQuery
 from repro.workloads.virtual_store import (
     build_items_collection,
@@ -167,422 +166,6 @@ class Scenario:
 def _avg(values) -> float:
     items = list(values)
     return sum(items) / len(items) if items else 0.0
-
-
-# ----------------------------------------------------------------------
-# Execution-mode comparison (simulated vs real threads)
-# ----------------------------------------------------------------------
-@dataclass
-class ModeComparisonRun:
-    """One query's simulated-mode vs threads-mode wall-clock comparison.
-
-    ``parallel_seconds`` is the *modelled* time (slowest site + compose)
-    — it is mode-independent by construction. The two wall columns are
-    real machine time: the sequential in-process loop vs the concurrent
-    dispatcher.
-    """
-
-    qid: str
-    description: str
-    parallel_seconds: float
-    sequential_seconds: float
-    simulated_wall_seconds: float
-    threads_wall_seconds: float
-    subqueries: int
-    byte_identical: bool
-    #: Per-lane planner-estimate vs measurement, one entry per physical
-    #: plan lane: ``{plan_node, fragment, site, estimated_seconds,
-    #: simulated_seconds, threads_seconds}`` — joined across the two
-    #: modes by the plan-node identity the executor stamps on every
-    #: execution.
-    lane_timings: list = field(default_factory=list)
-    #: Replica failovers the dispatcher performed across both modes'
-    #: final repetitions (0 on a healthy cluster).
-    failover_count: int = 0
-
-    @property
-    def wall_speedup(self) -> float:
-        """Sequential-loop wall / concurrent-dispatch wall."""
-        if self.threads_wall_seconds <= 0:
-            return float("inf")
-        return self.simulated_wall_seconds / self.threads_wall_seconds
-
-    def to_dict(self) -> dict:
-        return {
-            "qid": self.qid,
-            "description": self.description,
-            "parallel_seconds": self.parallel_seconds,
-            "sequential_seconds": self.sequential_seconds,
-            "simulated_wall_seconds": self.simulated_wall_seconds,
-            "threads_wall_seconds": self.threads_wall_seconds,
-            "subqueries": self.subqueries,
-            "byte_identical": self.byte_identical,
-            "lane_timings": self.lane_timings,
-            "failover_count": self.failover_count,
-        }
-
-
-def compare_execution_modes(
-    scenario: Scenario, repetitions: int = 2
-) -> list[ModeComparisonRun]:
-    """Run a scenario's queries in both execution modes, side by side.
-
-    Asserts the paper-faithful invariant along the way: the two modes
-    must produce **byte-identical** answers (composition is plan-ordered
-    in both). First run of each configuration is discarded (warm-up).
-    """
-    runs = []
-    for query in scenario.queries:
-        simulated = [
-            scenario.partix.execute(
-                query.text, collection=scenario.collection_name
-            )
-            for _ in range(repetitions + 1)
-        ][1:]
-        threaded = [
-            scenario.partix.execute(
-                query.text,
-                collection=scenario.collection_name,
-                execution_mode="threads",
-            )
-            for _ in range(repetitions + 1)
-        ][1:]
-        runs.append(
-            ModeComparisonRun(
-                qid=query.qid,
-                description=query.description,
-                parallel_seconds=_avg(r.parallel_seconds for r in simulated),
-                sequential_seconds=_avg(
-                    r.sequential_seconds for r in simulated
-                ),
-                simulated_wall_seconds=_avg(
-                    r.measured_wall_seconds for r in simulated
-                ),
-                threads_wall_seconds=_avg(
-                    r.measured_wall_seconds for r in threaded
-                ),
-                subqueries=len(threaded[-1].round.executions),
-                byte_identical=simulated[-1].result_text
-                == threaded[-1].result_text,
-                lane_timings=_join_lane_timings(
-                    simulated[-1], threaded[-1]
-                ),
-                failover_count=(
-                    simulated[-1].failover_count
-                    + threaded[-1].failover_count
-                ),
-            )
-        )
-    return runs
-
-
-def _join_lane_timings(
-    simulated: PartixResult, threaded: PartixResult
-) -> list[dict]:
-    """Join both modes' per-lane measurements on the plan-node identity.
-
-    Either side may miss a node (degraded lane); its column is None.
-    """
-    threads_by_node = {
-        lane["plan_node"]: lane for lane in threaded.lane_timings
-    }
-    joined = []
-    for lane in simulated.lane_timings:
-        other = threads_by_node.pop(lane["plan_node"], None)
-        joined.append(
-            {
-                "plan_node": lane["plan_node"],
-                "fragment": lane["fragment"],
-                "site": lane["site"],
-                "estimated_seconds": lane["estimated_seconds"],
-                "simulated_seconds": lane["measured_seconds"],
-                "threads_seconds": (
-                    other["measured_seconds"] if other else None
-                ),
-            }
-        )
-    for lane in threads_by_node.values():
-        joined.append(
-            {
-                "plan_node": lane["plan_node"],
-                "fragment": lane["fragment"],
-                "site": lane["site"],
-                "estimated_seconds": lane["estimated_seconds"],
-                "simulated_seconds": None,
-                "threads_seconds": lane["measured_seconds"],
-            }
-        )
-    return joined
-
-
-# ----------------------------------------------------------------------
-# Transport comparison (simulated vs threads vs real tcp processes)
-# ----------------------------------------------------------------------
-@dataclass
-class TransportLane:
-    """One execution mode's measurements for one query."""
-
-    mode: str
-    wall_seconds: float
-    bytes_sent: int
-    bytes_received: int
-    wire_measured: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "wall_seconds": self.wall_seconds,
-            "bytes_sent": self.bytes_sent,
-            "bytes_received": self.bytes_received,
-            "wire_measured": self.wire_measured,
-        }
-
-
-@dataclass
-class TransportComparisonRun:
-    """One query compared across transports.
-
-    ``wall_seconds`` per lane is real machine time; byte counts are real
-    framed socket bytes for the ``tcp`` lane (``wire_measured``) and the
-    would-have-traveled payload sizes for the in-process lanes.
-    ``estimated_transmission_seconds`` is what the
-    :class:`~repro.cluster.network.NetworkModel` predicts for the same
-    round, so the estimate sits next to the measurement.
-    """
-
-    qid: str
-    description: str
-    subqueries: int
-    byte_identical: bool
-    estimated_transmission_seconds: float
-    lanes: list[TransportLane] = field(default_factory=list)
-
-    def lane(self, mode: str) -> TransportLane:
-        for lane in self.lanes:
-            if lane.mode == mode:
-                return lane
-        raise KeyError(mode)
-
-    def to_dict(self) -> dict:
-        return {
-            "qid": self.qid,
-            "description": self.description,
-            "subqueries": self.subqueries,
-            "byte_identical": self.byte_identical,
-            "estimated_transmission_seconds": (
-                self.estimated_transmission_seconds
-            ),
-            "lanes": [lane.to_dict() for lane in self.lanes],
-        }
-
-
-TRANSPORT_MODES = ("simulated", "threads", "tcp")
-
-
-def compare_transports(
-    scenario: Scenario,
-    repetitions: int = 2,
-    modes: tuple = TRANSPORT_MODES,
-) -> list[TransportComparisonRun]:
-    """Run a scenario's queries through every transport, side by side.
-
-    When ``"tcp"`` is requested, real site-server processes are spawned
-    (and the published fragments mirrored to them over the wire) for the
-    duration of the comparison, then reaped. The byte-identical invariant
-    is checked against the first mode's answer. First run of each
-    configuration is discarded (warm-up).
-    """
-    runs: list[TransportComparisonRun] = []
-    started_tcp = False
-    if (
-        any(ExecutionMode.parse(mode).transport == "tcp" for mode in modes)
-        and scenario.partix.tcp is None
-    ):
-        scenario.partix.start_tcp()
-        started_tcp = True
-    try:
-        for query in scenario.queries:
-            by_mode: dict[str, list[PartixResult]] = {}
-            for mode in modes:
-                by_mode[mode] = [
-                    scenario.partix.execute(
-                        query.text,
-                        collection=scenario.collection_name,
-                        execution_mode=mode,
-                    )
-                    for _ in range(repetitions + 1)
-                ][1:]
-            reference = by_mode[modes[0]][-1]
-            run = TransportComparisonRun(
-                qid=query.qid,
-                description=query.description,
-                subqueries=len(reference.round.executions),
-                byte_identical=all(
-                    by_mode[mode][-1].result_text == reference.result_text
-                    for mode in modes[1:]
-                ),
-                estimated_transmission_seconds=_avg(
-                    r.transmission_seconds for r in by_mode[modes[0]]
-                ),
-            )
-            for mode in modes:
-                last = by_mode[mode][-1]
-                run.lanes.append(
-                    TransportLane(
-                        mode=mode,
-                        wall_seconds=_avg(
-                            r.measured_wall_seconds for r in by_mode[mode]
-                        ),
-                        bytes_sent=last.bytes_sent,
-                        bytes_received=last.bytes_received,
-                        wire_measured=last.wire_measured,
-                    )
-                )
-            runs.append(run)
-    finally:
-        if started_tcp:
-            scenario.partix.close()
-    return runs
-
-
-# ----------------------------------------------------------------------
-# Streaming comparison (monolithic RESULT vs chunked RESULT_CHUNK lanes)
-# ----------------------------------------------------------------------
-@dataclass
-class StreamingLane:
-    """One execution mode's streaming measurements for one query."""
-
-    mode: str
-    wall_seconds: float
-    bytes_received: int
-    streamed: bool
-    wire_measured: bool
-    peak_buffered_bytes: int = 0
-    first_chunk_seconds: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "wall_seconds": self.wall_seconds,
-            "bytes_received": self.bytes_received,
-            "streamed": self.streamed,
-            "wire_measured": self.wire_measured,
-            "peak_buffered_bytes": self.peak_buffered_bytes,
-            "first_chunk_seconds": self.first_chunk_seconds,
-        }
-
-
-@dataclass
-class StreamingComparisonRun:
-    """One query compared monolithic vs streamed.
-
-    ``bytes_received`` per lane is what actually traveled back to the
-    coordinator: framed socket bytes for the tcp lanes. For aggregate
-    compositions the decomposer's pushdown makes that O(fragments) — each
-    site ships one scalar partial — regardless of the underlying result
-    size. ``peak_buffered_bytes`` is the streamed lane's largest
-    coordinator-side in-memory buffering (bounded by the spill threshold
-    per active lane, never by result size); ``first_chunk_seconds`` its
-    time-to-first-byte.
-    """
-
-    qid: str
-    description: str
-    subqueries: int
-    composition: str
-    aggregate: Optional[str]
-    byte_identical: bool
-    lanes: list[StreamingLane] = field(default_factory=list)
-
-    def lane(self, mode: str) -> StreamingLane:
-        for lane in self.lanes:
-            if lane.mode == mode:
-                return lane
-        raise KeyError(mode)
-
-    def to_dict(self) -> dict:
-        return {
-            "qid": self.qid,
-            "description": self.description,
-            "subqueries": self.subqueries,
-            "composition": self.composition,
-            "aggregate": self.aggregate,
-            "byte_identical": self.byte_identical,
-            "lanes": [lane.to_dict() for lane in self.lanes],
-        }
-
-
-STREAMING_MODES = ("tcp", "tcp-stream")
-
-
-def compare_streaming(
-    scenario: Scenario,
-    repetitions: int = 2,
-    modes: tuple = STREAMING_MODES,
-) -> list[StreamingComparisonRun]:
-    """Run a scenario's queries monolithic and streamed, side by side.
-
-    Both lanes speak to the same spawned site-server processes; the
-    streamed lane routes results through RESULT_CHUNK frames and the
-    incremental composer. Byte-identity of the answers is checked against
-    the first mode. First run of each configuration is discarded
-    (warm-up).
-    """
-    runs: list[StreamingComparisonRun] = []
-    started_tcp = False
-    if (
-        any(ExecutionMode.parse(mode).transport == "tcp" for mode in modes)
-        and scenario.partix.tcp is None
-    ):
-        scenario.partix.start_tcp()
-        started_tcp = True
-    try:
-        for query in scenario.queries:
-            by_mode: dict[str, list[PartixResult]] = {}
-            for mode in modes:
-                by_mode[mode] = [
-                    scenario.partix.execute(
-                        query.text,
-                        collection=scenario.collection_name,
-                        execution_mode=mode,
-                    )
-                    for _ in range(repetitions + 1)
-                ][1:]
-            reference = by_mode[modes[0]][-1]
-            plan = scenario.partix.explain(
-                query.text, scenario.collection_name
-            )
-            run = StreamingComparisonRun(
-                qid=query.qid,
-                description=query.description,
-                subqueries=len(reference.round.executions),
-                composition=plan.composition.kind,
-                aggregate=plan.composition.aggregate,
-                byte_identical=all(
-                    by_mode[mode][-1].result_text == reference.result_text
-                    for mode in modes[1:]
-                ),
-            )
-            for mode in modes:
-                last = by_mode[mode][-1]
-                run.lanes.append(
-                    StreamingLane(
-                        mode=mode,
-                        wall_seconds=_avg(
-                            r.measured_wall_seconds for r in by_mode[mode]
-                        ),
-                        bytes_received=last.bytes_received,
-                        streamed=last.streamed,
-                        wire_measured=last.wire_measured,
-                        peak_buffered_bytes=last.peak_buffered_bytes,
-                        first_chunk_seconds=last.first_chunk_seconds,
-                    )
-                )
-            runs.append(run)
-    finally:
-        if started_tcp:
-            scenario.partix.close()
-    return runs
 
 
 # ----------------------------------------------------------------------

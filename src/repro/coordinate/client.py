@@ -12,22 +12,18 @@ and so on) rebuilt by class name exactly as site ERROR frames are.
 
 from __future__ import annotations
 
-import socket
 from typing import Optional
 
-from repro.errors import ProtocolError, TransportError, TransportTimeout
+from repro.errors import TransportError
 from repro.net.client import SiteClient
-from repro.net.protocol import (
-    Frame,
-    FrameType,
-    payload_to_exception,
-    recv_frame,
-    send_frame,
-)
+from repro.net.protocol import FrameType, payload_to_exception
 
 
 class CoordinatorClient(SiteClient):
     """Pooled connections to one coordinator."""
+
+    def _peer(self) -> str:
+        return "coordinator"
 
     def query(
         self,
@@ -74,55 +70,22 @@ class CoordinatorClient(SiteClient):
             payload["collection"] = collection
         if deadline_seconds is not None:
             payload["deadline_seconds"] = deadline_seconds
-        rid = self._next_request_id()
-        sock = self._borrow()
-        timeout = read_timeout if read_timeout is not None else self.read_timeout
         chunks: list[bytes] = []
-        received_total = 0
-        try:
-            sock.settimeout(timeout)
-            sent = send_frame(
-                sock, Frame(type=FrameType.QUERY, request_id=rid, payload=payload)
-            )
-            while True:
-                reply, received = recv_frame(sock)
-                received_total += received
-                if reply.request_id != rid:
-                    sock.close()
-                    raise TransportError(
-                        f"coordinator answered request {reply.request_id},"
-                        f" expected {rid} — stream desynchronized"
-                    )
-                if reply.type is FrameType.RESULT_CHUNK:
-                    chunks.append(reply.raw)
-                    if on_chunk is not None:
-                        on_chunk(reply.raw)
-                elif reply.type is FrameType.QUERY_RESULT:
-                    break
-                elif reply.type is FrameType.QUERY_ERROR:
-                    self._repool(sock)
-                    self._count(sent, received_total)
-                    raise payload_to_exception(reply.payload)
-                else:
-                    sock.close()
-                    raise TransportError(
-                        f"streamed QUERY answered with {reply.type.name}"
-                    )
-        except socket.timeout as exc:
-            sock.close()
-            raise TransportTimeout(
-                f"coordinator did not answer a streamed QUERY within"
-                f" {timeout:.3f}s"
-            ) from exc
-        except (OSError, ProtocolError) as exc:
-            sock.close()
-            raise TransportError(
-                f"streamed QUERY truncated before QUERY_RESULT: {exc}"
-            ) from exc
-        self._repool(sock)
-        self._count(sent, received_total)
-        with self._lock:
-            self.requests += 1
+
+        def collect(raw: bytes) -> None:
+            chunks.append(raw)
+            if on_chunk is not None:
+                on_chunk(raw)
+
+        reply, _, _ = self._exchange(
+            FrameType.QUERY,
+            payload,
+            read_timeout,
+            terminal=(FrameType.QUERY_RESULT, FrameType.QUERY_ERROR),
+            on_chunk=collect,
+        )
+        if reply.type is FrameType.QUERY_ERROR:
+            raise payload_to_exception(reply.payload)
         result = dict(reply.payload)
         result["result_text"] = b"".join(chunks).decode("utf-8")
         return result

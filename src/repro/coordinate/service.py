@@ -51,14 +51,12 @@ from repro.errors import (
     RebalanceError,
 )
 from repro.net.protocol import (
-    DEFAULT_CHUNK_BYTES,
     Frame,
     FrameType,
-    PROTOCOL_VERSION,
     ProtocolError,
+    answer_hello,
     encode_frame,
     exception_to_payload,
-    negotiate_chunk_bytes,
     read_frame_async,
 )
 from repro.coordinate.admission import AdmissionController
@@ -278,12 +276,10 @@ class Coordinator:
         self._conn_tasks.add(task)
         self._conn_writers.add(writer)
         write_lock = asyncio.Lock()
-        chunk_bytes = DEFAULT_CHUNK_BYTES
         try:
-            hello = await self._handshake(reader, writer, write_lock)
-            if hello is None:
+            chunk_bytes = await self._handshake(reader, writer, write_lock)
+            if chunk_bytes is None:
                 return
-            chunk_bytes = hello
             while True:
                 try:
                     frame, received = await read_frame_async(reader)
@@ -366,52 +362,8 @@ class Coordinator:
         except ProtocolError:
             return None
         self._bytes_in += received
-        if frame.type is not FrameType.HELLO:
-            await self._send(
-                writer,
-                write_lock,
-                Frame(
-                    type=FrameType.REJECT,
-                    request_id=frame.request_id,
-                    payload={
-                        "reason": f"expected HELLO, got {frame.type.name}"
-                    },
-                ),
-            )
-            return None
-        version = frame.payload.get("version", frame.version)
-        if version != PROTOCOL_VERSION:
-            await self._send(
-                writer,
-                write_lock,
-                Frame(
-                    type=FrameType.REJECT,
-                    request_id=frame.request_id,
-                    payload={
-                        "reason": (
-                            f"protocol version mismatch: coordinator speaks"
-                            f" {PROTOCOL_VERSION}, client sent {version}"
-                        )
-                    },
-                ),
-            )
-            return None
-        chunk_bytes = DEFAULT_CHUNK_BYTES
-        if "chunk_bytes" in frame.payload:
-            chunk_bytes = negotiate_chunk_bytes(frame.payload["chunk_bytes"])
-        await self._send(
-            writer,
-            write_lock,
-            Frame(
-                type=FrameType.WELCOME,
-                request_id=frame.request_id,
-                payload={
-                    "version": PROTOCOL_VERSION,
-                    "site": self.site,
-                    "chunk_bytes": chunk_bytes,
-                },
-            ),
-        )
+        reply, chunk_bytes = answer_hello(frame, self.site)
+        await self._send(writer, write_lock, reply)
         return chunk_bytes
 
     async def _send(self, writer, write_lock, frame: Frame) -> None:

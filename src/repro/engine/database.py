@@ -12,10 +12,10 @@ query is:
 3. with indexes on, verify each candidate's predicate exactly over its
    binary node table (label pushdown) so non-matching documents never
    materialize;
-4. materialize the survivors on access — decoding the binary table when
-   present, else the parse-on-text path that made every touched document
-   pay real parse cost (the effect behind the paper's superlinear
-   fragmentation speedups, still the behaviour with ``use_indexes=False``);
+4. materialize the survivors on access by decoding their binary node
+   tables — every touched document pays a real per-document cost (the
+   effect behind the paper's superlinear fragmentation speedups; with
+   ``use_indexes=False`` every document of the collection is touched);
 5. evaluate and serialize the result.
 
 ``cache_parsed`` can keep parsed trees in an LRU cache; it defaults to
@@ -56,7 +56,6 @@ from repro.errors import (
     XQueryEvaluationError,
 )
 from repro.paths.predicates import Predicate, evaluate_on_binary
-from repro.xmltext.parser import parse_xml
 from repro.xmltext.serializer import serialize
 from repro.xquery.analysis import QueryAnalysis, analyze_query
 from repro.xquery.ast_nodes import Expr
@@ -81,15 +80,12 @@ class XMLEngine:
         Keep up to ``cache_size`` parsed documents in memory. Off by
         default (see module docstring).
     use_indexes:
-        Enable index-assisted document pruning.
-    label_pushdown:
-        When index pruning runs, verify each candidate's predicate
-        exactly over its binary node table *before* materializing a DOM
-        (see :func:`repro.paths.predicates.evaluate_on_binary`), so an
-        index probe prunes to the truly matching documents. Sound because
-        extracted predicates are necessary conditions and the binary
-        evaluation is exact; a no-op when ``use_indexes`` is off (the
-        paper-faithful mode scans everything).
+        Enable index-assisted document pruning. Whenever it runs, each
+        index candidate's predicate is also verified exactly over its
+        binary node table *before* a DOM is materialized (see
+        :func:`repro.paths.predicates.evaluate_on_binary`), so an index
+        probe prunes to the truly matching documents. Off means the
+        paper-faithful full scan.
     per_document_overhead:
         *Simulated* fixed cost (seconds) per document access, added to
         reported elapsed times but never slept. Models the per-document
@@ -119,7 +115,6 @@ class XMLEngine:
         cache_parsed: bool = False,
         cache_size: int = 256,
         use_indexes: bool = True,
-        label_pushdown: bool = True,
         per_document_overhead: float = 0.0,
         shard_workers: int = 0,
     ):
@@ -127,7 +122,6 @@ class XMLEngine:
         self.store = DocumentStore(storage_dir=storage_dir)
         self.stats = EngineStats()
         self.use_indexes = use_indexes
-        self.label_pushdown = label_pushdown
         self.cache_parsed = cache_parsed
         self.per_document_overhead = per_document_overhead
         self.shard_workers = max(0, int(shard_workers))
@@ -163,6 +157,23 @@ class XMLEngine:
                 if key[0] != name
             )
 
+    def retain_documents(self, collection: str, keep: Iterable[str]) -> None:
+        """Remove every document of ``collection`` not named in ``keep`` —
+        what a republish uses to retire the documents of an earlier
+        publication it did not overwrite."""
+        self._require_collection(collection)
+        keep = set(keep)
+        stale = [
+            name
+            for name in self.store.collection(collection).names()
+            if name not in keep
+        ]
+        for name in stale:
+            self.store.remove_document(collection, name)
+        with self._cache_lock:
+            for name in stale:
+                self._cache.pop((collection, name), None)
+
     def has_collection(self, name: str) -> bool:
         return self.store.has_collection(name)
 
@@ -179,7 +190,14 @@ class XMLEngine:
         """Store one document into ``collection`` (created on demand)."""
         if not self.store.has_collection(collection):
             self.store.create_collection(collection)
-        return self.store.store_document(collection, document, name=name, origin=origin)
+        stored = self.store.store_document(
+            collection, document, name=name, origin=origin
+        )
+        if self.cache_parsed:
+            # A re-stored name must not keep serving its previous tree.
+            with self._cache_lock:
+                self._cache.pop((collection, stored.name), None)
+        return stored
 
     def _require_collection(self, name: str) -> None:
         """Fail with a clear engine-level error for a missing collection.
@@ -208,10 +226,11 @@ class XMLEngine:
     ) -> XMLDocument:
         """Materialize-on-access with optional LRU caching; updates stats.
 
-        Documents carrying a binary node table decode it (no tokenizer);
-        only table-less records — old on-disk stores — pay a text parse.
-        ``documents_parsed`` counts every materialization from storage
-        either way; ``binary_decodes`` counts the fast-path subset.
+        Every stored document carries a binary node table
+        (:meth:`StoredCollection.put` encodes one when none came along),
+        so materializing decodes the table and never re-tokenizes text.
+        ``documents_parsed`` and ``binary_decodes`` both count every
+        materialization from storage.
 
         ``stats`` is the accumulator to charge — a query in flight passes
         its private per-query accumulator so concurrent queries never
@@ -239,12 +258,8 @@ class XMLEngine:
                 return cached
         stored = self.store.load_document(collection, name)
         started = time.perf_counter()
-        if stored.binary is not None:
-            document = stored.binary.materialize(name=name, origin=stored.origin)
-            charge.binary_decodes += 1
-        else:
-            document = parse_xml(stored.data.decode("utf-8"), name=name)
-            document.origin = stored.origin
+        document = stored.binary.materialize(name=name, origin=stored.origin)
+        charge.binary_decodes += 1
         charge.parse_seconds += time.perf_counter() - started
         charge.documents_parsed += 1
         charge.bytes_parsed += stored.size
@@ -287,11 +302,9 @@ class XMLEngine:
                     for collection_name in self.store.collection_names():
                         collection = self.store.collection(collection_name)
                         for doc_name in collection.names():
-                            stored = collection.get(doc_name)
-                            if stored.binary is not None:
-                                snapshot[
-                                    (collection_name, doc_name)
-                                ] = stored.binary
+                            snapshot[(collection_name, doc_name)] = (
+                                collection.get(doc_name).binary
+                            )
                     self._fork_token = new_fork_token()
                     self._fork_snapshot = snapshot
                     register_fork_snapshot(self._fork_token, snapshot)
@@ -373,10 +386,9 @@ class XMLEngine:
         if use_indexes and predicate is not None:
             candidates, lookups = candidate_documents(collection, predicate)
             stats.index_lookups += lookups
-            if self.label_pushdown:
-                candidates = self._verify_on_binary(
-                    collection, predicate, candidates, stats
-                )
+            candidates = self._verify_on_binary(
+                collection, predicate, candidates, stats
+            )
         else:
             candidates = collection.names()
         stats.documents_scanned += len(candidates)
@@ -395,14 +407,11 @@ class XMLEngine:
         built. Sound because extracted predicates are *necessary*
         conditions (see :func:`~repro.engine.indexes.candidate_documents`)
         and the binary evaluation mirrors DOM evaluation exactly;
-        undecidable atoms (``None``) keep the document, as does a record
-        with no table."""
+        undecidable atoms (``None``) keep the document."""
         verified: list[str] = []
         for doc_name in candidates:
             binary = collection.get(doc_name).binary
-            if binary is not None and evaluate_on_binary(
-                predicate, binary
-            ) is False:
+            if evaluate_on_binary(predicate, binary) is False:
                 stats.label_pruned += 1
                 continue
             verified.append(doc_name)
@@ -613,7 +622,6 @@ class XMLEngine:
             "cache_parsed": self.cache_parsed,
             "cache_size": self._cache_size,
             "use_indexes": self.use_indexes,
-            "label_pushdown": self.label_pushdown,
             "per_document_overhead": self.per_document_overhead,
             "shard_workers": self.shard_workers,
         }

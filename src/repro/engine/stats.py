@@ -28,9 +28,10 @@ class EngineStats:
     documents_scanned: int = 0
     documents_pruned: int = 0
     index_lookups: int = 0
-    #: Documents materialized from the binary node table instead of a
-    #: text parse (a subset of ``documents_parsed``, which counts every
-    #: materialization from storage regardless of path).
+    #: Documents materialized by decoding their binary node table. Every
+    #: materialization from storage takes that path, so this equals
+    #: ``documents_parsed``; it stays a field because it is part of the
+    #: RESULT stats payload on the wire.
     binary_decodes: int = 0
     #: Index-candidate documents discarded by exact predicate evaluation
     #: over the binary encoding *before* any DOM was built.

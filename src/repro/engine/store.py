@@ -1,18 +1,19 @@
 """Document store: named collections of serialized XML documents.
 
-Documents are stored *serialized* (UTF-8 bytes) and parsed on access —
-the same architecture that made the paper's per-document parse overhead
-visible ("some pre-processing operations (e.g., parsing) are carried out
-for each XML tree", §5). Storing bytes also forces every layer above to
-round-trip through real serialization, so reconstruction annotations and
-fragment metadata are honest.
+Documents are stored *serialized* (UTF-8 bytes) and materialized on
+access, one tree per touched document — the architecture that made the
+paper's per-document overhead visible ("some pre-processing operations
+(e.g., parsing) are carried out for each XML tree", §5). Storing bytes
+also forces every layer above to round-trip through real serialization,
+so reconstruction annotations and fragment metadata are honest.
 
-Each document additionally carries a compact **binary node table**
+Every stored document carries a compact **binary node table**
 (:class:`~repro.datamodel.binary.BinaryXMLDocument`), built once at
-publish time over the collection's shared string pool. Indexes ingest
-the table directly, predicate verification runs over it without a DOM,
-and materialization decodes it instead of re-tokenizing text — the raw
-bytes remain the canonical wire/serialization form.
+publish time over the collection's shared string pool
+(:meth:`StoredCollection.put` guarantees it). Indexes ingest the table
+directly, predicate verification runs over it without a DOM, and
+materialization decodes it — the text is tokenized once, at ingestion,
+and the raw bytes remain the canonical wire/serialization form.
 
 Optional disk persistence keeps each collection in a directory of
 ``.xml`` files (plus ``<name>.xml.pxb`` node tables and one
@@ -48,7 +49,8 @@ class StoredDocument:
 
     ``binary`` is the preorder node table over the owning collection's
     string pool; :meth:`StoredCollection.put` fills it in when the
-    caller didn't (e.g. a store loaded from bare ``.xml`` files).
+    caller didn't (e.g. a store loaded from bare ``.xml`` files), so a
+    record reachable through a collection is never without one.
     """
 
     __slots__ = ("name", "data", "origin", "binary")

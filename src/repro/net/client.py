@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import socket
 import threading
-from typing import Optional, Sequence, Union, TYPE_CHECKING
+from typing import Iterable, Optional, Sequence, Union, TYPE_CHECKING
 
 from repro.cluster.dispatch import Transport, exec_options
 from repro.cluster.site import SubQueryExecution
@@ -184,6 +184,84 @@ class SiteClient:
     # ------------------------------------------------------------------
     # Requests
     # ------------------------------------------------------------------
+    def _peer(self) -> str:
+        """How error messages name the other end."""
+        return f"site {self.site or self.host!r}"
+
+    def _exchange(
+        self,
+        type_: FrameType,
+        payload: dict,
+        read_timeout: Optional[float],
+        terminal: Sequence[FrameType] = (),
+        on_chunk=None,
+    ) -> tuple[Frame, int, int]:
+        """One request and its replies — the round trip under every
+        public operation of this client and of the coordinator client.
+
+        Borrows a pooled connection, sends the request and reads replies
+        until a frame whose type is in ``terminal`` (success type first;
+        empty means the first reply ends the exchange). Before that only
+        RESULT_CHUNK frames may arrive; their raw bytes go to
+        ``on_chunk``. Every reply must echo the request id. Returns
+        ``(last_reply, bytes_sent, bytes_received)`` with the connection
+        repooled and the bytes counted; ERROR-class replies are returned,
+        not raised — the connection is clean after one, and the caller
+        knows which exception they map to. A read timeout, socket error,
+        garbage frame, foreign request id or unexpected frame type closes
+        the connection instead and raises :class:`TransportTimeout` /
+        :class:`TransportError`, so a truncated stream can never pass
+        for a short answer.
+        """
+        rid = self._next_request_id()
+        sock = self._borrow()
+        timeout = read_timeout if read_timeout is not None else self.read_timeout
+        awaited = terminal[0].name if terminal else "a reply"
+        received = 0
+        clean = False
+        try:
+            sock.settimeout(timeout)
+            sent = send_frame(
+                sock, Frame(type=type_, request_id=rid, payload=payload)
+            )
+            while True:
+                reply, size = recv_frame(sock)
+                received += size
+                if reply.request_id != rid:
+                    raise TransportError(
+                        f"{self._peer()} answered request {reply.request_id},"
+                        f" expected {rid} — stream desynchronized"
+                    )
+                if not terminal or reply.type in terminal:
+                    break
+                if reply.type is not FrameType.RESULT_CHUNK:
+                    raise TransportError(
+                        f"{type_.name} awaiting {awaited} answered with"
+                        f" {reply.type.name}"
+                    )
+                if on_chunk is not None:
+                    on_chunk(reply.raw)
+            clean = True
+        except socket.timeout as exc:
+            raise TransportTimeout(
+                f"{self._peer()} did not answer a {type_.name} within"
+                f" {timeout:.3f}s"
+            ) from exc
+        except (OSError, ProtocolError) as exc:
+            raise TransportError(
+                f"{type_.name} to {self._peer()} truncated before {awaited}"
+                f" ({received} reply bytes received): {exc}"
+            ) from exc
+        finally:
+            if clean:
+                self._repool(sock)
+            else:
+                sock.close()
+        self._count(sent, received)
+        with self._lock:
+            self.requests += 1
+        return reply, sent, received
+
     def request(
         self,
         type_: FrameType,
@@ -196,38 +274,7 @@ class SiteClient:
         *not* raised here — :meth:`call` does that — so callers that need
         the raw frame (health checks, tests) can inspect it.
         """
-        rid = self._next_request_id()
-        sock = self._borrow()
-        timeout = read_timeout if read_timeout is not None else self.read_timeout
-        try:
-            sock.settimeout(timeout)
-            sent = send_frame(
-                sock, Frame(type=type_, request_id=rid, payload=payload)
-            )
-            reply, received = recv_frame(sock)
-        except socket.timeout as exc:
-            sock.close()
-            raise TransportTimeout(
-                f"site {self.site or self.host!r} did not answer a"
-                f" {type_.name} within {timeout:.3f}s"
-            ) from exc
-        except (OSError, ProtocolError) as exc:
-            sock.close()
-            raise TransportError(
-                f"request {type_.name} to site {self.site or self.host!r}"
-                f" failed: {exc}"
-            ) from exc
-        if reply.request_id != rid:
-            sock.close()
-            raise TransportError(
-                f"site {self.site or self.host!r} answered request"
-                f" {reply.request_id}, expected {rid} — stream desynchronized"
-            )
-        self._repool(sock)
-        self._count(sent, received)
-        with self._lock:
-            self.requests += 1
-        return reply, sent, received
+        return self._exchange(type_, payload, read_timeout)
 
     def call(
         self,
@@ -296,63 +343,18 @@ class SiteClient:
         """
         payload = {"query": query, "stream": True}
         payload.update((options or ExecOptions()).to_payload())
-        rid = self._next_request_id()
-        sock = self._borrow()
-        timeout = read_timeout if read_timeout is not None else self.read_timeout
-        streamed = 0
-        received_total = 0
-        try:
-            sock.settimeout(timeout)
-            sent = send_frame(
-                sock,
-                Frame(type=FrameType.EXECUTE, request_id=rid, payload=payload),
-            )
-            while True:
-                reply, received = recv_frame(sock)
-                received_total += received
-                if reply.request_id != rid:
-                    sock.close()
-                    raise TransportError(
-                        f"site {self.site or self.host!r} answered request"
-                        f" {reply.request_id}, expected {rid} — stream"
-                        " desynchronized"
-                    )
-                if reply.type is FrameType.RESULT_CHUNK:
-                    streamed += len(reply.raw)
-                    if on_chunk is not None:
-                        on_chunk(reply.raw)
-                elif reply.type is FrameType.RESULT_END:
-                    break
-                elif reply.type is FrameType.ERROR:
-                    # The connection is back in a clean state after an
-                    # ERROR frame; any partial chunks are the caller's
-                    # sink to discard (the dispatcher resets its lane on
-                    # every retry attempt).
-                    self._repool(sock)
-                    self._count(sent, received_total)
-                    raise payload_to_exception(reply.payload)
-                else:
-                    sock.close()
-                    raise TransportError(
-                        f"streamed EXECUTE answered with {reply.type.name}"
-                    )
-        except socket.timeout as exc:
-            sock.close()
-            raise TransportTimeout(
-                f"site {self.site or self.host!r} did not answer a streamed"
-                f" EXECUTE within {timeout:.3f}s"
-            ) from exc
-        except (OSError, ProtocolError) as exc:
-            sock.close()
-            raise TransportError(
-                f"stream from site {self.site or self.host!r} truncated"
-                f" before RESULT_END ({streamed} chunk bytes received): {exc}"
-            ) from exc
-        self._repool(sock)
-        self._count(sent, received_total)
-        with self._lock:
-            self.requests += 1
-        return QueryResult.from_payload(reply.payload), sent, received_total
+        reply, sent, received = self._exchange(
+            FrameType.EXECUTE,
+            payload,
+            read_timeout,
+            terminal=(FrameType.RESULT_END, FrameType.ERROR),
+            on_chunk=on_chunk,
+        )
+        if reply.type is FrameType.ERROR:
+            # Any partial chunks are the caller's sink to discard (the
+            # dispatcher resets its lane on every retry attempt).
+            raise payload_to_exception(reply.payload)
+        return QueryResult.from_payload(reply.payload), sent, received
 
     def create_collection(self, name: str) -> None:
         self.call(FrameType.CREATE_COLLECTION, {"collection": name})
@@ -372,6 +374,12 @@ class SiteClient:
                 "name": name,
                 "origin": origin,
             },
+        )
+
+    def retain_documents(self, collection: str, keep: Iterable[str]) -> None:
+        self.call(
+            FrameType.RETAIN_DOCUMENTS,
+            {"collection": collection, "keep": sorted(keep)},
         )
 
     def document_count(self, collection: str) -> int:
@@ -430,6 +438,9 @@ class RemoteSiteDriver(PartixDriver):
         self, query: str, options: Optional[ExecOptions] = None
     ) -> QueryResult:
         return self.client.execute(query, options)[0]
+
+    def retain_documents(self, collection: str, keep: Iterable[str]) -> None:
+        self.client.retain_documents(collection, keep)
 
     def document_count(self, collection: str) -> int:
         # The ERROR-frame class mapping resurfaces the server's typed

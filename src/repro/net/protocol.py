@@ -51,6 +51,7 @@ import json
 import socket
 import struct
 from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.errors import ProtocolError, RemoteExecutionError
 
@@ -127,6 +128,10 @@ class FrameType(enum.IntEnum):
     # advisor's top action when the payload names none).
     ADVISE = 21  # {"collection"?, "top"?}
     REBALANCE = 22  # {"collection"?, "action"?: RebalanceAction dict}
+    # Site frame: delete every document of a stored collection whose name
+    # is not listed (a republish retiring what it did not overwrite).
+    # Answered by OK.
+    RETAIN_DOCUMENTS = 23  # {"collection": str, "keep": [str]}
 
 
 #: Frame types whose payload is raw bytes, not a JSON object.
@@ -147,6 +152,36 @@ class Frame:
     payload: dict = field(default_factory=dict)
     version: int = PROTOCOL_VERSION
     raw: bytes = b""
+
+
+def answer_hello(hello: Frame, site: str) -> tuple[Frame, Optional[int]]:
+    """The accepting side's handshake decision, shared by the threaded
+    site server and the asyncio coordinator.
+
+    Given a connection's first frame, returns ``(reply, chunk_bytes)``:
+    a WELCOME and the negotiated streamed-chunk size when the peer sent a
+    HELLO of this protocol version, else a REJECT and ``None`` — the
+    caller sends the reply either way and closes the connection on
+    ``None``. Pure: no I/O, so both servers decide identically.
+    """
+    version = hello.payload.get("version", hello.version)
+    if hello.type is not FrameType.HELLO:
+        reason = f"expected HELLO, got {hello.type.name}"
+    elif version != PROTOCOL_VERSION:
+        reason = (
+            f"protocol version mismatch: server speaks {PROTOCOL_VERSION},"
+            f" client sent {version}"
+        )
+    else:
+        # A missing proposal negotiates to the default size.
+        chunk_bytes = negotiate_chunk_bytes(hello.payload.get("chunk_bytes"))
+        welcome = {
+            "version": PROTOCOL_VERSION,
+            "site": site,
+            "chunk_bytes": chunk_bytes,
+        }
+        return Frame(FrameType.WELCOME, hello.request_id, welcome), chunk_bytes
+    return Frame(FrameType.REJECT, hello.request_id, {"reason": reason}), None
 
 
 def encode_frame(frame: Frame) -> bytes:

@@ -36,13 +36,12 @@ from collections import Counter
 from repro.engine.stats import ExecOptions
 from repro.errors import ProtocolError
 from repro.net.protocol import (
-    DEFAULT_CHUNK_BYTES,
     Frame,
     FrameType,
     PROTOCOL_VERSION,
+    answer_hello,
     exception_to_payload,
     frame_size_bucket,
-    negotiate_chunk_bytes,
     recv_frame,
     send_frame,
 )
@@ -63,7 +62,6 @@ class _SiteHandler(socketserver.BaseRequestHandler):
         sock = self.request
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         owner = self.server.owner
-        self.chunk_bytes = DEFAULT_CHUNK_BYTES
         if not self._handshake(sock, owner):
             return
         while True:
@@ -121,42 +119,11 @@ class _SiteHandler(socketserver.BaseRequestHandler):
         except (ProtocolError, OSError):
             return False
         owner._count_in(received)
-        if frame.type is not FrameType.HELLO:
-            self._reply(
-                sock,
-                frame.request_id,
-                FrameType.REJECT,
-                {"reason": f"expected HELLO, got {frame.type.name}"},
-            )
+        reply, chunk_bytes = answer_hello(frame, owner.site)
+        self._reply(sock, reply.request_id, reply.type, reply.payload)
+        if chunk_bytes is None:
             return False
-        version = frame.payload.get("version", frame.version)
-        if version != PROTOCOL_VERSION:
-            self._reply(
-                sock,
-                frame.request_id,
-                FrameType.REJECT,
-                {
-                    "reason": (
-                        f"protocol version mismatch: server speaks"
-                        f" {PROTOCOL_VERSION}, client sent {version}"
-                    )
-                },
-            )
-            return False
-        if "chunk_bytes" in frame.payload:
-            self.chunk_bytes = negotiate_chunk_bytes(
-                frame.payload["chunk_bytes"]
-            )
-        self._reply(
-            sock,
-            frame.request_id,
-            FrameType.WELCOME,
-            {
-                "version": PROTOCOL_VERSION,
-                "site": owner.site,
-                "chunk_bytes": self.chunk_bytes,
-            },
-        )
+        self.chunk_bytes = chunk_bytes
         return True
 
     def _serve_frame(
@@ -183,6 +150,11 @@ class _SiteHandler(socketserver.BaseRequestHandler):
                     origin=payload.get("origin"),
                 )
                 owner._count_stored()
+                self._reply(sock, rid, FrameType.OK, {})
+            elif frame.type is FrameType.RETAIN_DOCUMENTS:
+                owner.driver.retain_documents(
+                    payload["collection"], payload["keep"]
+                )
                 self._reply(sock, rid, FrameType.OK, {})
             elif frame.type is FrameType.DOCUMENT_COUNT:
                 count = owner.driver.document_count(payload["collection"])

@@ -7,13 +7,13 @@ system. The only requirement is that they are able to process XQuery."
 
 :class:`PartixDriver` is the abstract interface; :class:`MiniXDriver`
 adapts our embedded engine (the eXist stand-in). A driver for a real
-remote DBMS would implement the same five methods over its wire protocol.
+remote DBMS would implement the same six methods over its wire protocol.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from repro.datamodel.document import XMLDocument
 from repro.engine.database import XMLEngine
@@ -64,6 +64,16 @@ class PartixDriver(abc.ABC):
         """Total serialized size of ``collection``.
 
         Contract: a missing collection is **0 bytes** (see
+        :meth:`document_count`).
+        """
+
+    @abc.abstractmethod
+    def retain_documents(self, collection: str, keep: Iterable[str]) -> None:
+        """Delete every document of ``collection`` not named in ``keep``.
+
+        What makes a republish *replace*: the publisher stores the new
+        fragment, then retires whatever an earlier publication left in
+        the same stored collection. A missing collection is a no-op (see
         :meth:`document_count`).
         """
 
@@ -131,6 +141,10 @@ class MiniXDriver(PartixDriver):
 
     def execute_iter(self, query: str, options: Optional[ExecOptions] = None):
         return self.engine.execute_iter(query, options)
+
+    def retain_documents(self, collection: str, keep: Iterable[str]) -> None:
+        if self.engine.has_collection(collection):
+            self.engine.retain_documents(collection, keep)
 
     def document_count(self, collection: str) -> int:
         if not self.engine.has_collection(collection):

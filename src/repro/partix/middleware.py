@@ -160,28 +160,6 @@ class PartixResult:
         sub-query was answered by the site the plan targeted)."""
         return self.round.failover_count
 
-    @property
-    def lane_timings(self) -> list[dict]:
-        """Per-lane estimated vs measured seconds.
-
-        The plan executor stamps every execution with the physical-plan
-        node it realized and the cost model's estimate for it, so the
-        planner's predictions can be checked against what actually
-        happened (the bench ``modes`` figure records both). Failed-over
-        lanes additionally report which sites each attempt targeted.
-        """
-        return [
-            {
-                "plan_node": execution.plan_node,
-                "fragment": execution.fragment,
-                "site": execution.site,
-                "estimated_seconds": execution.estimated_seconds,
-                "measured_seconds": execution.elapsed,
-                "failover_count": execution.failover_count,
-                "attempt_sites": list(execution.attempt_sites),
-            }
-            for execution in self.round.executions
-        ]
 
 
 def _cluster_engine_floor(cluster: Cluster, setting: str):

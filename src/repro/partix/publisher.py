@@ -116,7 +116,14 @@ class DataPublisher:
         and only then is the catalog registration swapped — queries
         planned concurrently keep seeing (and finding the data of) the
         old design until the new one is complete, then the catalog
-        version bump invalidates cached plans.
+        version bump invalidates cached plans. Replace replaces: a stored
+        collection the new design writes into ends up holding exactly
+        the documents this publication wrote — what an earlier
+        publication left there is deleted before the swap, so no plan of
+        the new design ever reads it. Stored collections only the old
+        design referenced are left in place (as after a migration):
+        queries planned just before the swap are still reading them, and
+        nothing routes there afterwards.
         """
         if require_homogeneous and not collection.is_homogeneous():
             raise FragmentationError(
@@ -161,7 +168,7 @@ class DataPublisher:
         for allocation in allocations:
             fragment = fragmentation.fragment(allocation.fragment)
             publication = self._publish_fragment(
-                collection, fragment, allocation, frag_mode
+                collection, fragment, allocation, frag_mode, replace
             )
             report.fragments.append(publication)
         self.catalog.register_fragmentation(
@@ -197,6 +204,7 @@ class DataPublisher:
         fragment: FragmentDefinition,
         allocation: FragmentAllocation,
         frag_mode: FragMode,
+        replace: bool,
     ) -> FragmentPublication:
         site = self.cluster.site(allocation.site)
         site.driver.create_collection(allocation.stored_collection)
@@ -205,6 +213,7 @@ class DataPublisher:
             site=allocation.site,
             stored_collection=allocation.stored_collection,
         )
+        written = set()
         for document in collection:
             for produced in self._materialize(fragment, document, frag_mode):
                 site.driver.store_document(
@@ -213,7 +222,12 @@ class DataPublisher:
                     name=produced.name,
                     origin=produced.origin,
                 )
+                written.add(produced.name)
                 publication.documents += 1
+        if replace:
+            # Storing upserts by name; what a previous publication left
+            # under other names must go, or it keeps matching queries.
+            site.driver.retain_documents(allocation.stored_collection, written)
         documents, stored_bytes = site.driver.collection_statistics(
             allocation.stored_collection
         )

@@ -14,9 +14,11 @@ Estimates are built from two ingredients:
 
 The CPU constants are calibration knobs, not measurements: the
 per-document constant matches the bench scenarios' simulated
-per-document overhead, and ``python -m repro.bench --figure modes
---json …`` records estimated-vs-measured per-lane seconds so the
-calibration error stays visible across changes.
+per-document overhead. Every executed lane carries its estimate next to
+its measurement (``SubQueryExecution.estimated_seconds`` / ``elapsed``),
+and the benchmark (``benchmarks/e2e/run.py --trace 1``) reports their
+ratio as ``plan.estimate_q_error``, so the calibration error stays
+visible across changes.
 """
 
 from __future__ import annotations

@@ -8,8 +8,6 @@ from repro.bench import (
     build_items_scenario,
     build_store_scenario,
     build_xbench_scenario,
-    compare_execution_modes,
-    format_mode_comparison,
     format_scenario_table,
     format_speedup_series,
     items_count_for,
@@ -110,35 +108,6 @@ class TestScenarios:
             with_overhead.run_by_id("Q8").centralized_seconds
             > without.run_by_id("Q8").centralized_seconds + 0.4
         )
-
-
-class TestModeComparison:
-    @pytest.fixture(scope="class")
-    def mode_runs(self):
-        scenario = build_items_scenario(
-            "small", paper_mb=5, fragment_count=4, scale=TINY
-        )
-        return scenario, compare_execution_modes(scenario, repetitions=1)
-
-    def test_covers_every_query_and_both_modes(self, mode_runs):
-        scenario, runs = mode_runs
-        assert [run.qid for run in runs] == [f"Q{i}" for i in range(1, 9)]
-        for run in runs:
-            assert run.byte_identical, run.qid
-            assert run.simulated_wall_seconds > 0
-            assert run.threads_wall_seconds > 0
-
-    def test_threads_wall_beats_modelled_sequential(self, mode_runs):
-        _, runs = mode_runs
-        for run in runs:
-            assert run.threads_wall_seconds < run.sequential_seconds, run.qid
-
-    def test_mode_table_renders(self, mode_runs):
-        scenario, runs = mode_runs
-        table = format_mode_comparison(scenario.name, runs)
-        assert "thr-wall" in table
-        assert "Q8" in table
-        assert "DIFF" not in table
 
 
 class TestReporting:

@@ -4,50 +4,33 @@ import pytest
 
 from repro.bench.__main__ import FIGURES, main
 
+REMAINING_FIGURES = (
+    "7a", "7b", "7c", "7d", "headline", "plans", "parallel", "rebalance",
+)
+#: Wall-clock figures retired in favour of ``benchmarks/e2e`` workloads.
+REMOVED_FIGURES = ("modes", "transport", "streaming", "serving", "pushdown")
+
 
 class TestCli:
     def test_figures_registry(self):
-        assert set(FIGURES) == {
-            "7a", "7b", "7c", "7d", "headline", "modes", "transport",
-            "streaming", "serving", "plans", "rebalance", "pushdown",
-            "parallel",
-        }
+        assert set(FIGURES) == set(REMAINING_FIGURES)
 
-    def test_runs_modes_figure(self, capsys):
+    @pytest.mark.parametrize("figure", REMAINING_FIGURES)
+    def test_every_remaining_figure_runs_at_tiny_scale(self, figure, capsys):
         exit_code = main(
-            ["--figure", "modes", "--scale", "0.0005", "--repetitions", "1"]
+            ["--figure", figure, "--scale", "0.0005", "--repetitions", "1"]
         )
         assert exit_code == 0
         output = capsys.readouterr().out
-        assert "simulated vs threads" in output
+        assert output.strip()
         assert "DIFF" not in output
 
-    def test_modes_json_records_lane_estimates(self, capsys, tmp_path):
-        import json
-
-        path = tmp_path / "modes.json"
-        exit_code = main(
-            [
-                "--figure", "modes",
-                "--scale", "0.0005",
-                "--repetitions", "1",
-                "--json", str(path),
-            ]
-        )
-        assert exit_code == 0
-        payload = json.loads(path.read_text())
-        assert payload["byte_identical"] is True
-        timings = [
-            timing
-            for run in payload["runs"]
-            for timing in run["lane_timings"]
-        ]
-        assert timings
-        for timing in timings:
-            assert timing["plan_node"].startswith("scan")
-            assert timing["estimated_seconds"] > 0.0
-            assert timing["simulated_seconds"] > 0.0
-            assert timing["threads_seconds"] > 0.0
+    @pytest.mark.parametrize("figure", REMOVED_FIGURES)
+    def test_removed_figures_are_rejected(self, figure, capsys):
+        # Their measurements live in benchmarks/e2e now.
+        with pytest.raises(SystemExit):
+            main(["--figure", figure])
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_plans_figure_prints_explain_trees(self, capsys):
         exit_code = main(["--figure", "plans", "--scale", "0.0005"])
@@ -113,64 +96,6 @@ class TestCli:
             ]
         )
         assert "with transmission" in capsys.readouterr().out
-
-    def test_runs_transport_figure_and_writes_json(self, capsys, tmp_path):
-        import json
-
-        path = tmp_path / "transport.json"
-        exit_code = main(
-            [
-                "--figure", "transport",
-                "--scale", "0.0005",
-                "--repetitions", "1",
-                "--json", str(path),
-            ]
-        )
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "transport comparison" in output
-        assert "(wire)" in output
-        assert "ANSWERS DIFFER" not in output
-        payload = json.loads(path.read_text())
-        assert payload["byte_identical"] is True
-        assert payload["modes"] == ["simulated", "threads", "tcp"]
-        tcp_lanes = [
-            lane
-            for run in payload["runs"]
-            for lane in run["lanes"]
-            if lane["mode"] == "tcp"
-        ]
-        assert tcp_lanes and all(lane["wire_measured"] for lane in tcp_lanes)
-        assert all(lane["bytes_sent"] > 0 for lane in tcp_lanes)
-
-    def test_runs_streaming_figure_and_writes_json(self, capsys, tmp_path):
-        import json
-
-        path = tmp_path / "streaming.json"
-        exit_code = main(
-            [
-                "--figure", "streaming",
-                "--scale", "0.0005",
-                "--repetitions", "1",
-                "--json", str(path),
-            ]
-        )
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "monolithic vs streamed" in output
-        assert "ANSWERS DIFFER" not in output
-        payload = json.loads(path.read_text())
-        assert payload["byte_identical"] is True
-        assert payload["checks"]["peak_buffer_bounded"] is True
-        assert payload["checks"]["aggregate_wire_o_fragments"] is True
-        streamed_lanes = [
-            lane
-            for run in payload["runs"]
-            for lane in run["lanes"]
-            if lane["mode"] == "tcp-stream"
-        ]
-        assert streamed_lanes
-        assert all(lane["streamed"] for lane in streamed_lanes)
 
     def test_json_flag_rejected_for_figures_without_payload(self, tmp_path):
         with pytest.raises(SystemExit):

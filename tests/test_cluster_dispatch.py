@@ -65,6 +65,9 @@ class StubDriver(PartixDriver):
     def store_document(self, collection, document, name=None, origin=None):
         pass
 
+    def retain_documents(self, collection, keep):
+        pass
+
     def document_count(self, collection):
         return 0
 

@@ -37,6 +37,14 @@ class TestModeDeterminism:
             )
             assert simulated.result_text == threaded.result_text, query.qid
             assert threaded.round.measured_wall_seconds > 0.0
+            # Every lane carries the plan node it realized and the
+            # planner's estimate next to its measurement, in both modes.
+            for result in (simulated, threaded):
+                assert result.round.executions, query.qid
+                for execution in result.round.executions:
+                    assert execution.plan_node.startswith("scan")
+                    assert execution.estimated_seconds > 0.0
+                    assert execution.elapsed > 0.0
 
     def test_items_horizontal_queries(self):
         self._assert_modes_agree(

@@ -92,6 +92,9 @@ class _GatedDriver(PartixDriver):
     def store_document(self, collection, document, name=None, origin=None):
         self.inner.store_document(collection, document, name=name, origin=origin)
 
+    def retain_documents(self, collection, keep):
+        self.inner.retain_documents(collection, keep)
+
     def document_count(self, collection):
         return self.inner.document_count(collection)
 
@@ -255,6 +258,32 @@ class TestRepublishInvalidation:
         # One plan generation per design: the first wave missed once per
         # query, and after the version bump each query missed again.
         assert cache["misses"] >= 2 * len(workload)
+
+    def test_shrinking_republish_answers_from_the_new_documents_only(self):
+        # 64 → 72 → 64 documents into the same stored collections: the
+        # coordinator's answers track the publication, with no document
+        # of an earlier one left behind (this used to answer 93).
+        design = items_horizontal_fragmentation(4, "Chot")
+        small, large = (
+            build_items_collection(count, kind="small", seed=seed, name="Chot")
+            for count, seed in ((64, 1), (72, 2))
+        )
+        partix = Partix(Cluster.with_sites(4))
+        partix.publish(small, design)
+        coordinator = Coordinator(
+            partix, execution_mode="threads"
+        ).serve_in_thread()
+        client = CoordinatorClient(coordinator.host, coordinator.port)
+        count = 'count(collection("Chot")/Item)'
+        try:
+            assert client.query(count)["result_text"] == "64"
+            for variant, expected in ((large, "72"), (small, "64")):
+                partix.publish(variant, design, replace=True)
+                assert client.query(count)["result_text"] == expected
+        finally:
+            client.close()
+            assert coordinator.close()
+            partix.close()
 
     def test_republished_design_actually_routes_to_new_sites(self):
         partix, collection = _published_partix(fragment_count=2)

@@ -122,22 +122,18 @@ class TestDiskBackedCluster:
 
 
 class TestFailureInjection:
-    def test_malformed_stored_document_surfaces_clearly(self):
+    def test_malformed_stored_document_surfaces_clearly(self, tmp_path):
+        # Every stored record gets its node table at put() time, so
+        # corrupt text cannot sit in a collection until a query trips on
+        # it: it is refused at ingestion, and an old on-disk store (bare
+        # .xml, no .pxb table) holding it is refused when it is opened.
         engine = XMLEngine("f")
-        engine.create_collection("c")
-        stored = (
-            __import__("repro.engine.store", fromlist=["StoredDocument"])
-            .StoredDocument("bad.xml", b"<a><unclosed></a>")
-        )
-        engine.store.collection("c").put(
-            stored,
-            document=doc(elem("placeholder")),  # skip ingest-time parse
-        )
-        # Drop the binary table so access takes the text-parse fallback
-        # (the situation of an old on-disk store holding corrupt bytes).
-        stored.binary = None
         with pytest.raises(XMLSyntaxError):
-            engine.execute('collection("c")/a')
+            engine.store_document("c", "<a><unclosed></a>", name="bad.xml")
+        (tmp_path / "c").mkdir()
+        (tmp_path / "c" / "bad.xml").write_bytes(b"<a><unclosed></a>")
+        with pytest.raises(XMLSyntaxError):
+            XMLEngine("f", storage_dir=str(tmp_path))
 
     def test_publishing_to_missing_site_fails(self, items_collection):
         from repro.partix import DataPublisher, FragmentAllocation

@@ -30,6 +30,7 @@ class _DeadDriver(PartixDriver):
 
     create_collection = _die
     store_document = _die
+    retain_documents = _die
     document_count = _die
     collection_bytes = _die
     execute = _die

@@ -6,6 +6,7 @@ an injected composer-ordering bug that must be detected, minimized and
 written out as a runnable reproducer.
 """
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -156,6 +157,43 @@ class TestInjectedOrderingBug:
         assert failure["repro_path"].startswith(str(tmp_path))
         assert Path(failure["repro_path"]).is_file()
         assert "minimized" in failure
+
+
+def _shrinking_republish_partix(spec):
+    """A middleware whose every fragmented publication is a *re*publication:
+    a grown sibling of the case's collection (more documents, other seed —
+    the same names land in other fragments) goes in first, then the real
+    collection replaces it."""
+    grown = generate_case(
+        dataclasses.replace(
+            spec, seed=spec.seed + 1, doc_count=spec.doc_count + 3
+        )
+    ).collection
+
+    class Republishing(Partix):
+        def publish(self, collection, fragmentation, **options):
+            super().publish(grown, fragmentation, **options)
+            return super().publish(
+                collection, fragmentation, replace=True, **options
+            )
+
+    return Republishing
+
+
+class TestShrinkingRepublish:
+    """``publish(replace=True)`` must replace: after republishing a smaller
+    collection over a larger one, every standard oracle still converges to
+    the centralized answer over the smaller one — no stale document of
+    the first publication may keep matching."""
+
+    @pytest.mark.parametrize("iteration", range(9))
+    def test_oracles_converge_after_a_shrinking_republish(self, iteration):
+        spec = spec_for_iteration(2006, iteration)
+        outcome = run_case(
+            spec, partix_factory=_shrinking_republish_partix(spec)
+        )
+        assert outcome.ok, [m.detail for m in outcome.mismatches]
+        assert outcome.queries_run
 
 
 class TestPlanOrderStability:

@@ -72,6 +72,7 @@ PAYLOADS = {
         "collection": "Citems",
         "action": {"kind": "split", "collection": "Citems", "fragment": "F1"},
     },
+    FrameType.RETAIN_DOCUMENTS: {"collection": "C", "keep": ["doc1"]},
 }
 
 #: Raw bytes for the raw-payload frame types.
@@ -215,3 +216,43 @@ class TestErrorMapping:
     def test_empty_payload_degrades_gracefully(self):
         error = payload_to_exception({})
         assert type(error) is RemoteExecutionError
+
+
+class TestAnswerHello:
+    """The one handshake decision both servers (threaded site server,
+    asyncio coordinator) send verbatim."""
+
+    def test_matching_version_is_welcomed_with_the_default_chunk_size(self):
+        hello = Frame(FrameType.HELLO, 9, {"version": PROTOCOL_VERSION})
+        reply, chunk_bytes = protocol.answer_hello(hello, "site0")
+        assert chunk_bytes == protocol.DEFAULT_CHUNK_BYTES
+        assert reply == Frame(
+            FrameType.WELCOME,
+            9,
+            {
+                "version": PROTOCOL_VERSION,
+                "site": "site0",
+                "chunk_bytes": protocol.DEFAULT_CHUNK_BYTES,
+            },
+        )
+
+    def test_proposed_chunk_size_is_clamped_and_echoed(self):
+        hello = Frame(
+            FrameType.HELLO, 1, {"version": PROTOCOL_VERSION, "chunk_bytes": 0}
+        )
+        reply, chunk_bytes = protocol.answer_hello(hello, "s")
+        assert chunk_bytes == protocol.MIN_CHUNK_BYTES
+        assert reply.payload["chunk_bytes"] == protocol.MIN_CHUNK_BYTES
+
+    @pytest.mark.parametrize(
+        "first, reason",
+        [
+            (Frame(FrameType.HELLO, 3, {"version": 99}), "version mismatch"),
+            (Frame(FrameType.PING, 3), "expected HELLO, got PING"),
+        ],
+    )
+    def test_anything_else_is_rejected(self, first, reason):
+        reply, chunk_bytes = protocol.answer_hello(first, "s")
+        assert chunk_bytes is None
+        assert reply.type is FrameType.REJECT and reply.request_id == 3
+        assert reason in reply.payload["reason"]

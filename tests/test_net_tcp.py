@@ -67,6 +67,21 @@ class TestServerOperations:
         assert sent > 0 and received > len(result.result_text.encode())
         assert result.items == []  # only serialized text crosses the wire
 
+    def test_retain_documents_deletes_the_unlisted(self, client):
+        from repro.net.client import RemoteSiteDriver
+
+        driver = RemoteSiteDriver(client)
+        for index in range(4):
+            driver.store_document(
+                "C", f"<Item><Code>{index}</Code></Item>", name=f"d{index}"
+            )
+        driver.retain_documents("C", {"d1", "d3", "never-stored"})
+        assert driver.document_count("C") == 2
+        assert driver.execute(ITEM_QUERY).result_text == (
+            "<Code>1</Code>\n<Code>3</Code>"
+        )
+        driver.retain_documents("missing", set())  # lenient, like counts
+
     def test_remote_error_raises_same_class_as_local(self, client):
         # StorageError is exactly what the local engine raises for a
         # missing collection — the fuzz oracle depends on this symmetry.

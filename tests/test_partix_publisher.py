@@ -254,3 +254,62 @@ class TestReplaceStoreThenSwap:
                 query, execution_mode="simulated"
             ).result_text
             assert after == expected
+
+
+class TestReplaceReplaces:
+    """``replace=True`` used to upsert by name and never delete: documents
+    of the previous publication without a namesake in the same stored
+    fragment stayed and kept matching queries (64 → 72 → 64 documents
+    answered ``count`` = 93)."""
+
+    COUNT = 'count(collection("Chot")/Item)'
+
+    @staticmethod
+    def _variant(count, seed):
+        from repro.workloads.virtual_store import build_items_collection
+
+        return build_items_collection(
+            count, kind="small", seed=seed, name="Chot"
+        )
+
+    def test_shrinking_republish_leaves_no_stale_documents(self):
+        from repro.partix.middleware import Partix
+        from repro.workloads.virtual_store import (
+            items_horizontal_fragmentation,
+        )
+
+        design = items_horizontal_fragmentation(4, "Chot")
+        small, large = self._variant(64, 1), self._variant(72, 2)
+        with Partix(Cluster.with_sites(4)) as partix:
+            partix.publish(small, design)
+            baseline = partix.execute(self.COUNT).result_text
+            assert baseline == "64"
+            for variant, expected in ((large, "72"), (small, "64")):
+                report = partix.publish(variant, design, replace=True)
+                assert partix.execute(self.COUNT).result_text == expected
+                # Every stored fragment holds exactly what was written,
+                # and the planner statistics say so too.
+                for publication in report.fragments:
+                    driver = partix.cluster.site(publication.site).driver
+                    stored = driver.document_count(
+                        publication.stored_collection
+                    )
+                    assert stored == publication.documents
+                    statistics = partix.distribution_catalog.statistics(
+                        "Chot", publication.fragment, publication.site
+                    )
+                    assert statistics.documents == publication.documents
+                assert report.total_documents == int(expected)
+
+    def test_republish_does_not_serve_a_cached_previous_tree(self):
+        from repro.engine import XMLEngine
+
+        engine = XMLEngine("cached", cache_parsed=True)
+        engine.store_document("c", "<a>1</a>", name="d.xml")
+        assert engine.execute('collection("c")/a').result_text == "<a>1</a>"
+        engine.store_document("c", "<a>2</a>", name="d.xml")
+        assert engine.execute('collection("c")/a').result_text == "<a>2</a>"
+        engine.store_document("c", "<a>3</a>", name="e.xml")
+        engine.execute('collection("c")/a')
+        engine.retain_documents("c", {"d.xml"})
+        assert engine.execute('collection("c")/a').result_text == "<a>2</a>"

@@ -417,6 +417,32 @@ class TestPartixStreaming:
         finally:
             partix.stop_tcp()
 
+    def test_streamed_concat_buffering_is_bounded_over_real_servers(self):
+        # The coordinator may hold at most the spill threshold plus one
+        # chunk per active lane in memory (a SpillBuffer spills past
+        # that), however large the answer: 2 × chunk_bytes × lanes.
+        chunk_bytes = 64
+        partix, collection = _published_partix(
+            fragment_count=4, item_count=48, chunk_bytes=chunk_bytes
+        )
+        partix.start_tcp()
+        try:
+            query = 'for $i in collection("%s")//Item return $i' % collection.name
+            streamed = partix.execute(
+                query, collection=collection.name, execution_mode="tcp-stream"
+            )
+            monolithic = partix.execute(
+                query, collection=collection.name, execution_mode="tcp"
+            )
+            lanes = len(streamed.round.executions)
+            assert streamed.streamed and streamed.wire_measured
+            assert streamed.result_text == monolithic.result_text
+            # The answer dwarfs the bound, so the bound is what held.
+            assert streamed.result_bytes > 8 * chunk_bytes * lanes
+            assert 0 < streamed.peak_buffered_bytes <= 2 * chunk_bytes * lanes
+        finally:
+            partix.stop_tcp()
+
     def test_aggregate_pushdown_is_o_fragments_on_wire(self):
         partix, collection = _published_partix(fragment_count=2, item_count=12)
         partix.start_tcp()
