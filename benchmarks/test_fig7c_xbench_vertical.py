@@ -117,6 +117,6 @@ def test_shape_body_bound_single_fragment_gains_little(result, scenario):
         if fragment != q5_fragment
     )
     # And localization buys Q5 no document-level pruning: the fragment
-    # holds every article's body, so it materializes as many documents
+    # holds every article's body, so it scans as many documents
     # as the centralized baseline.
-    assert q5.fragmented_docs_parsed >= q5.centralized_docs_parsed
+    assert q5.fragmented_docs_scanned >= q5.centralized_docs_scanned

@@ -49,8 +49,8 @@ class QueryRun:
     results_match: bool
     centralized_result_bytes: int
     fragmented_result_bytes: int
-    centralized_docs_parsed: int = 0
-    fragmented_docs_parsed: int = 0
+    centralized_docs_scanned: int = 0
+    fragmented_docs_scanned: int = 0
 
     @property
     def speedup(self) -> float:
@@ -82,9 +82,6 @@ class ScenarioResult:
             if run.qid == qid:
                 return run
         raise KeyError(qid)
-
-    def max_speedup(self) -> float:
-        return max((run.speedup for run in self.runs), default=0.0)
 
 
 def _result_signature(text: str) -> tuple[str, ...]:
@@ -154,11 +151,11 @@ class Scenario:
             == _result_signature(fragmented.result_text),
             centralized_result_bytes=central.result_bytes,
             fragmented_result_bytes=fragmented.result_bytes,
-            centralized_docs_parsed=sum(
-                e.result.documents_parsed for e in central.round.executions
+            centralized_docs_scanned=sum(
+                e.result.documents_scanned for e in central.round.executions
             ),
-            fragmented_docs_parsed=sum(
-                e.result.documents_parsed for e in fragmented.round.executions
+            fragmented_docs_scanned=sum(
+                e.result.documents_scanned for e in fragmented.round.executions
             ),
         )
 

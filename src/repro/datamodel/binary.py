@@ -22,16 +22,21 @@ derived from the parent array, so the persistent form stays minimal.
 Round-trip contract: ``BinaryXMLDocument.encode(doc).materialize()``
 reproduces ``doc`` exactly — structure, values, and ``node_id``s (the
 vertical-reconstruction keys, which fragments keep non-contiguous).
+
+Queries never make that round trip: :class:`NodeHandle` implements the
+evaluators' node accessor (:class:`~repro.datamodel.tree.Node`) directly
+over the table, so evaluation reads the arrays in place and a tree is
+decoded only for a subtree that an element constructor copies.
 """
 
 from __future__ import annotations
 
 import struct
 from array import array
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.datamodel.document import XMLDocument
-from repro.datamodel.tree import NodeKind, XMLNode
+from repro.datamodel.tree import Node, NodeKind, XMLNode
 
 #: Node-kind bytes of the table (order mirrors :class:`NodeKind`).
 KIND_ELEMENT = 0
@@ -47,6 +52,10 @@ _BYTE_TO_KIND = {code: kind for kind, code in _KIND_TO_BYTE.items()}
 
 _POOL_MAGIC = b"PXSP"
 _DOC_MAGIC = b"PXB1"
+
+#: Stored bytes per node: one kind byte plus the four 8-byte columns
+#: (what :meth:`BinaryXMLDocument.to_bytes` writes per row).
+NODE_ROW_BYTES = 1 + 4 * 8
 
 
 class StringPool:
@@ -182,16 +191,22 @@ class BinaryXMLDocument:
     def materialize(
         self, name: Optional[str] = None, origin: Optional[str] = None
     ) -> XMLDocument:
-        """Decode back to a DOM tree — the inverse of :meth:`encode`.
+        """Decode back to a DOM tree — the inverse of :meth:`encode`."""
+        return XMLDocument(
+            self.decode(0), name=name, assign_ids=False, origin=origin
+        )
+
+    def decode(self, index: int) -> XMLNode:
+        """The subtree at ``index`` as a detached DOM tree.
 
         Nodes are wired directly (no ``append`` re-validation: the table
         came from a tree that already satisfied the structural rules), so
         decoding skips tokenization entirely.
         """
         pool = self.pool
-        count = len(self.kinds)
-        nodes: list[XMLNode] = [None] * count  # type: ignore[list-item]
-        for i in range(count):
+        end = index + self.sizes[index]
+        nodes: list[XMLNode] = [None] * (end - index)  # type: ignore[list-item]
+        for i in range(index, end):
             node = XMLNode.__new__(XMLNode)
             node.kind = _BYTE_TO_KIND[self.kinds[i]]
             name_id = self.names[i]
@@ -201,21 +216,23 @@ class BinaryXMLDocument:
             node.children = []
             node.node_id = self.node_ids[i]
             node._content_kind = None
-            parent = self.parents[i]
-            if parent < 0:
+            if i == index:
                 node.parent = None
             else:
-                parent_node = nodes[parent]
+                parent_node = nodes[self.parents[i] - index]
                 node.parent = parent_node
                 parent_node.children.append(node)
                 if node.kind is NodeKind.TEXT:
                     parent_node._content_kind = NodeKind.TEXT
                 elif node.kind is NodeKind.ELEMENT:
                     parent_node._content_kind = NodeKind.ELEMENT
-            nodes[i] = node
-        return XMLDocument(
-            nodes[0], name=name, assign_ids=False, origin=origin
-        )
+            nodes[i - index] = node
+        return nodes[0]
+
+    @property
+    def root(self) -> "NodeHandle":
+        """The root element as the evaluators' node accessor."""
+        return NodeHandle(self, 0)
 
     # ------------------------------------------------------------------
     # Structure (all label/range based — no DOM involved)
@@ -246,10 +263,8 @@ class BinaryXMLDocument:
         return ancestor < descendant < ancestor + self.sizes[ancestor]
 
     def is_parent(self, parent: int, child: int) -> bool:
-        """Prefix-label parent test: parent's label is child's minus one."""
-        return self.labels[child][:-1] == self.labels[parent] and len(
-            self.labels[child]
-        ) == len(self.labels[parent]) + 1
+        """Parent test — one read of the parent array."""
+        return self.parents[child] == parent
 
     def text_value(self, index: int) -> str:
         """The node's string value (mirrors ``XMLNode.text_value``)."""
@@ -329,6 +344,97 @@ class BinaryXMLDocument:
             tables.append(table)
         names, values, parents, node_ids = tables
         return cls(pool, kinds, names, values, parents, node_ids)
+
+
+class NodeHandle(Node):
+    """One node of a stored document: a ``(table, index)`` pair.
+
+    The primary implementation of the evaluators' node accessor
+    (:class:`~repro.datamodel.tree.Node`): every operation reads the
+    preorder arrays in place and builds nothing but further handles for
+    the nodes it selects. Identity is the table (by identity) plus the
+    preorder position, and within one table that position *is* document
+    order.
+    """
+
+    __slots__ = ("table", "index")
+
+    def __init__(self, table: BinaryXMLDocument, index: int):
+        self.table = table
+        self.index = index
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is NodeHandle
+            and self.index == other.index
+            and self.table is other.table
+        )
+
+    def __hash__(self) -> int:
+        return hash((id(self.table), self.index))
+
+    @property
+    def kind(self) -> NodeKind:
+        return _BYTE_TO_KIND[self.table.kinds[self.index]]
+
+    @property
+    def label(self) -> Optional[str]:
+        return self.table.name_of(self.index)
+
+    @property
+    def children(self) -> list["NodeHandle"]:
+        table = self.table
+        return [NodeHandle(table, child) for child in table.children(self.index)]
+
+    def select(
+        self,
+        kind: NodeKind,
+        name: Optional[str] = None,
+        descend: bool = False,
+        or_self: bool = False,
+    ) -> list["NodeHandle"]:
+        """One path step from this node (see :class:`Node`): an integer
+        scan of the node's child list or contiguous descendant range."""
+        table = self.table
+        index = self.index
+        # A name the pool never interned labels no node of any document
+        # the pool serves.
+        name_id = None if name is None else table.pool.lookup(name)
+        if name is not None and name_id is None:
+            return []
+        if descend:
+            candidates: Iterable[int] = range(
+                index if or_self else index + 1, index + table.sizes[index]
+            )
+        else:
+            candidates = (index,) if or_self else table.children(index)
+        code = _KIND_TO_BYTE[kind]
+        kinds = table.kinds
+        names = table.names
+        return [
+            NodeHandle(table, i)
+            for i in candidates
+            if kinds[i] == code and (name_id is None or names[i] == name_id)
+        ]
+
+    def text_value(self) -> str:
+        return self.table.text_value(self.index)
+
+    def sibling_index(self) -> int:
+        return self.table.sibling_ordinal(self.index)
+
+    def root(self) -> "NodeHandle":
+        return NodeHandle(self.table, 0)
+
+    def order_key(self, memo: dict) -> int:
+        return self.index
+
+    def clone(self) -> XMLNode:
+        """Decode this subtree — the one way a stored node becomes a tree."""
+        return self.table.decode(self.index)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<handle {self.kind.value} {self.label!r} @{self.index}>"
 
 
 def _derive(parents: array) -> tuple[array, tuple[tuple[int, ...], ...]]:

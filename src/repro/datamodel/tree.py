@@ -41,7 +41,39 @@ class NodeKind(enum.Enum):
 _unassigned_ids = itertools.count(-1, -1)
 
 
-class XMLNode:
+class Node:
+    """The read-only node accessor every evaluator runs against.
+
+    Path, predicate and XQuery evaluation touch a node only through the
+    operations below, so one evaluator serves both implementations:
+    :class:`~repro.datamodel.binary.NodeHandle` — a ``(table, index)``
+    pair over a stored document's preorder node table, what the engine
+    hands to queries — and :class:`XMLNode`, the DOM tree (constructed
+    elements, the publish-time fragmentation algebra, tests).
+
+    * ``kind`` / ``label`` — the :class:`NodeKind` and the element or
+      attribute name (None for text);
+    * ``children`` — the child nodes in document order;
+    * ``select(kind, name, descend, or_self)`` — one path step: the
+      children (or, with ``descend``, the descendants) of the given kind
+      and name in document order, ``name=None`` accepting any name; with
+      ``or_self`` the node itself leads the candidates — it then plays
+      the child of the virtual document node (a leading ``/`` or ``//``);
+    * ``text_value()`` — the string value;
+    * ``sibling_index()`` — 1-based ordinal among same-kind, same-name
+      siblings (``e[i]``);
+    * ``root()`` — the root of the node's tree;
+    * ``order_key(memo)`` — a key sorting the nodes of one tree into
+      document order; ``memo`` is a dict shared by the keys of one sort;
+    * ``clone()`` — a detached :class:`XMLNode` copy of the subtree;
+    * identity — nodes hash and compare as *the same node*, never by
+      content, so a set of nodes is a set of identities.
+    """
+
+    __slots__ = ()
+
+
+class XMLNode(Node):
     """A node of an XML data tree.
 
     Parameters
@@ -223,6 +255,42 @@ class XMLNode:
         nodes = self.descendants_or_self()
         next(nodes)  # drop self
         return nodes
+
+    def select(
+        self,
+        kind: NodeKind,
+        name: Optional[str] = None,
+        descend: bool = False,
+        or_self: bool = False,
+    ) -> list["XMLNode"]:
+        """One path step from this node (see :class:`Node`)."""
+        if descend:
+            candidates: Iterable[XMLNode] = (
+                self.descendants_or_self() if or_self else self.descendants()
+            )
+        else:
+            candidates = (self,) if or_self else self.children
+        return [
+            node
+            for node in candidates
+            if node.kind is kind and (name is None or node.label == name)
+        ]
+
+    def order_key(self, memo: dict) -> tuple[int, ...]:
+        """The node's prefix label — child ordinals from the root — which
+        orders the nodes of one tree in document order. ``memo`` keeps
+        every label found: a parent's child list is numbered once."""
+        chain = []
+        node = self
+        while node not in memo and node.parent is not None:
+            chain.append(node)
+            node = node.parent
+        key = memo.setdefault(node, ())  # a memoized ancestor, or the root
+        for node in reversed(chain):
+            for ordinal, child in enumerate(node.parent.children):
+                memo[child] = key + (ordinal,)
+            key = memo[node]
+        return key
 
     def ancestors(self) -> Iterator["XMLNode"]:
         """This node's ancestors, nearest first."""

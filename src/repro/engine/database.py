@@ -10,17 +10,21 @@ query is:
 2. for each referenced collection, prune candidate documents through the
    indexes (text-search and equality predicates);
 3. with indexes on, verify each candidate's predicate exactly over its
-   binary node table (label pushdown) so non-matching documents never
-   materialize;
-4. materialize the survivors on access by decoding their binary node
-   tables — every touched document pays a real per-document cost (the
-   effect behind the paper's superlinear fragmentation speedups; with
-   ``use_indexes=False`` every document of the collection is touched);
-5. evaluate and serialize the result.
-
-``cache_parsed`` can keep parsed trees in an LRU cache; it defaults to
-off so benchmarks model the paper's per-query parse behaviour, and the
-ablation benchmark flips it on to quantify the difference.
+   binary node table (label pushdown) so non-matching documents are
+   dropped before evaluation;
+4. hand the evaluator one root *handle* per surviving document
+   (:class:`~repro.datamodel.binary.NodeHandle`) — every document handed
+   over is charged the modeled access cost behind the paper's
+   fragmentation speedups when the modeled clock is on
+   (``per_document_overhead`` plus a per-byte term; with
+   ``use_indexes=False`` every document of the collection is handed
+   over) — and evaluate on the node tables in place: path steps,
+   predicates and string values read the preorder arrays, no tree is
+   built;
+5. serialize each result node straight from its span of the table. The
+   only DOM a query builds is the copy of a stored subtree that an
+   element constructor embeds — what ``documents_parsed``,
+   ``bytes_parsed``, ``binary_decodes`` and ``parse_seconds`` count.
 """
 
 from __future__ import annotations
@@ -33,8 +37,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from typing import Iterable, Optional, Union
 
+from repro.datamodel.binary import NodeHandle
 from repro.datamodel.document import XMLDocument
-from repro.datamodel.tree import XMLNode
+from repro.datamodel.tree import Node
 from repro.engine.indexes import candidate_documents
 from repro.engine.shards import (
     ShardDocument,
@@ -48,14 +53,19 @@ from repro.engine.shards import (
     run_shard,
     shard_script,
 )
-from repro.engine.stats import EngineStats, ExecOptions, QueryResult
+from repro.engine.stats import (
+    EngineStats,
+    ExecOptions,
+    QueryResult,
+    modeled_access_seconds,
+)
 from repro.engine.store import DocumentStore, StoredDocument
 from repro.errors import (
     CollectionNotFoundError,
     StorageError,
     XQueryEvaluationError,
 )
-from repro.paths.predicates import Predicate, evaluate_on_binary
+from repro.paths.predicates import Predicate
 from repro.xmltext.serializer import serialize
 from repro.xquery.analysis import QueryAnalysis, analyze_query
 from repro.xquery.ast_nodes import Expr
@@ -76,27 +86,25 @@ class XMLEngine:
         Engine instance name (the site name in a cluster).
     storage_dir:
         When given, documents persist under this directory.
-    cache_parsed:
-        Keep up to ``cache_size`` parsed documents in memory. Off by
-        default (see module docstring).
     use_indexes:
         Enable index-assisted document pruning. Whenever it runs, each
         index candidate's predicate is also verified exactly over its
-        binary node table *before* a DOM is materialized (see
-        :func:`repro.paths.predicates.evaluate_on_binary`), so an index
-        probe prunes to the truly matching documents. Off means the
-        paper-faithful full scan.
+        binary node table before the document reaches the evaluator, so
+        an index probe prunes to the truly matching documents. Off means
+        the paper-faithful full scan.
     per_document_overhead:
-        *Simulated* fixed cost (seconds) per document access, added to
-        reported elapsed times but never slept. Models the per-document
-        costs of a production DBMS (catalog lookup, locking, buffer-pool
-        traffic, DOM table setup) that a dict-backed store lacks. The
-        paper's own numbers imply ~9ms/document for eXist on 2005
-        hardware (250MB as 125k small documents: 1200s, vs as 3.1k large
-        documents: 31s). Defaults to 0 (pure measurement); the
-        paper-faithful benchmark scenarios set a calibrated value. The
-        amount added is tracked separately in
-        ``stats.simulated_overhead_seconds``.
+        *Simulated* fixed cost (seconds) per document handed to the
+        evaluator, added to reported elapsed times but never slept.
+        Models the per-document costs of a production DBMS (catalog
+        lookup, locking, buffer-pool traffic, DOM table setup) that a
+        dict-backed store lacks. Defaults to 0 (pure measurement); the
+        paper-faithful benchmark scenarios set a calibrated value
+        (``bench.scenarios.PAPER_DOC_OVERHEAD``, derived there).
+        Setting it turns the *modeled clock* on, which also charges
+        ``MODELED_SECONDS_PER_BYTE`` per stored byte of a document
+        handed over: the parse-on-access work of the paper's engine
+        (``engine.stats.modeled_access_seconds``). The amount added is
+        tracked separately in ``stats.simulated_overhead_seconds``.
     shard_workers:
         Size of the engine's shard worker pool (0 = intra-site
         parallelism disabled). A query only runs sharded when its
@@ -112,8 +120,6 @@ class XMLEngine:
         self,
         name: str = "minix",
         storage_dir: Optional[str] = None,
-        cache_parsed: bool = False,
-        cache_size: int = 256,
         use_indexes: bool = True,
         per_document_overhead: float = 0.0,
         shard_workers: int = 0,
@@ -122,17 +128,12 @@ class XMLEngine:
         self.store = DocumentStore(storage_dir=storage_dir)
         self.stats = EngineStats()
         self.use_indexes = use_indexes
-        self.cache_parsed = cache_parsed
         self.per_document_overhead = per_document_overhead
         self.shard_workers = max(0, int(shard_workers))
-        self._cache: OrderedDict[tuple[str, str], XMLDocument] = OrderedDict()
-        self._cache_size = cache_size
         # Concurrency: queries may run on several threads against one
         # engine (the cluster dispatcher's "threads" mode). Shared stats
-        # only change via single locked commits of per-query accumulators,
-        # and the parsed-document LRU is guarded by its own lock.
+        # only change via single locked commits of per-query accumulators.
         self._stats_lock = threading.Lock()
-        self._cache_lock = threading.Lock()
         self._compiled: OrderedDict[str, tuple[Expr, QueryAnalysis]] = (
             OrderedDict()
         )
@@ -150,12 +151,6 @@ class XMLEngine:
 
     def drop_collection(self, name: str) -> None:
         self.store.drop_collection(name)
-        with self._cache_lock:
-            self._cache = OrderedDict(
-                (key, value)
-                for key, value in self._cache.items()
-                if key[0] != name
-            )
 
     def retain_documents(self, collection: str, keep: Iterable[str]) -> None:
         """Remove every document of ``collection`` not named in ``keep`` —
@@ -163,16 +158,9 @@ class XMLEngine:
         publication it did not overwrite."""
         self._require_collection(collection)
         keep = set(keep)
-        stale = [
-            name
-            for name in self.store.collection(collection).names()
-            if name not in keep
-        ]
-        for name in stale:
-            self.store.remove_document(collection, name)
-        with self._cache_lock:
-            for name in stale:
-                self._cache.pop((collection, name), None)
+        for name in self.store.collection(collection).names():
+            if name not in keep:
+                self.store.remove_document(collection, name)
 
     def has_collection(self, name: str) -> bool:
         return self.store.has_collection(name)
@@ -190,14 +178,9 @@ class XMLEngine:
         """Store one document into ``collection`` (created on demand)."""
         if not self.store.has_collection(collection):
             self.store.create_collection(collection)
-        stored = self.store.store_document(
+        return self.store.store_document(
             collection, document, name=name, origin=origin
         )
-        if self.cache_parsed:
-            # A re-stored name must not keep serving its previous tree.
-            with self._cache_lock:
-                self._cache.pop((collection, stored.name), None)
-        return stored
 
     def _require_collection(self, name: str) -> None:
         """Fail with a clear engine-level error for a missing collection.
@@ -217,61 +200,6 @@ class XMLEngine:
     def collection_bytes(self, collection: str) -> int:
         self._require_collection(collection)
         return self.store.collection(collection).total_bytes()
-
-    def load_parsed(
-        self,
-        collection: str,
-        name: str,
-        stats: Optional[EngineStats] = None,
-    ) -> XMLDocument:
-        """Materialize-on-access with optional LRU caching; updates stats.
-
-        Every stored document carries a binary node table
-        (:meth:`StoredCollection.put` encodes one when none came along),
-        so materializing decodes the table and never re-tokenizes text.
-        ``documents_parsed`` and ``binary_decodes`` both count every
-        materialization from storage.
-
-        ``stats`` is the accumulator to charge — a query in flight passes
-        its private per-query accumulator so concurrent queries never
-        interleave read-modify-write cycles on the shared counters. Direct
-        callers may omit it; the access is then committed to the engine's
-        cumulative stats immediately (under the stats lock).
-
-        A cache hit still charges ``per_document_overhead`` (and a
-        ``cache_hits`` counter): the simulated per-document access cost
-        models catalog lookup / locking / buffer traffic, which a real
-        DBMS pays whether or not the parsed tree is resident.
-        """
-        key = (collection, name)
-        charge = EngineStats() if stats is None else stats
-        if self.cache_parsed:
-            with self._cache_lock:
-                cached = self._cache.get(key)
-                if cached is not None:
-                    self._cache.move_to_end(key)
-            if cached is not None:
-                charge.cache_hits += 1
-                charge.simulated_overhead_seconds += self.per_document_overhead
-                if stats is None:
-                    self._commit_stats(charge)
-                return cached
-        stored = self.store.load_document(collection, name)
-        started = time.perf_counter()
-        document = stored.binary.materialize(name=name, origin=stored.origin)
-        charge.binary_decodes += 1
-        charge.parse_seconds += time.perf_counter() - started
-        charge.documents_parsed += 1
-        charge.bytes_parsed += stored.size
-        charge.simulated_overhead_seconds += self.per_document_overhead
-        if self.cache_parsed:
-            with self._cache_lock:
-                self._cache[key] = document
-                if len(self._cache) > self._cache_size:
-                    self._cache.popitem(last=False)
-        if stats is None:
-            self._commit_stats(charge)
-        return document
 
     def _commit_stats(self, delta: EngineStats) -> None:
         """Fold a per-query accumulator into the shared counters."""
@@ -403,18 +331,15 @@ class XMLEngine:
         stats: EngineStats,
     ) -> list[str]:
         """Exact pushdown: evaluate the predicate over each candidate's
-        binary node table and drop definite non-matches before any DOM is
-        built. Sound because extracted predicates are *necessary*
-        conditions (see :func:`~repro.engine.indexes.candidate_documents`)
-        and the binary evaluation mirrors DOM evaluation exactly;
-        undecidable atoms (``None``) keep the document."""
+        binary node table and drop the non-matches before evaluation.
+        Sound because extracted predicates are *necessary* conditions
+        (see :func:`~repro.engine.indexes.candidate_documents`)."""
         verified: list[str] = []
         for doc_name in candidates:
-            binary = collection.get(doc_name).binary
-            if evaluate_on_binary(predicate, binary) is False:
+            if predicate.evaluate(collection.get(doc_name).binary.root):
+                verified.append(doc_name)
+            else:
                 stats.label_pruned += 1
-                continue
-            verified.append(doc_name)
         return verified
 
     def _shard_plan(
@@ -471,7 +396,7 @@ class XMLEngine:
         partials in shard order.
 
         The third return value is the *parallel* simulated-overhead
-        share: shards accrue the per-document access overhead
+        share: shards accrue the modeled access cost of their documents
         concurrently, so the query's elapsed time advances by the
         slowest shard's overhead, while the ``simulated_overhead_seconds``
         counter in ``delta`` still sums every shard's charge exactly (the
@@ -499,7 +424,6 @@ class XMLEngine:
                 documents.append(
                     ShardDocument(
                         name=stored.name,
-                        origin=stored.origin,
                         table=None if inherited else stored.binary.to_bytes(),
                         size=stored.size,
                     )
@@ -513,7 +437,6 @@ class XMLEngine:
                     per_document_overhead=self.per_document_overhead,
                     token=self._fork_token or 0,
                     collection=collection_name,
-                    cache_documents=self.cache_parsed,
                 )
             )
         if pool_bytes is not None:
@@ -590,7 +513,7 @@ class XMLEngine:
                 provider.scanned[collection_name] = candidates
         if pieces is None:
             eval_started = time.perf_counter()
-            items = Evaluator().evaluate(
+            items = Evaluator(delta.clone_node).evaluate(
                 expr, DynamicContext(provider=provider)
             )
             delta.evaluation_seconds += time.perf_counter() - eval_started
@@ -619,8 +542,6 @@ class XMLEngine:
         spawned site server is configured from. ``storage_dir`` is left
         out on purpose: a twin must not share this engine's files."""
         return {
-            "cache_parsed": self.cache_parsed,
-            "cache_size": self._cache_size,
             "use_indexes": self.use_indexes,
             "per_document_overhead": self.per_document_overhead,
             "shard_workers": self.shard_workers,
@@ -687,7 +608,14 @@ class _EngineProvider:
         #: scanned for, so scan/prune never runs twice for one call.
         self.scanned: dict[str, list[str]] = {}
 
-    def collection_roots(self, name: Optional[str]) -> list[XMLNode]:
+    def _root(self, stored: StoredDocument) -> NodeHandle:
+        """One stored document's root handle, charged its modeled access."""
+        self._stats.simulated_overhead_seconds += modeled_access_seconds(
+            self._engine.per_document_overhead, stored.size
+        )
+        return stored.binary.root
+
+    def collection_roots(self, name: Optional[str]) -> list[Node]:
         collection_name = name or self._options.default_collection
         if collection_name is None:
             raise XQueryEvaluationError(
@@ -700,23 +628,15 @@ class _EngineProvider:
             candidates = self._engine.scan_candidates(
                 collection_name, self._predicate, self._stats, self._options
             )
-        # Materialize each survivor: the in-process "evaluate" stage
-        # loads DOMs here.
-        return [
-            self._engine.load_parsed(
-                collection_name, doc_name, stats=self._stats
-            ).root
-            for doc_name in candidates
-        ]
+        collection = self._engine.store.collection(collection_name)
+        return [self._root(collection.get(doc_name)) for doc_name in candidates]
 
-    def document_root(self, name: str) -> Optional[XMLNode]:
+    def document_root(self, name: str) -> Optional[Node]:
         for collection_name in self._engine.store.collection_names():
             collection = self._engine.store.collection(collection_name)
             if name in collection:
                 self._stats.documents_scanned += 1
-                return self._engine.load_parsed(
-                    collection_name, name, stats=self._stats
-                ).root
+                return self._root(collection.get(name))
         return None
 
 
@@ -737,7 +657,7 @@ class StreamedExecution:
     went to the consumer piece by piece) while ``result_bytes`` counts
     the streamed bytes, separators included. Elapsed time is the wall
     clock up to the last piece plus ``modeled_overhead`` — the simulated
-    per-document access cost as the query experienced it: summed for an
+    document access cost as the query experienced it: summed for an
     in-process run, the slowest shard's for a sharded one.
     """
 
@@ -763,7 +683,11 @@ class StreamedExecution:
         for index, piece in enumerate(self._pieces):
             if index:
                 streamed_bytes += 1  # the "\n" separator before this piece
-            streamed_bytes += len(piece.encode("utf-8"))
+            # An ASCII piece is as many bytes as characters; only others
+            # are encoded to be measured.
+            streamed_bytes += (
+                len(piece) if piece.isascii() else len(piece.encode("utf-8"))
+            )
             yield piece
         engine = self._engine
         elapsed = time.perf_counter() - self._started
@@ -781,7 +705,7 @@ class StreamedExecution:
 
 def serialize_item(item) -> str:
     """One result item the way a driver would ship it."""
-    if isinstance(item, XMLNode):
+    if isinstance(item, Node):
         return serialize(item)
     return atomic_to_string(item)
 

@@ -63,15 +63,10 @@ def tokenize_text(text: str) -> set[str]:
     return {match.group(0).lower() for match in _WORD_RE.finditer(text)}
 
 
-def _value_at(binary: BinaryXMLDocument, index: int) -> str:
-    value = binary.values[index]
-    return binary.pool.get(value) if value >= 0 else ""
-
-
 def _immediate_text(binary: BinaryXMLDocument, index: int) -> str | None:
     """Concatenated direct text children of an element, None when none."""
     texts = [
-        _value_at(binary, child)
+        binary.text_value(child)
         for child in binary.children(index)
         if binary.kinds[child] == KIND_TEXT
     ]
@@ -87,7 +82,7 @@ class FullTextIndex:
     def add_document(self, name: str, binary: BinaryXMLDocument) -> None:
         for index in range(len(binary)):
             if binary.kinds[index] != KIND_ELEMENT:
-                for token in tokenize_text(_value_at(binary, index)):
+                for token in tokenize_text(binary.text_value(index)):
                     self._postings.setdefault(token, set()).add(name)
 
     def remove_document(self, name: str) -> None:
@@ -120,9 +115,6 @@ class FullTextIndex:
             union |= postings
         return union
 
-    def vocabulary_size(self) -> int:
-        return len(self._postings)
-
 
 class ValueIndex:
     """Equality index: (element label, exact value) → documents + labels."""
@@ -140,7 +132,7 @@ class ValueIndex:
             if kind == KIND_ATTRIBUTE:
                 label = "@" + (binary.name_of(index) or "")
                 self._add(
-                    (label, _value_at(binary, index)),
+                    (label, binary.text_value(index)),
                     name,
                     binary.labels[index],
                 )
@@ -173,9 +165,6 @@ class ValueIndex:
             for name, labels in self._entries.get((label, value), {}).items()
         }
 
-    def entry_count(self) -> int:
-        return len(self._entries)
-
 
 class PathIndex:
     """Structural index: root-to-node label paths → documents + labels.
@@ -204,9 +193,6 @@ class PathIndex:
     def remove_document(self, name: str) -> None:
         for postings in self._postings.values():
             postings.pop(name, None)
-
-    def known_paths(self) -> list[tuple[str, ...]]:
-        return list(self._postings)
 
     def lookup_exact(self, labels: tuple[str, ...]) -> set[str]:
         """Documents containing a node at exactly this root-to-node path."""
@@ -365,9 +351,6 @@ class ElementIndex:
     def lookup(self, label: str) -> set[str]:
         """Documents containing at least one node with ``label``."""
         return set(self._postings.get(label, set()))
-
-    def known_labels(self) -> set[str]:
-        return set(self._postings)
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,9 @@ dicts and absorbed into the parent query's accumulator, so the sharded
 counters sum *exactly* to what the serial run would have charged: the
 parent charges scan/prune once (``index_lookups``, ``documents_scanned``,
 ``documents_pruned``, ``label_pruned``), the workers charge only the
-materialization and evaluation of their own documents.
+evaluation of their own documents — on the node tables in place, like
+the in-process run: a worker receives a slice and returns text, and
+builds no tree but the subtrees an element constructor copies.
 """
 
 from __future__ import annotations
@@ -41,12 +43,11 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from repro.datamodel.binary import BinaryXMLDocument, StringPool
-from repro.engine.stats import EngineStats
+from repro.engine.stats import EngineStats, modeled_access_seconds
 from repro.errors import XQueryTypeError
 from repro.xquery.analysis import DECOMPOSABLE_AGGREGATES
 from repro.xquery.ast_nodes import (
@@ -95,16 +96,6 @@ VALUE_AGGREGATES = frozenset({"sum", "avg", "min", "max"})
 _FORK_INHERITED: dict[int, dict[tuple[str, str], "BinaryXMLDocument"]] = {}
 
 _fork_tokens = itertools.count(1)
-
-#: Worker-local cap on materialized trees kept across tasks. Mirrors the
-#: parent engine's parsed-document LRU: the pool outlives a single
-#: query, so a worker that re-receives a document it already
-#: materialized charges a ``cache_hits`` (plus the simulated
-#: per-document overhead) exactly like the serial path's warm cache.
-WORKER_CACHE_DOCUMENTS = 128
-
-_worker_cache: "OrderedDict[tuple[int, str, str], object]" = OrderedDict()
-
 
 def new_fork_token() -> int:
     """A process-unique key for one engine's fork snapshot."""
@@ -276,9 +267,8 @@ class ShardDocument:
     """
 
     name: str
-    origin: str
     table: Optional[bytes]
-    size: int  # stored serialized size — the bytes_parsed charge
+    size: int  # stored serialized size (the modeled clock's per-byte term)
 
 
 @dataclass
@@ -297,7 +287,6 @@ class ShardTask:
     per_document_overhead: float = 0.0
     token: int = 0
     collection: str = ""
-    cache_documents: bool = False  # mirror of the engine's cache_parsed
 
 
 @dataclass
@@ -328,7 +317,7 @@ def partition_candidates(candidates: list[str], degree: int) -> list[list[str]]:
 
 
 class _ShardProvider:
-    """DocumentProvider over a shard's materialized roots.
+    """DocumentProvider over a shard's root handles.
 
     The shardability gate guarantees exactly one ``collection()`` call
     and no ``doc()`` calls, so the collection name is irrelevant — the
@@ -348,14 +337,11 @@ class _ShardProvider:
 def run_shard(task: ShardTask) -> ShardResult:
     """Worker entry point: evaluate one shard on its binary tables.
 
-    Charges exactly the counters the serial path's ``load_parsed`` +
-    evaluation would have charged for these documents — and nothing
-    else; scan/prune counters belong to the parent. When the engine
-    caches parsed documents (``cache_parsed``), a document this worker
-    already materialized on an earlier task charges a ``cache_hits``
-    (plus the per-document overhead), mirroring the serial path's warm
-    parsed-document LRU; with caching off every task re-materializes,
-    exactly like the serial path does.
+    Charges exactly the counters the in-process evaluation would have
+    charged for these documents — the modeled access cost of each one
+    handed to the evaluator, the evaluation, and any subtree an element
+    constructor decodes — and nothing else; scan/prune counters belong
+    to the parent.
     """
     stats = EngineStats()
     pool = (
@@ -363,58 +349,38 @@ def run_shard(task: ShardTask) -> ShardResult:
     )
     roots = []
     for document in task.documents:
-        cache_key = (task.token, task.collection, document.name)
-        if task.cache_documents and document.table is None:
-            cached = _worker_cache.get(cache_key)
-            if cached is not None:
-                _worker_cache.move_to_end(cache_key)
-                stats.cache_hits += 1
-                stats.simulated_overhead_seconds += task.per_document_overhead
-                roots.append(cached.root)
-                continue
-        started = time.perf_counter()
         if document.table is None:
             table = _FORK_INHERITED[task.token][
                 (task.collection, document.name)
             ]
         else:
             table = BinaryXMLDocument.from_bytes(document.table, pool)
-        tree = table.materialize(name=document.name, origin=document.origin)
-        stats.parse_seconds += time.perf_counter() - started
-        stats.binary_decodes += 1
-        stats.documents_parsed += 1
-        stats.bytes_parsed += document.size
-        stats.simulated_overhead_seconds += task.per_document_overhead
-        if task.cache_documents and document.table is None:
-            # Only fork-inherited documents are cached: their snapshot
-            # entry pins the table, so the cached tree can never go
-            # stale (a re-stored document stops matching the snapshot
-            # and ships explicit bytes instead).
-            _worker_cache[cache_key] = tree
-            if len(_worker_cache) > WORKER_CACHE_DOCUMENTS:
-                _worker_cache.popitem(last=False)
-        roots.append(tree.root)
+        stats.simulated_overhead_seconds += modeled_access_seconds(
+            task.per_document_overhead, document.size
+        )
+        roots.append(table.root)
     # Imported here: the engine imports this module, and the serializer
     # helper lives next to the engine.
     from repro.engine.database import serialize_sequence
     from repro.xquery.functions import lookup
 
     expr = parse_query(task.query)
-    provider = _ShardProvider(roots)
-    context = DynamicContext(provider=provider)
+    context = DynamicContext(provider=_ShardProvider(roots))
+    # An aggregate shard evaluates the aggregate's argument (one pass
+    # over the shard's documents, exactly like the serial evaluation).
+    concat = task.script.mode == "concat"
+    assert concat or isinstance(expr, FunctionCall)  # shard_script's gate
     eval_started = time.perf_counter()
-    if task.script.mode == "concat":
-        items = Evaluator().evaluate(expr, context)
+    items = Evaluator(stats.clone_node).evaluate(
+        expr if concat else expr.args[0], context
+    )
+    if concat:
         stats.evaluation_seconds += time.perf_counter() - eval_started
         return ShardResult(
             text=serialize_sequence(items),
             item_count=len(items),
             stats=dict(vars(stats)),
         )
-    # Aggregate shard: evaluate the aggregate's argument once (one pass
-    # over the shard's documents, exactly like the serial evaluation).
-    assert isinstance(expr, FunctionCall)  # guaranteed by shard_script
-    items = Evaluator().evaluate(expr.args[0], context)
     if task.script.mode == "fold":
         partial = lookup(task.script.aggregate)(context, [items])
         stats.evaluation_seconds += time.perf_counter() - eval_started

@@ -1,15 +1,32 @@
 """Execution statistics of the storage engine.
 
-The reproduction's claims hinge on *why* fragmentation helps: less data
-parsed and scanned per site. These counters make that visible — benchmark
-reports print bytes parsed and documents scanned next to elapsed times,
+The reproduction's claims hinge on *why* fragmentation helps: fewer
+documents scanned per site. These counters make that visible — benchmark
+reports print documents scanned and trees built next to elapsed times,
 and the ablation benches assert on them directly.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, fields
 from typing import Optional
+
+from repro.datamodel.binary import NODE_ROW_BYTES, NodeHandle
+from repro.datamodel.tree import Node, XMLNode
+
+#: The per-byte half of the modeled clock: one stored byte of a document
+#: read by the paper's parse-on-access engine — the planner's rate
+#: (``plan.cost.SECONDS_PER_BYTE`` is this constant), about half of what
+#: this engine spent per byte while it still decoded every document.
+MODELED_SECONDS_PER_BYTE = 2e-8
+
+
+def modeled_access_seconds(per_document_overhead: float, size: int) -> float:
+    """Modeled cost of handing one stored document of ``size`` bytes to
+    the evaluator; nothing for an engine without a modeled clock."""
+    rate = MODELED_SECONDS_PER_BYTE if per_document_overhead else 0.0
+    return per_document_overhead + size * rate
 
 
 @dataclass
@@ -23,26 +40,31 @@ class EngineStats:
     """
 
     queries_executed: int = 0
+    #: DOM trees built from storage (``parse_seconds`` building them,
+    #: ``bytes_parsed`` the table rows decoded): evaluation runs on the
+    #: tables in place, so only a constructor's :meth:`clone_node` copies.
     documents_parsed: int = 0
     bytes_parsed: int = 0
+    #: Documents handed to the evaluator (after index pruning).
     documents_scanned: int = 0
     documents_pruned: int = 0
     index_lookups: int = 0
-    #: Documents materialized by decoding their binary node table. Every
-    #: materialization from storage takes that path, so this equals
-    #: ``documents_parsed``; it stays a field because it is part of the
-    #: RESULT stats payload on the wire.
+    #: Equals ``documents_parsed`` (every tree built from storage decodes
+    #: a node table); it stays a field because it is part of the RESULT
+    #: stats payload on the wire.
     binary_decodes: int = 0
     #: Index-candidate documents discarded by exact predicate evaluation
-    #: over the binary encoding *before* any DOM was built.
+    #: over the binary encoding before they reached the evaluator.
     label_pruned: int = 0
-    #: Parsed-document LRU cache hits (documents served without a re-parse).
+    #: Always 0: the parsed-document LRU it counted is gone. The field
+    #: stays only because ``benchmarks/e2e/tracing.py`` copies it; the
+    #: next benchmark-only PR drops both.
     cache_hits: int = 0
     parse_seconds: float = 0.0
     evaluation_seconds: float = 0.0
-    #: Simulated per-document access overhead (never slept; see
-    #: XMLEngine.per_document_overhead). Kept separate so reports can
-    #: distinguish measured from simulated time.
+    #: Simulated document access cost (never slept; see
+    #: XMLEngine.per_document_overhead and modeled_access_seconds). Kept
+    #: separate so reports can distinguish measured from simulated time.
     simulated_overhead_seconds: float = 0.0
 
     def snapshot(self) -> "EngineStats":
@@ -70,6 +92,21 @@ class EngineStats:
                 for name in vars(self)
             }
         )
+
+    def clone_node(self, node: Node) -> XMLNode:
+        """Copy ``node`` for an element constructor (the evaluator's
+        ``clone`` hook), charging a tree decoded from storage
+        (``bytes_parsed``: its table rows); a DOM node was built by the
+        query itself and is charged nothing."""
+        if not isinstance(node, NodeHandle):
+            return node.clone()
+        started = time.perf_counter()
+        tree = node.clone()
+        self.parse_seconds += time.perf_counter() - started
+        self.documents_parsed += 1
+        self.binary_decodes += 1
+        self.bytes_parsed += node.table.sizes[node.index] * NODE_ROW_BYTES
+        return tree
 
     def absorb(self, delta: "EngineStats") -> None:
         """Add ``delta``'s counters in place (commit of a per-query

@@ -1,19 +1,21 @@
 """Document store: named collections of serialized XML documents.
 
-Documents are stored *serialized* (UTF-8 bytes) and materialized on
-access, one tree per touched document — the architecture that made the
-paper's per-document overhead visible ("some pre-processing operations
-(e.g., parsing) are carried out for each XML tree", §5). Storing bytes
-also forces every layer above to round-trip through real serialization,
-so reconstruction annotations and fragment metadata are honest.
+Documents are stored *serialized* (UTF-8 bytes) — the canonical form every
+layer above round-trips through, so reconstruction annotations and
+fragment metadata are honest, and the size the planner's statistics and
+the modeled clock's per-byte term are measured in.
 
-Every stored document carries a compact **binary node table**
+Every stored document also carries a compact **binary node table**
 (:class:`~repro.datamodel.binary.BinaryXMLDocument`), built once at
 publish time over the collection's shared string pool
-(:meth:`StoredCollection.put` guarantees it). Indexes ingest the table
-directly, predicate verification runs over it without a DOM, and
-materialization decodes it — the text is tokenized once, at ingestion,
-and the raw bytes remain the canonical wire/serialization form.
+(:meth:`StoredCollection.put` guarantees it). Everything that reads a
+document reads the table: indexes ingest it, predicate verification and
+query evaluation run on it in place through
+:class:`~repro.datamodel.binary.NodeHandle`, and result nodes serialize
+from its spans — the text is tokenized once, at ingestion, and no tree
+is built on access ("some pre-processing operations (e.g., parsing) are
+carried out for each XML tree", §5, survives as the engine's modeled
+clock: ``per_document_overhead`` plus a per-byte term).
 
 Optional disk persistence keeps each collection in a directory of
 ``.xml`` files (plus ``<name>.xml.pxb`` node tables and one

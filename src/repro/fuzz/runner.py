@@ -24,6 +24,12 @@ must still be byte-identical). Two comparisons apply:
   order of the centralized repository (same policy as
   ``bench.scenarios``).
 
+* **accessor** — the engine evaluates on its stored node tables; the
+  same evaluator over the DOM trees ``materialize()`` decodes from the
+  centralized collection (:func:`evaluate_on_dom`) must produce the
+  centralized answer byte for byte. Always on: every configuration also checks
+  table-vs-DOM.
+
 Two more oracles guard the planning layer itself:
 
 * **plan-order composition** (reported as kind ``mode``) — a concat
@@ -50,12 +56,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from repro.cluster.site import Cluster, Site
+from repro.engine.database import XMLEngine, serialize_sequence
+from repro.errors import StorageError
 from repro.fuzz.generator import CaseSpec, GeneratedCase, generate_case, spec_for_iteration
 from repro.partix.catalog import FragmentAllocation
 from repro.partix.correctness import verify_fragmentation
 from repro.partix.middleware import Partix, PartixResult
 from repro.plan.executor import ExecutionMode
 from repro.plan.explain import plan_from_dict
+from repro.xquery.evaluator import DynamicContext, Evaluator
+from repro.xquery.parser import parse_query
 
 CENTRAL_SITE = "central"
 #: Extra site holding one replica of every fragment in ``kill_site``
@@ -80,7 +90,7 @@ ADVERSARIAL_CHUNK_BYTES = 7
 class Mismatch:
     """One oracle violation observed while running a case."""
 
-    kind: str  # "answer" | "mode" | "plan" | "correctness" | "error" | "failover" | "migrate" | "index" | "shard"
+    kind: str  # "answer" | "mode" | "plan" | "correctness" | "error" | "failover" | "migrate" | "index" | "shard" | "accessor"
     detail: str
     query_index: Optional[int] = None
     query: Optional[str] = None
@@ -146,6 +156,36 @@ def _diff_snippet(left: str, right: str, limit: int = 240) -> str:
 def _signature(text: str) -> tuple[str, ...]:
     """Order-insensitive line multiset (fragments interleave doc order)."""
     return tuple(sorted(line for line in text.splitlines() if line.strip()))
+
+
+class _DomProvider:
+    """An engine's stored documents as decoded DOM trees, unpruned."""
+
+    def __init__(self, engine: XMLEngine):
+        self._store = engine.store
+
+    def collection_roots(self, name: Optional[str]) -> list:
+        if name is None or not self._store.has_collection(name):
+            raise StorageError(f"no collection named {name!r}")
+        collection = self._store.collection(name)
+        return [
+            collection.get(doc_name).binary.materialize(name=doc_name).root
+            for doc_name in collection.names()
+        ]
+
+    def document_root(self, name: str):
+        return None  # the generator emits no doc() call
+
+
+def evaluate_on_dom(engine: XMLEngine, query: str) -> str:
+    """The accessor oracle's reference answer: ``query`` through the one
+    evaluator over DOM trees decoded from ``engine``'s node tables — the
+    second implementation of the node accessor — serialized the way the
+    engine serializes its own."""
+    items = Evaluator().evaluate(
+        parse_query(query), DynamicContext(provider=_DomProvider(engine))
+    )
+    return serialize_sequence(items)
 
 
 def run_case(
@@ -514,6 +554,7 @@ def _run_query(
         return {}
 
     outcome.queries_run += 1
+    _check_accessor(partix, query, central_text, outcome, index)
     plan = partix.explain(query, "Cfuzz")
     outcome.composition_kinds[plan.composition.kind] += 1
     _check_plan_equivalence(partix, query, plan, outcome, index)
@@ -569,6 +610,37 @@ def _run_query(
             partix, query, by_mode, outcome, index, modes
         )
     return results_by_mode
+
+
+def _check_accessor(
+    partix: Partix,
+    query: str,
+    central_text: str,
+    outcome: CaseOutcome,
+    index: int,
+) -> None:
+    """Table-vs-DOM: the centralized answer (evaluated on the node tables)
+    against :func:`evaluate_on_dom` over the same site's documents."""
+    outcome.comparisons += 1
+    dom_text, dom_error = _attempt(
+        lambda: evaluate_on_dom(
+            partix.cluster.site(CENTRAL_SITE).driver.engine, query
+        )
+    )
+    if dom_text != central_text:
+        detail = (
+            repr(dom_error)
+            if dom_error is not None
+            else _diff_snippet(central_text, dom_text)
+        )
+        outcome.mismatches.append(
+            Mismatch(
+                kind="accessor",
+                detail="node tables vs decoded DOM (centralized): " + detail,
+                query_index=index,
+                query=query,
+            )
+        )
 
 
 def _check_index_differential(

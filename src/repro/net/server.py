@@ -401,9 +401,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         "--storage-dir", default=None, help="persist collections on disk"
     )
     parser.add_argument(
-        "--cache-parsed", action="store_true", help="enable the parsed-doc LRU"
-    )
-    parser.add_argument(
         "--no-indexes",
         action="store_true",
         help="disable index-assisted document pruning (paper-faithful)",
@@ -427,7 +424,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     engine = XMLEngine(
         options.site,
         storage_dir=options.storage_dir,
-        cache_parsed=options.cache_parsed,
         use_indexes=not options.no_indexes,
         per_document_overhead=options.per_document_overhead,
         shard_workers=options.shard_workers,

@@ -11,165 +11,61 @@ Results are returned in document order without duplicates.
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from repro.datamodel.document import XMLDocument
-from repro.datamodel.tree import NodeKind, XMLNode
+from repro.datamodel.tree import Node, NodeKind
 from repro.paths.ast import Axis, PathExpr, Step
 from repro.paths.parser import parse_path
 
 
-def evaluate_path(path: PathExpr | str, context: XMLDocument | XMLNode) -> list[XMLNode]:
+def evaluate_path(path: PathExpr | str, context) -> list[Node]:
     """Select the nodes of ``context`` matching ``path``.
 
-    ``context`` is a document or a bare element treated as a document root.
+    ``context`` is a node treated as a document root — a DOM element or a
+    :class:`~repro.datamodel.binary.NodeHandle` over a stored node table —
+    or a document of either form (anything with a ``root``). The nodes
+    come back in the context's own implementation.
     """
     if isinstance(path, str):
         path = parse_path(path)
-    root = context.root if isinstance(context, XMLDocument) else context
-    current: list[XMLNode] = [root]
+    root = context if isinstance(context, Node) else context.root
+    current: list[Node] = [root]
     virtual_first = True
     for step in path.steps:
         current = _apply_step(step, current, virtual_first)
         virtual_first = False
         if not current:
             return []
-    return _document_order_unique(current, root)
+    return _document_order_unique(current)
 
 
-def _apply_step(step: Step, context: list[XMLNode], virtual_first: bool) -> list[XMLNode]:
-    selected: list[XMLNode] = []
-    if virtual_first:
-        # The context holds the root element; treat it as the child (or a
-        # descendant) of the virtual document node.
-        for node in context:
-            if step.axis is Axis.CHILD:
-                candidates: Iterable[XMLNode] = [node]
-            else:
-                candidates = node.descendants_or_self()
-            selected.extend(
-                c for c in candidates if _test_matches(step, c)
-            )
-    else:
-        for node in context:
-            if step.axis is Axis.CHILD:
-                candidates = node.children
-            else:
-                candidates = node.descendants()
-            selected.extend(
-                c for c in candidates if _test_matches(step, c)
-            )
+def _apply_step(step: Step, context: list[Node], virtual_first: bool) -> list[Node]:
+    """``virtual_first``: the context holds the root element, which plays
+    the child (or a descendant) of the virtual document node."""
+    kind = NodeKind.ATTRIBUTE if step.is_attribute else NodeKind.ELEMENT
+    name = None if step.is_wildcard else step.name
+    descend = step.axis is Axis.DESCENDANT
+    selected: list[Node] = []
+    for node in context:
+        selected.extend(node.select(kind, name, descend, or_self=virtual_first))
     if step.position is not None:
         selected = [n for n in selected if n.sibling_index() == step.position]
     return selected
 
 
-def _test_matches(step: Step, node: XMLNode) -> bool:
-    if step.is_attribute:
-        return node.kind is NodeKind.ATTRIBUTE and node.label == step.name
-    if node.kind is not NodeKind.ELEMENT:
-        return False
-    return step.is_wildcard or node.label == step.name
-
-
-def _document_order_unique(nodes: list[XMLNode], root: XMLNode) -> list[XMLNode]:
+def _document_order_unique(nodes: list[Node]) -> list[Node]:
     if len(nodes) <= 1:
         return nodes
-    seen: set[int] = set()
-    unique = []
-    for node in nodes:
-        if id(node) not in seen:
-            seen.add(id(node))
-            unique.append(node)
-    order = {id(node): i for i, node in enumerate(root.descendants_or_self())}
-    unique.sort(key=lambda n: order.get(id(n), -1))
-    return unique
+    memo: dict = {}
+    return sorted(
+        dict.fromkeys(nodes), key=lambda node: node.order_key(memo)
+    )
 
 
-def path_exists(path: PathExpr | str, context: XMLDocument | XMLNode) -> bool:
+def path_exists(path: PathExpr | str, context) -> bool:
     """Existential test: does ``path`` select at least one node?"""
     return bool(evaluate_path(path, context))
 
 
-# ----------------------------------------------------------------------
-# Evaluation over the binary encoding (no DOM involved)
-# ----------------------------------------------------------------------
-def evaluate_path_binary(path: PathExpr | str, binary) -> list[int]:
-    """Select the preorder positions of ``binary`` matching ``path``.
-
-    ``binary`` is a :class:`~repro.datamodel.binary.BinaryXMLDocument`
-    (duck-typed to keep this package free of engine imports). Semantics
-    mirror :func:`evaluate_path` exactly — virtual document node above
-    the root, child/descendant axes, attribute and wildcard tests,
-    positional qualifiers — but structural moves are label-prefix and
-    node-range operations on the table: the descendant axis scans the
-    contiguous slice ``binary.descendant_range(i)`` instead of walking a
-    tree. Preorder position *is* document order, so results come back
-    ordered and duplicate-free by construction of the final sort.
-    """
-    if isinstance(path, str):
-        path = parse_path(path)
-    current: list[int] = [0] if len(binary) else []
-    virtual_first = True
-    for step in path.steps:
-        current = _apply_step_binary(step, current, binary, virtual_first)
-        virtual_first = False
-        if not current:
-            return []
-    return sorted(set(current))
-
-
-def _apply_step_binary(
-    step: Step, context: list[int], binary, virtual_first: bool
-) -> list[int]:
-    selected: list[int] = []
-    # Resolve the step's name against the pool once: a name the pool has
-    # never interned cannot label any node of any document it serves.
-    name_id = None
-    if not step.is_wildcard:
-        name_id = binary.pool.lookup(step.name)
-        if name_id is None:
-            return []
-    for node in context:
-        if virtual_first:
-            # The context holds the root; treat it as the child (or a
-            # descendant) of the virtual document node.
-            if step.axis is Axis.CHILD:
-                candidates: Iterable[int] = (node,)
-            else:
-                candidates = range(node, node + binary.sizes[node])
-        else:
-            if step.axis is Axis.CHILD:
-                candidates = binary.children(node)
-            else:
-                candidates = binary.descendant_range(node)
-        selected.extend(
-            c for c in candidates if _test_matches_binary(step, c, binary, name_id)
-        )
-    if step.position is not None:
-        selected = [
-            n for n in selected if binary.sibling_ordinal(n) == step.position
-        ]
-    return selected
-
-
-def _test_matches_binary(step: Step, node: int, binary, name_id) -> bool:
-    from repro.datamodel.binary import KIND_ATTRIBUTE, KIND_ELEMENT
-
-    kind = binary.kinds[node]
-    if step.is_attribute:
-        return kind == KIND_ATTRIBUTE and binary.names[node] == name_id
-    if kind != KIND_ELEMENT:
-        return False
-    return step.is_wildcard or binary.names[node] == name_id
-
-
-def binary_path_exists(path: PathExpr | str, binary) -> bool:
-    """Existential test over the binary encoding."""
-    return bool(evaluate_path_binary(path, binary))
-
-
-def is_terminal(path: PathExpr | str, context: XMLDocument | XMLNode) -> bool:
+def is_terminal(path: PathExpr | str, context) -> bool:
     """Dynamic terminality test (§3.1): every selected node has simple content.
 
     A path is *terminal* when the nodes it selects have domain in ``D`` —

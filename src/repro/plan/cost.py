@@ -12,13 +12,21 @@ Estimates are built from two ingredients:
   transmission estimates with, charging dispatch (query text out) and
   gather (result bytes back) per lane.
 
-The CPU constants are calibration knobs, not measurements: the
-per-document constant matches the bench scenarios' simulated
-per-document overhead. Every executed lane carries its estimate next to
-its measurement (``SubQueryExecution.estimated_seconds`` / ``elapsed``),
-and the benchmark (``benchmarks/e2e/run.py --trace 1``) reports their
-ratio as ``plan.estimate_q_error``, so the calibration error stays
-visible across changes.
+The CPU constants are the *modeled* clock of the paper's
+parse-on-access engine — what an engine configured like the Figure-7
+scenarios charges (``engine.stats.modeled_access_seconds``) — not
+measurements of this one. An engine without a modeled clock (every
+``benchmarks/e2e`` workload) scans at ~13 µs per document and ~0.25 ns
+per byte since evaluation moved onto the node tables, two orders of
+magnitude below the modeled 2.5 ms and 20 ns. The index gate still
+decides right there, because both of its sides shrank together (a probe
+really costs ~70 µs: break-even at ~5 documents, modeled ~3); the
+**shard gate is known to be mis-calibrated for real-clock engines** — a
+degree-2 sharded scan measured 0.32x–0.75x of serial up to 256 large
+documents while the model prices it as a win from 8 (``shard_workers``
+defaults to 0; ROADMAP item 3b fits the constants). Every executed lane
+carries its estimate next to its measurement and ``benchmarks/e2e/run.py
+--trace 1`` reports their ratio as ``plan.estimate_q_error``.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.cluster.network import NetworkModel
+from repro.engine.stats import MODELED_SECONDS_PER_BYTE
 
 #: Fallbacks when the catalog has no statistics for a fragment replica.
 DEFAULT_DOCUMENTS = 8
@@ -35,30 +44,30 @@ DEFAULT_FRAGMENT_BYTES = 16_384
 #: Estimated size of a shipped scalar partial (count/sum/… pushdown).
 SCALAR_RESULT_BYTES = 24
 
-#: CPU calibration constants (seconds). The per-document constant equals
-#: the bench scenarios' PAPER_DOC_OVERHEAD; the per-byte constants are
-#: rough in-process parse/serialize rates.
+#: CPU constants of the modeled clock (seconds): the bench scenarios'
+#: PAPER_DOC_OVERHEAD and the engine's per-byte rate, so a Figure-7 lane
+#: is estimated at what its site charges; the rest are rough rates.
 SECONDS_PER_DOCUMENT = 0.0025
-SECONDS_PER_BYTE = 2e-8
+SECONDS_PER_BYTE = MODELED_SECONDS_PER_BYTE
 CONCAT_SECONDS_PER_BYTE = 1e-9
 MERGE_SECONDS_PER_PARTIAL = 1e-5
 JOIN_SECONDS_PER_BYTE = 1e-7
 
 #: Fixed cost of probing a site's indexes for one sub-query (lookups +
-#: binary-table predicate verification of the candidates). Index access
-#: then materializes only the estimated matching documents, so the
-#: break-even against a full scan sits at a few documents per fragment
-#: at typical predicate selectivity.
+#: exact predicate verification of the candidates on their node tables).
+#: Index access then hands the evaluator only the estimated matching
+#: documents, so the break-even against a full scan sits at a few
+#: documents per fragment at typical predicate selectivity.
 INDEX_LOOKUP_SECONDS = 0.004
 
-#: Calibrated per-shard startup cost of intra-site parallelism: task
-#: pickling (binary node tables + string pool), worker dispatch and
-#: result transfer. Charged once per shard when lowering prices a
-#: sharded scan against the serial one, so small fragments stay serial.
+#: Per-shard startup cost of intra-site parallelism: task pickling,
+#: worker dispatch and result transfer. Charged once per shard when
+#: lowering prices a sharded scan against the serial one, so small
+#: fragments stay serial (measured: ~1.2 ms on a 16-document scan).
 SHARD_STARTUP_SECONDS = 0.012
 
 #: Never split below this many documents per shard — a shard has to
-#: amortize its startup over real materialization work, and the default
+#: amortize its startup over its share of the scan, and the default
 #: fragment statistics (8 documents) must keep lowering serial.
 MIN_SHARD_DOCUMENTS = 4
 
@@ -140,11 +149,11 @@ class CostModel:
     ) -> CostEstimate:
         """Cost of running one sub-query at one fragment replica.
 
-        ``access="scan"`` materializes every document of the fragment;
-        ``access="index"`` pays :data:`INDEX_LOOKUP_SECONDS` up front and
-        then materializes only the estimated matching documents (the
-        selectivity fraction, at least one) — the trade lowering prices
-        per replica to choose the cheaper path.
+        ``access="scan"`` hands every document of the fragment to the
+        evaluator; ``access="index"`` pays :data:`INDEX_LOOKUP_SECONDS`
+        up front and then hands over only the estimated matching
+        documents (the selectivity fraction, at least one) — the trade
+        lowering prices per replica to choose the cheaper path.
         """
         stats = self.fragment_statistics(collection, fragment, site)
         documents = stats.documents if stats is not None else DEFAULT_DOCUMENTS

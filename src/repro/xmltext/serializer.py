@@ -7,22 +7,64 @@ Two styles are provided:
   tree-equal to ``t`` (a property test asserts this round-trip).
 * :func:`serialize_pretty` — indented, for human consumption in examples
   and reports.
+
+:func:`serialize` also takes a :class:`~repro.datamodel.binary.NodeHandle`
+and writes the subtree straight from its span of the stored node table —
+the same bytes as serializing the decoded subtree, with no tree built.
 """
 
 from __future__ import annotations
 
+from repro.datamodel.binary import (
+    KIND_ATTRIBUTE,
+    KIND_TEXT,
+    BinaryXMLDocument,
+    NodeHandle,
+)
 from repro.datamodel.document import XMLDocument
 from repro.datamodel.tree import NodeKind, XMLNode
 from repro.xmltext.escape import escape_attribute, escape_text
 
 
-def serialize(node: XMLNode | XMLDocument) -> str:
+def serialize(node: XMLNode | NodeHandle | XMLDocument) -> str:
     """Compact serialization of a node or document subtree."""
     if isinstance(node, XMLDocument):
         node = node.root
     parts: list[str] = []
-    _write_compact(node, parts)
+    if isinstance(node, NodeHandle):
+        _write_span(node.table, node.index, parts)
+    else:
+        _write_compact(node, parts)
     return "".join(parts)
+
+
+def _write_span(table: BinaryXMLDocument, index: int, out: list[str]) -> None:
+    """:func:`_write_compact` over a stored node table: same output, read
+    from the arrays (attributes first wherever they sit among the
+    children, exactly as the tree writer orders them)."""
+    kinds = table.kinds
+    if kinds[index] == KIND_TEXT:
+        out.append(escape_text(table.text_value(index)))
+        return
+    if kinds[index] == KIND_ATTRIBUTE:
+        raise ValueError("cannot serialize a detached attribute node")
+    label = table.name_of(index)
+    out.append("<")
+    out.append(label)
+    content = []
+    for child in table.children(index):
+        if kinds[child] == KIND_ATTRIBUTE:
+            value = escape_attribute(table.text_value(child))
+            out.append(f' {table.name_of(child)}="{value}"')
+        else:
+            content.append(child)
+    if not content:
+        out.append("/>")
+        return
+    out.append(">")
+    for child in content:
+        _write_span(table, child, out)
+    out.append(f"</{label}>")
 
 
 def _write_compact(node: XMLNode, out: list[str]) -> None:

@@ -9,11 +9,11 @@ Sequences are Python lists of nodes and atomics (see
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, replace
+from operator import methodcaller
 from typing import Optional, Protocol, Union
 
-from repro.datamodel.tree import NodeKind, XMLNode
+from repro.datamodel.tree import Node, NodeKind, XMLNode
 from repro.errors import XQueryEvaluationError, XQueryTypeError
 from repro.xquery import functions as fnlib
 from repro.xquery.ast_nodes import (
@@ -52,11 +52,11 @@ from repro.xquery.values import (
 class DocumentProvider(Protocol):
     """Resolves the input functions of the query."""
 
-    def collection_roots(self, name: Optional[str]) -> list[XMLNode]:
+    def collection_roots(self, name: Optional[str]) -> list[Node]:
         """Root elements of the named collection (default when None)."""
         ...  # pragma: no cover - protocol
 
-    def document_root(self, name: str) -> Optional[XMLNode]:
+    def document_root(self, name: str) -> Optional[Node]:
         """Root element of the named document, or None."""
         ...  # pragma: no cover - protocol
 
@@ -64,12 +64,12 @@ class DocumentProvider(Protocol):
 class EmptyProvider:
     """A provider with no documents (queries over literals only)."""
 
-    def collection_roots(self, name: Optional[str]) -> list[XMLNode]:
+    def collection_roots(self, name: Optional[str]) -> list[Node]:
         raise XQueryEvaluationError(
             f"no document provider: cannot resolve collection({name!r})"
         )
 
-    def document_root(self, name: str) -> Optional[XMLNode]:
+    def document_root(self, name: str) -> Optional[Node]:
         raise XQueryEvaluationError(
             f"no document provider: cannot resolve doc({name!r})"
         )
@@ -81,7 +81,7 @@ class DynamicContext:
 
     provider: DocumentProvider = field(default_factory=EmptyProvider)
     variables: dict[str, list] = field(default_factory=dict)
-    context_item: Optional[Union[XMLNode, str, int, float, bool]] = None
+    context_item: Optional[Union[Node, str, int, float, bool]] = None
     position: int = 1
     size: int = 1
 
@@ -111,7 +111,18 @@ def evaluate_query(
 
 
 class Evaluator:
-    """AST-walking evaluator."""
+    """AST-walking evaluator.
+
+    Nodes are touched only through the :class:`~repro.datamodel.tree.Node`
+    accessor, so the same rules run over stored-table handles and DOM
+    trees; the one tree an evaluation builds is the copy an element
+    constructor embeds.
+    """
+
+    def __init__(self, clone=methodcaller("clone")) -> None:
+        #: How an element constructor copies a node it embeds (the engine
+        #: passes ``EngineStats.clone_node``, counting trees from storage).
+        self._clone = clone
 
     def evaluate(self, expr: Expr, ctx: DynamicContext) -> list:
         method = getattr(self, "_eval_" + type(expr).__name__, None)
@@ -231,7 +242,7 @@ class Evaluator:
     def _eval_PathApply(self, expr: PathApply, ctx: DynamicContext) -> list:
         if expr.primary is None:
             # Absolute path: anchor at the root of the context item's tree.
-            if ctx.context_item is None or not isinstance(ctx.context_item, XMLNode):
+            if not isinstance(ctx.context_item, Node):
                 raise XQueryEvaluationError(
                     "absolute path with no context document"
                 )
@@ -260,44 +271,28 @@ class Evaluator:
         ctx: DynamicContext,
         virtual_first: bool,
     ) -> list:
-        results: list[XMLNode] = []
-        seen: set[int] = set()
+        """``virtual_first``: the leading step after ``collection()``/
+        ``doc()`` or of an absolute path — each context node plays the
+        document node's child, ``//`` reaches its whole tree."""
+        if step.is_text:
+            kind, name = NodeKind.TEXT, None
+        elif step.is_attribute:
+            kind, name = NodeKind.ATTRIBUTE, step.name
+        else:
+            kind, name = NodeKind.ELEMENT, None if step.name == "*" else step.name
+        descend = step.axis != "child"
+        results: dict[Node, None] = {}  # insertion-ordered identity set
         for item in sequence:
-            if not isinstance(item, XMLNode):
+            if not isinstance(item, Node):
                 raise XQueryTypeError(
                     f"path step /{step.name} applied to an atomic value"
                 )
-            candidates = self._axis_candidates(step, item, virtual_first)
-            matched = [n for n in candidates if self._test(step, n)]
+            matched = item.select(kind, name, descend, or_self=virtual_first)
             if step.predicates:
                 matched = self._filter(matched, step.predicates, ctx)
             for node in matched:
-                if id(node) not in seen:
-                    seen.add(id(node))
-                    results.append(node)
-        return results
-
-    def _axis_candidates(
-        self, step: AxisStep, node: XMLNode, virtual_first: bool
-    ) -> list[XMLNode]:
-        if virtual_first:
-            # Leading '/' of an absolute path: the node itself plays the
-            # document-node's child; '//' reaches the whole tree.
-            if step.axis == "child":
-                return [node]
-            return list(node.descendants_or_self())
-        if step.axis == "child":
-            return list(node.children)
-        return list(node.descendants())
-
-    def _test(self, step: AxisStep, node: XMLNode) -> bool:
-        if step.is_text:
-            return node.kind is NodeKind.TEXT
-        if step.is_attribute:
-            return node.kind is NodeKind.ATTRIBUTE and node.label == step.name
-        if node.kind is not NodeKind.ELEMENT:
-            return False
-        return step.name == "*" or node.label == step.name
+                results[node] = None
+        return list(results)
 
     def _filter(
         self, sequence: list, predicates: tuple[Expr, ...], ctx: DynamicContext
@@ -394,9 +389,9 @@ class Evaluator:
 
         for content_expr in expr.content:
             for item in self.evaluate(content_expr, ctx):
-                if isinstance(item, XMLNode):
+                if isinstance(item, Node):
                     flush()
-                    copy = item.clone(deep=True)
+                    copy = self._clone(item)
                     if copy.kind is NodeKind.ATTRIBUTE and element.children:
                         # Attributes must precede content; tolerate by
                         # inserting before non-attribute children.
@@ -415,7 +410,7 @@ class Evaluator:
         parts = []
         for content_expr in expr.content:
             for item in self.evaluate(content_expr, ctx):
-                if isinstance(item, XMLNode):
+                if isinstance(item, Node):
                     parts.append(item.text_value())
                 else:
                     parts.append(atomic_to_string(item))
@@ -427,7 +422,7 @@ class Evaluator:
             for item in self.evaluate(content_expr, ctx):
                 parts.append(
                     item.text_value()
-                    if isinstance(item, XMLNode)
+                    if isinstance(item, Node)
                     else atomic_to_string(item)
                 )
         return [XMLNode.text(" ".join(parts))]
@@ -435,19 +430,14 @@ class Evaluator:
 
 def _node_set_op(op: str, left: list, right: list) -> list:
     for item in left + right:
-        if not isinstance(item, XMLNode):
+        if not isinstance(item, Node):
             raise XQueryTypeError(f"{op} operands must be node sequences")
-    right_ids = {id(node) for node in right}
-    seen: set[int] = set()
-    result = []
     if op == "union":
         candidates = left + right
     elif op == "intersect":
-        candidates = [node for node in left if id(node) in right_ids]
+        members = set(right)
+        candidates = [node for node in left if node in members]
     else:  # except
-        candidates = [node for node in left if id(node) not in right_ids]
-    for node in candidates:
-        if id(node) not in seen:
-            seen.add(id(node))
-            result.append(node)
-    return result
+        members = set(right)
+        candidates = [node for node in left if node not in members]
+    return list(dict.fromkeys(candidates))

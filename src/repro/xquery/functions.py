@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Callable
 
-from repro.datamodel.tree import XMLNode
+from repro.datamodel.tree import Node
 from repro.errors import XQueryEvaluationError, XQueryTypeError
 from repro.xquery.values import (
     atomic_to_string,
@@ -170,7 +170,7 @@ def _string(ctx: "DynamicContext", args: list[list]) -> list:
     _require_args("string", args, 0, 1)
     if not args:
         item = ctx.context_item
-        return [item.text_value() if isinstance(item, XMLNode) else atomic_to_string(item)]
+        return [item.text_value() if isinstance(item, Node) else atomic_to_string(item)]
     return [string_value(args[0])]
 
 
@@ -318,7 +318,7 @@ def _number(ctx: "DynamicContext", args: list[list]) -> list:
     _require_args("number", args, 0, 1)
     if not args:
         item = ctx.context_item
-        return [to_number(item.text_value() if isinstance(item, XMLNode) else item)]
+        return [to_number(item.text_value() if isinstance(item, Node) else item)]
     if not args[0]:
         return [float("nan")]
     return [to_number(atomize(args[0])[0])]
@@ -388,7 +388,7 @@ def _name(ctx: "DynamicContext", args: list[list]) -> list:
         item = args[0][0]
     else:
         item = ctx.context_item
-    if isinstance(item, XMLNode):
+    if isinstance(item, Node):
         return [item.label or ""]
     raise XQueryTypeError("name() requires a node")
 

@@ -1,7 +1,8 @@
 """Value model of the XQuery subset: items, sequences, atomization.
 
-A *sequence* is a Python list whose items are either :class:`XMLNode`
-instances or atomic values (``str``, ``int``, ``float``, ``bool``).
+A *sequence* is a Python list whose items are either nodes (any
+:class:`~repro.datamodel.tree.Node`: stored-table handles or DOM nodes)
+or atomic values (``str``, ``int``, ``float``, ``bool``).
 This module centralizes the XPath-style coercions: atomization, effective
 boolean value, numeric promotion, and general comparison.
 """
@@ -11,10 +12,10 @@ from __future__ import annotations
 import math
 from typing import Union
 
-from repro.datamodel.tree import XMLNode
+from repro.datamodel.tree import Node
 from repro.errors import XQueryTypeError
 
-Item = Union[XMLNode, str, int, float, bool]
+Item = Union[Node, str, int, float, bool]
 Sequence_ = list  # alias for documentation purposes
 
 _OPS = {
@@ -29,7 +30,7 @@ _OPS = {
 
 def atomize_item(item: Item) -> Union[str, int, float, bool]:
     """Atomize one item: nodes become their (untyped) string value."""
-    if isinstance(item, XMLNode):
+    if isinstance(item, Node):
         return item.text_value()
     return item
 
@@ -44,7 +45,7 @@ def effective_boolean(sequence: list) -> bool:
     if not sequence:
         return False
     first = sequence[0]
-    if isinstance(first, XMLNode):
+    if isinstance(first, Node):
         return True
     if len(sequence) > 1:
         raise XQueryTypeError(

@@ -20,12 +20,11 @@ from repro.datamodel.binary import (
 )
 from repro.engine import EngineStats, ExecOptions, XMLEngine
 from repro.engine.store import DocumentStore
-from repro.paths.evaluator import evaluate_path, evaluate_path_binary
+from repro.paths.evaluator import evaluate_path
 from repro.paths.parser import parse_path
 from repro.paths.predicates import (
     contains,
     eq,
-    evaluate_on_binary,
     exists,
     func_cmp,
 )
@@ -142,8 +141,8 @@ class TestPrefixLabels:
         ):
             path = parse_path(text)
             dom_nodes = evaluate_path(path, document.root)
-            positions = evaluate_path_binary(path, binary)
-            assert [binary.path_labels(p) for p in positions] == [
+            handles = evaluate_path(path, binary.root)
+            assert [binary.path_labels(h.index) for h in handles] == [
                 tuple(
                     ("@" + n.label) if n.kind.value == "attribute" else n.label
                     for n in _path_to(node)
@@ -163,8 +162,8 @@ class TestPrefixLabels:
             func_cmp("count", "//Item", ">", 1),
         ]
         for predicate in cases:
-            assert evaluate_on_binary(predicate, binary) == bool(
-                predicate.evaluate(document.root)
+            assert predicate.evaluate(binary.root) == predicate.evaluate(
+                document.root
             ), str(predicate)
 
 
@@ -245,7 +244,7 @@ class TestPersistence:
             ExecOptions(use_indexes=False),
         )
         assert "5" in result.result_text
-        assert result.binary_decodes > 0
+        assert result.documents_scanned == 2
 
     def test_pool_file_written(self, tmp_path):
         self._store_two(tmp_path)

@@ -90,29 +90,34 @@ class TestEngineThreadSafety:
     QUERIES_PER_THREAD = 25
     DOCS = 12
 
-    def _engine(self, cache: bool) -> XMLEngine:
-        engine = XMLEngine(
-            "stress", cache_parsed=cache, cache_size=8, use_indexes=False
-        )
+    def _engine(self) -> XMLEngine:
+        engine = XMLEngine("stress", use_indexes=False)
         for i in range(self.DOCS):
             engine.store_document(
                 "c", f"<Item><Code>I{i}</Code></Item>", name=f"{i}.xml"
             )
         return engine
 
-    def _hammer(self, engine: XMLEngine) -> list:
+    def _hammer(self, engine: XMLEngine, text=None) -> list:
+        """``text(thread, round)`` picks each query (default: one path)."""
         errors = []
 
-        def worker():
+        def worker(thread: int):
             try:
-                for _ in range(self.QUERIES_PER_THREAD):
-                    result = engine.execute('collection("c")/Item/Code')
+                for round_ in range(self.QUERIES_PER_THREAD):
+                    query = (
+                        text(thread, round_)
+                        if text is not None
+                        else 'collection("c")/Item/Code'
+                    )
+                    result = engine.execute(query)
                     assert result.documents_scanned == self.DOCS
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
         threads = [
-            threading.Thread(target=worker) for _ in range(self.THREADS)
+            threading.Thread(target=worker, args=(index,))
+            for index in range(self.THREADS)
         ]
         for thread in threads:
             thread.start()
@@ -121,34 +126,48 @@ class TestEngineThreadSafety:
         return errors
 
     def test_no_lost_stat_updates_without_cache(self):
-        engine = self._engine(cache=False)
+        engine = self._engine()
         assert self._hammer(engine) == []
         total = self.THREADS * self.QUERIES_PER_THREAD
         assert engine.stats.queries_executed == total
-        assert engine.stats.documents_parsed == total * self.DOCS
         assert engine.stats.documents_scanned == total * self.DOCS
+        # A path query evaluates on the node tables: no tree is built.
+        assert engine.stats.documents_parsed == 0
         assert engine.stats.cache_hits == 0
 
     def test_no_lost_stat_updates_with_lru_cache(self):
-        engine = self._engine(cache=True)
-        assert self._hammer(engine) == []
+        """Distinct constructor texts from every thread: the engine's
+        one LRU (compiled queries) churns under contention while each
+        query decodes one embedded subtree per document."""
+        from repro.engine.database import COMPILE_CACHE_CAPACITY
+
+        def text(thread: int, round_: int) -> str:
+            return (
+                'for $i in collection("c")/Item'
+                f" return element r{thread}n{round_ * 7 % 40} {{ $i/Code }}"
+            )
+
+        engine = self._engine()
+        assert self._hammer(engine, text) == []
         total = self.THREADS * self.QUERIES_PER_THREAD
         assert engine.stats.queries_executed == total
         assert engine.stats.documents_scanned == total * self.DOCS
-        # Every document access either re-parsed or hit the cache: the two
-        # counters partition the accesses exactly (no lost updates).
-        assert (
-            engine.stats.documents_parsed + engine.stats.cache_hits
-            == total * self.DOCS
-        )
+        # The decode counters lose no update: one copied subtree per
+        # document per query, each a tree built from storage.
+        assert engine.stats.documents_parsed == total * self.DOCS
+        assert engine.stats.binary_decodes == total * self.DOCS
         # LRU integrity: never over capacity, keys all valid.
-        assert len(engine._cache) <= 8
-        valid = {("c", f"{i}.xml") for i in range(self.DOCS)}
-        assert set(engine._cache) <= valid
+        assert len(engine._compiled) <= COMPILE_CACHE_CAPACITY
+        valid = {
+            text(thread, round_)
+            for thread in range(self.THREADS)
+            for round_ in range(self.QUERIES_PER_THREAD)
+        }
+        assert set(engine._compiled) <= valid
 
     def test_one_site_hammered_through_partix_threads_mode(self):
         """≥8 concurrent lanes all funnel into a single engine."""
-        engine = self._engine(cache=True)
+        engine = self._engine()
         site = Site("solo", driver=None)
         site.driver.engine = engine  # type: ignore[attr-defined]
         cluster = Cluster([site])
@@ -171,10 +190,7 @@ class TestEngineThreadSafety:
         )
         assert len(result.round.executions) == 8
         assert engine.stats.queries_executed == 8
-        assert (
-            engine.stats.documents_parsed + engine.stats.cache_hits
-            == 8 * self.DOCS
-        )
+        assert engine.stats.documents_scanned == 8 * self.DOCS
 
 
 class TestRangeIndexConcurrentFirstLookup:

@@ -15,6 +15,7 @@ from repro.engine import (
     serialize_sequence,
     tokenize_text,
 )
+from repro.engine.stats import MODELED_SECONDS_PER_BYTE
 from repro.errors import (
     CollectionNotFoundError,
     DocumentNotFoundError,
@@ -267,14 +268,14 @@ class TestExecution:
             ' where contains($i/Description, "good") return $i)'
         )
         assert result.result_text == "4"
-        assert result.documents_parsed == 4
+        assert result.documents_scanned == 4
         assert result.documents_pruned == 6
 
     def test_stats_accumulate(self, engine):
         engine.execute('collection("items")/Item')
         engine.execute('collection("items")/Item')
         assert engine.stats.queries_executed == 2
-        assert engine.stats.documents_parsed == 20
+        assert engine.stats.documents_scanned == 20
 
     def test_default_collection(self, engine):
         result = engine.execute(
@@ -294,16 +295,36 @@ class TestExecution:
             engine.execute('collection("nope")/Item')
 
     def test_parse_cache_off_by_default(self, engine):
-        engine.execute('collection("items")/Item')
-        engine.execute('collection("items")/Item')
-        assert engine.stats.documents_parsed == 20
+        """Nothing is kept between queries: a repeat hands the evaluator
+        every document again — and neither run builds a tree."""
+        for _ in range(2):
+            result = engine.execute('collection("items")/Item')
+            assert result.documents_scanned == 10
+            assert result.documents_parsed == 0
+            assert result.cache_hits == 0
 
-    def test_parse_cache_on(self):
-        eng = XMLEngine("cached", cache_parsed=True)
-        eng.store_document("c", "<a>x</a>", name="d.xml")
-        eng.execute('collection("c")/a')
-        eng.execute('collection("c")/a')
-        assert eng.stats.documents_parsed == 1
+    def test_only_constructor_copies_build_trees(self, engine):
+        """``documents_parsed``/``bytes_parsed``/``binary_decodes`` count
+        the stored subtrees an element constructor embeds — one tree per
+        copy, ``bytes_parsed`` the node-table rows it decoded."""
+        scalar = engine.execute('count(collection("items")/Item/Code)')
+        assert (scalar.documents_parsed, scalar.bytes_parsed) == (0, 0)
+        whole = engine.execute(
+            'for $i in collection("items")/Item return element r { $i }'
+        )
+        assert whole.documents_parsed == whole.binary_decodes == 10
+        collection = engine.store.collection("items")
+        tables = [collection.get(name).binary for name in collection.names()]
+        assert whole.bytes_parsed == sum(
+            len(table.to_bytes()) - 8 for table in tables  # less the header
+        )
+        part = engine.execute(
+            'for $i in collection("items")/Item return element r { $i/Code }'
+        )
+        assert part.documents_parsed == 10
+        assert 0 < part.bytes_parsed < whole.bytes_parsed
+        nested = engine.execute("element a { element b { 1 } }")  # a copied DOM node
+        assert nested.documents_parsed == 0
 
     def test_result_bytes_measures_serialized_output(self, engine):
         result = engine.execute(
@@ -323,11 +344,15 @@ class TestExecution:
         assert engine.collection_bytes("items") > 0
 
     def test_drop_collection_clears_cache(self):
-        eng = XMLEngine("cached", cache_parsed=True)
-        eng.store_document("c", "<a/>", name="d.xml")
-        eng.execute('collection("c")/a')
+        """Nothing a query left behind (the compiled text) outlives the
+        data: a re-created collection answers from its own documents."""
+        eng = XMLEngine("dropped")
+        eng.store_document("c", "<a>old</a>", name="d.xml")
+        assert eng.execute('collection("c")/a').result_text == "<a>old</a>"
         eng.drop_collection("c")
         assert not eng.has_collection("c")
+        eng.store_document("c", "<a>new</a>", name="d.xml")
+        assert eng.execute('collection("c")/a').result_text == "<a>new</a>"
 
 
 class TestExecutionRecords:
@@ -390,40 +415,30 @@ class TestExecutionRecords:
         ) == ExecOptions(use_indexes=True)
 
 
-class TestCacheHitAccounting:
-    """Regression: cache hits must still pay per-document accounting."""
+class TestOverheadAccounting:
+    """The modeled access cost — the per-document constant plus the
+    per-byte term — is charged for every document handed to the
+    evaluator, on every run — nothing is cached across queries."""
 
-    def _engine(self) -> XMLEngine:
-        eng = XMLEngine(
-            "hit", cache_parsed=True, per_document_overhead=0.01,
-            use_indexes=False,
-        )
+    def test_overhead_charged_per_document_handed_over(self):
+        eng = XMLEngine("hit", per_document_overhead=0.01, use_indexes=False)
         for i in range(5):
             eng.store_document("c", f"<a>{i}</a>", name=f"d{i}.xml")
-        return eng
-
-    def test_cache_hits_counted_and_overhead_charged(self):
-        eng = self._engine()
-        cold = eng.execute('collection("c")/a')
-        warm = eng.execute('collection("c")/a')
-        assert cold.cache_hits == 0
-        assert cold.documents_parsed == 5
-        assert warm.cache_hits == 5
-        assert warm.documents_parsed == 0
-        # The simulated per-document access cost applies on hits too:
-        # a resident tree still costs catalog/locking/buffer work.
-        assert warm.simulated_overhead_seconds == pytest.approx(0.05)
-        assert warm.elapsed_seconds >= 0.05
-        assert eng.stats.cache_hits == 5
-        assert eng.stats.simulated_overhead_seconds == pytest.approx(0.10)
-
-    def test_direct_load_parsed_hit_updates_shared_stats(self):
-        eng = self._engine()
-        eng.load_parsed("c", "d0.xml")
-        eng.load_parsed("c", "d0.xml")
-        assert eng.stats.documents_parsed == 1
-        assert eng.stats.cache_hits == 1
-        assert eng.stats.simulated_overhead_seconds == pytest.approx(0.02)
+        one_document = 0.01 + len("<a>0</a>") * MODELED_SECONDS_PER_BYTE
+        for _ in range(2):
+            result = eng.execute('collection("c")/a')
+            assert result.documents_scanned == 5
+            assert result.documents_parsed == 0
+            assert result.simulated_overhead_seconds == pytest.approx(
+                5 * one_document
+            )
+            assert result.elapsed_seconds >= 0.05
+        single = eng.execute('doc("d0.xml")/a')
+        assert single.simulated_overhead_seconds == pytest.approx(one_document)
+        assert eng.stats.cache_hits == 0
+        assert eng.stats.simulated_overhead_seconds == pytest.approx(
+            11 * one_document
+        )
 
 
 class TestMissingCollectionContract:
@@ -459,12 +474,17 @@ class TestSimulatedOverhead:
         started = time.perf_counter()
         result = engine.execute('count(collection("c")/a)')
         wall = time.perf_counter() - started
-        assert result.simulated_overhead_seconds == pytest.approx(0.5)
+        assert result.simulated_overhead_seconds == pytest.approx(
+            10 * 0.05
+            + engine.collection_bytes("c") * MODELED_SECONDS_PER_BYTE
+        )
         assert result.elapsed_seconds >= 0.5
         assert wall < 0.25  # the overhead was simulated, not slept
         assert result.measured_seconds < 0.25
 
     def test_overhead_defaults_to_zero(self):
+        """No modeled clock: neither the per-document nor the per-byte
+        term is charged."""
         engine = XMLEngine("oh0")
         engine.store_document("c", "<a/>", name="d.xml")
         result = engine.execute('collection("c")/a')
@@ -475,7 +495,9 @@ class TestSimulatedOverhead:
         engine.store_document("c", "<a/>", name="d.xml")
         engine.execute('collection("c")/a')
         engine.execute('collection("c")/a')
-        assert engine.stats.simulated_overhead_seconds == pytest.approx(0.02)
+        assert engine.stats.simulated_overhead_seconds == pytest.approx(
+            2 * (0.01 + len("<a/>") * MODELED_SECONDS_PER_BYTE)
+        )
 
 
 class TestRangeIndex:
@@ -528,8 +550,8 @@ class TestRangeIndex:
             'for $i in collection("c")/Item'
             ' where $i/Release >= "2004-01-01" return $i/Code/text()'
         )
-        # Only matching docs are parsed (range-pruned).
-        assert result.documents_parsed == result.result_text.count("I")
+        # Only matching docs reach the evaluator (range-pruned).
+        assert result.documents_scanned == result.result_text.count("I")
         assert result.documents_pruned > 0
 
     def test_range_lookup_soundness_against_evaluation(self):
@@ -545,7 +567,7 @@ class TestRangeIndex:
                 hits = collection.ranges.lookup("v", op, probe)
                 predicate = cmp("/r/v", op, probe)
                 for i, value in enumerate(values):
-                    document = engine.load_parsed("c", f"{i}.xml")
+                    document = collection.get(f"{i}.xml").binary
                     if predicate.evaluate(document):
                         assert f"{i}.xml" in hits, (op, probe, value)
 
@@ -601,7 +623,7 @@ class TestPathIndex:
             'for $i in collection("c")/Store/Items/Item'
             " where $i/PictureList return $i"
         )
-        assert result.documents_parsed == 1
+        assert result.documents_scanned == 1
 
     def test_structural_exists_distinguishes_context(self):
         # The same label under different parents: the label index cannot

@@ -304,7 +304,7 @@ class TestReplaceReplaces:
     def test_republish_does_not_serve_a_cached_previous_tree(self):
         from repro.engine import XMLEngine
 
-        engine = XMLEngine("cached", cache_parsed=True)
+        engine = XMLEngine("republished")
         engine.store_document("c", "<a>1</a>", name="d.xml")
         assert engine.execute('collection("c")/a').result_text == "<a>1</a>"
         engine.store_document("c", "<a>2</a>", name="d.xml")

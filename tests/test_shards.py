@@ -17,6 +17,7 @@ from repro.engine.shards import (
     partition_candidates,
     shard_script,
 )
+from repro.engine.stats import MODELED_SECONDS_PER_BYTE
 from repro.partix import (
     FragmentationSchema,
     HorizontalFragment,
@@ -27,9 +28,10 @@ from repro.paths import eq, ne
 from repro.plan.cost import CostModel, MIN_SHARD_DOCUMENTS
 from repro.xquery.parser import parse_query
 
-#: 2^-9 — exactly representable, so repeated float sums of the simulated
-#: per-document overhead are order-independent and the exact-sum
-#: assertions below can use ==, not approx.
+#: The modeled clock's per-document constant in these tests. Its per-byte
+#: term makes the summed charge a float whose last bits depend on the
+#: order of the additions, so ``simulated_overhead_seconds`` is compared
+#: to 1e-12, every integer counter exactly.
 OVERHEAD = 1.0 / 512.0
 
 
@@ -146,7 +148,8 @@ class TestEngineByteIdentity:
                 'collection("c")/Item/Code',
                 ExecOptions(default_collection="c", parallel_degree=4),
             )
-            assert result.binary_decodes == 16  # the serial path ran
+            assert result.documents_scanned == 16
+            assert engine._shard_pool is None  # the serial path ran
         finally:
             engine.close()
 
@@ -162,8 +165,15 @@ class TestShardStatsExactSum:
         "cache_hits",
         "documents_scanned",
         "documents_pruned",
-        "simulated_overhead_seconds",
     ]
+
+    @classmethod
+    def assert_same_charges(cls, left, right, extra=()):
+        for field in [*cls.EXACT_FIELDS, *extra]:
+            assert getattr(left, field) == getattr(right, field), field
+        assert left.simulated_overhead_seconds == pytest.approx(
+            right.simulated_overhead_seconds, rel=1e-12
+        )
 
     @pytest.mark.parametrize(
         "query",
@@ -173,6 +183,8 @@ class TestShardStatsExactSum:
             'collection("c")/Item[Section = "VHS"]/Code',  # empty result
             'count(collection("c")/Item)',
             'sum(collection("c")/Item/Price)',
+            # the one shape that builds trees: a constructor's copies
+            'for $i in collection("c")/Item return element r { $i/Code }',
         ],
     )
     def test_sharded_equals_serial(self, query):
@@ -190,8 +202,7 @@ class TestShardStatsExactSum:
                 ExecOptions(default_collection="c", parallel_degree=4),
             )
             assert sharded.result_text == serial.result_text
-            for field in self.EXACT_FIELDS:
-                assert getattr(sharded, field) == getattr(serial, field), field
+            self.assert_same_charges(sharded, serial)
             # execute() is the drained execute_iter() stream: the pieces
             # join to the same text and every counter agrees, sharded
             # or not.
@@ -203,10 +214,9 @@ class TestShardStatsExactSum:
                 assert stream.result is None
                 assert "\n".join(stream) == monolithic.result_text
                 assert stream.result.result_text == ""
-                for field in self.EXACT_FIELDS + ["result_bytes"]:
-                    assert getattr(stream.result, field) == getattr(
-                        monolithic, field
-                    ), field
+                self.assert_same_charges(
+                    stream.result, monolithic, extra=["result_bytes"]
+                )
         finally:
             serial_engine.close()
             sharded_engine.close()
@@ -253,8 +263,11 @@ class TestShardStatsExactSum:
                 'collection("c")/Item/Code',
                 ExecOptions(default_collection="c", parallel_degree=2),
             )
-            # 16 documents: the counter charges all 16 seconds...
-            assert sharded.simulated_overhead_seconds == 16.0
+            # 16 documents: the counter charges all 16 seconds (and
+            # every stored byte once)...
+            assert sharded.simulated_overhead_seconds == pytest.approx(
+                16.0 + engine.collection_bytes("c") * MODELED_SECONDS_PER_BYTE
+            )
             # ...but the two 8-document shards overlapped, so elapsed
             # includes one shard's 8 seconds (plus real wall time).
             assert 8.0 <= sharded.elapsed_seconds < 12.0
@@ -279,38 +292,40 @@ class TestForkInheritance:
         assert engine._fork_token is None
         assert all(token != key for key in _FORK_INHERITED) or token is None
 
-    def test_worker_cache_mirrors_cache_parsed(self):
-        engine = make_engine(shard_workers=2, cache_parsed=True)
-        try:
-            query = 'collection("c")/Item/Code'
-            first = engine.execute(
-                query,
-                ExecOptions(default_collection="c", parallel_degree=2),
-            )
-            second = engine.execute(
-                query,
-                ExecOptions(default_collection="c", parallel_degree=2),
-            )
-            # Every access is either a worker-cache hit or a decode —
-            # never both, never neither.
-            assert first.cache_hits + first.binary_decodes == 16
-            assert second.cache_hits + second.binary_decodes == 16
-            assert second.documents_parsed == second.binary_decodes
-        finally:
-            engine.close()
+    def test_forced_degree_two_builds_no_tree_in_any_shard(self, monkeypatch):
+        """A worker receives a slice and returns text: every shard
+        evaluates on its node tables, and the per-shard charges still
+        sum exactly to the in-process run's."""
+        import repro.engine.database as database
 
-    def test_cache_off_redecodes_every_query(self):
-        engine = make_engine(shard_workers=2, cache_parsed=False)
+        shard_results = []
+        fold = database.fold_shard_results
+
+        def capturing_fold(script, results):
+            shard_results.extend(results)
+            return fold(script, results)
+
+        monkeypatch.setattr(database, "fold_shard_results", capturing_fold)
+        query = 'for $i in collection("c")/Item where $i/Price > 3 return $i'
+        serial_engine = make_engine(per_document_overhead=OVERHEAD)
+        engine = make_engine(shard_workers=2, per_document_overhead=OVERHEAD)
         try:
-            query = 'collection("c")/Item/Code'
-            for _ in range(2):
-                result = engine.execute(
-                    query,
-                    ExecOptions(default_collection="c", parallel_degree=2),
-                )
-                assert result.binary_decodes == 16
-                assert result.cache_hits == 0
+            serial = serial_engine.execute(query)
+            sharded = engine.execute(query, ExecOptions(parallel_degree=2))
+            assert sharded.result_text == serial.result_text
+            assert len(shard_results) == 2
+            for shard in shard_results:
+                assert shard.stats["documents_parsed"] == 0
+                assert shard.stats["binary_decodes"] == 0
+                assert shard.stats["bytes_parsed"] == 0
+                assert shard.stats["parse_seconds"] == 0.0
+            TestShardStatsExactSum.assert_same_charges(sharded, serial)
+            assert sum(
+                shard.stats["simulated_overhead_seconds"]
+                for shard in shard_results
+            ) == pytest.approx(serial.simulated_overhead_seconds)
         finally:
+            serial_engine.close()
             engine.close()
 
 
