@@ -14,7 +14,7 @@
 import pytest
 
 from repro.bench import build_store_scenario
-from repro.engine import ExecOptions, XMLEngine, serialize_sequence
+from repro.engine import XMLEngine, serialize_sequence
 from repro.partix import FragMode
 from repro.workloads import build_items_collection, items_queries
 from repro.xmltext import serialize
@@ -425,86 +425,3 @@ class TestAdvisorDesign:
             "advisor design should be in the same league as the manual one"
         )
 
-
-class TestShardPipelineGuards:
-    """Guards for intra-site sharded evaluation (the shard pipeline).
-
-    The degree chooser prices serial vs sharded scans from fragment
-    statistics plus a per-shard startup cost; these guards pin both
-    sides of that bargain: a large fragment must actually get cheaper
-    when sharded, and a tiny fragment must never pay pool startup.
-    """
-
-    def _engine(self, shard_workers: int) -> XMLEngine:
-        from repro.bench.scenarios import PAPER_DOC_OVERHEAD
-
-        engine = XMLEngine(
-            "shard-guard",
-            shard_workers=shard_workers,
-            per_document_overhead=PAPER_DOC_OVERHEAD,
-            use_indexes=False,
-        )
-        for document in build_items_collection(96, kind="small", seed=33):
-            engine.store_document(
-                "Citems", serialize(document), name=document.name
-            )
-        return engine
-
-    def test_sharded_scan_beats_serial_on_large_fragment(self):
-        """One 96-document fragment, measured on the suite's standard
-        elapsed time (wall plus the paper's per-document access
-        overhead, which sharded evaluation accrues concurrently)."""
-        engine = self._engine(shard_workers=4)
-        query = 'collection("Citems")/Item/Code'
-        try:
-            serial_text = engine.execute(query).result_text
-            sharded_text = engine.execute(
-                query,
-                ExecOptions(parallel_degree=4),
-            ).result_text
-            assert sharded_text == serial_text
-
-            def best_of(degree):
-                best = float("inf")
-                for _ in range(5):
-                    result = engine.execute(
-                        query,
-                        ExecOptions(parallel_degree=degree),
-                    )
-                    best = min(best, result.elapsed_seconds)
-                return best
-
-            serial_seconds = best_of(None)
-            sharded_seconds = best_of(4)
-            print(
-                f"\n96-document fragment best-of-5:"
-                f" serial {serial_seconds * 1000:.1f}ms vs"
-                f" degree-4 {sharded_seconds * 1000:.1f}ms"
-                f" ({serial_seconds / sharded_seconds:.1f}x)"
-            )
-            assert sharded_seconds < serial_seconds, (
-                "sharded scan regressed behind the serial scan"
-            )
-        finally:
-            engine.close()
-
-    def test_tiny_fragments_never_pay_pool_startup(self):
-        """Lowering keeps small fragments serial: at the default
-        statistics (8 documents) no worker count amortizes the
-        per-shard startup cost, so no pool is ever touched."""
-        from repro.plan.cost import CostModel, MIN_SHARD_DOCUMENTS
-
-        for workers in (2, 4, 8, 16):
-            model = CostModel(shard_workers=workers)
-            assert model.shard_degree("Citems", "F", "s0") == 1
-
-        class TinyCatalog:
-            class _Stats:
-                documents = MIN_SHARD_DOCUMENTS
-                bytes = 2048
-
-            def statistics(self, collection, fragment, site):
-                return self._Stats()
-
-        model = CostModel(TinyCatalog(), shard_workers=8)
-        assert model.shard_degree("Citems", "F", "s0") == 1

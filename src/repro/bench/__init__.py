@@ -2,9 +2,9 @@
 
 Wall-clock measurement lives in ``benchmarks/e2e`` (see ``BENCHMARK.json``);
 this package holds the Figure-7 / headline scenarios on the paper's cost
-model and the plan goldens. The ``parallel`` and ``rebalance`` figures of
-``python -m repro.bench`` stay only until ``benchmarks/e2e`` gains a
-shard-parallel scan workload and a mid-run migration workload.
+model and the plan goldens. The ``rebalance`` figure of
+``python -m repro.bench`` stays only until ``benchmarks/e2e`` gains a
+mid-run migration workload.
 """
 
 from repro.bench.plans import render_scenario_plans, run_plans

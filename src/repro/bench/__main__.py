@@ -17,11 +17,10 @@ against the golden files; with ``--update-golden`` it rewrites them
 instead.
 
 Wall-clock measurement is not done here: ``benchmarks/e2e/run.py`` is the
-repo's one wall-clock harness. Two figures outside the modeled world
-remain, ``parallel`` (shard-degree sweep) and ``rebalance`` (advised
-migration under traffic), and they stay **only** until a benchmark-only
-change ports a shard-parallel scan and a mid-run migration into
-``benchmarks/e2e`` as workloads.
+repo's one wall-clock harness. One figure outside the modeled world
+remains, ``rebalance`` (advised migration under traffic), and it stays
+**only** until a benchmark-only change ports a mid-run migration into
+``benchmarks/e2e`` as a workload.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ import sys
 from repro.bench.plans import run_plans
 from repro.bench.rebalance import run_rebalance
 from repro.bench.reporting import (
-    format_kv_table,
     format_scenario_table,
     format_speedup_series,
 )
@@ -90,133 +88,12 @@ def run_headline(scale: float, repetitions: int, transmission: bool) -> None:
     print(f"\nbest Q8 speedup: {best:.1f}x (paper reports up to 72x)")
 
 
-#: Degrees compared by the ``parallel`` figure; 1 is the serial baseline.
-PARALLEL_DEGREES = (1, 2, 4)
-
-#: Worker pool size given to every site in the ``parallel`` figure.
-PARALLEL_SHARD_WORKERS = 4
-
-#: The ``parallel`` figure multiplies the requested ``--scale`` so the
-#: large documents grow past the point where per-shard pool startup
-#: amortizes. At the bench default (1/100) the documents are so small
-#: that the degree chooser would rightly keep every lane serial — and
-#: then there is nothing to measure.
-PARALLEL_SCALE_BOOST = 26
-
-
-def run_parallel(scale: float, repetitions: int, transmission: bool) -> dict:
-    """Serial vs sharded intra-site evaluation on the large-document split.
-
-    Every ItemsLHor query runs with the per-lane shard degree forced to
-    each of :data:`PARALLEL_DEGREES` against the same repository, in
-    threads mode (real worker pools evaluating candidate slices in
-    separate processes). Answers must be byte-identical at every degree.
-    Timing uses the suite's standard measure — ``parallel_seconds``, the
-    slowest lane's elapsed time on the paper's cost model, where a
-    sharded lane's per-document access overhead accrues concurrently
-    across its shards — with the real measured wall seconds reported
-    alongside. The JSON summary records both per degree plus the modeled
-    speedup of the highest degree over forced-serial; the CI
-    ``parallel-smoke`` job asserts the large-document scenario actually
-    gets faster.
-    """
-    scenario = build_items_scenario(
-        "large",
-        paper_mb=10,
-        fragment_count=2,
-        scale=scale * PARALLEL_SCALE_BOOST,
-        shard_workers=PARALLEL_SHARD_WORKERS,
-    )
-    partix = scenario.partix
-    rounds = max(1, repetitions)
-    modeled = {degree: 0.0 for degree in PARALLEL_DEGREES}
-    wall = {degree: 0.0 for degree in PARALLEL_DEGREES}
-    queries = []
-    byte_identical = True
-    for query in scenario.queries:
-        texts = {}
-        per_degree = {}
-        for degree in PARALLEL_DEGREES:
-            runs = [
-                partix.execute(
-                    query.text,
-                    collection=scenario.collection_name,
-                    execution_mode="threads",
-                    shard_degree=degree,
-                )
-                for _ in range(rounds + 1)
-            ][1:]  # first round is warm-up
-            texts[degree] = runs[-1].result_text
-            best_modeled = min(run.parallel_seconds for run in runs)
-            best_wall = min(
-                run.round.measured_wall_seconds for run in runs
-            )
-            per_degree[degree] = (best_modeled, best_wall)
-            modeled[degree] += best_modeled
-            wall[degree] += best_wall
-        identical = len(set(texts.values())) == 1
-        byte_identical = byte_identical and identical
-        queries.append(
-            {
-                "qid": query.qid,
-                "byte_identical": identical,
-                "parallel_seconds": {
-                    str(degree): per_degree[degree][0]
-                    for degree in PARALLEL_DEGREES
-                },
-                "measured_wall_seconds": {
-                    str(degree): per_degree[degree][1]
-                    for degree in PARALLEL_DEGREES
-                },
-            }
-        )
-    partix.close()  # the rounds are over: end their lane threads
-
-    top = PARALLEL_DEGREES[-1]
-    speedup = modeled[1] / modeled[top] if modeled[top] > 0 else 0.0
-    rows: list[tuple[str, object]] = [
-        (
-            f"degree {degree}",
-            f"{modeled[degree]:.3f} s modeled"
-            f" / {wall[degree]:.3f} s wall",
-        )
-        for degree in PARALLEL_DEGREES
-    ]
-    rows.append((f"speedup at degree {top}", f"{speedup:.2f}x"))
-    rows.append(("answers byte-identical", byte_identical))
-    print(
-        format_kv_table(
-            f"{scenario.name} — intra-site sharding"
-            f" ({PARALLEL_SHARD_WORKERS} workers/site, threads mode)",
-            rows,
-        )
-    )
-    return {
-        "figure": "parallel",
-        "scenario": scenario.name,
-        "mode": "threads",
-        "shard_workers": PARALLEL_SHARD_WORKERS,
-        "degrees": list(PARALLEL_DEGREES),
-        "repetitions": rounds,
-        "byte_identical": byte_identical,
-        "parallel_seconds": {
-            str(degree): modeled[degree] for degree in PARALLEL_DEGREES
-        },
-        "measured_wall_seconds": {
-            str(degree): wall[degree] for degree in PARALLEL_DEGREES
-        },
-        "speedup": speedup,
-        "queries": queries,
-    }
-
-
 FIGURES = {
     "7a": run_figure_7a,
     "7b": run_figure_7b,
     "7c": run_figure_7c,
     "7d": run_figure_7d,
     "headline": run_headline,
-    "parallel": run_parallel,
     "rebalance": run_rebalance,
     # "plans" is dispatched specially in main(): it takes the golden-file
     # flags instead of repetitions/transmission.

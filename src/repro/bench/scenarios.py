@@ -192,14 +192,11 @@ def build_items_scenario(
     network: Optional[NetworkModel] = None,
     use_indexes: bool = False,
     per_document_overhead: float = PAPER_DOC_OVERHEAD,
-    shard_workers: int = 0,
 ) -> Scenario:
     """ItemsSHor (kind='small') / ItemsLHor (kind='large'), Fig. 7a/7b.
 
     ``use_indexes`` defaults to off for paper fidelity (see
     ``Cluster.with_sites``); the ablation benchmark flips it on.
-    ``shard_workers`` sizes every site's intra-site worker pool (the
-    ``parallel`` figure runs ItemsLHor sharded).
     """
     point = scaling.scaled_point(paper_mb, scale)
     count = scaling.items_count_for(point.target_bytes, kind)
@@ -208,7 +205,6 @@ def build_items_scenario(
         fragment_count,
         use_indexes=use_indexes,
         per_document_overhead=per_document_overhead,
-        shard_workers=shard_workers,
     )
     partix = Partix(cluster, network=network)
     fragmentation = items_horizontal_fragmentation(fragment_count)

@@ -91,7 +91,6 @@ def exec_options(
     return ExecOptions(
         default_collection=default_collection,
         use_indexes=subquery.use_indexes,
-        parallel_degree=subquery.parallel_degree,
     )
 
 

@@ -86,8 +86,7 @@ class Cluster:
         site — the paper-faithful benchmarks run with it off: eXist (2005)
         evaluated generic XQuery predicates by iterating every document of
         the queried collection. ``per_document_overhead`` is the simulated
-        per-document access cost; ``shard_workers`` sizes each site's
-        intra-site worker pool (0 = serial).
+        per-document access cost.
         """
         return cls(
             Site(f"{prefix}{index}", **engine_options)

@@ -62,12 +62,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--fragments", type=int, default=4, help="demo fragment count"
     )
-    parser.add_argument(
-        "--shard-workers",
-        type=int,
-        default=0,
-        help="per-site worker pool for intra-site sharded scans (0 = serial)",
-    )
     args = parser.parse_args(argv)
 
     from repro.bench.scenarios import build_items_scenario
@@ -78,7 +72,6 @@ def main(argv=None) -> int:
         paper_mb=1,
         fragment_count=args.fragments,
         scale=args.scale,
-        shard_workers=args.shard_workers,
     )
     coordinator = Coordinator(
         scenario.partix,

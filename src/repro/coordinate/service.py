@@ -251,7 +251,6 @@ class Coordinator:
         payload = {
             "site": self.site,
             "execution_mode": self.execution_mode,
-            "shard_workers": self.partix.shard_workers,
             "queries_served": self._queries_served,
             "query_errors": self._query_errors,
             "bytes_received": self._bytes_in,

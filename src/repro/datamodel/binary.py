@@ -3,21 +3,18 @@
 Serialized-text storage makes every access pay a full parse; this module
 is the alternative built once at publish time: a *preorder node table*
 whose tag/attribute names and data values are interned in a per-collection
-:class:`StringPool`, plus a *prefix label* per node in the style of Koong
-et al., so structural relationships resolve on label comparisons instead
-of pointer walks:
+:class:`StringPool`, stored in parallel arrays (kind, name id, value id,
+parent index, explicit ``node_id``). Preorder position doubles as a
+clustered node range — the descendants of node ``i`` occupy exactly the
+positions ``(i, i + subtree_size(i))`` — so structural relationships
+resolve on integer comparisons instead of pointer walks:
 
-* node ``a`` is an **ancestor** of ``b``  iff ``label(a)`` is a proper
-  prefix of ``label(b)``;
-* ``a`` is the **parent** of ``b``        iff ``label(a) == label(b)[:-1]``;
-* two nodes are **document-ordered** by comparing labels lexicographically.
+* node ``a`` is an **ancestor** of ``b``  iff ``a < b < a + size(a)``;
+* ``a`` is the **parent** of ``b``        iff ``parents[b] == a``;
+* two nodes are **document-ordered** by their positions.
 
-The table is stored in parallel arrays (kind, name id, value id, parent
-index, explicit ``node_id``); preorder position doubles as a clustered
-node range — the descendants of node ``i`` occupy exactly the positions
-``(i, i + subtree_size(i))`` — so an index hit on a node prunes to a
-contiguous slice of the table. Subtree sizes and prefix labels are
-derived from the parent array, so the persistent form stays minimal.
+Subtree sizes are derived from the parent array, so the persistent form
+stays minimal.
 
 Round-trip contract: ``BinaryXMLDocument.encode(doc).materialize()``
 reproduces ``doc`` exactly — structure, values, and ``node_id``s (the
@@ -131,9 +128,7 @@ class BinaryXMLDocument:
     * ``parents[i]``  — preorder position of the parent (-1 for the root);
     * ``node_ids[i]`` — the document's stable node id (fragments keep the
       source document's ids, so these are explicit, not positional);
-    * ``sizes[i]``    — subtree size including self (derived);
-    * ``labels[i]``   — the prefix label, a tuple of child ordinals from
-      the root (derived; root is ``()``).
+    * ``sizes[i]``    — subtree size including self (derived).
     """
 
     __slots__ = (
@@ -144,7 +139,6 @@ class BinaryXMLDocument:
         "parents",
         "node_ids",
         "sizes",
-        "labels",
     )
 
     def __init__(
@@ -162,7 +156,7 @@ class BinaryXMLDocument:
         self.values = values
         self.parents = parents
         self.node_ids = node_ids
-        self.sizes, self.labels = _derive(parents)
+        self.sizes = _subtree_sizes(parents)
 
     # ------------------------------------------------------------------
     # Construction
@@ -235,7 +229,7 @@ class BinaryXMLDocument:
         return NodeHandle(self, 0)
 
     # ------------------------------------------------------------------
-    # Structure (all label/range based — no DOM involved)
+    # Structure (all range based — no DOM involved)
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.kinds)
@@ -253,13 +247,9 @@ class BinaryXMLDocument:
         return range(index + 1, index + self.sizes[index])
 
     def is_ancestor(self, ancestor: int, descendant: int) -> bool:
-        """Proper-ancestor test.
-
-        A node's prefix label is a proper prefix of every descendant's
-        label — and because the table is preorder, those descendants are
-        exactly the contiguous positions right after it, so the test is
-        two integer comparisons instead of a tuple-prefix match.
-        """
+        """Proper-ancestor test: the table is preorder, so a node's
+        descendants are exactly the contiguous positions right after it
+        and the test is two integer comparisons."""
         return ancestor < descendant < ancestor + self.sizes[ancestor]
 
     def is_parent(self, parent: int, child: int) -> bool:
@@ -437,16 +427,10 @@ class NodeHandle(Node):
         return f"<handle {self.kind.value} {self.label!r} @{self.index}>"
 
 
-def _derive(parents: array) -> tuple[array, tuple[tuple[int, ...], ...]]:
-    """Subtree sizes and prefix labels from the parent array alone."""
+def _subtree_sizes(parents: array) -> array:
+    """Subtree sizes (self included) from the parent array alone."""
     count = len(parents)
     sizes = array("q", [1] * count)
     for i in range(count - 1, 0, -1):
         sizes[parents[i]] += sizes[i]
-    labels: list[tuple[int, ...]] = [()] * count
-    child_counts = [0] * count
-    for i in range(1, count):
-        parent = parents[i]
-        labels[i] = labels[parent] + (child_counts[parent],)
-        child_counts[parent] += 1
-    return sizes, tuple(labels)
+    return sizes

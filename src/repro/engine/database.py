@@ -29,11 +29,9 @@ query is:
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from typing import Iterable, Optional, Union
 
@@ -41,18 +39,6 @@ from repro.datamodel.binary import NodeHandle
 from repro.datamodel.document import XMLDocument
 from repro.datamodel.tree import Node
 from repro.engine.indexes import candidate_documents
-from repro.engine.shards import (
-    ShardDocument,
-    ShardScript,
-    ShardTask,
-    fold_shard_results,
-    forget_fork_snapshot,
-    new_fork_token,
-    partition_candidates,
-    register_fork_snapshot,
-    run_shard,
-    shard_script,
-)
 from repro.engine.stats import (
     EngineStats,
     ExecOptions,
@@ -105,15 +91,6 @@ class XMLEngine:
         handed over: the parse-on-access work of the paper's engine
         (``engine.stats.modeled_access_seconds``). The amount added is
         tracked separately in ``stats.simulated_overhead_seconds``.
-    shard_workers:
-        Size of the engine's shard worker pool (0 = intra-site
-        parallelism disabled). A query only runs sharded when its
-        ``ExecOptions.parallel_degree`` is ≥ 2 — the plan's decision, or
-        an explicit per-query override — *and* the query is provably
-        shardable (see :mod:`repro.engine.shards`); everything else
-        silently runs in-process, so answers are byte-identical at
-        every degree. The process pool is created lazily on the first
-        sharded execution.
     """
 
     def __init__(
@@ -122,14 +99,12 @@ class XMLEngine:
         storage_dir: Optional[str] = None,
         use_indexes: bool = True,
         per_document_overhead: float = 0.0,
-        shard_workers: int = 0,
     ):
         self.name = name
         self.store = DocumentStore(storage_dir=storage_dir)
         self.stats = EngineStats()
         self.use_indexes = use_indexes
         self.per_document_overhead = per_document_overhead
-        self.shard_workers = max(0, int(shard_workers))
         # Concurrency: queries may run on several threads against one
         # engine (the cluster dispatcher's "threads" mode). Shared stats
         # only change via single locked commits of per-query accumulators.
@@ -138,10 +113,6 @@ class XMLEngine:
             OrderedDict()
         )
         self._compiled_lock = threading.Lock()
-        self._shard_pool: Optional[ProcessPoolExecutor] = None
-        self._shard_pool_lock = threading.Lock()
-        self._fork_token: Optional[int] = None
-        self._fork_snapshot: Optional[dict] = None
 
     # ------------------------------------------------------------------
     # Data definition / manipulation
@@ -207,58 +178,6 @@ class XMLEngine:
             self.stats.absorb(delta)
 
     # ------------------------------------------------------------------
-    # Shard worker pool (intra-site parallelism)
-    # ------------------------------------------------------------------
-    def _shard_executor(self) -> ProcessPoolExecutor:
-        """The lazily created per-engine process pool (fork-preferring,
-        like the TCP site-server spawner: workers inherit the imported
-        modules instead of re-importing under spawn).
-
-        On fork platforms a snapshot of every stored binary table is
-        registered *before* the fork, so workers inherit the tables
-        copy-on-write — a task over already-stored documents ships only
-        their names. Under spawn there is nothing to inherit and every
-        task carries explicit table bytes.
-        """
-        with self._shard_pool_lock:
-            if self._shard_pool is None:
-                context = None
-                if "fork" in multiprocessing.get_all_start_methods():
-                    context = multiprocessing.get_context("fork")
-                if context is not None:
-                    snapshot = {}
-                    for collection_name in self.store.collection_names():
-                        collection = self.store.collection(collection_name)
-                        for doc_name in collection.names():
-                            snapshot[(collection_name, doc_name)] = (
-                                collection.get(doc_name).binary
-                            )
-                    self._fork_token = new_fork_token()
-                    self._fork_snapshot = snapshot
-                    register_fork_snapshot(self._fork_token, snapshot)
-                self._shard_pool = ProcessPoolExecutor(
-                    max_workers=max(1, self.shard_workers),
-                    mp_context=context,
-                )
-            return self._shard_pool
-
-    def close(self) -> None:
-        """Release the shard worker pool (idempotent)."""
-        with self._shard_pool_lock:
-            pool, self._shard_pool = self._shard_pool, None
-            forget_fork_snapshot(self._fork_token)
-            self._fork_token = None
-            self._fork_snapshot = None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def __del__(self):  # pragma: no cover - best-effort cleanup
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    # ------------------------------------------------------------------
     # Query execution
     # ------------------------------------------------------------------
     def _compile(
@@ -300,12 +219,9 @@ class XMLEngine:
         collection under the pruning predicate, in store order, with
         every pruning counter charged to ``stats``.
 
-        Runs once per ``collection()`` call whichever way the survivors
-        are then evaluated (in-process or partitioned into shards) — one
-        code path, one set of counters, so per-shard stats sum exactly
-        to an in-process run. ``options.use_indexes`` overrides the
-        engine's setting for this scan; with indexes off every document
-        is a candidate (the paper-faithful full scan).
+        Runs once per ``collection()`` call. ``options.use_indexes``
+        overrides the engine's setting for this scan; with indexes off
+        every document is a candidate (the paper-faithful full scan).
         """
         collection = self.store.collection(collection_name)
         use_indexes = options.use_indexes
@@ -342,122 +258,6 @@ class XMLEngine:
                 stats.label_pruned += 1
         return verified
 
-    def _shard_plan(
-        self,
-        query: Union[str, Expr],
-        expr: Expr,
-        analysis,
-        options: ExecOptions,
-    ) -> Optional[tuple[ShardScript, str]]:
-        """Decide whether this execution may run sharded.
-
-        Returns ``(script, collection_name)`` when every gate passes:
-        a degree ≥ 2 was requested, the engine has a worker pool
-        configured, the query arrived as text (the wire form — shards
-        re-parse it in the workers), the query is statically shardable,
-        and its one collection resolves here. Any other case returns
-        None and the evaluation stays in-process, keeping behaviour —
-        answers and errors — identical at every requested degree.
-        """
-        if options.parallel_degree is None or options.parallel_degree <= 1:
-            return None
-        if self.shard_workers <= 0 or not isinstance(query, str):
-            return None
-        if multiprocessing.current_process().daemon:
-            # A daemonic process (a spawned TCP site server) cannot have
-            # children, so no worker pool can exist here — decline and
-            # run in-process, the same answer either way.
-            return None
-        script = shard_script(expr)
-        if script is None:
-            return None
-        names = set(analysis.collections)
-        if len(names) != 1:
-            return None
-        collection_name = names.pop() or options.default_collection
-        if collection_name is None or not self.store.has_collection(
-            collection_name
-        ):
-            return None
-        return script, collection_name
-
-    def _evaluate_sharded(
-        self,
-        query: str,
-        script: ShardScript,
-        collection_name: str,
-        candidates: list[str],
-        degree: int,
-        delta: EngineStats,
-    ) -> tuple[list, str, float]:
-        """The pipeline's sharded **evaluate → fold** stages: partition
-        the pruned candidates, evaluate each shard in the worker pool on
-        its binary node tables, absorb the per-shard stats, and fold the
-        partials in shard order.
-
-        The third return value is the *parallel* simulated-overhead
-        share: shards accrue the modeled access cost of their documents
-        concurrently, so the query's elapsed time advances by the
-        slowest shard's overhead, while the ``simulated_overhead_seconds``
-        counter in ``delta`` still sums every shard's charge exactly (the
-        work done does not shrink because it ran in parallel)."""
-        # Create (or reuse) the pool first: the fork snapshot it
-        # registers decides which documents can ship as names only.
-        executor = self._shard_executor()
-        collection = self.store.collection(collection_name)
-        snapshot = self._fork_snapshot or {}
-        pool_bytes = None
-        tasks = []
-        for shard in partition_candidates(candidates, degree):
-            documents = []
-            for doc_name in shard:
-                stored = collection.get(doc_name)
-                # Identity, not equality: only the exact object the
-                # workers inherited at fork time may ship by name; a
-                # document re-stored since then ships its bytes.
-                inherited = (
-                    snapshot.get((collection_name, doc_name))
-                    is stored.binary
-                )
-                if not inherited and pool_bytes is None:
-                    pool_bytes = collection.pool.to_bytes()
-                documents.append(
-                    ShardDocument(
-                        name=stored.name,
-                        table=None if inherited else stored.binary.to_bytes(),
-                        size=stored.size,
-                    )
-                )
-            tasks.append(
-                ShardTask(
-                    query=query,
-                    script=script,
-                    pool=None,
-                    documents=documents,
-                    per_document_overhead=self.per_document_overhead,
-                    token=self._fork_token or 0,
-                    collection=collection_name,
-                )
-            )
-        if pool_bytes is not None:
-            for task in tasks:
-                task.pool = pool_bytes
-        eval_started = time.perf_counter()
-        futures = [executor.submit(run_shard, task) for task in tasks]
-        results = [future.result() for future in futures]
-        for result in results:
-            delta.absorb(EngineStats(**result.stats))
-        items, result_text = fold_shard_results(script, results)
-        delta.evaluation_seconds += time.perf_counter() - eval_started
-        parallel_overhead = max(
-            (
-                result.stats.get("simulated_overhead_seconds", 0.0)
-                for result in results
-            ),
-            default=0.0,
-        )
-        return items, result_text, parallel_overhead
-
     def execute_iter(
         self,
         query: Union[str, Expr],
@@ -466,18 +266,14 @@ class XMLEngine:
         """Execute a query as a stream of serialized pieces.
 
         The one site-local operator pipeline: parse and analyse
-        (:meth:`_compile`, once per text), decide sharding,
-        **scan/prune** (:meth:`scan_candidates`, once per
-        ``collection()`` call) → **evaluate** (in-process over the
-        candidates, or per shard in the worker pool) → **fold** (merge
-        shard partials in shard order; the in-process fold is the
-        identity) → **serialize**, handed out piece by piece through the
-        returned :class:`StreamedExecution` — a consumer (the streaming
-        site server) can put each piece on the wire while the next one
-        is still being serialized. An in-process run streams one piece
-        per result item; a sharded run folds into the final text, which
-        streams as a single piece. Either way the ``"\\n"``-join of the
-        pieces is exactly the serialized answer.
+        (:meth:`_compile`, once per text) → **scan/prune**
+        (:meth:`scan_candidates`, once per ``collection()`` call) →
+        **evaluate** over the candidates → **serialize**, handed out
+        piece by piece, one per result item, through the returned
+        :class:`StreamedExecution` — a consumer (the streaming site
+        server) can put each piece on the wire while the next one is
+        still being serialized. The ``"\\n"``-join of the pieces is
+        exactly the serialized answer.
         """
         options = options or ExecOptions()
         started = time.perf_counter()
@@ -488,41 +284,13 @@ class XMLEngine:
         delta = EngineStats()
         expr, analysis = self._compile(query)
         provider = _EngineProvider(self, options, analysis.predicate, delta)
-        pieces = None
-        sharded = self._shard_plan(query, expr, analysis, options)
-        if sharded is not None:
-            script, collection_name = sharded
-            candidates = self.scan_candidates(
-                collection_name, analysis.predicate, delta, options
-            )
-            degree = min(
-                options.parallel_degree, self.shard_workers, len(candidates)
-            )
-            if degree >= 2:
-                modeled_overhead = delta.simulated_overhead_seconds
-                items, result_text, parallel_overhead = self._evaluate_sharded(
-                    query, script, collection_name, candidates, degree, delta
-                )
-                modeled_overhead += parallel_overhead
-                pieces = [result_text] if result_text else []
-            else:
-                # Too few candidates to amortize a shard: evaluate
-                # in-process over the candidates already scanned (the
-                # gate guarantees the query's one collection() call asks
-                # for exactly them).
-                provider.scanned[collection_name] = candidates
-        if pieces is None:
-            eval_started = time.perf_counter()
-            items = Evaluator(delta.clone_node).evaluate(
-                expr, DynamicContext(provider=provider)
-            )
-            delta.evaluation_seconds += time.perf_counter() - eval_started
-            pieces = map(serialize_item, items)
-            modeled_overhead = delta.simulated_overhead_seconds
-        delta.queries_executed += 1
-        return StreamedExecution(
-            self, items, pieces, delta, started, modeled_overhead
+        eval_started = time.perf_counter()
+        items = Evaluator(delta.clone_node).evaluate(
+            expr, DynamicContext(provider=provider)
         )
+        delta.evaluation_seconds += time.perf_counter() - eval_started
+        delta.queries_executed += 1
+        return StreamedExecution(self, items, delta, started)
 
     def execute(
         self,
@@ -544,7 +312,6 @@ class XMLEngine:
         return {
             "use_indexes": self.use_indexes,
             "per_document_overhead": self.per_document_overhead,
-            "shard_workers": self.shard_workers,
         }
 
     # ------------------------------------------------------------------
@@ -603,10 +370,6 @@ class _EngineProvider:
         self._options = options
         self._predicate = predicate
         self._stats = stats
-        #: Candidates the pipeline scanned ahead of evaluation, by
-        #: collection; consumed by the ``collection()`` call they were
-        #: scanned for, so scan/prune never runs twice for one call.
-        self.scanned: dict[str, list[str]] = {}
 
     def _root(self, stored: StoredDocument) -> NodeHandle:
         """One stored document's root handle, charged its modeled access."""
@@ -623,11 +386,9 @@ class _EngineProvider:
             )
         if not self._engine.store.has_collection(collection_name):
             raise StorageError(f"no collection named {collection_name!r}")
-        candidates = self.scanned.pop(collection_name, None)
-        if candidates is None:
-            candidates = self._engine.scan_candidates(
-                collection_name, self._predicate, self._stats, self._options
-            )
+        candidates = self._engine.scan_candidates(
+            collection_name, self._predicate, self._stats, self._options
+        )
         collection = self._engine.store.collection(collection_name)
         return [self._root(collection.get(doc_name)) for doc_name in candidates]
 
@@ -644,43 +405,36 @@ class StreamedExecution:
     """One query's result as serialized pieces.
 
     Iterating yields the pieces — one per result item (XML for nodes,
-    the canonical atomic form otherwise) for an in-process run, the
-    folded text as a single piece for a sharded one. The monolithic
-    answer is exactly ``"\\n".join(pieces)`` — the contract both the
-    streaming wire path and the incremental composer rely on, and by
-    construction identical to :func:`serialize_sequence` over the same
-    items.
+    the canonical atomic form otherwise). The monolithic answer is
+    exactly ``"\\n".join(pieces)`` — the contract both the streaming
+    wire path and the incremental composer rely on, and by construction
+    identical to :func:`serialize_sequence` over the same items.
 
     ``result`` is ``None`` until iteration completes; draining the
     stream commits the query's stats and builds the
     :class:`QueryResult`, whose ``result_text`` stays empty (the text
     went to the consumer piece by piece) while ``result_bytes`` counts
     the streamed bytes, separators included. Elapsed time is the wall
-    clock up to the last piece plus ``modeled_overhead`` — the simulated
-    document access cost as the query experienced it: summed for an
-    in-process run, the slowest shard's for a sharded one.
+    clock up to the last piece plus the simulated document access cost
+    the query accumulated.
     """
 
     def __init__(
         self,
         engine: XMLEngine,
         items: list,
-        pieces: Iterable[str],
         delta: EngineStats,
         started: float,
-        modeled_overhead: float,
     ):
         self._engine = engine
-        self._pieces = pieces
         self._delta = delta
         self._started = started
-        self._modeled_overhead = modeled_overhead
         self.items = items
         self.result: Optional[QueryResult] = None
 
     def __iter__(self):
         streamed_bytes = 0
-        for index, piece in enumerate(self._pieces):
+        for index, piece in enumerate(map(serialize_item, self.items)):
             if index:
                 streamed_bytes += 1  # the "\n" separator before this piece
             # An ASCII piece is as many bytes as characters; only others
@@ -698,7 +452,7 @@ class StreamedExecution:
             self._delta,
             items=self.items,
             result_bytes=streamed_bytes,
-            elapsed_seconds=elapsed + self._modeled_overhead,
+            elapsed_seconds=elapsed + self._delta.simulated_overhead_seconds,
             cumulative=cumulative,
         )
 

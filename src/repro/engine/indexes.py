@@ -6,25 +6,18 @@ and path expressions evaluation"):
 
 * :class:`FullTextIndex` — inverted word index over all text content;
   answers ``contains`` predicates with a (sound) superset of documents.
-* :class:`ValueIndex` — maps ``(element label, value)`` to documents
-  *and* the prefix labels of the matching nodes.
+* :class:`ValueIndex` — maps ``(element label, value)`` to documents.
 * :class:`ElementIndex` — maps element/attribute labels to documents;
   answers existential path tests.
-* :class:`PathIndex` — root-to-node label paths, also with per-document
-  node prefix labels.
+* :class:`PathIndex` — maps root-to-node label paths to documents.
 * :class:`RangeIndex` — ordered values for ``<``/``>`` predicates.
 
 Indexes ingest :class:`~repro.datamodel.binary.BinaryXMLDocument` tables
-(one linear pass over the preorder arrays — no DOM). Document-level
-lookups return sound supersets, exactly as before. The value and path
-indexes additionally record each hit's *prefix label*, so a hit prunes
-to a node range: the label identifies the node's position and, through
-the table's subtree sizes, the contiguous preorder slice beneath it —
-the engine's post-index verification starts from those labels instead of
-re-scanning whole documents.
+(one linear pass over the preorder arrays — no DOM). Every lookup is
+document-level and returns a sound superset.
 
-:func:`candidate_documents` is the one consumer of the document-level
-lookups: given a query's extracted selection predicate it intersects
+:func:`candidate_documents` is the one consumer of the lookups: given
+a query's extracted selection predicate it intersects
 index probes into the documents that must actually be parsed.
 """
 
@@ -53,9 +46,6 @@ from repro.paths.predicates import (
 )
 
 _WORD_RE = re.compile(r"[A-Za-z0-9]+")
-
-#: A node's prefix label: child ordinals from the root (root = ``()``).
-PrefixLabel = tuple[int, ...]
 
 
 def tokenize_text(text: str) -> set[str]:
@@ -117,36 +107,31 @@ class FullTextIndex:
 
 
 class ValueIndex:
-    """Equality index: (element label, exact value) → documents + labels."""
+    """Equality index: (element label, exact value) → document names."""
 
     def __init__(self) -> None:
-        self._entries: dict[tuple[str, str], dict[str, list[PrefixLabel]]] = {}
+        self._entries: dict[tuple[str, str], set[str]] = {}
         self._labels: set[str] = set()
-
-    def _add(self, key: tuple[str, str], name: str, label: PrefixLabel) -> None:
-        self._entries.setdefault(key, {}).setdefault(name, []).append(label)
 
     def add_document(self, name: str, binary: BinaryXMLDocument) -> None:
         for index in range(len(binary)):
             kind = binary.kinds[index]
             if kind == KIND_ATTRIBUTE:
                 label = "@" + (binary.name_of(index) or "")
-                self._add(
-                    (label, binary.text_value(index)),
-                    name,
-                    binary.labels[index],
-                )
-                self._labels.add(label)
+                text = binary.text_value(index)
             elif kind == KIND_ELEMENT:
+                label = binary.name_of(index) or ""
                 text = _immediate_text(binary, index)
-                if text is not None:
-                    label = binary.name_of(index) or ""
-                    self._add((label, text), name, binary.labels[index])
-                    self._labels.add(label)
+                if text is None:
+                    continue
+            else:
+                continue
+            self._entries.setdefault((label, text), set()).add(name)
+            self._labels.add(label)
 
     def remove_document(self, name: str) -> None:
         for postings in self._entries.values():
-            postings.pop(name, None)
+            postings.discard(name)
 
     def covers_label(self, label: str) -> bool:
         """Is this label indexed at all (i.e. can a lookup be trusted)?"""
@@ -154,58 +139,37 @@ class ValueIndex:
 
     def lookup(self, label: str, value: str) -> set[str]:
         """Documents holding an element/attribute ``label`` with ``value``."""
-        return set(self._entries.get((label, value), {}))
-
-    def lookup_nodes(self, label: str, value: str) -> dict[str, list[PrefixLabel]]:
-        """Per-document prefix labels of the hit nodes — an index hit
-        narrows verification to those nodes' ranges, not the whole
-        document."""
-        return {
-            name: list(labels)
-            for name, labels in self._entries.get((label, value), {}).items()
-        }
+        return set(self._entries.get((label, value), ()))
 
 
 class PathIndex:
-    """Structural index: root-to-node label paths → documents + labels.
+    """Structural index: root-to-node label paths → document names.
 
     Keys are label sequences like ``("Store", "Items", "Item",
     "Section")`` — the structural summary eXist and most native XML
     stores maintain. It answers existential tests (does any document
     contain a node reachable by this path?) more precisely than the
     label-only :class:`ElementIndex`, including simple descendant
-    patterns (suffix matching), and records the prefix labels of the
-    nodes standing at each path.
+    patterns (suffix matching).
     """
 
     def __init__(self) -> None:
-        self._postings: dict[tuple[str, ...], dict[str, list[PrefixLabel]]] = {}
+        self._postings: dict[tuple[str, ...], set[str]] = {}
 
     def add_document(self, name: str, binary: BinaryXMLDocument) -> None:
         for index in range(len(binary)):
-            if binary.kinds[index] == KIND_TEXT:
-                continue
-            key = binary.path_labels(index)
-            self._postings.setdefault(key, {}).setdefault(name, []).append(
-                binary.labels[index]
-            )
+            if binary.kinds[index] != KIND_TEXT:
+                self._postings.setdefault(
+                    binary.path_labels(index), set()
+                ).add(name)
 
     def remove_document(self, name: str) -> None:
         for postings in self._postings.values():
-            postings.pop(name, None)
+            postings.discard(name)
 
     def lookup_exact(self, labels: tuple[str, ...]) -> set[str]:
         """Documents containing a node at exactly this root-to-node path."""
-        return set(self._postings.get(labels, {}))
-
-    def lookup_exact_nodes(
-        self, labels: tuple[str, ...]
-    ) -> dict[str, list[PrefixLabel]]:
-        """Per-document prefix labels of the nodes at this exact path."""
-        return {
-            name: list(found)
-            for name, found in self._postings.get(labels, {}).items()
-        }
+        return set(self._postings.get(labels, ()))
 
     def lookup_suffix(self, labels: tuple[str, ...]) -> set[str]:
         """Documents containing a node whose path *ends with* ``labels``.
@@ -217,7 +181,7 @@ class PathIndex:
         size = len(labels)
         for key, postings in self._postings.items():
             if len(key) >= size and key[-size:] == labels:
-                result |= set(postings)
+                result |= postings
         return result
 
 

@@ -128,15 +128,11 @@ class ExecOptions:
     ``default_collection`` resolves bare ``collection()`` calls.
     ``use_indexes`` overrides the site's index setting for this query —
     how an ``index-scan`` plan lane reaches a site whose default is the
-    paper-faithful full scan. ``parallel_degree`` ≥ 2 asks for sharded
-    evaluation across the site's worker pool: a request the site may
-    decline (no pool, non-shardable query); answers are byte-identical
-    either way.
+    paper-faithful full scan.
     """
 
     default_collection: Optional[str] = None
     use_indexes: Optional[bool] = None
-    parallel_degree: Optional[int] = None
 
     def to_payload(self) -> dict:
         """The flat EXECUTE-frame keys, set fields only (frames do not
@@ -150,7 +146,8 @@ class ExecOptions:
     @classmethod
     def from_payload(cls, payload: dict) -> "ExecOptions":
         """Read the options out of an EXECUTE payload; keys this version
-        does not know (a newer peer's) are ignored."""
+        does not know (a newer peer's, or an option an older
+        peer still sends) are ignored."""
         return cls(**{f.name: payload.get(f.name) for f in fields(cls)})
 
 

@@ -89,14 +89,6 @@ def main(argv: list[str] | None = None) -> int:
         " mode with the per-query index override forced on and off —"
         " all three answers must be byte-identical",
     )
-    parser.add_argument(
-        "--shards",
-        action="store_true",
-        help="intra-site parallelism oracle: give every site a worker"
-        " pool and re-run every compared query per mode with the shard"
-        " degree forced serial and forced sharded — all three answers"
-        " must be byte-identical",
-    )
     options = parser.parse_args(argv)
 
     modes = tuple(
@@ -121,7 +113,6 @@ def main(argv: list[str] | None = None) -> int:
             kill_site=options.kill_site,
             migrate=options.migrate,
             indexes=options.indexes,
-            shards=options.shards,
         )
         payload = outcome.to_dict()
         ok = outcome.ok
@@ -136,7 +127,6 @@ def main(argv: list[str] | None = None) -> int:
             kill_site=options.kill_site,
             migrate=options.migrate,
             indexes=options.indexes,
-            shards=options.shards,
         )
         ok = payload["ok"]
         _print_digest(payload)
@@ -176,7 +166,6 @@ def _print_digest(summary: dict) -> None:
         + (" [kill-site]" if summary.get("kill_site") else "")
         + (" [migrate]" if summary.get("migrate") else "")
         + (" [indexes]" if summary.get("indexes") else "")
-        + (" [shards]" if summary.get("shards") else "")
     )
     print(format_kv_table(title, rows), file=sys.stderr)
     for failure in summary["failures"]:

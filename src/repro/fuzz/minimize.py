@@ -42,7 +42,6 @@ def minimize_spec(
     kill_site: bool = False,
     migrate: bool = False,
     indexes: bool = False,
-    shards: bool = False,
 ) -> CaseOutcome:
     """Shrink ``spec`` greedily while it keeps failing the same way.
 
@@ -64,7 +63,7 @@ def minimize_spec(
             attempts += 1
             reproduced = _reproduces(
                 candidate, fingerprint, partix_factory, modes, kill_site,
-                migrate, indexes, shards,
+                migrate, indexes,
             )
             if reproduced is not None:
                 best_spec, best_outcome = candidate, reproduced
@@ -78,7 +77,7 @@ def minimize_spec(
             attempts += 1
             reproduced = _reproduces(
                 candidate, fingerprint, partix_factory, modes, kill_site,
-                migrate, indexes, shards,
+                migrate, indexes,
             )
             if reproduced is not None:
                 best_spec, best_outcome = candidate, reproduced
@@ -95,7 +94,6 @@ def _reproduces(
     kill_site: bool = False,
     migrate: bool = False,
     indexes: bool = False,
-    shards: bool = False,
 ) -> Optional[CaseOutcome]:
     try:
         if modes is None:
@@ -105,7 +103,6 @@ def _reproduces(
                 kill_site=kill_site,
                 migrate=migrate,
                 indexes=indexes,
-                shards=shards,
             )
         else:
             outcome = run_case(
@@ -115,7 +112,6 @@ def _reproduces(
                 kill_site=kill_site,
                 migrate=migrate,
                 indexes=indexes,
-                shards=shards,
             )
     except Exception:  # noqa: BLE001 — a crashing shrink is just rejected
         return None

@@ -90,7 +90,7 @@ ADVERSARIAL_CHUNK_BYTES = 7
 class Mismatch:
     """One oracle violation observed while running a case."""
 
-    kind: str  # "answer" | "mode" | "plan" | "correctness" | "error" | "failover" | "migrate" | "index" | "shard" | "accessor"
+    kind: str  # "answer" | "mode" | "plan" | "correctness" | "error" | "failover" | "migrate" | "index" | "accessor"
     detail: str
     query_index: Optional[int] = None
     query: Optional[str] = None
@@ -196,7 +196,6 @@ def run_case(
     kill_site: bool = False,
     migrate: bool = False,
     indexes: bool = False,
-    shards: bool = False,
 ) -> CaseOutcome:
     """Generate (unless given) and differentially execute one case.
 
@@ -207,15 +206,6 @@ def run_case(
     and the plan's own per-lane choice — must be byte-identical (same
     plan, same lane order, so not even concat interleaving may differ).
     A divergence is reported as a mismatch of kind ``index``.
-
-    ``shards`` is the intra-site parallelism oracle: the cluster is
-    built with a per-site worker pool (``shard_workers=2``) and every
-    compared query is additionally run twice per mode with the per-lane
-    shard degree forced serial and forced sharded
-    (``Partix.execute(shard_degree=...)``); both answers must reproduce
-    the default run's byte-for-byte (a site may decline sharding — a
-    non-shardable query still forces the serial path — but the answer
-    may never change). A divergence is a mismatch of kind ``shard``.
 
     ``partix_factory`` lets tests swap in a middleware with a tampered
     dispatcher — that is how the injected-bug acceptance test proves the
@@ -273,12 +263,9 @@ def run_case(
             )
         return outcome
 
-    shard_workers = 2 if shards else 0
-    cluster = Cluster.with_sites(
-        len(case.design), prefix="site", shard_workers=shard_workers
-    )
+    cluster = Cluster.with_sites(len(case.design), prefix="site")
     if kill_site:
-        cluster.add(Site(MIRROR_SITE, shard_workers=shard_workers))
+        cluster.add(Site(MIRROR_SITE))
     partix = (
         partix_factory(cluster) if partix_factory is not None else Partix(cluster)
     )
@@ -329,15 +316,12 @@ def run_case(
         if any(mode.transport == "tcp" for mode in parsed_modes):
             partix.start_tcp()
         if migrate:
-            _run_migrate_case(
-                partix, case, outcome, modes, indexes=indexes, shards=shards
-            )
+            _run_migrate_case(partix, case, outcome, modes, indexes=indexes)
             return outcome
         if not kill_site:
             for index, query in case.active_queries:
                 _run_query(
-                    partix, index, query, outcome, modes,
-                    indexes=indexes, shards=shards,
+                    partix, index, query, outcome, modes, indexes=indexes
                 )
             return outcome
 
@@ -352,8 +336,7 @@ def run_case(
         victim_targeted = False
         for index, query in case.active_queries:
             results = _run_query(
-                partix, index, query, outcome, modes,
-                indexes=indexes, shards=shards,
+                partix, index, query, outcome, modes, indexes=indexes
             )
             for mode in tcp_modes:
                 result = results.get(mode)
@@ -374,8 +357,7 @@ def run_case(
         failovers = 0
         for index, query in case.active_queries:
             results = _run_query(
-                partix, index, query, outcome, modes,
-                indexes=indexes, shards=shards,
+                partix, index, query, outcome, modes, indexes=indexes
             )
             failovers += sum(
                 results[mode].failover_count
@@ -410,16 +392,13 @@ def _run_migrate_case(
     outcome: CaseOutcome,
     modes: Sequence[str],
     indexes: bool = False,
-    shards: bool = False,
 ) -> None:
     """Two differential passes with a live migration fired in between."""
     catalog = partix.distribution_catalog
     version_before = catalog.version
 
     for index, query in case.active_queries:
-        _run_query(
-            partix, index, query, outcome, modes, indexes=indexes, shards=shards
-        )
+        _run_query(partix, index, query, outcome, modes, indexes=indexes)
     first_pass = outcome.queries_run
 
     report = _fire_migration(partix, case, outcome)
@@ -444,9 +423,7 @@ def _run_migrate_case(
         return
 
     for index, query in case.active_queries:
-        _run_query(
-            partix, index, query, outcome, modes, indexes=indexes, shards=shards
-        )
+        _run_query(partix, index, query, outcome, modes, indexes=indexes)
     outcome.notes.append(
         f"queries compared on catalog v{version_before}: {first_pass},"
         f" on v{catalog.version}: {outcome.queries_run - first_pass}"
@@ -506,7 +483,6 @@ def _run_query(
     outcome: CaseOutcome,
     modes: Sequence[str],
     indexes: bool = False,
-    shards: bool = False,
 ) -> dict[str, PartixResult]:
     """Run one query through every configuration; returns the successful
     fragmented results keyed by mode (empty on error paths)."""
@@ -605,10 +581,6 @@ def _run_query(
         _check_index_differential(
             partix, query, by_mode, outcome, index, modes
         )
-    if shards:
-        _check_shard_differential(
-            partix, query, by_mode, outcome, index, modes
-        )
     return results_by_mode
 
 
@@ -694,67 +666,6 @@ def _check_index_differential(
                         kind="index",
                         detail=(
                             f"mode {mode!r} answers differ with indexes"
-                            f" forced {label};"
-                            f" {_diff_snippet(default_text, text)}"
-                        ),
-                        query_index=index,
-                        query=query,
-                    )
-                )
-
-
-def _check_shard_differential(
-    partix: Partix,
-    query: str,
-    by_mode: dict,
-    outcome: CaseOutcome,
-    index: int,
-    modes: Sequence[str],
-) -> None:
-    """The intra-site parallelism oracle: per mode, the same query
-    re-run with the per-lane shard degree forced serial (``1``) and
-    forced sharded (``2``) must both reproduce the default run's answer
-    byte-for-byte. Forcing the degree only changes how each site
-    evaluates its own lane — candidate slices in worker processes with
-    the partials folded back in slice order — so the plan, the lane
-    order, and every byte of the composed answer must be untouched. A
-    fold that reorders partials, double-counts an aggregate, or loses a
-    shard shows up here as a mismatch of kind ``shard``.
-    """
-    for mode in modes:
-        if mode not in by_mode:
-            continue
-        default_text = by_mode[mode]
-        for degree in (1, 2):
-            text, error = _attempt(
-                lambda mode=mode, degree=degree: partix.execute(
-                    query,
-                    collection="Cfuzz",
-                    execution_mode=mode,
-                    shard_degree=degree,
-                ).result_text
-            )
-            outcome.comparisons += 1
-            label = "serial" if degree == 1 else f"degree {degree}"
-            if error is not None:
-                outcome.mismatches.append(
-                    Mismatch(
-                        kind="shard",
-                        detail=(
-                            f"mode {mode!r} with shards forced {label}"
-                            f" raised {error!r} although the default run"
-                            " answered"
-                        ),
-                        query_index=index,
-                        query=query,
-                    )
-                )
-            elif text != default_text:
-                outcome.mismatches.append(
-                    Mismatch(
-                        kind="shard",
-                        detail=(
-                            f"mode {mode!r} answers differ with shards"
                             f" forced {label};"
                             f" {_diff_snippet(default_text, text)}"
                         ),
@@ -884,7 +795,6 @@ def run_fuzz(
     kill_site: bool = False,
     migrate: bool = False,
     indexes: bool = False,
-    shards: bool = False,
 ) -> dict:
     """Run the full differential session; returns a JSON-able summary.
 
@@ -893,8 +803,7 @@ def run_fuzz(
     written reproducer when ``repro_dir`` is set). ``kill_site`` runs
     every case through the failover oracle, ``migrate`` through the
     online-rebalancing oracle, ``indexes`` through the index-pushdown
-    oracle, ``shards`` through the intra-site parallelism oracle (see
-    :func:`run_case`).
+    oracle (see :func:`run_case`).
     """
     summary: dict = {
         "seed": seed,
@@ -903,7 +812,6 @@ def run_fuzz(
         "kill_site": kill_site,
         "migrate": migrate,
         "indexes": indexes,
-        "shards": shards,
         "migrations_completed": 0,
         "cases": 0,
         "queries_run": 0,
@@ -925,7 +833,6 @@ def run_fuzz(
             kill_site=kill_site,
             migrate=migrate,
             indexes=indexes,
-            shards=shards,
         )
         if migrate and not any(
             m.kind == "migrate" for m in outcome.mismatches
@@ -953,7 +860,6 @@ def run_fuzz(
                     kill_site=kill_site,
                     migrate=migrate,
                     indexes=indexes,
-                    shards=shards,
                 )
                 if minimize
                 else outcome

@@ -10,6 +10,9 @@ over a ``multiprocessing`` pipe, so no port coordination is needed.
 remote twin *through the driver path*: the bytes that travel are exactly
 the serialized fragment documents the publisher produced (annotations
 included), so the remote engines hold byte-identical repositories.
+:class:`MirroredDriver` keeps them that way afterwards: it is the driver
+a site answers through while its server runs, and every write through it
+reaches the local engine and the server.
 
 Shutdown is graceful first (SHUTDOWN frame → drain → exit), with
 ``terminate()`` as the fallback for unresponsive or killed processes.
@@ -20,20 +23,23 @@ from __future__ import annotations
 import multiprocessing
 import signal
 from dataclasses import dataclass
-from typing import Optional, TYPE_CHECKING
+from typing import Iterable, Optional, TYPE_CHECKING, Union
 
 from repro.errors import TransportError
 from repro.net.client import RemoteSiteDriver, SiteClient, TcpTransport
+from repro.partix.driver import MiniXDriver
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.site import Cluster, Site
+    from repro.datamodel.document import XMLDocument
+    from repro.engine.database import XMLEngine
+    from repro.engine.store import StoredDocument
 
 
 def _serve_site(name: str, engine_config: dict, conn) -> None:
     """Child-process entry point: build an engine, serve, drain, exit."""
     from repro.engine.database import XMLEngine
     from repro.net.server import SiteServer
-    from repro.partix.driver import MiniXDriver
 
     try:
         engine = XMLEngine(name, **engine_config)
@@ -62,6 +68,17 @@ class SpawnedSite:
         return self.process.is_alive()
 
 
+def _ship(client: SiteClient, collection: str, stored: "StoredDocument") -> None:
+    """Send one stored document to a server verbatim: the bytes the
+    local engine holds, under the name and origin it holds them."""
+    client.store_document(
+        collection,
+        stored.data.decode("utf-8"),
+        name=stored.name,
+        origin=stored.origin,
+    )
+
+
 def mirror_site(site: "Site", client: SiteClient) -> tuple[int, int]:
     """Republish a local site's collections to its remote twin.
 
@@ -81,15 +98,46 @@ def mirror_site(site: "Site", client: SiteClient) -> tuple[int, int]:
         client.create_collection(collection_name)
         collection = engine.store.collection(collection_name)
         for doc_name in collection.names():
-            stored = collection.get(doc_name)
-            client.store_document(
-                collection_name,
-                stored.data.decode("utf-8"),
-                name=stored.name,
-                origin=stored.origin,
-            )
+            _ship(client, collection_name, collection.get(doc_name))
             documents += 1
     return len(names), documents
+
+
+class MirroredDriver(MiniXDriver):
+    """A site's local engine plus its running server twin.
+
+    Reads and queries are the local engine's; a write — create, store,
+    retain — reaches the engine **and** the server, so whoever writes
+    through ``site.driver`` (publisher, rebalancer) writes once and the
+    in-process and tcp modes keep answering from identical repositories.
+    The server receives the bytes the engine stored, under the name the
+    engine stored them, exactly as :func:`mirror_site` ships them.
+    """
+
+    def __init__(self, engine: "XMLEngine", client: SiteClient):
+        super().__init__(engine)
+        self.client = client
+
+    def create_collection(self, name: str) -> None:
+        super().create_collection(name)
+        self.client.create_collection(name)
+
+    def store_document(
+        self,
+        collection: str,
+        document: Union["XMLDocument", str, bytes],
+        name: Optional[str] = None,
+        origin: Optional[str] = None,
+    ) -> None:
+        stored = self.engine.store_document(
+            collection, document, name=name, origin=origin
+        )
+        _ship(self.client, collection, stored)
+
+    def retain_documents(self, collection: str, keep: Iterable[str]) -> None:
+        keep = set(keep)
+        super().retain_documents(collection, keep)
+        self.client.retain_documents(collection, keep)
 
 
 class TcpSiteCluster:

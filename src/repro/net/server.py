@@ -411,12 +411,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         default=0.0,
         help="simulated per-document access cost in seconds",
     )
-    parser.add_argument(
-        "--shard-workers",
-        type=int,
-        default=0,
-        help="intra-site worker pool size for sharded evaluation (0 = serial)",
-    )
     options = parser.parse_args(argv)
 
     from repro.engine.database import XMLEngine
@@ -426,7 +420,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         storage_dir=options.storage_dir,
         use_indexes=not options.no_indexes,
         per_document_overhead=options.per_document_overhead,
-        shard_workers=options.shard_workers,
     )
     server = SiteServer(
         MiniXDriver(engine), site=options.site, host=options.host, port=options.port

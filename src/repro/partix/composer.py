@@ -399,8 +399,12 @@ def strip_annotation_text(text: str) -> str:
     The annotation names are reserved by this library (see
     :mod:`repro.algebra.annotations`), so the textual strip is safe for
     any document the publisher produced; it avoids re-parsing what may be
-    a large value stream just to drop three attributes.
+    a large value stream just to drop three attributes. Every
+    annotation name contains ``px``, so text without it — any answer
+    from horizontal fragments — is returned as it is, unscanned.
     """
+    if "px" not in text:
+        return text
     return _ANNOTATION_RE.sub("", text)
 
 

@@ -166,9 +166,9 @@ def _cluster_engine_floor(cluster: Cluster, setting: str):
     """The lowest value of one engine setting (see ``XMLEngine.config``)
     across the cluster's sites — what lowering may assume *everywhere*.
 
-    Planning must never count on an index probe or a shard degree some
-    site cannot honor (the lane would silently degrade there, skewing
-    its estimate). A site without an introspectable engine (a remote
+    Planning must never count on an index probe some site cannot honor
+    (the lane would silently degrade there, skewing its estimate). A
+    site without an introspectable engine (a remote
     driver) therefore pulls the floor to 0, as does an empty cluster:
     the conservative answer.
     """
@@ -191,18 +191,8 @@ class Partix:
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
         plan_cache: Optional[PlanCache] = None,
         use_indexes: Optional[bool] = None,
-        shard_workers: Optional[int] = None,
     ):
         self.cluster = cluster
-        #: Intra-site shard worker pool size lowering may assume at every
-        #: site. ``None`` (the default) infers it as the minimum over the
-        #: cluster's engines (0 when any site has no introspectable
-        #: engine), so a plain cluster plans serial lanes exactly as
-        #: before. Like index eligibility, this is a ceiling, not a
-        #: commitment — lowering prices serial vs sharded per fragment.
-        if shard_workers is None:
-            shard_workers = _cluster_engine_floor(cluster, "shard_workers")
-        self.shard_workers = max(0, int(shard_workers))
         #: Are fragment scans *eligible* for the index access path?
         #: ``None`` (the default) infers it from the cluster: eligible
         #: only when every site's engine runs with document indexes on,
@@ -255,11 +245,7 @@ class Partix:
         #: Cost model fed by the catalog's fragment statistics and this
         #: instance's network model; lowering uses it for site selection
         #: and the per-node estimates shown by ``explain``.
-        self.cost_model = CostModel(
-            self.distribution_catalog,
-            self.network,
-            shard_workers=self.shard_workers,
-        )
+        self.cost_model = CostModel(self.distribution_catalog, self.network)
         self.decomposer = QueryDecomposer(
             self.distribution_catalog,
             cost_model=self.cost_model,
@@ -269,6 +255,9 @@ class Partix:
         self.composer = ResultComposer()
         self.plan_executor = PlanExecutor(self.composer)
         self._tcp: Optional["TcpSiteCluster"] = None
+        #: What each site answered through before :meth:`start_tcp` put
+        #: a mirrored driver in its place; :meth:`stop_tcp` restores it.
+        self._plain_drivers: dict = {}
 
     @property
     def chunk_bytes(self) -> int:
@@ -354,7 +343,6 @@ class Partix:
         streaming: bool = False,
         deadline_seconds: Optional[float] = None,
         use_indexes: Optional[bool] = None,
-        shard_degree: Optional[int] = None,
     ) -> PartixResult:
         """Run a query over the fragmented repository.
 
@@ -391,13 +379,6 @@ class Partix:
         leaves the plan's own per-lane access-path decisions in charge.
         The differential fuzz oracle uses this to run the same plan
         with indexes on and off and assert byte-identical answers.
-
-        ``shard_degree`` is the analogous per-query intra-site override:
-        ≥ 2 asks every executing site to shard its sub-query across that
-        many workers, 1 (or less) forces serial evaluation everywhere.
-        ``None`` leaves lowering's per-lane degree decisions in charge.
-        The fuzz ``--shards`` oracle runs the same plan forced-serial and
-        forced-sharded and asserts byte-identical answers.
         """
         mode = ExecutionMode.parse(execution_mode, streaming=streaming)
         if plan is None:
@@ -408,8 +389,6 @@ class Partix:
         )
         if use_indexes is not None:
             plan = plan.with_lane_indexes(use_indexes)
-        if shard_degree is not None:
-            plan = plan.with_lane_degree(shard_degree)
         notes = list(plan.notes)
         active = dispatcher if dispatcher is not None else self.dispatcher
         executed = self.plan_executor.run(
@@ -515,37 +494,51 @@ class Partix:
         published data to them.
 
         Each server runs a private engine configured like its local twin
-        (indexes, per-document overhead, cache). Every collection stored
-        at a local site is republished to the matching server through
-        the driver path — the serialized fragment documents themselves
-        travel, so the remote repositories are byte-identical. Idempotent
-        until :meth:`stop_tcp`.
+        (indexes, per-document overhead). Every collection stored at a
+        local site is republished to the matching server through the
+        driver path — the serialized fragment documents themselves
+        travel, so the remote repositories are byte-identical — and they
+        stay so: until :meth:`stop_tcp` each site answers through a
+        :class:`~repro.net.bootstrap.MirroredDriver`, so a later publish
+        or migration writing through ``site.driver`` reaches the server
+        too. Idempotent until :meth:`stop_tcp`.
         """
         if self._tcp is not None:
             return self._tcp
-        from repro.net.bootstrap import TcpSiteCluster, mirror_site
+        from repro.net.bootstrap import (
+            MirroredDriver,
+            TcpSiteCluster,
+            mirror_site,
+        )
 
-        configs = {
-            site.name: site.engine_config() for site in self.cluster.sites()
-        }
+        sites = self.cluster.sites()
         tcp = TcpSiteCluster.spawn(
-            configs,
+            {site.name: site.engine_config() for site in sites},
             startup_timeout=startup_timeout,
             context=context,
             chunk_bytes=self.chunk_bytes,
         )
         try:
-            for site in self.cluster.sites():
+            for site in sites:
                 mirror_site(site, tcp.clients[site.name])
         except BaseException:
             tcp.shutdown()
             raise
+        for site in sites:
+            self._plain_drivers[site.name] = site.driver
+            site.driver = MirroredDriver(
+                site.driver.engine, tcp.clients[site.name]
+            )
         self._tcp = tcp
         return tcp
 
     def stop_tcp(self) -> None:
-        """Drain and reap the site-server processes (no-op when absent)."""
+        """Drain and reap the site-server processes and give every site
+        its plain driver back (no-op when absent)."""
         if self._tcp is not None:
+            for name, driver in self._plain_drivers.items():
+                self.cluster.site(name).driver = driver
+            self._plain_drivers.clear()
             self._tcp.shutdown()
             self._tcp = None
 

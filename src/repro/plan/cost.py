@@ -20,13 +20,10 @@ measurements of this one. An engine without a modeled clock (every
 per byte since evaluation moved onto the node tables, two orders of
 magnitude below the modeled 2.5 ms and 20 ns. The index gate still
 decides right there, because both of its sides shrank together (a probe
-really costs ~70 µs: break-even at ~5 documents, modeled ~3); the
-**shard gate is known to be mis-calibrated for real-clock engines** — a
-degree-2 sharded scan measured 0.32x–0.75x of serial up to 256 large
-documents while the model prices it as a win from 8 (``shard_workers``
-defaults to 0; ROADMAP item 3b fits the constants). Every executed lane
-carries its estimate next to its measurement and ``benchmarks/e2e/run.py
---trace 1`` reports their ratio as ``plan.estimate_q_error``.
+really costs ~70 µs: break-even at ~5 documents, modeled ~3; ROADMAP
+item 3b fits the constants). Every executed lane carries its estimate
+next to its measurement and ``benchmarks/e2e/run.py --trace 1`` reports
+their ratio as ``plan.estimate_q_error``.
 """
 
 from __future__ import annotations
@@ -59,17 +56,6 @@ JOIN_SECONDS_PER_BYTE = 1e-7
 #: documents, so the break-even against a full scan sits at a few
 #: documents per fragment at typical predicate selectivity.
 INDEX_LOOKUP_SECONDS = 0.004
-
-#: Per-shard startup cost of intra-site parallelism: task pickling,
-#: worker dispatch and result transfer. Charged once per shard when
-#: lowering prices a sharded scan against the serial one, so small
-#: fragments stay serial (measured: ~1.2 ms on a 16-document scan).
-SHARD_STARTUP_SECONDS = 0.012
-
-#: Never split below this many documents per shard — a shard has to
-#: amortize its startup over its share of the scan, and the default
-#: fragment statistics (8 documents) must keep lowering serial.
-MIN_SHARD_DOCUMENTS = 4
 
 
 @dataclass(frozen=True)
@@ -118,16 +104,11 @@ class CostModel:
         network: Optional[NetworkModel] = None,
         seconds_per_document: float = SECONDS_PER_DOCUMENT,
         seconds_per_byte: float = SECONDS_PER_BYTE,
-        shard_workers: int = 0,
     ):
         self.catalog = catalog
         self.network = network if network is not None else NetworkModel()
         self.seconds_per_document = seconds_per_document
         self.seconds_per_byte = seconds_per_byte
-        #: Per-site shard worker pool size (0 = intra-site parallelism
-        #: off): the ceiling for :meth:`shard_degree`. The middleware
-        #: sets it from its cluster's engine configuration.
-        self.shard_workers = max(0, int(shard_workers))
 
     # ------------------------------------------------------------------
     def fragment_statistics(self, collection: str, fragment: str, site: str):
@@ -190,46 +171,6 @@ class CostModel:
             cpu_seconds=cpu,
             network_seconds=net,
         )
-
-    def shard_degree(
-        self,
-        collection: str,
-        fragment: str,
-        site: str,
-        selectivity: float = 1.0,
-        access: str = "scan",
-    ) -> int:
-        """Pick the intra-site parallel degree for one fragment scan.
-
-        Prices the serial scan's CPU against splitting it over ``d``
-        worker shards: each shard pays :data:`SHARD_STARTUP_SECONDS`
-        and the CPU divides by ``d``. The degree is capped by the
-        configured worker pool and by :data:`MIN_SHARD_DOCUMENTS` per
-        shard, so tiny fragments (including the statistics-less
-        default) always come out serial. Returns 1 for "stay serial".
-        """
-        workers = self.shard_workers
-        if workers <= 1:
-            return 1
-        stats = self.fragment_statistics(collection, fragment, site)
-        documents = stats.documents if stats is not None else DEFAULT_DOCUMENTS
-        fragment_bytes = stats.bytes if stats is not None else DEFAULT_FRAGMENT_BYTES
-        if access == "index":
-            documents = max(1, int(documents * selectivity))
-            fragment_bytes = max(1, int(fragment_bytes * selectivity))
-        max_degree = min(workers, documents // MIN_SHARD_DOCUMENTS)
-        if max_degree < 2:
-            return 1
-        serial_cpu = (
-            documents * self.seconds_per_document
-            + fragment_bytes * self.seconds_per_byte
-        )
-        best_degree, best_cost = 1, serial_cpu
-        for degree in range(2, max_degree + 1):
-            cost = serial_cpu / degree + SHARD_STARTUP_SECONDS
-            if cost < best_cost:
-                best_degree, best_cost = degree, cost
-        return best_degree
 
     # ------------------------------------------------------------------
     def union_estimate(self, children: list) -> CostEstimate:

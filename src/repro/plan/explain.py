@@ -44,9 +44,6 @@ def _node_label(node: PlanNode) -> str:
         candidates = detail.get("candidates", 1)
         if candidates > 1:
             label += f" candidates={candidates}"
-        degree = detail.get("parallel_degree", 1)
-        if degree > 1:
-            label += f" degree={degree}"
         return label
     if node.op in ("partial-aggregate", "merge-aggregate"):
         return f"{node.op}({detail.get('aggregate')})"

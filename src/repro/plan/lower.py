@@ -25,10 +25,9 @@ Lowering makes the two decisions the logical plan left open:
 
 from __future__ import annotations
 
-from dataclasses import replace as dc_replace
 from typing import Optional
 
-from repro.plan.cost import SHARD_STARTUP_SECONDS, CostModel
+from repro.plan.cost import CostModel
 from repro.plan.logical import (
     Compose,
     FragmentScan,
@@ -138,21 +137,6 @@ def lower(
 
     def scan_node(scan: FragmentScan, pushdown: Optional[str]) -> PlanNode:
         candidate, estimate, access = scheduler.assign(scan, pushdown)
-        degree = model.shard_degree(
-            logical.collection,
-            scan.fragment,
-            candidate.site,
-            selectivity=scan.selectivity,
-            access=access,
-        )
-        if degree > 1:
-            # Re-price the lane under sharding: CPU divides across the
-            # worker shards, each paying its calibrated startup cost.
-            estimate = dc_replace(
-                estimate,
-                cpu_seconds=estimate.cpu_seconds / degree
-                + SHARD_STARTUP_SECONDS,
-            )
         index = len(lanes)
         node_id = f"scan{index}"
         subquery = SubQuery(
@@ -174,9 +158,6 @@ def lower(
             # lane leaves None so a site configured with indexes on keeps
             # behaving as configured.
             use_indexes=True if access == "index" else None,
-            # Likewise only a sharded lane carries a degree; None leaves
-            # the site serial.
-            parallel_degree=degree if degree > 1 else None,
         )
         lanes.append(
             Lane(
@@ -197,8 +178,6 @@ def lower(
         }
         if scan.predicate is not None:
             detail["predicate"] = scan.predicate
-        if degree > 1:
-            detail["parallel_degree"] = degree
         return PlanNode(
             op="index-scan" if access == "index" else "scan",
             node_id=node_id,

@@ -156,40 +156,6 @@ class PhysicalPlan:
             chunk_bytes=self.chunk_bytes,
         )
 
-    def with_lane_degree(self, degree: Optional[int]) -> "PhysicalPlan":
-        """This plan with every lane forced to ``parallel_degree``.
-
-        The per-query override of ``Partix.execute(shard_degree=...)``:
-        ``degree >= 2`` asks every executing site to shard its sub-query
-        across that many workers (sites without a pool, or queries the
-        shard gate rejects, silently stay serial — answers are
-        byte-identical either way); ``degree <= 1`` clears the lanes to
-        None, forcing serial evaluation everywhere. The node tree is
-        shared; only lanes are rebuilt.
-        """
-        value = degree if degree is not None and degree > 1 else None
-        if all(lane.subquery.parallel_degree == value for lane in self.lanes):
-            return self
-        lanes = [
-            Lane(
-                index=lane.index,
-                node_id=lane.node_id,
-                subquery=replace(lane.subquery, parallel_degree=value),
-                estimate=lane.estimate,
-                candidates=lane.candidates,
-            )
-            for lane in self.lanes
-        ]
-        return PhysicalPlan(
-            collection=self.collection,
-            root=self.root,
-            lanes=lanes,
-            composition=self.composition,
-            notes=self.notes,
-            streaming=self.streaming,
-            chunk_bytes=self.chunk_bytes,
-        )
-
     # ------------------------------------------------------------------
     def render(self) -> str:
         """The indented EXPLAIN tree with per-node cost estimates."""

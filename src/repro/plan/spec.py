@@ -53,14 +53,6 @@ class SubQuery:
     ``index-scan`` lane (the executing site must probe its indexes for
     this query even if its default is full scan), ``None`` to leave the
     site's own configuration in charge (the paper-faithful default).
-
-    ``parallel_degree`` is the lane's intra-site parallelism decision:
-    ≥ 2 asks the executing site to evaluate the sub-query sharded
-    across that many worker processes (lowering prices this from the
-    fragment's statistics; it stays None — serial — for small
-    fragments and for sites without a shard pool). Like
-    ``use_indexes``, it is a request the site may decline — answers are
-    byte-identical either way.
     """
 
     fragment: str
@@ -70,7 +62,6 @@ class SubQuery:
     purpose: str = "answer"  # "answer" | "fetch"
     replicas: Tuple[SubQueryTarget, ...] = field(default=(), compare=True)
     use_indexes: Optional[bool] = None
-    parallel_degree: Optional[int] = None
 
     def targets(self) -> Tuple[SubQueryTarget, ...]:
         """Every place this sub-query can run, chosen target first."""
@@ -111,8 +102,6 @@ class SubQuery:
             ]
         if self.use_indexes is not None:
             payload["use_indexes"] = self.use_indexes
-        if self.parallel_degree is not None:
-            payload["parallel_degree"] = self.parallel_degree
         return payload
 
     @classmethod
@@ -128,7 +117,6 @@ class SubQuery:
                 for target in payload.get("replicas", ())
             ),
             use_indexes=payload.get("use_indexes"),
-            parallel_degree=payload.get("parallel_degree"),
         )
 
 

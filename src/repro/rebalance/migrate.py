@@ -9,9 +9,8 @@ republish path (``Publisher(replace=True)``) established:
    :func:`repro.net.bootstrap.mirror_site` ships, so answers stay
    byte-identical);
 2. **store** — the new fragment collections are created and fully
-   populated on the chosen target sites (and mirrored to the live TCP
-   servers when ``Partix.start_tcp`` is active). The catalog still
-   routes every query to the *old* placement;
+   populated on the chosen target sites, through each site's driver.
+   The catalog still routes every query to the *old* placement;
 3. **swap** — ``DistributionCatalog.register_fragmentation(replace=True)``
    installs the new design in one atomic assignment per map and bumps
    the catalog version: in-flight queries finish against the old
@@ -100,7 +99,6 @@ class Rebalancer:
     """Apply rebalance actions to a live :class:`Partix` middleware."""
 
     def __init__(self, partix: "Partix"):
-        self.partix = partix
         self.cluster = partix.cluster
         self.catalog = partix.distribution_catalog
         # One migration at a time: concurrent store phases could collide
@@ -606,8 +604,8 @@ class Rebalancer:
         site_name: str,
         report: MigrationReport,
     ) -> None:
-        """Copy serialized documents to a site (and its TCP twin) and
-        record the new replica's planner statistics."""
+        """Copy serialized documents to a site and record the new
+        replica's planner statistics."""
         site = self.cluster.site(site_name)
         driver = site.driver
         if getattr(driver, "engine", None) is not None and driver.engine.has_collection(
@@ -624,26 +622,6 @@ class Rebalancer:
                 stored.data.decode("utf-8"),
                 name=stored.name,
                 origin=stored.origin,
-            )
-        tcp = getattr(self.partix, "tcp", None)
-        if tcp is not None:
-            client = tcp.clients.get(site_name)
-            if client is None:
-                raise RebalanceError(
-                    f"tcp mode is active but site {site_name!r} has no"
-                    " server; cannot mirror the migrated fragment"
-                )
-            client.create_collection(stored_name)
-            for stored in documents:
-                client.store_document(
-                    stored_name,
-                    stored.data.decode("utf-8"),
-                    name=stored.name,
-                    origin=stored.origin,
-                )
-            report.notes.append(
-                f"mirrored {stored_name!r} to the live tcp server of"
-                f" {site_name!r}"
             )
         doc_count, data_bytes = driver.collection_statistics(stored_name)
         self.catalog.record_statistics(

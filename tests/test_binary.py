@@ -1,9 +1,8 @@
-"""Binary node tables: encoding, prefix labels, postings, persistence.
+"""Binary node tables: encoding, preorder ranges, persistence.
 
 PR 9's storage layer: every stored document carries a compact preorder
-node table (strings interned in a per-collection pool, each node holding
-a Dewey-style prefix label), the path evaluator and predicate engine run
-directly over it, indexes post prefix labels, and engines with a
+node table (strings interned in a per-collection pool), the path
+evaluator and predicate engine run directly over it, and engines with a
 ``storage_dir`` reload the tables from disk without ever re-tokenizing
 XML text.
 """
@@ -100,25 +99,17 @@ class TestEncodeDecode:
 
 
 class TestPrefixLabels:
-    def test_labels_follow_parents(self):
-        document = _sample_document()
-        binary = BinaryXMLDocument.encode(document, StringPool())
-        for index in range(len(binary)):
-            parent = binary.parents[index]
-            if parent < 0:
-                assert binary.labels[index] == ()
-            else:
-                # A child's label is its parent's plus one component.
-                assert binary.labels[index][:-1] == binary.labels[parent]
-
     def test_ancestor_is_proper_label_prefix(self):
         binary = BinaryXMLDocument.encode(_sample_document(), StringPool())
         for a in range(len(binary)):
             for d in range(len(binary)):
-                by_range = binary.is_ancestor(a, d)
-                la, ld = binary.labels[a], binary.labels[d]
-                by_prefix = len(la) < len(ld) and ld[: len(la)] == la
-                assert by_range == by_prefix
+                # The oracle: climb the parent array from d looking for a.
+                climbed = False
+                node = binary.parents[d]
+                while node >= 0 and not climbed:
+                    climbed = node == a
+                    node = binary.parents[node]
+                assert binary.is_ancestor(a, d) == climbed
 
     def test_descendant_range_is_contiguous_preorder(self):
         binary = BinaryXMLDocument.encode(_sample_document(), StringPool())
@@ -173,41 +164,6 @@ def _path_to(node):
         chain.append(node)
         node = node.parent
     return list(reversed(chain))
-
-
-class TestLabelPostings:
-    def test_value_index_posts_prefix_labels(self):
-        store = DocumentStore()
-        store.create_collection("c")
-        store.store_document(
-            "c", serialize(_sample_document()), name="s.xml"
-        )
-        collection = store.collection("c")
-        postings = collection.values.lookup_nodes("Code", "17")
-        assert set(postings) == {"s.xml"}
-        binary = collection.get("s.xml").binary
-        (label,) = postings["s.xml"]
-        matches = [
-            i
-            for i in range(len(binary))
-            if binary.labels[i] == tuple(label)
-        ]
-        assert len(matches) == 1
-        assert binary.name_of(matches[0]) == "Code"
-        assert binary.text_value(matches[0]) == "17"
-
-    def test_path_index_posts_prefix_labels(self):
-        store = DocumentStore()
-        store.create_collection("c")
-        store.store_document(
-            "c", serialize(_sample_document()), name="s.xml"
-        )
-        collection = store.collection("c")
-        postings = collection.paths.lookup_exact_nodes(
-            ("Store", "Items", "Item")
-        )
-        assert set(postings) == {"s.xml"}
-        assert len(postings["s.xml"]) == 2  # two Item elements
 
 
 class TestPersistence:

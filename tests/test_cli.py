@@ -4,11 +4,12 @@ import pytest
 
 from repro.bench.__main__ import FIGURES, main
 
-REMAINING_FIGURES = (
-    "7a", "7b", "7c", "7d", "headline", "plans", "parallel", "rebalance",
+REMAINING_FIGURES = ("7a", "7b", "7c", "7d", "headline", "plans", "rebalance")
+#: Wall-clock figures retired in favour of ``benchmarks/e2e`` workloads,
+#: and ``parallel``, which went with the intra-site shard pipeline.
+REMOVED_FIGURES = (
+    "modes", "transport", "streaming", "serving", "pushdown", "parallel",
 )
-#: Wall-clock figures retired in favour of ``benchmarks/e2e`` workloads.
-REMOVED_FIGURES = ("modes", "transport", "streaming", "serving", "pushdown")
 
 
 class TestCli:
@@ -31,6 +32,22 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["--figure", figure])
         assert "invalid choice" in capsys.readouterr().err
+
+    def test_shard_flags_are_rejected_by_every_entry_point(self, capsys):
+        # The flags went with the shard pipeline: one parallelism knob,
+        # the fragmentation design.
+        from repro.coordinate.__main__ import main as coordinate_main
+        from repro.fuzz.__main__ import main as fuzz_main
+        from repro.net.server import main as serve_main
+
+        for entry, argv in (
+            (fuzz_main, ["--iterations", "1", "--shards"]),
+            (serve_main, ["--site", "s0", "--shard-workers", "2"]),
+            (coordinate_main, ["--shard-workers", "2"]),
+        ):
+            with pytest.raises(SystemExit):
+                entry(argv)
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_plans_figure_prints_explain_trees(self, capsys):
         exit_code = main(["--figure", "plans", "--scale", "0.0005"])

@@ -139,59 +139,51 @@ class TestCompileCache:
                 assert engine.stats.index_lookups > 0
 
     def test_eight_threads_under_interleaved_options_match_a_fresh_parse(self):
-        engine = _engine(shard_workers=2)
+        engine = _engine()
         combos = [
-            ExecOptions(
-                default_collection=collection,
-                use_indexes=use_indexes,
-                parallel_degree=degree,
-            )
-            for collection, use_indexes, degree in itertools.product(
-                ("a", "b"), (True, False), (1, 2)
+            ExecOptions(default_collection=collection, use_indexes=use_indexes)
+            for collection, use_indexes in itertools.product(
+                ("a", "b"), (True, False)
             )
         ]
+        # The pre-parsed Expr never touches the cache: the reference.
+        expected = [
+            engine.execute(parse_query(CD_CODES), options).result_text
+            for options in combos
+        ]
+        assert len(set(expected)) == 2  # one answer per collection
+        assert len(engine._compiled) == 0
+        assert engine.execute(CD_CODES, combos[1]).result_text == expected[1]
+        _, shared = engine._compile(CD_CODES)
+        pristine = _analysis_view(analyze_query(CD_CODES))
+        assert _analysis_view(shared) == pristine
+
+        wrong = []
+
+        def _client(offset):
+            offset %= len(combos)
+            order = combos[offset:] + combos[:offset]
+            for _ in range(6):
+                for options in order:
+                    text = engine.execute(CD_CODES, options).result_text
+                    if text != expected[combos.index(options)]:
+                        wrong.append((options, text))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            # The pre-parsed Expr never touches the cache: the reference.
-            expected = [
-                engine.execute(parse_query(CD_CODES), options).result_text
-                for options in combos
+            clients = [
+                threading.Thread(target=_client, args=(offset,))
+                for offset in range(8)
             ]
-            assert len(set(expected)) == 2  # one answer per collection
-            assert len(engine._compiled) == 0
-            # Fork the shard workers before any thread exists.
-            assert engine.execute(CD_CODES, combos[1]).result_text == expected[1]
-            assert engine._shard_pool is not None  # degree 2 really shards
-            _, shared = engine._compile(CD_CODES)
-            pristine = _analysis_view(analyze_query(CD_CODES))
-            assert _analysis_view(shared) == pristine
-
-            wrong = []
-
-            def _client(offset):
-                order = combos[offset:] + combos[:offset]
-                for _ in range(6):
-                    for options in order:
-                        text = engine.execute(CD_CODES, options).result_text
-                        if text != expected[combos.index(options)]:
-                            wrong.append((options, text))
-
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-5)
-            try:
-                clients = [
-                    threading.Thread(target=_client, args=(offset,))
-                    for offset in range(8)
-                ]
-                for client in clients:
-                    client.start()
-                for client in clients:
-                    client.join(60.0)
-                assert not any(client.is_alive() for client in clients)
-            finally:
-                sys.setswitchinterval(interval)
-            assert not wrong
-            assert list(engine._compiled) == [CD_CODES]
-            assert engine._compile(CD_CODES)[1] is shared
-            assert _analysis_view(shared) == pristine
+            for client in clients:
+                client.start()
+            for client in clients:
+                client.join(60.0)
+            assert not any(client.is_alive() for client in clients)
         finally:
-            engine.close()
+            sys.setswitchinterval(interval)
+        assert not wrong
+        assert list(engine._compiled) == [CD_CODES]
+        assert engine._compile(CD_CODES)[1] is shared
+        assert _analysis_view(shared) == pristine

@@ -172,6 +172,52 @@ class TestAnnotationTextSafety:
         stripped = strip_annotation_text(text)
         assert stripped == '<a keep="pxid">body pxid text</a>'
 
+    def test_annotation_free_text_is_returned_as_the_same_object(self):
+        # Every annotation name contains "px": text without it (any
+        # answer from horizontal fragments) is never scanned or copied.
+        from repro.partix.composer import strip_annotation_text
+
+        text = "<Item><Code>17</Code><Note>p x, PX, p&amp;x</Note></Item>" * 50
+        assert strip_annotation_text(text) is text
+        assert strip_annotation_text("") == ""
+
+    def test_px_inside_content_only_is_left_alone(self):
+        from repro.partix.composer import strip_annotation_text
+
+        text = '<img width="300px"><w>pxid="3" 12px</w></img>'
+        assert strip_annotation_text(text) == text
+
+    def test_annotated_vertical_and_hybrid_partials_strip_as_before(
+        self, papers_collection, store_collection
+    ):
+        # The stored fragment documents are what `fetch` lanes ship: the
+        # short-circuit must not change what the bare regex made of them.
+        from repro.partix.composer import _ANNOTATION_RE, strip_annotation_text
+        from repro.workloads import (
+            store_hybrid_fragmentation,
+            xbench_vertical_fragmentation,
+        )
+
+        annotated = 0
+        for collection, design in (
+            (papers_collection, xbench_vertical_fragmentation()),
+            (store_collection, store_hybrid_fragmentation(2)),
+        ):
+            cluster = Cluster.with_sites(len(design))
+            Partix(cluster).publish(collection, design)
+            for site in cluster.sites():
+                engine = site.driver.engine
+                for name in engine.collection_names():
+                    stored = engine.store.collection(name)
+                    for doc_name in stored.names():
+                        text = stored.get(doc_name).data.decode("utf-8")
+                        stripped = strip_annotation_text(text)
+                        assert stripped == _ANNOTATION_RE.sub("", text)
+                        if stripped != text:
+                            annotated += 1
+                            assert "pxorigin=" not in stripped
+        assert annotated > 0
+
     def test_attribute_nodes_survive_constructor_copies(self):
         # Regression guard: constructor copies must not lose attributes.
         engine = XMLEngine("ann")

@@ -355,6 +355,57 @@ class TestExecution:
         assert eng.execute('collection("c")/a').result_text == "<a>new</a>"
 
 
+class TestExecuteIsTheDrainedStream:
+    """``execute`` is ``"\\n".join(execute_iter(...))``: same text, same
+    counters, and scan/prune runs once per ``collection()`` call."""
+
+    COUNTERS = [
+        "documents_parsed",
+        "bytes_parsed",
+        "binary_decodes",
+        "label_pruned",
+        "documents_scanned",
+        "documents_pruned",
+        "simulated_overhead_seconds",
+        "result_bytes",
+    ]
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "collection()/Item/Code",
+            'collection("items")/Item[Section = "CD"]/Code',
+            'collection("items")/Item[Section = "VHS"]/Code',  # empty result
+            'count(collection("items")/Item)',
+            # the one shape that builds trees: a constructor's copies
+            'for $i in collection("items")/Item return element r { $i/Code }',
+        ],
+    )
+    def test_pieces_join_to_the_monolithic_answer(
+        self, engine, query, monkeypatch
+    ):
+        engine.per_document_overhead = 1.0 / 512.0
+        options = ExecOptions(default_collection="items")
+        monolithic = engine.execute(query, options)
+        scans = []
+        scan_candidates = engine.scan_candidates
+
+        def counting_scan(*args, **kwargs):
+            scans.append(args[0])
+            return scan_candidates(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "scan_candidates", counting_scan)
+        stream = engine.execute_iter(query, options)
+        assert stream.result is None
+        assert "\n".join(stream) == monolithic.result_text
+        assert scans == ["items"]
+        assert stream.result.result_text == ""
+        for name in self.COUNTERS:
+            assert getattr(stream.result, name) == getattr(monolithic, name)
+        # Elapsed is the wall clock plus the modeled access cost.
+        assert stream.result.measured_seconds > 0
+
+
 class TestExecutionRecords:
     """The one request record and the one result record cross the wire
     through their own payload pairs — enumerated with ``fields`` so the
@@ -400,9 +451,7 @@ class TestExecutionRecords:
     def test_options_round_trip_unset_fields_stay_off_the_wire(self):
         assert ExecOptions().to_payload() == {}
         # False is a set value (force full scans), not an unset one.
-        full = ExecOptions(
-            default_collection="c", use_indexes=False, parallel_degree=3
-        )
+        full = ExecOptions(default_collection="c", use_indexes=False)
         names = [f.name for f in dataclasses.fields(ExecOptions)]
         assert list(full.to_payload()) == names  # the sample covers every field
         assert ExecOptions.from_payload(full.to_payload()) == full
@@ -413,6 +462,10 @@ class TestExecutionRecords:
         assert ExecOptions.from_payload(
             {"query": "q", "stream": True, "use_indexes": True, "trace_id": "x"}
         ) == ExecOptions(use_indexes=True)
+        # An older peer still sends the removed shard degree: ignored.
+        assert ExecOptions.from_payload(
+            {"query": "q", "default_collection": "c", "parallel_degree": 2}
+        ) == ExecOptions(default_collection="c")
 
 
 class TestOverheadAccounting:

@@ -113,6 +113,17 @@ class TestServerOperations:
         assert result.result_text == "<Code>7</Code>"
         assert client.connections_created == 1  # same connection, still usable
 
+    def test_execute_ignores_a_removed_option_an_older_peer_sends(self, client):
+        # ``parallel_degree`` never changed answers, so unlike
+        # ``extra_predicate`` a payload still carrying it is served.
+        client.create_collection("C")
+        client.store_document("C", "<Item><Code>7</Code></Item>", name="d0")
+        reply, _, _ = client.request(
+            FrameType.EXECUTE, {"query": ITEM_QUERY, "parallel_degree": 2}
+        )
+        assert reply.type is FrameType.RESULT
+        assert reply.payload["result_text"] == "<Code>7</Code>"
+
     def test_ping_and_stats(self, server, client):
         payload = client.ping()
         assert payload["site"] == "s0"
@@ -362,3 +373,72 @@ class TestPartixTcp:
             outcome = run_case(spec, modes=("simulated", "tcp"))
             assert outcome.ok, [m.detail for m in outcome.mismatches]
             assert outcome.comparisons > 0
+
+
+class TestWritesAfterStartTcp:
+    """While tcp is up a write through ``site.driver`` reaches the local
+    engine and its server, so ``threads`` and ``tcp`` keep answering from
+    identical repositories whoever wrote (publisher, rebalancer)."""
+
+    @staticmethod
+    def _answers(partix, name):
+        queries = (
+            'count(collection("%s")//Item)' % name,
+            'for $i in collection("%s")//Item return $i/Code' % name,
+        )
+        return {
+            mode: [
+                partix.execute(
+                    query, collection=name, execution_mode=mode
+                ).result_text
+                for query in queries
+            ]
+            for mode in ("threads", "tcp")
+        }
+
+    @pytest.mark.parametrize("republished", [40, 6], ids=["grown", "shrunk"])
+    def test_republish_reaches_the_site_servers(self, republished):
+        partix, collection = _published_partix(item_count=16)
+        design = items_horizontal_fragmentation(2)
+        with partix:
+            partix.start_tcp()
+            partix.publish(
+                build_items_collection(republished, kind="small", seed=10),
+                design,
+                replace=True,
+            )
+            answers = self._answers(partix, collection.name)
+            assert answers["threads"][0] == str(republished)
+            assert answers["tcp"] == answers["threads"]
+
+    def test_split_reaches_the_site_servers(self):
+        from repro.rebalance.migrate import Rebalancer
+
+        partix, collection = _published_partix(item_count=24)
+        fragment = items_horizontal_fragmentation(2).fragments[0].name
+        with partix:
+            partix.start_tcp()
+            before = self._answers(partix, collection.name)
+            report = Rebalancer(partix).split(collection.name, fragment)
+            assert report.completed
+            after = self._answers(partix, collection.name)
+            assert after["tcp"] == after["threads"]
+            # Same documents as before the split (three lanes now, so the
+            # concatenation order may differ).
+            assert [sorted(text.split("\n")) for text in after["tcp"]] == [
+                sorted(text.split("\n")) for text in before["threads"]
+            ]
+
+    def test_stop_tcp_restores_the_plain_drivers(self):
+        partix, _ = _published_partix()
+        plain = {site.name: site.driver for site in partix.cluster.sites()}
+        partix.start_tcp()
+        assert all(
+            site.driver is not plain[site.name]
+            and site.driver.engine is plain[site.name].engine
+            for site in partix.cluster.sites()
+        )
+        partix.stop_tcp()
+        assert all(
+            site.driver is plain[site.name] for site in partix.cluster.sites()
+        )

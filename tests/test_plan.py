@@ -218,6 +218,20 @@ class TestExplainStability:
         ]
 
 
+    def test_a_stored_plan_still_carrying_a_shard_degree_loads(self, horizontal):
+        # Plans serialized before the shard pipeline went may carry
+        # ``parallel_degree`` on a lane and its scan node: ignored.
+        plan = horizontal.decompose(self.QUERIES[0])
+        payload = json.loads(json.dumps(plan.to_dict()))
+        payload["lanes"][0]["subquery"]["parallel_degree"] = 2
+        payload["root"]["children"][0]["children"][0]["detail"][
+            "parallel_degree"
+        ] = 2
+        restored = plan_from_dict(payload)
+        assert restored.subqueries == plan.subqueries
+        assert restored.render() == plan.render()
+
+
 class TestExecutionMode:
     def test_registry_covers_public_modes(self):
         assert ExecutionMode.names() == (
