@@ -18,8 +18,9 @@ MULTI_FRAGMENT = ("Q4", "Q7", "Q8", "Q9")
 # vertical win. The body fragment is ~95% of every article, so Q5 (single
 # fragment but body-bound) gains little — also a paper observation.
 SMALL_FRAGMENT_ONLY = ("Q1", "Q2", "Q3", "Q6")
-# Multi-fragment queries that must fetch the dominant body fragment and
-# pay the ID-join over it.
+# Multi-fragment queries that filter on the dominant body fragment: its
+# site still scans every body (only the abstracts travel, the fetch is
+# projected) and the ID-join rides on top.
 BODY_JOIN = ("Q4", "Q8", "Q9")
 
 

@@ -56,6 +56,15 @@ def strip_annotations(node: XMLNode) -> XMLNode:
     )
 
 
+def strip_annotations_in_place(node: XMLNode) -> None:
+    """Remove every annotation attribute from a tree the caller owns."""
+    for element in node.descendants_or_self():
+        if any(is_annotation(child) for child in element.children):
+            element.children = [
+                child for child in element.children if not is_annotation(child)
+            ]
+
+
 def is_annotation(node: XMLNode) -> bool:
     """True for a pxid/pxparent attribute node."""
     return node.kind is NodeKind.ATTRIBUTE and node.label in ANNOTATION_NAMES

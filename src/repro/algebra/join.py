@@ -26,8 +26,9 @@ from typing import Iterable, Optional
 from repro.algebra.annotations import (
     PXID,
     PXPARENT,
+    annotate,
     read_annotation,
-    strip_annotations,
+    strip_annotations_in_place,
 )
 from repro.datamodel.document import XMLDocument
 from repro.datamodel.tree import NodeKind, XMLNode
@@ -62,7 +63,12 @@ def reconstruct_one(
     origin: Optional[str] = None,
     strip: bool = True,
 ) -> XMLDocument:
-    """Join the vertical parts of a single source document."""
+    """Join the vertical parts of a single source document.
+
+    The parts stay untouched: the join works on one copy of each (a
+    caller may pass live documents), and the rebuilt tree is made of
+    those copies alone — annotations are stripped from it in place.
+    """
     if not parts:
         raise FragmentationError("cannot reconstruct a document from no parts")
     skeletons = [p for p in parts if read_annotation(p.root, PXPARENT) is None]
@@ -95,8 +101,6 @@ def reconstruct_one(
             root_id = next(iter(parent_ids))
         else:
             root_id = 0
-        from repro.algebra.annotations import annotate
-
         annotate(skeleton, PXID, int(root_id or 0))
 
     targets = _index_targets(skeleton)
@@ -125,7 +129,7 @@ def reconstruct_one(
         for node_id, node in _index_targets(part_root).items():
             targets[node_id] = node
     if strip:
-        skeleton = strip_annotations(skeleton)
+        strip_annotations_in_place(skeleton)
     return XMLDocument(skeleton, name=origin, assign_ids=True, origin=origin)
 
 

@@ -437,11 +437,7 @@ class StreamedExecution:
         for index, piece in enumerate(map(serialize_item, self.items)):
             if index:
                 streamed_bytes += 1  # the "\n" separator before this piece
-            # An ASCII piece is as many bytes as characters; only others
-            # are encoded to be measured.
-            streamed_bytes += (
-                len(piece) if piece.isascii() else len(piece.encode("utf-8"))
-            )
+            streamed_bytes += utf8_length(piece)
             yield piece
         engine = self._engine
         elapsed = time.perf_counter() - self._started
@@ -455,6 +451,12 @@ class StreamedExecution:
             elapsed_seconds=elapsed + self._delta.simulated_overhead_seconds,
             cumulative=cumulative,
         )
+
+
+def utf8_length(text: str) -> int:
+    """UTF-8 size of ``text``: an ASCII string is as many bytes as
+    characters; only others are encoded to be measured."""
+    return len(text) if text.isascii() else len(text.encode("utf-8"))
 
 
 def serialize_item(item) -> str:

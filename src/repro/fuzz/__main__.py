@@ -156,6 +156,10 @@ def _print_digest(summary: dict) -> None:
         (f"composition {kind}", count)
         for kind, count in sorted(summary["composition_kinds"].items())
     )
+    rows.extend(
+        (f"fetch projection {kind}", count)
+        for kind, count in sorted(summary["fetch_projections"].items())
+    )
     if summary.get("migrate"):
         rows.append(("migrations completed", summary["migrations_completed"]))
     rows.append(("failures", len(summary["failures"])))

@@ -64,6 +64,7 @@ from repro.partix.correctness import verify_fragmentation
 from repro.partix.middleware import Partix, PartixResult
 from repro.plan.executor import ExecutionMode
 from repro.plan.explain import plan_from_dict
+from repro.xmltext.projection import WHOLE_DOCUMENT
 from repro.xquery.evaluator import DynamicContext, Evaluator
 from repro.xquery.parser import parse_query
 
@@ -114,6 +115,9 @@ class CaseOutcome:
     queries_skipped: int = 0
     comparisons: int = 0
     composition_kinds: Counter = field(default_factory=Counter)
+    #: Fetch sub-queries of the compared plans, by what they shipped: a
+    #: ``strict`` projection or the ``whole`` document.
+    fetch_projections: Counter = field(default_factory=Counter)
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -132,6 +136,7 @@ class CaseOutcome:
             "queries_skipped": self.queries_skipped,
             "comparisons": self.comparisons,
             "composition_kinds": dict(self.composition_kinds),
+            "fetch_projections": dict(self.fetch_projections),
             "mismatches": [m.to_dict() for m in self.mismatches],
             "notes": self.notes,
         }
@@ -175,6 +180,21 @@ class _DomProvider:
 
     def document_root(self, name: str):
         return None  # the generator emits no doc() call
+
+
+def _fetch_projections(plan) -> Counter:
+    """The plan's fetch scans counted as ``strict`` projections or
+    ``whole`` documents (the ``project=[...]`` annotation of EXPLAIN)."""
+    counts: Counter = Counter()
+    nodes = [plan.root]
+    while nodes:
+        node = nodes.pop()
+        nodes.extend(node.children)
+        project = node.detail.get("project")
+        if project is not None:
+            whole = list(project) == [WHOLE_DOCUMENT]
+            counts["whole" if whole else "strict"] += 1
+    return counts
 
 
 def evaluate_on_dom(engine: XMLEngine, query: str) -> str:
@@ -533,6 +553,7 @@ def _run_query(
     _check_accessor(partix, query, central_text, outcome, index)
     plan = partix.explain(query, "Cfuzz")
     outcome.composition_kinds[plan.composition.kind] += 1
+    outcome.fetch_projections.update(_fetch_projections(plan))
     _check_plan_equivalence(partix, query, plan, outcome, index)
     _check_plan_order(partix, results_by_mode, outcome, index, query)
 
@@ -819,11 +840,13 @@ def run_fuzz(
         "comparisons": 0,
         "families": {},
         "composition_kinds": {},
+        "fetch_projections": {},
         "failures": [],
         "ok": True,
     }
     families: Counter = Counter()
     kinds: Counter = Counter()
+    projections: Counter = Counter()
     for iteration in range(iterations):
         spec = spec_for_iteration(seed, iteration)
         outcome = run_case(
@@ -844,6 +867,7 @@ def run_fuzz(
         summary["comparisons"] += outcome.comparisons
         families[spec.family] += 1
         kinds.update(outcome.composition_kinds)
+        projections.update(outcome.fetch_projections)
         if outcome.ok:
             continue
         summary["ok"] = False
@@ -873,4 +897,5 @@ def run_fuzz(
             break
     summary["families"] = dict(families)
     summary["composition_kinds"] = dict(kinds)
+    summary["fetch_projections"] = dict(projections)
     return summary

@@ -12,9 +12,11 @@ operator of each fragmentation type:
   ``min``/``max`` fold, ``avg`` recombines shipped (sum, count) pairs,
   ``exists``/``empty`` fold shipped booleans with any/all.
 * ``reconstruct`` — the expensive vertical path: parse the fetched
-  fragment documents, group them by their ``pxorigin`` join key, ID-join
-  each group back into source documents, load them into a scratch engine
-  under the original collection name, and re-run the original query.
+  (projected) fragment documents, group them by their ``pxorigin`` join
+  key, ID-join each group back into source documents, and re-run the
+  original query on the rebuilt trees — the one evaluator over a
+  provider that answers ``collection()``/``doc()`` from them; nothing is
+  encoded, stored or indexed for a query that runs once.
 
 Two composition *modes* share those kinds. The monolithic
 :meth:`ResultComposer.compose` takes every partial as a finished string.
@@ -41,12 +43,18 @@ from typing import Optional, Sequence
 from repro.algebra.annotations import PXPARENT, read_annotation, read_origin
 from repro.algebra.join import reconstruct_documents
 from repro.datamodel.document import XMLDocument
-from repro.datamodel.tree import NodeKind, XMLNode
-from repro.engine.database import XMLEngine, serialize_sequence
-from repro.errors import DecompositionError
+from repro.datamodel.tree import Node, NodeKind, XMLNode
+from repro.engine.database import serialize_sequence, utf8_length
+from repro.errors import (
+    DecompositionError,
+    StorageError,
+    XQueryEvaluationError,
+)
 from repro.net.protocol import DEFAULT_CHUNK_BYTES
 from repro.plan.spec import CompositionSpec, SubQuery
 from repro.xmltext.parser import parse_forest
+from repro.xquery.evaluator import DynamicContext, Evaluator
+from repro.xquery.parser import parse_query
 
 
 @dataclass
@@ -81,7 +89,7 @@ class ResultComposer:
         elapsed = time.perf_counter() - started
         return ComposedResult(
             result_text=text,
-            result_bytes=len(text.encode("utf-8")),
+            result_bytes=utf8_length(text),
             compose_seconds=elapsed,
             items=items,
         )
@@ -113,14 +121,13 @@ class ResultComposer:
             for root in parse_forest(text):
                 parts.extend(_extract_parts(root))
         rebuilt = reconstruct_documents(parts, root_label=spec.root_label)
-        scratch = XMLEngine("compose-scratch")
-        scratch.create_collection(spec.source_collection)
-        for document in rebuilt:
-            scratch.store_document(
-                spec.source_collection, document, name=document.name
-            )
-        result = scratch.execute(spec.original_query)
-        return result.result_text, result.items
+        items = Evaluator().evaluate(
+            parse_query(spec.original_query),
+            DynamicContext(
+                provider=_RebuiltProvider(spec.source_collection, rebuilt)
+            ),
+        )
+        return serialize_sequence(items), items
 
     # ------------------------------------------------------------------
     def incremental(
@@ -382,10 +389,35 @@ class IncrementalComposer:
         elapsed = time.perf_counter() - started
         return ComposedResult(
             result_text=text,
-            result_bytes=len(text.encode("utf-8")),
+            result_bytes=utf8_length(text),
             compose_seconds=elapsed,
             items=items,
         )
+
+
+class _RebuiltProvider:
+    """DocumentProvider over the documents an ID-join rebuilt: the
+    source collection is those trees in origin order, ``doc(name)`` the
+    one rebuilt from the parts of origin ``name``."""
+
+    def __init__(self, collection: str, documents: list[XMLDocument]):
+        self._collection = collection
+        self._documents = documents
+
+    def collection_roots(self, name: Optional[str]) -> list[Node]:
+        if name is None:
+            raise XQueryEvaluationError(
+                "collection() without a name needs a default collection"
+            )
+        if name != self._collection:
+            raise StorageError(f"no collection named {name!r}")
+        return [document.root for document in self._documents]
+
+    def document_root(self, name: str) -> Optional[Node]:
+        for document in self._documents:
+            if document.name == name:
+                return document.root
+        return None
 
 
 _ANNOTATION_RE = re.compile(
@@ -423,26 +455,30 @@ def _extract_parts(root: XMLNode) -> list[XMLDocument]:
     origin = read_origin(root)
     if read_annotation(root, PXPARENT) is not None:
         return [_as_part(root, origin)]
-    inner = [
-        node
-        for node in root.descendants()
-        if node.kind is NodeKind.ELEMENT
-        and read_annotation(node, PXPARENT) is not None
-    ]
-    if inner:
-        # Keep only the outermost annotated nodes (grafts are subtrees).
-        outermost = [
-            node
-            for node in inner
-            if not any(parent in inner for parent in node.ancestors())
-        ]
-        return [_as_part(node, read_origin(node) or origin) for node in outermost]
+    # The outermost annotated nodes, in document order (grafts are whole
+    # subtrees, so the walk never descends below one).
+    units = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node is not root and read_annotation(node, PXPARENT) is not None:
+            units.append(node)
+            continue
+        stack.extend(
+            child
+            for child in reversed(node.children)
+            if child.kind is NodeKind.ELEMENT
+        )
+    if units:
+        return [_as_part(unit, read_origin(unit) or origin) for unit in units]
     return [_as_part(root, origin)]
 
 
 def _as_part(node: XMLNode, origin: Optional[str]) -> XMLDocument:
-    detached = node.clone(deep=True)
-    return XMLDocument(detached, name=None, assign_ids=False, origin=origin)
+    """``node`` as a join part. The tree it sits in was parsed by the
+    composer for this join alone, so the node is detached, not copied."""
+    node.parent = None
+    return XMLDocument(node, name=None, assign_ids=False, origin=origin)
 
 
 def _format_number(value: float) -> str:

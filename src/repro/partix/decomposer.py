@@ -16,12 +16,28 @@ Localization rules:
   fall inside the fragment's projected region. A single-fragment query is
   rewritten (the fragment path's prefix is stripped, since fragment
   documents are rooted at the projected node); a multi-fragment query
-  falls back to *fetch + ID-join + re-query* — the expensive
-  reconstruction the paper blames for vertical slowdowns.
+  falls back to *projected fetch + ID-join + re-query on the rebuilt
+  trees* — the reconstruction the paper blames for vertical slowdowns,
+  shipping and rebuilding only what the query reads. Each fetch asks
+  its site for every stored document projected onto the query's touched
+  paths (``px:project``, :func:`projection_paths`; *document
+  projection*, Marian & Siméon, VLDB 2003). The keep rule: a node whose
+  label path **matches** a touched path is kept whole; a node on a
+  **proper prefix** of a kept path is kept bare (the element and all its
+  attributes — ``pxid``/``pxparent``/``pxorigin`` and stub placeholders
+  included, which is what the ID-join needs of it); everything the
+  analysis cannot prove unreachable is kept (a **conservative
+  superset**: descendant steps, wildcards, a touched path at or above
+  the fragment root, an inexact analysis → up to the whole document,
+  which is just the projection whose kept path is the root). Sound by
+  the contract that already drops whole fragments: with ``paths_exact``
+  the query navigates nothing outside ``touched_paths``, and the subset
+  has no upward axis — the same fact, applied inside a fragment.
 * **hybrid** — unit-region queries behave like horizontal over the unit
   fragments (with the query predicate re-rooted at the unit); FragMode1
   storage additionally needs the chain prefix stripped; queries spanning
-  the remainder fall back to reconstruction.
+  the remainder fall back to reconstruction (fetching whole documents:
+  unit fragments are stored under two shapes, FragMode1/FragMode2).
 
 Aggregates (``count``/``sum``/``min``/``max``/``avg``) are decomposed into
 partial aggregates merged by the composer; ``avg`` ships as a
@@ -80,6 +96,12 @@ from repro.paths.predicates import (
     StartsWith,
     definitely_disjoint,
 )
+from repro.xmltext.projection import (
+    WHOLE_DOCUMENT,
+    Keep,
+    keep_path,
+    render_keep,
+)
 from repro.xquery.analysis import (
     QueryAnalysis,
     _neutralize_counted_returns,
@@ -109,8 +131,6 @@ from repro.xquery.ast_nodes import (
 )
 from repro.xquery.parser import parse_query
 from repro.xquery.unparse import unparse
-
-FETCH_ALL_TEMPLATE = 'for $d in collection("{name}") return $d'
 
 
 # Compatibility alias: the decomposer's output used to be a bespoke
@@ -431,7 +451,7 @@ class QueryDecomposer:
                 )
             notes.append("path rewrite failed; falling back to reconstruction")
         return self._reconstruction_plan(
-            query, collection, fragmentation, relevant, notes
+            query, collection, fragmentation, relevant, notes, analysis
         )
 
     def _reconstruction_plan(
@@ -441,15 +461,33 @@ class QueryDecomposer:
         fragmentation: FragmentationSchema,
         relevant,
         notes: list[str],
+        analysis: Optional[QueryAnalysis] = None,
     ) -> LogicalPlan:
+        """Projected fetch of every relevant fragment + ID-join + re-query.
+
+        With the query's ``analysis`` (the pure vertical designs) each
+        fetch ships the fragment's documents projected onto the paths the
+        query reads (:func:`projection_paths`); without it — the hybrid
+        fallbacks, whose unit fragments are stored under two document
+        shapes — the whole documents travel.
+        """
+        roots = [fragment.path for fragment in relevant]
+        project = analysis is not None and all(p.is_simple for p in roots)
         scans = []
         for fragment in relevant:
+            paths = (WHOLE_DOCUMENT,)
+            if project:
+                paths = projection_paths(
+                    analysis, [s.name for s in fragment.path.steps], roots
+                )
+            arguments = "".join(f', "{path}"' for path in paths)
             candidates = tuple(
                 ScanCandidate(
                     site=entry.site,
                     stored_collection=entry.stored_collection,
-                    query=FETCH_ALL_TEMPLATE.format(
-                        name=entry.stored_collection
+                    query=(
+                        f'px:project(collection("{entry.stored_collection}")'
+                        f"{arguments})"
                     ),
                 )
                 for entry in self.catalog.replicas(collection, fragment.name)
@@ -460,6 +498,7 @@ class QueryDecomposer:
                     candidates=candidates,
                     purpose="fetch",
                     selectivity=1.0,
+                    project=paths,
                 )
             )
         notes.append(
@@ -676,9 +715,69 @@ def _path_touches_fragment(fragment: VerticalFragment, path: PathExpr) -> bool:
     if not inside:
         return False
     for prune in fragment.prune:
-        if prune.is_prefix_of(path) and str(prune) != str(path):
+        # Only a plain path provably stays inside a pruned region; with a
+        # descendant step or wildcard the prefix test merely cannot refute.
+        if path.is_simple and prune.is_prefix_of(path) and str(prune) != str(path):
             return False
     return True
+
+
+def projection_paths(
+    analysis: QueryAnalysis, chain: list[str], graft_roots: list[PathExpr]
+) -> tuple[str, ...]:
+    """What a fetch keeps of fragment documents rooted at ``chain[-1]``.
+
+    The answer is the argument list of ``px:project``
+    (:mod:`repro.xmltext.projection`): the query's touched paths
+    re-rooted at the fragment root are kept *whole*; kept *bare* (the
+    nodes must exist, nothing below them is read) are the paths its
+    ``for``/``some``/``every`` variables iterate and ``graft_roots``, the
+    root paths of every fragment fetched for the join — the spine down
+    to each graft target (the node carrying the ``pxid`` a part's
+    ``pxparent`` names, or its stub) survives wherever it is stored.
+    Sound by the contract that already drops whole fragments — with
+    ``paths_exact`` the query navigates nothing but ``touched_paths`` —
+    applied one level finer; whatever the analysis cannot pin down keeps
+    a superset: an inexact analysis, or a touched path at or above the
+    fragment root, keeps the whole document; a descendant or wildcard
+    step keeps everything below the last plain step before it.
+    """
+    if not analysis.paths_exact or not analysis.bindings_exact:
+        return (WHOLE_DOCUMENT,)
+    keep: Keep = {}
+    for path in analysis.touched_paths:
+        keep = _keep_below_root(keep, path, chain, whole=True)
+    for path in (*analysis.binding_paths, *graft_roots):
+        keep = _keep_below_root(keep, path, chain, whole=False)
+    return render_keep(keep)
+
+
+def _keep_below_root(
+    keep: Keep, path: PathExpr, chain: list[str], whole: bool
+) -> Keep:
+    """``keep`` plus what ``path`` reaches in documents rooted at
+    ``chain[-1]`` (``whole``: the selected subtrees; else the bare nodes)."""
+    steps = path.steps
+    for depth, label in enumerate(chain):
+        if depth == len(steps):
+            # Selects an ancestor of the fragment root: a whole path reads
+            # the entire fragment; a bare one needs only the root.
+            return None if whole else keep
+        step = steps[depth]
+        if step.axis is Axis.DESCENDANT or step.is_wildcard:
+            return None
+        if step.is_attribute or step.name != label:
+            return keep  # leaves the chain: never enters these documents
+    labels = []
+    for step in steps[len(chain) :]:
+        if step.is_attribute:
+            whole = False  # attributes travel with their bare owner
+            break
+        if step.axis is Axis.DESCENDANT or step.is_wildcard:
+            whole = True  # may reach anything below the last plain step
+            break
+        labels.append(step.name)
+    return keep_path(keep, labels, whole)
 
 
 def _reroot_predicate(

@@ -140,6 +140,8 @@ class CostModel:
         documents = stats.documents if stats is not None else DEFAULT_DOCUMENTS
         fragment_bytes = stats.bytes if stats is not None else DEFAULT_FRAGMENT_BYTES
         if purpose == "fetch":
+            # An upper bound: a fetch ships the fragment's documents
+            # projected onto what the query reads, at most all of them.
             result_bytes = fragment_bytes
         elif pushdown is not None:
             result_bytes = SCALAR_RESULT_BYTES

@@ -39,6 +39,9 @@ def _node_label(node: PlanNode) -> str:
         )
         if detail.get("purpose") == "fetch":
             label += " purpose=fetch"
+        project = detail.get("project")
+        if project is not None:
+            label += f" project=[{', '.join(project)}]"
         if detail.get("predicate"):
             label += f" pred={detail.get('predicate')}"
         candidates = detail.get("candidates", 1)

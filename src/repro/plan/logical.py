@@ -51,6 +51,10 @@ class FragmentScan:
     #: Rendered form of the pruning predicate the scan's sub-query
     #: carries (EXPLAIN annotation; None when the query has none).
     predicate: Optional[str] = None
+    #: What a ``purpose="fetch"`` scan keeps of each stored document: the
+    #: path arguments of its ``px:project`` sub-query (EXPLAIN annotation;
+    #: ``(".",)`` is the whole document, None on answer scans).
+    project: Optional[Tuple[str, ...]] = None
 
 
 @dataclass(frozen=True)

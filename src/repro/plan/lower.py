@@ -178,6 +178,8 @@ def lower(
         }
         if scan.predicate is not None:
             detail["predicate"] = scan.predicate
+        if scan.project is not None:
+            detail["project"] = list(scan.project)
         return PlanNode(
             op="index-scan" if access == "index" else "scan",
             node_id=node_id,

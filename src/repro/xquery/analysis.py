@@ -223,6 +223,8 @@ class _Analyzer:
             self._record_input(expr)
             if expr.name in ("contains", "starts-with", "ends-with"):
                 self.analysis.uses_text_search = True
+            if expr.name in ("string", "number") and not expr.args:
+                self._touch_context(var_paths)
             for arg in expr.args:
                 self.walk(arg, var_paths)
             return
@@ -238,9 +240,14 @@ class _Analyzer:
                 expr.primary, (VarRef, ContextItem)
             ):
                 self.walk(expr.primary, var_paths)
-            for step in expr.steps:
-                for predicate in step.predicates:
-                    self.walk(predicate, var_paths)
+            self._walk_step_predicates(expr, var_paths)
+            return
+        if isinstance(expr, FilterExpr):
+            self.walk(expr.primary, var_paths)
+            focus = dict(var_paths)
+            focus["__context__"] = self._binding_path(expr.primary, var_paths)
+            for predicate in expr.predicates:
+                self.walk(predicate, focus)
             return
         if isinstance(expr, VarRef):
             # A variable used *bare* (not as a path primary) exposes its
@@ -251,16 +258,15 @@ class _Analyzer:
             elif expr.name not in self._let_vars:
                 self.analysis.paths_exact = False
             return
+        if isinstance(expr, ContextItem):
+            self._touch_context(var_paths)
+            return
         if isinstance(expr, FLWOR):
             scope = dict(var_paths)
             for clause in expr.clauses:
                 if isinstance(clause, ForClause):
                     self._walk_binding_seq(clause.seq, scope)
-                    scope[clause.var] = self._binding_path(clause.seq, scope)
-                    if scope[clause.var] is not None:
-                        self.analysis.binding_paths.append(scope[clause.var])
-                    else:
-                        self.analysis.bindings_exact = False
+                    scope[clause.var] = self._iteration_path(clause.seq, scope)
                     if clause.position_var:
                         self._let_vars.add(clause.position_var)
                 else:
@@ -277,7 +283,7 @@ class _Analyzer:
         if isinstance(expr, Quantified):
             scope = dict(var_paths)
             self._walk_binding_seq(expr.seq, scope)
-            scope[expr.var] = self._binding_path(expr.seq, scope)
+            scope[expr.var] = self._iteration_path(expr.seq, scope)
             self.walk(expr.condition, scope)
             return
         for child in _children(expr):
@@ -295,13 +301,60 @@ class _Analyzer:
         if isinstance(seq, PathApply):
             if seq.primary is not None:
                 self.walk(seq.primary, var_paths)
-            for step in seq.steps:
-                for predicate in step.predicates:
-                    self.walk(predicate, var_paths)
+            self._walk_step_predicates(seq, var_paths)
             if self.resolve_path(seq, var_paths) is None:
                 self.analysis.paths_exact = False
             return
         self.walk(seq, var_paths)
+
+    def _walk_step_predicates(
+        self, expr: PathApply, var_paths: dict[str, Optional[PathExpr]]
+    ) -> None:
+        """Walk the predicates of every step with the step's own nodes as
+        the focus: relative paths and ``.`` inside ``[...]`` resolve
+        against the path up to and including that step."""
+        for position, step in enumerate(expr.steps):
+            if not step.predicates:
+                continue
+            focus = dict(var_paths)
+            focus["__context__"] = self.focus_path(expr, position, var_paths)
+            for predicate in step.predicates:
+                self.walk(predicate, focus)
+
+    def focus_path(
+        self,
+        expr: PathApply,
+        position: int,
+        var_paths: dict[str, Optional[PathExpr]],
+    ) -> Optional[PathExpr]:
+        """Absolute path of the nodes step ``position`` of ``expr`` selects
+        — the focus its predicates run with (None when not derivable)."""
+        upto = PathApply(
+            expr.primary, expr.steps[: position + 1], expr.absolute
+        )
+        return self.resolve_path(upto, var_paths)
+
+    def _touch_context(self, var_paths: dict[str, Optional[PathExpr]]) -> None:
+        """The context item used for its *value* (``.``, ``string()``):
+        its whole subtree is read, wherever the focus came from."""
+        context = var_paths.get("__context__")
+        if context is not None:
+            self.analysis.touched_paths.append(context)
+        else:
+            self.analysis.paths_exact = False
+
+    def _iteration_path(
+        self, seq: Expr, var_paths: dict[str, Optional[PathExpr]]
+    ) -> Optional[PathExpr]:
+        """Binding path of a ``for``/``some``/``every`` variable, recorded:
+        the nodes it selects are iterated, so each must exist (how many
+        there are shapes the answer) even when nothing below is read."""
+        path = self._binding_path(seq, var_paths)
+        if path is not None:
+            self.analysis.binding_paths.append(path)
+        else:
+            self.analysis.bindings_exact = False
+        return path
 
     def _record_input(self, call: FunctionCall) -> None:
         if call.name == "collection":
@@ -478,17 +531,10 @@ class _PredicateCollector:
         # Predicates inside steps (e.g. /Item[Section="CD"]) apply with the
         # step's node as context; resolve them against the path up to and
         # including that step.
-        prefix_steps: list[AxisStep] = []
-        for step in expr.steps:
-            prefix_steps.append(
-                AxisStep(step.axis, step.name, step.is_attribute, step.is_text)
-            )
+        for position, step in enumerate(expr.steps):
             if not step.predicates:
                 continue
-            context_path = self.analyzer.resolve_path(
-                PathApply(expr.primary, tuple(prefix_steps), expr.absolute),
-                var_paths,
-            )
+            context_path = self.analyzer.focus_path(expr, position, var_paths)
             for predicate in step.predicates:
                 converted = self._convert_relative(predicate, context_path)
                 if converted is not None:

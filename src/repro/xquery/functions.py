@@ -5,7 +5,8 @@ argument sequences and returns a result sequence. The library covers the
 functions the paper's query sets use — aggregation (``count``/``sum``/
 ``avg``/``min``/``max``), text search (``contains``/``starts-with``), and
 the usual accessors — plus input functions ``collection``/``doc`` resolved
-through the context's document provider.
+through the context's document provider, and ``px:project``, the
+document-projection primitive the decomposer's fetch sub-queries call.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Callable
 
-from repro.datamodel.tree import Node
+from repro.datamodel.tree import Node, NodeKind
 from repro.errors import XQueryEvaluationError, XQueryTypeError
+from repro.xmltext.projection import parse_keep, serialize_projected
 from repro.xquery.values import (
     atomic_to_string,
     atomize,
@@ -72,6 +74,26 @@ def _doc(ctx: "DynamicContext", args: list[list]) -> list:
     _require_args("doc", args, 1, 1)
     root = ctx.provider.document_root(string_value(args[0]))
     return [root] if root is not None else []
+
+
+@register("px:project")
+def _project(ctx: "DynamicContext", args: list[list]) -> list:
+    """``px:project($roots, "path", ...)`` — the fetch sub-query of a
+    vertical join: each root element restricted to the kept paths
+    (:mod:`repro.xmltext.projection`), in its wire form. A strict
+    projection is one string per root, written from the kept spans alone
+    (nothing else is decoded); a projection that keeps everything is the
+    root itself, which the result stream serializes piece by piece as it
+    does any node."""
+    if not args:
+        raise XQueryTypeError("px:project() takes the nodes to project")
+    for root in args[0]:
+        if not isinstance(root, Node) or root.kind is not NodeKind.ELEMENT:
+            raise XQueryTypeError("px:project() projects element nodes")
+    keep = parse_keep(string_value(path) for path in args[1:])
+    if keep is None:
+        return args[0]
+    return [serialize_projected(root, keep) for root in args[0]]
 
 
 # ----------------------------------------------------------------------

@@ -70,10 +70,14 @@ def _unparse(expr: Expr) -> str:
         steps = "".join(_unparse_step(step) for step in expr.steps)
         if expr.primary is None:
             return steps
-        return f"{_unparse(expr.primary)}{steps}"
+        return f"{_unparse_primary(expr.primary)}{steps}"
     if isinstance(expr, FilterExpr):
         predicates = "".join(f"[{_unparse(p)}]" for p in expr.predicates)
-        return f"{_unparse(expr.primary)}{predicates}"
+        primary = _unparse_primary(expr.primary)
+        if isinstance(expr.primary, PathApply):
+            # (a/b)[2] is the second b overall; a/b[2] every a's second.
+            primary = f"({primary})"
+        return f"{primary}{predicates}"
     if isinstance(expr, FLWOR):
         return _unparse_flwor(expr)
     if isinstance(expr, IfExpr):
@@ -96,6 +100,15 @@ def _unparse(expr: Expr) -> str:
         content = ", ".join(_unparse(c) for c in expr.content)
         return f"text {{ {content} }}"
     raise XQueryEvaluationError(f"cannot unparse {type(expr).__name__}")
+
+
+def _unparse_primary(expr: Expr) -> str:
+    """``expr`` where steps or predicates attach: an expression that
+    would swallow them (``for … return x`` + ``/a``) is parenthesized."""
+    text = _unparse(expr)
+    if isinstance(expr, (FLWOR, IfExpr, Quantified)):
+        return f"({text})"
+    return text
 
 
 def _unparse_step(step: AxisStep) -> str:

@@ -52,3 +52,22 @@ def test_roundtrip_preserves_structure_not_just_text():
     text = 'for $i in collection("c")/Item where $i/P = 1 return $i'
     spaced = 'for  $i  in  collection("c")/Item  where  ($i/P = 1)  return  $i'
     assert parse_query(text) == parse_query(spaced)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '(collection("c")/a/b)[2]',
+        'for $x in collection("c")/a return ($x/b/c)[last()]',
+        '($x/b)[1]/c',
+        '(for $x in collection("c")/a return $x/b)/c',
+        '(if ($x) then $x/a else $x/b)/c',
+        '(1, 2)[. = 1]',
+        'collection("c")/a/b[2]',
+    ],
+)
+def test_filters_and_steps_attach_where_they_were_written(text):
+    # (a/b)[2] is the second b overall, a/b[2] every a's second: a
+    # rendering that drops the parentheses ships a different query.
+    ast = parse_query(text)
+    assert parse_query(unparse(ast)) == ast

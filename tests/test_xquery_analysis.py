@@ -70,6 +70,35 @@ class TestTouchedPaths:
         analysis = analyze_query('collection("c")/a[b = 1]/c')
         assert "/a/c" in analysis.touched_path_strings()
 
+    def test_step_predicates_resolve_against_their_step(self):
+        analysis = analyze_query('collection("c")/a[b = 1]/c')
+        assert {"/a/c", "/a/b"} <= set(analysis.touched_path_strings())
+        assert analysis.paths_exact
+        nested = analyze_query(
+            'for $x in collection("c")/a return $x/s[t/u[v = 1]]/w'
+        )
+        assert {"/a/s/w", "/a/s/t/u", "/a/s/t/u/v"} <= set(
+            nested.touched_path_strings()
+        )
+
+    def test_the_focus_read_for_its_value_is_touched(self):
+        for predicate in ('. = "x"', 'string() = "x"', "number() > 1"):
+            analysis = analyze_query(
+                f'for $x in collection("c")/a return $x/s[{predicate}]/w'
+            )
+            assert {"/a/s", "/a/s/w"} <= set(analysis.touched_path_strings())
+            assert analysis.paths_exact
+        positional = analyze_query(
+            'for $x in collection("c")/a return $x/s[position() = last()]/w'
+        )
+        assert positional.touched_path_strings() == ["/a/s/w"]
+        filtered = analyze_query(
+            'for $x in collection("c")/a return ($x/s)[. = "x"]'
+        )
+        assert filtered.touched_path_strings() == ["/a/s", "/a/s"]
+        # A focus the analysis cannot place degrades exactness.
+        assert not analyze_query('(1, 2)[. = 1]').paths_exact
+
     def test_descendant_paths(self):
         analysis = analyze_query('collection("c")//a/b')
         assert analysis.touched_path_strings() == ["//a/b"]
@@ -80,6 +109,16 @@ class TestTouchedPaths:
         )
         assert [str(p) for p in analysis.binding_paths] == ["/a/b"]
         assert analysis.bindings_exact
+
+    def test_quantified_bindings_are_iterated_too(self):
+        analysis = analyze_query(
+            'for $x in collection("c")/a where'
+            " some $y in $x/b satisfies 1 = 1 return 1"
+        )
+        assert [str(p) for p in analysis.binding_paths] == ["/a", "/a/b"]
+        assert analysis.bindings_exact
+        opaque = analyze_query("every $y in (1, 2) satisfies $y = 1")
+        assert not opaque.bindings_exact
 
     def test_opaque_binding_degrades_exactness(self):
         analysis = analyze_query(
