@@ -46,7 +46,10 @@ which decides where a sub-query physically runs. The built-in
 :class:`repro.net.client.TcpTransport` sends the same sub-queries to
 site-server processes over sockets. The fan-out / retry / fail-fast /
 degrade logic is identical either way — only the lane's ``execute``
-changes.
+changes, and whatever it does, a lane's answer is the text on the
+:class:`SubQueryExecution` it returns: the dispatcher sees no chunks, and
+a retried attempt starts from nothing because a failed one returned
+nothing.
 """
 
 from __future__ import annotations
@@ -120,19 +123,13 @@ class Transport(abc.ABC):
         subquery: "SubQuery",
         default_collection: Optional[str] = None,
         timeout: Optional[float] = None,
-        on_chunk=None,
     ) -> SubQueryExecution:
-        """Run one sub-query at its site. ``timeout`` is the per-sub-query
-        budget; transports that can enforce it on the wire (sockets)
-        should, in-process transports may ignore it (the dispatcher then
-        checks the budget after the fact).
-
-        ``on_chunk``, when given, selects streaming: the transport calls
-        it with successive byte slices whose concatenation is exactly the
-        UTF-8 serialized answer, and the returned execution's result may
-        carry an empty ``result_text`` (the bytes already went to the
-        callback). Transports with no real stream (in-process) emulate
-        the chunking so composition code sees one behavior everywhere."""
+        """Run one sub-query at its site and return its execution, whose
+        ``result.result_text`` is the lane's whole answer — how the
+        bytes travelled is the transport's business. ``timeout`` is the
+        per-sub-query budget; transports that can enforce it on the wire
+        (sockets) should, in-process transports may ignore it (the
+        dispatcher then checks the budget after the fact)."""
 
     def ping(self, site: str) -> bool:
         """Best-effort liveness probe of ``site``, used to readmit
@@ -149,15 +146,12 @@ class InProcessTransport(Transport):
     so reports can distinguish modeled from measured transfers.
     """
 
-    def __init__(self, cluster: Cluster, chunk_bytes: Optional[int] = None):
+    def __init__(
+        self,
+        cluster: Cluster,
+        chunk_bytes=None,  # unused: benchmarks/e2e/tracing.py passes it
+    ):
         self.cluster = cluster
-        if chunk_bytes is None:
-            # Imported lazily: repro.net sits above the cluster layer
-            # (its client builds on this module's Transport).
-            from repro.net.protocol import DEFAULT_CHUNK_BYTES
-
-            chunk_bytes = DEFAULT_CHUNK_BYTES
-        self.chunk_bytes = max(1, int(chunk_bytes))
 
     def resolve(self, site_names: Sequence[str]) -> None:
         for name in site_names:
@@ -175,20 +169,12 @@ class InProcessTransport(Transport):
         subquery: "SubQuery",
         default_collection: Optional[str] = None,
         timeout: Optional[float] = None,
-        on_chunk=None,
+        on_chunk=None,  # unused: benchmarks/e2e/tracing.py passes it
     ) -> SubQueryExecution:
         site = self.cluster.site(subquery.site)
         result = site.execute(
             subquery.query, exec_options(subquery, default_collection)
         )
-        if on_chunk is not None:
-            # Chunk emulation: slice the serialized answer into the same
-            # chunk_bytes-sized pieces a site server would stream, so the
-            # incremental composer exercises identical boundaries (UTF-8
-            # splits included) in threads/simulated modes.
-            data = result.result_text.encode("utf-8")
-            for start in range(0, len(data), self.chunk_bytes):
-                on_chunk(data[start:start + self.chunk_bytes])
         return SubQueryExecution(
             site=subquery.site,
             fragment=subquery.fragment,
@@ -229,14 +215,13 @@ class SerialTransport(Transport):
         subquery: "SubQuery",
         default_collection: Optional[str] = None,
         timeout: Optional[float] = None,
-        on_chunk=None,
+        on_chunk=None,  # unused: benchmarks/e2e/tracing.py passes it
     ) -> SubQueryExecution:
         with self._lock:
             return self.inner.execute(
                 subquery,
                 default_collection=default_collection,
                 timeout=timeout,
-                on_chunk=on_chunk,
             )
 
 
@@ -424,7 +409,6 @@ class ParallelDispatcher:
         cluster: Union[Cluster, Transport],
         subqueries: Sequence["SubQuery"],
         default_collection: Optional[str] = None,
-        chunk_sink=None,
         subquery_timeout: Optional[float] = _UNSET,
     ) -> DispatchOutcome:
         """Run ``subqueries`` concurrently; one worker lane per site.
@@ -432,14 +416,6 @@ class ParallelDispatcher:
         ``cluster`` may be a :class:`Cluster` (wrapped in an
         :class:`InProcessTransport`) or any :class:`Transport` — socket
         lanes to real site servers run through the exact same code path.
-
-        ``chunk_sink`` (e.g. a
-        :class:`~repro.partix.composer.IncrementalComposer`) selects
-        streaming: before every attempt of sub-query *i* the dispatcher
-        calls ``chunk_sink.begin(i)`` (resetting the lane, so a retry can
-        never leave duplicate bytes behind), feeds each arriving slice to
-        ``chunk_sink.chunk(i, data)``, and calls ``chunk_sink.complete(i)``
-        only once the attempt's result is accepted.
 
         ``subquery_timeout`` overrides the dispatcher's configured budget
         for this round only — the coordinator threads each query's
@@ -488,7 +464,6 @@ class ParallelDispatcher:
                     failures_lock,
                     cancel,
                     skipped,
-                    chunk_sink,
                     subquery_timeout,
                 )
 
@@ -502,8 +477,8 @@ class ParallelDispatcher:
             run_lanes()
         finally:
             # The round ends — by return or by raise — only once every
-            # lane has: nothing may touch ``results`` or the chunk sink
-            # after dispatch() is over. A helper that never got to start
+            # lane has: nothing may touch ``results`` after dispatch()
+            # is over. A helper that never got to start
             # (the caller finished the short lanes first) is withdrawn;
             # exception() blocks until a started one is done.
             errors = [
@@ -555,7 +530,6 @@ class ParallelDispatcher:
         failures_lock: threading.Lock,
         cancel: threading.Event,
         skipped: list[int],
-        chunk_sink=None,
         subquery_timeout: Optional[float] = None,
     ) -> None:
         """One site's sub-queries, in plan order, with retry + timeout."""
@@ -571,7 +545,6 @@ class ParallelDispatcher:
                 default_collection,
                 results,
                 cancel,
-                chunk_sink,
                 subquery_timeout,
             )
             if failure is not None:
@@ -615,7 +588,6 @@ class ParallelDispatcher:
         default_collection: Optional[str],
         results: list[Optional[SubQueryExecution]],
         cancel: threading.Event,
-        chunk_sink=None,
         subquery_timeout: Optional[float] = None,
     ) -> Optional[SubQueryFailure]:
         """One sub-query with its retry/backoff/timeout/failover envelope.
@@ -628,7 +600,9 @@ class ParallelDispatcher:
         old ~(retries+1)× overshoot. On failure the retry rotates to
         the fragment's next healthy replica (see :meth:`_next_target`);
         the failure policy only sees sub-queries whose whole replica
-        set was exhausted.
+        set was exhausted. Only an accepted attempt's execution — and so
+        only its answer text — reaches ``results``: what a failed
+        attempt received dies with it.
         """
         failure: Optional[SubQueryFailure] = None
         targets = subquery.targets()
@@ -637,10 +611,6 @@ class ParallelDispatcher:
         attempt_sites: list[str] = []
         budget = subquery_timeout
         deadline = self._clock() + budget if budget is not None else None
-        on_chunk = None
-        if chunk_sink is not None:
-            def on_chunk(data, _index=index):
-                chunk_sink.chunk(_index, data)
         for attempt in range(self.retries + 1):
             if cancel.is_set():
                 return failure
@@ -668,15 +638,10 @@ class ParallelDispatcher:
             attempt_subquery = subquery.retarget(target)
             started = self._clock()
             try:
-                if chunk_sink is not None:
-                    # Reset the lane at every attempt: a failed attempt's
-                    # partial chunks must never survive into the retry.
-                    chunk_sink.begin(index)
                 execution = transport.execute(
                     attempt_subquery,
                     default_collection=default_collection,
                     timeout=attempt_timeout,
-                    on_chunk=on_chunk,
                 )
             except Exception as exc:
                 self.site_health.record_failure(target.site)
@@ -711,8 +676,6 @@ class ParallelDispatcher:
                     execution.attempt_sites = list(attempt_sites)
                     # Each slot is written by exactly one lane thread.
                     results[index] = execution
-                    if chunk_sink is not None:
-                        chunk_sink.complete(index)
                     return None
             if attempt < self.retries:
                 next_cursor = self._next_target(transport, targets, cursor)

@@ -148,6 +148,12 @@ class SubQueryExecution:
     #: ``attempt_sites[-1] == site`` always holds.
     failover_count: int = 0
     attempt_sites: list = field(default_factory=list)
+    #: Stamped by the tcp transport when the site chunked its reply:
+    #: the bytes the lane held as undecoded RESULT_CHUNK payloads, and
+    #: the seconds from sending the request to the first of them. An
+    #: inline reply and an in-process lane leave 0 / ``None``.
+    chunked_bytes: int = 0
+    first_chunk_seconds: Optional[float] = None
 
     @property
     def elapsed(self) -> float:
@@ -171,24 +177,35 @@ class ParallelRound:
     sequential loop's duration, in ``"threads"`` mode the concurrent
     dispatcher's, so benchmarks can print simulated parallel time and
     measured parallel time side by side.
-
-    Streaming rounds additionally record ``streamed=True``,
-    ``peak_buffered_bytes`` (the coordinator's largest in-memory partial
-    buffering — bounded by spill threshold × active lanes, not by result
-    size) and ``first_chunk_seconds`` (sink creation to first arriving
-    chunk: the round's time-to-first-byte).
     """
 
     executions: list[SubQueryExecution] = field(default_factory=list)
     measured_wall_seconds: float = 0.0
-    streamed: bool = False
-    peak_buffered_bytes: int = 0
-    first_chunk_seconds: Optional[float] = None
 
     @property
     def failover_count(self) -> int:
         """Replica failovers across the round's executions."""
         return sum(execution.failover_count for execution in self.executions)
+
+    @property
+    def peak_buffered_bytes(self) -> int:
+        """Bytes the round's lanes held as undecoded reply chunks (each
+        lane holds its chunks until its reply ends, so the sum is the
+        peak); 0 when every site answered inline or in process."""
+        return sum(execution.chunked_bytes for execution in self.executions)
+
+    @property
+    def first_chunk_seconds(self) -> Optional[float]:
+        """The earliest lane's wait for its first reply chunk; ``None``
+        when no reply of the round was chunked."""
+        return min(
+            (
+                execution.first_chunk_seconds
+                for execution in self.executions
+                if execution.first_chunk_seconds is not None
+            ),
+            default=None,
+        )
 
     @property
     def parallel_seconds(self) -> float:

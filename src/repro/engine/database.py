@@ -222,6 +222,11 @@ class XMLEngine:
         Runs once per ``collection()`` call. ``options.use_indexes``
         overrides the engine's setting for this scan; with indexes off
         every document is a candidate (the paper-faithful full scan).
+        With indexes on the candidates are the index *superset* — the
+        extracted predicate is a necessary condition, and the query's
+        own ``where`` clause, evaluated on the same node tables right
+        after, is the exact filter — so ``documents_scanned`` counts
+        the superset.
         """
         collection = self.store.collection(collection_name)
         use_indexes = options.use_indexes
@@ -230,33 +235,11 @@ class XMLEngine:
         if use_indexes and predicate is not None:
             candidates, lookups = candidate_documents(collection, predicate)
             stats.index_lookups += lookups
-            candidates = self._verify_on_binary(
-                collection, predicate, candidates, stats
-            )
         else:
             candidates = collection.names()
         stats.documents_scanned += len(candidates)
         stats.documents_pruned += len(collection) - len(candidates)
         return candidates
-
-    def _verify_on_binary(
-        self,
-        collection,
-        predicate: Predicate,
-        candidates: list[str],
-        stats: EngineStats,
-    ) -> list[str]:
-        """Exact pushdown: evaluate the predicate over each candidate's
-        binary node table and drop the non-matches before evaluation.
-        Sound because extracted predicates are *necessary* conditions
-        (see :func:`~repro.engine.indexes.candidate_documents`)."""
-        verified: list[str] = []
-        for doc_name in candidates:
-            if predicate.evaluate(collection.get(doc_name).binary.root):
-                verified.append(doc_name)
-            else:
-                stats.label_pruned += 1
-        return verified
 
     def execute_iter(
         self,
@@ -270,9 +253,9 @@ class XMLEngine:
         (:meth:`scan_candidates`, once per ``collection()`` call) →
         **evaluate** over the candidates → **serialize**, handed out
         piece by piece, one per result item, through the returned
-        :class:`StreamedExecution` — a consumer (the streaming site
-        server) can put each piece on the wire while the next one is
-        still being serialized. The ``"\\n"``-join of the pieces is
+        :class:`StreamedExecution` — a consumer (the site server) can
+        put each piece on the wire while the next one is still being
+        serialized. The ``"\\n"``-join of the pieces is
         exactly the serialized answer.
         """
         options = options or ExecOptions()
@@ -406,9 +389,9 @@ class StreamedExecution:
 
     Iterating yields the pieces — one per result item (XML for nodes,
     the canonical atomic form otherwise). The monolithic answer is
-    exactly ``"\\n".join(pieces)`` — the contract both the streaming
-    wire path and the incremental composer rely on, and by construction
-    identical to :func:`serialize_sequence` over the same items.
+    exactly ``"\\n".join(pieces)`` — the contract the site server's
+    reply framing relies on, and by construction identical to
+    :func:`serialize_sequence` over the same items.
 
     ``result`` is ``None`` until iteration completes; draining the
     stream commits the query's stats and builds the

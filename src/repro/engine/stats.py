@@ -45,7 +45,8 @@ class EngineStats:
     #: tables in place, so only a constructor's :meth:`clone_node` copies.
     documents_parsed: int = 0
     bytes_parsed: int = 0
-    #: Documents handed to the evaluator (after index pruning).
+    #: Documents handed to the evaluator: with indexes on, the index
+    #: candidates — a superset of the documents the query matches.
     documents_scanned: int = 0
     documents_pruned: int = 0
     index_lookups: int = 0
@@ -53,12 +54,11 @@ class EngineStats:
     #: a node table); it stays a field because it is part of the RESULT
     #: stats payload on the wire.
     binary_decodes: int = 0
-    #: Index-candidate documents discarded by exact predicate evaluation
-    #: over the binary encoding before they reached the evaluator.
-    label_pruned: int = 0
-    #: Always 0: the parsed-document LRU it counted is gone. The field
-    #: stays only because ``benchmarks/e2e/tracing.py`` copies it; the
+    #: Both always 0: the exact pre-verification of index candidates
+    #: and the parsed-document LRU they counted are gone. The fields
+    #: stay only because ``benchmarks/e2e/tracing.py`` copies them; the
     #: next benchmark-only PR drops both.
+    label_pruned: int = 0
     cache_hits: int = 0
     parse_seconds: float = 0.0
     evaluation_seconds: float = 0.0

@@ -6,11 +6,11 @@ both ways, re-verifies the §3.3 correctness rules empirically, and runs
 every query once per configuration: centralized, then fragmented in each
 requested execution mode (``simulated`` and ``threads`` by default;
 ``tcp`` adds real site-server processes — the case's repository is
-mirrored over the wire and sub-queries travel through sockets;
-``tcp-stream`` runs the same processes through the streamed RESULT_CHUNK
-pipeline with an adversarially tiny chunk size, so chunk boundaries fall
-inside multi-byte UTF-8 characters and the incremental composer's answer
-must still be byte-identical). Two comparisons apply:
+mirrored over the wire and sub-queries travel through sockets, with an
+adversarially tiny negotiated chunk size, so nearly every reply is
+chunked, chunk boundaries fall inside multi-byte UTF-8 characters and
+the assembled answer must still be byte-identical). Two comparisons
+apply:
 
 * **mode** — the composed answers of every execution mode must be
   byte-identical, always. Plan-order composition is a hard contract:
@@ -77,13 +77,13 @@ MIRROR_SITE = "mirror"
 #: placement the first pass never saw.
 SPARE_SITE = "spare"
 EXECUTION_MODES = ("simulated", "threads")
-ALL_EXECUTION_MODES = ("simulated", "threads", "tcp", "tcp-stream")
+ALL_EXECUTION_MODES = ExecutionMode.names()
 
-#: Chunk size forced when a streamed mode is under test. Tiny on
-#: purpose: with 7-byte RESULT_CHUNK frames almost every multi-byte
-#: UTF-8 character in a result is split across a chunk boundary, and the
-#: coordinator's spill buffers overflow to disk constantly — the two
-#: nastiest streaming code paths exercised on every query.
+#: Chunk size proposed to the site servers when a tcp mode is under
+#: test. Tiny on purpose: every answer of 7 bytes or more is chunked,
+#: and with 7-byte RESULT_CHUNK frames almost every multi-byte UTF-8
+#: character in a result is split across a chunk boundary; shorter
+#: answers keep the inline RESULT form covered in the same session.
 ADVERSARIAL_CHUNK_BYTES = 7
 
 
@@ -329,11 +329,9 @@ def run_case(
     partix.publish_centralized(case.collection, CENTRAL_SITE)
 
     try:
-        if any(mode.streaming for mode in parsed_modes):
-            # Adversarial chunking: see ADVERSARIAL_CHUNK_BYTES. Must be
-            # set before start_tcp so clients negotiate it.
-            partix.chunk_bytes = ADVERSARIAL_CHUNK_BYTES
         if any(mode.transport == "tcp" for mode in parsed_modes):
+            # Set before start_tcp so the clients negotiate it.
+            partix.chunk_bytes = ADVERSARIAL_CHUNK_BYTES
             partix.start_tcp()
         if migrate:
             _run_migrate_case(partix, case, outcome, modes, indexes=indexes)
@@ -754,15 +752,12 @@ def _check_plan_order(
     it. The reference ordering is recovered from each execution's own
     ``fragment`` (stamped by the transport from the sub-query itself),
     never from list positions, so a merely reordered completion log stays
-    benign while a mis-*aligned* one is caught. Streamed rounds are
-    skipped: their executions carry no partial text (the bytes went to
-    the chunk sink).
+    benign while a mis-*aligned* one is caught.
     """
     for mode, result in results_by_mode.items():
         plan = result.plan
         if (
-            result.streamed
-            or plan is None
+            plan is None
             or plan.composition.kind != "concat"
             or len(plan.subqueries) <= 1
         ):

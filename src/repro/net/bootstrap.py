@@ -158,8 +158,8 @@ class TcpSiteCluster:
         """Start one server process per entry in ``site_configs``
         (site name → engine keyword arguments) and wait until every
         server reports its bound port. ``chunk_bytes``, when given, is
-        proposed by every client at connect time as the streamed
-        RESULT_CHUNK size."""
+        proposed by every client at connect time as the RESULT_CHUNK
+        size."""
         if context is None:
             # fork is much cheaper than spawn and available on the
             # platforms CI runs on; fall back to the default elsewhere.

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import socket
 import threading
+import time
 from typing import Iterable, Optional, Sequence, Union, TYPE_CHECKING
 
 from repro.cluster.dispatch import Transport, exec_options
@@ -67,7 +68,7 @@ class SiteClient:
         self.connect_timeout = connect_timeout
         self.read_timeout = read_timeout
         self.pool_size = pool_size
-        #: Proposed streamed-chunk size, sent in HELLO; ``None`` leaves the
+        #: Proposed reply-chunk size, sent in HELLO; ``None`` leaves the
         #: server at its default. The server's clamped answer lands in
         #: :attr:`negotiated_chunk_bytes` after the first connection.
         self.chunk_bytes = chunk_bytes
@@ -315,46 +316,66 @@ class SiteClient:
         The result's ``items`` stay empty — only the serialized text
         crosses the wire, as with any real remote DBMS.
         """
+        return self._execute(
+            query, options, read_timeout, debug_sleep_seconds
+        )[:3]
+
+    def _execute(
+        self,
+        query: str,
+        options: Optional[ExecOptions],
+        read_timeout: Optional[float],
+        debug_sleep_seconds: Optional[float] = None,
+    ) -> tuple[QueryResult, int, int, int, Optional[float]]:
+        """:meth:`execute`, plus what :class:`TcpTransport` records of
+        the reply's form: ``(result, sent, received, chunked_bytes,
+        first_chunk_seconds)``.
+
+        The site picks the form (see :mod:`repro.net.protocol`). An
+        inline RESULT leaves ``0`` / ``None``; RESULT_CHUNK payloads are
+        kept as they arrive — one may end inside a multi-byte character
+        — and joined and decoded once at RESULT_END, so the result's
+        text is the whole answer either way. A connection that dies
+        before the terminal frame raises :class:`TransportError` (a
+        truncated reply never passes for a short answer), and the list
+        dies with the call: a retry starts from nothing.
+        """
         payload = {"query": query}
         payload.update((options or ExecOptions()).to_payload())
         if debug_sleep_seconds:
             payload["debug_sleep_seconds"] = debug_sleep_seconds
-        reply, sent, received = self.call(FrameType.EXECUTE, payload, read_timeout)
-        if reply.type is not FrameType.RESULT:
-            raise TransportError(f"EXECUTE answered with {reply.type.name}")
-        return QueryResult.from_payload(reply.payload), sent, received
+        chunks: list[bytes] = []
+        first_chunk_seconds: Optional[float] = None
+        started = time.perf_counter()
 
-    def execute_stream(
-        self,
-        query: str,
-        options: Optional[ExecOptions] = None,
-        on_chunk=None,
-        read_timeout: Optional[float] = None,
-    ) -> tuple[QueryResult, int, int]:
-        """Run a query remotely in streaming mode.
+        def collect(raw: bytes) -> None:
+            nonlocal first_chunk_seconds
+            if not chunks:
+                first_chunk_seconds = time.perf_counter() - started
+            chunks.append(raw)
 
-        ``on_chunk`` is called with each RESULT_CHUNK's raw bytes as it
-        arrives (the concatenation of all chunks is exactly the UTF-8
-        monolithic answer); the returned :class:`QueryResult` carries the
-        RESULT_END stats with an empty ``result_text`` — callers that
-        want the text must assemble it from the chunks. A connection that
-        dies before RESULT_END raises :class:`TransportError`, so a
-        truncated stream can never be mistaken for a short answer.
-        """
-        payload = {"query": query, "stream": True}
-        payload.update((options or ExecOptions()).to_payload())
         reply, sent, received = self._exchange(
             FrameType.EXECUTE,
             payload,
             read_timeout,
-            terminal=(FrameType.RESULT_END, FrameType.ERROR),
-            on_chunk=on_chunk,
+            terminal=(FrameType.RESULT, FrameType.RESULT_END, FrameType.ERROR),
+            on_chunk=collect,
         )
         if reply.type is FrameType.ERROR:
-            # Any partial chunks are the caller's sink to discard (the
-            # dispatcher resets its lane on every retry attempt).
             raise payload_to_exception(reply.payload)
-        return QueryResult.from_payload(reply.payload), sent, received
+        if reply.type is FrameType.RESULT:
+            if chunks:
+                raise TransportError(
+                    f"{self._peer()} sent RESULT_CHUNK frames before an"
+                    " inline RESULT"
+                )
+            result = QueryResult.from_payload(reply.payload)
+            return result, sent, received, 0, None
+        data = b"".join(chunks)
+        chunks.clear()  # hold the answer twice (bytes, text), not thrice
+        result = QueryResult.from_payload(reply.payload)
+        result.result_text = data.decode("utf-8")
+        return result, sent, received, len(data), first_chunk_seconds
 
     def create_collection(self, name: str) -> None:
         self.call(FrameType.CREATE_COLLECTION, {"collection": name})
@@ -492,20 +513,16 @@ class TcpTransport(Transport):
         subquery: "SubQuery",
         default_collection: Optional[str] = None,
         timeout: Optional[float] = None,
-        on_chunk=None,
+        on_chunk=None,  # unused: benchmarks/e2e/tracing.py passes it
     ) -> SubQueryExecution:
         client = self.clients.get(subquery.site)
         if client is None:
             raise ClusterError(f"no site named {subquery.site!r}")
-        options = exec_options(subquery, default_collection)
-        if on_chunk is not None:
-            result, sent, received = client.execute_stream(
-                subquery.query, options, on_chunk=on_chunk, read_timeout=timeout
-            )
-        else:
-            result, sent, received = client.execute(
-                subquery.query, options, read_timeout=timeout
-            )
+        result, sent, received, chunked, first_chunk = client._execute(
+            subquery.query,
+            exec_options(subquery, default_collection),
+            read_timeout=timeout,
+        )
         return SubQueryExecution(
             site=subquery.site,
             fragment=subquery.fragment,
@@ -514,4 +531,6 @@ class TcpTransport(Transport):
             bytes_sent=sent,
             bytes_received=received,
             on_wire=True,
+            chunked_bytes=chunked,
+            first_chunk_seconds=first_chunk,
         )

@@ -21,14 +21,21 @@ as :mod:`repro.partix.serialization` for designs). Frames larger than
 garbage length prefix must not make a reader allocate gigabytes.
 
 The one exception to the JSON rule is ``RESULT_CHUNK``: its payload is
-*raw bytes* — a slice of the UTF-8 serialized result stream, shipped
-without JSON escaping so large XML value streams cost exactly their own
-size on the wire. A streamed execution is a sequence of ``RESULT_CHUNK``
-frames closed by one JSON ``RESULT_END`` frame carrying the execution
-stats; chunk size is negotiated per connection: the client proposes
-``chunk_bytes`` in its HELLO, the server clamps it with
-:func:`negotiate_chunk_bytes` and echoes the effective value in its
-WELCOME.
+*raw bytes* — a slice of the UTF-8 serialized answer, shipped without
+JSON escaping so large XML value streams cost exactly their own size on
+the wire.
+
+One reply rule: an ``EXECUTE`` has one form, and the site — the only
+party that knows the answer's size — picks the form of the reply. An
+answer that ends before the connection's first chunk fills travels
+inline in one JSON ``RESULT`` frame (text and execution stats
+together; at most :data:`MAX_INLINE_RESULT_BYTES`); a longer one goes
+out as ``RESULT_CHUNK`` frames while it is still being produced, closed
+by one JSON ``RESULT_END`` frame carrying the stats. Either way the
+client hands its caller the same text. Chunk size is negotiated per
+connection: the client proposes ``chunk_bytes`` in its HELLO, the
+server clamps it with :func:`negotiate_chunk_bytes` and echoes the
+effective value in its WELCOME.
 
 Handshake: a client's first frame must be ``HELLO {"version": N}``. The
 server answers ``WELCOME {"version", "site"}`` when the version matches
@@ -56,7 +63,10 @@ from typing import Optional
 from repro.errors import ProtocolError, RemoteExecutionError
 
 MAGIC = b"PX"
-PROTOCOL_VERSION = 1
+#: 2: EXECUTE lost its stream key — the site sizes the reply (RESULT,
+#: or RESULT_CHUNK… RESULT_END), so a version-1 peer would meet frames
+#: it does not expect and is refused at the handshake instead.
+PROTOCOL_VERSION = 2
 
 #: ``!`` network byte order: magic, version, type, request id, payload size.
 _HEADER = struct.Struct("!2sBBQI")
@@ -67,10 +77,17 @@ HEADER_BYTES = _HEADER.size
 #: cannot trigger a runaway allocation.
 MAX_PAYLOAD_BYTES = 64 * 1024 * 1024
 
-#: Default negotiated size of one streamed RESULT_CHUNK payload. 64 KiB
-#: amortizes the 16-byte header to ~0.02% while keeping the coordinator's
-#: per-lane buffering small.
+#: Default negotiated size of one RESULT_CHUNK payload, and so the
+#: answer size from which a reply is chunked. 64 KiB amortizes the
+#: 16-byte header to ~0.02%.
 DEFAULT_CHUNK_BYTES = 64 * 1024
+
+#: Largest answer a RESULT frame carries inline. JSON escaping grows a
+#: text at most 6x (a control character or a two-byte UTF-8 character
+#: becomes ``\uXXXX``), so an inline frame stays under 48 MiB plus its
+#: stats — provably below :data:`MAX_PAYLOAD_BYTES` however large a
+#: chunk size the connection negotiated.
+MAX_INLINE_RESULT_BYTES = MAX_PAYLOAD_BYTES // 8
 
 #: Floor for a negotiated chunk size. 1 is legal on purpose: the fuzz
 #: harness uses it to force chunk boundaries inside multi-byte UTF-8
@@ -100,7 +117,7 @@ class FrameType(enum.IntEnum):
     REJECT = 3  # server → client: {"reason": str} (connection closes)
     PING = 4  # health check: {}
     PONG = 5  # {"site": str, "queries_executed": int, ...}
-    EXECUTE = 6  # {"query", "stream"?, ExecOptions keys that are set...}
+    EXECUTE = 6  # {"query", ExecOptions keys that are set...}
     RESULT = 7  # {"result_text", "elapsed_seconds", per-query stats...}
     ERROR = 8  # {"error_type": str, "message": str}
     CREATE_COLLECTION = 9  # {"collection": str}
@@ -110,16 +127,16 @@ class FrameType(enum.IntEnum):
     STATS = 13  # {} → OK with the server's cumulative wire/query stats
     SHUTDOWN = 14  # {} → OK, then the server drains and exits
     OK = 15  # generic success reply, payload depends on the request
-    RESULT_CHUNK = 16  # raw bytes: one slice of a streamed result
+    RESULT_CHUNK = 16  # raw bytes: one slice of a chunked answer
     RESULT_END = 17  # {"result_bytes", "elapsed_seconds", stats...}
     # Coordinator frames (client ↔ repro.coordinate service). A QUERY is
     # answered by exactly one QUERY_RESULT or QUERY_ERROR carrying the
-    # same request id; with {"stream": true} the QUERY_RESULT is preceded
-    # by RESULT_CHUNK frames whose concatenation is the UTF-8 answer (the
-    # QUERY_RESULT then omits "result_text"). Replies to *different*
-    # request ids may interleave on one connection — the request id is
-    # the multiplexing key.
-    QUERY = 18  # {"query", "collection"?, "deadline_seconds"?, "stream"?}
+    # same request id; with a true ``stream`` key the QUERY_RESULT is
+    # preceded by RESULT_CHUNK frames whose concatenation is the UTF-8
+    # answer (the QUERY_RESULT then omits "result_text"). Replies to
+    # *different* request ids may interleave on one connection — the
+    # request id is the multiplexing key.
+    QUERY = 18  # {"query", "collection"?, "deadline_seconds"?, stream?}
     QUERY_RESULT = 19  # {"result_text"?, "result_bytes", serving stats...}
     QUERY_ERROR = 20  # {"error_type", "message", "shed": bool}
     # Rebalancing frames (client ↔ repro.coordinate service), both
@@ -159,7 +176,7 @@ def answer_hello(hello: Frame, site: str) -> tuple[Frame, Optional[int]]:
     site server and the asyncio coordinator.
 
     Given a connection's first frame, returns ``(reply, chunk_bytes)``:
-    a WELCOME and the negotiated streamed-chunk size when the peer sent a
+    a WELCOME and the negotiated chunk size when the peer sent a
     HELLO of this protocol version, else a REJECT and ``None`` — the
     caller sends the reply either way and closes the connection on
     ``None``. Pure: no I/O, so both servers decide identically.

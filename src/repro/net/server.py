@@ -29,15 +29,16 @@ import socket
 import socketserver
 import threading
 import time
-from typing import Optional
-
 from collections import Counter
+from dataclasses import replace
+from typing import Optional
 
 from repro.engine.stats import ExecOptions
 from repro.errors import ProtocolError
 from repro.net.protocol import (
     Frame,
     FrameType,
+    MAX_INLINE_RESULT_BYTES,
     PROTOCOL_VERSION,
     answer_hello,
     exception_to_payload,
@@ -196,70 +197,47 @@ class _SiteHandler(socketserver.BaseRequestHandler):
                 "EXECUTE no longer accepts 'extra_predicate': this site"
                 " would ignore the hint and answer a different query"
             )
-        options = ExecOptions.from_payload(payload)
-        if payload.get("stream"):
-            self._execute_stream(sock, owner, rid, payload["query"], options)
-            return
-        result = owner.driver.execute(payload["query"], options)
-        owner._count_query()
-        self._reply(sock, rid, FrameType.RESULT, result.to_payload())
-
-    def _execute_stream(
-        self,
-        sock: socket.socket,
-        owner: "SiteServer",
-        rid: int,
-        query: str,
-        options: ExecOptions,
-    ) -> None:
-        """Streamed EXECUTE: RESULT_CHUNK frames as produced, RESULT_END last.
-
-        The driver's per-item pieces are packed into chunks of the
-        connection's negotiated ``chunk_bytes``, with a ``\\n`` separator
-        byte between pieces — the concatenated chunk payloads are exactly
-        the UTF-8 bytes of the monolithic ``result_text``, so a client
-        reassembling the stream gets a byte-identical answer. Chunks go
-        on the wire while later items are still being serialized.
-        """
-        stream = owner.driver.execute_iter(query, options)
+        stream = owner.driver.execute_iter(
+            payload["query"], ExecOptions.from_payload(payload)
+        )
+        # The driver's per-item pieces, "\n"-separated, are packed into
+        # chunks of the connection's negotiated size and go on the wire
+        # while later items are still being serialized.
         chunk_bytes = self.chunk_bytes
         buffer = bytearray()
-        first = True
-        for piece in stream:
-            if not first:
+        chunked = False
+        for index, piece in enumerate(stream):
+            if index:
                 buffer += b"\n"
-            first = False
             buffer += piece.encode("utf-8")
             while len(buffer) >= chunk_bytes:
-                self._reply_raw(sock, rid, bytes(buffer[:chunk_bytes]))
+                chunk = bytes(buffer[:chunk_bytes])
+                self._reply(sock, rid, FrameType.RESULT_CHUNK, raw=chunk)
                 del buffer[:chunk_bytes]
-        if buffer:
-            self._reply_raw(sock, rid, bytes(buffer))
+                chunked = True
         owner._count_query()
+        result = stream.result
+        if not chunked and len(buffer) <= MAX_INLINE_RESULT_BYTES:
+            # The whole answer is here and no chunk went out: one frame.
+            result = replace(result, result_text=buffer.decode("utf-8"))
+            self._reply(sock, rid, FrameType.RESULT, result.to_payload())
+            return
+        if buffer:
+            self._reply(sock, rid, FrameType.RESULT_CHUNK, raw=bytes(buffer))
         self._reply(
-            sock,
-            rid,
-            FrameType.RESULT_END,
-            stream.result.to_payload(streamed=True),
+            sock, rid, FrameType.RESULT_END, result.to_payload(streamed=True)
         )
 
-    def _reply_raw(self, sock: socket.socket, rid: int, data: bytes) -> None:
-        try:
-            sent = send_frame(
-                sock,
-                Frame(type=FrameType.RESULT_CHUNK, request_id=rid, raw=data),
-            )
-        except OSError:
-            return
-        self.server.owner._count_out(sent)
-
     def _reply(
-        self, sock: socket.socket, rid: int, type_: FrameType, payload: dict
+        self,
+        sock: socket.socket,
+        rid: int,
+        type_: FrameType,
+        payload: Optional[dict] = None,
+        raw: bytes = b"",
     ) -> None:
         try:
-            sent = send_frame(
-                sock, Frame(type=type_, request_id=rid, payload=payload)
-            )
+            sent = send_frame(sock, Frame(type_, rid, payload or {}, raw=raw))
         except OSError:
             return
         self.server.owner._count_out(sent)

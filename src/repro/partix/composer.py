@@ -18,27 +18,21 @@ operator of each fragmentation type:
   provider that answers ``collection()``/``doc()`` from them; nothing is
   encoded, stored or indexed for a query that runs once.
 
-Two composition *modes* share those kinds. The monolithic
-:meth:`ResultComposer.compose` takes every partial as a finished string.
-The streaming :class:`IncrementalComposer` (built by
-:meth:`ResultComposer.incremental`) is a *chunk sink* fed by the
-dispatcher while sub-queries are still running: ``concat`` lanes append
-to per-fragment :class:`SpillBuffer`\\ s (bounded memory, catalog
-fragment order restored at :meth:`~IncrementalComposer.finish`),
-``aggregate`` lanes parse their scalar partials at arrival and fold them
-*in plan order* at finish — sharing :func:`fold_aggregate_values` with
-the monolithic path so float summation order, and therefore the answer
-bytes, are identical no matter which lane finished first.
+There is one composition path: :meth:`ResultComposer.compose` is a
+function of the lanes' answer texts *in plan order* — how each text's
+bytes travelled (in process, inline in one frame, as chunks) is the
+transport's business and never reaches here, and folding in plan order
+makes order-sensitive folds (float ``sum``) byte-identical no matter
+which lane finished first. A lane the degrade policy dropped is simply
+not among the partials.
 """
 
 from __future__ import annotations
 
 import re
-import tempfile
-import threading
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.algebra.annotations import PXPARENT, read_annotation, read_origin
 from repro.algebra.join import reconstruct_documents
@@ -50,7 +44,6 @@ from repro.errors import (
     StorageError,
     XQueryEvaluationError,
 )
-from repro.net.protocol import DEFAULT_CHUNK_BYTES
 from repro.plan.spec import CompositionSpec, SubQuery
 from repro.xmltext.parser import parse_forest
 from repro.xquery.evaluator import DynamicContext, Evaluator
@@ -129,25 +122,9 @@ class ResultComposer:
         )
         return serialize_sequence(items), items
 
-    # ------------------------------------------------------------------
-    def incremental(
-        self,
-        spec: CompositionSpec,
-        subqueries: Sequence[SubQuery],
-        spill_threshold: int = DEFAULT_CHUNK_BYTES,
-    ) -> "IncrementalComposer":
-        """A chunk sink composing ``subqueries``' streamed partials.
-
-        Feed it to :meth:`ParallelDispatcher.dispatch` as ``chunk_sink``;
-        call :meth:`IncrementalComposer.finish` once the round returns.
-        """
-        return IncrementalComposer(
-            spec, subqueries, spill_threshold=spill_threshold
-        )
-
 
 # ----------------------------------------------------------------------
-# Shared aggregate folding (monolithic and incremental paths)
+# Aggregate folding
 # ----------------------------------------------------------------------
 def parse_aggregate_partial(op: str, text: str) -> list:
     """Parse one fragment's shipped partial-aggregate result.
@@ -162,12 +139,9 @@ def parse_aggregate_partial(op: str, text: str) -> list:
 
 
 def fold_aggregate_values(op: str, values: list[list]) -> tuple[str, list]:
-    """Fold parsed partials (plan order!) into the final answer text.
-
-    Both composition modes call this with the partials in plan order, so
-    order-sensitive folds (float ``sum``) produce identical bytes no
-    matter when each lane's partial actually arrived.
-    """
+    """Fold parsed partials (plan order!) into the final answer text:
+    in plan order an order-sensitive fold (float ``sum``) produces the
+    same bytes whichever lane's partial arrived first."""
     if op == "count" or op == "sum":
         total = sum(v[0] for v in values if v)
         if op == "count":
@@ -203,196 +177,6 @@ def fold_aggregate_values(op: str, values: list[list]) -> tuple[str, list]:
         result = all(v[0] for v in values if v)
         return ("true" if result else "false"), [result]
     raise DecompositionError(f"unknown aggregate {op!r}")
-
-
-class SpillBuffer:
-    """Byte accumulator with bounded memory: spills to a temp file.
-
-    Chunks append in memory until ``threshold`` bytes, then the whole
-    buffer moves to an anonymous temporary file and later chunks go
-    straight to disk — so a coordinator lane buffering a huge fragment
-    result holds at most ~``threshold`` bytes in memory (the metric
-    :attr:`IncrementalComposer.peak_buffered_bytes` audits).
-    """
-
-    def __init__(self, threshold: int = DEFAULT_CHUNK_BYTES):
-        self.threshold = max(1, int(threshold))
-        self._memory = bytearray()
-        self._file = None
-        self.total_bytes = 0
-
-    @property
-    def memory_bytes(self) -> int:
-        return len(self._memory)
-
-    def write(self, data: bytes) -> None:
-        self.total_bytes += len(data)
-        if self._file is not None:
-            self._file.write(data)
-            return
-        self._memory += data
-        if len(self._memory) > self.threshold:
-            self._file = tempfile.TemporaryFile(prefix="partix-spill-")
-            self._file.write(self._memory)
-            self._memory = bytearray()
-
-    def getvalue(self) -> bytes:
-        """Every byte written so far, in order."""
-        if self._file is None:
-            return bytes(self._memory)
-        self._file.seek(0)
-        data = self._file.read()
-        self._file.seek(0, 2)
-        return data
-
-    def release(self) -> None:
-        """Drop memory and close the spill file (idempotent)."""
-        self._memory = bytearray()
-        if self._file is not None:
-            self._file.close()
-            self._file = None
-
-
-class IncrementalComposer:
-    """Streaming composition: a chunk sink with a plan-order finish.
-
-    The dispatcher protocol (see
-    :meth:`~repro.cluster.dispatch.ParallelDispatcher.dispatch`):
-
-    * ``begin(i)`` — called before *every* attempt of sub-query ``i``;
-      resets the lane so a retried attempt never keeps stale bytes;
-    * ``chunk(i, data)`` — one streamed byte slice for lane ``i``
-      (slices concatenate to the lane's full UTF-8 answer; a slice may
-      end mid-way through a multi-byte character — lanes decode only at
-      completion);
-    * ``complete(i)`` — lane ``i``'s bytes are final (the attempt was
-      accepted). Only completed lanes contribute to the answer, matching
-      the degrade policy's dropped-fragment semantics.
-
-    ``finish()`` composes in **plan order** regardless of arrival order,
-    and for ``aggregate`` reuses :func:`fold_aggregate_values` — so the
-    answer is byte-identical to the monolithic composer's.
-
-    Thread safety: every method takes the sink lock; lanes are touched
-    by one dispatcher thread at a time, the lock makes cross-lane
-    bookkeeping (peak bytes, first-chunk time) coherent.
-    """
-
-    def __init__(
-        self,
-        spec: CompositionSpec,
-        subqueries: Sequence[SubQuery],
-        spill_threshold: int = DEFAULT_CHUNK_BYTES,
-    ):
-        self.spec = spec
-        self.subqueries = list(subqueries)
-        self.spill_threshold = spill_threshold
-        self._lock = threading.Lock()
-        self._created = time.perf_counter()
-        self._buffers: dict[int, SpillBuffer] = {}
-        self._values: dict[int, list] = {}
-        self._completed: set[int] = set()
-        #: Peak bytes held in coordinator memory across all lane buffers
-        #: (spilled bytes excluded — they are on disk by design).
-        self.peak_buffered_bytes = 0
-        #: Seconds from sink creation to the first chunk of any lane.
-        self.time_to_first_chunk: Optional[float] = None
-        self.chunks_received = 0
-        self.bytes_received = 0
-
-    # -- chunk-sink protocol -------------------------------------------
-    def begin(self, index: int) -> None:
-        with self._lock:
-            stale = self._buffers.pop(index, None)
-            if stale is not None:
-                stale.release()
-            self._values.pop(index, None)
-            self._completed.discard(index)
-            self._buffers[index] = SpillBuffer(self.spill_threshold)
-
-    def chunk(self, index: int, data: bytes) -> None:
-        with self._lock:
-            if self.time_to_first_chunk is None:
-                self.time_to_first_chunk = (
-                    time.perf_counter() - self._created
-                )
-            buffer = self._buffers.get(index)
-            if buffer is None:  # tolerate a sink driven without begin()
-                buffer = SpillBuffer(self.spill_threshold)
-                self._buffers[index] = buffer
-            buffer.write(data)
-            self.chunks_received += 1
-            self.bytes_received += len(data)
-            in_memory = sum(b.memory_bytes for b in self._buffers.values())
-            if in_memory > self.peak_buffered_bytes:
-                self.peak_buffered_bytes = in_memory
-
-    def complete(self, index: int) -> None:
-        with self._lock:
-            self._completed.add(index)
-            if self.spec.kind == "aggregate":
-                # Parse the scalar partial now and drop its bytes — the
-                # aggregate path never holds lane text to the end.
-                buffer = self._buffers.pop(index, None)
-                text = ""
-                if buffer is not None:
-                    text = buffer.getvalue().decode("utf-8")
-                    buffer.release()
-                self._values[index] = parse_aggregate_partial(
-                    self.spec.aggregate, text
-                )
-
-    # -- final composition ---------------------------------------------
-    def _lane_text(self, index: int) -> str:
-        buffer = self._buffers.get(index)
-        if buffer is None:
-            return ""
-        return buffer.getvalue().decode("utf-8")
-
-    def finish(self) -> ComposedResult:
-        """Compose the completed lanes (plan order) into the answer."""
-        started = time.perf_counter()
-        with self._lock:
-            order = [
-                index
-                for index in range(len(self.subqueries))
-                if index in self._completed
-            ]
-            if self.spec.kind == "concat":
-                chunks = [
-                    strip_annotation_text(text)
-                    for text in (self._lane_text(index) for index in order)
-                    if text
-                ]
-                text = "\n".join(chunk for chunk in chunks if chunk)
-                items = None
-            elif self.spec.kind == "aggregate":
-                values = [self._values.get(index, []) for index in order]
-                text, items = fold_aggregate_values(
-                    self.spec.aggregate, values
-                )
-            elif self.spec.kind == "reconstruct":
-                partials = [
-                    (self.subqueries[index], self._lane_text(index))
-                    for index in order
-                ]
-                text, items = ResultComposer()._reconstruct(
-                    self.spec, partials
-                )
-            else:
-                raise DecompositionError(
-                    f"unknown composition kind {self.spec.kind!r}"
-                )
-            for buffer in self._buffers.values():
-                buffer.release()
-            self._buffers.clear()
-        elapsed = time.perf_counter() - started
-        return ComposedResult(
-            result_text=text,
-            result_bytes=utf8_length(text),
-            compose_seconds=elapsed,
-            items=items,
-        )
 
 
 class _RebuiltProvider:

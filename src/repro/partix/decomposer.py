@@ -313,6 +313,8 @@ class QueryDecomposer:
         fragmentation: FragmentationSchema,
     ) -> LogicalPlan:
         fragments = fragmentation.horizontal_fragments()
+        if len(fragments) > 1:
+            _refuse_fragmented_positions(analysis)
         relevant, pruned = self._prune_by_predicate(
             fragments, analysis.predicate
         )
@@ -597,6 +599,8 @@ class QueryDecomposer:
             return self._reconstruction_plan(
                 query, collection, fragmentation, list(fragmentation), notes
             )
+        if len(hybrids) > 1:
+            _refuse_fragmented_positions(analysis, unit_path)
         unit_predicate = (
             _reroot_predicate(
                 analysis.predicate, hybrids[0].unit_path(), hybrids[0].unit_label
@@ -709,6 +713,42 @@ class QueryDecomposer:
 # ----------------------------------------------------------------------
 # Relevance helpers
 # ----------------------------------------------------------------------
+def _refuse_fragmented_positions(
+    analysis: QueryAnalysis, unit_path: Optional[PathExpr] = None
+) -> None:
+    """Refuse a query whose positional filter counts positions over a
+    sequence the design spreads over several fragments.
+
+    Shipped per fragment, such a filter would count per fragment and
+    answer one item per fragment — a wrong answer, so the query gets a
+    typed error instead. Spread are: a sequence drawn from
+    ``collection()`` (documents sit in different fragments), and under a
+    hybrid design the unit nodes one parent holds (``unit_path``; a step
+    the analysis cannot place is taken to reach them). Positions among
+    the nodes *inside* one document or unit are the same in a fragment
+    as in the source, and stay shippable. Called per *design*, not per
+    plan: a plan pruned to one fragment is no safer, because the filter
+    may count before the ``where`` clause that pruned it applies
+    (``Item[1][Section = "CD"]``, ``for $i at $p … where``).
+    """
+    spread = list(analysis.positional_sequences)
+    if unit_path is not None:
+        labels = [step.name for step in unit_path.steps]
+        spread += [
+            text
+            for focus, text in analysis.positional_steps
+            if focus is None
+            or not focus.is_simple
+            or [step.name for step in focus.steps] == labels
+        ]
+    if spread:
+        raise DecompositionError(
+            f"positional predicate {spread[0]} filters a sequence that is"
+            " spread over several fragments; evaluating it per fragment"
+            " would count positions per fragment"
+        )
+
+
 def _path_touches_fragment(fragment: VerticalFragment, path: PathExpr) -> bool:
     """Could ``path`` select nodes inside the fragment's projected region?"""
     inside = fragment.path.may_contain(path) or path.may_contain(fragment.path)

@@ -25,15 +25,11 @@ Three execution modes cover the paper's simulation *and* the real thing:
   real site-server *processes* (see :mod:`repro.net`): serialization
   and transport costs are paid, not modeled. Call :meth:`Partix.start_tcp`
   first — it spawns one server per cluster site and mirrors every
-  published fragment to them over the wire.
-
-Each mode also runs with ``streaming=True`` (``"tcp-stream"`` is
-shorthand for tcp + streaming): partial results arrive as bounded chunks
-feeding an :class:`~repro.partix.composer.IncrementalComposer` instead
-of barriering as monolithic strings — over sockets via RESULT_CHUNK
-frames, in threads/simulated via the transports' chunk emulation, so the
-very same chunk-boundary behavior is exercised everywhere. Streaming
-rounds record ``peak_buffered_bytes`` and ``first_chunk_seconds``.
+  published fragment to them over the wire. A site sizes each reply
+  itself — a short answer inline in one RESULT frame, a long one as
+  RESULT_CHUNK frames (see :mod:`repro.net.protocol`) — and the lane
+  returns the same text either way; there is nothing for a caller to
+  choose. ``"tcp-stream"`` is still read as a spelling of ``"tcp"``.
 
 Execution is plan-driven: every query is decomposed into a logical plan,
 lowered to a :class:`~repro.plan.physical.PhysicalPlan` (cost-based
@@ -138,20 +134,15 @@ class PartixResult:
         return self.round.wire_measured
 
     @property
-    def streamed(self) -> bool:
-        """True when the round ran through the streaming pipeline."""
-        return self.round.streamed
-
-    @property
     def peak_buffered_bytes(self) -> int:
-        """Coordinator's peak in-memory partial-result buffering (streamed
-        rounds; bounded by spill threshold × active lanes, not result
-        size)."""
+        """Bytes the round's lanes held as undecoded reply chunks (0
+        when every site answered inline or in process)."""
         return self.round.peak_buffered_bytes
 
     @property
     def first_chunk_seconds(self) -> Optional[float]:
-        """Time-to-first-chunk of a streamed round (None otherwise)."""
+        """The earliest lane's wait for its first reply chunk (``None``
+        when no reply was chunked)."""
         return self.round.first_chunk_seconds
 
     @property
@@ -215,7 +206,11 @@ class Partix:
         #: catalog replace invalidates the version it read mid-decompose,
         #: before raising :class:`~repro.errors.CatalogContention`.
         self.plan_retry_attempts = 4
+        #: The reply-chunk size :meth:`start_tcp` proposes to its site
+        #: servers (a deployment setting: the answer size from which a
+        #: site chunks its reply).
         self.chunk_bytes = chunk_bytes
+        self._in_process = InProcessTransport(cluster)
         self.network = network if network is not None else NetworkModel()
         #: :meth:`close` ends the lane threads of a dispatcher created
         #: here; a caller-supplied one stays the caller's to close.
@@ -258,21 +253,6 @@ class Partix:
         #: What each site answered through before :meth:`start_tcp` put
         #: a mirrored driver in its place; :meth:`stop_tcp` restores it.
         self._plain_drivers: dict = {}
-
-    @property
-    def chunk_bytes(self) -> int:
-        """Streamed-chunk size: proposed to tcp site servers at connect
-        time and used verbatim by the in-process chunk emulation and as
-        the incremental composer's spill threshold."""
-        return self._in_process.chunk_bytes
-
-    @chunk_bytes.setter
-    def chunk_bytes(self, chunk_bytes: int) -> None:
-        # The in-process transport is built here — once per setting, not
-        # once per query; rounds in flight keep the one they started on.
-        self._in_process = InProcessTransport(
-            self.cluster, chunk_bytes=chunk_bytes
-        )
 
     def close(self) -> None:
         """Give back what this instance started: the site-server
@@ -340,7 +320,6 @@ class Partix:
         plan: Optional[DecomposedQuery] = None,
         execution_mode: str = "simulated",
         dispatcher: Optional[ParallelDispatcher] = None,
-        streaming: bool = False,
         deadline_seconds: Optional[float] = None,
         use_indexes: Optional[bool] = None,
     ) -> PartixResult:
@@ -360,12 +339,6 @@ class Partix:
         :meth:`start_tcp`). All modes compose partial results in plan
         order, so the answer is byte-identical.
 
-        ``streaming=True`` routes partial results through the incremental
-        composer as :attr:`chunk_bytes`-bounded chunks instead of
-        monolithic strings (``execution_mode="tcp-stream"`` is shorthand
-        for tcp + streaming); the answer stays byte-identical and the
-        round gains ``peak_buffered_bytes``/``first_chunk_seconds``.
-
         ``deadline_seconds`` bounds this query: it is handed to the
         dispatcher as the round's per-sub-query budget override (lanes
         run in parallel, so it bounds the round's wall time through the
@@ -380,13 +353,9 @@ class Partix:
         The differential fuzz oracle uses this to run the same plan
         with indexes on and off and assert byte-identical answers.
         """
-        mode = ExecutionMode.parse(execution_mode, streaming=streaming)
+        mode = ExecutionMode.parse(execution_mode)
         if plan is None:
             plan = self._plan_for(query, collection)
-        plan = plan.with_execution(
-            streaming=mode.streaming,
-            chunk_bytes=self.chunk_bytes if mode.streaming else None,
-        )
         if use_indexes is not None:
             plan = plan.with_lane_indexes(use_indexes)
         notes = list(plan.notes)

@@ -13,8 +13,8 @@ decomposer/middleware control flow:
   (documents / bytes, recorded at publish time) combined with the
   :class:`~repro.cluster.network.NetworkModel`.
 * :mod:`repro.plan.lower` — lowering to a :class:`PhysicalPlan`: one
-  *lane* per scan with cost-based site/replica selection, pushdown and
-  streaming recorded as plan attributes.
+  *lane* per scan with cost-based site/replica selection and pushdown
+  recorded as plan attributes.
 * :mod:`repro.plan.explain` — the indented ``EXPLAIN`` tree with
   per-node cost estimates, plus dict round-tripping.
 * :mod:`repro.plan.cache` — a bounded LRU of *logical* plans keyed on

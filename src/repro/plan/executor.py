@@ -1,8 +1,9 @@
 """Execution modes and the single plan-driven executor.
 
 :class:`ExecutionMode` parses the public mode names once — there is no
-string special-casing downstream; ``"tcp-stream"`` is just the mode
-whose parsed form has ``transport="tcp", streaming=True``.
+string special-casing downstream. There are three modes; ``"tcp-stream"``
+is still read as a spelling of ``"tcp"`` (the site sizes every reply
+now, so there is nothing left for the name to select).
 
 :class:`PlanExecutor` is the one execution path every mode runs through:
 it dispatches the physical plan's lanes through a
@@ -10,13 +11,12 @@ it dispatches the physical plan's lanes through a
 :class:`~repro.cluster.dispatch.Transport` the mode selects (a
 lock-serialized in-process transport reproduces the paper's sequential
 "simulated" round), threads the plan-node identities into the measured
-executions, and composes the answer — monolithically or through the
-incremental chunk sink when the plan says ``streaming``.
+executions, and composes the lanes' answer texts in plan order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.cluster.dispatch import ParallelDispatcher, Transport
@@ -29,31 +29,30 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass(frozen=True)
 class ExecutionMode:
-    """One parsed execution mode: a transport choice plus flags."""
+    """One parsed execution mode: a transport choice plus a flag."""
 
     name: str
     transport: str  # "in-process" | "tcp"
-    streaming: bool
     concurrent: bool
+    streaming = False  # constant: benchmarks/e2e/tracing.py reads it
 
     _REGISTRY = None  # populated below
 
     @classmethod
-    def parse(cls, name: str, streaming: bool = False) -> "ExecutionMode":
-        """Parse a public mode name, optionally forcing streaming on.
+    def parse(cls, name: str) -> "ExecutionMode":
+        """Parse a public mode name.
 
         Raises ``ValueError`` listing the valid modes on anything else.
         """
+        if name == "tcp-stream":  # benchmarks/e2e still spells it
+            name = "tcp"
         try:
-            mode = cls._REGISTRY[name]
+            return cls._REGISTRY[name]
         except (KeyError, TypeError):
             valid = ", ".join(repr(key) for key in cls._REGISTRY)
             raise ValueError(
                 f"execution_mode must be one of {valid}; got {name!r}"
             ) from None
-        if streaming and not mode.streaming:
-            mode = replace(mode, streaming=True)
-        return mode
 
     @classmethod
     def names(cls) -> tuple:
@@ -61,10 +60,9 @@ class ExecutionMode:
 
 
 ExecutionMode._REGISTRY = {
-    "simulated": ExecutionMode("simulated", "in-process", False, False),
-    "threads": ExecutionMode("threads", "in-process", False, True),
-    "tcp": ExecutionMode("tcp", "tcp", False, True),
-    "tcp-stream": ExecutionMode("tcp-stream", "tcp", True, True),
+    "simulated": ExecutionMode("simulated", "in-process", False),
+    "threads": ExecutionMode("threads", "in-process", True),
+    "tcp": ExecutionMode("tcp", "tcp", True),
 }
 
 
@@ -92,21 +90,9 @@ class PlanExecutor:
         subquery_timeout: Optional[float] = None,
     ) -> ExecutedPlan:
         subqueries = plan.subqueries
-        sink = None
-        if plan.streaming:
-            if plan.chunk_bytes is not None:
-                sink = self.composer.incremental(
-                    plan.composition,
-                    subqueries,
-                    spill_threshold=plan.chunk_bytes,
-                )
-            else:
-                sink = self.composer.incremental(plan.composition, subqueries)
-        # Optional kwargs are only passed when set so dispatcher
-        # subclasses with older dispatch() signatures keep working.
+        # The timeout is only passed when set so dispatcher subclasses
+        # with older dispatch() signatures keep working.
         extra: dict = {}
-        if sink is not None:
-            extra["chunk_sink"] = sink
         if subquery_timeout is not None:
             extra["subquery_timeout"] = subquery_timeout
         outcome = dispatcher.dispatch(
@@ -115,7 +101,6 @@ class PlanExecutor:
             default_collection=default_collection,
             **extra,
         )
-        round_ = outcome.round
         for lane, execution in zip(plan.lanes, outcome.executions_by_index):
             if execution is not None:
                 execution.plan_node = lane.node_id
@@ -124,18 +109,14 @@ class PlanExecutor:
                     if lane.estimate is not None
                     else None
                 )
-        if sink is None:
-            partials = [
-                (subqueries[index], execution.result.result_text)
-                for index, execution in enumerate(outcome.executions_by_index)
-                if execution is not None
-            ]
-            composed = self.composer.compose(plan.composition, partials)
-        else:
-            composed = sink.finish()
-            round_.streamed = True
-            round_.peak_buffered_bytes = sink.peak_buffered_bytes
-            round_.first_chunk_seconds = sink.time_to_first_chunk
+        # A lane the degrade policy dropped has no execution and is left
+        # out of the answer.
+        partials = [
+            (subqueries[index], execution.result.result_text)
+            for index, execution in enumerate(outcome.executions_by_index)
+            if execution is not None
+        ]
+        composed = self.composer.compose(plan.composition, partials)
         return ExecutedPlan(
-            round=round_, composed=composed, notes=list(outcome.notes)
+            round=outcome.round, composed=composed, notes=list(outcome.notes)
         )

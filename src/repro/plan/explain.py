@@ -62,11 +62,10 @@ def _node_label(node: PlanNode) -> str:
 
 def render_plan(plan: PhysicalPlan) -> str:
     """Render ``plan`` as an indented tree with per-node estimates."""
-    streaming = "on" if plan.streaming else "off"
     header = (
         f"PhysicalPlan collection={plan.collection}"
         f" composition={plan.composition.kind}"
-        f" lanes={len(plan.lanes)} streaming={streaming}"
+        f" lanes={len(plan.lanes)}"
         f" est-parallel={_seconds(plan.estimated_parallel_seconds)}"
     )
     lines = [header]
@@ -125,8 +124,6 @@ def plan_to_dict(plan: PhysicalPlan) -> dict:
         "collection": plan.collection,
         "composition": plan.composition.to_dict(),
         "notes": list(plan.notes),
-        "streaming": plan.streaming,
-        "chunk_bytes": plan.chunk_bytes,
         "lanes": [
             {
                 "index": lane.index,
@@ -142,6 +139,9 @@ def plan_to_dict(plan: PhysicalPlan) -> dict:
 
 
 def plan_from_dict(payload: dict) -> PhysicalPlan:
+    """Rebuild a plan from :func:`plan_to_dict`'s form. Known keys only
+    are read, so a stored plan that still carries keys of an older
+    version (``streaming``, ``chunk_bytes``) loads and they are ignored."""
     lanes = []
     for entry in payload.get("lanes", []):
         estimate = entry.get("estimate")
@@ -160,6 +160,4 @@ def plan_from_dict(payload: dict) -> PhysicalPlan:
         lanes=lanes,
         composition=CompositionSpec.from_dict(payload["composition"]),
         notes=list(payload.get("notes", [])),
-        streaming=payload.get("streaming", False),
-        chunk_bytes=payload.get("chunk_bytes"),
     )

@@ -121,8 +121,6 @@ class _LaneScheduler:
 def lower(
     logical: LogicalPlan,
     cost_model: Optional[CostModel] = None,
-    streaming: bool = False,
-    chunk_bytes: Optional[int] = None,
     site_health=None,
 ) -> PhysicalPlan:
     """Lower a logical plan to an executable physical plan.
@@ -258,8 +256,6 @@ def lower(
         lanes=lanes,
         composition=logical.composition,
         notes=notes,
-        streaming=streaming,
-        chunk_bytes=chunk_bytes,
     )
 
 

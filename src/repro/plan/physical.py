@@ -1,4 +1,4 @@
-"""The physical plan: lanes, node tree, execution attributes.
+"""The physical plan: lanes and node tree.
 
 A :class:`PhysicalPlan` is what :meth:`Partix.explain` returns and what
 the single plan executor runs, whatever the execution mode. It keeps the
@@ -60,11 +60,6 @@ class PhysicalPlan:
         default_factory=lambda: CompositionSpec(kind="concat")
     )
     notes: list = field(default_factory=list)
-    #: Execution attributes, explicit on the plan instead of scattered
-    #: if/else: route partials through the incremental composer in
-    #: ``chunk_bytes``-bounded chunks?
-    streaming: bool = False
-    chunk_bytes: Optional[int] = None
 
     # -- decomposer-era surface ----------------------------------------
     @property
@@ -105,21 +100,8 @@ class PhysicalPlan:
         }
 
     # ------------------------------------------------------------------
-    def with_execution(
-        self, streaming: bool, chunk_bytes: Optional[int]
-    ) -> "PhysicalPlan":
-        """This plan with its execution attributes set (shared tree)."""
-        if self.streaming == streaming and self.chunk_bytes == chunk_bytes:
-            return self
-        return PhysicalPlan(
-            collection=self.collection,
-            root=self.root,
-            lanes=self.lanes,
-            composition=self.composition,
-            notes=self.notes,
-            streaming=streaming,
-            chunk_bytes=chunk_bytes,
-        )
+    def with_execution(self, streaming, chunk_bytes) -> "PhysicalPlan":
+        return self  # no-op: benchmarks/e2e/tracing.py calls it
 
     def with_lane_indexes(self, use_indexes: bool) -> "PhysicalPlan":
         """This plan with every lane forced to ``use_indexes``.
@@ -152,8 +134,6 @@ class PhysicalPlan:
             lanes=lanes,
             composition=self.composition,
             notes=self.notes,
-            streaming=self.streaming,
-            chunk_bytes=self.chunk_bytes,
         )
 
     # ------------------------------------------------------------------

@@ -11,7 +11,11 @@ module extracts from an AST:
 * a best-effort *selection predicate* in the simple-predicate language,
   used to prune horizontal fragments whose definition contradicts it;
 * the top-level aggregation shape (``count``/``sum``/``min``/``max``/
-  ``avg``), which tells the composer how to merge partial results.
+  ``avg``), which tells the composer how to merge partial results;
+* the *positional* filters (numeric, ``position()``, ``last()``
+  predicates; ``for … at``) and what they count positions over — a
+  fragmentation that spreads that sequence over several fragments cannot
+  ship the query per fragment.
 
 The analysis is conservative: whatever it cannot understand it reports as
 "unknown", and the decomposer then ships the query to every fragment —
@@ -59,6 +63,7 @@ from repro.xquery.ast_nodes import (
     VarRef,
 )
 from repro.xquery.parser import parse_query
+from repro.xquery.unparse import unparse
 
 AGGREGATE_FUNCTIONS = frozenset({"count", "sum", "avg", "min", "max"})
 
@@ -85,6 +90,16 @@ class QueryAnalysis:
     predicate_exact: bool = False
     aggregate: Optional[str] = None
     uses_text_search: bool = False
+    #: Positional predicates on path steps, ``(focus, text)``: positions
+    #: count among the nodes of absolute path ``focus`` (None: unknown)
+    #: that one context node's step selects.
+    positional_steps: list[tuple[Optional[PathExpr], str]] = field(
+        default_factory=list
+    )
+    #: Positional filters over a sequence drawn from ``collection()``
+    #: (``(collection("c")/a)[2]``, ``for $x at $p in collection("c")/a``):
+    #: positions count across documents.
+    positional_sequences: list[str] = field(default_factory=list)
 
     def touched_path_strings(self) -> list[str]:
         return [str(p) for p in self.touched_paths]
@@ -118,6 +133,10 @@ def analyze_query(query: Union[str, Expr]) -> QueryAnalysis:
     analyzer = _Analyzer(analysis)
     analyzer.walk(walk_target, {})
     predicate, exact = analyzer.selection_predicate(expr)
+    if analysis.positional_sequences:
+        # Pruning documents (or fragments) by the predicate would
+        # renumber the very sequence such a filter counts over.
+        predicate, exact = None, False
     analysis.predicate = predicate
     analysis.predicate_exact = exact
     return analysis
@@ -211,6 +230,8 @@ class _Analyzer:
     def __init__(self, analysis: QueryAnalysis):
         self.analysis = analysis
         self._let_vars: set[str] = set()
+        #: ``let`` variables bound to a sequence drawn from collection().
+        self._spanning_vars: set[str] = set()
 
     # ------------------------------------------------------------------
     def walk(self, expr: Expr, var_paths: dict[str, Optional[PathExpr]]) -> None:
@@ -243,6 +264,10 @@ class _Analyzer:
             self._walk_step_predicates(expr, var_paths)
             return
         if isinstance(expr, FilterExpr):
+            if self._spans_documents(expr.primary) and any(
+                _is_positional(predicate) for predicate in expr.predicates
+            ):
+                self.analysis.positional_sequences.append(unparse(expr))
             self.walk(expr.primary, var_paths)
             focus = dict(var_paths)
             focus["__context__"] = self._binding_path(expr.primary, var_paths)
@@ -269,11 +294,18 @@ class _Analyzer:
                     scope[clause.var] = self._iteration_path(clause.seq, scope)
                     if clause.position_var:
                         self._let_vars.add(clause.position_var)
+                        if self._spans_documents(clause.seq):
+                            self.analysis.positional_sequences.append(
+                                f"for ${clause.var} at ${clause.position_var}"
+                                f" in {unparse(clause.seq)}"
+                            )
                 else:
                     self._walk_binding_seq(clause.expr, scope)
                     scope[clause.var] = self._binding_path(clause.expr, scope)
                     if scope[clause.var] is None:
                         self._let_vars.add(clause.var)
+                    if self._spans_documents(clause.expr):
+                        self._spanning_vars.add(clause.var)
             if expr.where is not None:
                 self.walk(expr.where, scope)
             for spec in expr.order_by:
@@ -319,7 +351,23 @@ class _Analyzer:
             focus = dict(var_paths)
             focus["__context__"] = self.focus_path(expr, position, var_paths)
             for predicate in step.predicates:
+                if _is_positional(predicate):
+                    text = f"{step.name}[{unparse(predicate)}]"
+                    self.analysis.positional_steps.append(
+                        (focus["__context__"], text)
+                    )
                 self.walk(predicate, focus)
+
+    def _spans_documents(self, expr: Expr) -> bool:
+        """Does ``expr``'s sequence draw on ``collection()`` — directly
+        or through a ``let`` variable bound to one that does — so that
+        its items may come from several documents? (A ``for`` variable
+        is one node of one document: a path from it does not.)"""
+        return any(
+            (isinstance(node, FunctionCall) and node.name == "collection")
+            or (isinstance(node, VarRef) and node.name in self._spanning_vars)
+            for node in _descendants(expr)
+        )
 
     def focus_path(
         self,
@@ -575,7 +623,8 @@ def _flip(op: str) -> str:
 
 
 def _children(expr: Expr) -> list[Expr]:
-    """Direct sub-expressions for generic traversal."""
+    """Direct sub-expressions (step predicates and clause sequences
+    included)."""
     if isinstance(expr, SequenceExpr):
         return list(expr.items)
     if isinstance(expr, RangeExpr):
@@ -590,4 +639,61 @@ def _children(expr: Expr) -> list[Expr]:
         return [expr.primary, *expr.predicates]
     if isinstance(expr, (ElementConstructor, AttributeConstructor, TextConstructor)):
         return list(expr.content)
+    if isinstance(expr, FunctionCall):
+        return list(expr.args)
+    if isinstance(expr, PathApply):
+        children = [] if expr.primary is None else [expr.primary]
+        for step in expr.steps:
+            children.extend(step.predicates)
+        return children
+    if isinstance(expr, FLWOR):
+        children = [
+            clause.seq if isinstance(clause, ForClause) else clause.expr
+            for clause in expr.clauses
+        ]
+        if expr.where is not None:
+            children.append(expr.where)
+        children.extend(spec.key for spec in expr.order_by)
+        return [*children, expr.return_expr]
+    if isinstance(expr, Quantified):
+        return [expr.seq, expr.condition]
     return []
+
+
+def _descendants(expr: Expr):
+    """``expr`` and every expression nested in it."""
+    pending = [expr]
+    while pending:
+        node = pending.pop()
+        yield node
+        pending.extend(_children(node))
+
+
+#: Built-ins whose value is a boolean or a string, never a number.
+_NON_NUMERIC_FUNCTIONS = frozenset(
+    {
+        "not", "exists", "empty", "boolean", "true", "false", "contains",
+        "starts-with", "ends-with", "matches", "string", "concat", "name",
+    }
+)
+
+
+def _is_positional(predicate: Expr) -> bool:
+    """Could the bracketed ``predicate`` select by position? It does
+    when it calls ``position()``/``last()`` or its value may be one
+    number (the filter keeps the item at that position). Conservative:
+    only a comparison, a connective, a path, ``.``, a quantifier, a
+    string and a non-numeric built-in are known not to be numbers, and a
+    ``position()`` inside a nested predicate (its own focus) counts."""
+    if any(
+        isinstance(node, FunctionCall) and node.name in ("position", "last")
+        for node in _descendants(predicate)
+    ):
+        return True
+    if isinstance(predicate, BinaryOp):
+        return predicate.op in ("+", "-", "*", "div", "mod")
+    if isinstance(predicate, FunctionCall):
+        return predicate.name not in _NON_NUMERIC_FUNCTIONS
+    if isinstance(predicate, Literal):
+        return not isinstance(predicate.value, str)
+    return not isinstance(predicate, (PathApply, ContextItem, Quantified))

@@ -224,7 +224,7 @@ class TestPersistence:
         assert reloaded.store.collection("c").values.lookup("Code", "5")
 
 
-class TestLabelPushdownPruning:
+class TestIndexCandidates:
     @staticmethod
     def _load(engine):
         engine.create_collection("c")
@@ -239,16 +239,23 @@ class TestLabelPushdownPruning:
                 name=f"d{index}.xml",
             )
 
-    def test_unindexable_predicate_prunes_before_dom(self):
+    def test_unindexable_predicate_is_left_to_the_where_clause(self):
         engine = XMLEngine("prune", use_indexes=True)
         self._load(engine)
         predicate = func_cmp("count", "//Item", ">", 2)
         stats = EngineStats()
-        survivors = engine.scan_candidates("c", predicate, stats)
-        # count(...) has no index; candidates stay the whole collection
-        # and exact binary verification drops the non-matching half
-        # without materializing any of them.
-        assert stats.label_pruned > 0
-        assert survivors == ["d0.xml", "d2.xml", "d4.xml"]
-        assert stats.documents_scanned == 3 and stats.documents_pruned == 3
-        assert stats.documents_parsed == 0 and stats.binary_decodes == 0
+        candidates = engine.scan_candidates("c", predicate, stats)
+        # count(...) has no index, so every document is a candidate:
+        # nothing evaluates the predicate ahead of the query itself.
+        assert candidates == [f"d{index}.xml" for index in range(6)]
+        assert stats.documents_scanned == 6 and stats.documents_pruned == 0
+        assert stats.label_pruned == 0
+        # The query's own where clause is the exact filter, on the same
+        # node tables: the answer is exact and no tree is built.
+        result = engine.execute(
+            'for $s in collection("c")/Store where count($s//Item) > 2'
+            " return count($s/Item)"
+        )
+        assert result.result_text == "3\n3\n3"
+        assert result.documents_scanned == 6
+        assert result.documents_parsed == 0 and result.binary_decodes == 0

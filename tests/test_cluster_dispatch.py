@@ -528,11 +528,13 @@ class TestSiteHealthTracker:
 
 
 class _BudgetRecorder(Transport):
-    """Wraps another transport and records the timeout of each execute."""
+    """Wraps another transport and records the timeout of each execute
+    and the fragment of each one that answered."""
 
     def __init__(self, inner):
         self.inner = inner
         self.timeouts = []
+        self.answered = []
 
     def resolve(self, site_names):
         self.inner.resolve(site_names)
@@ -540,14 +542,13 @@ class _BudgetRecorder(Transport):
     def ping(self, site):
         return self.inner.ping(site)
 
-    def execute(self, subquery, default_collection=None, timeout=None, on_chunk=None):
+    def execute(self, subquery, default_collection=None, timeout=None):
         self.timeouts.append(timeout)
-        return self.inner.execute(
-            subquery,
-            default_collection=default_collection,
-            timeout=timeout,
-            on_chunk=on_chunk,
+        execution = self.inner.execute(
+            subquery, default_collection=default_collection, timeout=timeout
         )
+        self.answered.append(subquery.fragment)
+        return execution
 
 
 class TestRetryBudget:
@@ -675,23 +676,6 @@ class _Gate:
             assert self.entered.acquire(timeout=10.0), "no lane reached the gate"
 
 
-class _SinkRecorder:
-    """A chunk sink that logs ``complete`` — the call right after a
-    lane's slot of ``results`` is written."""
-
-    def __init__(self, events):
-        self.events = events
-
-    def begin(self, index):
-        pass
-
-    def chunk(self, index, data):
-        pass
-
-    def complete(self, index):
-        self.events.append(f"complete:{index}")
-
-
 def _in_thread(target):
     thread = threading.Thread(target=target)
     thread.start()
@@ -719,17 +703,18 @@ class TestSharedLanePool:
             retries=0, clock=clock, sleep=clock.sleep
         )
         subqueries = _subqueries(3, site_for=lambda i: f"site{min(i, 1)}")
+        recorder = _BudgetRecorder(
+            InProcessTransport(_cluster([failing, parked]))
+        )
         events = []
 
         def _round():
             try:
-                dispatcher.dispatch(
-                    _cluster([failing, parked]),
-                    subqueries,
-                    chunk_sink=_SinkRecorder(events),
-                )
+                dispatcher.dispatch(recorder, subqueries)
             except DispatchError as exc:
-                events.append(f"raised:{len(exc.failures)}")
+                events.append(
+                    f"raised:{len(exc.failures)} after {recorder.answered}"
+                )
 
         try:
             caller = _in_thread(_round)
@@ -746,8 +731,8 @@ class TestSharedLanePool:
         finally:
             gate.opened.set()
             dispatcher.close()
-        # q1's slot was written before dispatch() raised, q2 was skipped.
-        assert events == ["complete:1", "raised:1"]
+        # q1 had answered before dispatch() raised, q2 was skipped.
+        assert events == ["raised:1 after ['F1']"]
         assert parked.calls == ["q1"]
 
     def test_a_parked_lane_of_one_round_does_not_delay_another_round(self):

@@ -271,6 +271,20 @@ class TestExecution:
         assert result.documents_scanned == 4
         assert result.documents_pruned == 6
 
+    def test_index_pruning_leaves_counted_positions_alone(self, engine):
+        # ``at $p`` numbers the whole collection before ``where``
+        # filters: pruning documents by the where clause would renumber.
+        query = (
+            'for $i at $p in collection("items")/Item'
+            ' where $i/Section = "DVD" return $p'
+        )
+        result = engine.execute(query)
+        assert result.result_text.split() == ["2", "4", "6", "8", "10"]
+        assert result.documents_pruned == 0
+        assert result.result_text == engine.execute(
+            query, ExecOptions(use_indexes=False)
+        ).result_text
+
     def test_stats_accumulate(self, engine):
         engine.execute('collection("items")/Item')
         engine.execute('collection("items")/Item')

@@ -6,6 +6,10 @@ from repro.algebra import PXID, PXORIGIN, PXPARENT, annotate
 from repro.datamodel import doc, elem
 from repro.errors import DecompositionError
 from repro.partix import CompositionSpec, ResultComposer, SubQuery
+from repro.partix.composer import (
+    fold_aggregate_values,
+    parse_aggregate_partial,
+)
 from repro.xmltext import serialize
 
 
@@ -74,6 +78,69 @@ class TestAggregate:
             [(_sq(), "0\n0")],
         )
         assert result.result_text == ""
+
+    @pytest.mark.parametrize(
+        "op, partial_texts, expected",
+        [
+            pytest.param("count", ["3", "0", "4"], "7", id="count"),
+            pytest.param("sum", ["1.5", "2.25", "3"], "6.75", id="sum"),
+            pytest.param("min", ["7", "", "3.5"], "3.5", id="min"),
+            pytest.param("max", ["7", "", "9.25"], "9.25", id="max"),
+            pytest.param(
+                "avg", ["3.0 2", "", "5.0 1"], "2.6666666666666665", id="avg"
+            ),
+            pytest.param(
+                "exists", ["false", "true", "false"], "true", id="exists-some"
+            ),
+            pytest.param(
+                "exists", ["false", "false", "false"], "false", id="exists-none"
+            ),
+            pytest.param(
+                "empty", ["true", "true", "true"], "true", id="empty-all"
+            ),
+            pytest.param(
+                "empty", ["true", "false", "true"], "false", id="empty-some"
+            ),
+        ],
+    )
+    def test_folds_partials_some_of_them_empty(
+        self, composer, op, partial_texts, expected
+    ):
+        result = composer.compose(
+            CompositionSpec(kind="aggregate", aggregate=op),
+            [(_sq(f"F{i}"), text) for i, text in enumerate(partial_texts)],
+        )
+        assert result.result_text == expected
+
+    def test_float_sum_folds_in_the_order_given(self, composer):
+        # The partials arrive in plan order and fold left to right, so
+        # the answer's bytes do not depend on which lane finished first.
+        spec = CompositionSpec(kind="aggregate", aggregate="sum")
+        texts = ["0.1", "0.2", "0.3"]
+        forward = composer.compose(spec, [(_sq(), t) for t in texts])
+        backward = composer.compose(spec, [(_sq(), t) for t in texts[::-1]])
+        assert forward.result_text == "0.6000000000000001"
+        assert backward.result_text == "0.6"
+
+    def test_sum_fold_is_associative_over_partial_grouping(self):
+        # Folding [a, b, c] equals folding [fold([a, b]), c] for the ops
+        # the decomposer pushes down (count/sum are plain sums).
+        values = [[3.0], [4.0], [5.0]]
+        whole, _ = fold_aggregate_values("sum", values)
+        merged_text, _ = fold_aggregate_values("sum", values[:2])
+        merged = parse_aggregate_partial("sum", merged_text)
+        regrouped, _ = fold_aggregate_values("sum", [merged, values[2]])
+        assert whole == regrouped
+
+    def test_zero_partials_use_aggregate_identities(self, composer):
+        # Every fragment pruned: exists() of nothing is false, empty() of
+        # nothing is true, count is 0 — centralized empty-sequence
+        # semantics.
+        for op, expected in (
+            ("exists", "false"), ("empty", "true"), ("count", "0")
+        ):
+            spec = CompositionSpec(kind="aggregate", aggregate=op)
+            assert composer.compose(spec, []).result_text == expected
 
     def test_unknown_aggregate(self, composer):
         with pytest.raises(DecompositionError):

@@ -307,3 +307,143 @@ class TestReplicaSelection:
         assert result.result_text == "12"
         sites = {sq.site for sq in result.plan.subqueries}
         assert sites == {"site0", "site1"}
+
+
+class TestPositionalFilters:
+    """A positional filter over a sequence that several fragments share
+    must not be shipped per fragment: correct bytes or a typed error,
+    never one answer per fragment."""
+
+    @staticmethod
+    def _partix(collection, design, frag_mode=FragMode.SINGLE_DOCUMENT):
+        from repro.cluster import Site
+        from repro.partix import Partix
+
+        cluster = Cluster.with_sites(4)
+        cluster.add(Site("central"))
+        partix = Partix(cluster)
+        partix.publish(collection, design, frag_mode=frag_mode)
+        partix.publish_centralized(collection, "central")
+        return partix
+
+    @pytest.fixture
+    def items(self):
+        from repro.datamodel import Collection, doc, elem
+        from repro.workloads.virtual_store import (
+            items_horizontal_fragmentation,
+        )
+
+        documents = [
+            doc(
+                elem(
+                    "Item",
+                    elem("Code", f"I{i}"),
+                    elem("Section", ["CD", "DVD", "Book", "Toy"][i % 4]),
+                    elem(
+                        "PictureList",
+                        elem("Picture", f"front {i}"),
+                        elem("Picture", f"back {i}"),
+                    ),
+                ),
+                name=f"i{i}.xml",
+            )
+            for i in range(12)
+        ]
+        return self._partix(
+            Collection("Citems", documents), items_horizontal_fragmentation(4)
+        )
+
+    @pytest.mark.parametrize(
+        "query, named",
+        [
+            ('(collection("Citems")/Item)[2]/Code', "[2]"),
+            ('(collection("Citems")/Item)[last()]/Code', "[last()]"),
+        ],
+    )
+    def test_filter_over_a_horizontal_collection_sequence_is_refused(
+        self, items, query, named
+    ):
+        assert len(items.execute_centralized(query, "central").result_text) > 0
+        with pytest.raises(DecompositionError) as refused:
+            items.execute(query, collection="Citems")
+        assert "positional predicate" in str(refused.value)
+        assert named in str(refused.value)
+
+    @pytest.mark.parametrize(
+        "frag_mode",
+        [FragMode.SINGLE_DOCUMENT, FragMode.INDEPENDENT_DOCUMENTS],
+    )
+    def test_step_at_the_hybrid_unit_path_is_refused(
+        self, store_collection, store_design, frag_mode
+    ):
+        partix = self._partix(store_collection, store_design, frag_mode)
+        query = 'collection("Cstore")/Store/Items/Item[position() = 2]/Code'
+        central = partix.execute_centralized(query, "central").result_text
+        assert central == "<Code>I-001</Code>"
+        with pytest.raises(DecompositionError, match=r"Item\[.*position\(\)"):
+            partix.execute(query, collection="Cstore")
+
+    def test_positions_inside_one_document_keep_answering(self, items):
+        for query in (
+            'collection("Citems")/Item/PictureList/Picture[1]',
+            'for $i in collection("Citems")/Item'
+            " return ($i/PictureList/Picture)[last()]",
+        ):
+            plan = items.explain(query, "Citems")
+            assert len(plan.subqueries) == 4
+            fragmented = items.execute(query, collection="Citems")
+            central = items.execute_centralized(query, "central")
+            assert sorted(fragmented.result_text.split("\n")) == sorted(
+                central.result_text.split("\n")
+            )
+            assert fragmented.result_text.count("<Picture>") == 12
+
+    def test_positions_inside_one_vertical_fragment_keep_answering(self):
+        from repro.datamodel import Collection, doc, elem
+
+        articles = [
+            doc(
+                elem(
+                    "article",
+                    elem("prolog", elem("title", f"T{i}")),
+                    elem(
+                        "body",
+                        elem("section", elem("p", f"first {i}")),
+                        elem("section", elem("p", f"second {i}")),
+                    ),
+                ),
+                name=f"a{i}.xml",
+            )
+            for i in range(4)
+        ]
+        design = FragmentationSchema("Cpapers", [
+            VerticalFragment("F_prolog", "Cpapers", path="/article/prolog"),
+            VerticalFragment("F_body", "Cpapers", path="/article/body"),
+        ], root_label="article")
+        partix = self._partix(Collection("Cpapers", articles), design)
+        query = (
+            'for $a in collection("Cpapers")/article'
+            " return $a/body/section[2]/p"
+        )
+        fragmented = partix.execute(query, collection="Cpapers")
+        assert fragmented.plan.fragment_names == ["F_body"]
+        assert fragmented.result_text == "\n".join(
+            f"<p>second {i}</p>" for i in range(4)
+        )
+        assert (
+            fragmented.result_text
+            == partix.execute_centralized(query, "central").result_text
+        )
+
+    def test_a_plan_pruned_to_one_fragment_is_no_safer(self, items):
+        # The filter counts before the ``where`` that prunes the plan to
+        # the CD fragment applies: position 2 of the collection is not
+        # position 2 of that fragment.
+        query = (
+            'for $i at $p in collection("Citems")/Item'
+            ' where $i/Section = "CD" return $p'
+        )
+        central = items.execute_centralized(query, "central").result_text
+        assert central == "1\n5\n9"  # i0, i4, i8 of twelve
+        with pytest.raises(DecompositionError, match=r"at \$p"):
+            items.execute(query, collection="Citems")

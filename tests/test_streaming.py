@@ -1,61 +1,50 @@
-"""Streaming pipeline tests: chunk frames, incremental composition,
-aggregate pushdown, and failure semantics.
+"""The one answer path from a site to the composer.
 
-The byte-identity contract under test: for any query, the streamed
-answer (chunks → incremental composer) must equal the monolithic answer
-byte for byte, in every execution mode, for every chunk size — including
-chunk boundaries that fall inside a multi-byte UTF-8 character.
+The contract under test: a lane's answer is its text. The site — the
+only party that knows the answer's size — picks the reply form (one
+inline RESULT frame, or RESULT_CHUNK frames closed by RESULT_END), the
+client assembles either into the same text, and that text equals the
+in-process answer byte for byte at every negotiated chunk size —
+including chunk boundaries that fall inside a multi-byte UTF-8
+character. A reply that ends before its terminal frame is an error,
+never a short answer, and a retried lane keeps nothing of the attempt
+that died.
 """
 
 import socket
 import threading
+import tracemalloc
 
 import pytest
 
-from repro.cluster.dispatch import InProcessTransport, ParallelDispatcher
+from repro.cluster.dispatch import ParallelDispatcher
 from repro.cluster.site import Cluster, Site
+from repro.datamodel import Collection, doc, elem
+from repro.engine.stats import QueryResult
 from repro.errors import StorageError, TransportError
-from repro.net import SiteClient, SiteServer
+from repro.net import SiteClient, SiteServer, TcpTransport
+from repro.net import server as server_module
 from repro.net.protocol import (
     DEFAULT_CHUNK_BYTES,
     Frame,
     FrameType,
+    MAX_INLINE_RESULT_BYTES,
     MAX_PAYLOAD_BYTES,
     PROTOCOL_VERSION,
+    answer_hello,
     frame_size_bucket,
     negotiate_chunk_bytes,
     recv_frame,
     send_frame,
 )
-from repro.partix.composer import (
-    IncrementalComposer,
-    ResultComposer,
-    SpillBuffer,
-    fold_aggregate_values,
-    parse_aggregate_partial,
-)
-from repro.partix.decomposer import CompositionSpec, SubQuery
+from repro.partix.decomposer import SubQuery
+from repro.partix.fragments import FragmentationSchema, HorizontalFragment
 from repro.partix.middleware import Partix
+from repro.paths import eq, ne
 from repro.workloads.virtual_store import (
     build_items_collection,
     items_horizontal_fragmentation,
 )
-
-
-def _subqueries(count, collection="C"):
-    return [
-        SubQuery(f"F{i}", f"site{i}", f"{collection}_F{i}", "q")
-        for i in range(count)
-    ]
-
-
-def _feed(sink, index, text, chunk_bytes=3):
-    """Stream ``text`` into one lane in ``chunk_bytes``-sized slices."""
-    data = text.encode("utf-8")
-    sink.begin(index)
-    for start in range(0, len(data), chunk_bytes):
-        sink.chunk(index, data[start : start + chunk_bytes])
-    sink.complete(index)
 
 
 class TestChunkNegotiation:
@@ -73,243 +62,301 @@ class TestChunkNegotiation:
         assert frame_size_bucket(65) == "<=128B"
         assert frame_size_bucket(100_000) == "<=131072B"
 
-
-class TestIncrementalAggregates:
-    """Streamed aggregate folding must match the monolithic composer."""
-
-    CASES = [
-        ("count", ["3", "0", "4"]),
-        ("sum", ["1.5", "2.25", "3"]),
-        ("sum", ["0.1", "0.2", "0.3"]),  # float-order-sensitive
-        ("min", ["7", "", "3.5"]),
-        ("max", ["7", "", "9.25"]),
-        ("avg", ["3.0 2", "", "5.0 1"]),  # partials ship (sum, count)
-        ("exists", ["false", "true", "false"]),
-        ("exists", ["false", "false", "false"]),
-        ("empty", ["true", "true", "true"]),
-        ("empty", ["true", "false", "true"]),
-    ]
-
-    @pytest.mark.parametrize("op,partial_texts", CASES)
-    def test_matches_monolithic_fold(self, op, partial_texts):
-        spec = CompositionSpec(kind="aggregate", aggregate=op)
-        subqueries = _subqueries(len(partial_texts))
-        monolithic = ResultComposer().compose(
-            spec, list(zip(subqueries, partial_texts))
+    def test_a_version_1_peer_is_rejected_at_the_handshake(self):
+        # Version 1 selected the reply form with a "stream" key; a peer
+        # still speaking it would meet frames it does not expect.
+        assert PROTOCOL_VERSION == 2
+        reply, chunk_bytes = answer_hello(
+            Frame(FrameType.HELLO, 1, {"version": 1}), "s0"
         )
-        sink = IncrementalComposer(spec, subqueries)
-        # Lanes complete in reverse order: the fold must still be
-        # plan-ordered.
-        for index in reversed(range(len(partial_texts))):
-            _feed(sink, index, partial_texts[index], chunk_bytes=1)
-        composed = sink.finish()
-        assert composed.result_text == monolithic.result_text
+        assert reply.type is FrameType.REJECT and chunk_bytes is None
+        assert "version mismatch" in reply.payload["reason"]
 
-    def test_fold_is_associative_over_partial_grouping(self):
-        # Folding [a, b, c] must equal folding [fold([a, b]), c] for the
-        # ops the decomposer pushes down (count/sum are plain sums).
-        values = [[3.0], [4.0], [5.0]]
-        whole, _ = fold_aggregate_values("sum", values)
-        merged_text, _ = fold_aggregate_values("sum", values[:2])
-        merged = parse_aggregate_partial("sum", merged_text)
-        regrouped, _ = fold_aggregate_values("sum", [merged, values[2]])
-        assert whole == regrouped
+    def test_an_inline_frame_stays_under_the_payload_ceiling(self):
+        # JSON escaping grows a text at most 6x (``\\uXXXX`` for a
+        # control character or a two-byte UTF-8 character).
+        assert 6 * MAX_INLINE_RESULT_BYTES + 1024 * 1024 < MAX_PAYLOAD_BYTES
 
-    def test_zero_partials_use_aggregate_identities(self):
-        # Every fragment pruned: exists() of nothing is false, empty() of
-        # nothing is true, count is 0 — centralized empty-sequence
-        # semantics.
-        for op, expected in (("exists", "false"), ("empty", "true"), ("count", "0")):
-            sink = IncrementalComposer(
-                CompositionSpec(kind="aggregate", aggregate=op), []
+
+TEXTS = ("café ☃", "naïve \U0001f409", "plain")
+NAMES_QUERY = 'for $i in collection("C")//Item return $i/Name'
+NAMES_ANSWER = "\n".join(f"<Name>{text}</Name>" for text in TEXTS)
+
+
+@pytest.fixture()
+def server():
+    srv = SiteServer(site="s0").serve_in_thread()
+    srv.driver.create_collection("C")
+    for index, text in enumerate(TEXTS):
+        srv.driver.store_document(
+            "C", f"<Item><Name>{text}</Name></Item>", name=f"d{index}"
+        )
+    yield srv
+    srv.close()
+
+
+def _reply_frames(port, chunk_bytes, query):
+    """Every frame a real server answers one EXECUTE with, read off a
+    raw socket after negotiating ``chunk_bytes``."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5.0) as conn:
+        send_frame(
+            conn,
+            Frame(
+                FrameType.HELLO,
+                1,
+                {"version": PROTOCOL_VERSION, "chunk_bytes": chunk_bytes},
+            ),
+        )
+        welcome, _ = recv_frame(conn)
+        assert welcome.payload["chunk_bytes"] == chunk_bytes
+        send_frame(conn, Frame(FrameType.EXECUTE, 2, {"query": query}))
+        frames = []
+        while not frames or frames[-1].type is FrameType.RESULT_CHUNK:
+            frames.append(recv_frame(conn)[0])
+        assert all(frame.request_id == 2 for frame in frames)
+        return frames
+
+
+class TestTheSiteSizesTheReply:
+    def test_an_answer_shorter_than_a_chunk_is_one_result_frame(self, server):
+        size = len(NAMES_ANSWER.encode("utf-8"))
+        (frame,) = _reply_frames(server.port, size + 1, NAMES_QUERY)
+        assert frame.type is FrameType.RESULT
+        assert frame.payload["result_text"] == NAMES_ANSWER
+        assert "result_bytes" not in frame.payload
+
+    def test_an_empty_answer_is_one_result_frame(self, server):
+        (frame,) = _reply_frames(
+            server.port, 1, 'collection("C")//NoSuchElement'
+        )
+        assert frame.type is FrameType.RESULT
+        assert frame.payload["result_text"] == ""
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 7, None])
+    def test_a_longer_answer_is_chunks_closed_by_result_end(
+        self, server, chunk_bytes
+    ):
+        data = NAMES_ANSWER.encode("utf-8")
+        if chunk_bytes is None:
+            chunk_bytes = len(data)  # the boundary: a chunk fills exactly
+        *chunks, end = _reply_frames(server.port, chunk_bytes, NAMES_QUERY)
+        assert chunks and end.type is FrameType.RESULT_END
+        assert all(len(chunk.raw) <= chunk_bytes for chunk in chunks)
+        assert b"".join(chunk.raw for chunk in chunks) == data
+        assert end.payload["result_bytes"] == len(data)
+        assert "result_text" not in end.payload
+        if chunk_bytes < 8:
+            # The multi-byte characters really are split across frames.
+            with pytest.raises(UnicodeDecodeError):
+                for chunk in chunks:
+                    chunk.raw.decode("utf-8")
+
+    def test_an_unchunked_answer_above_the_inline_cap_is_chunked(
+        self, server, monkeypatch
+    ):
+        monkeypatch.setattr(server_module, "MAX_INLINE_RESULT_BYTES", 10)
+        chunk, end = _reply_frames(server.port, 4096, NAMES_QUERY)
+        assert chunk.raw == NAMES_ANSWER.encode("utf-8")
+        assert end.type is FrameType.RESULT_END
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 7, 64, None])
+    def test_client_assembles_either_form_to_one_answer(
+        self, server, chunk_bytes
+    ):
+        local = server.driver.execute(NAMES_QUERY)
+        assert local.result_text == NAMES_ANSWER
+        client = SiteClient(
+            "127.0.0.1", server.port, site="s0", chunk_bytes=chunk_bytes
+        )
+        try:
+            result, sent, received = client.execute(NAMES_QUERY)
+            assert result.result_text == local.result_text
+            assert result.result_bytes == local.result_bytes
+            assert result.documents_scanned == local.documents_scanned
+            assert sent > 0 and received > local.result_bytes
+        finally:
+            client.close()
+
+    def test_the_lane_records_what_it_held_as_chunks(self, server):
+        subquery = SubQuery("F", "s0", "C", NAMES_QUERY)
+        for chunk_bytes, chunked in ((7, True), (None, False)):
+            client = SiteClient(
+                "127.0.0.1", server.port, site="s0", chunk_bytes=chunk_bytes
             )
-            assert sink.finish().result_text == expected
-
-
-class TestIncrementalConcat:
-    def test_out_of_order_lanes_compose_in_plan_order(self):
-        spec = CompositionSpec(kind="concat")
-        texts = ["<Item>a</Item>", "<Item>b</Item>\n<Item>c</Item>", "<Item>d</Item>"]
-        subqueries = _subqueries(len(texts))
-        monolithic = ResultComposer().compose(spec, list(zip(subqueries, texts)))
-        sink = IncrementalComposer(spec, subqueries)
-        for index in (2, 0, 1):
-            _feed(sink, index, texts[index])
-        assert sink.finish().result_text == monolithic.result_text
-
-    def test_chunk_boundary_inside_multibyte_character(self):
-        spec = CompositionSpec(kind="concat")
-        texts = ["<Item>café ☃ \U0001f409</Item>", "<Item>naïve</Item>"]
-        subqueries = _subqueries(len(texts))
-        monolithic = ResultComposer().compose(spec, list(zip(subqueries, texts)))
-        for chunk_bytes in (1, 2, 3, 7):
-            sink = IncrementalComposer(spec, subqueries)
-            for index in range(len(texts)):
-                _feed(sink, index, texts[index], chunk_bytes=chunk_bytes)
-            assert sink.finish().result_text == monolithic.result_text
-
-    def test_retry_begin_resets_stale_lane_bytes(self):
-        spec = CompositionSpec(kind="concat")
-        subqueries = _subqueries(2)
-        sink = IncrementalComposer(spec, subqueries)
-        sink.begin(0)
-        sink.chunk(0, b"<Item>garbage from a dead attem")  # attempt dies
-        _feed(sink, 0, "<Item>good</Item>")  # retry: begin() resets
-        _feed(sink, 1, "<Item>two</Item>")
-        assert sink.finish().result_text == "<Item>good</Item>\n<Item>two</Item>"
-
-    def test_incomplete_lane_is_excluded(self):
-        # A lane that never completes (all attempts exhausted under the
-        # degrade policy) must not contribute half an answer.
-        spec = CompositionSpec(kind="concat")
-        subqueries = _subqueries(2)
-        sink = IncrementalComposer(spec, subqueries)
-        _feed(sink, 0, "<Item>ok</Item>")
-        sink.begin(1)
-        sink.chunk(1, b"<Item>half")
-        assert sink.finish().result_text == "<Item>ok</Item>"
-
-    def test_peak_buffer_and_first_chunk_accounting(self):
-        spec = CompositionSpec(kind="concat")
-        subqueries = _subqueries(1)
-        sink = IncrementalComposer(spec, subqueries, spill_threshold=8)
-        assert sink.time_to_first_chunk is None
-        _feed(sink, 0, "x" * 100, chunk_bytes=4)
-        assert sink.time_to_first_chunk is not None
-        assert sink.chunks_received == 25
-        assert sink.bytes_received == 100
-        # The lane spilled at >8 in-memory bytes, so the peak stays far
-        # below the 100-byte total.
-        assert 0 < sink.peak_buffered_bytes <= 12
-        assert sink.finish().result_text == "x" * 100
-
-
-class TestSpillBuffer:
-    def test_spills_past_threshold_and_round_trips(self):
-        buffer = SpillBuffer(threshold=10)
-        buffer.write(b"0123456789")
-        assert buffer.memory_bytes == 10
-        buffer.write(b"abc")  # crosses the threshold → disk
-        assert buffer.memory_bytes == 0
-        buffer.write(b"def")
-        assert buffer.total_bytes == 16
-        assert buffer.getvalue() == b"0123456789abcdef"
-        assert buffer.getvalue() == b"0123456789abcdef"  # re-readable
-        buffer.release()
-        buffer.release()  # idempotent
+            try:
+                execution = TcpTransport({"s0": client}).execute(subquery)
+            finally:
+                client.close()
+            assert execution.result.result_text == NAMES_ANSWER
+            assert execution.on_wire
+            if chunked:
+                assert execution.chunked_bytes == execution.result_bytes
+                assert execution.first_chunk_seconds > 0
+            else:
+                assert execution.chunked_bytes == 0
+                assert execution.first_chunk_seconds is None
 
 
 class _ScriptedServer:
-    """A fake site server that follows the handshake, then runs a script
-    of frames for the first EXECUTE and closes the connection."""
+    """A fake site server: follows the handshake, then answers the first
+    EXECUTE of each connection with that connection's script of frames
+    and closes it."""
 
-    def __init__(self, frames):
-        self.frames = frames
+    def __init__(self, *scripts):
+        self.scripts = scripts
         self.listener = socket.create_server(("127.0.0.1", 0))
         self.port = self.listener.getsockname()[1]
         self.thread = threading.Thread(target=self._serve, daemon=True)
         self.thread.start()
 
     def _serve(self):
-        conn, _ = self.listener.accept()
-        with conn:
-            hello, _ = recv_frame(conn)
-            send_frame(
-                conn,
-                Frame(
-                    type=FrameType.WELCOME,
-                    request_id=hello.request_id,
-                    payload={
-                        "version": PROTOCOL_VERSION,
-                        "site": "fake",
-                        "chunk_bytes": DEFAULT_CHUNK_BYTES,
-                    },
-                ),
-            )
-            request, _ = recv_frame(conn)
-            for build in self.frames:
-                send_frame(conn, build(request.request_id))
+        for frames in self.scripts:
+            conn, _ = self.listener.accept()
+            with conn:
+                hello, _ = recv_frame(conn)
+                welcome, _ = answer_hello(hello, "fake")
+                send_frame(conn, welcome)
+                request, _ = recv_frame(conn)
+                for build in frames:
+                    send_frame(conn, build(request.request_id))
 
     def close(self):
         self.listener.close()
 
 
+def _chunk(raw):
+    return lambda rid: Frame(FrameType.RESULT_CHUNK, rid, raw=raw)
+
+
+def _result_end(result_bytes):
+    """A well-formed RESULT_END for an answer of ``result_bytes``."""
+    result = QueryResult(
+        items=[],
+        result_text="",
+        result_bytes=result_bytes,
+        elapsed_seconds=0.001,
+        parse_seconds=0.0,
+        documents_parsed=0,
+        bytes_parsed=0,
+        documents_scanned=1,
+        documents_pruned=0,
+    )
+    return _json(FrameType.RESULT_END, result.to_payload(streamed=True))
+
+
+def _json(type_, payload):
+    return lambda rid: Frame(type_, rid, payload)
+
+
+@pytest.fixture()
+def scripted():
+    """``scripted(*scripts)`` → a client of a :class:`_ScriptedServer`."""
+    started = []
+
+    def start(*scripts):
+        server = _ScriptedServer(*scripts)
+        client = SiteClient(
+            "127.0.0.1", server.port, site="fake", read_timeout=5.0
+        )
+        started.append((server, client))
+        return client
+
+    yield start
+    for server, client in started:
+        client.close()
+        server.close()
+
+
 class TestStreamFailureSemantics:
-    def _client(self, port):
-        return SiteClient("127.0.0.1", port, site="fake", read_timeout=5.0)
+    def test_truncated_stream_raises_transport_error(self, scripted):
+        # One chunk, then the connection dies before the terminal frame:
+        # the partial answer must never be mistaken for a short answer.
+        client = scripted([_chunk(b"<Item/>")])
+        with pytest.raises(TransportError, match="truncated before RESULT"):
+            client.execute("q")
+        assert client.pool_stats()["idle_connections"] == 0  # not repooled
 
-    def test_truncated_stream_raises_transport_error(self):
-        # One chunk, then the connection dies before RESULT_END: the
-        # partial answer must never be mistaken for a short answer.
-        server = _ScriptedServer(
+    def test_wrong_frame_type_mid_stream_raises(self, scripted):
+        client = scripted(
+            [_chunk(b"<Item/>"), _json(FrameType.PONG, {"site": "fake"})]
+        )
+        with pytest.raises(TransportError, match="PONG"):
+            client.execute("q")
+        assert client.pool_stats()["idle_connections"] == 0
+
+    def test_inline_result_after_chunks_is_refused(self, scripted):
+        # Two answers in one reply: neither may be taken for the answer.
+        client = scripted(
             [
-                lambda rid: Frame(
-                    type=FrameType.RESULT_CHUNK, request_id=rid, raw=b"<Item/>"
-                )
+                _chunk(b"<Item/>"),
+                _json(FrameType.RESULT, {"result_text": "<Other/>"}),
             ]
         )
-        client = self._client(server.port)
-        try:
-            with pytest.raises(TransportError, match="truncated before RESULT_END"):
-                client.execute_stream("q")
-        finally:
-            client.close()
-            server.close()
+        with pytest.raises(TransportError, match="RESULT_CHUNK"):
+            client.execute("q")
 
-    def test_wrong_frame_type_mid_stream_raises(self):
-        server = _ScriptedServer(
+    def test_error_frame_mid_stream_maps_to_original_exception(self, scripted):
+        client = scripted(
             [
-                lambda rid: Frame(
-                    type=FrameType.PONG, request_id=rid, payload={"site": "fake"}
-                )
+                _chunk(b"<Item>half an ans"),
+                _json(
+                    FrameType.ERROR,
+                    {"error_type": "StorageError", "message": "disk gone"},
+                ),
             ]
         )
-        client = self._client(server.port)
-        try:
-            with pytest.raises(TransportError, match="PONG"):
-                client.execute_stream("q")
-        finally:
-            client.close()
-            server.close()
+        with pytest.raises(StorageError, match="disk gone"):
+            client.execute("q")
 
-    def test_error_frame_mid_stream_maps_to_original_exception(self):
-        server = SiteServer(site="s0").serve_in_thread()
+    def test_error_frame_from_a_real_server_maps_to_its_exception(self, server):
         client = SiteClient("127.0.0.1", server.port, site="s0")
         try:
             with pytest.raises(StorageError):
-                client.execute_stream('collection("missing")//Item')
+                client.execute('collection("missing")//Item')
+            # The connection is clean after an ERROR and serves the next.
+            assert client.execute(NAMES_QUERY)[0].result_text == NAMES_ANSWER
+            assert client.connections_created == 1
         finally:
             client.close()
-            server.close()
 
-    def test_streamed_answer_matches_monolithic_over_real_server(self):
-        server = SiteServer(site="s0").serve_in_thread()
-        client = SiteClient(
-            "127.0.0.1", server.port, site="s0", chunk_bytes=3
-        )
+    def test_streamed_answer_matches_monolithic_over_real_server(self, server):
+        client = SiteClient("127.0.0.1", server.port, site="s0", chunk_bytes=3)
         try:
-            client.create_collection("C")
-            for index, text in enumerate(("café ☃", "naïve \U0001f409", "plain")):
-                client.store_document(
-                    "C", f"<Item><Name>{text}</Name></Item>", name=f"d{index}"
-                )
-            query = 'for $i in collection("C")//Item return $i/Name'
+            assert client.ping()  # connect: the chunk size is negotiated
             assert client.negotiated_chunk_bytes == 3
-            monolithic, _, _ = client.execute(query)
-            chunks = []
-            streamed, _, _ = client.execute_stream(
-                query, on_chunk=chunks.append
-            )
-            assert b"".join(chunks).decode("utf-8") == monolithic.result_text
-            assert streamed.result_text == ""  # text travels only as chunks
-            assert streamed.result_bytes == monolithic.result_bytes
-            # chunk_bytes=3 really splits the multi-byte characters.
-            assert len(chunks) > monolithic.result_bytes // 4
+            local = server.driver.execute(NAMES_QUERY)
+            remote, _, received = client.execute(NAMES_QUERY)
+            assert remote.result_text == local.result_text
+            assert remote.result_bytes == local.result_bytes
+            # chunk_bytes=3 really put the answer on the wire in slices:
+            # a 16-byte header for every 3 bytes of it.
+            assert received > 5 * local.result_bytes
             stats = client.server_stats()
-            assert stats["frame_sizes_sent"]  # histogram is populated
+            assert stats["frame_sizes_sent"]["<=64B"] > local.result_bytes // 3
         finally:
             client.close()
-            server.close()
+
+    def test_retried_lane_keeps_the_retrys_bytes_only(self, scripted):
+        # Attempt 1 dies mid-reply after a chunk; attempt 2 (a fresh
+        # connection) answers in full. Nothing of attempt 1 survives.
+        good = "<Item>gööd</Item>".encode("utf-8")
+        client = scripted(
+            [_chunk(b"<Item>garbage from a dead attem")],
+            [
+                _chunk(good[:9]),  # ends inside the first "ö"
+                _chunk(good[9:]),
+                _result_end(len(good)),
+            ],
+        )
+        dispatcher = ParallelDispatcher(retries=1, sleep=lambda seconds: None)
+        outcome = dispatcher.dispatch(
+            TcpTransport({"fake": client}), [SubQuery("F", "fake", "C", "q")]
+        )
+        assert outcome.complete
+        (execution,) = outcome.executions_by_index
+        assert execution.result.result_text == "<Item>gööd</Item>"
+        assert execution.chunked_bytes == len(good)
+        assert outcome.round.peak_buffered_bytes == len(good)
 
 
 def _published_partix(fragment_count=4, item_count=18, chunk_bytes=5):
@@ -330,23 +377,21 @@ class TestPartixStreaming:
         'empty(collection("{c}")//Item[Code = "no-such-code"])',
     ]
 
-    def test_streaming_modes_are_byte_identical(self):
+    def test_there_is_no_streaming_option(self):
         partix, collection = _published_partix()
-        for template in self.QUERIES:
-            query = template.format(c=collection.name)
-            baseline = partix.execute(
-                query, collection=collection.name, execution_mode="simulated"
+        with pytest.raises(TypeError):
+            partix.execute(
+                self.QUERIES[0].format(c=collection.name),
+                collection=collection.name,
+                streaming=True,
             )
-            for mode in ("simulated", "threads"):
-                streamed = partix.execute(
-                    query,
-                    collection=collection.name,
-                    execution_mode=mode,
-                    streaming=True,
-                )
-                assert streamed.result_text == baseline.result_text
-                assert streamed.streamed
-                assert not baseline.streamed
+        assert not hasattr(
+            partix.execute(
+                self.QUERIES[0].format(c=collection.name),
+                collection=collection.name,
+            ),
+            "streamed",
+        )
 
     def test_exists_empty_push_down_as_aggregates(self):
         partix, collection = _published_partix()
@@ -375,73 +420,94 @@ class TestPartixStreaming:
                 == expected
             )
 
-    def test_in_process_transport_emulates_chunking(self):
-        partix, collection = _published_partix(chunk_bytes=2)
-        transport = InProcessTransport(partix.cluster, chunk_bytes=2)
-        assert transport.chunk_bytes == 2
-        streamed = partix.execute(
-            'for $i in collection("{c}")//Item return $i/Code'.format(
-                c=collection.name
-            ),
-            collection=collection.name,
-            execution_mode="threads",
-            streaming=True,
-        )
-        baseline = partix.execute(
-            'for $i in collection("{c}")//Item return $i/Code'.format(
-                c=collection.name
-            ),
-            collection=collection.name,
-        )
-        assert streamed.result_text == baseline.result_text
-        assert streamed.peak_buffered_bytes > 0
-        assert streamed.first_chunk_seconds is not None
-
     def test_tcp_stream_alias_and_byte_identity(self):
-        partix, collection = _published_partix(fragment_count=2, item_count=12)
-        partix.start_tcp()
-        try:
-            for template in self.QUERIES:
-                query = template.format(c=collection.name)
-                by_mode = {
-                    mode: partix.execute(
-                        query, collection=collection.name, execution_mode=mode
+        # Chunked (1, 5) or inline (the default size), "tcp" and its old
+        # spelling answer the in-process bytes.
+        for chunk_bytes in (1, 5, DEFAULT_CHUNK_BYTES):
+            partix, collection = _published_partix(
+                fragment_count=2, item_count=12, chunk_bytes=chunk_bytes
+            )
+            partix.start_tcp()
+            try:
+                for template in self.QUERIES:
+                    self._compare_modes(
+                        partix, collection.name, template, chunk_bytes
                     )
-                    for mode in ("simulated", "threads", "tcp", "tcp-stream")
-                }
-                texts = {r.result_text for r in by_mode.values()}
-                assert len(texts) == 1, f"modes disagree on {query!r}"
-                assert by_mode["tcp-stream"].streamed
-                assert by_mode["tcp-stream"].wire_measured
-                assert not by_mode["tcp"].streamed
-        finally:
-            partix.stop_tcp()
+            finally:
+                partix.close()
+
+    @staticmethod
+    def _compare_modes(partix, collection, template, chunk_bytes):
+        query = template.format(c=collection)
+        by_mode = {
+            mode: partix.execute(
+                query, collection=collection, execution_mode=mode
+            )
+            for mode in ("simulated", "threads", "tcp", "tcp-stream")
+        }
+        texts = {result.result_text for result in by_mode.values()}
+        assert len(texts) == 1, f"modes disagree on {query!r}"
+        for mode in ("tcp", "tcp-stream"):
+            result = by_mode[mode]
+            assert result.wire_measured
+            chunked = sum(
+                execution.result_bytes
+                for execution in result.round.executions
+                if execution.result_bytes >= chunk_bytes
+            )
+            assert result.peak_buffered_bytes == chunked
+            assert (result.first_chunk_seconds is None) == (not chunked)
+        assert by_mode["threads"].peak_buffered_bytes == 0
+        assert by_mode["threads"].first_chunk_seconds is None
 
     def test_streamed_concat_buffering_is_bounded_over_real_servers(self):
-        # The coordinator may hold at most the spill threshold plus one
-        # chunk per active lane in memory (a SpillBuffer spills past
-        # that), however large the answer: 2 × chunk_bytes × lanes.
-        chunk_bytes = 64
-        partix, collection = _published_partix(
-            fragment_count=4, item_count=48, chunk_bytes=chunk_bytes
+        # A 5 MB concat answer over tcp: what the coordinator holds at
+        # its peak is the lanes' texts plus the composed answer — about
+        # twice the answer. (With the whole text in one JSON RESULT
+        # frame it was three times: frame bytes, decoded frame, text.)
+        filler = "x" * 50_000
+        documents = [
+            doc(
+                elem("Item", elem("Half", "ab"[i % 2]), elem("Blob", filler)),
+                name=f"i{i}.xml",
+            )
+            for i in range(100)
+        ]
+        partix = Partix(Cluster.with_sites(2))
+        partix.publish(
+            Collection("Cblobs", documents),
+            FragmentationSchema(
+                "Cblobs",
+                [
+                    HorizontalFragment(
+                        "F_a", "Cblobs", predicate=eq("/Item/Half", "a")
+                    ),
+                    HorizontalFragment(
+                        "F_b", "Cblobs", predicate=ne("/Item/Half", "a")
+                    ),
+                ],
+                root_label="Item",
+            ),
         )
+        query = 'for $i in collection("Cblobs")/Item return $i/Blob'
         partix.start_tcp()
         try:
-            query = 'for $i in collection("%s")//Item return $i' % collection.name
-            streamed = partix.execute(
-                query, collection=collection.name, execution_mode="tcp-stream"
-            )
-            monolithic = partix.execute(
-                query, collection=collection.name, execution_mode="tcp"
-            )
-            lanes = len(streamed.round.executions)
-            assert streamed.streamed and streamed.wire_measured
-            assert streamed.result_text == monolithic.result_text
-            # The answer dwarfs the bound, so the bound is what held.
-            assert streamed.result_bytes > 8 * chunk_bytes * lanes
-            assert 0 < streamed.peak_buffered_bytes <= 2 * chunk_bytes * lanes
+            expected = partix.execute(query, collection="Cblobs")
+            assert expected.result_bytes > 5_000_000
+            tracemalloc.start()
+            try:
+                result = partix.execute(
+                    query, collection="Cblobs", execution_mode="tcp"
+                )
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert result.result_text == expected.result_text
+            # Both lanes were chunked; the composer added one "\n".
+            assert result.peak_buffered_bytes == result.result_bytes - 1
+            assert peak < 2.5 * result.result_bytes
         finally:
-            partix.stop_tcp()
+            partix.close()
 
     def test_aggregate_pushdown_is_o_fragments_on_wire(self):
         partix, collection = _published_partix(fragment_count=2, item_count=12)
@@ -450,12 +516,12 @@ class TestPartixStreaming:
             count = partix.execute(
                 'count(collection("%s")//Item)' % collection.name,
                 collection=collection.name,
-                execution_mode="tcp-stream",
+                execution_mode="tcp",
             )
             full = partix.execute(
                 'for $i in collection("%s")//Item return $i' % collection.name,
                 collection=collection.name,
-                execution_mode="tcp-stream",
+                execution_mode="tcp",
             )
             # The count answer ships one scalar per fragment; the full
             # scan ships every item. Frame overhead included, the
@@ -463,4 +529,4 @@ class TestPartixStreaming:
             assert count.bytes_received < full.bytes_received / 4
             assert count.bytes_received < 2048 * 2
         finally:
-            partix.stop_tcp()
+            partix.close()
