@@ -35,60 +35,31 @@ class CoordinatorClient(SiteClient):
         """Run one query through the coordinator.
 
         Returns the QUERY_RESULT payload (``result_text``,
-        ``result_bytes``, timing and failover stats). QUERY_ERROR
-        replies raise their mapped exception.
+        ``result_bytes``, timing and failover stats). The coordinator
+        picks the reply's form by the answer's size — inline, or
+        RESULT_CHUNK frames ahead of the QUERY_RESULT — and the payload
+        returned is the same either way. QUERY_ERROR replies raise
+        their mapped exception.
         """
         payload: dict = {"query": query}
         if collection is not None:
             payload["collection"] = collection
         if deadline_seconds is not None:
             payload["deadline_seconds"] = deadline_seconds
-        reply, _, _ = self.request(FrameType.QUERY, payload, read_timeout)
-        if reply.type is FrameType.QUERY_ERROR:
-            raise payload_to_exception(reply.payload)
-        if reply.type is not FrameType.QUERY_RESULT:
-            raise TransportError(f"QUERY answered with {reply.type.name}")
-        return reply.payload
-
-    def query_stream(
-        self,
-        query: str,
-        collection: Optional[str] = None,
-        deadline_seconds: Optional[float] = None,
-        on_chunk=None,
-        read_timeout: Optional[float] = None,
-    ) -> dict:
-        """Run one query with a streamed answer.
-
-        ``on_chunk`` receives each RESULT_CHUNK's raw bytes; their
-        concatenation is the UTF-8 answer. Returns the closing
-        QUERY_RESULT payload, with ``result_text`` assembled from the
-        chunks for convenience.
-        """
-        payload: dict = {"query": query, "stream": True}
-        if collection is not None:
-            payload["collection"] = collection
-        if deadline_seconds is not None:
-            payload["deadline_seconds"] = deadline_seconds
         chunks: list[bytes] = []
-
-        def collect(raw: bytes) -> None:
-            chunks.append(raw)
-            if on_chunk is not None:
-                on_chunk(raw)
-
         reply, _, _ = self._exchange(
             FrameType.QUERY,
             payload,
             read_timeout,
             terminal=(FrameType.QUERY_RESULT, FrameType.QUERY_ERROR),
-            on_chunk=collect,
+            on_chunk=chunks.append,
         )
         if reply.type is FrameType.QUERY_ERROR:
             raise payload_to_exception(reply.payload)
-        result = dict(reply.payload)
-        result["result_text"] = b"".join(chunks).decode("utf-8")
-        return result
+        if not chunks:
+            return reply.payload
+        # A chunk may end inside a multi-byte character: join, then decode.
+        return {**reply.payload, "result_text": b"".join(chunks).decode("utf-8")}
 
     def coordinator_stats(self, read_timeout: Optional[float] = 5.0) -> dict:
         """The coordinator's serving stats (admission, plan cache, pools)."""

@@ -51,6 +51,7 @@ from repro.errors import (
     RebalanceError,
 )
 from repro.net.protocol import (
+    MAX_INLINE_RESULT_BYTES,
     Frame,
     FrameType,
     ProtocolError,
@@ -67,7 +68,7 @@ from repro.rebalance import QueryLog, Rebalancer
 
 
 def _query_result_payload(result: PartixResult, elapsed: float) -> dict:
-    """QUERY_RESULT payload (without the text — added unless streaming)."""
+    """QUERY_RESULT payload (without the text — added when it goes inline)."""
     return {
         "result_bytes": result.result_bytes,
         "elapsed_seconds": elapsed,
@@ -424,10 +425,16 @@ class Coordinator:
             catalog=catalog,
         )
         reply = _query_result_payload(result, elapsed)
-        if payload.get("stream"):
-            # Streamed reply: the answer travels as RESULT_CHUNK frames
-            # (raw UTF-8 slices of the negotiated size), closed by a
-            # QUERY_RESULT carrying only the stats.
+        if (
+            result.result_bytes < chunk_bytes
+            and result.result_bytes <= MAX_INLINE_RESULT_BYTES
+        ):
+            reply["result_text"] = result.result_text
+        else:
+            # The site's reply rule one layer up: an answer that fills a
+            # chunk travels as RESULT_CHUNK frames (raw UTF-8 slices of
+            # the negotiated size), closed by a QUERY_RESULT carrying
+            # only the stats.
             data = result.result_text.encode("utf-8")
             for start in range(0, len(data), chunk_bytes):
                 await self._send(
@@ -439,8 +446,6 @@ class Coordinator:
                         raw=data[start:start + chunk_bytes],
                     ),
                 )
-        else:
-            reply["result_text"] = result.result_text
         await self._send(
             writer,
             write_lock,

@@ -252,10 +252,6 @@ class BinaryXMLDocument:
         and the test is two integer comparisons."""
         return ancestor < descendant < ancestor + self.sizes[ancestor]
 
-    def is_parent(self, parent: int, child: int) -> bool:
-        """Parent test — one read of the parent array."""
-        return self.parents[child] == parent
-
     def text_value(self, index: int) -> str:
         """The node's string value (mirrors ``XMLNode.text_value``)."""
         if self.kinds[index] != KIND_ELEMENT:

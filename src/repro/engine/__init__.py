@@ -2,10 +2,7 @@
 
 from repro.engine.database import XMLEngine, serialize_sequence
 from repro.engine.indexes import (
-    ElementIndex,
-    FullTextIndex,
-    RangeIndex,
-    ValueIndex,
+    CollectionIndex,
     candidate_documents,
     tokenize_text,
 )
@@ -13,16 +10,13 @@ from repro.engine.stats import EngineStats, ExecOptions, QueryResult
 from repro.engine.store import DocumentStore, StoredCollection, StoredDocument
 
 __all__ = [
+    "CollectionIndex",
     "DocumentStore",
-    "ElementIndex",
     "EngineStats",
     "ExecOptions",
-    "FullTextIndex",
-    "RangeIndex",
     "QueryResult",
     "StoredCollection",
     "StoredDocument",
-    "ValueIndex",
     "XMLEngine",
     "candidate_documents",
     "serialize_sequence",

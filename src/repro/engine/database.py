@@ -1,18 +1,16 @@
 """MiniX — the sequential XQuery-enabled XML DBMS used at each site.
 
 This is the reproduction's stand-in for eXist: a single-node database
-that stores collections of serialized XML documents, maintains document-
-level indexes, and executes the XQuery subset. The execution pipeline per
-query is:
+that stores collections of XML documents as binary node tables,
+maintains document-level indexes, and executes the XQuery subset. The
+execution pipeline per query is:
 
 1. parse the query and statically analyze it — once per distinct text:
    the compiled ``(expr, analysis)`` pair is kept in a bounded LRU;
 2. for each referenced collection, prune candidate documents through the
-   indexes (text-search and equality predicates);
-3. with indexes on, verify each candidate's predicate exactly over its
-   binary node table (label pushdown) so non-matching documents are
-   dropped before evaluation;
-4. hand the evaluator one root *handle* per surviving document
+   collection's index (text-search, value and path predicates) — a
+   superset; the query's own ``where`` clause is the exact filter;
+3. hand the evaluator one root *handle* per candidate
    (:class:`~repro.datamodel.binary.NodeHandle`) — every document handed
    over is charged the modeled access cost behind the paper's
    fragmentation speedups when the modeled clock is on
@@ -21,7 +19,7 @@ query is:
    over) — and evaluate on the node tables in place: path steps,
    predicates and string values read the preorder arrays, no tree is
    built;
-5. serialize each result node straight from its span of the table. The
+4. serialize each result node straight from its span of the table. The
    only DOM a query builds is the copy of a stored subtree that an
    element constructor embeds — what ``documents_parsed``,
    ``bytes_parsed``, ``binary_decodes`` and ``parse_seconds`` count.
@@ -73,11 +71,9 @@ class XMLEngine:
     storage_dir:
         When given, documents persist under this directory.
     use_indexes:
-        Enable index-assisted document pruning. Whenever it runs, each
-        index candidate's predicate is also verified exactly over its
-        binary node table before the document reaches the evaluator, so
-        an index probe prunes to the truly matching documents. Off means
-        the paper-faithful full scan.
+        Enable index-assisted document pruning (the candidates are a
+        superset of the matching documents). Off means the
+        paper-faithful full scan.
     per_document_overhead:
         *Simulated* fixed cost (seconds) per document handed to the
         evaluator, added to reported elapsed times but never slept.

@@ -2,23 +2,30 @@
 
 Mirrors what eXist set up for the paper's experiments ("some indexes were
 automatically created by the eXist DBMS to speed up text search operations
-and path expressions evaluation"):
+and path expressions evaluation"). One :class:`CollectionIndex` per
+stored collection owns three families:
 
 * :class:`FullTextIndex` — inverted word index over all text content;
-  answers ``contains`` predicates with a (sound) superset of documents.
-* :class:`ValueIndex` — maps ``(element label, value)`` to documents.
-* :class:`ElementIndex` — maps element/attribute labels to documents;
-  answers existential path tests.
-* :class:`PathIndex` — maps root-to-node label paths to documents.
-* :class:`RangeIndex` — ordered values for ``<``/``>`` predicates.
+  answers ``contains``/``starts-with`` with a superset of documents.
+* :class:`RangeIndex` — per element or attribute label, the values kept
+  in order; answers ``=``, ``<``, ``<=``, ``>``, ``>=``.
+* :class:`PathIndex` — root-to-node label paths; answers existential
+  tests, exactly or by suffix (a bare label is a one-label suffix).
 
-Indexes ingest :class:`~repro.datamodel.binary.BinaryXMLDocument` tables
-(one linear pass over the preorder arrays — no DOM). Every lookup is
-document-level and returns a sound superset.
+**One pass.** :meth:`CollectionIndex.add_document` walks a document's
+preorder table once: each node's label, root-to-node path, text and
+tokens are computed there and posted to the three families.
 
+**One comparison rule.** A stored value and a probe compare numerically
+when both parse as numbers and as strings otherwise — the rule of
+:mod:`repro.paths.predicates`, whose :func:`~repro.paths.predicates.as_number`
+decides "parses" for both sides here too, so ``= 5`` finds ``5``,
+``5.0`` and ``05`` exactly as the scan does.
+
+Every lookup is document-level and returns a sound superset.
 :func:`candidate_documents` is the one consumer of the lookups: given
 a query's extracted selection predicate it intersects
-index probes into the documents that must actually be parsed.
+index probes into the documents that must actually be evaluated.
 """
 
 from __future__ import annotations
@@ -26,10 +33,10 @@ from __future__ import annotations
 import bisect
 import re
 import threading
-from typing import Optional
+from operator import itemgetter
+from typing import Iterable, Optional
 
 from repro.datamodel.binary import (
-    KIND_ATTRIBUTE,
     KIND_ELEMENT,
     KIND_TEXT,
     BinaryXMLDocument,
@@ -43,6 +50,7 @@ from repro.paths.predicates import (
     Or,
     Predicate,
     StartsWith,
+    as_number,
 )
 
 _WORD_RE = re.compile(r"[A-Za-z0-9]+")
@@ -53,123 +61,73 @@ def tokenize_text(text: str) -> set[str]:
     return {match.group(0).lower() for match in _WORD_RE.finditer(text)}
 
 
-def _immediate_text(binary: BinaryXMLDocument, index: int) -> str | None:
-    """Concatenated direct text children of an element, None when none."""
-    texts = [
-        binary.text_value(child)
-        for child in binary.children(index)
-        if binary.kinds[child] == KIND_TEXT
-    ]
-    return "".join(texts) if texts else None
-
-
-class FullTextIndex:
-    """Inverted index: token → document names."""
+class _Postings:
+    """key → names of the documents holding it; live keys only."""
 
     def __init__(self) -> None:
-        self._postings: dict[str, set[str]] = {}
+        self._postings: dict = {}
 
-    def add_document(self, name: str, binary: BinaryXMLDocument) -> None:
-        for index in range(len(binary)):
-            if binary.kinds[index] != KIND_ELEMENT:
-                for token in tokenize_text(binary.text_value(index)):
-                    self._postings.setdefault(token, set()).add(name)
+    def post(self, name: str, keys: Iterable) -> None:
+        for key in keys:
+            self._postings.setdefault(key, set()).add(name)
 
     def remove_document(self, name: str) -> None:
-        for postings in self._postings.values():
-            postings.discard(name)
+        """A key whose last document goes is dropped with it."""
+        emptied = []
+        for key, documents in self._postings.items():
+            documents.discard(name)
+            if not documents:
+                emptied.append(key)
+        for key in emptied:
+            del self._postings[key]
 
-    def lookup_substring(self, needle: str) -> set[str]:
+    def documents(self, key) -> set[str]:
+        return set(self._postings.get(key, ()))
+
+    def __contains__(self, key) -> bool:
+        return key in self._postings
+
+    def __len__(self) -> int:
+        return len(self._postings)
+
+
+class FullTextIndex(_Postings):
+    """Inverted index: token → document names."""
+
+    def lookup_substring(self, needle: str) -> Optional[set[str]]:
         """Documents whose text *may* contain ``needle``.
 
         ``needle`` is split into word tokens; a candidate document must
         hold, for every needle token, some vocabulary token containing it
         as a substring (handles stemming-free matches like ``good`` in
-        ``goodness``). A needle with no word characters cannot be pruned.
+        ``goodness``). A needle with no word characters cannot be pruned
+        (None).
         """
-        tokens = tokenize_text(needle)
-        if not tokens:
-            return self.all_documents()
-        result: set[str] | None = None
-        for token in tokens:
+        result: Optional[set[str]] = None
+        for token in tokenize_text(needle):
             matching: set[str] = set()
             for vocab, postings in self._postings.items():
                 if token in vocab:
                     matching |= postings
             result = matching if result is None else (result & matching)
-        return result or set()
-
-    def all_documents(self) -> set[str]:
-        union: set[str] = set()
-        for postings in self._postings.values():
-            union |= postings
-        return union
+        return result
 
 
-class ValueIndex:
-    """Equality index: (element label, exact value) → document names."""
-
-    def __init__(self) -> None:
-        self._entries: dict[tuple[str, str], set[str]] = {}
-        self._labels: set[str] = set()
-
-    def add_document(self, name: str, binary: BinaryXMLDocument) -> None:
-        for index in range(len(binary)):
-            kind = binary.kinds[index]
-            if kind == KIND_ATTRIBUTE:
-                label = "@" + (binary.name_of(index) or "")
-                text = binary.text_value(index)
-            elif kind == KIND_ELEMENT:
-                label = binary.name_of(index) or ""
-                text = _immediate_text(binary, index)
-                if text is None:
-                    continue
-            else:
-                continue
-            self._entries.setdefault((label, text), set()).add(name)
-            self._labels.add(label)
-
-    def remove_document(self, name: str) -> None:
-        for postings in self._entries.values():
-            postings.discard(name)
-
-    def covers_label(self, label: str) -> bool:
-        """Is this label indexed at all (i.e. can a lookup be trusted)?"""
-        return label in self._labels
-
-    def lookup(self, label: str, value: str) -> set[str]:
-        """Documents holding an element/attribute ``label`` with ``value``."""
-        return set(self._entries.get((label, value), ()))
-
-
-class PathIndex:
+class PathIndex(_Postings):
     """Structural index: root-to-node label paths → document names.
 
     Keys are label sequences like ``("Store", "Items", "Item",
-    "Section")`` — the structural summary eXist and most native XML
-    stores maintain. It answers existential tests (does any document
-    contain a node reachable by this path?) more precisely than the
-    label-only :class:`ElementIndex`, including simple descendant
-    patterns (suffix matching).
+    "Section")`` (attributes as ``"@id"``) — the structural summary
+    eXist and most native XML stores maintain. It answers existential
+    tests (does any document contain a node reachable by this path?)
+    exactly, and simple descendant patterns by suffix; a node's label is
+    the last component of its path, so "some node is labelled ``l``" is
+    the one-label suffix ``(l,)``.
     """
-
-    def __init__(self) -> None:
-        self._postings: dict[tuple[str, ...], set[str]] = {}
-
-    def add_document(self, name: str, binary: BinaryXMLDocument) -> None:
-        for index in range(len(binary)):
-            if binary.kinds[index] != KIND_TEXT:
-                self._postings.setdefault(
-                    binary.path_labels(index), set()
-                ).add(name)
-
-    def remove_document(self, name: str) -> None:
-        for postings in self._postings.values():
-            postings.discard(name)
 
     def lookup_exact(self, labels: tuple[str, ...]) -> set[str]:
         """Documents containing a node at exactly this root-to-node path."""
-        return set(self._postings.get(labels, ()))
+        return self.documents(labels)
 
     def lookup_suffix(self, labels: tuple[str, ...]) -> set[str]:
         """Documents containing a node whose path *ends with* ``labels``.
@@ -186,68 +144,91 @@ class PathIndex:
 
 
 class RangeIndex:
-    """Ordered index: per element label, values sorted for range lookups.
+    """Ordered value index: per element or attribute label, the values
+    sorted for ``=``, ``<``, ``<=``, ``>`` and ``>=`` lookups.
 
-    Answers ``<``, ``<=``, ``>`` and ``>=`` predicates with a sound
-    document superset that mirrors the comparison semantics of
-    :mod:`repro.paths.predicates`: values that parse as numbers compare
-    numerically, everything else lexicographically — so a numeric probe
-    must consult both the numeric entries (numerically) and the
+    A lookup returns a sound document superset under the comparison
+    rule of :mod:`repro.paths.predicates`: values that parse as numbers
+    compare numerically, everything else lexicographically — so a
+    numeric probe consults the numeric entries (numerically) and the
     non-numeric entries (as strings), and a non-numeric probe consults
-    every entry as a string.
+    every entry as a string. A node's value is its string value: the
+    text of an attribute or of an element with text content, ``""`` for
+    an element with no content; an element with element content is not
+    ordered — its documents are candidates of every lookup on its label.
     """
 
     def __init__(self) -> None:
-        # label -> ([(float, doc)], [(raw, doc)] non-numeric, [(raw, doc)] all)
+        # label -> [(value, document)]: values that parse as numbers (as
+        # floats), those that do not, and all of them as strings.
         self._numeric: dict[str, list[tuple[float, str]]] = {}
         self._non_numeric: dict[str, list[tuple[str, str]]] = {}
         self._all: dict[str, list[tuple[str, str]]] = {}
+        self._unordered = _Postings()
         self._sorted = True
         self._sort_lock = threading.Lock()
 
-    def add_document(self, name: str, binary: BinaryXMLDocument) -> None:
-        for index in range(len(binary)):
-            if binary.kinds[index] != KIND_ELEMENT:
-                continue
-            raw = _immediate_text(binary, index)
-            if raw is None:
-                continue
-            label = binary.name_of(index) or ""
+    def post(
+        self,
+        name: str,
+        values: Iterable[tuple[str, str]],
+        unordered: Iterable[str] = (),
+    ) -> None:
+        """Add one document's ``(label, value)`` pairs, and the labels
+        of its elements with element content."""
+        for label, raw in values:
             self._all.setdefault(label, []).append((raw, name))
-            try:
-                self._numeric.setdefault(label, []).append((float(raw), name))
-            except ValueError:
+            number = as_number(raw)
+            if number is None:
                 self._non_numeric.setdefault(label, []).append((raw, name))
+            else:
+                self._numeric.setdefault(label, []).append((number, name))
+        self._unordered.post(name, unordered)
         self._sorted = False
 
     def remove_document(self, name: str) -> None:
         for table in (self._numeric, self._non_numeric, self._all):
-            for label in table:
-                table[label] = [
-                    entry for entry in table[label] if entry[1] != name
-                ]
+            for label in list(table):
+                kept = [entry for entry in table[label] if entry[1] != name]
+                if kept:
+                    table[label] = kept
+                else:
+                    del table[label]
+        self._unordered.remove_document(name)
+
+    def __len__(self) -> int:
+        return (
+            len(self._all)
+            + len(self._numeric)
+            + len(self._non_numeric)
+            + len(self._unordered)
+        )
 
     def covers_label(self, label: str) -> bool:
-        return label in self._all
+        """Is this label indexed at all (i.e. can a lookup be trusted)?"""
+        return label in self._all or label in self._unordered
+
+    def unordered_documents(self, label: str) -> set[str]:
+        """Documents holding ``label`` as an element with element content."""
+        return self._unordered.documents(label)
 
     def lookup(self, label: str, op: str, value) -> set[str]:
         """Documents with a ``label`` node standing in ``op`` to ``value``."""
         self._ensure_sorted()
-        result: set[str] = set()
-        try:
-            numeric_value: float | None = float(value)
-        except (TypeError, ValueError):
-            numeric_value = None
-        if numeric_value is not None:
-            result |= _range_scan(
-                self._numeric.get(label, []), op, numeric_value
-            )
+        numeric = self._numeric.get(label)
+        # With no numeric entry every stored value compares as a string,
+        # whatever the probe parses as.
+        number = as_number(value) if numeric else None
+        if number is None:
+            result = _range_scan(self._all.get(label, ()), op, str(value))
+        else:
+            result = _range_scan(numeric, op, number)
             # Non-numeric stored values compare against str(value).
             result |= _range_scan(
-                self._non_numeric.get(label, []), op, str(value)
+                self._non_numeric.get(label, ()), op, str(value)
             )
-        else:
-            result |= _range_scan(self._all.get(label, []), op, str(value))
+        if label in self._unordered:
+            result |= self.unordered_documents(label)
         return result
 
     def _ensure_sorted(self) -> None:
@@ -265,56 +246,91 @@ class RangeIndex:
             if self._sorted:
                 return
             for table in (self._numeric, self._non_numeric, self._all):
-                for label in table:
-                    table[label].sort(key=lambda entry: (entry[0],))
+                for entries in table.values():
+                    entries.sort(key=itemgetter(0))
             self._sorted = True
 
 
 def _range_scan(entries, op: str, value) -> set[str]:
-    """Documents whose entry value satisfies ``value_entry op value``."""
-    keys = [entry[0] for entry in entries]
-    if op in ("<", "<="):
-        cut = (
-            bisect.bisect_left(keys, value)
-            if op == "<"
-            else bisect.bisect_right(keys, value)
-        )
-        return {doc for _, doc in entries[:cut]}
-    if op in (">", ">="):
-        cut = (
-            bisect.bisect_right(keys, value)
-            if op == ">"
-            else bisect.bisect_left(keys, value)
-        )
-        return {doc for _, doc in entries[cut:]}
-    raise ValueError(f"range lookup does not support operator {op!r}")
+    """Documents whose entry value satisfies ``value_entry op value``.
+
+    The sorted posting list is bisected in place: a 1-tuple sorts right
+    before every ``(value, document)`` entry of that value, so ``low`` is
+    the first of them (no key list, no key function) and the equal
+    entries run from there to ``high``."""
+    low = high = bisect.bisect_left(entries, (value,))
+    if op in ("=", "<=", ">"):
+        while high < len(entries) and entries[high][0] == value:
+            high += 1
+    if op == "=":
+        span = entries[low:high]
+    elif op in ("<", "<="):
+        span = entries[:high]
+    elif op in (">", ">="):
+        span = entries[high:]
+    else:
+        raise ValueError(f"value lookup does not support operator {op!r}")
+    return {document for _, document in span}
 
 
-class ElementIndex:
-    """Presence index: element/attribute label → document names."""
+class CollectionIndex:
+    """The indexes of one stored collection: three families fed by one
+    pass over each document's node table."""
 
     def __init__(self) -> None:
-        self._postings: dict[str, set[str]] = {}
+        self.fulltext = FullTextIndex()
+        self.values = RangeIndex()
+        self.paths = PathIndex()
 
     def add_document(self, name: str, binary: BinaryXMLDocument) -> None:
-        for index in range(len(binary)):
-            kind = binary.kinds[index]
+        """Index one document: a single preorder walk computes each
+        node's label, root-to-node path, text and tokens, then each
+        family takes its postings."""
+        pool_get = binary.pool.get
+        name_ids, value_ids, parents = binary.names, binary.values, binary.parents
+        # Root-to-node path by position (None for a text node).
+        paths: list[Optional[tuple[str, ...]]] = []
+        # Element position -> its direct text; None once it holds an element.
+        content: dict[int, Optional[list[str]]] = {}
+        tokens: set[str] = set()
+        tokenized: set[int] = set()  # pool ids of the values already split
+        values: list[tuple[str, str]] = []
+        for index, kind in enumerate(binary.kinds):
+            parent = parents[index]
             if kind == KIND_ELEMENT:
-                self._postings.setdefault(
-                    binary.name_of(index) or "", set()
-                ).add(name)
-            elif kind == KIND_ATTRIBUTE:
-                self._postings.setdefault(
-                    "@" + (binary.name_of(index) or ""), set()
-                ).add(name)
+                label = pool_get(name_ids[index])
+                content[index] = []
+                if parent >= 0:
+                    content[parent] = None
+            else:
+                value_id = value_ids[index]
+                text = pool_get(value_id) if value_id >= 0 else ""
+                if value_id not in tokenized:
+                    tokenized.add(value_id)
+                    tokens |= tokenize_text(text)
+                if kind == KIND_TEXT:
+                    parts = content[parent]
+                    if parts is not None:
+                        parts.append(text)
+                    paths.append(None)
+                    continue
+                label = "@" + pool_get(name_ids[index])
+                values.append((label, text))
+            paths.append((label,) if parent < 0 else paths[parent] + (label,))
+        unordered = set()
+        for index, parts in content.items():
+            if parts is None:
+                unordered.add(paths[index][-1])
+            else:
+                values.append((paths[index][-1], "".join(parts)))
+        self.fulltext.post(name, tokens)
+        self.values.post(name, values, unordered)
+        self.paths.post(name, {path for path in paths if path is not None})
 
     def remove_document(self, name: str) -> None:
-        for postings in self._postings.values():
-            postings.discard(name)
-
-    def lookup(self, label: str) -> set[str]:
-        """Documents containing at least one node with ``label``."""
-        return set(self._postings.get(label, set()))
+        self.fulltext.remove_document(name)
+        self.values.remove_document(name)
+        self.paths.remove_document(name)
 
 
 # ----------------------------------------------------------------------
@@ -373,60 +389,52 @@ def _candidates_for(
                 return None, lookups  # one unprunable branch defeats the union
             union |= candidates
         return union, lookups
-    if isinstance(predicate, Contains):
-        return collection.fulltext.lookup_substring(predicate.needle), 1
-    if isinstance(predicate, StartsWith):
+    index: CollectionIndex = collection.index
+    if isinstance(predicate, (Contains, StartsWith)):
+        label = _terminal_label(predicate.path)
         # A value starting with the prefix contains the prefix's tokens.
-        return collection.fulltext.lookup_substring(predicate.prefix), 1
-    if isinstance(predicate, Comparison) and predicate.op == "=":
+        found = index.fulltext.lookup_substring(
+            predicate.needle if isinstance(predicate, Contains) else predicate.prefix
+        )
+        if label is None or found is None:
+            return None, 0
+        # Tokens come from single text nodes; the string value of an
+        # element with element content runs several together, so the
+        # documents holding ``label`` as one stay candidates.
+        return found | index.values.unordered_documents(label), 1
+    if isinstance(predicate, Comparison) and predicate.op != "!=":
         label = _terminal_label(predicate.path)
-        if label is not None and collection.values.covers_label(label):
-            return collection.values.lookup(label, str(predicate.value)), 1
-        return None, 0
-    if isinstance(predicate, Comparison) and predicate.op in ("<", "<=", ">", ">="):
-        label = _terminal_label(predicate.path)
-        if (
-            label is not None
-            and not label.startswith("@")
-            and collection.ranges.covers_label(label)
-        ):
-            return (
-                collection.ranges.lookup(label, predicate.op, predicate.value),
-                1,
-            )
+        if label is not None and index.values.covers_label(label):
+            return index.values.lookup(label, predicate.op, predicate.value), 1
         return None, 0
     if isinstance(predicate, Exists):
         label = _terminal_label(predicate.path)
         if label is None:
             return None, 0
-        structural = _structural_lookup(collection, predicate.path)
-        if structural is not None:
-            return structural, 1
-        return collection.elements.lookup(label), 1
+        return _path_lookup(index.paths, predicate.path, label), 1
     return None, 0
 
 
-def _structural_lookup(collection, path) -> Optional[set[str]]:
-    """Use the structural path index when the path is exact enough.
+def _path_lookup(paths: PathIndex, path, label: str) -> set[str]:
+    """Probe the path index as exactly as the path allows.
 
     Simple child-axis paths map to an exact structural key; a single
     leading ``//`` followed by child steps maps to a suffix probe.
-    Anything else (None) falls back to the label index.
+    Anything else falls back to the terminal label alone.
     """
     steps = path.steps
-    if any(step.is_wildcard or step.position is not None for step in steps):
-        return None
-    labels = tuple(
-        ("@" + step.name) if step.is_attribute else step.name
-        for step in steps
-    )
-    if all(step.axis is Axis.CHILD for step in steps):
-        return collection.paths.lookup_exact(labels)
-    if steps[0].axis is Axis.DESCENDANT and all(
-        step.axis is Axis.CHILD for step in steps[1:]
-    ):
-        return collection.paths.lookup_suffix(labels)
-    return None
+    if not any(step.is_wildcard or step.position is not None for step in steps):
+        labels = tuple(
+            ("@" + step.name) if step.is_attribute else step.name
+            for step in steps
+        )
+        if all(step.axis is Axis.CHILD for step in steps):
+            return paths.lookup_exact(labels)
+        if steps[0].axis is Axis.DESCENDANT and all(
+            step.axis is Axis.CHILD for step in steps[1:]
+        ):
+            return paths.lookup_suffix(labels)
+    return paths.lookup_suffix((label,))
 
 
 def _terminal_label(path) -> Optional[str]:

@@ -170,6 +170,7 @@ class QueryResult:
     bytes_parsed: int
     documents_scanned: int
     documents_pruned: int
+    index_lookups: int = 0
     cache_hits: int = 0
     simulated_overhead_seconds: float = 0.0
     binary_decodes: int = 0

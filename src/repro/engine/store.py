@@ -1,21 +1,21 @@
-"""Document store: named collections of serialized XML documents.
+"""Document store: named collections of XML documents held as node tables.
 
-Documents are stored *serialized* (UTF-8 bytes) — the canonical form every
-layer above round-trips through, so reconstruction annotations and
-fragment metadata are honest, and the size the planner's statistics and
-the modeled clock's per-byte term are measured in.
-
-Every stored document also carries a compact **binary node table**
+A stored document is **one** representation: its binary node table
 (:class:`~repro.datamodel.binary.BinaryXMLDocument`), built once at
-publish time over the collection's shared string pool
-(:meth:`StoredCollection.put` guarantees it). Everything that reads a
-document reads the table: indexes ingest it, predicate verification and
-query evaluation run on it in place through
+store time over the collection's shared string pool, plus its name,
+origin and ``size``. Everything that reads a document reads the table:
+the indexes ingest it, query evaluation runs on it in place through
 :class:`~repro.datamodel.binary.NodeHandle`, and result nodes serialize
-from its spans — the text is tokenized once, at ingestion, and no tree
-is built on access ("some pre-processing operations (e.g., parsing) are
-carried out for each XML tree", §5, survives as the engine's modeled
-clock: ``per_document_overhead`` plus a per-byte term).
+from its spans — no tree is built on access ("some pre-processing
+operations (e.g., parsing) are carried out for each XML tree", §5,
+survives as the engine's modeled clock: ``per_document_overhead`` plus a
+per-byte term). Text exists only at the edges: a caller that needs it
+(shipping to a remote site, migration) writes
+``serialize(stored.binary.root)``.
+
+``size`` is the document's serialized UTF-8 length, measured once when
+it is stored — the unit of the planner's statistics and of the modeled
+clock's per-byte term.
 
 Optional disk persistence keeps each collection in a directory of
 ``.xml`` files (plus ``<name>.xml.pxb`` node tables and one
@@ -30,89 +30,54 @@ from __future__ import annotations
 import json
 import struct
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.datamodel.binary import BinaryXMLDocument, StringPool
 from repro.datamodel.document import XMLDocument
-from repro.engine.indexes import (
-    ElementIndex,
-    FullTextIndex,
-    PathIndex,
-    RangeIndex,
-    ValueIndex,
-)
+from repro.engine.indexes import CollectionIndex
 from repro.errors import CollectionNotFoundError, DocumentNotFoundError, StorageError
 from repro.xmltext.parser import parse_xml
 from repro.xmltext.serializer import serialize
 
 
 class StoredDocument:
-    """One serialized document plus its catalog metadata.
+    """One document's node table plus its catalog metadata.
 
     ``binary`` is the preorder node table over the owning collection's
-    string pool; :meth:`StoredCollection.put` fills it in when the
-    caller didn't (e.g. a store loaded from bare ``.xml`` files), so a
-    record reachable through a collection is never without one.
+    string pool; ``size`` the serialized UTF-8 length it was stored with.
     """
 
-    __slots__ = ("name", "data", "origin", "binary")
+    __slots__ = ("name", "origin", "binary", "size")
 
     def __init__(
         self,
         name: str,
-        data: bytes,
+        binary: BinaryXMLDocument,
+        size: int,
         origin: Optional[str] = None,
-        binary: Optional[BinaryXMLDocument] = None,
     ):
         self.name = name
-        self.data = data
         self.origin = origin or name
         self.binary = binary
-
-    @property
-    def size(self) -> int:
-        return len(self.data)
+        self.size = size
 
 
 class StoredCollection:
-    """A named set of stored documents with their indexes."""
+    """A named set of stored documents with their index."""
 
     def __init__(self, name: str, pool: Optional[StringPool] = None):
         self.name = name
         self.pool = pool if pool is not None else StringPool()
         self._documents: dict[str, StoredDocument] = {}
-        self.fulltext = FullTextIndex()
-        self.values = ValueIndex()
-        self.elements = ElementIndex()
-        self.ranges = RangeIndex()
-        self.paths = PathIndex()
+        self.index = CollectionIndex()
 
     # ------------------------------------------------------------------
-    def put(self, stored: StoredDocument, document: Optional[XMLDocument] = None) -> None:
-        """Insert (or replace) a document; indexes update from its table.
-
-        The binary node table is built here — once, at publish time —
-        unless the record already carries one (a persistence reload).
-        ``document`` is the parsed tree when the caller already has it
-        (avoids a redundant parse, like eXist indexing during ingestion);
-        otherwise, and only when no table came along, the store parses
-        once to encode.
-        """
+    def put(self, stored: StoredDocument) -> None:
+        """Insert (or replace) a document; the index ingests its table."""
         if stored.name in self._documents:
             self.remove(stored.name)
         self._documents[stored.name] = stored
-        binary = stored.binary
-        if binary is None:
-            tree = document if document is not None else parse_xml(
-                stored.data.decode("utf-8"), name=stored.name
-            )
-            binary = BinaryXMLDocument.encode(tree, self.pool)
-            stored.binary = binary
-        self.fulltext.add_document(stored.name, binary)
-        self.values.add_document(stored.name, binary)
-        self.elements.add_document(stored.name, binary)
-        self.ranges.add_document(stored.name, binary)
-        self.paths.add_document(stored.name, binary)
+        self.index.add_document(stored.name, stored.binary)
 
     def remove(self, name: str) -> None:
         if name not in self._documents:
@@ -120,11 +85,7 @@ class StoredCollection:
                 f"document {name!r} not in collection {self.name!r}"
             )
         del self._documents[name]
-        self.fulltext.remove_document(name)
-        self.values.remove_document(name)
-        self.elements.remove_document(name)
-        self.ranges.remove_document(name)
-        self.paths.remove_document(name)
+        self.index.remove_document(name)
 
     def get(self, name: str) -> StoredDocument:
         try:
@@ -202,26 +163,28 @@ class DocumentStore:
         name: Optional[str] = None,
         origin: Optional[str] = None,
     ) -> StoredDocument:
-        """Serialize (if needed) and store a document; returns the record."""
+        """Encode (parsing text if that is what came) and store a
+        document; returns the record."""
         collection = self.collection(collection_name)
-        tree: Optional[XMLDocument] = None
         if isinstance(document, XMLDocument):
-            tree = document
             data = serialize(document).encode("utf-8")
             name = name or document.name
             origin = origin or document.origin
-        elif isinstance(document, str):
-            data = document.encode("utf-8")
         else:
-            data = document
+            data = document.encode("utf-8") if isinstance(document, str) else document
+            document = _parse(data, name)
         if name is None:
             name = f"{collection_name}-{len(collection):06d}.xml"
-        stored = StoredDocument(name=name, data=data, origin=origin)
-        collection.put(stored, document=tree)
+        stored = StoredDocument(
+            name,
+            BinaryXMLDocument.encode(document, collection.pool),
+            len(data),
+            origin,
+        )
+        collection.put(stored)
         if self._storage_dir is not None:
             directory = self._storage_dir / collection_name
             (directory / name).write_bytes(data)
-            assert stored.binary is not None  # put() always encodes
             (directory / (name + ".pxb")).write_bytes(stored.binary.to_bytes())
             # The pool is append-only, so rewriting it after each store
             # keeps every previously written table decodable.
@@ -259,8 +222,9 @@ class DocumentStore:
     def _load_from_disk(self) -> None:
         """Rebuild collections binary-first: when a ``.pxb`` node table
         and the pool are on disk, reload decodes them and never touches
-        the XML text; documents missing a table (pre-binary stores, or a
-        table that fails to decode) fall back to a one-time parse."""
+        the XML text (its length is the file's); documents missing a
+        table (pre-binary stores, or a table that fails to decode) fall
+        back to a one-time parse."""
         assert self._storage_dir is not None
         for directory in sorted(self._storage_dir.iterdir()):
             if not directory.is_dir():
@@ -279,7 +243,6 @@ class DocumentStore:
                 json.loads(meta_path.read_text()) if meta_path.exists() else {}
             )
             for path in sorted(directory.glob("*.xml")):
-                origin = meta.get(path.name, {}).get("origin")
                 binary: Optional[BinaryXMLDocument] = None
                 table_path = directory / (path.name + ".pxb")
                 if pool is not None and table_path.exists():
@@ -289,10 +252,19 @@ class DocumentStore:
                         )
                     except (ValueError, struct.error):
                         binary = None
-                stored = StoredDocument(
-                    name=path.name,
-                    data=path.read_bytes(),
-                    origin=origin,
-                    binary=binary,
+                if binary is None:
+                    binary = BinaryXMLDocument.encode(
+                        _parse(path.read_bytes(), path.name), collection.pool
+                    )
+                collection.put(
+                    StoredDocument(
+                        path.name,
+                        binary,
+                        path.stat().st_size,
+                        meta.get(path.name, {}).get("origin"),
+                    )
                 )
-                collection.put(stored)
+
+
+def _parse(data: bytes, name: Optional[str]) -> XMLDocument:
+    return parse_xml(data.decode("utf-8"), name=name)

@@ -160,6 +160,10 @@ def _print_digest(summary: dict) -> None:
         (f"fetch projection {kind}", count)
         for kind, count in sorted(summary["fetch_projections"].items())
     )
+    rows.extend(
+        (f"index oracle {name}", count)
+        for name, count in sorted(summary["index_oracle"].items())
+    )
     if summary.get("migrate"):
         rows.append(("migrations completed", summary["migrations_completed"]))
     rows.append(("failures", len(summary["failures"])))

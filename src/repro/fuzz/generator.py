@@ -17,7 +17,8 @@ shapes:
   Section partition of the items, materialized as FragMode1 or FragMode2.
 
 Queries are assembled as ASTs from the supported subset — FLWOR with
-``where`` predicates, path-step predicates, ``contains`` text search,
+``where`` predicates (comparisons against values spelled ``5``, ``5.0``,
+``05``; existence conditions), path-step predicates, ``contains`` text search,
 ``count``/``sum`` aggregation, computed element constructors, and
 multi-fragment shapes that force the cross-fragment ID-join — then
 rendered through :func:`repro.xquery.unparse.unparse`. Generation asserts
@@ -77,6 +78,9 @@ SECTION_POOL = (
 TEXT_TERMS = ("good", "novel", "remarkable", "frontier")
 GENRES = ("research", "survey", "demo")
 COUNTRIES = ("BR", "US", "DE", "FR")
+#: The numbers 1–5, some spelled non-canonically: values an exact-string
+#: probe misses and a numeric comparison must not.
+NUMERALS = ("1", "2", "3", "4", "5", "1.0", "02", "40e-1", "5.0", "05")
 
 
 class GenerationError(RuntimeError):
@@ -299,7 +303,26 @@ def _item_where(rng: random.Random, var: str, sections: tuple[str, ...]) -> Expr
     """A random filter over an Item-shaped element bound to ``$var``."""
 
     def atom() -> Expr:
-        kind = rng.choice(("section", "release", "contains", "price"))
+        kind = rng.choice(
+            ("section", "release", "contains", "price", "rating", "pictures")
+        )
+        if kind == "rating":
+            # Ratings and their votes are NUMERALS; a string literal that
+            # parses as a number still compares numerically.
+            value = rng.randint(1, 5)
+            steps = [AxisStep("child", "Rating")]
+            if rng.random() < 0.4:
+                steps.append(AxisStep("child", "votes", is_attribute=True))
+            return BinaryOp(
+                rng.choice(("=", "=", "<", ">=")),
+                PathApply(VarRef(var), tuple(steps)),
+                Literal(rng.choice((value, str(value)))),
+            )
+        if kind == "pictures":
+            # Existence conditions over the optional PictureList.
+            path = _var_path(var, "PictureList")
+            form = rng.choice(("path", "exists", "empty"))
+            return path if form == "path" else FunctionCall(form, (path,))
         if kind == "section":
             # Occasionally probe a section no document carries — the
             # empty-answer / all-fragments-pruned edge.
@@ -344,6 +367,13 @@ def _item_template(rng: random.Random, sections: tuple[str, ...]) -> NodeTemplat
         # Integer prices keep distributed sums exact (float partial sums
         # would make byte-comparison order-sensitive).
         child(NodeTemplate("Price", value=IntRange(1, 500))),
+        child(
+            NodeTemplate(
+                "Rating",
+                value=Choice(NUMERALS),
+                attributes={"votes": Choice(NUMERALS)},
+            )
+        ),
     ]
     if rng.random() < 0.5:
         children.append(

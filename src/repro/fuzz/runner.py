@@ -53,7 +53,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.cluster.site import Cluster, Site
 from repro.engine.database import XMLEngine, serialize_sequence
@@ -62,11 +62,14 @@ from repro.fuzz.generator import CaseSpec, GeneratedCase, generate_case, spec_fo
 from repro.partix.catalog import FragmentAllocation
 from repro.partix.correctness import verify_fragmentation
 from repro.partix.middleware import Partix, PartixResult
+from repro.paths.predicates import Empty, Exists, as_number, atoms
 from repro.plan.executor import ExecutionMode
 from repro.plan.explain import plan_from_dict
 from repro.xmltext.projection import WHOLE_DOCUMENT
+from repro.xquery.analysis import analyze_query
 from repro.xquery.evaluator import DynamicContext, Evaluator
 from repro.xquery.parser import parse_query
+from repro.xquery.values import atomic_to_string
 
 CENTRAL_SITE = "central"
 #: Extra site holding one replica of every fragment in ``kill_site``
@@ -118,6 +121,11 @@ class CaseOutcome:
     #: Fetch sub-queries of the compared plans, by what they shipped: a
     #: ``strict`` projection or the ``whole`` document.
     fetch_projections: Counter = field(default_factory=Counter)
+    #: What the index oracle actually exercised: ``index_lookups`` spent
+    #: by the forced-on runs, ``existence_conditions`` among the compared
+    #: queries' predicates, ``noncanonical_numerals`` among the case's
+    #: values (``5.0``, ``05``) — a session reading 0 proved nothing.
+    index_oracle: Counter = field(default_factory=Counter)
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -137,6 +145,7 @@ class CaseOutcome:
             "comparisons": self.comparisons,
             "composition_kinds": dict(self.composition_kinds),
             "fetch_projections": dict(self.fetch_projections),
+            "index_oracle": dict(self.index_oracle),
             "mismatches": [m.to_dict() for m in self.mismatches],
             "notes": self.notes,
         }
@@ -267,6 +276,13 @@ def run_case(
     if case is None:
         case = generate_case(spec)
     outcome.notes.extend(case.notes)
+    if indexes:
+        outcome.index_oracle["noncanonical_numerals"] = sum(
+            _is_noncanonical_numeral(node.value)
+            for document in case.collection
+            for node in document.root.descendants_or_self()
+            if node.value is not None
+        )
 
     parsed_modes = [ExecutionMode.parse(mode) for mode in modes]
     if kill_site and not any(mode.transport == "tcp" for mode in parsed_modes):
@@ -651,19 +667,29 @@ def _check_index_differential(
     candidate set, or label verification pruning a matching document,
     shows up here as a mismatch of kind ``index``.
     """
+    outcome.index_oracle["existence_conditions"] += sum(
+        isinstance(atom, (Exists, Empty))
+        for atom in atoms(analyze_query(parse_query(query)).predicate)
+    )
     for mode in modes:
         if mode not in by_mode:
             continue
         default_text = by_mode[mode]
         for forced in (True, False):
-            text, error = _attempt(
+            result, error = _attempt(
                 lambda mode=mode, forced=forced: partix.execute(
                     query,
                     collection="Cfuzz",
                     execution_mode=mode,
                     use_indexes=forced,
-                ).result_text
+                )
             )
+            text = None if result is None else result.result_text
+            if forced and result is not None:
+                outcome.index_oracle["index_lookups"] += sum(
+                    execution.result.index_lookups
+                    for execution in result.round.executions
+                )
             outcome.comparisons += 1
             label = "on" if forced else "off"
             if error is not None:
@@ -692,6 +718,11 @@ def _check_index_differential(
                         query=query,
                     )
                 )
+
+
+def _is_noncanonical_numeral(value: str) -> bool:
+    number = as_number(value)
+    return number is not None and value != atomic_to_string(number)
 
 
 def _check_plan_equivalence(
@@ -793,7 +824,7 @@ def _check_plan_order(
             )
 
 
-def _attempt(thunk: Callable[[], str]) -> tuple[Optional[str], Optional[Exception]]:
+def _attempt(thunk: Callable[[], Any]) -> tuple[Any, Optional[Exception]]:
     try:
         return thunk(), None
     except Exception as error:  # noqa: BLE001 — the oracle compares failures
@@ -836,12 +867,14 @@ def run_fuzz(
         "families": {},
         "composition_kinds": {},
         "fetch_projections": {},
+        "index_oracle": {},
         "failures": [],
         "ok": True,
     }
     families: Counter = Counter()
     kinds: Counter = Counter()
     projections: Counter = Counter()
+    index_oracle: Counter = Counter()
     for iteration in range(iterations):
         spec = spec_for_iteration(seed, iteration)
         outcome = run_case(
@@ -863,6 +896,7 @@ def run_fuzz(
         families[spec.family] += 1
         kinds.update(outcome.composition_kinds)
         projections.update(outcome.fetch_projections)
+        index_oracle.update(outcome.index_oracle)
         if outcome.ok:
             continue
         summary["ok"] = False
@@ -893,4 +927,5 @@ def run_fuzz(
     summary["families"] = dict(families)
     summary["composition_kinds"] = dict(kinds)
     summary["fetch_projections"] = dict(projections)
+    summary["index_oracle"] = dict(index_oracle)
     return summary

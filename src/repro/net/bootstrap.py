@@ -28,6 +28,7 @@ from typing import Iterable, Optional, TYPE_CHECKING, Union
 from repro.errors import TransportError
 from repro.net.client import RemoteSiteDriver, SiteClient, TcpTransport
 from repro.partix.driver import MiniXDriver
+from repro.xmltext.serializer import serialize
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.site import Cluster, Site
@@ -69,11 +70,11 @@ class SpawnedSite:
 
 
 def _ship(client: SiteClient, collection: str, stored: "StoredDocument") -> None:
-    """Send one stored document to a server verbatim: the bytes the
-    local engine holds, under the name and origin it holds them."""
+    """Send one stored document to a server: the text of the table the
+    local engine holds, under the name and origin it holds it."""
     client.store_document(
         collection,
-        stored.data.decode("utf-8"),
+        serialize(stored.binary.root),
         name=stored.name,
         origin=stored.origin,
     )
@@ -82,9 +83,9 @@ def _ship(client: SiteClient, collection: str, stored: "StoredDocument") -> None
 def mirror_site(site: "Site", client: SiteClient) -> tuple[int, int]:
     """Republish a local site's collections to its remote twin.
 
-    Returns ``(collections, documents)`` mirrored. The stored bytes are
-    shipped verbatim — the remote engine re-parses and re-indexes them
-    on ingestion, exactly as it would for a direct publication.
+    Returns ``(collections, documents)`` mirrored. Each document ships
+    as its serialized text — the remote engine parses and indexes it on
+    ingestion, exactly as it would for a direct publication.
     """
     engine = getattr(site.driver, "engine", None)
     if engine is None:

@@ -64,9 +64,10 @@ from repro.errors import ProtocolError, RemoteExecutionError
 
 MAGIC = b"PX"
 #: 2: EXECUTE lost its stream key — the site sizes the reply (RESULT,
-#: or RESULT_CHUNK… RESULT_END), so a version-1 peer would meet frames
-#: it does not expect and is refused at the handshake instead.
-PROTOCOL_VERSION = 2
+#: or RESULT_CHUNK… RESULT_END); 3: QUERY lost its own, the coordinator
+#: does the same. An older peer would meet frames it does not expect
+#: and is refused at the handshake instead.
+PROTOCOL_VERSION = 3
 
 #: ``!`` network byte order: magic, version, type, request id, payload size.
 _HEADER = struct.Struct("!2sBBQI")
@@ -131,12 +132,13 @@ class FrameType(enum.IntEnum):
     RESULT_END = 17  # {"result_bytes", "elapsed_seconds", stats...}
     # Coordinator frames (client ↔ repro.coordinate service). A QUERY is
     # answered by exactly one QUERY_RESULT or QUERY_ERROR carrying the
-    # same request id; with a true ``stream`` key the QUERY_RESULT is
-    # preceded by RESULT_CHUNK frames whose concatenation is the UTF-8
-    # answer (the QUERY_RESULT then omits "result_text"). Replies to
+    # same request id; the coordinator sizes the reply as a site does, so
+    # an answer that fills a chunk precedes its QUERY_RESULT as
+    # RESULT_CHUNK frames whose concatenation is the UTF-8 answer (the
+    # QUERY_RESULT then omits "result_text"). Replies to
     # *different* request ids may interleave on one connection — the
     # request id is the multiplexing key.
-    QUERY = 18  # {"query", "collection"?, "deadline_seconds"?, stream?}
+    QUERY = 18  # {"query", "collection"?, "deadline_seconds"?}
     QUERY_RESULT = 19  # {"result_text"?, "result_bytes", serving stats...}
     QUERY_ERROR = 20  # {"error_type", "message", "shed": bool}
     # Rebalancing frames (client ↔ repro.coordinate service), both

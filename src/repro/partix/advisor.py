@@ -48,7 +48,7 @@ from repro.partix.fragments import (
 from repro.paths.ast import PathExpr
 from repro.paths.evaluator import evaluate_path
 from repro.paths.parser import parse_path
-from repro.paths.predicates import And, Comparison, Contains, Or, Predicate, eq, ne
+from repro.paths.predicates import And, Comparison, atoms, eq, ne
 from repro.xquery.analysis import analyze_query
 
 
@@ -126,8 +126,13 @@ class FragmentationAdvisor:
         """Frequency-weighted score per equality-compared terminal path."""
         scores: dict[str, float] = {}
         for analysis, frequency in self._analyses:
-            for atom in _equality_atoms(analysis.predicate):
-                scores[str(atom.path)] = scores.get(str(atom.path), 0.0) + frequency
+            for atom in atoms(analysis.predicate):
+                if (
+                    isinstance(atom, Comparison)
+                    and atom.op == "="
+                    and atom.path.is_simple
+                ):
+                    scores[str(atom.path)] = scores.get(str(atom.path), 0.0) + frequency
         return scores
 
     def _recommend_horizontal(self) -> Optional[DesignRecommendation]:
@@ -427,21 +432,6 @@ class FragmentationAdvisor:
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
-def _equality_atoms(predicate: Optional[Predicate]) -> list[Comparison]:
-    if predicate is None:
-        return []
-    if isinstance(predicate, Comparison) and predicate.op == "=":
-        if predicate.path.is_simple:
-            return [predicate]
-        return []
-    if isinstance(predicate, (And, Or)):
-        atoms: list[Comparison] = []
-        for part in predicate.parts:
-            atoms.extend(_equality_atoms(part))
-        return atoms
-    return []
-
-
 def _region_of(
     path: PathExpr, root_label: str, regions: list[str]
 ) -> Optional[str]:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from repro.datamodel.document import XMLDocument
 from repro.datamodel.tree import Node
@@ -55,29 +55,29 @@ _OPS: dict[str, Callable[[object, object], bool]] = {
 _NEGATED_OP = {"=": "!=", "!=": "=", "<": ">=", ">=": "<", ">": "<=", "<=": ">"}
 
 
-def _coerce_pair(left: str, right: Union[str, int, float]) -> tuple[object, object]:
-    """Coerce both sides to numbers when possible, else compare as strings."""
-    if isinstance(right, (int, float)):
-        try:
-            return float(left), float(right)
-        except (TypeError, ValueError):
-            return left, str(right)
+def as_number(value: object) -> Optional[float]:
+    """The number a comparison operand parses as; None when it compares
+    as a string. NaN is no number — it orders with nothing, so a value
+    written ``nan`` compares as that string, which is also how the query
+    evaluator treats it. The value index sorts stored values by this
+    very function, so an index probe and a scan cannot disagree."""
     try:
-        return float(left), float(right)
+        number = float(value)  # type: ignore[arg-type]
     except (TypeError, ValueError):
-        return left, right
+        return None
+    return None if number != number else number
 
 
 def _compare(left: str, op: str, right: Union[str, int, float]) -> bool:
+    """``left op right``, as numbers when both sides parse, else as strings."""
     try:
         fn = _OPS[op]
     except KeyError:
         raise PredicateError(f"unknown comparison operator {op!r}") from None
-    a, b = _coerce_pair(left, right)
-    try:
-        return fn(a, b)
-    except TypeError:
-        return fn(str(a), str(b))
+    a, b = as_number(left), as_number(right)
+    if a is None or b is None:
+        a, b = left, str(right)
+    return fn(a, b)
 
 
 class Predicate(abc.ABC):
@@ -143,18 +143,11 @@ class Comparison(Predicate):
 _VALUE_FUNCTIONS: dict[str, Callable[[list[Node]], Optional[float]]] = {
     "count": lambda nodes: float(len(nodes)),
     "string-length": lambda nodes: float(len(nodes[0].text_value())) if nodes else None,
-    "number": lambda nodes: _to_number(nodes[0].text_value()) if nodes else None,
+    "number": lambda nodes: as_number(nodes[0].text_value()) if nodes else None,
     "sum": lambda nodes: sum(
-        filter(None, (_to_number(n.text_value()) for n in nodes)), 0.0
+        filter(None, (as_number(n.text_value()) for n in nodes)), 0.0
     ),
 }
-
-
-def _to_number(text: str) -> Optional[float]:
-    try:
-        return float(text)
-    except (TypeError, ValueError):
-        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,6 +290,16 @@ class Or(Predicate):
         return " ∨ ".join(f"({part})" for part in self.parts)
 
 
+def atoms(predicate: Optional[Predicate]) -> Iterator[Predicate]:
+    """The leaves of a predicate tree under its ``And``/``Or`` nodes,
+    left to right (a ``Not`` is a leaf: what it negates holds nowhere)."""
+    if isinstance(predicate, (And, Or)):
+        for part in predicate.parts:
+            yield from atoms(part)
+    elif predicate is not None:
+        yield predicate
+
+
 class TruePredicate(Predicate):
     """The always-true predicate (selects everything)."""
 
@@ -392,13 +395,8 @@ def _atom_interval(op: str, value: float) -> tuple[float, float, bool, bool]:
 
 def _comparisons_disjoint(p: Comparison, q: Comparison) -> bool:
     """Unsatisfiability of ``p ∧ q`` over a single value on the same path."""
-    both_numeric = True
-    try:
-        pv = float(p.value)  # type: ignore[arg-type]
-        qv = float(q.value)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        both_numeric = False
-    if not both_numeric:
+    pv, qv = as_number(p.value), as_number(q.value)
+    if pv is None or qv is None:
         # String reasoning: only equalities are decidable.
         if p.op == "=" and q.op == "=":
             return p.value != q.value

@@ -41,6 +41,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from repro.datamodel.tree import Node, NodeKind
 from repro.errors import CatalogError, FragmentationError, RebalanceError
 from repro.partix.catalog import FragmentAllocation
 from repro.partix.fragments import (
@@ -48,8 +49,8 @@ from repro.partix.fragments import (
     HorizontalFragment,
 )
 from repro.paths.evaluator import evaluate_path
-from repro.paths.predicates import And, Comparison, Or, Predicate, eq, ne
-from repro.xmltext.parser import parse_xml
+from repro.paths.predicates import And, Comparison, Or, Predicate, atoms, eq, ne
+from repro.xmltext.serializer import serialize
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.store import StoredDocument
@@ -490,21 +491,18 @@ class Rebalancer:
         that keeps each child's predicate exact for the documents it
         holds, which is what makes localization pruning safe.
         """
-        parsed = [
-            parse_xml(stored.data.decode("utf-8"), name=stored.name)
-            for stored in documents
-        ]
+        roots = [stored.binary.root for stored in documents]
         candidates = (
             [path]
             if path is not None
-            else self._candidate_paths(parent, parsed[0])
+            else self._candidate_paths(parent, roots[0])
         )
         for candidate in candidates:
             values = []
             usable = True
-            for document in parsed:
-                nodes = evaluate_path(candidate, document)
-                if len(nodes) != 1 or nodes[0].element_children():
+            for root in roots:
+                nodes = evaluate_path(candidate, root)
+                if len(nodes) != 1 or _element_children(nodes[0]):
                     usable = False
                     break
                 values.append(nodes[0].text_value())
@@ -541,20 +539,20 @@ class Rebalancer:
         return None
 
     def _candidate_paths(
-        self, parent: HorizontalFragment, sample
+        self, parent: HorizontalFragment, root: Node
     ) -> list[str]:
         """Boundary candidates: the fragment predicate's own equality
         paths first (known selectors), then leaf children of the root."""
         paths: list[str] = []
-        for atom in _comparison_atoms(parent.predicate):
-            text = str(atom.path)
-            if text not in paths:
-                paths.append(text)
-        root = sample.root
+        for atom in atoms(parent.predicate):
+            if isinstance(atom, Comparison) and atom.op in ("=", "!="):
+                text = str(atom.path)
+                if text not in paths:
+                    paths.append(text)
         root_label = root.label or ""
         seen = set(paths)
-        for child in root.element_children():
-            if child.label is None or child.element_children():
+        for child in _element_children(root):
+            if child.label is None or _element_children(child):
                 continue
             text = f"/{root_label}/{child.label}"
             if text not in seen:
@@ -619,7 +617,7 @@ class Rebalancer:
         for stored in documents:
             driver.store_document(
                 stored_name,
-                stored.data.decode("utf-8"),
+                serialize(stored.binary.root),
                 name=stored.name,
                 origin=stored.origin,
             )
@@ -653,6 +651,10 @@ class Rebalancer:
 
 
 # ----------------------------------------------------------------------
+def _element_children(node: Node) -> list[Node]:
+    return node.select(NodeKind.ELEMENT, None, False)
+
+
 def _conjoin(base: Optional[Predicate], extra: Predicate) -> Predicate:
     """``base ∧ extra`` with flat And nesting (readable EXPLAIN output)."""
     if base is None:
@@ -660,17 +662,3 @@ def _conjoin(base: Optional[Predicate], extra: Predicate) -> Predicate:
     base_parts = base.parts if isinstance(base, And) else (base,)
     extra_parts = extra.parts if isinstance(extra, And) else (extra,)
     return And(tuple(base_parts) + tuple(extra_parts))
-
-
-def _comparison_atoms(predicate: Optional[Predicate]) -> list[Comparison]:
-    """Every =/≠ comparison inside a predicate tree (boundary hints)."""
-    if predicate is None:
-        return []
-    if isinstance(predicate, Comparison) and predicate.op in ("=", "!="):
-        return [predicate]
-    if isinstance(predicate, (And, Or)):
-        atoms: list[Comparison] = []
-        for part in predicate.parts:
-            atoms.extend(_comparison_atoms(part))
-        return atoms
-    return []

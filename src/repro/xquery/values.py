@@ -14,6 +14,7 @@ from typing import Union
 
 from repro.datamodel.tree import Node
 from repro.errors import XQueryTypeError
+from repro.paths.predicates import as_number
 
 Item = Union[Node, str, int, float, bool]
 Sequence_ = list  # alias for documentation purposes
@@ -74,16 +75,21 @@ def to_number(value: Union[str, int, float, bool]) -> float:
 
 def is_numeric_like(value: Union[str, int, float, bool]) -> bool:
     """Can the atomic participate in a numeric comparison?"""
-    return not math.isnan(to_number(value))
+    return as_number(value) is not None
 
 
 def compare_atomics(left, right, op: str) -> bool:
-    """Single-pair comparison with numeric promotion when possible."""
+    """Single-pair comparison, numeric when both sides parse as numbers
+    (:func:`repro.paths.predicates.as_number` — the rule the fragment
+    predicates and the value index share)."""
     fn = _OPS[op]
     if isinstance(left, bool) or isinstance(right, bool):
         return fn(bool(effective_boolean([left])), bool(effective_boolean([right])))
-    if is_numeric_like(left) and is_numeric_like(right):
-        return fn(to_number(left), to_number(right))
+    a = as_number(left)
+    if a is not None:
+        b = as_number(right)
+        if b is not None:
+            return fn(a, b)
     return fn(str(left), str(right))
 
 

@@ -193,7 +193,18 @@ class TestPersistence:
             )
 
         monkeypatch.setattr(store_module, "parse_xml", _forbidden)
+        # ... nor even read: a document's size is its file's.
+        read_bytes = store_module.Path.read_bytes
+
+        def _no_xml(path):
+            assert path.suffix != ".xml", "reload must not read XML text"
+            return read_bytes(path)
+
+        monkeypatch.setattr(store_module.Path, "read_bytes", _no_xml)
         reloaded = XMLEngine("p2", storage_dir=str(tmp_path))
+        assert reloaded.store.load_document("c", "b.xml").size == len(
+            "<Store><Items><Item><Code>5</Code></Item></Items></Store>"
+        )
         result = reloaded.execute(
             'for $i in collection("c")/Store/Items/Item'
             " where $i/Code = 5 return $i/Code",
@@ -221,7 +232,7 @@ class TestPersistence:
         assert "5" in result.result_text
         # Old on-disk stores hold raw bytes only: the documents parse
         # once and the indexes still ingest from a freshly built table.
-        assert reloaded.store.collection("c").values.lookup("Code", "5")
+        assert reloaded.store.collection("c").index.values.lookup("Code", "=", 5)
 
 
 class TestIndexCandidates:

@@ -210,7 +210,7 @@ class TestRangeIndexConcurrentFirstLookup:
             engine.store_document(
                 "c", f"<Item><Price>{i}</Price></Item>", name=f"{i}.xml"
             )
-        ranges = engine.store.collection("c").ranges
+        ranges = engine.store.collection("c").index.values
         expected = self.DOCS - 10
         found = []
         interval = sys.getswitchinterval()

@@ -10,13 +10,15 @@ error instead of latency collapse, and shutdown drains cleanly.
 
 import threading
 import time
+from unittest.mock import ANY
 
 import pytest
 
 from repro.cluster import FAIL_FAST, ParallelDispatcher
 from repro.cluster.site import Cluster, Site
-from repro.coordinate import Coordinator, CoordinatorClient, run_traffic
+from repro.coordinate import Coordinator, CoordinatorClient, run_traffic, service
 from repro.coordinate.traffic import WorkloadQuery
+from repro.datamodel import Collection, doc, elem
 from repro.errors import AdmissionRejected, QueryDeadlineExceeded
 from repro.net.protocol import (
     Frame,
@@ -27,7 +29,9 @@ from repro.net.protocol import (
 )
 from repro.partix.catalog import FragmentAllocation
 from repro.partix.driver import PartixDriver
+from repro.partix.fragments import FragmentationSchema, HorizontalFragment
 from repro.partix.middleware import Partix
+from repro.paths import eq, ne
 from repro.workloads.queries import items_queries
 from repro.workloads.virtual_store import (
     build_items_collection,
@@ -164,26 +168,87 @@ class TestConcurrentServing:
         assert admission["peak_active"] <= 4  # the bound held under load
         assert admission["admitted"] == 32
 
-    def test_streamed_answers_match_monolithic(self):
-        partix, collection = _published_partix()
-        workload = _workload(partix, collection, count=1)
-        coordinator = Coordinator(partix, execution_mode="threads").serve_in_thread()
-        client = CoordinatorClient(
-            coordinator.host, coordinator.port, chunk_bytes=64
+    def test_streamed_answers_match_monolithic(self, monkeypatch):
+        # One query() whatever the answer's size: the coordinator sends
+        # an answer that fills the connection's chunk as RESULT_CHUNK
+        # frames (7 bytes: multi-byte characters split across frames)
+        # and a shorter one inline; the payload is the same either way.
+        names = ["café ☃", "naïve \U0001f409", "plain", "ü"]
+        collection = Collection(
+            "C",
+            [
+                doc(
+                    elem("Item", elem("Name", name), elem("Odd", str(index % 2))),
+                    name=f"{index}.xml",
+                )
+                for index, name in enumerate(names)
+            ],
         )
-        try:
-            entry = workload[0]
-            chunks = []
-            reply = client.query_stream(
-                entry.text, collection=entry.collection, on_chunk=chunks.append
+        design = FragmentationSchema(
+            "C",
+            [
+                HorizontalFragment("F_odd", "C", predicate=eq("/Item/Odd", "1")),
+                HorizontalFragment("F_even", "C", predicate=ne("/Item/Odd", "1")),
+            ],
+            root_label="Item",
+        )
+        long_query = 'for $i in collection("C")/Item return $i/Name'
+        with Partix(Cluster.with_sites(2)) as partix:
+            partix.publish(collection, design)
+            long_answer = partix.execute(long_query, collection="C").result_text
+            assert all(name in long_answer for name in names)
+            coordinator = Coordinator(
+                partix, execution_mode="threads"
+            ).serve_in_thread()
+            client = CoordinatorClient(
+                coordinator.host, coordinator.port, chunk_bytes=7
             )
-            assert reply["result_text"] == entry.expected_text
-            assert b"".join(chunks).decode("utf-8") == entry.expected_text
-            if entry.expected_text:
-                assert all(len(chunk) <= 64 for chunk in chunks)
-        finally:
-            client.close()
-            assert coordinator.close()
+            wide = CoordinatorClient(coordinator.host, coordinator.port)
+            try:
+                frames = _record_chunks(client)
+                reply = client.query(long_query, collection="C")
+                assert reply["result_text"] == long_answer
+                assert reply["result_bytes"] == len(long_answer.encode("utf-8"))
+                assert len(frames) > 1
+                assert all(len(raw) <= 7 for raw in frames)
+                assert b"".join(frames).decode("utf-8") == long_answer
+                del frames[:]
+                short = client.query(
+                    'count(collection("C")/Item)', collection="C"
+                )
+                assert short["result_text"] == "4" and not frames
+                assert short.keys() == reply.keys()
+                # Under a chunk size it does not fill, an answer still
+                # leaves the JSON frame once it passes the inline cap.
+                frames = _record_chunks(wide)
+                assert wide.query(long_query, collection="C") == {
+                    **reply, "elapsed_seconds": ANY
+                }
+                assert not frames
+                monkeypatch.setattr(service, "MAX_INLINE_RESULT_BYTES", 10)
+                capped = wide.query(long_query, collection="C")
+                assert capped["result_text"] == long_answer
+                assert [raw.decode("utf-8") for raw in frames] == [long_answer]
+            finally:
+                client.close()
+                wide.close()
+                assert coordinator.close()
+
+
+def _record_chunks(client):
+    """The RESULT_CHUNK payloads ``client`` receives from here on."""
+    frames = []
+    real_exchange = client._exchange
+
+    def recording_exchange(*args, on_chunk, **kwargs):
+        def record(raw):
+            frames.append(raw)
+            on_chunk(raw)
+
+        return real_exchange(*args, on_chunk=record, **kwargs)
+
+    client._exchange = recording_exchange
+    return frames
 
 
 class TestRepublishInvalidation:

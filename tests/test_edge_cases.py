@@ -210,7 +210,7 @@ class TestAnnotationTextSafety:
                 for name in engine.collection_names():
                     stored = engine.store.collection(name)
                     for doc_name in stored.names():
-                        text = stored.get(doc_name).data.decode("utf-8")
+                        text = serialize(stored.get(doc_name).binary.root)
                         stripped = strip_annotation_text(text)
                         assert stripped == _ANNOTATION_RE.sub("", text)
                         if stripped != text:

@@ -22,6 +22,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.paths import And, Or, contains, empty, eq, exists, ne
+from repro.xmltext.serializer import serialize
 
 
 def make_item(i, section, description):
@@ -71,7 +72,7 @@ class TestDocumentStore:
         store.create_collection("c")
         store.store_document("c", doc(elem("a", "x"), name="d.xml"))
         loaded = store.load_document("c", "d.xml")
-        assert loaded.data == b"<a>x</a>"
+        assert serialize(loaded.binary.root) == "<a>x</a>"
         assert loaded.origin == "d.xml"
 
     def test_store_text_document(self):
@@ -99,8 +100,8 @@ class TestDocumentStore:
         collection = store.create_collection("c")
         store.store_document("c", "<a>alpha</a>", name="d.xml")
         store.store_document("c", "<a>bravo</a>", name="d.xml")
-        assert collection.fulltext.lookup_substring("alpha") == set()
-        assert collection.fulltext.lookup_substring("bravo") == {"d.xml"}
+        assert collection.index.fulltext.lookup_substring("alpha") == set()
+        assert collection.index.fulltext.lookup_substring("bravo") == {"d.xml"}
 
     def test_disk_persistence_round_trip(self, tmp_path):
         store = DocumentStore(storage_dir=tmp_path)
@@ -109,7 +110,7 @@ class TestDocumentStore:
         reloaded = DocumentStore(storage_dir=tmp_path)
         assert reloaded.has_collection("c")
         loaded = reloaded.load_document("c", "d.xml")
-        assert loaded.data == b"<a>x</a>"
+        assert serialize(loaded.binary.root) == "<a>x</a>"
         assert loaded.origin == "orig.xml"
 
     def test_disk_drop_removes_files(self, tmp_path):
@@ -126,38 +127,153 @@ class TestIndexes:
 
     def test_fulltext_substring_match(self, engine):
         collection = engine.store.collection("items")
-        hits = collection.fulltext.lookup_substring("good")
+        hits = collection.index.fulltext.lookup_substring("good")
         assert hits == {f"item{i}.xml" for i in range(4)}
 
     def test_fulltext_matches_inside_tokens(self):
         store = DocumentStore()
         collection = store.create_collection("c")
         store.store_document("c", "<a>goodness gracious</a>", name="d.xml")
-        assert collection.fulltext.lookup_substring("good") == {"d.xml"}
+        assert collection.index.fulltext.lookup_substring("good") == {"d.xml"}
 
     def test_fulltext_multi_token_needle_intersects(self):
         store = DocumentStore()
         collection = store.create_collection("c")
         store.store_document("c", "<a>alpha bravo</a>", name="1.xml")
         store.store_document("c", "<a>alpha charlie</a>", name="2.xml")
-        assert collection.fulltext.lookup_substring("alpha bravo") == {"1.xml"}
+        assert collection.index.fulltext.lookup_substring("alpha bravo") == {"1.xml"}
 
     def test_value_index_lookup(self, engine):
         collection = engine.store.collection("items")
-        assert len(collection.values.lookup("Section", "CD")) == 5
-        assert collection.values.covers_label("Section")
-        assert not collection.values.covers_label("Nope")
+        assert len(collection.index.values.lookup("Section", "=", "CD")) == 5
+        assert collection.index.values.covers_label("Section")
+        assert not collection.index.values.covers_label("Nope")
 
     def test_value_index_attributes(self):
         store = DocumentStore()
         collection = store.create_collection("c")
         store.store_document("c", '<a id="7"/>', name="d.xml")
-        assert collection.values.lookup("@id", "7") == {"d.xml"}
+        assert collection.index.values.lookup("@id", "=", "7") == {"d.xml"}
 
     def test_element_index(self, engine):
-        collection = engine.store.collection("items")
-        assert len(collection.elements.lookup("Description")) == 10
-        assert collection.elements.lookup("PictureList") == set()
+        # "Some node is labelled l" is the path index's one-label suffix.
+        paths = engine.store.collection("items").index.paths
+        assert len(paths.lookup_suffix(("Description",))) == 10
+        assert paths.lookup_suffix(("PictureList",)) == set()
+
+
+class TestValueComparisonIsOneRule:
+    """An index probe and a scan compare values by the same rule —
+    numerically when both sides parse as numbers — so they cannot
+    disagree. The exact-string equality index this replaces answered
+    ``$d/v = 5`` with 1 document of the 3 below and missed ``k="7.0"``."""
+
+    DOCUMENTS = [
+        "<a><v>5</v></a>",
+        "<a><v>5.0</v></a>",
+        "<a><v>05</v></a>",
+        '<a k="7.0"/>',
+        "<a><v>1e1</v></a>",
+        "<a><v>nan</v></a>",
+        "<a><v/></a>",
+        "<a><v><w>4</w></v></a>",
+    ]
+
+    @staticmethod
+    def _count(engine, condition):
+        return engine.execute(
+            f'count(for $d in collection("c")/a where {condition} return $d)'
+        ).result_text
+
+    @pytest.mark.parametrize("use_indexes", [True, False])
+    def test_index_and_scan_agree(self, use_indexes):
+        engine = XMLEngine("cmp", use_indexes=use_indexes)
+        for index, text in enumerate(self.DOCUMENTS):
+            engine.store_document("c", text, name=f"{index}.xml")
+        expected = {
+            "$d/v = 5": "3",
+            '$d/v = "5"': "3",  # a string literal that parses is a number
+            '$d/v = "5.0"': "3",
+            "$d/@k = 7": "1",
+            "$d/v = 10": "1",
+            "$d/v >= 10": "2",  # 1e1, and "nan" >= "10" as strings
+            '$d/v = "nan"': "1",  # NaN is no number: it is that string
+            '$d/v = ""': "1",  # an element without content
+            "$d/v = 4": "1",  # the string value of an element with children
+            "$d/v < 6": "5",  # 5, 5.0, 05, 4, and "" < "6" as strings
+        }
+        for condition, count in expected.items():
+            assert self._count(engine, condition) == count, condition
+        assert (engine.stats.index_lookups > 0) == use_indexes
+
+    def test_a_nan_value_does_not_unsort_the_numeric_postings(self):
+        engine = XMLEngine("nan")
+        for index, value in enumerate(["3", "nan", "1", "NaN", "2"]):
+            engine.store_document("c", f"<a><v>{value}</v></a>", name=f"{index}.xml")
+        values = engine.store.collection("c").index.values
+        assert values.lookup("v", "<=", 2) == {"2.xml", "4.xml"}
+        assert values.lookup("v", "=", "nan") == {"1.xml"}
+
+
+class TestIndexMaintenance:
+    def test_put_walks_the_node_table_once(self):
+        class CountingKinds(bytearray):
+            reads = 0
+
+            def __iter__(self):
+                for kind in bytearray.__iter__(self):
+                    CountingKinds.reads += 1
+                    yield kind
+
+            def __getitem__(self, index):
+                CountingKinds.reads += 1
+                return bytearray.__getitem__(self, index)
+
+        store = DocumentStore()
+        collection = store.create_collection("c")
+        rows = "".join(f'<r id="{i}"><v>{i}</v><w>t{i}</w></r>' for i in range(167))
+        stored = store.store_document("c", f"<t>{rows}</t>", name="d.xml")
+        table = stored.binary
+        assert len(table) >= 1000
+        table.kinds = CountingKinds(table.kinds)
+        collection.put(stored)
+        # One read per row; the five per-family passes read each row's
+        # kind five times and more.
+        assert CountingKinds.reads == len(table)
+
+    def test_republishing_fresh_values_does_not_grow_the_index(self):
+        def variant(cycle):
+            return [
+                doc(
+                    elem(
+                        "Item",
+                        elem("Code", f"c{cycle}i{i}", id=f"a{cycle}x{i}"),
+                        elem(f"Only{cycle}", f"word{cycle}x{i} {cycle * 100 + i}"),
+                    ),
+                    name=f"item{i}.xml",
+                )
+                for i in range(6 - cycle % 2)  # retires a name every other cycle
+            ]
+
+        def key_count(engine):
+            index = engine.store.collection("c").index
+            return len(index.fulltext) + len(index.values) + len(index.paths)
+
+        def publish(engine, documents):
+            for document in documents:
+                engine.store_document("c", document)
+            engine.retain_documents("c", [d.name for d in documents])
+
+        cycled, fresh = XMLEngine("cycled"), XMLEngine("fresh")
+        for cycle in range(5):
+            publish(cycled, variant(cycle))
+        publish(fresh, variant(4))
+        assert key_count(cycled) == key_count(fresh)
+        values = cycled.store.collection("c").index.values
+        assert values.covers_label("Only4") and not values.covers_label("Only3")
+        assert cycled.store.collection("c").index.fulltext.lookup_substring(
+            "word3"
+        ) == set()
 
 
 class TestCandidateDocuments:
@@ -224,15 +340,17 @@ class TestCandidateDocuments:
         collection = engine.store.collection("items")
         predicate = And((eq("/Item/Section", "CD"), eq("/Item/Code", "I2")))
         nested = []
-        real_lookup = collection.values.lookup
+        real_lookup = collection.index.values.lookup
 
-        def interleaving_lookup(label, value):
+        def interleaving_lookup(label, op, value):
             if not nested:
                 nested.append(None)
                 nested[0] = candidate_documents(collection, predicate)
-            return real_lookup(label, value)
+            return real_lookup(label, op, value)
 
-        monkeypatch.setattr(collection.values, "lookup", interleaving_lookup)
+        monkeypatch.setattr(
+            collection.index.values, "lookup", interleaving_lookup
+        )
         names, lookups = candidate_documents(collection, predicate)
         assert (names, lookups) == (["item2.xml"], 2)
         assert nested[0] == (["item2.xml"], 2)
@@ -581,30 +699,30 @@ class TestRangeIndex:
     def test_numeric_range_lookup(self):
         collection = self._collection()
         # numeric entries compare numerically; non-numeric ones as strings
-        hits = collection.ranges.lookup("v", ">", 20)
+        hits = collection.index.values.lookup("v", ">", 20)
         assert {"b.xml", "c.xml"} <= hits
         assert "a.xml" not in hits
 
     def test_numeric_probe_includes_string_comparisons(self):
         collection = self._collection()
         # "zebra" > "20" lexicographically: must be included for soundness
-        hits = collection.ranges.lookup("v", ">", 20)
+        hits = collection.index.values.lookup("v", ">", 20)
         assert "d.xml" in hits
 
     def test_string_range_lookup(self):
         collection = self._collection()
-        hits = collection.ranges.lookup("v", ">=", "apple")
+        hits = collection.index.values.lookup("v", ">=", "apple")
         assert "e.xml" in hits and "d.xml" in hits
 
     def test_covers_label(self):
         collection = self._collection()
-        assert collection.ranges.covers_label("v")
-        assert not collection.ranges.covers_label("w")
+        assert collection.index.values.covers_label("v")
+        assert not collection.index.values.covers_label("w")
 
     def test_remove_document(self):
         collection = self._collection()
         collection.remove("c.xml")
-        assert "c.xml" not in collection.ranges.lookup("v", ">", 20)
+        assert "c.xml" not in collection.index.values.lookup("v", ">", 20)
 
     def test_planner_uses_range_index(self):
         engine = XMLEngine("rg")
@@ -631,7 +749,7 @@ class TestRangeIndex:
         collection = engine.store.collection("c")
         for op in ("<", "<=", ">", ">="):
             for probe in (10, "2004-01-01", "b", -1):
-                hits = collection.ranges.lookup("v", op, probe)
+                hits = collection.index.values.lookup("v", op, probe)
                 predicate = cmp("/r/v", op, probe)
                 for i, value in enumerate(values):
                     document = collection.get(f"{i}.xml").binary
@@ -655,16 +773,16 @@ class TestPathIndex:
 
     def test_exact_lookup(self):
         collection = self._collection()
-        hits = collection.paths.lookup_exact(
+        hits = collection.index.paths.lookup_exact(
             ("Store", "Items", "Item", "PictureList")
         )
         assert hits == {"with.xml"}
 
     def test_suffix_lookup(self):
         collection = self._collection()
-        hits = collection.paths.lookup_suffix(("Item", "PictureList"))
+        hits = collection.index.paths.lookup_suffix(("Item", "PictureList"))
         assert hits == {"with.xml"}
-        assert collection.paths.lookup_suffix(("Item",)) == {
+        assert collection.index.paths.lookup_suffix(("Item",)) == {
             "with.xml", "without.xml"
         }
 
@@ -672,7 +790,7 @@ class TestPathIndex:
         store = DocumentStore()
         collection = store.create_collection("c")
         store.store_document("c", '<a><b id="1"/></a>', name="d.xml")
-        assert collection.paths.lookup_exact(("a", "b", "@id")) == {"d.xml"}
+        assert collection.index.paths.lookup_exact(("a", "b", "@id")) == {"d.xml"}
 
     def test_planner_uses_structural_index_for_exists(self):
         engine = XMLEngine("px")

@@ -12,10 +12,13 @@ import threading
 import pytest
 
 from repro.cluster.site import Cluster
+from repro.datamodel import Collection, doc, elem
 from repro.coordinate import Coordinator, CoordinatorClient
 from repro.errors import CatalogContention, RebalanceError
 from repro.partix.advisor import RebalanceAction, WorkloadAdvisor
+from repro.partix.fragments import FragmentationSchema, HorizontalFragment
 from repro.partix.middleware import Partix
+from repro.paths import eq, ne
 from repro.plan.cache import PlanCache
 from repro.rebalance import QueryLog, Rebalancer
 from repro.workloads.queries import items_queries
@@ -23,6 +26,7 @@ from repro.workloads.virtual_store import (
     build_items_collection,
     items_horizontal_fragmentation,
 )
+from repro.xmltext.serializer import serialize
 
 
 def _published_partix(fragment_count=2, item_count=24, sites=4, **kwargs):
@@ -118,6 +122,61 @@ class TestSplit:
             primary = catalog.allocation(collection.name, child)
             stats = catalog.statistics(collection.name, child, primary.site)
             assert stats is not None and stats.documents >= 1
+
+    def test_split_infers_its_boundary_from_the_stored_tables(self):
+        # F_cd's documents agree on the predicate's own path, so the
+        # boundary must be inferred from the leaf children of the roots —
+        # read off the node tables, the only form the source site holds.
+        documents = [
+            doc(
+                elem(
+                    "Item",
+                    elem("Code", f"I{i}"),
+                    elem("Section", "CD" if i < 6 else "DVD"),
+                    elem("Shelf", "north" if i % 2 else "süd"),
+                ),
+                name=f"i{i}.xml",
+            )
+            for i in range(8)
+        ]
+        design = FragmentationSchema(
+            "C",
+            [
+                HorizontalFragment("F_cd", "C", predicate=eq("/Item/Section", "CD")),
+                HorizontalFragment("F_rest", "C", predicate=ne("/Item/Section", "CD")),
+            ],
+            root_label="Item",
+        )
+        partix = Partix(Cluster.with_sites(3))
+        partix.publish(Collection("C", documents), design)
+        catalog = partix.distribution_catalog
+        source = catalog.allocation("C", "F_cd")
+        held = partix.cluster.site(source.site).driver.engine.store.collection(
+            source.stored_collection
+        )
+        before = {
+            name: serialize(held.get(name).binary.root) for name in held.names()
+        }
+        assert not any(hasattr(held.get(name), "data") for name in before)
+        query = 'for $i in collection("C")/Item return $i/Shelf'
+        expected = partix.execute(query, collection="C").result_text
+
+        report = Rebalancer(partix).split("C", "F_cd")
+
+        assert report.completed and report.split_path == "/Item/Code"
+        moved = {}
+        for child in report.new_fragments:
+            placed = catalog.allocation("C", child)
+            stored = partix.cluster.site(placed.site).driver.engine.store.collection(
+                placed.stored_collection
+            )
+            moved.update(
+                (name, serialize(stored.get(name).binary.root))
+                for name in stored.names()
+            )
+        assert moved == before
+        actual = partix.execute(query, collection="C").result_text
+        assert sorted(actual.splitlines()) == sorted(expected.splitlines())
 
     def test_split_respects_explicit_target_sites(self):
         partix, collection = _published_partix()

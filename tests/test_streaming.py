@@ -63,14 +63,16 @@ class TestChunkNegotiation:
         assert frame_size_bucket(100_000) == "<=131072B"
 
     def test_a_version_1_peer_is_rejected_at_the_handshake(self):
-        # Version 1 selected the reply form with a "stream" key; a peer
-        # still speaking it would meet frames it does not expect.
-        assert PROTOCOL_VERSION == 2
-        reply, chunk_bytes = answer_hello(
-            Frame(FrameType.HELLO, 1, {"version": 1}), "s0"
-        )
-        assert reply.type is FrameType.REJECT and chunk_bytes is None
-        assert "version mismatch" in reply.payload["reason"]
+        # Versions 1 and 2 selected a reply form with a "stream" key (on
+        # EXECUTE, then on QUERY); a peer still speaking either would
+        # meet frames it does not expect.
+        assert PROTOCOL_VERSION == 3
+        for version in (1, 2):
+            reply, chunk_bytes = answer_hello(
+                Frame(FrameType.HELLO, 1, {"version": version}), "s0"
+            )
+            assert reply.type is FrameType.REJECT and chunk_bytes is None
+            assert "version mismatch" in reply.payload["reason"]
 
     def test_an_inline_frame_stays_under_the_payload_ceiling(self):
         # JSON escaping grows a text at most 6x (``\\uXXXX`` for a
