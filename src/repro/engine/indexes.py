@@ -26,6 +26,12 @@ Every lookup is document-level and returns a sound superset.
 :func:`candidate_documents` is the one consumer of the lookups: given
 a query's extracted selection predicate it intersects
 index probes into the documents that must actually be evaluated.
+
+:class:`ValueSummary` is what a site tells the planner about a stored
+collection's :class:`RangeIndex` (:meth:`RangeIndex.summary`): enough to
+*prove*, without touching the site, that :func:`candidate_documents`
+would come back empty for a comparison predicate — which is how the
+decomposer routes a query by value.
 """
 
 from __future__ import annotations
@@ -33,6 +39,9 @@ from __future__ import annotations
 import bisect
 import re
 import threading
+import zlib
+from array import array
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Optional
 
@@ -58,7 +67,7 @@ _WORD_RE = re.compile(r"[A-Za-z0-9]+")
 
 def tokenize_text(text: str) -> set[str]:
     """Lowercased word tokens of a text value."""
-    return {match.group(0).lower() for match in _WORD_RE.finditer(text)}
+    return {word.lower() for word in _WORD_RE.findall(text)}
 
 
 class _Postings:
@@ -86,6 +95,9 @@ class _Postings:
 
     def __contains__(self, key) -> bool:
         return key in self._postings
+
+    def __iter__(self):
+        return iter(self._postings)
 
     def __len__(self) -> int:
         return len(self._postings)
@@ -230,6 +242,31 @@ class RangeIndex:
         if label in self._unordered:
             result |= self.unordered_documents(label)
         return result
+
+    def summary(self) -> "ValueSummary":
+        """What the planner may know of this index without probing it.
+
+        Built from the already partitioned posting lists — no value is
+        parsed again. Held under the sort lock: a concurrent lookup's
+        ``list.sort`` empties the list it sorts, and a summary that
+        missed a value would stop being a superset.
+        """
+        labels = {}
+        with self._sort_lock:
+            for label in self._all.keys() | set(self._unordered):
+                numbers = {entry[0] for entry in self._numeric.get(label, ())}
+                strings = {
+                    entry[0] for entry in self._non_numeric.get(label, ())
+                }
+                ordered = bool(numbers) and not strings
+                keys = {_number_key(number) for number in numbers} | strings
+                labels[label] = LabelSummary(
+                    keys=array("I", sorted(set(map(_key_hash, keys)))),
+                    low=min(numbers) if ordered else None,
+                    high=max(numbers) if ordered else None,
+                    unordered=label in self._unordered,
+                )
+        return ValueSummary(labels)
 
     def _ensure_sorted(self) -> None:
         """Sort the posting lists on the first lookup after an ingest.
@@ -413,6 +450,105 @@ def _candidates_for(
             return None, 0
         return _path_lookup(index.paths, predicate.path, label), 1
     return None, 0
+
+
+# ----------------------------------------------------------------------
+# Value summaries: the same rule, decided away from the site
+# ----------------------------------------------------------------------
+def _number_key(number: float) -> str:
+    """A number's comparison key as text: equal numbers (``5``, ``5.0``,
+    ``05``; ``0`` and ``-0``) share one spelling, and none of them is
+    the spelling of a value that compares as a string."""
+    return repr(number + 0.0)
+
+
+def _key_hash(key: str) -> int:
+    """32 bits of a comparison key, equal in every process (``hash()``
+    of a string is salted per process)."""
+    return zlib.crc32(key.encode("utf-8", "surrogatepass"))
+
+
+@dataclass(frozen=True)
+class LabelSummary:
+    """One label's values in a :class:`ValueSummary`.
+
+    ``keys`` is the filter: the sorted 32-bit hashes of the distinct
+    comparison keys — the number a value parses as
+    (:func:`~repro.paths.predicates.as_number`), else the string itself,
+    which is what :meth:`RangeIndex.lookup` compares by. A key whose
+    hash is absent is absent; a present hash may be a collision (about
+    one probe in 2³²/distinct-values). ``low``/``high`` bound the values
+    when every one of them parses as a number (None otherwise — string
+    order is not summarized). ``unordered`` marks a label some document
+    holds as an element with element content: its documents are
+    candidates of every lookup, so nothing can be proved about it.
+    """
+
+    keys: array
+    low: Optional[float]
+    high: Optional[float]
+    unordered: bool
+
+    def _holds(self, key: str) -> bool:
+        hashed = _key_hash(key)
+        position = bisect.bisect_left(self.keys, hashed)
+        return position < len(self.keys) and self.keys[position] == hashed
+
+    def proves_no_match(self, op: str, value) -> bool:
+        """True only when ``RangeIndex.lookup(label, op, value)`` is
+        empty: a numeric probe meets the numeric entries as a number and
+        the others as ``str(value)``, a non-numeric probe meets every
+        entry as a string (and equals no numeric one)."""
+        if self.unordered:
+            return False
+        number = as_number(value)
+        if op == "=":
+            return not (
+                number is not None and self._holds(_number_key(number))
+            ) and not self._holds(str(value))
+        if number is None or self.low is None:
+            return False
+        if op == "<":
+            return self.low >= number
+        if op == "<=":
+            return self.low > number
+        if op == ">":
+            return self.high <= number
+        if op == ">=":
+            return self.high < number
+        return False
+
+
+@dataclass(frozen=True)
+class ValueSummary:
+    """Per element/attribute label, a :class:`LabelSummary` of the values
+    one stored collection's :class:`RangeIndex` holds.
+
+    A *superset* description: it may admit values the collection lacks
+    (hash collisions, coarse bounds), never the reverse. So
+    :meth:`proves_empty` can cost a wasted lane but not an answer.
+    """
+
+    labels: dict[str, LabelSummary]
+
+    def proves_empty(self, predicate: Predicate) -> bool:
+        """Would :func:`candidate_documents` find no document for
+        ``predicate``? Decided by its rule: an ``And`` is empty when any
+        part is, an ``Or`` when every part is, a comparison atom by the
+        terminal label of its path; whatever the value index does not
+        answer — ``!=``, ``Not``, text search, existence, a wildcard, an
+        uncovered or unordered label — proves nothing."""
+        if isinstance(predicate, And):
+            return any(self.proves_empty(part) for part in predicate.parts)
+        if isinstance(predicate, Or):
+            return all(self.proves_empty(part) for part in predicate.parts)
+        if isinstance(predicate, Comparison) and predicate.op != "!=":
+            label = _terminal_label(predicate.path)
+            entry = self.labels.get(label) if label is not None else None
+            return entry is not None and entry.proves_no_match(
+                predicate.op, predicate.value
+            )
+        return False
 
 
 def _path_lookup(paths: PathIndex, path, label: str) -> set[str]:

@@ -164,6 +164,7 @@ def _print_digest(summary: dict) -> None:
         (f"index oracle {name}", count)
         for name, count in sorted(summary["index_oracle"].items())
     )
+    rows.append(("fragments pruned by value summary", summary["summary_pruned"]))
     if summary.get("migrate"):
         rows.append(("migrations completed", summary["migrations_completed"]))
     rows.append(("failures", len(summary["failures"])))

@@ -18,7 +18,9 @@ shapes:
 
 Queries are assembled as ASTs from the supported subset — FLWOR with
 ``where`` predicates (comparisons against values spelled ``5``, ``5.0``,
-``05``; existence conditions), path-step predicates, ``contains`` text search,
+``05``; point lookups by ``Code``, which value summaries route to one
+fragment or to none; existence conditions), path-step predicates,
+``contains`` text search,
 ``count``/``sum`` aggregation, computed element constructors, and
 multi-fragment shapes that force the cross-fragment ID-join — then
 rendered through :func:`repro.xquery.unparse.unparse`. Generation asserts
@@ -304,8 +306,20 @@ def _item_where(rng: random.Random, var: str, sections: tuple[str, ...]) -> Expr
 
     def atom() -> Expr:
         kind = rng.choice(
-            ("section", "release", "contains", "price", "rating", "pictures")
+            (
+                "section", "release", "contains", "price", "rating",
+                "pictures", "code",
+            )
         )
+        if kind == "code":
+            # A point lookup on a path the design never fragments by.
+            # Cases hold at most 12 items: the high numbers are Codes no
+            # document carries (every fragment pruned by its summary).
+            return BinaryOp(
+                "=",
+                _var_path(var, "Code"),
+                Literal(f"I-{rng.randint(1, 14):04d}"),
+            )
         if kind == "rating":
             # Ratings and their votes are NUMERALS; a string literal that
             # parses as a number still compares numerically.

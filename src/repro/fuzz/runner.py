@@ -126,6 +126,10 @@ class CaseOutcome:
     #: queries' predicates, ``noncanonical_numerals`` among the case's
     #: values (``5.0``, ``05``) — a session reading 0 proved nothing.
     index_oracle: Counter = field(default_factory=Counter)
+    #: Fragments the compared plans dropped on a value summary — every
+    #: such plan's answer still faced the centralized one, which is the
+    #: summaries-off side of the differential.
+    summary_pruned: int = 0
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -146,6 +150,7 @@ class CaseOutcome:
             "composition_kinds": dict(self.composition_kinds),
             "fetch_projections": dict(self.fetch_projections),
             "index_oracle": dict(self.index_oracle),
+            "summary_pruned": self.summary_pruned,
             "mismatches": [m.to_dict() for m in self.mismatches],
             "notes": self.notes,
         }
@@ -568,6 +573,7 @@ def _run_query(
     plan = partix.explain(query, "Cfuzz")
     outcome.composition_kinds[plan.composition.kind] += 1
     outcome.fetch_projections.update(_fetch_projections(plan))
+    outcome.summary_pruned += len(plan.summary_pruned)
     _check_plan_equivalence(partix, query, plan, outcome, index)
     _check_plan_order(partix, results_by_mode, outcome, index, query)
 
@@ -868,6 +874,7 @@ def run_fuzz(
         "composition_kinds": {},
         "fetch_projections": {},
         "index_oracle": {},
+        "summary_pruned": 0,
         "failures": [],
         "ok": True,
     }
@@ -897,6 +904,7 @@ def run_fuzz(
         kinds.update(outcome.composition_kinds)
         projections.update(outcome.fetch_projections)
         index_oracle.update(outcome.index_oracle)
+        summary["summary_pruned"] += outcome.summary_pruned
         if outcome.ok:
             continue
         summary["ok"] = False

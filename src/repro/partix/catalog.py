@@ -14,12 +14,15 @@ Two catalogs back the PartiX middleware:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.datamodel.collection import RepositoryKind
 from repro.errors import CatalogError
 from repro.partix.fragments import FragmentationSchema
 from repro.xschema.schema import Schema
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.indexes import ValueSummary
 
 
 @dataclass(frozen=True)
@@ -75,15 +78,23 @@ class SchemaCatalog:
 
 @dataclass(frozen=True)
 class FragmentStatistics:
-    """Planner statistics of one materialized fragment replica.
+    """What the planner knows of one materialized fragment replica.
 
-    Recorded by the data publisher when a fragment is stored (documents
-    materialized, serialized bytes on disk); the cost model turns them
-    into per-lane estimates, so planning never has to touch a site.
+    Recorded by whoever stores a replica — the data publisher when it
+    publishes a fragment, the rebalancer when it copies one — right
+    after its last write and before the catalog version bump that
+    routes queries to it. ``documents`` and ``bytes`` (serialized, on
+    disk) feed the cost model's per-lane estimates; ``summary`` is the
+    storing site's :class:`~repro.engine.indexes.ValueSummary` of the
+    replica, by which localization drops a horizontal fragment that
+    provably holds no match — so planning never has to touch a site.
+    ``None`` (a driver that reports none, a hypothetical replica the
+    advisor prices) means unknown: nothing is pruned on it.
     """
 
     documents: int
     bytes: int
+    summary: Optional["ValueSummary"] = None
 
 
 @dataclass(frozen=True)
@@ -167,7 +178,8 @@ class DistributionCatalog:
         With ``replace=True`` an existing registration for the same
         collection is swapped out atomically (one assignment per dict, so
         a concurrent reader sees either the old design or the new one,
-        never a mix) and the catalog version is bumped.
+        never a mix) and the catalog version is bumped. Statistics of
+        replicas the new allocation no longer has go with the swap.
         """
         name = fragmentation.collection
         if name in self._fragmentations and not replace:
@@ -177,14 +189,30 @@ class DistributionCatalog:
         allocation_map = self.validate_allocations(fragmentation, allocations)
         self._fragmentations[name] = fragmentation
         self._allocations[name] = allocation_map
+        self._drop_statistics(
+            name,
+            keep={
+                (name, entry.fragment, entry.site)
+                for entries in allocation_map.values()
+                for entry in entries
+            },
+        )
         self._version += 1
 
     def unregister(self, collection: str) -> None:
         self._fragmentations.pop(collection, None)
         self._allocations.pop(collection, None)
-        for key in [k for k in self._statistics if k[0] == collection]:
-            del self._statistics[key]
+        self._drop_statistics(collection)
         self._version += 1
+
+    def _drop_statistics(self, collection: str, keep=frozenset()) -> None:
+        """Forget the collection's replica statistics not in ``keep``."""
+        for key in [
+            key
+            for key in self._statistics
+            if key[0] == collection and key not in keep
+        ]:
+            del self._statistics[key]
 
     # ------------------------------------------------------------------
     def record_statistics(
@@ -194,10 +222,15 @@ class DistributionCatalog:
         site: str,
         documents: int,
         data_bytes: int,
+        summary: Optional["ValueSummary"] = None,
     ) -> None:
-        """Record (or refresh) one fragment replica's planner statistics."""
+        """Record (or refresh) one fragment replica's planner statistics
+        — the only writer of a replica's value summary. Call it after
+        the replica's last write and before the registration that routes
+        to it: the version bump is what retires the plans pruned on the
+        previous summary."""
         self._statistics[(collection, fragment, site)] = FragmentStatistics(
-            documents=documents, bytes=data_bytes
+            documents=documents, bytes=data_bytes, summary=summary
         )
 
     def statistics(

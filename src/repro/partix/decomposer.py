@@ -10,8 +10,12 @@ Localization rules:
 
 * **horizontal** — a fragment is pruned when its predicate μ is provably
   unsatisfiable together with the query's extracted selection predicate
-  (``definitely_disjoint``). Sub-queries are the original query with the
-  collection renamed to the fragment's stored collection.
+  (``definitely_disjoint``), or when the value summary its primary
+  replica's site recorded next to the planner statistics proves that no
+  stored document can satisfy that selection predicate
+  (``ValueSummary.proves_empty``: routing by value, for predicates the
+  design did not anticipate). Sub-queries are the original query with
+  the collection renamed to the fragment's stored collection.
 * **vertical** — a fragment is relevant when a path the query touches may
   fall inside the fragment's projected region. A single-fragment query is
   rewritten (the fragment path's prefix is stripped, since fragment
@@ -58,7 +62,7 @@ by hand); :func:`annotated` builds the same structure for that mode.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from repro.errors import DecompositionError
 from repro.partix.catalog import DistributionCatalog
@@ -218,6 +222,7 @@ class QueryDecomposer:
         scans: list[FragmentScan],
         composition: CompositionSpec,
         notes: list[str],
+        summary_pruned: Sequence[str] = (),
     ) -> LogicalPlan:
         if composition.kind == "aggregate":
             inner = MergeAggregate(
@@ -241,6 +246,7 @@ class QueryDecomposer:
             root=Compose(inner),
             composition=composition,
             notes=tuple(notes),
+            summary_pruned=tuple(summary_pruned),
         )
 
     def _scan_class(self, predicate) -> tuple[type, Optional[str]]:
@@ -315,8 +321,8 @@ class QueryDecomposer:
         fragments = fragmentation.horizontal_fragments()
         if len(fragments) > 1:
             _refuse_fragmented_positions(analysis)
-        relevant, pruned = self._prune_by_predicate(
-            fragments, analysis.predicate
+        relevant, pruned, summary_pruned = self._prune_by_predicate(
+            collection, fragments, analysis.predicate
         )
         notes = []
         if pruned:
@@ -331,7 +337,9 @@ class QueryDecomposer:
             # The query contradicts every fragment: answer is empty, but we
             # must still return a well-formed plan; ship to none and let the
             # composer produce the aggregate identity / empty result.
-            return self._assemble(collection, [], composition, notes)
+            return self._assemble(
+                collection, [], composition, notes, summary_pruned
+            )
         shipped = self._shippable_ast(expr, analysis)
         selectivity = analysis.selectivity_hint()
         scans = [
@@ -345,22 +353,49 @@ class QueryDecomposer:
             for fragment in relevant
         ]
         self._note_order_by(expr, len(scans), notes)
-        return self._assemble(collection, scans, composition, notes)
+        return self._assemble(
+            collection, scans, composition, notes, summary_pruned
+        )
 
     def _prune_by_predicate(
         self,
+        collection: str,
         fragments: list[HorizontalFragment],
         predicate: Optional[Predicate],
-    ) -> tuple[list[HorizontalFragment], list[str]]:
+    ) -> tuple[list[HorizontalFragment], list[str], list[str]]:
+        """``(relevant, pruned by contradiction, pruned by summary)`` —
+        the one place a horizontal fragment is dropped from a plan.
+
+        ``predicate`` is a necessary condition for a document to
+        contribute to the answer. A fragment goes when that condition
+        contradicts its own predicate μ, or when its primary replica's
+        recorded value summary proves no stored document meets it. The
+        summary describes a superset of the stored values, so it can
+        keep a useless lane but never drop a needed one; a replica with
+        no summary (never recorded, or a driver that reports none) is
+        never pruned on it.
+        """
         if predicate is None:
-            return list(fragments), []
-        relevant, pruned = [], []
+            return list(fragments), [], []
+        relevant, pruned, summary_pruned = [], [], []
         for fragment in fragments:
             if definitely_disjoint(predicate, fragment.predicate):
                 pruned.append(fragment.name)
+                continue
+            statistics = self.catalog.statistics(
+                collection,
+                fragment.name,
+                self.catalog.allocation(collection, fragment.name).site,
+            )
+            if (
+                statistics is not None
+                and statistics.summary is not None
+                and statistics.summary.proves_empty(predicate)
+            ):
+                summary_pruned.append(fragment.name)
             else:
                 relevant.append(fragment)
-        return relevant, pruned
+        return relevant, pruned, summary_pruned
 
     def _value_composition(
         self,

@@ -17,6 +17,7 @@ from typing import Iterable, Optional, Union
 
 from repro.datamodel.document import XMLDocument
 from repro.engine.database import XMLEngine
+from repro.engine.indexes import ValueSummary
 from repro.engine.stats import ExecOptions, QueryResult
 
 
@@ -91,6 +92,16 @@ class PartixDriver(abc.ABC):
             self.collection_bytes(collection),
         )
 
+    def value_summary(self, collection: str) -> Optional[ValueSummary]:
+        """What the node's value index holds for ``collection``, for the
+        planner to route by (recorded next to the statistics above).
+
+        ``None`` — the default, and what a driver that cannot see an
+        index answers — means "unknown": no fragment is ever pruned on
+        an unknown summary.
+        """
+        return None
+
     def execute_iter(self, query: str, options: Optional[ExecOptions] = None):
         """Run an XQuery as a stream of serialized result pieces.
 
@@ -155,3 +166,8 @@ class MiniXDriver(PartixDriver):
         if not self.engine.has_collection(collection):
             return 0
         return self.engine.collection_bytes(collection)
+
+    def value_summary(self, collection: str) -> Optional[ValueSummary]:
+        if not self.engine.has_collection(collection):
+            return None
+        return self.engine.store.collection(collection).index.values.summary()

@@ -233,13 +233,15 @@ class DataPublisher:
         )
         publication.bytes = stored_bytes
         # Planner statistics: the cost model estimates per-lane work from
-        # these, so EXPLAIN never has to probe a site.
+        # these and localization routes by the value summary, so EXPLAIN
+        # never has to probe a site.
         self.catalog.record_statistics(
             collection.name,
             fragment.name,
             allocation.site,
             documents=documents,
             data_bytes=stored_bytes,
+            summary=site.driver.value_summary(allocation.stored_collection),
         )
         return publication
 

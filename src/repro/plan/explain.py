@@ -90,6 +90,11 @@ def render_plan(plan: PhysicalPlan) -> str:
     walk(plan.root, "", True, True)
     for note in plan.notes:
         lines.append(f"note: {note}")
+    if plan.summary_pruned:
+        lines.append(
+            "note: pruned fragments (value summary): "
+            + ", ".join(plan.summary_pruned)
+        )
     return "\n".join(lines)
 
 
@@ -124,6 +129,7 @@ def plan_to_dict(plan: PhysicalPlan) -> dict:
         "collection": plan.collection,
         "composition": plan.composition.to_dict(),
         "notes": list(plan.notes),
+        "summary_pruned": list(plan.summary_pruned),
         "lanes": [
             {
                 "index": lane.index,
@@ -160,4 +166,5 @@ def plan_from_dict(payload: dict) -> PhysicalPlan:
         lanes=lanes,
         composition=CompositionSpec.from_dict(payload["composition"]),
         notes=list(payload.get("notes", [])),
+        summary_pruned=list(payload.get("summary_pruned", [])),
     )

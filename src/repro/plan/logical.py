@@ -120,6 +120,9 @@ class LogicalPlan:
     root: Compose
     composition: CompositionSpec
     notes: list = field(default_factory=list)
+    #: Horizontal fragments localization dropped because their recorded
+    #: value summary proves the query's selection empty there.
+    summary_pruned: Tuple[str, ...] = ()
 
     def scans(self) -> list:
         """The plan's :class:`FragmentScan` leaves in plan order."""

@@ -256,6 +256,7 @@ def lower(
         lanes=lanes,
         composition=logical.composition,
         notes=notes,
+        summary_pruned=list(logical.summary_pruned),
     )
 
 

@@ -60,6 +60,10 @@ class PhysicalPlan:
         default_factory=lambda: CompositionSpec(kind="concat")
     )
     notes: list = field(default_factory=list)
+    #: Horizontal fragments that got no lane because their recorded
+    #: value summary proves the query's selection empty there (EXPLAIN
+    #: prints them as a note of their own).
+    summary_pruned: list = field(default_factory=list)
 
     # -- decomposer-era surface ----------------------------------------
     @property
@@ -128,13 +132,7 @@ class PhysicalPlan:
             )
             for lane in self.lanes
         ]
-        return PhysicalPlan(
-            collection=self.collection,
-            root=self.root,
-            lanes=lanes,
-            composition=self.composition,
-            notes=self.notes,
-        )
+        return replace(self, lanes=lanes)
 
     # ------------------------------------------------------------------
     def render(self) -> str:

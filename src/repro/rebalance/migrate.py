@@ -623,7 +623,12 @@ class Rebalancer:
             )
         doc_count, data_bytes = driver.collection_statistics(stored_name)
         self.catalog.record_statistics(
-            collection, fragment_name, site_name, doc_count, data_bytes
+            collection,
+            fragment_name,
+            site_name,
+            doc_count,
+            data_bytes,
+            summary=driver.value_summary(stored_name),
         )
         report.documents_moved += doc_count
         report.bytes_moved += data_bytes

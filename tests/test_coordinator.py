@@ -64,16 +64,26 @@ def _allocations(design, suffix, site_offset=0):
 
 
 def _workload(partix, collection, count=3):
-    """The first ``count`` bench queries with serial baselines attached."""
+    """The first ``count`` bench queries with serial baselines attached.
+
+    Q1's point lookup is aimed at a Code stored on ``site0``: lookups
+    are routed by value, and the stalled-site tests need their first
+    query to reach the site they gate."""
+    primary = partix.distribution_catalog.allocations(collection.name)[0]
+    assert primary.site == "site0"
+    code = partix.execute_centralized(
+        f'collection("{primary.stored_collection}")/Item/Code/text()', "site0"
+    ).result_text.split("\n")[0]
     entries = []
     for query in items_queries(collection.name)[:count]:
+        text = query.text.replace("I-000050", code)
         baseline = partix.execute(
-            query.text, collection=collection.name, execution_mode="simulated"
+            text, collection=collection.name, execution_mode="simulated"
         )
         entries.append(
             WorkloadQuery(
                 qid=query.qid,
-                text=query.text,
+                text=text,
                 expected_text=baseline.result_text,
                 collection=collection.name,
             )

@@ -89,6 +89,21 @@ class TestOracleGreenPath:
         assert summary["failures"] == []
         json.dumps(summary)  # JSON-able end to end
 
+    def test_point_lookups_are_generated_and_routed_by_summary(self):
+        # Iteration 0 of the CI session: an items case whose queries
+        # hold a Code lookup; the plans compared dropped fragments on
+        # their value summaries, and the count reaches the summary.
+        spec = spec_for_iteration(2006, 0)
+        assert spec.family == "items"
+        assert any(
+            '/Code = "I-' in query for query in generate_case(spec).queries
+        )
+        outcome = run_case(spec)
+        assert outcome.ok and outcome.summary_pruned > 0
+        assert outcome.to_dict()["summary_pruned"] == outcome.summary_pruned
+        summary = run_fuzz(seed=2006, iterations=1, minimize=False)
+        assert summary["summary_pruned"] == outcome.summary_pruned
+
 
 def _order_scrambling_partix(cluster):
     """A middleware whose dispatcher mis-aligns completed sub-queries —

@@ -330,7 +330,7 @@ class TestPartixTcp:
     def test_tcp_answers_match_other_modes_byte_for_byte(self):
         partix, collection = _published_partix()
         queries = [
-            'for $i in collection("%s")//Item where $i/Section = "S1"'
+            'for $i in collection("%s")//Item where $i/Section = "CD"'
             " return $i" % collection.name,
             'count(collection("%s")//Item)' % collection.name,
             'for $i in collection("%s")//Item return $i/Code' % collection.name,

@@ -140,6 +140,63 @@ class TestDistributionCatalog:
         with pytest.raises(CatalogError):
             catalog.allocations("c")
 
+    def test_replace_drops_statistics_of_replicas_it_no_longer_has(
+        self, fragmentation
+    ):
+        catalog = DistributionCatalog()
+        for fragment, site in (("F1", "s0"), ("F2", "s1"), ("F2", "s2")):
+            catalog.record_statistics("c", fragment, site, 3, 300)
+        catalog.record_statistics("other", "F1", "s0", 1, 100)
+        catalog.register_fragmentation(fragmentation, [
+            FragmentAllocation("F1", "s0", "F1"),
+            FragmentAllocation("F2", "s1", "F2"),
+            FragmentAllocation("F2", "s2", "F2"),
+        ])
+        assert len(catalog._statistics) == 4
+        merged = FragmentationSchema("c", [
+            HorizontalFragment("G", "c", predicate=ne("/Item/S", "none")),
+        ], root_label="Item")
+        # Store-then-swap: the new replica's statistics are recorded
+        # before the registration that routes to it.
+        catalog.record_statistics("c", "G", "s1", 6, 600)
+        catalog.register_fragmentation(
+            merged, [FragmentAllocation("G", "s1", "G")], replace=True
+        )
+        assert set(catalog._statistics) == {("c", "G", "s1"), ("other", "F1", "s0")}
+        assert catalog.statistics("c", "G", "s1").documents == 6
+        assert catalog.statistics("c", "F1", "s0") is None
+
+    def test_republished_and_split_designs_leave_no_statistics_behind(self):
+        from repro.cluster.site import Cluster
+        from repro.partix.middleware import Partix
+        from repro.rebalance import Rebalancer
+        from repro.workloads.virtual_store import (
+            build_items_collection,
+            items_horizontal_fragmentation,
+        )
+
+        collection = build_items_collection(24, kind="small", seed=11)
+        partix = Partix(Cluster.with_sites(4))
+        catalog = partix.distribution_catalog
+
+        def keys():
+            return sorted(key[1:] for key in catalog._statistics)
+
+        def allocated():
+            return sorted(
+                (entry.fragment, entry.site)
+                for entry in catalog.allocations(collection.name)
+            )
+
+        partix.publish(collection, items_horizontal_fragmentation(4))
+        assert len(keys()) == 4
+        partix.publish(
+            collection, items_horizontal_fragmentation(2), replace=True
+        )
+        assert keys() == allocated() == [("F1", "site0"), ("F2", "site1")]
+        assert Rebalancer(partix).split(collection.name, "F2").completed
+        assert keys() == allocated() and len(keys()) == 3
+
 
 class TestReplication:
     def test_replicas_registered_and_listed(self, fragmentation):
