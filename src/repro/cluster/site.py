@@ -170,7 +170,10 @@ class ParallelRound:
 
     ``parallel_seconds`` is the slowest site's busy time (a site running
     several sub-queries sums them); ``executions`` keeps every sub-query's
-    own metrics for reporting.
+    own metrics for reporting. A keys-then-answer plan records both of
+    its stages here, the key lanes first (``key_executions`` of them):
+    the stages ran one after the other, so the modeled clock charges the
+    *sum* of each stage's slowest site, never one maximum over both.
 
     ``measured_wall_seconds`` is the *real* wall-clock time the round took
     on this machine — in ``"simulated"`` execution mode that is the
@@ -181,6 +184,9 @@ class ParallelRound:
 
     executions: list[SubQueryExecution] = field(default_factory=list)
     measured_wall_seconds: float = 0.0
+    #: How many leading ``executions`` are the key stage of a two-stage
+    #: plan (0: one round).
+    key_executions: int = 0
 
     @property
     def failover_count(self) -> int:
@@ -209,10 +215,17 @@ class ParallelRound:
 
     @property
     def parallel_seconds(self) -> float:
-        busy: dict[str, float] = {}
-        for execution in self.executions:
-            busy[execution.site] = busy.get(execution.site, 0.0) + execution.elapsed
-        return max(busy.values(), default=0.0)
+        def slowest_site(executions: list[SubQueryExecution]) -> float:
+            busy: dict[str, float] = {}
+            for execution in executions:
+                busy[execution.site] = (
+                    busy.get(execution.site, 0.0) + execution.elapsed
+                )
+            return max(busy.values(), default=0.0)
+
+        return slowest_site(
+            self.executions[: self.key_executions]
+        ) + slowest_site(self.executions[self.key_executions :])
 
     @property
     def sequential_seconds(self) -> float:

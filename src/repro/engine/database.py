@@ -210,6 +210,7 @@ class XMLEngine:
         predicate: Optional[Predicate],
         stats: EngineStats,
         options: ExecOptions = ExecOptions(),
+        origins: Optional[frozenset] = None,
     ) -> list[str]:
         """The pipeline's **scan/prune** stage: candidate documents of a
         collection under the pruning predicate, in store order, with
@@ -222,7 +223,10 @@ class XMLEngine:
         extracted predicate is a necessary condition, and the query's
         own ``where`` clause, evaluated on the same node tables right
         after, is the exact filter — so ``documents_scanned`` counts
-        the superset.
+        the superset. ``origins`` (``px:collection``) keeps only the
+        documents stored under one of those origins: a set lookup per
+        document, whatever the number of keys, and a document outside
+        the set is never handed to the evaluator (it counts as pruned).
         """
         collection = self.store.collection(collection_name)
         use_indexes = options.use_indexes
@@ -233,6 +237,12 @@ class XMLEngine:
             stats.index_lookups += lookups
         else:
             candidates = collection.names()
+        if origins is not None:
+            candidates = [
+                name
+                for name in candidates
+                if collection.get(name).origin in origins
+            ]
         stats.documents_scanned += len(candidates)
         stats.documents_pruned += len(collection) - len(candidates)
         return candidates
@@ -358,6 +368,13 @@ class _EngineProvider:
         return stored.binary.root
 
     def collection_roots(self, name: Optional[str]) -> list[Node]:
+        return self.collection_roots_by_origin(name, None)
+
+    def collection_roots_by_origin(
+        self, name: Optional[str], origins: Optional[frozenset]
+    ) -> list[Node]:
+        """The collection's candidate roots; with ``origins``, only those
+        of documents stored under one of them (``px:collection``)."""
         collection_name = name or self._options.default_collection
         if collection_name is None:
             raise XQueryEvaluationError(
@@ -366,7 +383,11 @@ class _EngineProvider:
         if not self._engine.store.has_collection(collection_name):
             raise StorageError(f"no collection named {collection_name!r}")
         candidates = self._engine.scan_candidates(
-            collection_name, self._predicate, self._stats, self._options
+            collection_name,
+            self._predicate,
+            self._stats,
+            self._options,
+            origins,
         )
         collection = self._engine.store.collection(collection_name)
         return [self._root(collection.get(doc_name)) for doc_name in candidates]

@@ -165,6 +165,7 @@ def _print_digest(summary: dict) -> None:
         for name, count in sorted(summary["index_oracle"].items())
     )
     rows.append(("fragments pruned by value summary", summary["summary_pruned"]))
+    rows.append(("vertical semi-join plans", summary["semijoin_plans"]))
     if summary.get("migrate"):
         rows.append(("migrations completed", summary["migrations_completed"]))
     rows.append(("failures", len(summary["failures"])))

@@ -18,7 +18,8 @@ apply:
   order the dispatcher's lanes complete.
 * **answer** — the fragmented answer must match the centralized one.
   Byte-identical when the composition is an aggregate or a
-  reconstruction, or when the plan has at most one sub-query; for
+  reconstruction, or when one lane answers (a single-fragment plan, a
+  vertical semi-join); for
   multi-fragment ``concat`` plans the comparison is an order-insensitive
   line multiset, because fragments legitimately interleave the document
   order of the centralized repository (same policy as
@@ -130,6 +131,9 @@ class CaseOutcome:
     #: such plan's answer still faced the centralized one, which is the
     #: summaries-off side of the differential.
     summary_pruned: int = 0
+    #: Compared plans that ran as a vertical semi-join (keys, then the
+    #: answer restricted to them).
+    semijoin_plans: int = 0
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -151,6 +155,7 @@ class CaseOutcome:
             "fetch_projections": dict(self.fetch_projections),
             "index_oracle": dict(self.index_oracle),
             "summary_pruned": self.summary_pruned,
+            "semijoin_plans": self.semijoin_plans,
             "mismatches": [m.to_dict() for m in self.mismatches],
             "notes": self.notes,
         }
@@ -574,6 +579,7 @@ def _run_query(
     outcome.composition_kinds[plan.composition.kind] += 1
     outcome.fetch_projections.update(_fetch_projections(plan))
     outcome.summary_pruned += len(plan.summary_pruned)
+    outcome.semijoin_plans += bool(plan.key_lanes)
     _check_plan_equivalence(partix, query, plan, outcome, index)
     _check_plan_order(partix, results_by_mode, outcome, index, query)
 
@@ -597,7 +603,7 @@ def _run_query(
     outcome.comparisons += 1
     byte_strict = (
         plan.composition.kind in ("aggregate", "reconstruct")
-        or len(plan.subqueries) <= 1
+        or len(plan.lanes) <= 1
     )
     if byte_strict:
         matches = simulated == central_text
@@ -611,7 +617,7 @@ def _run_query(
                 detail=(
                     f"centralized vs fragmented ({policy},"
                     f" composition={plan.composition.kind},"
-                    f" subqueries={len(plan.subqueries)});"
+                    f" lanes={len(plan.lanes)});"
                     f" {_diff_snippet(central_text, simulated)}"
                 ),
                 query_index=index,
@@ -796,9 +802,9 @@ def _check_plan_order(
         if (
             plan is None
             or plan.composition.kind != "concat"
-            or len(plan.subqueries) <= 1
+            or len(plan.lanes) <= 1
         ):
-            continue
+            continue  # (a semi-join answers through one lane)
         position = {
             subquery.fragment: order
             for order, subquery in enumerate(plan.subqueries)
@@ -875,6 +881,7 @@ def run_fuzz(
         "fetch_projections": {},
         "index_oracle": {},
         "summary_pruned": 0,
+        "semijoin_plans": 0,
         "failures": [],
         "ok": True,
     }
@@ -905,6 +912,7 @@ def run_fuzz(
         projections.update(outcome.fetch_projections)
         index_oracle.update(outcome.index_oracle)
         summary["summary_pruned"] += outcome.summary_pruned
+        summary["semijoin_plans"] += outcome.semijoin_plans
         if outcome.ok:
             continue
         summary["ok"] = False

@@ -20,6 +20,11 @@ Localization rules:
   fall inside the fragment's projected region. A single-fragment query is
   rewritten (the fragment path's prefix is stripped, since fragment
   documents are rooted at the projected node); a multi-fragment query
+  whose ``where`` splits by fragment while everything else reads one
+  fragment is answered as a *semi-join* (keys-then-answer, see
+  :meth:`QueryDecomposer._semijoin_plan`): the filtering fragments
+  answer with join keys, the returning fragment answers the query for
+  those keys. Any other multi-fragment query
   falls back to *projected fetch + ID-join + re-query on the rebuilt
   trees* — the reconstruction the paper blames for vertical slowdowns,
   shipping and rebuilding only what the query reads. Each fetch asks
@@ -65,6 +70,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Union
 
 from repro.errors import DecompositionError
+from repro.algebra.annotations import PXORIGIN
 from repro.partix.catalog import DistributionCatalog
 from repro.plan.cost import CostModel
 from repro.plan.logical import (
@@ -107,11 +113,17 @@ from repro.xmltext.projection import (
     render_keep,
 )
 from repro.xquery.analysis import (
+    DECOMPOSABLE_AGGREGATES,
     QueryAnalysis,
+    _descendants,
     _neutralize_counted_returns,
+    analyze_in_scope,
     analyze_query,
+    condition_predicate,
+    steps_to_path,
 )
 from repro.xquery.ast_nodes import (
+    INPUT_FUNCTIONS,
     AttributeConstructor,
     AxisStep,
     BinaryOp,
@@ -223,6 +235,7 @@ class QueryDecomposer:
         composition: CompositionSpec,
         notes: list[str],
         summary_pruned: Sequence[str] = (),
+        key_scans: Sequence[FragmentScan] = (),
     ) -> LogicalPlan:
         if composition.kind == "aggregate":
             inner = MergeAggregate(
@@ -247,6 +260,7 @@ class QueryDecomposer:
             composition=composition,
             notes=tuple(notes),
             summary_pruned=tuple(summary_pruned),
+            key_scans=tuple(key_scans),
         )
 
     def _scan_class(self, predicate) -> tuple[type, Optional[str]]:
@@ -268,15 +282,20 @@ class QueryDecomposer:
         shipped: Expr,
         selectivity: float,
         predicate=None,
+        purpose: str = "answer",
+        function: str = "collection",
     ) -> FragmentScan:
-        """One scan with a renamed-query candidate per replica."""
+        """One scan with a renamed-query candidate per replica:
+        ``collection(C)`` becomes ``function("stored collection")``."""
         candidates = tuple(
             ScanCandidate(
                 site=entry.site,
                 stored_collection=entry.stored_collection,
                 query=unparse(
                     rename_collections(
-                        shipped, {collection: entry.stored_collection}
+                        shipped,
+                        {collection: entry.stored_collection},
+                        function,
                     )
                 ),
             )
@@ -286,6 +305,7 @@ class QueryDecomposer:
         return scan_class(
             fragment=fragment_name,
             candidates=candidates,
+            purpose=purpose,
             selectivity=selectivity,
             predicate=annotation,
         )
@@ -487,8 +507,181 @@ class QueryDecomposer:
                     notes,
                 )
             notes.append("path rewrite failed; falling back to reconstruction")
+        else:
+            semijoin = self._semijoin_plan(
+                query, expr, analysis, collection, fragmentation, relevant, notes
+            )
+            if semijoin is not None:
+                return semijoin
         return self._reconstruction_plan(
             query, collection, fragmentation, relevant, notes, analysis
+        )
+
+    def _semijoin_plan(
+        self,
+        query: str,
+        expr: Expr,
+        analysis: QueryAnalysis,
+        collection: str,
+        fragmentation: FragmentationSchema,
+        relevant: list[VerticalFragment],
+        notes: list[str],
+    ) -> Optional[LogicalPlan]:
+        """Keys-then-answer over vertical fragments, or None when the
+        rule below cannot prove it exact (the caller reconstructs).
+
+        The query must be one ``for $v in collection(C)/<root>`` FLWOR
+        (optionally under a decomposable aggregate) whose ``where`` the
+        analysis captured exactly. Its conjuncts are grouped by the one
+        fragment each reads; ``order by`` and ``return`` must read a
+        single fragment **B** (with nothing to read, the last fragment a
+        conjunct reads). Every other fragment **A** a conjunct reads gets
+        a *key scan*: its conjuncts re-rooted at A's documents, answering
+        each matching part's ``pxorigin``. B gets the query — its own
+        conjuncts, ``order by``, ``return`` — re-rooted at its documents
+        over ``px:collection("B's stored collection")``, the slot the
+        executor writes the intersected keys into.
+
+        Exact because a vertical fragment holds at most one part per
+        source document (Definition 3): a conjunct that reads only A's
+        region holds for a source document iff it holds for that
+        document's part in A — *provided* it cannot hold with no node
+        under A's root, which is why ``not(...)``, ``empty(...)`` and an
+        empty search string decline. B's side is the one-fragment
+        rewrite, unchanged, over fewer documents. Decided from the query
+        and the design alone: no statistics, no threshold, no option.
+        """
+        if not (
+            analysis.predicate_exact
+            and analysis.paths_exact
+            and analysis.bindings_exact
+            and all(fragment.path.is_simple for fragment in relevant)
+        ):
+            return None
+        shaped = (
+            _neutralize_counted_returns(expr)
+            if analysis.aggregate == "count"
+            else expr
+        )
+        flwor = _root_bound_flwor(shaped, collection, relevant)
+        if flwor is None:
+            return None
+        variable = flwor.clauses[0].var
+        scope = {variable: steps_to_path(flwor.clauses[0].seq.steps)}
+
+        def fragments_read(parts: list[Expr]) -> Optional[set[str]]:
+            """Names of the fragments ``parts`` read; None unless every
+            path they navigate lies in exactly one relevant fragment."""
+            read = analyze_in_scope(parts, scope)
+            if not (read.paths_exact and read.bindings_exact):
+                return None
+            names: set[str] = set()
+            for path in read.touched_paths:
+                holders = [
+                    fragment.name
+                    for fragment in relevant
+                    if _path_touches_fragment(fragment, path)
+                ]
+                if len(holders) != 1:
+                    return None
+                names.update(holders)
+            return names
+
+        conjuncts: dict[str, list[Expr]] = {}
+        for conjunct in _conjuncts(flwor.where):
+            read = fragments_read([conjunct])
+            if read is None or len(read) != 1:
+                return None  # reads two fragments (an ``or`` across them)
+            conjuncts.setdefault(read.pop(), []).append(conjunct)
+        rest = fragments_read(
+            [*(spec.key for spec in flwor.order_by), flwor.return_expr]
+        )
+        if rest is None or len(rest) > 1:
+            return None
+        filtering = [f for f in relevant if f.name in conjuncts]
+        answering = next(
+            (f for f in relevant if f.name in rest),
+            filtering[-1] if filtering else None,
+        )
+        keyed = [f for f in filtering if f is not answering]
+        if not keyed:
+            return None
+
+        key_scans = []
+        for fragment in keyed:
+            predicates = [
+                condition_predicate(conjunct, scope)
+                for conjunct in conjuncts[fragment.name]
+            ]
+            if any(p is None or _holds_without_nodes(p) for p in predicates):
+                return None
+            rooted = rewrite_paths_for_fragment_root(
+                FLWOR(
+                    flwor.clauses,
+                    _conjunction(conjuncts[fragment.name]),
+                    (),
+                    Literal(1),
+                ),
+                [step.name for step in fragment.path.steps],
+            )
+            if rooted is None:
+                return None
+            origin = PathApply(
+                VarRef(variable), (AxisStep("child", PXORIGIN, True),)
+            )
+            key_scans.append(
+                self._rename_scan(
+                    collection,
+                    fragment.name,
+                    FLWOR(
+                        rooted.clauses,
+                        rooted.where,
+                        (),
+                        FunctionCall("string", (origin,)),
+                    ),
+                    analysis.selectivity_hint(),
+                    predicate=(
+                        predicates[0]
+                        if len(predicates) == 1
+                        else And(tuple(predicates))
+                    ),
+                    purpose="keys",
+                )
+            )
+
+        answered = FLWOR(
+            flwor.clauses,
+            _conjunction(conjuncts.get(answering.name, [])),
+            flwor.order_by,
+            flwor.return_expr,
+        )
+        if shaped is not flwor:
+            answered = FunctionCall(shaped.name, (answered,))
+        rooted = rewrite_paths_for_fragment_root(
+            self._shippable_ast(answered, analysis),
+            [step.name for step in answering.path.steps],
+        )
+        if rooted is None:
+            return None
+        notes.append(
+            "vertical semi-join: keys from "
+            + ", ".join(fragment.name for fragment in keyed)
+            + f" restrict {answering.name}"
+        )
+        return self._assemble(
+            collection,
+            [
+                self._rename_scan(
+                    collection,
+                    answering.name,
+                    rooted,
+                    analysis.selectivity_hint(),
+                    function="px:collection",
+                )
+            ],
+            self._value_composition(analysis, query, collection, fragmentation),
+            notes,
+            key_scans=key_scans,
         )
 
     def _reconstruction_plan(
@@ -797,6 +990,87 @@ def _path_touches_fragment(fragment: VerticalFragment, path: PathExpr) -> bool:
     return True
 
 
+def _root_bound_flwor(
+    expr: Expr, collection: str, fragments: list[VerticalFragment]
+) -> Optional[FLWOR]:
+    """The FLWOR of a semi-join candidate: ``expr`` itself, or the one
+    argument of a decomposable aggregate, when it is a single
+    ``for $v in collection("collection")/<root label>`` with a ``where``
+    and the binding is its only input call. None for anything else — a
+    ``let`` or second ``for``, ``at $p``, a binding below the root or
+    with a step predicate, another ``collection()``/``doc()`` inside."""
+    if (
+        isinstance(expr, FunctionCall)
+        and expr.name in DECOMPOSABLE_AGGREGATES
+        and len(expr.args) == 1
+    ):
+        expr = expr.args[0]
+    if (
+        not isinstance(expr, FLWOR)
+        or expr.where is None
+        or len(expr.clauses) != 1
+        or not isinstance(expr.clauses[0], ForClause)
+        or expr.clauses[0].position_var
+    ):
+        return None
+    seq = expr.clauses[0].seq
+    if not (
+        isinstance(seq, PathApply)
+        and seq.primary == FunctionCall("collection", (Literal(collection),))
+        and len(seq.steps) == 1
+    ):
+        return None
+    root = seq.steps[0]
+    if (
+        root.axis != "child"
+        or root.is_attribute
+        or root.is_text
+        or root.predicates
+        or any(f.path.steps[0].name != root.name for f in fragments)
+    ):
+        return None
+    inputs = [
+        node
+        for node in _descendants(expr)
+        if isinstance(node, FunctionCall) and node.name in INPUT_FUNCTIONS
+    ]
+    return expr if len(inputs) == 1 else None
+
+
+def _conjuncts(condition: Expr) -> list[Expr]:
+    """The operands of a (nested) ``and``, left to right."""
+    if isinstance(condition, BinaryOp) and condition.op == "and":
+        return _conjuncts(condition.left) + _conjuncts(condition.right)
+    return [condition]
+
+
+def _conjunction(conjuncts: list[Expr]) -> Optional[Expr]:
+    """``conjuncts`` joined by ``and`` (None for none)."""
+    joined = None
+    for conjunct in conjuncts:
+        joined = (
+            conjunct if joined is None else BinaryOp("and", joined, conjunct)
+        )
+    return joined
+
+
+def _holds_without_nodes(predicate: Predicate) -> bool:
+    """Could ``predicate`` hold for a document with no node on any of
+    its paths? A key scan only sees documents that *have* a part in its
+    fragment, so such a condition would lose the documents without one.
+    Comparisons, ``exists`` and searches for a non-empty string need a
+    node; negations and ``empty`` do not (conservatively: any ``not``)."""
+    if isinstance(predicate, And):
+        return all(_holds_without_nodes(part) for part in predicate.parts)
+    if isinstance(predicate, Or):
+        return any(_holds_without_nodes(part) for part in predicate.parts)
+    if isinstance(predicate, Contains):
+        return predicate.needle == ""
+    if isinstance(predicate, StartsWith):
+        return predicate.prefix == ""
+    return not isinstance(predicate, (Comparison, Exists))
+
+
 def projection_paths(
     analysis: QueryAnalysis, chain: list[str], graft_roots: list[PathExpr]
 ) -> tuple[str, ...]:
@@ -926,17 +1200,19 @@ def _reroot_path(
 # ----------------------------------------------------------------------
 # AST rewriters
 # ----------------------------------------------------------------------
-def rename_collections(expr: Expr, mapping: dict[str, str]) -> Expr:
-    """Replace collection names per ``mapping`` throughout the AST."""
+def rename_collections(
+    expr: Expr, mapping: dict[str, str], function: str = "collection"
+) -> Expr:
+    """Replace collection names per ``mapping`` throughout the AST; the
+    renamed calls call ``function`` (``"px:collection"``: the key slot of
+    a semi-join's answer template, ``plan.spec.origin_restricted``)."""
 
     def transform(node: Expr) -> Expr:
         if isinstance(node, FunctionCall) and node.name == "collection":
             if node.args and isinstance(node.args[0], Literal):
                 name = str(node.args[0].value)
                 if name in mapping:
-                    return FunctionCall(
-                        "collection", (Literal(mapping[name]),)
-                    )
+                    return FunctionCall(function, (Literal(mapping[name]),))
         return node
 
     return _transform(expr, transform)

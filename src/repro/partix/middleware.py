@@ -369,11 +369,13 @@ class Partix:
         notes.extend(executed.notes)
         round_ = executed.round
         composed = executed.composed
+        # Priced on the texts that were sent: a semi-join's answer stage
+        # carries its keys, and is not sent at all when there are none.
         transmission = self.network.gather_seconds(
             round_.result_sizes,
             query_sizes=[
-                len(subquery.query.encode("utf-8"))
-                for subquery in plan.subqueries
+                len(execution.query.encode("utf-8"))
+                for execution in round_.executions
             ],
         )
         return PartixResult(

@@ -126,7 +126,7 @@ class CostModel:
         purpose: str = "answer",
         selectivity: float = 1.0,
         pushdown: Optional[str] = None,
-        access: str = "scan",  # "scan" | "index"
+        access: str = "scan",  # "scan" | "index" | "keys"
     ) -> CostEstimate:
         """Cost of running one sub-query at one fragment replica.
 
@@ -135,6 +135,9 @@ class CostModel:
         up front and then hands over only the estimated matching
         documents (the selectivity fraction, at least one) — the trade
         lowering prices per replica to choose the cheaper path.
+        ``access="keys"`` is the answer stage of a semi-join: the site
+        looks the shipped origins up and hands over that same estimated
+        fraction, with no probe to pay.
         """
         stats = self.fragment_statistics(collection, fragment, site)
         documents = stats.documents if stats is not None else DEFAULT_DOCUMENTS
@@ -150,11 +153,11 @@ class CostModel:
                 SCALAR_RESULT_BYTES, int(fragment_bytes * selectivity)
             )
         query_bytes = len(query.encode("utf-8"))
-        if access == "index":
+        if access in ("index", "keys"):
             touched = max(1, int(documents * selectivity))
             touched_bytes = max(1, int(fragment_bytes * selectivity))
             cpu = (
-                INDEX_LOOKUP_SECONDS
+                (INDEX_LOOKUP_SECONDS if access == "index" else 0.0)
                 + touched * self.seconds_per_document
                 + touched_bytes * self.seconds_per_byte
             )

@@ -6,7 +6,8 @@ is still read as a spelling of ``"tcp"`` (the site sizes every reply
 now, so there is nothing left for the name to select).
 
 :class:`PlanExecutor` is the one execution path every mode runs through:
-it dispatches the physical plan's lanes through a
+it dispatches the physical plan's lanes — in one round, or the key lanes
+and then the answer lane of a vertical semi-join — through a
 :class:`~repro.cluster.dispatch.ParallelDispatcher` over whatever
 :class:`~repro.cluster.dispatch.Transport` the mode selects (a
 lock-serialized in-process transport reproduces the paper's sequential
@@ -16,11 +17,17 @@ executions, and composes the lanes' answer texts in plan order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional
 
-from repro.cluster.dispatch import ParallelDispatcher, Transport
+from repro.cluster.dispatch import (
+    DispatchOutcome,
+    ParallelDispatcher,
+    SubQueryFailure,
+    Transport,
+)
 from repro.cluster.site import ParallelRound
+from repro.errors import DispatchError
 from repro.plan.physical import PhysicalPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -76,7 +83,15 @@ class ExecutedPlan:
 
 
 class PlanExecutor:
-    """Runs a physical plan's lanes and composes the answer."""
+    """Runs a physical plan's lanes and composes the answer.
+
+    The one place lanes are dispatched and composed. A plan is one round
+    or *keys-then-answer* (:attr:`PhysicalPlan.key_lanes`): the key lanes
+    are dispatched first, the origins every one of them returned are
+    written into the answer lane's template, and that lane is dispatched
+    with what is left of the deadline; both stages' executions land in
+    one :class:`~repro.cluster.site.ParallelRound`.
+    """
 
     def __init__(self, composer: "ResultComposer"):
         self.composer = composer
@@ -89,7 +104,79 @@ class PlanExecutor:
         default_collection: Optional[str] = None,
         subquery_timeout: Optional[float] = None,
     ) -> ExecutedPlan:
-        subqueries = plan.subqueries
+        def dispatch(lanes: list, timeout: Optional[float], joined: bool):
+            return self._dispatch_stage(
+                lanes, transport, dispatcher, default_collection, timeout, joined
+            )
+
+        lanes = plan.lanes
+        stages = []
+        if plan.key_lanes:
+            keyed = dispatch(plan.key_lanes, subquery_timeout, joined=True)
+            stages.append(keyed)
+            keys = _common_keys(
+                [execution.result.result_text for execution in keyed.round.executions]
+            )
+            # No document passes every key-side condition: the answer is
+            # empty (or the aggregate identity) and nothing more is sent.
+            lanes = [
+                replace(lane, subquery=lane.subquery.restricted_to(keys))
+                for lane in plan.lanes
+                if keys
+            ]
+            if subquery_timeout is not None and lanes:
+                subquery_timeout -= keyed.round.measured_wall_seconds
+                if subquery_timeout <= 0:
+                    raise _deadline_passed(lanes)
+        # A join that lost an input is not a subset of the answer.
+        stages.append(
+            dispatch(
+                lanes,
+                subquery_timeout,
+                joined=plan.composition.kind == "reconstruct",
+            )
+        )
+        answered = stages[-1]
+        # A lane the degrade policy dropped has no execution and is left
+        # out of the answer.
+        partials = [
+            (lane.subquery, execution.result.result_text)
+            for lane, execution in zip(lanes, answered.executions_by_index)
+            if execution is not None
+        ]
+        composed = self.composer.compose(plan.composition, partials)
+        round_ = ParallelRound(
+            executions=[
+                execution
+                for stage in stages
+                for execution in stage.round.executions
+            ],
+            measured_wall_seconds=sum(
+                stage.round.measured_wall_seconds for stage in stages
+            ),
+            key_executions=len(stages[0].round.executions)
+            if len(stages) > 1
+            else 0,
+        )
+        return ExecutedPlan(
+            round=round_,
+            composed=composed,
+            notes=[note for stage in stages for note in stage.notes],
+        )
+
+    @staticmethod
+    def _dispatch_stage(
+        lanes: list,
+        transport: Transport,
+        dispatcher: ParallelDispatcher,
+        default_collection: Optional[str],
+        subquery_timeout: Optional[float],
+        joined: bool,
+    ) -> DispatchOutcome:
+        """One dispatch round over ``lanes``, its executions stamped with
+        their plan nodes. ``joined``: every lane is a side of a join, so
+        one that exhausted its replicas fails the query under either
+        failure policy (a union merely drops the fragment)."""
         # The timeout is only passed when set so dispatcher subclasses
         # with older dispatch() signatures keep working.
         extra: dict = {}
@@ -97,11 +184,16 @@ class PlanExecutor:
             extra["subquery_timeout"] = subquery_timeout
         outcome = dispatcher.dispatch(
             transport,
-            subqueries,
+            [lane.subquery for lane in lanes],
             default_collection=default_collection,
             **extra,
         )
-        for lane, execution in zip(plan.lanes, outcome.executions_by_index):
+        if joined and outcome.failures:
+            raise DispatchError(
+                "; ".join(failure.describe() for failure in outcome.failures),
+                failures=outcome.failures,
+            )
+        for lane, execution in zip(lanes, outcome.executions_by_index):
             if execution is not None:
                 execution.plan_node = lane.node_id
                 execution.estimated_seconds = (
@@ -109,14 +201,36 @@ class PlanExecutor:
                     if lane.estimate is not None
                     else None
                 )
-        # A lane the degrade policy dropped has no execution and is left
-        # out of the answer.
-        partials = [
-            (subqueries[index], execution.result.result_text)
-            for index, execution in enumerate(outcome.executions_by_index)
-            if execution is not None
-        ]
-        composed = self.composer.compose(plan.composition, partials)
-        return ExecutedPlan(
-            round=outcome.round, composed=composed, notes=list(outcome.notes)
+        return outcome
+
+
+def _common_keys(answers: list) -> list:
+    """The join keys every key lane answered, in the first lane's order
+    (one origin per line, as the site serializes a string sequence)."""
+    first, *others = [answer.split("\n") if answer else [] for answer in answers]
+    for other in map(frozenset, others):
+        first = [key for key in first if key in other]
+    return first
+
+
+def _deadline_passed(lanes: list) -> DispatchError:
+    """The typed failure of an answer stage the key stage left no time
+    for: nothing is dispatched, every lane counts as timed out."""
+    failures = [
+        SubQueryFailure(
+            site=lane.subquery.site,
+            fragment=lane.subquery.fragment,
+            query=lane.subquery.query,
+            attempts=0,
+            error=TimeoutError(
+                "the deadline passed during the key stage; the answer"
+                " stage was not dispatched"
+            ),
+            timed_out=True,
         )
+        for lane in lanes
+    ]
+    return DispatchError(
+        "; ".join(failure.describe() for failure in failures),
+        failures=failures,
+    )

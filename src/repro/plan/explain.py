@@ -37,11 +37,13 @@ def _node_label(node: PlanNode) -> str:
             f"{node.op} {detail.get('fragment')}"
             f" @ {detail.get('site')}/{detail.get('collection')}"
         )
-        if detail.get("purpose") == "fetch":
-            label += " purpose=fetch"
+        if detail.get("purpose") in ("fetch", "keys"):
+            label += f" purpose={detail.get('purpose')}"
         project = detail.get("project")
         if project is not None:
             label += f" project=[{', '.join(project)}]"
+        if detail.get("restricted"):
+            label += " restricted"
         if detail.get("predicate"):
             label += f" pred={detail.get('predicate')}"
         candidates = detail.get("candidates", 1)
@@ -55,6 +57,13 @@ def _node_label(node: PlanNode) -> str:
         if detail.get("root_label"):
             label += f" root={detail.get('root_label')}"
         return label
+    if node.op == "semi-join":
+        # The children are in stage order: the key scans, then the scan
+        # restricted to the origins every one of them returned.
+        return (
+            f"semi-join keys: {', '.join(detail.get('keys', []))}"
+            f" → {detail.get('answer')}"
+        )
     if node.op == "compose":
         return f"compose [{detail.get('kind')}]"
     return node.op
@@ -65,8 +74,9 @@ def render_plan(plan: PhysicalPlan) -> str:
     header = (
         f"PhysicalPlan collection={plan.collection}"
         f" composition={plan.composition.kind}"
-        f" lanes={len(plan.lanes)}"
-        f" est-parallel={_seconds(plan.estimated_parallel_seconds)}"
+        f" lanes={len(plan.key_lanes) + len(plan.lanes)}"
+        + (" stages=2" if plan.key_lanes else "")
+        + f" est-parallel={_seconds(plan.estimated_parallel_seconds)}"
     )
     lines = [header]
 
@@ -124,32 +134,22 @@ def _node_from_dict(payload: dict) -> PlanNode:
     )
 
 
-def plan_to_dict(plan: PhysicalPlan) -> dict:
-    return {
-        "collection": plan.collection,
-        "composition": plan.composition.to_dict(),
-        "notes": list(plan.notes),
-        "summary_pruned": list(plan.summary_pruned),
-        "lanes": [
-            {
-                "index": lane.index,
-                "node_id": lane.node_id,
-                "subquery": lane.subquery.to_dict(),
-                "estimate": lane.estimate.to_dict() if lane.estimate else None,
-                "candidates": lane.candidates,
-            }
-            for lane in plan.lanes
-        ],
-        "root": _node_to_dict(plan.root),
-    }
+def _lanes_to_dicts(lanes: list) -> list:
+    return [
+        {
+            "index": lane.index,
+            "node_id": lane.node_id,
+            "subquery": lane.subquery.to_dict(),
+            "estimate": lane.estimate.to_dict() if lane.estimate else None,
+            "candidates": lane.candidates,
+        }
+        for lane in lanes
+    ]
 
 
-def plan_from_dict(payload: dict) -> PhysicalPlan:
-    """Rebuild a plan from :func:`plan_to_dict`'s form. Known keys only
-    are read, so a stored plan that still carries keys of an older
-    version (``streaming``, ``chunk_bytes``) loads and they are ignored."""
+def _lanes_from_dicts(entries: list) -> list:
     lanes = []
-    for entry in payload.get("lanes", []):
+    for entry in entries:
         estimate = entry.get("estimate")
         lanes.append(
             Lane(
@@ -160,11 +160,33 @@ def plan_from_dict(payload: dict) -> PhysicalPlan:
                 candidates=entry.get("candidates", 1),
             )
         )
+    return lanes
+
+
+def plan_to_dict(plan: PhysicalPlan) -> dict:
+    payload = {
+        "collection": plan.collection,
+        "composition": plan.composition.to_dict(),
+        "notes": list(plan.notes),
+        "summary_pruned": list(plan.summary_pruned),
+        "lanes": _lanes_to_dicts(plan.lanes),
+        "root": _node_to_dict(plan.root),
+    }
+    if plan.key_lanes:
+        payload["key_lanes"] = _lanes_to_dicts(plan.key_lanes)
+    return payload
+
+
+def plan_from_dict(payload: dict) -> PhysicalPlan:
+    """Rebuild a plan from :func:`plan_to_dict`'s form. Known keys only
+    are read, so a stored plan that still carries keys of an older
+    version (``streaming``, ``chunk_bytes``) loads and they are ignored."""
     return PhysicalPlan(
         collection=payload["collection"],
         root=_node_from_dict(payload["root"]),
-        lanes=lanes,
+        lanes=_lanes_from_dicts(payload.get("lanes", [])),
         composition=CompositionSpec.from_dict(payload["composition"]),
         notes=list(payload.get("notes", [])),
         summary_pruned=list(payload.get("summary_pruned", [])),
+        key_lanes=_lanes_from_dicts(payload.get("key_lanes", [])),
     )

@@ -17,6 +17,14 @@ Tree shapes (always rooted in :class:`Compose`):
 
 An all-fragments-pruned query keeps its shape with zero scans — the
 composer then produces the empty result / aggregate identity.
+
+A plan is one round of scans, or *keys-then-answer* (the vertical
+semi-join): :attr:`LogicalPlan.key_scans` run first, each answering the
+``pxorigin`` of the documents its fragment's share of the ``where``
+selects; the executor intersects them and writes the surviving origins
+into the one scan of the tree, whose candidates are templates over
+``px:collection("F")`` (:func:`repro.plan.spec.origin_restricted`).
+Two stages at most — not a lane DAG.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ class FragmentScan:
 
     fragment: str
     candidates: Tuple[ScanCandidate, ...]
-    purpose: str = "answer"  # "answer" | "fetch"
+    purpose: str = "answer"  # "answer" | "fetch" | "keys"
     #: Crude estimate of the fraction of the fragment's bytes the scan
     #: returns (see ``QueryAnalysis.selectivity_hint``); the cost model
     #: turns it into an estimated result size.
@@ -123,9 +131,14 @@ class LogicalPlan:
     #: Horizontal fragments localization dropped because their recorded
     #: value summary proves the query's selection empty there.
     summary_pruned: Tuple[str, ...] = ()
+    #: Stage one of a keys-then-answer plan (``purpose="keys"`` scans,
+    #: one per fragment the ``where`` reads besides the answering one);
+    #: empty for a one-round plan.
+    key_scans: Tuple[FragmentScan, ...] = ()
 
     def scans(self) -> list:
-        """The plan's :class:`FragmentScan` leaves in plan order."""
+        """The tree's :class:`FragmentScan` leaves in plan order (the
+        answer stage; :attr:`key_scans` are not among them)."""
         child = self.root.child
         if isinstance(child, MergeAggregate):
             return [partial.child for partial in child.children]

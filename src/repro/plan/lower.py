@@ -17,6 +17,9 @@ Lowering makes the two decisions the logical plan left open:
   scheduler did *not* choose ride along on the emitted
   :class:`~repro.plan.spec.SubQuery` as failover ``replicas`` so the
   dispatcher can rotate to them at retry time.
+  A keys-then-answer plan is scheduled stage by stage: the key lanes
+  share one budget, the answer lane starts from idle sites (the stages
+  never overlap).
 * **cost annotation** — every physical node carries a
   :class:`~repro.plan.cost.CostEstimate`, so EXPLAIN can render the tree
   with per-node costs and measured per-lane timings can be compared
@@ -75,7 +78,15 @@ class _LaneScheduler:
         self.avoided_sites.update(skipped)
         return eligible
 
-    def assign(self, scan: FragmentScan, pushdown: Optional[str]):
+    def next_stage(self) -> None:
+        """Start scheduling the stage that runs after the lanes assigned
+        so far: every site is idle again."""
+        self.busy.clear()
+        self.counts.clear()
+
+    def assign(
+        self, scan: FragmentScan, pushdown: Optional[str], restricted=False
+    ):
         """Pick (candidate, estimate, access) for ``scan``.
 
         An :class:`IndexScan` leaf is priced under both access paths at
@@ -83,9 +94,12 @@ class _LaneScheduler:
         and wins only where the lookup cost amortizes over skipped
         documents, so one plan can mix ``index`` and ``scan`` lanes.
         Access ties break toward ``scan`` (tuple order below), keeping
-        plans deterministic.
+        plans deterministic. A ``restricted`` scan — the answer stage of
+        a semi-join — is priced as the key lookup it is.
         """
         accesses = ("scan", "index") if isinstance(scan, IndexScan) else ("scan",)
+        if restricted:
+            accesses = ("keys",)
         best = None
         for position, candidate in self._eligible(scan):
             for access in accesses:
@@ -132,11 +146,26 @@ def lower(
     model = cost_model if cost_model is not None else CostModel()
     scheduler = _LaneScheduler(model, logical.collection, site_health)
     lanes: list = []
+    key_lanes: list = []
+    key_nodes: list = []
 
-    def scan_node(scan: FragmentScan, pushdown: Optional[str]) -> PlanNode:
-        candidate, estimate, access = scheduler.assign(scan, pushdown)
-        index = len(lanes)
-        node_id = f"scan{index}"
+    def scan_node(
+        scan: FragmentScan,
+        pushdown: Optional[str],
+        into: Optional[list] = None,
+    ) -> PlanNode:
+        """Lower one scan to a lane (appended to ``into``, by default the
+        answer stage) and its plan node. Under a keys-then-answer plan
+        the answer scan comes back wrapped in the ``semi-join`` node
+        that lists the key scans before it."""
+        if into is None:
+            into = lanes
+        restricted = into is lanes and bool(key_lanes)
+        candidate, estimate, access = scheduler.assign(
+            scan, pushdown, restricted=restricted
+        )
+        index = len(into)
+        node_id = f"{'keys' if into is key_lanes else 'scan'}{index}"
         subquery = SubQuery(
             fragment=scan.fragment,
             site=candidate.site,
@@ -157,7 +186,7 @@ def lower(
             # behaving as configured.
             use_indexes=True if access == "index" else None,
         )
-        lanes.append(
+        into.append(
             Lane(
                 index=index,
                 node_id=node_id,
@@ -178,12 +207,30 @@ def lower(
             detail["predicate"] = scan.predicate
         if scan.project is not None:
             detail["project"] = list(scan.project)
-        return PlanNode(
+        if restricted:
+            detail["restricted"] = True
+        node = PlanNode(
             op="index-scan" if access == "index" else "scan",
             node_id=node_id,
             detail=detail,
             estimate=estimate,
         )
+        if not restricted:
+            return node
+        return PlanNode(
+            op="semi-join",
+            node_id="semi-join",
+            detail={
+                "keys": [lane.subquery.fragment for lane in key_lanes],
+                "answer": scan.fragment,
+            },
+            estimate=estimate,
+            children=[*key_nodes, node],
+        )
+
+    for scan in logical.key_scans:
+        key_nodes.append(scan_node(scan, pushdown="keys", into=key_lanes))
+    scheduler.next_stage()
 
     child = logical.root.child
     if isinstance(child, MergeAggregate):
@@ -257,6 +304,7 @@ def lower(
         composition=logical.composition,
         notes=notes,
         summary_pruned=list(logical.summary_pruned),
+        key_lanes=key_lanes,
     )
 
 

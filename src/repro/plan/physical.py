@@ -23,7 +23,7 @@ class PlanNode:
 
     ``op`` is the node kind (``compose`` / ``union`` /
     ``merge-aggregate`` / ``id-join`` / ``partial-aggregate`` /
-    ``scan``); ``node_id`` is its stable identity, threaded into
+    ``semi-join`` / ``scan`` / ``index-scan``); ``node_id`` is its stable identity, threaded into
     ``SubQueryExecution.plan_node`` so measured per-lane timings can be
     joined back to the estimates; ``detail`` carries op-specific
     attributes (fragment, site, aggregate, purpose, …) as a JSON-able
@@ -49,6 +49,17 @@ class Lane:
     candidates: int = 1
 
 
+def _slowest_site_seconds(lanes: list) -> float:
+    """One stage's estimated duration: lanes of a site add up, sites
+    overlap."""
+    busy: dict = {}
+    for lane in lanes:
+        if lane.estimate is not None:
+            site = lane.subquery.site
+            busy[site] = busy.get(site, 0.0) + lane.estimate.total_seconds
+    return max(busy.values(), default=0.0)
+
+
 @dataclass
 class PhysicalPlan:
     """The lowered plan the executor runs (all modes, one code path)."""
@@ -64,32 +75,43 @@ class PhysicalPlan:
     #: value summary proves the query's selection empty there (EXPLAIN
     #: prints them as a note of their own).
     summary_pruned: list = field(default_factory=list)
+    #: Stage one of a keys-then-answer plan (the vertical semi-join):
+    #: these lanes run first and answer join keys; ``lanes`` — then one
+    #: template over ``px:collection`` — runs second, restricted to the
+    #: keys every key lane returned. Empty for a one-round plan.
+    key_lanes: list = field(default_factory=list)
 
     # -- decomposer-era surface ----------------------------------------
     @property
     def subqueries(self) -> list:
-        return [lane.subquery for lane in self.lanes]
+        """Every sub-query the plan may send, in dispatch order (key
+        lanes first; the answer lane of a two-stage plan as its
+        template)."""
+        return [lane.subquery for lane in (*self.key_lanes, *self.lanes)]
 
     @property
     def fragment_names(self) -> list:
-        return [lane.subquery.fragment for lane in self.lanes]
+        return [subquery.fragment for subquery in self.subqueries]
 
     # ------------------------------------------------------------------
     @property
     def estimated_parallel_seconds(self) -> float:
-        """Estimated round completion: slowest site's lane budget plus
-        the interior (composition-side) node costs."""
-        busy: dict = {}
-        for lane in self.lanes:
-            if lane.estimate is not None:
-                site = lane.subquery.site
-                busy[site] = busy.get(site, 0.0) + lane.estimate.total_seconds
+        """Estimated completion: each stage's slowest site's lane budget
+        (the stages run one after the other) plus the interior
+        (composition-side) node costs."""
         interior = self._interior_cpu_seconds(self.root)
-        return max(busy.values(), default=0.0) + interior
+        return (
+            _slowest_site_seconds(self.key_lanes)
+            + _slowest_site_seconds(self.lanes)
+            + interior
+        )
 
     def _interior_cpu_seconds(self, node: PlanNode) -> float:
         own = 0.0
-        if node.op not in ("scan", "compose") and node.estimate is not None:
+        if (
+            node.op not in ("scan", "compose", "semi-join")
+            and node.estimate is not None
+        ):
             own = node.estimate.cpu_seconds
         return own + sum(
             self._interior_cpu_seconds(child) for child in node.children
@@ -99,7 +121,7 @@ class PhysicalPlan:
         """Per-lane estimated total seconds, keyed by plan node id."""
         return {
             lane.node_id: lane.estimate.total_seconds
-            for lane in self.lanes
+            for lane in (*self.key_lanes, *self.lanes)
             if lane.estimate is not None
         }
 
@@ -116,23 +138,27 @@ class PhysicalPlan:
         setting that overrides the executing site's own configuration —
         ``False`` yields a paper-faithful full scan even at sites whose
         engines default to index pruning, ``True`` forces the probe
-        everywhere. The node tree is shared; only lanes are rebuilt.
+        everywhere, in both stages. The node tree is shared; only lanes
+        are rebuilt.
         """
         if all(
-            lane.subquery.use_indexes == use_indexes for lane in self.lanes
+            lane.subquery.use_indexes == use_indexes
+            for lane in (*self.key_lanes, *self.lanes)
         ):
             return self
-        lanes = [
-            Lane(
-                index=lane.index,
-                node_id=lane.node_id,
-                subquery=replace(lane.subquery, use_indexes=use_indexes),
-                estimate=lane.estimate,
-                candidates=lane.candidates,
-            )
-            for lane in self.lanes
-        ]
-        return replace(self, lanes=lanes)
+
+        def forced(lanes: list) -> list:
+            return [
+                replace(
+                    lane,
+                    subquery=replace(lane.subquery, use_indexes=use_indexes),
+                )
+                for lane in lanes
+            ]
+
+        return replace(
+            self, lanes=forced(self.lanes), key_lanes=forced(self.key_lanes)
+        )
 
     # ------------------------------------------------------------------
     def render(self) -> str:

@@ -12,7 +12,20 @@ compatibility.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
+
+
+def origin_restricted(collection: str, origins: Sequence[str] = ()) -> str:
+    """The text of ``px:collection("collection", "origin", …)`` as
+    ``unparse`` writes it: the stored collection restricted to the
+    documents of those origins. With no origin it is the *key slot* of a
+    stage-two sub-query template (see :meth:`SubQuery.restricted_to`) —
+    valid XQuery selecting nothing, so a template run unfilled answers
+    empty, never the whole fragment."""
+    quoted = ", ".join(
+        '"' + text.replace('"', '""') + '"' for text in (collection, *origins)
+    )
+    return f"px:collection({quoted})"
 
 
 @dataclass(frozen=True)
@@ -59,7 +72,7 @@ class SubQuery:
     site: str
     collection: str
     query: str
-    purpose: str = "answer"  # "answer" | "fetch"
+    purpose: str = "answer"  # "answer" | "fetch" | "keys"
     replicas: Tuple[SubQueryTarget, ...] = field(default=(), compare=True)
     use_indexes: Optional[bool] = None
 
@@ -86,6 +99,28 @@ class SubQuery:
             site=target.site,
             collection=target.collection,
             query=target.query,
+        )
+
+    def restricted_to(self, origins: Sequence[str]) -> "SubQuery":
+        """This stage-two template with ``origins`` written into the key
+        slot of every target — each replica reads its own stored
+        collection, so a failover re-sends the same keys. The slot text
+        cannot occur inside a string literal (``unparse`` doubles the
+        quotes there), so the replacement only ever hits the call."""
+
+        def fill(target_collection: str, query: str) -> str:
+            return query.replace(
+                origin_restricted(target_collection),
+                origin_restricted(target_collection, origins),
+            )
+
+        return replace(
+            self,
+            query=fill(self.collection, self.query),
+            replicas=tuple(
+                replace(target, query=fill(target.collection, target.query))
+                for target in self.replicas
+            ),
         )
 
     def to_dict(self) -> dict:

@@ -41,6 +41,8 @@ from repro.paths.predicates import (
     StartsWith,
 )
 from repro.xquery.ast_nodes import (
+    COLLECTION_FUNCTIONS,
+    INPUT_FUNCTIONS,
     AttributeConstructor,
     AxisStep,
     BinaryOp,
@@ -140,6 +142,27 @@ def analyze_query(query: Union[str, Expr]) -> QueryAnalysis:
     analysis.predicate = predicate
     analysis.predicate_exact = exact
     return analysis
+
+
+def analyze_in_scope(
+    exprs: list[Expr], var_paths: dict[str, Optional[PathExpr]]
+) -> QueryAnalysis:
+    """What part of a query reads: ``exprs`` (a ``where`` conjunct, the
+    ``order by`` keys and the ``return``) walked with the variables of
+    ``var_paths`` in scope. Only the path and binding fields are filled."""
+    analysis = QueryAnalysis()
+    analyzer = _Analyzer(analysis)
+    for expr in exprs:
+        analyzer.walk(expr, dict(var_paths))
+    return analysis
+
+
+def condition_predicate(
+    expr: Expr, var_paths: dict[str, Optional[PathExpr]]
+) -> Optional[Predicate]:
+    """One boolean expression as a simple :class:`Predicate` (None when
+    it is not expressible), with ``var_paths`` in scope."""
+    return _Analyzer(QueryAnalysis()).convert_condition(expr, var_paths)
 
 
 def _neutralize_counted_returns(expr: Expr) -> Expr:
@@ -364,7 +387,10 @@ class _Analyzer:
         its items may come from several documents? (A ``for`` variable
         is one node of one document: a path from it does not.)"""
         return any(
-            (isinstance(node, FunctionCall) and node.name == "collection")
+            (
+                isinstance(node, FunctionCall)
+                and node.name in COLLECTION_FUNCTIONS
+            )
             or (isinstance(node, VarRef) and node.name in self._spanning_vars)
             for node in _descendants(expr)
         )
@@ -405,7 +431,7 @@ class _Analyzer:
         return path
 
     def _record_input(self, call: FunctionCall) -> None:
-        if call.name == "collection":
+        if call.name in COLLECTION_FUNCTIONS:
             if call.args and isinstance(call.args[0], Literal):
                 self.analysis.collections.add(str(call.args[0].value))
             else:
@@ -434,9 +460,9 @@ class _Analyzer:
             if base is None:
                 return None
             return steps_to_path(expr.steps, prefix=base)
-        if isinstance(expr.primary, FunctionCall) and expr.primary.name in (
-            "collection",
-            "doc",
+        if (
+            isinstance(expr.primary, FunctionCall)
+            and expr.primary.name in INPUT_FUNCTIONS
         ):
             return steps_to_path(expr.steps)
         if isinstance(expr.primary, VarRef):

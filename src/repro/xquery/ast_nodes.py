@@ -85,6 +85,14 @@ class FunctionCall(Expr):
     args: tuple[Expr, ...]
 
 
+#: Built-ins that answer with the root *elements* of stored documents:
+#: ``collection("c")`` and its origin-restricted form
+#: ``px:collection("c", "origin", …)``, plus ``doc``. A path step right
+#: after one of them addresses the (virtual) document node's child.
+COLLECTION_FUNCTIONS = ("collection", "px:collection")
+INPUT_FUNCTIONS = COLLECTION_FUNCTIONS + ("doc",)
+
+
 @dataclass(frozen=True)
 class AxisStep(Expr):
     """One path step: axis + node test + bracketed predicates.

@@ -17,6 +17,7 @@ from repro.datamodel.tree import Node, NodeKind, XMLNode
 from repro.errors import XQueryEvaluationError, XQueryTypeError
 from repro.xquery import functions as fnlib
 from repro.xquery.ast_nodes import (
+    INPUT_FUNCTIONS,
     AttributeConstructor,
     AxisStep,
     BinaryOp,
@@ -59,6 +60,11 @@ class DocumentProvider(Protocol):
     def document_root(self, name: str) -> Optional[Node]:
         """Root element of the named document, or None."""
         ...  # pragma: no cover - protocol
+
+    # A provider over *stored* documents may also offer
+    # ``collection_roots_by_origin(name, origins)`` — what
+    # ``px:collection`` calls: the roots of the named collection's
+    # documents whose recorded origin is in the ``origins`` set.
 
 
 class EmptyProvider:
@@ -255,7 +261,7 @@ class Evaluator:
             # it must match the roots themselves — eXist semantics for
             # collection("c")/Item.
             virtual_first = isinstance(expr.primary, FunctionCall) and (
-                expr.primary.name in ("collection", "doc")
+                expr.primary.name in INPUT_FUNCTIONS
             )
         for index, step in enumerate(expr.steps):
             first = virtual_first and index == 0

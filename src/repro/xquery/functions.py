@@ -5,8 +5,10 @@ argument sequences and returns a result sequence. The library covers the
 functions the paper's query sets use — aggregation (``count``/``sum``/
 ``avg``/``min``/``max``), text search (``contains``/``starts-with``), and
 the usual accessors — plus input functions ``collection``/``doc`` resolved
-through the context's document provider, and ``px:project``, the
-document-projection primitive the decomposer's fetch sub-queries call.
+through the context's document provider, and the two primitives the
+decomposer's sub-queries call: ``px:project`` (document projection, the
+fetch of a vertical join) and ``px:collection`` (a collection restricted
+to the documents of given origins, stage two of a vertical semi-join).
 """
 
 from __future__ import annotations
@@ -67,6 +69,24 @@ def _collection(ctx: "DynamicContext", args: list[list]) -> list:
     _require_args("collection", args, 0, 1)
     name = string_value(args[0]) if args else None
     return list(ctx.provider.collection_roots(name))
+
+
+@register("px:collection")
+def _collection_by_origin(ctx: "DynamicContext", args: list[list]) -> list:
+    """``px:collection("name", "origin", ...)`` — the roots of the named
+    collection's documents whose stored origin is one of the listed
+    strings, in store order. The keys are one flat argument list looked
+    up as a set, so a long list costs no nesting and no per-document
+    comparison chain; with no key it is the empty sequence."""
+    if not args:
+        raise XQueryTypeError("px:collection() takes the collection name")
+    restrict = getattr(ctx.provider, "collection_roots_by_origin", None)
+    if restrict is None:
+        raise XQueryEvaluationError(
+            "px:collection() needs a provider over stored documents"
+        )
+    origins = frozenset(string_value(key) for key in args[1:])
+    return list(restrict(string_value(args[0]), origins))
 
 
 @register("doc")

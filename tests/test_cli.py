@@ -55,7 +55,7 @@ class TestCli:
         output = capsys.readouterr().out
         assert "PhysicalPlan" in output
         assert "compose [concat]" in output
-        assert "id-join" in output
+        assert "semi-join keys:" in output
         assert "merge-aggregate" in output
 
     def test_plans_golden_update_then_match_then_drift(self, capsys, tmp_path):

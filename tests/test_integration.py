@@ -80,10 +80,20 @@ class TestVerticalExperiment:
             assert len(result.plan.subqueries) == 1, qid
 
     def test_multi_fragment_queries_reconstruct(self, setup):
+        # A filter in one fragment and a return from another is a
+        # semi-join; only a return reading two fragments is rebuilt.
         queries = {q.qid: q for q in xbench_queries()}
         for qid in ("Q4", "Q8", "Q9"):
             result = setup.execute(queries[qid].text)
-            assert result.plan.composition.kind == "reconstruct", qid
+            assert result.plan.key_lanes, qid
+            assert result.plan.composition.kind == "concat", qid
+        result = setup.execute(
+            'for $a in collection("Cpapers")/article'
+            ' where contains($a/body/abstract, "novel")'
+            " return element hit {$a/prolog/title/text(), $a/epilog/country/text()}"
+        )
+        assert result.plan.composition.kind == "reconstruct"
+        assert not result.plan.key_lanes
 
 
 class TestHybridExperiment:

@@ -128,15 +128,30 @@ class TestVerticalDecomposition:
         assert plan.composition.kind == "aggregate"
 
     def test_multi_fragment_reconstructs(self, vertical_decomposer):
+        # The return reads two fragments: no single fragment can answer
+        # for the keys of the others, so the documents are rebuilt.
         plan = vertical_decomposer.decompose(
             'for $a in collection("Cpapers")/article'
             ' where contains($a/body/abstract, "x")'
-            " return $a/prolog/title/text()"
+            " return ($a/prolog/title/text(), $a/body/abstract/text())"
         )
         assert set(plan.fragment_names) == {"F_prolog", "F_body"}
         assert plan.composition.kind == "reconstruct"
         assert all(sq.purpose == "fetch" for sq in plan.subqueries)
         assert plan.composition.root_label == "article"
+
+    def test_filter_and_return_in_different_fragments_semijoin(
+        self, vertical_decomposer
+    ):
+        plan = vertical_decomposer.decompose(
+            'for $a in collection("Cpapers")/article'
+            ' where contains($a/body/abstract, "x")'
+            " return $a/prolog/title/text()"
+        )
+        assert plan.composition.kind == "concat"
+        assert [lane.subquery.fragment for lane in plan.key_lanes] == ["F_body"]
+        assert [lane.subquery.fragment for lane in plan.lanes] == ["F_prolog"]
+        assert plan.fragment_names == ["F_body", "F_prolog"]
 
     def test_descendant_path_goes_everywhere(self, vertical_decomposer):
         plan = vertical_decomposer.decompose(
