@@ -22,7 +22,11 @@ Queries are assembled as ASTs from the supported subset — FLWOR with
 fragment or to none; existence conditions), path-step predicates,
 ``contains`` text search,
 ``count``/``sum`` aggregation, computed element constructors, and
-multi-fragment shapes that force the cross-fragment ID-join — then
+multi-fragment shapes: joins one fragment can answer for the keys of the
+others (the vertical semi-join, whole-subtree returns included) and
+joins none can (an ``or`` across fragments, a constructor reading two, a
+negation on the filtering side), which force the cross-fragment ID-join
+— then
 rendered through :func:`repro.xquery.unparse.unparse`. Generation asserts
 the ``parse(unparse(ast)) == ast`` round-trip on every query it emits, so
 a broken unparser fails the fuzzer before it can corrupt the oracle.
@@ -607,6 +611,10 @@ def _one_article_query(rng: random.Random) -> Expr:
             "cross-prolog-epilog",
             "count-genre",
             "sections",
+            "bodies-by-genre",
+            "or-across-fragments",
+            "hit-from-two-fragments",
+            "not-on-the-key-side",
         )
     )
     if recipe == "single-prolog":
@@ -630,6 +638,53 @@ def _one_article_query(rng: random.Random) -> Expr:
         where = _and(
             BinaryOp("=", _var_path("a", "prolog", "genre"), Literal(rng.choice(GENRES))),
             BinaryOp("=", _var_path("a", "epilog", "country"), Literal(rng.choice(COUNTRIES))),
+        )
+        ret = _var_path("a", "prolog", "title", text=True)
+    elif recipe == "bodies-by-genre":
+        # Whole subtrees from another fragment than the filter's: the
+        # semi-join ships the matching bodies and nothing else.
+        where = BinaryOp(
+            "=", _var_path("a", "prolog", "genre"), Literal(rng.choice(GENRES))
+        )
+        ret = _var_path("a", "body")
+    elif recipe == "or-across-fragments":
+        # No fragment decides an `or` alone: reconstruction.
+        where = _or(
+            FunctionCall(
+                "contains", (_var_path("a", "body", "abstract"), Literal("novel"))
+            ),
+            BinaryOp(
+                "=", _var_path("a", "epilog", "country"), Literal(rng.choice(COUNTRIES))
+            ),
+        )
+        ret = _var_path("a", "prolog", "title", text=True)
+    elif recipe == "hit-from-two-fragments":
+        # The return reads two fragments: reconstruction.
+        where = BinaryOp(
+            "=", _var_path("a", "prolog", "genre"), Literal(rng.choice(GENRES))
+        )
+        return _flwor(
+            "a",
+            binding,
+            where,
+            ElementConstructor(
+                "hit",
+                (
+                    _var_path("a", "prolog", "title", text=True),
+                    _var_path("a", "epilog", "country", text=True),
+                ),
+            ),
+        )
+    elif recipe == "not-on-the-key-side":
+        # A negation holds for a document with no body at all, so the
+        # body cannot answer with keys: reconstruction.
+        where = FunctionCall(
+            "not",
+            (
+                FunctionCall(
+                    "contains", (_var_path("a", "body", "abstract"), Literal("novel"))
+                ),
+            ),
         )
         ret = _var_path("a", "prolog", "title", text=True)
     elif recipe == "count-genre":

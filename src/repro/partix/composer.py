@@ -204,9 +204,10 @@ class _RebuiltProvider:
         return None
 
 
-_ANNOTATION_RE = re.compile(
-    r'\s+(?:pxid|pxparent)="\d+"|\s+pxorigin="[^"]*"'
-)
+#: Anchored on the literal `` px`` the serializer writes before each
+#: annotation (one space, then the attribute): a pattern that opens with
+#: ``\s+`` is retried at every blank of a large returned subtree.
+_ANNOTATION_RE = re.compile(r' px(?:(?:id|parent)="\d+"|origin="[^"]*")')
 
 
 def strip_annotation_text(text: str) -> str:

@@ -155,6 +155,78 @@ class TestSimulatedFailover:
         assert restored.render() == before.render()
 
 
+def _vertical_partix(dispatcher):
+    """XBench articles, three vertical fragments, no replica."""
+    from repro.workloads import (
+        build_xbench_collection,
+        xbench_vertical_fragmentation,
+    )
+
+    partix = Partix(Cluster.with_sites(3), dispatcher=dispatcher)
+    partix.publish(
+        build_xbench_collection(6, doc_bytes=4_000, seed=3),
+        xbench_vertical_fragmentation(),
+    )
+    return partix
+
+
+class TestJoinsNeverDegrade:
+    """A join that lost an input is not a subset of the answer: under
+    ``degrade`` a horizontal union drops the fragment, a join raises."""
+
+    def _degrading(self):
+        return ParallelDispatcher(
+            retries=0, failure_policy=DEGRADE, sleep=lambda s: None
+        )
+
+    def test_semijoin_missing_its_key_lane_raises(self):
+        partix = _vertical_partix(self._degrading())
+        # Without the body's keys *every* title would be the answer.
+        query = (
+            'for $a in collection("Cpapers")/article'
+            ' where contains($a/body/abstract, "novel")'
+            " return $a/prolog/title/text()"
+        )
+        assert partix.explain(query, "Cpapers").key_lanes
+        partix.cluster.site("site1").driver = _DeadDriver()  # F2papers
+        with pytest.raises(DispatchError) as info:
+            partix.execute(query, collection="Cpapers")
+        assert [failure.fragment for failure in info.value.failures] == ["F2papers"]
+
+    def test_semijoin_missing_its_answer_lane_only_degrades(self):
+        partix = _vertical_partix(self._degrading())
+        query = (
+            'for $a in collection("Cpapers")/article'
+            ' where $a/prolog/genre != "none" return $a/body/abstract/text()'
+        )
+        assert partix.explain(query, "Cpapers").key_lanes
+        partix.cluster.site("site1").driver = _DeadDriver()  # F2papers answers
+        result = partix.execute(query, collection="Cpapers")
+        assert result.result_text == ""
+        assert any("degraded" in note for note in result.notes)
+
+    def test_reconstruction_missing_an_input_raises(self):
+        partix = _vertical_partix(self._degrading())
+        query = (
+            'for $a in collection("Cpapers")/article'
+            ' where not(contains($a/body/abstract, "novel"))'
+            " return $a/prolog/title/text()"
+        )
+        assert partix.explain(query, "Cpapers").composition.kind == "reconstruct"
+        partix.cluster.site("site1").driver = _DeadDriver()
+        with pytest.raises(DispatchError) as info:
+            partix.execute(query, collection="Cpapers")
+        assert [failure.fragment for failure in info.value.failures] == ["F2papers"]
+
+    def test_horizontal_union_still_drops_the_fragment(self):
+        partix, collection = _replicated_partix(dispatcher=self._degrading())
+        partix.cluster.site("site0").driver = _DeadDriver()
+        partix.cluster.site("mirror").driver = _DeadDriver()
+        result = partix.execute(_item_query(collection), collection=collection.name)
+        assert result.result_text
+        assert any("degraded" in note for note in result.notes)
+
+
 class TestTcpFailover:
     def test_killed_tcp_replica_fails_over_byte_identical(self):
         partix, collection = _replicated_partix()

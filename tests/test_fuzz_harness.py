@@ -105,6 +105,20 @@ class TestOracleGreenPath:
         assert summary["summary_pruned"] == outcome.summary_pruned
 
 
+    def test_vertical_joins_cover_the_semijoin_and_the_reconstruction(self):
+        # Iteration 1 of the CI session: an articles case holding joins
+        # the semi-join answers and joins it declines (both counted).
+        spec = spec_for_iteration(2006, 1)
+        assert spec.family == "articles"
+        outcome = run_case(spec)
+        assert outcome.ok, [m.detail for m in outcome.mismatches]
+        assert outcome.semijoin_plans > 0
+        assert outcome.fetch_projections["strict"] > 0
+        assert outcome.to_dict()["semijoin_plans"] == outcome.semijoin_plans
+        summary = run_fuzz(seed=2006, iterations=2, minimize=False)
+        assert summary["semijoin_plans"] == outcome.semijoin_plans
+
+
 def _order_scrambling_partix(cluster):
     """A middleware whose dispatcher mis-aligns completed sub-queries —
     the composer-ordering bug the oracle must catch."""

@@ -1,5 +1,7 @@
 """Unit tests for result composition."""
 
+import re
+
 import pytest
 
 from repro.algebra import PXID, PXORIGIN, PXPARENT, annotate
@@ -9,6 +11,7 @@ from repro.partix import CompositionSpec, ResultComposer, SubQuery
 from repro.partix.composer import (
     fold_aggregate_values,
     parse_aggregate_partial,
+    strip_annotation_text,
 )
 from repro.xmltext import serialize
 
@@ -286,6 +289,54 @@ class TestReconstruct:
         )
         assert result.result_text == "né\nü"
         assert result.result_bytes == len("né\nü".encode("utf-8")) == 6
+
+
+class TestStripAnnotationText:
+    """The pattern is anchored on the serializer's own `` px``; what it
+    removes is what the pattern that opened with ``\\s+`` removed."""
+
+    UNANCHORED = re.compile(r'\s+(?:pxid|pxparent)="\d+"|\s+pxorigin="[^"]*"')
+
+    def _same(self, text):
+        stripped = strip_annotation_text(text)
+        assert stripped == self.UNANCHORED.sub("", text)
+        return stripped
+
+    def test_stored_parts_of_every_fuzz_family(self):
+        from repro.cluster import Cluster
+        from repro.fuzz.generator import FAMILIES, generate_case, spec_for_iteration
+        from repro.partix import Partix
+
+        annotated = 0
+        for iteration in range(2 * len(FAMILIES)):  # both FragModes of each
+            case = generate_case(spec_for_iteration(2006, iteration))
+            with Partix(Cluster.with_sites(len(case.design))) as partix:
+                partix.publish(case.collection, case.design, frag_mode=case.frag_mode)
+                for site in partix.cluster.sites():
+                    store = site.driver.engine.store
+                    for name in store.collection_names():
+                        collection = store.collection(name)
+                        for document in collection.names():
+                            text = serialize(collection.get(document).binary.root)
+                            annotated += self._same(text) != text
+        assert annotated > 20
+
+    def test_character_data_containing_px(self):
+        part = elem(
+            "body",
+            elem("p", "an px unit, the pxid of a spx; px", "\n", "pxorigin = home"),
+            elem("q", 'she said pxid="7" aloud', kind="px"),
+        )
+        annotate(part, PXID, 12)
+        annotate(part, PXPARENT, 3)
+        annotate(part, PXORIGIN, "a b&c.xml")
+        stripped = self._same(serialize(part))
+        assert stripped.startswith("<body><p>an px unit")
+        assert 'kind="px"' in stripped and "pxorigin = home" in stripped
+
+    def test_text_without_px_is_returned_as_it_is(self):
+        text = "<Item><Code>I-1</Code> <Name>a  b</Name></Item>" * 3
+        assert strip_annotation_text(text) is text
 
 
 class TestExtractParts:
