@@ -110,33 +110,29 @@ class PlanExecutor:
             )
 
         lanes = plan.lanes
-        stages = []
+        keyed = None
         if plan.key_lanes:
             keyed = dispatch(plan.key_lanes, subquery_timeout, joined=True)
-            stages.append(keyed)
             keys = _common_keys(
                 [execution.result.result_text for execution in keyed.round.executions]
             )
-            # No document passes every key-side condition: the answer is
-            # empty (or the aggregate identity) and nothing more is sent.
-            lanes = [
-                replace(lane, subquery=lane.subquery.restricted_to(keys))
-                for lane in plan.lanes
-                if keys
-            ]
-            if subquery_timeout is not None and lanes:
-                subquery_timeout -= keyed.round.measured_wall_seconds
-                if subquery_timeout <= 0:
-                    raise _deadline_passed(lanes)
-        # A join that lost an input is not a subset of the answer.
-        stages.append(
-            dispatch(
-                lanes,
-                subquery_timeout,
-                joined=plan.composition.kind == "reconstruct",
-            )
+            if not keys:
+                # No document passes every key-side condition: the answer
+                # is empty (or the aggregate identity), nothing more is sent.
+                lanes = []
+            else:
+                lanes = [
+                    replace(lane, subquery=lane.subquery.restricted_to(keys))
+                    for lane in lanes
+                ]
+                if subquery_timeout is not None:
+                    subquery_timeout -= keyed.round.measured_wall_seconds
+                    if subquery_timeout <= 0:
+                        raise _deadline_passed(lanes)
+        # A reconstruction that lost an input is not a subset of the answer.
+        answered = dispatch(
+            lanes, subquery_timeout, joined=plan.composition.kind == "reconstruct"
         )
-        answered = stages[-1]
         # A lane the degrade policy dropped has no execution and is left
         # out of the answer.
         partials = [
@@ -145,24 +141,16 @@ class PlanExecutor:
             if execution is not None
         ]
         composed = self.composer.compose(plan.composition, partials)
-        round_ = ParallelRound(
-            executions=[
-                execution
-                for stage in stages
-                for execution in stage.round.executions
-            ],
-            measured_wall_seconds=sum(
-                stage.round.measured_wall_seconds for stage in stages
-            ),
-            key_executions=len(stages[0].round.executions)
-            if len(stages) > 1
-            else 0,
-        )
-        return ExecutedPlan(
-            round=round_,
-            composed=composed,
-            notes=[note for stage in stages for note in stage.notes],
-        )
+        round_, notes = answered.round, list(answered.notes)
+        if keyed is not None:
+            round_ = ParallelRound(
+                executions=keyed.round.executions + round_.executions,
+                measured_wall_seconds=keyed.round.measured_wall_seconds
+                + round_.measured_wall_seconds,
+                key_executions=len(keyed.round.executions),
+            )
+            notes = keyed.notes + notes
+        return ExecutedPlan(round=round_, composed=composed, notes=notes)
 
     @staticmethod
     def _dispatch_stage(

@@ -229,8 +229,10 @@ def lower(
         )
 
     for scan in logical.key_scans:
+        # ("keys" sizes the reply like a pushed-down scalar: a few names)
         key_nodes.append(scan_node(scan, pushdown="keys", into=key_lanes))
-    scheduler.next_stage()
+    if key_lanes:
+        scheduler.next_stage()
 
     child = logical.root.child
     if isinstance(child, MergeAggregate):
