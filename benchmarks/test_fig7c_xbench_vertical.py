@@ -3,7 +3,10 @@
 Three fragments (prolog / body / epilog). Expected shapes (paper §5):
 "the main benefits occur for queries that use a single fragment"; queries
 needing several fragments "can be slowed down by fragmentation" (the join
-reconstruction is much more expensive than a union).
+reconstruction is much more expensive than a union). Here such a query
+runs as a semi-join — the filtering fragment answers with keys, the
+returning fragment answers for those keys — and the modeled clock
+charges its two stages one after the other.
 """
 
 import pytest
@@ -19,8 +22,10 @@ MULTI_FRAGMENT = ("Q4", "Q7", "Q8", "Q9")
 # fragment but body-bound) gains little — also a paper observation.
 SMALL_FRAGMENT_ONLY = ("Q1", "Q2", "Q3", "Q6")
 # Multi-fragment queries that filter on the dominant body fragment: its
-# site still scans every body (only the abstracts travel, the fetch is
-# projected) and the ID-join rides on top.
+# site still scans every body for the join keys, and the answering
+# fragment's restricted scan is charged *after* it (0.85x for Q4/Q8 at
+# this point; Q9's two key lanes select no common article, so it stops
+# at the body scan, 1.01x).
 BODY_JOIN = ("Q4", "Q8", "Q9")
 
 
@@ -65,10 +70,11 @@ def test_shape_single_fragment_queries_win(result):
 
 
 def test_shape_multi_fragment_queries_pay_the_join(result):
-    """Queries that fetch the dominant body fragment and pay the ID-join
-    do far worse than the clean single-small-fragment queries; at least
-    one falls behind the centralized baseline (paper: multi-fragment
-    queries "can be slowed down by fragmentation")."""
+    """Queries that scan the dominant body fragment for join keys and
+    then pay a second stage do far worse than the clean
+    single-small-fragment queries (≤ 1.01x against ≥ 1.64x); at least
+    one falls behind the centralized baseline (Q4, Q8: 0.85x — paper:
+    multi-fragment queries "can be slowed down by fragmentation")."""
     small = [result.run_by_id(q).speedup for q in SMALL_FRAGMENT_ONLY]
     joins = [result.run_by_id(q).speedup for q in BODY_JOIN]
     print(f"\nsmall-fragment speedups: {small}")
@@ -76,7 +82,7 @@ def test_shape_multi_fragment_queries_pay_the_join(result):
     assert max(joins) < min(small), (
         "body-join queries should do worse than small-fragment queries"
     )
-    assert min(joins) < 1.0, "the join should cost more than centralized"
+    assert min(joins) < 1.0, "a body join should cost more than centralized"
 
 
 def test_shape_body_bound_single_fragment_gains_little(result, scenario):
