@@ -177,10 +177,7 @@ class PlanExecutor:
             **extra,
         )
         if joined and outcome.failures:
-            raise DispatchError(
-                "; ".join(failure.describe() for failure in outcome.failures),
-                failures=outcome.failures,
-            )
+            raise _dispatch_error(outcome.failures)
         for lane, execution in zip(lanes, outcome.executions_by_index):
             if execution is not None:
                 execution.plan_node = lane.node_id
@@ -201,24 +198,30 @@ def _common_keys(answers: list) -> list:
     return first
 
 
-def _deadline_passed(lanes: list) -> DispatchError:
-    """The typed failure of an answer stage the key stage left no time
-    for: nothing is dispatched, every lane counts as timed out."""
-    failures = [
-        SubQueryFailure(
-            site=lane.subquery.site,
-            fragment=lane.subquery.fragment,
-            query=lane.subquery.query,
-            attempts=0,
-            error=TimeoutError(
-                "the deadline passed during the key stage; the answer"
-                " stage was not dispatched"
-            ),
-            timed_out=True,
-        )
-        for lane in lanes
-    ]
+def _dispatch_error(failures: list) -> DispatchError:
     return DispatchError(
         "; ".join(failure.describe() for failure in failures),
         failures=failures,
+    )
+
+
+def _deadline_passed(lanes: list) -> DispatchError:
+    """The typed failure of an answer stage the key stage left no time
+    for: nothing is dispatched, every lane counts as timed out."""
+    error = TimeoutError(
+        "the deadline passed during the key stage; the answer stage was"
+        " not dispatched"
+    )
+    return _dispatch_error(
+        [
+            SubQueryFailure(
+                site=lane.subquery.site,
+                fragment=lane.subquery.fragment,
+                query=lane.subquery.query,
+                attempts=0,
+                error=error,
+                timed_out=True,
+            )
+            for lane in lanes
+        ]
     )

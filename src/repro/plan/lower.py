@@ -150,16 +150,12 @@ def lower(
     key_nodes: list = []
 
     def scan_node(
-        scan: FragmentScan,
-        pushdown: Optional[str],
-        into: Optional[list] = None,
+        scan: FragmentScan, pushdown: Optional[str], into: list = lanes
     ) -> PlanNode:
         """Lower one scan to a lane (appended to ``into``, by default the
         answer stage) and its plan node. Under a keys-then-answer plan
         the answer scan comes back wrapped in the ``semi-join`` node
         that lists the key scans before it."""
-        if into is None:
-            into = lanes
         restricted = into is lanes and bool(key_lanes)
         candidate, estimate, access = scheduler.assign(
             scan, pushdown, restricted=restricted

@@ -23,8 +23,8 @@ class PlanNode:
 
     ``op`` is the node kind (``compose`` / ``union`` /
     ``merge-aggregate`` / ``id-join`` / ``partial-aggregate`` /
-    ``semi-join`` / ``scan`` / ``index-scan``); ``node_id`` is its stable identity, threaded into
-    ``SubQueryExecution.plan_node`` so measured per-lane timings can be
+    ``semi-join`` / ``scan`` / ``index-scan``); ``node_id`` is its
+    stable identity, threaded into ``SubQueryExecution.plan_node`` so measured per-lane timings can be
     joined back to the estimates; ``detail`` carries op-specific
     attributes (fragment, site, aggregate, purpose, …) as a JSON-able
     dict.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import DEGRADE, ParallelDispatcher
+from repro.cluster import ParallelDispatcher
 from repro.cluster.dispatch import Transport
 from repro.cluster.site import Cluster, Site
 from repro.datamodel import Collection, doc, elem
