@@ -6,7 +6,9 @@ needing several fragments "can be slowed down by fragmentation" (the join
 reconstruction is much more expensive than a union). Here such a query
 runs as a semi-join — the filtering fragment answers with keys, the
 returning fragment answers for those keys — and the modeled clock
-charges its two stages one after the other.
+charges its two stages one after the other (Q7 returns a per-article
+``count``, which must answer for an article without an epilog too: it
+still reconstructs).
 """
 
 import pytest

@@ -164,6 +164,21 @@ class SubQueryExecution:
         return self.result.result_bytes
 
 
+def staged_seconds(stages) -> float:
+    """The modeled duration of ``stages`` run one after the other, each
+    a list of ``(site, seconds)`` lanes: within a stage a site's lanes
+    add up and the sites overlap (its slowest site's busy time); the
+    stages add. Shared by the estimate (``PhysicalPlan``) and the
+    measurement (``ParallelRound``)."""
+    total = 0.0
+    for stage in stages:
+        busy: dict[str, float] = {}
+        for site, seconds in stage:
+            busy[site] = busy.get(site, 0.0) + seconds
+        total += max(busy.values(), default=0.0)
+    return total
+
+
 @dataclass
 class ParallelRound:
     """One round of sub-queries executed 'in parallel' across sites.
@@ -215,17 +230,10 @@ class ParallelRound:
 
     @property
     def parallel_seconds(self) -> float:
-        def slowest_site(executions: list[SubQueryExecution]) -> float:
-            busy: dict[str, float] = {}
-            for execution in executions:
-                busy[execution.site] = (
-                    busy.get(execution.site, 0.0) + execution.elapsed
-                )
-            return max(busy.values(), default=0.0)
-
-        return slowest_site(
-            self.executions[: self.key_executions]
-        ) + slowest_site(self.executions[self.key_executions :])
+        pairs = [(e.site, e.elapsed) for e in self.executions]
+        return staged_seconds(
+            [pairs[: self.key_executions], pairs[self.key_executions :]]
+        )
 
     @property
     def sequential_seconds(self) -> float:

@@ -367,11 +367,8 @@ class _EngineProvider:
         )
         return stored.binary.root
 
-    def collection_roots(self, name: Optional[str]) -> list[Node]:
-        return self.collection_roots_by_origin(name, None)
-
-    def collection_roots_by_origin(
-        self, name: Optional[str], origins: Optional[frozenset]
+    def collection_roots(
+        self, name: Optional[str], origins: Optional[frozenset] = None
     ) -> list[Node]:
         """The collection's candidate roots; with ``origins``, only those
         of documents stored under one of them (``px:collection``)."""

@@ -9,9 +9,11 @@ shapes:
 * ``items`` — an MD repository of Item documents, horizontally fragmented
   by a random partition of the Section values (equality groups plus a
   ≠-residual, so completeness holds for any value);
-* ``articles`` — an MD repository of article documents, vertically
-  fragmented either three ways (prolog/body/epilog) or as a prune
-  complement (π/article,{/article/body} ⋈ π/article/body);
+* ``articles`` — an MD repository of article documents (body and epilog
+  are optional, so their fragments hold fewer parts than there are
+  documents),
+  vertically fragmented either three ways (prolog/body/epilog) or as a
+  prune complement (π/article,{/article/body} ⋈ π/article/body);
 * ``store`` — an SD repository (one Store document), hybrid-fragmented
   into a remainder fragment pruning ``/Store/Items`` plus a random
   Section partition of the items, materialized as FragMode1 or FragMode2.
@@ -25,7 +27,8 @@ fragment or to none; existence conditions), path-step predicates,
 multi-fragment shapes: joins one fragment can answer for the keys of the
 others (the vertical semi-join, whole-subtree returns included) and
 joins none can (an ``or`` across fragments, a constructor reading two, a
-negation on the filtering side), which force the cross-fragment ID-join
+negation on the filtering side, a per-article ``count`` over the optional
+part), which force the cross-fragment ID-join
 — then
 rendered through :func:`repro.xquery.unparse.unparse`. Generation asserts
 the ``parse(unparse(ast)) == ast`` round-trip on every query it emits, so
@@ -541,8 +544,13 @@ def _article_template(rng: random.Random) -> NodeTemplate:
                         child(NodeTemplate("abstract", value=Words(6, 14, inject=("novel", 0.45)))),
                         child(section, 1, rng.randint(1, 3)),
                     ],
-                )
+                ),
+                0,
+                1,
             ),
+            # Body and epilog are optional: a vertical fragment holds *at
+            # most* one part per document, and an article without one has
+            # none in that fragment — no sub-query there answers for it.
             child(
                 NodeTemplate(
                     "epilog",
@@ -555,7 +563,9 @@ def _article_template(rng: random.Random) -> NodeTemplate:
                         ),
                         child(NodeTemplate("country", value=Choice(COUNTRIES))),
                     ],
-                )
+                ),
+                0,
+                1,
             ),
         ],
     )
@@ -615,6 +625,7 @@ def _one_article_query(rng: random.Random) -> Expr:
             "or-across-fragments",
             "hit-from-two-fragments",
             "not-on-the-key-side",
+            "references-per-article",
         )
     )
     if recipe == "single-prolog":
@@ -687,6 +698,19 @@ def _one_article_query(rng: random.Random) -> Expr:
             ),
         )
         ret = _var_path("a", "prolog", "title", text=True)
+    elif recipe == "references-per-article":
+        # An article without an epilog answers 0, and the epilog fragment
+        # never sees it: reconstruction. (So does a `hit` wrapped around
+        # a path into a part no conjunct needs, below.)
+        where = BinaryOp(
+            "=", _var_path("a", "prolog", "genre"), Literal(rng.choice(GENRES))
+        )
+        return _flwor(
+            "a",
+            binding,
+            where,
+            FunctionCall("count", (_var_path("a", "epilog", "references", "a_id"),)),
+        )
     elif recipe == "count-genre":
         where = BinaryOp(
             "=", _var_path("a", "prolog", "genre"), Literal(rng.choice(GENRES))

@@ -543,13 +543,19 @@ class QueryDecomposer:
         executor writes the intersected keys into.
 
         Exact because a vertical fragment holds at most one part per
-        source document (Definition 3): a conjunct that reads only A's
-        region holds for a source document iff it holds for that
-        document's part in A — *provided* it cannot hold with no node
-        under A's root, which is why ``not(...)``, ``empty(...)`` and an
-        empty search string decline. B's side is the one-fragment
-        rewrite, unchanged, over fewer documents. Decided from the query
-        and the design alone: no statistics, no threshold, no option.
+        source document (Definition 3) — and possibly none: a conjunct
+        that reads only A's region holds for a source document iff it
+        holds for that document's part in A, *provided* it cannot hold
+        with no node under A's root, which is why ``not(...)``,
+        ``empty(...)`` and an empty search string decline. B never sees
+        a document without a part in B either, so such a document must
+        contribute nothing to the answer: one of B's own conjuncts needs
+        a node there (the ``where`` fails), or the ``return`` is a plain
+        path from ``$v`` into B (it selects nothing). ``return
+        count($v/epilog/x)``, a constructor or a literal over conjuncts
+        that hold without B's nodes would answer 0, an empty element or
+        the literal for it: those decline. Decided from the query and
+        the design alone: no statistics, no threshold, no option.
         """
         if not (
             analysis.predicate_exact
@@ -606,6 +612,20 @@ class QueryDecomposer:
         keyed = [f for f in filtering if f is not answering]
         if not keyed:
             return None
+        needs_part = any(
+            predicate is not None and not _holds_without_nodes(predicate)
+            for predicate in (
+                condition_predicate(conjunct, scope)
+                for conjunct in conjuncts.get(answering.name, [])
+            )
+        )
+        returned = flwor.return_expr
+        if not needs_part and not (
+            isinstance(returned, PathApply)
+            and returned.primary == VarRef(variable)
+            and returned.steps
+        ):
+            return None  # would answer for a document with no part in B
 
         key_scans = []
         for fragment in keyed:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from repro.cluster.site import staged_seconds
 from repro.plan.cost import CostEstimate
 from repro.plan.spec import CompositionSpec, SubQuery
 
@@ -47,17 +48,6 @@ class Lane:
     estimate: Optional[CostEstimate] = None
     #: How many replica candidates lowering chose between.
     candidates: int = 1
-
-
-def _slowest_site_seconds(lanes: list) -> float:
-    """One stage's estimated duration: lanes of a site add up, sites
-    overlap."""
-    busy: dict = {}
-    for lane in lanes:
-        if lane.estimate is not None:
-            site = lane.subquery.site
-            busy[site] = busy.get(site, 0.0) + lane.estimate.total_seconds
-    return max(busy.values(), default=0.0)
 
 
 @dataclass
@@ -99,12 +89,15 @@ class PhysicalPlan:
         """Estimated completion: each stage's slowest site's lane budget
         (the stages run one after the other) plus the interior
         (composition-side) node costs."""
-        interior = self._interior_cpu_seconds(self.root)
-        return (
-            _slowest_site_seconds(self.key_lanes)
-            + _slowest_site_seconds(self.lanes)
-            + interior
-        )
+        stages = [
+            [
+                (lane.subquery.site, lane.estimate.total_seconds)
+                for lane in lanes
+                if lane.estimate is not None
+            ]
+            for lanes in (self.key_lanes, self.lanes)
+        ]
+        return staged_seconds(stages) + self._interior_cpu_seconds(self.root)
 
     def _interior_cpu_seconds(self, node: PlanNode) -> float:
         own = 0.0

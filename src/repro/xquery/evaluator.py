@@ -53,24 +53,26 @@ from repro.xquery.values import (
 class DocumentProvider(Protocol):
     """Resolves the input functions of the query."""
 
-    def collection_roots(self, name: Optional[str]) -> list[Node]:
-        """Root elements of the named collection (default when None)."""
+    def collection_roots(
+        self, name: Optional[str], origins: Optional[frozenset] = None
+    ) -> list[Node]:
+        """Root elements of the named collection (default when None);
+        with ``origins`` (``px:collection``, asked of providers over
+        *stored* documents only), those of the documents whose recorded
+        origin is in the set."""
         ...  # pragma: no cover - protocol
 
     def document_root(self, name: str) -> Optional[Node]:
         """Root element of the named document, or None."""
         ...  # pragma: no cover - protocol
 
-    # A provider over *stored* documents may also offer
-    # ``collection_roots_by_origin(name, origins)`` — what
-    # ``px:collection`` calls: the roots of the named collection's
-    # documents whose recorded origin is in the ``origins`` set.
-
 
 class EmptyProvider:
     """A provider with no documents (queries over literals only)."""
 
-    def collection_roots(self, name: Optional[str]) -> list[Node]:
+    def collection_roots(
+        self, name: Optional[str], origins: Optional[frozenset] = None
+    ) -> list[Node]:
         raise XQueryEvaluationError(
             f"no document provider: cannot resolve collection({name!r})"
         )

@@ -80,13 +80,8 @@ def _collection_by_origin(ctx: "DynamicContext", args: list[list]) -> list:
     comparison chain; with no key it is the empty sequence."""
     if not args:
         raise XQueryTypeError("px:collection() takes the collection name")
-    restrict = getattr(ctx.provider, "collection_roots_by_origin", None)
-    if restrict is None:
-        raise XQueryEvaluationError(
-            "px:collection() needs a provider over stored documents"
-        )
     origins = frozenset(string_value(key) for key in args[1:])
-    return list(restrict(string_value(args[0]), origins))
+    return list(ctx.provider.collection_roots(string_value(args[0]), origins))
 
 
 @register("doc")

@@ -156,7 +156,7 @@ class TestRestrictedCollection:
             assert engine.execute(query).result_text == "o 2\no 3"
 
     def test_needs_stored_documents(self):
-        with pytest.raises(XQueryEvaluationError, match="stored documents"):
+        with pytest.raises(XQueryEvaluationError, match="no document provider"):
             evaluate_query('px:collection("F", "k")')
 
     def test_key_slot_is_what_unparse_writes(self):
@@ -206,7 +206,6 @@ def xbench():
 
 XBENCH_STAGES = {
     "Q4": (["F2papers"], ["F1papers"]),
-    "Q7": (["F1papers"], ["F3papers"]),
     "Q8": (["F2papers"], ["F3papers"]),
     "Q9": (["F2papers", "F3papers"], ["F1papers"]),
     "Q10": (["F1papers"], ["F2papers"]),
@@ -227,6 +226,14 @@ class TestXBenchJoins:
         for query in xbench_queries():
             if query.qid not in XBENCH_STAGES:
                 assert not xbench.answer(query.text).plan.key_lanes, query.qid
+
+    def test_q7_counts_per_article_and_so_reconstructs(self, xbench):
+        # `return count($a/epilog/references/a_id)` answers 0 for an
+        # article without an epilog; the epilog fragment never sees it.
+        query = {q.qid: q.text for q in xbench_queries()}["Q7"]
+        plan = xbench.answer(query).plan
+        assert plan.composition.kind == "reconstruct"
+        assert not plan.key_lanes
 
     def test_explain_renders_both_stages(self, xbench):
         query = {q.qid: q.text for q in xbench_queries()}["Q10"]
@@ -322,7 +329,7 @@ class TestKeySets:
     def test_avg_ships_sum_and_count_over_the_same_keys(self, wide):
         query = (
             'avg(for $a in collection("C")/article'
-            ' where $a/prolog/genre = "survey"'
+            ' where $a/prolog/genre = "survey" and $a/epilog/country = "BR"'
             " return count($a/epilog/references/a_id))"
         )
         result = wide.answer(query)
@@ -384,7 +391,9 @@ class TestKeySets:
         assert stages(result.plan) == (["Fe"], ["Fp"])
         assert result.result_text.split("\n")[0] == "title 0519"
 
-    def test_negation_is_fine_on_the_answering_side(self, wide):
+    def test_negation_on_the_answering_side_of_a_path_return(self, wide):
+        # An article without a body passes the `not`, and its `return`
+        # path selects nothing: the body fragment loses no answer.
         result = wide.answer(
             'for $a in collection("C")/article'
             ' where $a/prolog/genre = "survey"'
@@ -456,6 +465,19 @@ FALLBACKS = {
     ),
     "condition the analysis does not capture": _titles(
         "count($a/epilog/references/a_id) > 1"
+    ),
+    "count() returned per document of an optional part": (
+        'avg(for $a in collection("C")/article where $a/prolog/genre = "survey"'
+        " return count($a/epilog/references/a_id))"
+    ),
+    "constructor over a part no conjunct needs": (
+        'for $a in collection("C")/article where $a/prolog/genre = "survey"'
+        " return element hit {$a/body/abstract/text()}"
+    ),
+    "counted documents whose answering conjunct is a negation": (
+        'count(for $a in collection("C")/article'
+        ' where $a/prolog/genre = "survey"'
+        ' and not(contains($a/body/abstract, "novel")) return $a)'
     ),
 }
 
@@ -532,6 +554,102 @@ class TestFallbacks:
             assert whole.composition.kind == "reconstruct"
         finally:
             repository.close()
+
+
+# ----------------------------------------------------------------------
+# Documents without a part in some fragment (Definition 3: at most one)
+# ----------------------------------------------------------------------
+MISSING = {1: "body", 2: "epilog", 5: "prolog", 6: "epilog", 7: "body"}
+
+
+@pytest.fixture(scope="module")
+def sparse():
+    documents = []
+    for index in range(24):
+        document = article(
+            index,
+            genre="survey" if index % 3 else "demo",
+            novel=index % 4 == 0,
+            country="BR" if index % 5 else "US",
+        )
+        missing = MISSING.get(index % 8)
+        document.root.children[:] = [
+            part for part in document.root.children if part.label != missing
+        ]
+        documents.append(document)
+    repository = Repository(Collection("C", documents), three_way())
+    yield repository
+    repository.close()
+
+
+SPARSE_SEMIJOINS = {
+    "path return, no conjunct on its side": (
+        'for $a in collection("C")/article where $a/prolog/genre = "survey"'
+        " return $a/body/abstract/text()"
+    ),
+    "path return past a negation on its side": (
+        'for $a in collection("C")/article where $a/prolog/genre = "survey"'
+        ' and not(contains($a/body/abstract, "novel"))'
+        " return $a/body/abstract/text()"
+    ),
+    "whole part returned": (
+        'for $a in collection("C")/article where $a/epilog/country = "BR"'
+        " return $a/body"
+    ),
+    "constructor behind a conjunct that needs the part": (
+        'for $a in collection("C")/article where $a/prolog/genre = "survey"'
+        ' and contains($a/body/abstract, "plain")'
+        " return element hit {$a/body/abstract/text()}"
+    ),
+    "count behind a conjunct that needs the part": (
+        'count(for $a in collection("C")/article'
+        ' where $a/prolog/genre = "survey"'
+        ' and contains($a/body/abstract, "plain") return $a)'
+    ),
+    "avg of counts behind a conjunct that needs the part": (
+        'avg(for $a in collection("C")/article'
+        ' where $a/prolog/genre = "survey" and $a/epilog/country = "BR"'
+        " return count($a/epilog/references/a_id))"
+    ),
+    "two key lanes, ordered": (
+        'for $a in collection("C")/article'
+        ' where contains($a/body/abstract, "plain") and $a/epilog/country = "BR"'
+        " order by $a/prolog/title descending return $a/prolog/title/text()"
+    ),
+}
+
+SPARSE_DECLINED = (
+    "count() returned per document of an optional part",
+    "constructor over a part no conjunct needs",
+    "counted documents whose answering conjunct is a negation",
+    "not() on the key side",
+    "empty() on the key side",
+)
+
+
+class TestDocumentsWithoutAPart:
+    def test_fragments_hold_fewer_parts_than_documents(self, sparse):
+        catalog = sparse.partix.distribution_catalog
+        held = {
+            name: sparse.partix.cluster.site(entry.site).driver.document_count(
+                entry.stored_collection
+            )
+            for name in ("Fp", "Fb", "Fe")
+            for entry in catalog.replicas("C", name)
+        }
+        assert held == {"Fp": 21, "Fb": 18, "Fe": 18}
+
+    @pytest.mark.parametrize("shape", sorted(SPARSE_SEMIJOINS))
+    def test_semijoin_loses_no_answer(self, sparse, shape):
+        result = sparse.answer(SPARSE_SEMIJOINS[shape])
+        assert result.plan.key_lanes, shape
+        assert result.result_text not in ("", "0")
+
+    @pytest.mark.parametrize("trigger", SPARSE_DECLINED)
+    def test_what_a_missing_part_would_change_reconstructs(self, sparse, trigger):
+        result = sparse.answer(FALLBACKS[trigger])
+        assert result.plan.composition.kind == "reconstruct", trigger
+        assert result.result_text != ""
 
 
 # ----------------------------------------------------------------------
