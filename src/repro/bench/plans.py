@@ -42,24 +42,6 @@ PLAN_SCENARIOS: dict[str, Callable[[float], Scenario]] = {
     "store-hybrid-mode2": lambda scale: build_store_scenario(
         paper_mb=100, frag_mode=FragMode.INDEPENDENT_DOCUMENTS, scale=scale
     ),
-    # Index-eligible planning (PR 9): same data, sites publishing value/
-    # path indexes, so eligible leaves are priced under both access paths.
-    # At the standard scale every fragment clears the break-even and all
-    # lanes choose ``index-scan``.
-    "items-small-4-indexed": lambda scale: build_items_scenario(
-        "small", paper_mb=100, fragment_count=4, scale=scale, use_indexes=True
-    ),
-    # A tenth of the requested scale leaves the small fragments (F3/F4 at
-    # 1-2 documents) below the index break-even while the big ones stay
-    # above it — the golden shows one plan mixing ``index-scan`` and
-    # ``scan`` lanes, the access choice being per replica, not global.
-    "items-skewed-mixed": lambda scale: build_items_scenario(
-        "small",
-        paper_mb=100,
-        fragment_count=4,
-        scale=scale * 0.1,
-        use_indexes=True,
-    ),
 }
 
 

@@ -85,18 +85,6 @@ _UNSET = object()
 _LANE_POOL_CEILING = 1024
 
 
-def exec_options(
-    subquery: "SubQuery", default_collection: Optional[str]
-) -> ExecOptions:
-    """The site-local request record of one sub-query: the lane's plan
-    decisions plus the round's default collection. Everything below a
-    transport passes it through without looking inside."""
-    return ExecOptions(
-        default_collection=default_collection,
-        use_indexes=subquery.use_indexes,
-    )
-
-
 class Transport(abc.ABC):
     """Where sub-queries physically run.
 
@@ -173,7 +161,7 @@ class InProcessTransport(Transport):
     ) -> SubQueryExecution:
         site = self.cluster.site(subquery.site)
         result = site.execute(
-            subquery.query, exec_options(subquery, default_collection)
+            subquery.query, ExecOptions(default_collection=default_collection)
         )
         return SubQueryExecution(
             site=subquery.site,

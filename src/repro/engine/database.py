@@ -209,16 +209,14 @@ class XMLEngine:
         collection_name: str,
         predicate: Optional[Predicate],
         stats: EngineStats,
-        options: ExecOptions = ExecOptions(),
         origins: Optional[frozenset] = None,
     ) -> list[str]:
         """The pipeline's **scan/prune** stage: candidate documents of a
         collection under the pruning predicate, in store order, with
         every pruning counter charged to ``stats``.
 
-        Runs once per ``collection()`` call. ``options.use_indexes``
-        overrides the engine's setting for this scan; with indexes off
-        every document is a candidate (the paper-faithful full scan).
+        Runs once per ``collection()`` call. With the engine's indexes
+        off every document is a candidate (the paper-faithful full scan).
         With indexes on the candidates are the index *superset* — the
         extracted predicate is a necessary condition, and the query's
         own ``where`` clause, evaluated on the same node tables right
@@ -229,10 +227,7 @@ class XMLEngine:
         the set is never handed to the evaluator (it counts as pruned).
         """
         collection = self.store.collection(collection_name)
-        use_indexes = options.use_indexes
-        if use_indexes is None:
-            use_indexes = self.use_indexes
-        if use_indexes and predicate is not None:
+        if self.use_indexes and predicate is not None:
             candidates, lookups = candidate_documents(collection, predicate)
             stats.index_lookups += lookups
         else:
@@ -383,7 +378,6 @@ class _EngineProvider:
             collection_name,
             self._predicate,
             self._stats,
-            self._options,
             origins,
         )
         collection = self._engine.store.collection(collection_name)

@@ -126,13 +126,11 @@ class ExecOptions:
     below) and nowhere else. ``None`` always means "the site decides".
 
     ``default_collection`` resolves bare ``collection()`` calls.
-    ``use_indexes`` overrides the site's index setting for this query —
-    how an ``index-scan`` plan lane reaches a site whose default is the
-    paper-faithful full scan.
+    Index access is not a per-query option: each engine keeps its own
+    setting.
     """
 
     default_collection: Optional[str] = None
-    use_indexes: Optional[bool] = None
 
     def to_payload(self) -> dict:
         """The flat EXECUTE-frame keys, set fields only (frames do not

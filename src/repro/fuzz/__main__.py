@@ -82,13 +82,6 @@ def main(argv: list[str] | None = None) -> int:
         " live split/move migration onto a spare site, run it again —"
         " answers must converge on both catalog versions",
     )
-    parser.add_argument(
-        "--indexes",
-        action="store_true",
-        help="index-pushdown oracle: re-run every compared query per"
-        " mode with the per-query index override forced on and off —"
-        " all three answers must be byte-identical",
-    )
     options = parser.parse_args(argv)
 
     modes = tuple(
@@ -112,7 +105,6 @@ def main(argv: list[str] | None = None) -> int:
             modes=modes,
             kill_site=options.kill_site,
             migrate=options.migrate,
-            indexes=options.indexes,
         )
         payload = outcome.to_dict()
         ok = outcome.ok
@@ -126,7 +118,6 @@ def main(argv: list[str] | None = None) -> int:
             modes=modes,
             kill_site=options.kill_site,
             migrate=options.migrate,
-            indexes=options.indexes,
         )
         ok = payload["ok"]
         _print_digest(payload)
@@ -175,7 +166,6 @@ def _print_digest(summary: dict) -> None:
         f" modes {'/'.join(summary['execution_modes'])}"
         + (" [kill-site]" if summary.get("kill_site") else "")
         + (" [migrate]" if summary.get("migrate") else "")
-        + (" [indexes]" if summary.get("indexes") else "")
     )
     print(format_kv_table(title, rows), file=sys.stderr)
     for failure in summary["failures"]:

@@ -41,7 +41,6 @@ def minimize_spec(
     modes: Optional[tuple] = None,
     kill_site: bool = False,
     migrate: bool = False,
-    indexes: bool = False,
 ) -> CaseOutcome:
     """Shrink ``spec`` greedily while it keeps failing the same way.
 
@@ -63,7 +62,7 @@ def minimize_spec(
             attempts += 1
             reproduced = _reproduces(
                 candidate, fingerprint, partix_factory, modes, kill_site,
-                migrate, indexes,
+                migrate,
             )
             if reproduced is not None:
                 best_spec, best_outcome = candidate, reproduced
@@ -77,7 +76,7 @@ def minimize_spec(
             attempts += 1
             reproduced = _reproduces(
                 candidate, fingerprint, partix_factory, modes, kill_site,
-                migrate, indexes,
+                migrate,
             )
             if reproduced is not None:
                 best_spec, best_outcome = candidate, reproduced
@@ -93,7 +92,6 @@ def _reproduces(
     modes: Optional[tuple] = None,
     kill_site: bool = False,
     migrate: bool = False,
-    indexes: bool = False,
 ) -> Optional[CaseOutcome]:
     try:
         if modes is None:
@@ -102,7 +100,6 @@ def _reproduces(
                 partix_factory=partix_factory,
                 kill_site=kill_site,
                 migrate=migrate,
-                indexes=indexes,
             )
         else:
             outcome = run_case(
@@ -111,7 +108,6 @@ def _reproduces(
                 modes=modes,
                 kill_site=kill_site,
                 migrate=migrate,
-                indexes=indexes,
             )
     except Exception:  # noqa: BLE001 — a crashing shrink is just rejected
         return None

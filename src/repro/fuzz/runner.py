@@ -30,6 +30,11 @@ apply:
   centralized collection (:func:`evaluate_on_dom`) must produce the
   centralized answer byte for byte. Always on: every configuration also checks
   table-vs-DOM.
+* **index** — the fragment sites probe their indexes and the ``central``
+  reference site scans every document, so the answer comparison above
+  is also indexed against scanning, in every mode. Candidates keep store
+  order, so an unsound candidate set — a dropped or a reordered
+  document — shows up as an ``answer`` mismatch.
 
 Two more oracles guard the planning layer itself:
 
@@ -95,7 +100,7 @@ ADVERSARIAL_CHUNK_BYTES = 7
 class Mismatch:
     """One oracle violation observed while running a case."""
 
-    kind: str  # "answer" | "mode" | "plan" | "correctness" | "error" | "failover" | "migrate" | "index" | "accessor"
+    kind: str  # "answer" | "mode" | "plan" | "correctness" | "error" | "failover" | "migrate" | "accessor"
     detail: str
     query_index: Optional[int] = None
     query: Optional[str] = None
@@ -123,7 +128,7 @@ class CaseOutcome:
     #: ``strict`` projection or the ``whole`` document.
     fetch_projections: Counter = field(default_factory=Counter)
     #: What the index oracle actually exercised: ``index_lookups`` spent
-    #: by the forced-on runs, ``existence_conditions`` among the compared
+    #: by the fragmented runs, ``existence_conditions`` among the compared
     #: queries' predicates, ``noncanonical_numerals`` among the case's
     #: values (``5.0``, ``05``) — a session reading 0 proved nothing.
     index_oracle: Counter = field(default_factory=Counter)
@@ -234,17 +239,8 @@ def run_case(
     modes: Sequence[str] = EXECUTION_MODES,
     kill_site: bool = False,
     migrate: bool = False,
-    indexes: bool = False,
 ) -> CaseOutcome:
     """Generate (unless given) and differentially execute one case.
-
-    ``indexes`` is the index-pushdown oracle: every compared query is
-    additionally run twice per mode with the per-query index override
-    forced on and forced off (``Partix.execute(use_indexes=...)``), and
-    the three answers — index probes everywhere, full scans everywhere,
-    and the plan's own per-lane choice — must be byte-identical (same
-    plan, same lane order, so not even concat interleaving may differ).
-    A divergence is reported as a mismatch of kind ``index``.
 
     ``partix_factory`` lets tests swap in a middleware with a tampered
     dispatcher — that is how the injected-bug acceptance test proves the
@@ -286,13 +282,12 @@ def run_case(
     if case is None:
         case = generate_case(spec)
     outcome.notes.extend(case.notes)
-    if indexes:
-        outcome.index_oracle["noncanonical_numerals"] = sum(
-            _is_noncanonical_numeral(node.value)
-            for document in case.collection
-            for node in document.root.descendants_or_self()
-            if node.value is not None
-        )
+    outcome.index_oracle["noncanonical_numerals"] = sum(
+        _is_noncanonical_numeral(node.value)
+        for document in case.collection
+        for node in document.root.descendants_or_self()
+        if node.value is not None
+    )
 
     parsed_modes = [ExecutionMode.parse(mode) for mode in modes]
     if kill_site and not any(mode.transport == "tcp" for mode in parsed_modes):
@@ -351,7 +346,8 @@ def run_case(
         # Added *after* publish so the round-robin placement ignores it:
         # the spare site is empty until the mid-run migration fills it.
         cluster.add(Site(SPARE_SITE))
-    cluster.add(Site(CENTRAL_SITE))
+    # The reference scans: the index oracle (see the module docstring).
+    cluster.add(Site(CENTRAL_SITE, use_indexes=False))
     partix.publish_centralized(case.collection, CENTRAL_SITE)
 
     try:
@@ -360,13 +356,11 @@ def run_case(
             partix.chunk_bytes = ADVERSARIAL_CHUNK_BYTES
             partix.start_tcp()
         if migrate:
-            _run_migrate_case(partix, case, outcome, modes, indexes=indexes)
+            _run_migrate_case(partix, case, outcome, modes)
             return outcome
         if not kill_site:
             for index, query in case.active_queries:
-                _run_query(
-                    partix, index, query, outcome, modes, indexes=indexes
-                )
+                _run_query(partix, index, query, outcome, modes)
             return outcome
 
         tcp_modes = [
@@ -379,9 +373,7 @@ def run_case(
         # legitimately skip its fragment for some queries).
         victim_targeted = False
         for index, query in case.active_queries:
-            results = _run_query(
-                partix, index, query, outcome, modes, indexes=indexes
-            )
+            results = _run_query(partix, index, query, outcome, modes)
             for mode in tcp_modes:
                 result = results.get(mode)
                 if result is not None and result.plan is not None and any(
@@ -400,9 +392,7 @@ def run_case(
         # the centralized baseline through the mirror replica.
         failovers = 0
         for index, query in case.active_queries:
-            results = _run_query(
-                partix, index, query, outcome, modes, indexes=indexes
-            )
+            results = _run_query(partix, index, query, outcome, modes)
             failovers += sum(
                 results[mode].failover_count
                 for mode in tcp_modes
@@ -435,14 +425,13 @@ def _run_migrate_case(
     case: GeneratedCase,
     outcome: CaseOutcome,
     modes: Sequence[str],
-    indexes: bool = False,
 ) -> None:
     """Two differential passes with a live migration fired in between."""
     catalog = partix.distribution_catalog
     version_before = catalog.version
 
     for index, query in case.active_queries:
-        _run_query(partix, index, query, outcome, modes, indexes=indexes)
+        _run_query(partix, index, query, outcome, modes)
     first_pass = outcome.queries_run
 
     report = _fire_migration(partix, case, outcome)
@@ -467,7 +456,7 @@ def _run_migrate_case(
         return
 
     for index, query in case.active_queries:
-        _run_query(partix, index, query, outcome, modes, indexes=indexes)
+        _run_query(partix, index, query, outcome, modes)
     outcome.notes.append(
         f"queries compared on catalog v{version_before}: {first_pass},"
         f" on v{catalog.version}: {outcome.queries_run - first_pass}"
@@ -526,7 +515,6 @@ def _run_query(
     query: str,
     outcome: CaseOutcome,
     modes: Sequence[str],
-    indexes: bool = False,
 ) -> dict[str, PartixResult]:
     """Run one query through every configuration; returns the successful
     fragmented results keyed by mode (empty on error paths)."""
@@ -580,6 +568,15 @@ def _run_query(
     outcome.fetch_projections.update(_fetch_projections(plan))
     outcome.summary_pruned += len(plan.summary_pruned)
     outcome.semijoin_plans += bool(plan.key_lanes)
+    outcome.index_oracle["existence_conditions"] += sum(
+        isinstance(atom, (Exists, Empty))
+        for atom in atoms(analyze_query(parse_query(query)).predicate)
+    )
+    outcome.index_oracle["index_lookups"] += sum(
+        execution.result.index_lookups
+        for result in results_by_mode.values()
+        for execution in result.round.executions
+    )
     _check_plan_equivalence(partix, query, plan, outcome, index)
     _check_plan_order(partix, results_by_mode, outcome, index, query)
 
@@ -624,10 +621,6 @@ def _run_query(
                 query=query,
             )
         )
-    if indexes:
-        _check_index_differential(
-            partix, query, by_mode, outcome, index, modes
-        )
     return results_by_mode
 
 
@@ -660,76 +653,6 @@ def _check_accessor(
                 query=query,
             )
         )
-
-
-def _check_index_differential(
-    partix: Partix,
-    query: str,
-    by_mode: dict,
-    outcome: CaseOutcome,
-    index: int,
-    modes: Sequence[str],
-) -> None:
-    """The index-pushdown oracle: per mode, the same query re-run with
-    the per-query index override forced on and forced off must both
-    reproduce the default run's answer byte-for-byte. The override
-    leaves the plan (and so the lane order) untouched — only each
-    site's access path flips — so even multi-fragment concat answers
-    may not differ by a byte. An index probe returning an unsound
-    candidate set, or label verification pruning a matching document,
-    shows up here as a mismatch of kind ``index``.
-    """
-    outcome.index_oracle["existence_conditions"] += sum(
-        isinstance(atom, (Exists, Empty))
-        for atom in atoms(analyze_query(parse_query(query)).predicate)
-    )
-    for mode in modes:
-        if mode not in by_mode:
-            continue
-        default_text = by_mode[mode]
-        for forced in (True, False):
-            result, error = _attempt(
-                lambda mode=mode, forced=forced: partix.execute(
-                    query,
-                    collection="Cfuzz",
-                    execution_mode=mode,
-                    use_indexes=forced,
-                )
-            )
-            text = None if result is None else result.result_text
-            if forced and result is not None:
-                outcome.index_oracle["index_lookups"] += sum(
-                    execution.result.index_lookups
-                    for execution in result.round.executions
-                )
-            outcome.comparisons += 1
-            label = "on" if forced else "off"
-            if error is not None:
-                outcome.mismatches.append(
-                    Mismatch(
-                        kind="index",
-                        detail=(
-                            f"mode {mode!r} with indexes forced {label}"
-                            f" raised {error!r} although the default run"
-                            " answered"
-                        ),
-                        query_index=index,
-                        query=query,
-                    )
-                )
-            elif text != default_text:
-                outcome.mismatches.append(
-                    Mismatch(
-                        kind="index",
-                        detail=(
-                            f"mode {mode!r} answers differ with indexes"
-                            f" forced {label};"
-                            f" {_diff_snippet(default_text, text)}"
-                        ),
-                        query_index=index,
-                        query=query,
-                    )
-                )
 
 
 def _is_noncanonical_numeral(value: str) -> bool:
@@ -853,7 +776,6 @@ def run_fuzz(
     modes: Sequence[str] = EXECUTION_MODES,
     kill_site: bool = False,
     migrate: bool = False,
-    indexes: bool = False,
 ) -> dict:
     """Run the full differential session; returns a JSON-able summary.
 
@@ -861,8 +783,7 @@ def run_fuzz(
     collected (each one is expensive: it triggers minimization and a
     written reproducer when ``repro_dir`` is set). ``kill_site`` runs
     every case through the failover oracle, ``migrate`` through the
-    online-rebalancing oracle, ``indexes`` through the index-pushdown
-    oracle (see :func:`run_case`).
+    online-rebalancing oracle (see :func:`run_case`).
     """
     summary: dict = {
         "seed": seed,
@@ -870,7 +791,6 @@ def run_fuzz(
         "execution_modes": list(modes),
         "kill_site": kill_site,
         "migrate": migrate,
-        "indexes": indexes,
         "migrations_completed": 0,
         "cases": 0,
         "queries_run": 0,
@@ -897,7 +817,6 @@ def run_fuzz(
             modes=modes,
             kill_site=kill_site,
             migrate=migrate,
-            indexes=indexes,
         )
         if migrate and not any(
             m.kind == "migrate" for m in outcome.mismatches
@@ -928,7 +847,6 @@ def run_fuzz(
                     modes=modes,
                     kill_site=kill_site,
                     migrate=migrate,
-                    indexes=indexes,
                 )
                 if minimize
                 else outcome

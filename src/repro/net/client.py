@@ -24,7 +24,7 @@ import threading
 import time
 from typing import Iterable, Optional, Sequence, Union, TYPE_CHECKING
 
-from repro.cluster.dispatch import Transport, exec_options
+from repro.cluster.dispatch import Transport
 from repro.cluster.site import SubQueryExecution
 from repro.engine.stats import ExecOptions, QueryResult
 from repro.errors import (
@@ -520,7 +520,7 @@ class TcpTransport(Transport):
             raise ClusterError(f"no site named {subquery.site!r}")
         result, sent, received, chunked, first_chunk = client._execute(
             subquery.query,
-            exec_options(subquery, default_collection),
+            ExecOptions(default_collection=default_collection),
             read_timeout=timeout,
         )
         return SubQueryExecution(

@@ -76,7 +76,6 @@ from repro.plan.cost import CostModel
 from repro.plan.logical import (
     Compose,
     FragmentScan,
-    IndexScan,
     IdJoin,
     LogicalPlan,
     MergeAggregate,
@@ -180,7 +179,6 @@ class QueryDecomposer:
         catalog: DistributionCatalog,
         cost_model: Optional[CostModel] = None,
         site_health=None,
-        use_indexes: bool = False,
     ):
         self.catalog = catalog
         self.cost_model = (
@@ -189,11 +187,6 @@ class QueryDecomposer:
         #: Optional shared :class:`~repro.cluster.health.SiteHealth`
         #: tracker: lowering avoids scan candidates at ejected sites.
         self.site_health = site_health
-        #: When on, scans of predicated queries are emitted as
-        #: :class:`IndexScan` leaves — *eligible* for index access;
-        #: lowering still prices both paths. Off by default: the
-        #: paper-faithful plans contain only full ``FragmentScan``s.
-        self.use_indexes = use_indexes
 
     # ------------------------------------------------------------------
     def decompose(
@@ -263,25 +256,12 @@ class QueryDecomposer:
             key_scans=tuple(key_scans),
         )
 
-    def _scan_class(self, predicate) -> tuple[type, Optional[str]]:
-        """(leaf class, predicate annotation) for an answer-purpose scan.
-
-        Index-eligible leaves exist only when the decomposer-level knob
-        is on *and* the query carries a pruning predicate an index could
-        serve; everything else stays a plain full scan (and un-annotated,
-        keeping ``use_indexes=False`` plans rendering exactly as before).
-        """
-        if self.use_indexes and predicate is not None:
-            return IndexScan, str(predicate)
-        return FragmentScan, None
-
     def _rename_scan(
         self,
         collection: str,
         fragment_name: str,
         shipped: Expr,
         selectivity: float,
-        predicate=None,
         purpose: str = "answer",
         function: str = "collection",
     ) -> FragmentScan:
@@ -301,13 +281,11 @@ class QueryDecomposer:
             )
             for entry in self.catalog.replicas(collection, fragment_name)
         )
-        scan_class, annotation = self._scan_class(predicate)
-        return scan_class(
+        return FragmentScan(
             fragment=fragment_name,
             candidates=candidates,
             purpose=purpose,
             selectivity=selectivity,
-            predicate=annotation,
         )
 
     def _resolve_collection(
@@ -340,6 +318,7 @@ class QueryDecomposer:
     ) -> LogicalPlan:
         fragments = fragmentation.horizontal_fragments()
         if len(fragments) > 1:
+            _refuse_fragmented_inputs(analysis)
             _refuse_fragmented_positions(analysis)
         relevant, pruned, summary_pruned = self._prune_by_predicate(
             collection, fragments, analysis.predicate
@@ -368,7 +347,6 @@ class QueryDecomposer:
                 fragment.name,
                 shipped,
                 selectivity,
-                predicate=analysis.predicate,
             )
             for fragment in relevant
         ]
@@ -496,7 +474,6 @@ class QueryDecomposer:
                     fragment.name,
                     rewritten,
                     analysis.selectivity_hint(),
-                    predicate=analysis.predicate,
                 )
                 return self._assemble(
                     collection,
@@ -660,11 +637,6 @@ class QueryDecomposer:
                         FunctionCall("string", (origin,)),
                     ),
                     analysis.selectivity_hint(),
-                    predicate=(
-                        predicates[0]
-                        if len(predicates) == 1
-                        else And(tuple(predicates))
-                    ),
                     purpose="keys",
                 )
             )
@@ -848,6 +820,7 @@ class QueryDecomposer:
                 query, collection, fragmentation, list(fragmentation), notes
             )
         if len(hybrids) > 1:
+            _refuse_fragmented_inputs(analysis)
             _refuse_fragmented_positions(analysis, unit_path)
         unit_predicate = (
             _reroot_predicate(
@@ -909,13 +882,11 @@ class QueryDecomposer:
                         query=unparse(renamed),
                     )
                 )
-            scan_class, annotation = self._scan_class(analysis.predicate)
             scans.append(
-                scan_class(
+                FragmentScan(
                     fragment=fragment.name,
                     candidates=tuple(candidates),
                     selectivity=selectivity,
-                    predicate=annotation,
                 )
             )
         self._note_order_by(expr, len(scans), notes)
@@ -948,7 +919,6 @@ class QueryDecomposer:
             fragment.name,
             shipped,
             analysis.selectivity_hint(),
-            predicate=analysis.predicate,
         )
         return self._assemble(
             collection,
@@ -961,6 +931,23 @@ class QueryDecomposer:
 # ----------------------------------------------------------------------
 # Relevance helpers
 # ----------------------------------------------------------------------
+def _refuse_fragmented_inputs(analysis: QueryAnalysis) -> None:
+    """Refuse a query with several input calls (``collection()``,
+    ``doc()``) that is about to be shipped to several fragments.
+
+    At a fragment every input call reads that fragment's documents only,
+    so an inner ``count(collection("C")/…)`` would count per fragment —
+    a wrong answer, so the query gets a typed error instead. (A vertical
+    design never ships such a query per fragment: it reconstructs.)
+    """
+    if analysis.input_calls > 1:
+        raise DecompositionError(
+            f"query makes {analysis.input_calls} input calls (collection(),"
+            " doc()); shipped to each fragment, every one would read that"
+            " fragment's documents only"
+        )
+
+
 def _refuse_fragmented_positions(
     analysis: QueryAnalysis, unit_path: Optional[PathExpr] = None
 ) -> None:

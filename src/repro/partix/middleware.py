@@ -153,22 +153,6 @@ class PartixResult:
 
 
 
-def _cluster_engine_floor(cluster: Cluster, setting: str):
-    """The lowest value of one engine setting (see ``XMLEngine.config``)
-    across the cluster's sites — what lowering may assume *everywhere*.
-
-    Planning must never count on an index probe some site cannot honor
-    (the lane would silently degrade there, skewing its estimate). A
-    site without an introspectable engine (a remote
-    driver) therefore pulls the floor to 0, as does an empty cluster:
-    the conservative answer.
-    """
-    return min(
-        (site.engine_config().get(setting, 0) for site in cluster.sites()),
-        default=0,
-    )
-
-
 class Partix:
     """Coordinator for distributed XQuery over fragmented repositories."""
 
@@ -181,19 +165,8 @@ class Partix:
         dispatcher: Optional[ParallelDispatcher] = None,
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
         plan_cache: Optional[PlanCache] = None,
-        use_indexes: Optional[bool] = None,
     ):
         self.cluster = cluster
-        #: Are fragment scans *eligible* for the index access path?
-        #: ``None`` (the default) infers it from the cluster: eligible
-        #: only when every site's engine runs with document indexes on,
-        #: so a paper-faithful cluster (indexes off) plans pure
-        #: ``FragmentScan`` trees exactly as before. Eligibility is not
-        #: commitment — lowering still prices both access paths per
-        #: fragment and picks the cheaper one.
-        if use_indexes is None:
-            use_indexes = bool(_cluster_engine_floor(cluster, "use_indexes"))
-        self.use_indexes = use_indexes
         #: LRU of logical plans keyed on (query, collection, catalog
         #: version), so a repeated query skips parse/analyze/decompose.
         #: ``None`` (the default) gives this instance a private one; a
@@ -245,7 +218,6 @@ class Partix:
             self.distribution_catalog,
             cost_model=self.cost_model,
             site_health=self.site_health,
-            use_indexes=self.use_indexes,
         )
         self.composer = ResultComposer()
         self.plan_executor = PlanExecutor(self.composer)
@@ -321,7 +293,6 @@ class Partix:
         execution_mode: str = "simulated",
         dispatcher: Optional[ParallelDispatcher] = None,
         deadline_seconds: Optional[float] = None,
-        use_indexes: Optional[bool] = None,
     ) -> PartixResult:
         """Run a query over the fragmented repository.
 
@@ -345,19 +316,12 @@ class Partix:
         PR 6 shared-budget machinery). The coordinator threads each
         client's remaining deadline through here.
 
-        ``use_indexes`` is a per-query index override: every dispatched
-        sub-query carries it to the executing site, overriding that
-        site's own configuration (``False`` = paper-faithful full
-        scans everywhere, ``True`` = force index probes). ``None``
-        leaves the plan's own per-lane access-path decisions in charge.
-        The differential fuzz oracle uses this to run the same plan
-        with indexes on and off and assert byte-identical answers.
+        Whether a site probes its indexes or scans every document is that
+        site's own engine setting; no plan or query overrides it.
         """
         mode = ExecutionMode.parse(execution_mode)
         if plan is None:
             plan = self._plan_for(query, collection)
-        if use_indexes is not None:
-            plan = plan.with_lane_indexes(use_indexes)
         notes = list(plan.notes)
         active = dispatcher if dispatcher is not None else self.dispatcher
         executed = self.plan_executor.run(

@@ -18,12 +18,11 @@ scenarios charges (``engine.stats.modeled_access_seconds``) — not
 measurements of this one. An engine without a modeled clock (every
 ``benchmarks/e2e`` workload) scans at ~13 µs per document and ~0.25 ns
 per byte since evaluation moved onto the node tables, two orders of
-magnitude below the modeled 2.5 ms and 20 ns. The index gate still
-decides right there, because both of its sides shrank together (a probe
-really costs ~70 µs: break-even at ~5 documents, modeled ~3; ROADMAP
-item 3b fits the constants). Every executed lane carries its estimate
-next to its measurement and ``benchmarks/e2e/run.py --trace 1`` reports
-their ratio as ``plan.estimate_q_error``.
+magnitude below the modeled 2.5 ms and 20 ns. Whether a site probes
+its indexes is the site's setting, so no plan prices a probe. Every
+executed lane carries its estimate next to its measurement and
+``benchmarks/e2e/run.py --trace 1`` reports their ratio as
+``plan.estimate_q_error``.
 """
 
 from __future__ import annotations
@@ -49,13 +48,6 @@ SECONDS_PER_BYTE = MODELED_SECONDS_PER_BYTE
 CONCAT_SECONDS_PER_BYTE = 1e-9
 MERGE_SECONDS_PER_PARTIAL = 1e-5
 JOIN_SECONDS_PER_BYTE = 1e-7
-
-#: Fixed cost of probing a site's indexes for one sub-query (lookups +
-#: exact predicate verification of the candidates on their node tables).
-#: Index access then hands the evaluator only the estimated matching
-#: documents, so the break-even against a full scan sits at a few
-#: documents per fragment at typical predicate selectivity.
-INDEX_LOOKUP_SECONDS = 0.004
 
 
 @dataclass(frozen=True)
@@ -126,18 +118,15 @@ class CostModel:
         purpose: str = "answer",
         selectivity: float = 1.0,
         pushdown: Optional[str] = None,
-        access: str = "scan",  # "scan" | "index" | "keys"
+        access: str = "scan",  # "scan" | "keys"
     ) -> CostEstimate:
         """Cost of running one sub-query at one fragment replica.
 
         ``access="scan"`` hands every document of the fragment to the
-        evaluator; ``access="index"`` pays :data:`INDEX_LOOKUP_SECONDS`
-        up front and then hands over only the estimated matching
-        documents (the selectivity fraction, at least one) — the trade
-        lowering prices per replica to choose the cheaper path.
-        ``access="keys"`` is the answer stage of a semi-join: the site
-        looks the shipped origins up and hands over that same estimated
-        fraction, with no probe to pay.
+        evaluator. ``access="keys"`` is the answer stage of a semi-join:
+        the site looks the shipped origins up and hands over only the
+        estimated matching documents (the selectivity fraction, at least
+        one).
         """
         stats = self.fragment_statistics(collection, fragment, site)
         documents = stats.documents if stats is not None else DEFAULT_DOCUMENTS
@@ -153,20 +142,13 @@ class CostModel:
                 SCALAR_RESULT_BYTES, int(fragment_bytes * selectivity)
             )
         query_bytes = len(query.encode("utf-8"))
-        if access in ("index", "keys"):
-            touched = max(1, int(documents * selectivity))
-            touched_bytes = max(1, int(fragment_bytes * selectivity))
-            cpu = (
-                (INDEX_LOOKUP_SECONDS if access == "index" else 0.0)
-                + touched * self.seconds_per_document
-                + touched_bytes * self.seconds_per_byte
-            )
-            documents = touched
-        else:
-            cpu = (
-                documents * self.seconds_per_document
-                + fragment_bytes * self.seconds_per_byte
-            )
+        if access == "keys":
+            documents = max(1, int(documents * selectivity))
+            fragment_bytes = max(1, int(fragment_bytes * selectivity))
+        cpu = (
+            documents * self.seconds_per_document
+            + fragment_bytes * self.seconds_per_byte
+        )
         net = self.network.transfer_seconds(query_bytes) + (
             self.network.transfer_seconds(result_bytes)
         )

@@ -32,7 +32,7 @@ def _estimate_text(op: str, estimate: Optional[CostEstimate]) -> str:
 
 def _node_label(node: PlanNode) -> str:
     detail = node.detail
-    if node.op in ("scan", "index-scan"):
+    if node.op == "scan":
         label = (
             f"{node.op} {detail.get('fragment')}"
             f" @ {detail.get('site')}/{detail.get('collection')}"
@@ -44,8 +44,6 @@ def _node_label(node: PlanNode) -> str:
             label += f" project=[{', '.join(project)}]"
         if detail.get("restricted"):
             label += " restricted"
-        if detail.get("predicate"):
-            label += f" pred={detail.get('predicate')}"
         candidates = detail.get("candidates", 1)
         if candidates > 1:
             label += f" candidates={candidates}"

@@ -56,28 +56,10 @@ class FragmentScan:
     #: returns (see ``QueryAnalysis.selectivity_hint``); the cost model
     #: turns it into an estimated result size.
     selectivity: float = 1.0
-    #: Rendered form of the pruning predicate the scan's sub-query
-    #: carries (EXPLAIN annotation; None when the query has none).
-    predicate: Optional[str] = None
     #: What a ``purpose="fetch"`` scan keeps of each stored document: the
     #: path arguments of its ``px:project`` sub-query (EXPLAIN annotation;
     #: ``(".",)`` is the whole document, None on answer scans).
     project: Optional[Tuple[str, ...]] = None
-
-
-@dataclass(frozen=True)
-class IndexScan(FragmentScan):
-    """A fragment scan *eligible* for index-assisted access.
-
-    The decomposer emits this subclass instead of :class:`FragmentScan`
-    when indexes are enabled and the query carries a pruning predicate.
-    It marks eligibility, not commitment: lowering prices both access
-    paths per replica with the cost model and may still choose a full
-    scan (a tiny fragment is cheaper to scan than to probe) — so a plan
-    can legitimately mix ``index-scan`` and ``scan`` lanes over the same
-    predicate. With ``use_indexes=False`` the decomposer never emits it
-    and every lane stays a paper-faithful full scan.
-    """
 
 
 @dataclass(frozen=True)

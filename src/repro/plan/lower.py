@@ -35,7 +35,6 @@ from repro.plan.logical import (
     Compose,
     FragmentScan,
     IdJoin,
-    IndexScan,
     LogicalPlan,
     MergeAggregate,
     PartialAggregate,
@@ -87,49 +86,35 @@ class _LaneScheduler:
     def assign(
         self, scan: FragmentScan, pushdown: Optional[str], restricted=False
     ):
-        """Pick (candidate, estimate, access) for ``scan``.
-
-        An :class:`IndexScan` leaf is priced under both access paths at
-        every eligible replica — the index path competes on equal terms
-        and wins only where the lookup cost amortizes over skipped
-        documents, so one plan can mix ``index`` and ``scan`` lanes.
-        Access ties break toward ``scan`` (tuple order below), keeping
-        plans deterministic. A ``restricted`` scan — the answer stage of
-        a semi-join — is priced as the key lookup it is.
+        """Pick (candidate, estimate) for ``scan``: the eligible replica
+        with the least projected busy time. A ``restricted`` scan — the
+        answer stage of a semi-join — is priced as the key lookup it is.
+        How a site reaches the documents (index probe or full scan) is
+        the site's own setting, not a plan decision.
         """
-        accesses = ("scan", "index") if isinstance(scan, IndexScan) else ("scan",)
-        if restricted:
-            accesses = ("keys",)
+        access = "keys" if restricted else "scan"
         best = None
         for position, candidate in self._eligible(scan):
-            for access in accesses:
-                estimate = self.model.scan_estimate(
-                    self.collection,
-                    scan.fragment,
-                    candidate.site,
-                    candidate.query,
-                    purpose=scan.purpose,
-                    selectivity=scan.selectivity,
-                    pushdown=pushdown,
-                    access=access,
-                )
-                projected = (
-                    self.busy.get(candidate.site, 0.0) + estimate.total_seconds
-                )
-                key = (
-                    projected,
-                    self.counts.get(candidate.site, 0),
-                    position,
-                    accesses.index(access),
-                )
-                if best is None or key < best[0]:
-                    best = (key, candidate, estimate, access)
-        _, candidate, estimate, access = best
+            estimate = self.model.scan_estimate(
+                self.collection,
+                scan.fragment,
+                candidate.site,
+                candidate.query,
+                purpose=scan.purpose,
+                selectivity=scan.selectivity,
+                pushdown=pushdown,
+                access=access,
+            )
+            projected = self.busy.get(candidate.site, 0.0) + estimate.total_seconds
+            key = (projected, self.counts.get(candidate.site, 0), position)
+            if best is None or key < best[0]:
+                best = (key, candidate, estimate)
+        _, candidate, estimate = best
         self.busy[candidate.site] = (
             self.busy.get(candidate.site, 0.0) + estimate.total_seconds
         )
         self.counts[candidate.site] = self.counts.get(candidate.site, 0) + 1
-        return candidate, estimate, access
+        return candidate, estimate
 
 
 def lower(
@@ -157,7 +142,7 @@ def lower(
         the answer scan comes back wrapped in the ``semi-join`` node
         that lists the key scans before it."""
         restricted = into is lanes and bool(key_lanes)
-        candidate, estimate, access = scheduler.assign(
+        candidate, estimate = scheduler.assign(
             scan, pushdown, restricted=restricted
         )
         index = len(into)
@@ -177,10 +162,6 @@ def lower(
                 for other in scan.candidates
                 if other.site != candidate.site
             ),
-            # Only an index lane overrides the site's own setting; a scan
-            # lane leaves None so a site configured with indexes on keeps
-            # behaving as configured.
-            use_indexes=True if access == "index" else None,
         )
         into.append(
             Lane(
@@ -199,14 +180,12 @@ def lower(
             "selectivity": scan.selectivity,
             "candidates": len(scan.candidates),
         }
-        if scan.predicate is not None:
-            detail["predicate"] = scan.predicate
         if scan.project is not None:
             detail["project"] = list(scan.project)
         if restricted:
             detail["restricted"] = True
         node = PlanNode(
-            op="index-scan" if access == "index" else "scan",
+            op="scan",
             node_id=node_id,
             detail=detail,
             estimate=estimate,
@@ -319,7 +298,7 @@ def lower_annotated(
     candidate; lowering only contributes the tree shape and estimates.
     """
     scans = tuple(
-        (IndexScan if subquery.use_indexes else FragmentScan)(
+        FragmentScan(
             fragment=subquery.fragment,
             candidates=(
                 ScanCandidate(

@@ -10,7 +10,7 @@ aliases its old ``DecomposedQuery`` name to this class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.cluster.site import staged_seconds
@@ -24,7 +24,7 @@ class PlanNode:
 
     ``op`` is the node kind (``compose`` / ``union`` /
     ``merge-aggregate`` / ``id-join`` / ``partial-aggregate`` /
-    ``semi-join`` / ``scan`` / ``index-scan``); ``node_id`` is its
+    ``semi-join`` / ``scan``); ``node_id`` is its
     stable identity, threaded into ``SubQueryExecution.plan_node`` so measured per-lane timings can be
     joined back to the estimates; ``detail`` carries op-specific
     attributes (fragment, site, aggregate, purpose, …) as a JSON-able
@@ -121,37 +121,6 @@ class PhysicalPlan:
     # ------------------------------------------------------------------
     def with_execution(self, streaming, chunk_bytes) -> "PhysicalPlan":
         return self  # no-op: benchmarks/e2e/tracing.py calls it
-
-    def with_lane_indexes(self, use_indexes: bool) -> "PhysicalPlan":
-        """This plan with every lane forced to ``use_indexes``.
-
-        The per-query override of ``Partix.execute(use_indexes=...)``:
-        lowering's access-path choice (and the rendered tree) stay as
-        planned, but each dispatched sub-query carries an explicit index
-        setting that overrides the executing site's own configuration —
-        ``False`` yields a paper-faithful full scan even at sites whose
-        engines default to index pruning, ``True`` forces the probe
-        everywhere, in both stages. The node tree is shared; only lanes
-        are rebuilt.
-        """
-        if all(
-            lane.subquery.use_indexes == use_indexes
-            for lane in (*self.key_lanes, *self.lanes)
-        ):
-            return self
-
-        def forced(lanes: list) -> list:
-            return [
-                replace(
-                    lane,
-                    subquery=replace(lane.subquery, use_indexes=use_indexes),
-                )
-                for lane in lanes
-            ]
-
-        return replace(
-            self, lanes=forced(self.lanes), key_lanes=forced(self.key_lanes)
-        )
 
     # ------------------------------------------------------------------
     def render(self) -> str:

@@ -61,11 +61,6 @@ class SubQuery:
     chose; ``replicas`` lists the alternative targets (other replicas of
     the same fragment, catalog order) the dispatcher may fail over to
     when the primary target's site stops answering.
-
-    ``use_indexes`` is the lane's access-path decision: ``True`` on an
-    ``index-scan`` lane (the executing site must probe its indexes for
-    this query even if its default is full scan), ``None`` to leave the
-    site's own configuration in charge (the paper-faithful default).
     """
 
     fragment: str
@@ -74,7 +69,6 @@ class SubQuery:
     query: str
     purpose: str = "answer"  # "answer" | "fetch" | "keys"
     replicas: Tuple[SubQueryTarget, ...] = field(default=(), compare=True)
-    use_indexes: Optional[bool] = None
 
     def targets(self) -> Tuple[SubQueryTarget, ...]:
         """Every place this sub-query can run, chosen target first."""
@@ -135,8 +129,6 @@ class SubQuery:
             payload["replicas"] = [
                 target.to_dict() for target in self.replicas
             ]
-        if self.use_indexes is not None:
-            payload["use_indexes"] = self.use_indexes
         return payload
 
     @classmethod
@@ -151,7 +143,6 @@ class SubQuery:
                 SubQueryTarget.from_dict(target)
                 for target in payload.get("replicas", ())
             ),
-            use_indexes=payload.get("use_indexes"),
         )
 
 

@@ -102,6 +102,9 @@ class QueryAnalysis:
     #: (``(collection("c")/a)[2]``, ``for $x at $p in collection("c")/a``):
     #: positions count across documents.
     positional_sequences: list[str] = field(default_factory=list)
+    #: How many input-function calls (``collection()``, ``doc()``) the
+    #: query makes.
+    input_calls: int = 0
 
     def touched_path_strings(self) -> list[str]:
         return [str(p) for p in self.touched_paths]
@@ -135,9 +138,15 @@ def analyze_query(query: Union[str, Expr]) -> QueryAnalysis:
     analyzer = _Analyzer(analysis)
     analyzer.walk(walk_target, {})
     predicate, exact = analyzer.selection_predicate(expr)
-    if analysis.positional_sequences:
+    analysis.input_calls = sum(
+        isinstance(node, FunctionCall) and node.name in INPUT_FUNCTIONS
+        for node in _descendants(expr)
+    )
+    if analysis.positional_sequences or analysis.input_calls > 1:
         # Pruning documents (or fragments) by the predicate would
-        # renumber the very sequence such a filter counts over.
+        # renumber the very sequence such a filter counts over; and a
+        # predicate extracted for one input call would narrow every
+        # other input call of the query too.
         predicate, exact = None, False
     analysis.predicate = predicate
     analysis.predicate_exact = exact

@@ -17,7 +17,7 @@ from repro.datamodel.binary import (
     BinaryXMLDocument,
     StringPool,
 )
-from repro.engine import EngineStats, ExecOptions, XMLEngine
+from repro.engine import EngineStats, XMLEngine
 from repro.engine.store import DocumentStore
 from repro.paths.evaluator import evaluate_path
 from repro.paths.parser import parse_path
@@ -201,14 +201,15 @@ class TestPersistence:
             return read_bytes(path)
 
         monkeypatch.setattr(store_module.Path, "read_bytes", _no_xml)
-        reloaded = XMLEngine("p2", storage_dir=str(tmp_path))
+        reloaded = XMLEngine(
+            "p2", storage_dir=str(tmp_path), use_indexes=False
+        )
         assert reloaded.store.load_document("c", "b.xml").size == len(
             "<Store><Items><Item><Code>5</Code></Item></Items></Store>"
         )
         result = reloaded.execute(
             'for $i in collection("c")/Store/Items/Item'
-            " where $i/Code = 5 return $i/Code",
-            ExecOptions(use_indexes=False),
+            " where $i/Code = 5 return $i/Code"
         )
         assert "5" in result.result_text
         assert result.documents_scanned == 2
@@ -223,11 +224,12 @@ class TestPersistence:
         for table in (tmp_path / "c").glob("*.pxb"):
             table.unlink()
         (tmp_path / "c" / "_pool.bin").unlink()
-        reloaded = XMLEngine("p3", storage_dir=str(tmp_path))
+        reloaded = XMLEngine(
+            "p3", storage_dir=str(tmp_path), use_indexes=False
+        )
         result = reloaded.execute(
             'for $i in collection("c")/Store/Items/Item'
-            " where $i/Code = 5 return $i/Code",
-            ExecOptions(use_indexes=False),
+            " where $i/Code = 5 return $i/Code"
         )
         assert "5" in result.result_text
         # Old on-disk stores hold raw bytes only: the documents parse

@@ -139,24 +139,25 @@ class TestCompileCache:
                 assert engine.stats.index_lookups > 0
 
     def test_eight_threads_under_interleaved_options_match_a_fresh_parse(self):
-        engine = _engine()
+        # Index access is the engine's own setting: one indexed and one
+        # scanning engine, each run under both default collections.
+        engines = (_engine(use_indexes=True), _engine(use_indexes=False))
         combos = [
-            ExecOptions(default_collection=collection, use_indexes=use_indexes)
-            for collection, use_indexes in itertools.product(
-                ("a", "b"), (True, False)
-            )
+            (engine, ExecOptions(default_collection=collection))
+            for collection, engine in itertools.product(("a", "b"), engines)
         ]
         # The pre-parsed Expr never touches the cache: the reference.
         expected = [
             engine.execute(parse_query(CD_CODES), options).result_text
-            for options in combos
+            for engine, options in combos
         ]
         assert len(set(expected)) == 2  # one answer per collection
-        assert len(engine._compiled) == 0
-        assert engine.execute(CD_CODES, combos[1]).result_text == expected[1]
-        _, shared = engine._compile(CD_CODES)
+        assert all(len(engine._compiled) == 0 for engine in engines)
+        for (engine, options), answer in zip(combos, expected[:2]):
+            assert engine.execute(CD_CODES, options).result_text == answer
+        shared = [engine._compile(CD_CODES)[1] for engine in engines]
         pristine = _analysis_view(analyze_query(CD_CODES))
-        assert _analysis_view(shared) == pristine
+        assert all(_analysis_view(one) == pristine for one in shared)
 
         wrong = []
 
@@ -164,10 +165,10 @@ class TestCompileCache:
             offset %= len(combos)
             order = combos[offset:] + combos[:offset]
             for _ in range(6):
-                for options in order:
+                for engine, options in order:
                     text = engine.execute(CD_CODES, options).result_text
-                    if text != expected[combos.index(options)]:
-                        wrong.append((options, text))
+                    if text != expected[combos.index((engine, options))]:
+                        wrong.append((engine.use_indexes, options, text))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -184,6 +185,9 @@ class TestCompileCache:
         finally:
             sys.setswitchinterval(interval)
         assert not wrong
-        assert list(engine._compiled) == [CD_CODES]
-        assert engine._compile(CD_CODES)[1] is shared
-        assert _analysis_view(shared) == pristine
+        for engine, one in zip(engines, shared):
+            assert list(engine._compiled) == [CD_CODES]
+            assert engine._compile(CD_CODES)[1] is one
+            assert _analysis_view(one) == pristine
+        assert engines[0].stats.index_lookups > 0
+        assert engines[1].stats.index_lookups == 0

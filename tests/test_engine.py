@@ -356,17 +356,12 @@ class TestCandidateDocuments:
         assert nested[0] == (["item2.xml"], 2)
 
     def test_indexes_can_be_disabled(self, engine):
-        # The use_indexes decision belongs to scan_candidates: off means
-        # every document is a candidate and no index is probed.
-        stats = EngineStats()
-        names = engine.scan_candidates(
-            "items",
-            eq("/Item/Section", "CD"),
-            stats,
-            ExecOptions(use_indexes=False),
-        )
-        assert len(names) == 10 and stats.index_lookups == 0
+        # The engine's use_indexes setting decides in scan_candidates: off
+        # means every document is a candidate and no index is probed.
         engine.use_indexes = False
+        stats = EngineStats()
+        names = engine.scan_candidates("items", eq("/Item/Section", "CD"), stats)
+        assert len(names) == 10 and stats.index_lookups == 0
         result = engine.execute('collection("items")/Item[Section = "CD"]')
         assert result.documents_scanned == 10
         assert engine.stats.index_lookups == 0
@@ -399,9 +394,29 @@ class TestExecution:
         result = engine.execute(query)
         assert result.result_text.split() == ["2", "4", "6", "8", "10"]
         assert result.documents_pruned == 0
-        assert result.result_text == engine.execute(
-            query, ExecOptions(use_indexes=False)
-        ).result_text
+        engine.use_indexes = False
+        assert result.result_text == engine.execute(query).result_text
+
+    @pytest.mark.parametrize("use_indexes", [True, False])
+    def test_where_predicate_leaves_an_inner_collection_call_alone(
+        self, use_indexes
+    ):
+        # The where clause selects 2 of 6 articles; the inner collection()
+        # must still count all six, whichever way the site reads.
+        engine = XMLEngine("inner", use_indexes=use_indexes)
+        for i in range(6):
+            genre = "demo" if i < 2 else "survey"
+            engine.store_document(
+                "C",
+                f"<article><prolog><genre>{genre}</genre></prolog></article>",
+                name=f"a{i}.xml",
+            )
+        result = engine.execute(
+            'for $a in collection("C")/article'
+            ' where $a/prolog/genre = "demo"'
+            ' return count(collection("C")/article)'
+        )
+        assert result.result_text.split() == ["6", "6"]
 
     def test_stats_accumulate(self, engine):
         engine.execute('collection("items")/Item')
@@ -582,8 +597,7 @@ class TestExecutionRecords:
 
     def test_options_round_trip_unset_fields_stay_off_the_wire(self):
         assert ExecOptions().to_payload() == {}
-        # False is a set value (force full scans), not an unset one.
-        full = ExecOptions(default_collection="c", use_indexes=False)
+        full = ExecOptions(default_collection="c")
         names = [f.name for f in dataclasses.fields(ExecOptions)]
         assert list(full.to_payload()) == names  # the sample covers every field
         assert ExecOptions.from_payload(full.to_payload()) == full
@@ -591,10 +605,11 @@ class TestExecutionRecords:
             one = ExecOptions(**{name: getattr(full, name)})
             assert one.to_payload() == {name: getattr(full, name)}
             assert ExecOptions.from_payload(one.to_payload()) == one
+        # An older peer still sends the removed index override and shard
+        # degree: ignored, the site's own setting decides.
         assert ExecOptions.from_payload(
             {"query": "q", "stream": True, "use_indexes": True, "trace_id": "x"}
-        ) == ExecOptions(use_indexes=True)
-        # An older peer still sends the removed shard degree: ignored.
+        ) == ExecOptions()
         assert ExecOptions.from_payload(
             {"query": "q", "default_collection": "c", "parallel_degree": 2}
         ) == ExecOptions(default_collection="c")

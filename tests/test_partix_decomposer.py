@@ -19,7 +19,7 @@ from repro.partix import (
     rewrite_avg_to_sum_count,
     rewrite_paths_for_fragment_root,
 )
-from repro.paths import eq, ne
+from repro.paths import eq, exists, ne
 from repro.xquery.parser import parse_query
 from repro.xquery.unparse import unparse
 
@@ -462,3 +462,59 @@ class TestPositionalFilters:
         assert central == "1\n5\n9"  # i0, i4, i8 of twelve
         with pytest.raises(DecompositionError, match=r"at \$p"):
             items.execute(query, collection="Citems")
+
+
+class TestSeveralInputCalls:
+    """Shipped per fragment, every collection() call of a query reads
+    that fragment's documents only: an inner count(collection(...))
+    would count per fragment."""
+
+    QUERY = (
+        'for $i in collection("Citems")/Item'
+        ' where $i/Section = "CD" return count(collection("Citems")/Item)'
+    )
+
+    @staticmethod
+    def _partix(fragments):
+        from repro.cluster import Site
+        from repro.datamodel import Collection, doc, elem
+        from repro.partix import Partix
+
+        documents = [
+            doc(
+                elem(
+                    "Item",
+                    elem("Code", f"I{i}"),
+                    elem("Section", "CD" if i % 2 else "DVD"),
+                ),
+                name=f"i{i}.xml",
+            )
+            for i in range(6)
+        ]
+        cluster = Cluster.with_sites(len(fragments), use_indexes=False)
+        cluster.add(Site("central", use_indexes=False))
+        partix = Partix(cluster)
+        collection = Collection("Citems", documents)
+        partix.publish(
+            collection,
+            FragmentationSchema("Citems", fragments, root_label="Item"),
+        )
+        partix.publish_centralized(collection, "central")
+        return partix
+
+    def test_a_fragmented_design_refuses(self):
+        partix = self._partix([
+            HorizontalFragment("F_cd", "Citems", predicate=eq("/Item/Section", "CD")),
+            HorizontalFragment("F_rest", "Citems", predicate=ne("/Item/Section", "CD")),
+        ])
+        central = partix.execute_centralized(self.QUERY, "central")
+        assert central.result_text.split() == ["6", "6", "6"]
+        with pytest.raises(DecompositionError, match="2 input calls"):
+            partix.execute(self.QUERY, collection="Citems")
+
+    def test_a_one_fragment_design_answers(self):
+        partix = self._partix([
+            HorizontalFragment("F_all", "Citems", predicate=exists("/Item/Code"))
+        ])
+        result = partix.execute(self.QUERY, collection="Citems")
+        assert result.result_text.split() == ["6", "6", "6"]

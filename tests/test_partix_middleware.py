@@ -300,3 +300,52 @@ class TestLifetime:
         assert all(thread.is_alive() for thread in mine)  # still owned
         partix.close()
         assert not any(thread.is_alive() for thread in mine)
+
+
+class TestSitesOwnIndexAccess:
+    """Index access is each site's own setting: the plan renders plain
+    scans, and every site reads the way it was configured, in every
+    execution mode."""
+
+    def test_mixed_sites_each_keep_their_setting(self, items_collection):
+        cluster = Cluster([
+            Site("indexed0"),
+            Site("indexed1"),
+            Site("scanning", use_indexes=False),
+        ])
+        design = FragmentationSchema("Citems", [
+            HorizontalFragment("F_cd", "Citems", predicate=eq("/Item/Section", "CD")),
+            HorizontalFragment("F_dvd", "Citems", predicate=eq("/Item/Section", "DVD")),
+            HorizontalFragment("F_rest", "Citems", predicate=(
+                ne("/Item/Section", "CD") & ne("/Item/Section", "DVD"))),
+        ], root_label="Item")
+        query = (
+            'for $i in collection("Citems")/Item'
+            ' where contains($i/Description, "good") return $i/Code'
+        )
+        with Partix(cluster) as px:
+            px.publish(items_collection, design)
+            plan = px.explain(query, "Citems")
+            nodes = [plan.root]
+            scans = []
+            while nodes:
+                node = nodes.pop()
+                nodes.extend(node.children)
+                if not node.children:
+                    scans.append(node.op)
+            assert scans == ["scan"] * 3
+            assert "index-scan" not in plan.render()
+            assert "pred=" not in plan.render()
+            px.start_tcp()
+            answers = set()
+            for mode in ("simulated", "threads", "tcp"):
+                result = px.execute(query, "Citems", execution_mode=mode)
+                answers.add(result.result_text)
+                lookups = {
+                    execution.site: execution.result.index_lookups
+                    for execution in result.round.executions
+                }
+                assert set(lookups) == {"indexed0", "indexed1", "scanning"}
+                assert lookups["indexed0"] > 0 and lookups["indexed1"] > 0
+                assert lookups["scanning"] == 0, mode
+            assert len(answers) == 1 and answers.pop().count("<Code>") == 3

@@ -80,8 +80,8 @@ class Repository:
         self.name = collection.name
         self.partix = Partix(Cluster.with_sites(sites))
         self.partix.publish(collection, design, **publish)
-        # The oracle scans: index pruning hands a query's predicate to
-        # every collection() call in it, an inner one included.
+        # The reference is the paper-faithful scan: the indexed fragment
+        # sites face an answer no index helped compute.
         self.central = Partix(Cluster([Site(CENTRAL, use_indexes=False)]))
         self.central.publish_centralized(collection, CENTRAL)
         self.modes = MODES if tcp else MODES[:2]
@@ -95,13 +95,13 @@ class Repository:
     def centralized(self, query):
         return self.central.execute_centralized(query, CENTRAL).result_text
 
-    def answer(self, query, **options):
+    def answer(self, query):
         """The simulated result, after every mode answered the
         centralized bytes."""
         expected = self.centralized(query)
         results = [
             self.partix.execute(
-                query, collection=self.name, execution_mode=mode, **options
+                query, collection=self.name, execution_mode=mode
             )
             for mode in self.modes
         ]
@@ -402,22 +402,6 @@ class TestKeySets:
         )
         assert stages(result.plan) == (["Fp"], ["Fb"])
         assert result.result_text.count("\n") == 9
-
-    def test_index_override_reaches_both_stages(self, wide):
-        query = _titles('$a/epilog/country = "BR" and $a/prolog/genre = "survey"')
-        lookups = {}
-        for use_indexes in (False, True):
-            result = wide.answer(query, use_indexes=use_indexes)
-            assert [sq.use_indexes for sq in result.plan.subqueries] == [
-                use_indexes,
-                use_indexes,
-            ]
-            lookups[use_indexes] = [
-                execution.result.index_lookups
-                for execution in result.round.executions
-            ]
-        assert lookups[False] == [0, 0]
-        assert all(count > 0 for count in lookups[True])
 
 
 # ----------------------------------------------------------------------
