@@ -157,6 +157,7 @@ def _print_digest(summary: dict) -> None:
     )
     rows.append(("fragments pruned by value summary", summary["summary_pruned"]))
     rows.append(("vertical semi-join plans", summary["semijoin_plans"]))
+    rows.append(("whole-design vertical fetches", summary["whole_design_fetches"]))
     if summary.get("migrate"):
         rows.append(("migrations completed", summary["migrations_completed"]))
     rows.append(("failures", len(summary["failures"])))

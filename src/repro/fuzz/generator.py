@@ -28,8 +28,10 @@ multi-fragment shapes: joins one fragment can answer for the keys of the
 others (the vertical semi-join, whole-subtree returns included) and
 joins none can (an ``or`` across fragments, a constructor reading two, a
 negation on the filtering side, a per-article ``count`` over the optional
-part), which force the cross-fragment ID-join
-— then
+part), which force the cross-fragment ID-join; and one-fragment shapes a
+document without that part changes (a per-article ``count`` of an
+optional part with no ``where``, a counted negation alone), which only a
+reconstruction over every fragment answers — then
 rendered through :func:`repro.xquery.unparse.unparse`. Generation asserts
 the ``parse(unparse(ast)) == ast`` round-trip on every query it emits, so
 a broken unparser fails the fuzzer before it can corrupt the oracle.
@@ -626,6 +628,8 @@ def _one_article_query(rng: random.Random) -> Expr:
             "hit-from-two-fragments",
             "not-on-the-key-side",
             "references-per-article",
+            "optional-part-per-article",
+            "counted-negation",
         )
     )
     if recipe == "single-prolog":
@@ -711,6 +715,19 @@ def _one_article_query(rng: random.Random) -> Expr:
             where,
             FunctionCall("count", (_var_path("a", "epilog", "references", "a_id"),)),
         )
+    elif recipe == "optional-part-per-article":
+        # Reads one fragment, yet an article without that part answers 0
+        # there: only a reconstruction over every fragment sees it.
+        part = rng.choice((("body", "section"), ("epilog", "references", "a_id")))
+        return _flwor(
+            "a", binding, None, FunctionCall("count", (_var_path("a", *part),))
+        )
+    elif recipe == "counted-negation":
+        # The negation holds for an article without a body, which the
+        # body fragment never sees: counted over every fragment.
+        search = (_var_path("a", "body", "abstract"), Literal("novel"))
+        where = FunctionCall("not", (FunctionCall("contains", search),))
+        return FunctionCall("count", (_flwor("a", binding, where, VarRef("a")),))
     elif recipe == "count-genre":
         where = BinaryOp(
             "=", _var_path("a", "prolog", "genre"), Literal(rng.choice(GENRES))

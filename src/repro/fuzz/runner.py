@@ -67,6 +67,7 @@ from repro.errors import StorageError
 from repro.fuzz.generator import CaseSpec, GeneratedCase, generate_case, spec_for_iteration
 from repro.partix.catalog import FragmentAllocation
 from repro.partix.correctness import verify_fragmentation
+from repro.partix.decomposer import relevant_fragments
 from repro.partix.middleware import Partix, PartixResult
 from repro.paths.predicates import Empty, Exists, as_number, atoms
 from repro.plan.executor import ExecutionMode
@@ -139,6 +140,10 @@ class CaseOutcome:
     #: Compared plans that ran as a vertical semi-join (keys, then the
     #: answer restricted to them).
     semijoin_plans: int = 0
+    #: Compared vertical plans that fetched a fragment the query does not
+    #: read: reconstructions over the whole design, for the documents
+    #: with no part in the fragments it does read.
+    whole_design_fetches: int = 0
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -161,6 +166,7 @@ class CaseOutcome:
             "index_oracle": dict(self.index_oracle),
             "summary_pruned": self.summary_pruned,
             "semijoin_plans": self.semijoin_plans,
+            "whole_design_fetches": self.whole_design_fetches,
             "mismatches": [m.to_dict() for m in self.mismatches],
             "notes": self.notes,
         }
@@ -219,6 +225,21 @@ def _fetch_projections(plan) -> Counter:
             whole = list(project) == [WHOLE_DOCUMENT]
             counts["whole" if whole else "strict"] += 1
     return counts
+
+
+def _fetches_unread_fragment(partix: Partix, analysis, plan) -> bool:
+    """Does a vertical plan fetch a fragment the query does not read?"""
+    design = partix.distribution_catalog.fragmentation("Cfuzz")
+    if design.kinds != {"vertical"}:
+        return False
+    read = {
+        fragment.name
+        for fragment in relevant_fragments(analysis, design.vertical_fragments())
+    }
+    return any(
+        lane.subquery.purpose == "fetch" and lane.subquery.fragment not in read
+        for lane in plan.lanes
+    )
 
 
 def evaluate_on_dom(engine: XMLEngine, query: str) -> str:
@@ -568,9 +589,12 @@ def _run_query(
     outcome.fetch_projections.update(_fetch_projections(plan))
     outcome.summary_pruned += len(plan.summary_pruned)
     outcome.semijoin_plans += bool(plan.key_lanes)
+    analysis = analyze_query(parse_query(query))
+    outcome.whole_design_fetches += _fetches_unread_fragment(
+        partix, analysis, plan
+    )
     outcome.index_oracle["existence_conditions"] += sum(
-        isinstance(atom, (Exists, Empty))
-        for atom in atoms(analyze_query(parse_query(query)).predicate)
+        isinstance(atom, (Exists, Empty)) for atom in atoms(analysis.predicate)
     )
     outcome.index_oracle["index_lookups"] += sum(
         execution.result.index_lookups
@@ -802,6 +826,7 @@ def run_fuzz(
         "index_oracle": {},
         "summary_pruned": 0,
         "semijoin_plans": 0,
+        "whole_design_fetches": 0,
         "failures": [],
         "ok": True,
     }
@@ -832,6 +857,7 @@ def run_fuzz(
         index_oracle.update(outcome.index_oracle)
         summary["summary_pruned"] += outcome.summary_pruned
         summary["semijoin_plans"] += outcome.semijoin_plans
+        summary["whole_design_fetches"] += outcome.whole_design_fetches
         if outcome.ok:
             continue
         summary["ok"] = False

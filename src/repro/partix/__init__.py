@@ -25,7 +25,6 @@ from repro.partix.correctness import (
 )
 from repro.partix.decomposer import (
     CompositionSpec,
-    DecomposedQuery,
     QueryDecomposer,
     SubQuery,
     annotated,
@@ -58,6 +57,7 @@ from repro.partix.publisher import (
     FragmentPublication,
     PublicationReport,
 )
+from repro.plan.physical import PhysicalPlan
 
 __all__ = [
     "CollectionDeclaration",
@@ -68,7 +68,6 @@ __all__ = [
     "CompositionSpec",
     "CorrectnessReport",
     "DataPublisher",
-    "DecomposedQuery",
     "DistributionCatalog",
     "FragMode",
     "FragmentAllocation",
@@ -82,6 +81,7 @@ __all__ = [
     "Partix",
     "PartixDriver",
     "PartixResult",
+    "PhysicalPlan",
     "PublicationReport",
     "QueryDecomposer",
     "ResultComposer",

@@ -17,15 +17,18 @@ Localization rules:
   design did not anticipate). Sub-queries are the original query with
   the collection renamed to the fragment's stored collection.
 * **vertical** — a fragment is relevant when a path the query touches may
-  fall inside the fragment's projected region. A single-fragment query is
-  rewritten (the fragment path's prefix is stripped, since fragment
-  documents are rooted at the projected node); a multi-fragment query
-  whose ``where`` splits by fragment while everything else reads one
-  fragment is answered as a *semi-join* (keys-then-answer, see
-  :meth:`QueryDecomposer._semijoin_plan`): the filtering fragments
-  answer with join keys, the returning fragment answers the query for
-  those keys. Any other multi-fragment query
-  falls back to *projected fetch + ID-join + re-query on the rebuilt
+  fall inside the fragment's projected region. One rule plans every
+  vertical query (:meth:`QueryDecomposer._decompose_vertical`): a *key
+  stage* of zero or more key lanes, then an *answer stage* on one
+  fragment B — the filtering fragments answer with join keys, B answers
+  the query for those keys (a *semi-join*); with no key lane B answers
+  the query alone, its paths stripped of the fragment path's prefix
+  (fragment documents are rooted at the projected node). One guard —
+  could a document with no part in a set of fragments contribute to the
+  answer? (:meth:`_VerticalSplit.part_needed`) — decides whether B may
+  answer, and else which fragments the fallback fetches: the relevant
+  ones, or every fragment. The fallback is
+  *projected fetch + ID-join + re-query on the rebuilt
   trees* — the reconstruction the paper blames for vertical slowdowns,
   shipping and rebuilding only what the query reads. Each fetch asks
   its site for every stored document projected onto the query's touched
@@ -41,12 +44,15 @@ Localization rules:
   which is just the projection whose kept path is the root). Sound by
   the contract that already drops whole fragments: with ``paths_exact``
   the query navigates nothing outside ``touched_paths``, and the subset
-  has no upward axis — the same fact, applied inside a fragment.
+  has no upward axis — the same fact, applied inside a fragment. A
+  fragment the query does not read travels as bare roots.
 * **hybrid** — unit-region queries behave like horizontal over the unit
   fragments (with the query predicate re-rooted at the unit); FragMode1
-  storage additionally needs the chain prefix stripped; queries spanning
-  the remainder fall back to reconstruction (fetching whole documents:
-  unit fragments are stored under two shapes, FragMode1/FragMode2).
+  storage additionally needs the chain prefix stripped; a query reading
+  only a lone remainder fragment is shipped to it unchanged; everything
+  else falls back to reconstruction over every fragment (fetching whole
+  documents: unit fragments are stored under two shapes,
+  FragMode1/FragMode2).
 
 Aggregates (``count``/``sum``/``min``/``max``/``avg``) are decomposed into
 partial aggregates merged by the composer; ``avg`` ships as a
@@ -58,8 +64,7 @@ candidate per replica — under the composition-shaped interior nodes
 (``Union`` / ``MergeAggregate``+``PartialAggregate`` / ``IdJoin``).
 :meth:`QueryDecomposer.decompose` lowers it to a
 :class:`~repro.plan.physical.PhysicalPlan` with cost-based site/replica
-selection; ``DecomposedQuery`` is kept as an alias of that class for the
-pre-IR callers.
+selection.
 
 The paper's prototype shipped *annotated* sub-queries (locations supplied
 by hand); :func:`annotated` builds the same structure for that mode.
@@ -148,18 +153,11 @@ from repro.xquery.parser import parse_query
 from repro.xquery.unparse import unparse
 
 
-# Compatibility alias: the decomposer's output used to be a bespoke
-# ``DecomposedQuery`` record; it is now the physical plan itself (which
-# keeps ``.subqueries`` / ``.fragment_names`` / ``.composition`` /
-# ``.notes`` with the same meanings).
-DecomposedQuery = PhysicalPlan
-
-
 def annotated(
     collection: str,
     subqueries: list[SubQuery],
     composition: CompositionSpec,
-) -> DecomposedQuery:
+) -> PhysicalPlan:
     """Build a hand-annotated decomposition (the paper's prototype mode)."""
     if not subqueries:
         raise DecompositionError("an annotated decomposition needs sub-queries")
@@ -191,7 +189,7 @@ class QueryDecomposer:
     # ------------------------------------------------------------------
     def decompose(
         self, query: str, collection: Optional[str] = None
-    ) -> DecomposedQuery:
+    ) -> PhysicalPlan:
         return lower(
             self.decompose_logical(query, collection),
             cost_model=self.cost_model,
@@ -329,9 +327,7 @@ class QueryDecomposer:
                 "pruned fragments (predicate contradiction): "
                 + ", ".join(pruned)
             )
-        composition = self._value_composition(
-            analysis, query, collection, fragmentation
-        )
+        composition = self._value_composition(analysis)
         if not relevant:
             # The query contradicts every fragment: answer is empty, but we
             # must still return a well-formed plan; ship to none and let the
@@ -395,13 +391,8 @@ class QueryDecomposer:
                 relevant.append(fragment)
         return relevant, pruned, summary_pruned
 
-    def _value_composition(
-        self,
-        analysis: QueryAnalysis,
-        query: str,
-        collection: str,
-        fragmentation: FragmentationSchema,
-    ) -> CompositionSpec:
+    @staticmethod
+    def _value_composition(analysis: QueryAnalysis) -> CompositionSpec:
         if analysis.aggregate is not None:
             return CompositionSpec(kind="aggregate", aggregate=analysis.aggregate)
         return CompositionSpec(kind="concat")
@@ -444,236 +435,94 @@ class QueryDecomposer:
         collection: str,
         fragmentation: FragmentationSchema,
     ) -> LogicalPlan:
+        """The one vertical rule: a key stage of zero or more key lanes,
+        then an answer stage on one fragment **B**; or, when that cannot
+        be proven exact, the reconstruction.
+
+        :class:`_VerticalSplit` names B and the key fragments. Each key
+        fragment **A** gets a *key scan*: its ``where`` conjuncts
+        re-rooted at A's documents, answering each match's ``pxorigin``.
+        B then gets its own conjuncts, ``order by`` and ``return``
+        re-rooted over ``px:collection("B's stored collection")``, the
+        slot the executor writes the intersected keys into. With no key
+        scan, B gets the whole query re-rooted over ``collection(...)``:
+        one round. Exact because a vertical fragment holds at most one
+        part per source document (Definition 3) — and possibly none: a
+        key side must fail without a node under A's root, and B may
+        answer only when :meth:`_VerticalSplit.part_needed` holds for
+        {B}. Otherwise the reconstruction fetches the relevant fragments
+        when the guard holds for them, else every fragment (the ones the
+        query does not read travel as bare roots). Decided from the
+        query and the design alone: no statistics, threshold or option.
+        """
         fragments = fragmentation.vertical_fragments()
-        if analysis.paths_exact and analysis.touched_paths:
-            relevant = [
-                f
-                for f in fragments
-                if any(
-                    _path_touches_fragment(f, path)
-                    for path in analysis.touched_paths
-                )
-            ]
-            if not relevant:
-                relevant = list(fragments)
-        else:
-            relevant = list(fragments)
+        relevant = relevant_fragments(analysis, fragments)
         notes = [
             f"vertical localization: {len(relevant)}/{len(fragments)}"
             " fragment(s) relevant"
         ]
-        if len(relevant) == 1:
-            fragment = relevant[0]
-            rewritten = rewrite_paths_for_fragment_root(
-                self._shippable_ast(expr, analysis),
-                [s.name for s in fragment.path.steps],
+        split = _VerticalSplit(expr, analysis, collection, relevant)
+        answering, hint = split.answering, analysis.selectivity_hint()
+        if answering is not None and split.part_needed({answering.name}):
+            flwor, answered = split.flwor, expr
+            keys = [
+                rewrite_paths_for_fragment_root(
+                    FLWOR(flwor.clauses, split.where_of(fragment), (), Literal(1)),
+                    [step.name for step in fragment.path.steps],
+                )
+                for fragment in split.keyed
+            ]
+            if split.keyed:
+                answered = FLWOR(
+                    flwor.clauses,
+                    split.where_of(answering),
+                    flwor.order_by,
+                    flwor.return_expr,
+                )
+                if split.shaped is not flwor:
+                    answered = FunctionCall(split.shaped.name, (answered,))
+            rooted = rewrite_paths_for_fragment_root(
+                self._shippable_ast(answered, analysis),
+                [step.name for step in answering.path.steps],
             )
-            if rewritten is not None:
-                scan = self._rename_scan(
-                    collection,
-                    fragment.name,
-                    rewritten,
-                    analysis.selectivity_hint(),
+            if rooted is not None and None not in keys:
+                key_scans = [
+                    self._rename_scan(
+                        collection,
+                        fragment.name,
+                        FLWOR(key.clauses, key.where, (), split.origin()),
+                        hint,
+                        purpose="keys",
+                    )
+                    for fragment, key in zip(split.keyed, keys)
+                ]
+                if key_scans:
+                    notes.append(
+                        "vertical semi-join: keys from "
+                        + ", ".join(fragment.name for fragment in split.keyed)
+                        + f" restrict {answering.name}"
+                    )
+                function = "px:collection" if key_scans else "collection"
+                answer = self._rename_scan(
+                    collection, answering.name, rooted, hint, function=function
                 )
                 return self._assemble(
                     collection,
-                    [scan],
-                    self._value_composition(
-                        analysis, query, collection, fragmentation
-                    ),
+                    [answer],
+                    self._value_composition(analysis),
                     notes,
+                    key_scans=key_scans,
                 )
-            notes.append("path rewrite failed; falling back to reconstruction")
-        else:
-            semijoin = self._semijoin_plan(
-                query, expr, analysis, collection, fragmentation, relevant, notes
-            )
-            if semijoin is not None:
-                return semijoin
+        fetched = relevant
+        if not split.part_needed({fragment.name for fragment in relevant}):
+            fetched = fragments
+            if len(fetched) > len(relevant):
+                notes.append(
+                    "reconstruction fetches every fragment: a document"
+                    " with no part in the relevant ones could contribute"
+                )
         return self._reconstruction_plan(
-            query, collection, fragmentation, relevant, notes, analysis
-        )
-
-    def _semijoin_plan(
-        self,
-        query: str,
-        expr: Expr,
-        analysis: QueryAnalysis,
-        collection: str,
-        fragmentation: FragmentationSchema,
-        relevant: list[VerticalFragment],
-        notes: list[str],
-    ) -> Optional[LogicalPlan]:
-        """Keys-then-answer over vertical fragments, or None when the
-        rule below cannot prove it exact (the caller reconstructs).
-
-        The query must be one ``for $v in collection(C)/<root>`` FLWOR
-        (optionally under a decomposable aggregate) whose ``where`` the
-        analysis captured exactly. Its conjuncts are grouped by the one
-        fragment each reads; ``order by`` and ``return`` must read a
-        single fragment **B** (with nothing to read, the last fragment a
-        conjunct reads). Every other fragment **A** a conjunct reads gets
-        a *key scan*: its conjuncts re-rooted at A's documents, answering
-        each matching part's ``pxorigin``. B gets the query — its own
-        conjuncts, ``order by``, ``return`` — re-rooted at its documents
-        over ``px:collection("B's stored collection")``, the slot the
-        executor writes the intersected keys into.
-
-        Exact because a vertical fragment holds at most one part per
-        source document (Definition 3) — and possibly none: a conjunct
-        that reads only A's region holds for a source document iff it
-        holds for that document's part in A, *provided* it cannot hold
-        with no node under A's root, which is why ``not(...)``,
-        ``empty(...)`` and an empty search string decline. B never sees
-        a document without a part in B either, so such a document must
-        contribute nothing to the answer: one of B's own conjuncts needs
-        a node there (the ``where`` fails), or the ``return`` is a plain
-        path from ``$v`` into B (it selects nothing). ``return
-        count($v/epilog/x)``, a constructor or a literal over conjuncts
-        that hold without B's nodes would answer 0, an empty element or
-        the literal for it: those decline. Decided from the query and
-        the design alone: no statistics, no threshold, no option.
-        """
-        if not (
-            analysis.predicate_exact
-            and analysis.paths_exact
-            and analysis.bindings_exact
-            and all(fragment.path.is_simple for fragment in relevant)
-        ):
-            return None
-        shaped = (
-            _neutralize_counted_returns(expr)
-            if analysis.aggregate == "count"
-            else expr
-        )
-        flwor = _root_bound_flwor(shaped, collection, relevant)
-        if flwor is None:
-            return None
-        variable = flwor.clauses[0].var
-        scope = {variable: steps_to_path(flwor.clauses[0].seq.steps)}
-
-        def fragments_read(parts: list[Expr]) -> Optional[set[str]]:
-            """Names of the fragments ``parts`` read; None unless every
-            path they navigate lies in exactly one relevant fragment."""
-            read = analyze_in_scope(parts, scope)
-            if not (read.paths_exact and read.bindings_exact):
-                return None
-            names: set[str] = set()
-            for path in read.touched_paths:
-                holders = [
-                    fragment.name
-                    for fragment in relevant
-                    if _path_touches_fragment(fragment, path)
-                ]
-                if len(holders) != 1:
-                    return None
-                names.update(holders)
-            return names
-
-        conjuncts: dict[str, list[Expr]] = {}
-        for conjunct in _conjuncts(flwor.where):
-            read = fragments_read([conjunct])
-            if read is None or len(read) != 1:
-                return None  # reads two fragments (an ``or`` across them)
-            conjuncts.setdefault(read.pop(), []).append(conjunct)
-        rest = fragments_read(
-            [*(spec.key for spec in flwor.order_by), flwor.return_expr]
-        )
-        if rest is None or len(rest) > 1:
-            return None
-        filtering = [f for f in relevant if f.name in conjuncts]
-        answering = next(
-            (f for f in relevant if f.name in rest),
-            filtering[-1] if filtering else None,
-        )
-        keyed = [f for f in filtering if f is not answering]
-        if not keyed:
-            return None
-        needs_part = any(
-            predicate is not None and not _holds_without_nodes(predicate)
-            for predicate in (
-                condition_predicate(conjunct, scope)
-                for conjunct in conjuncts.get(answering.name, [])
-            )
-        )
-        returned = flwor.return_expr
-        if not needs_part and not (
-            isinstance(returned, PathApply)
-            and returned.primary == VarRef(variable)
-            and returned.steps
-        ):
-            return None  # would answer for a document with no part in B
-
-        key_scans = []
-        for fragment in keyed:
-            predicates = [
-                condition_predicate(conjunct, scope)
-                for conjunct in conjuncts[fragment.name]
-            ]
-            if any(p is None or _holds_without_nodes(p) for p in predicates):
-                return None
-            rooted = rewrite_paths_for_fragment_root(
-                FLWOR(
-                    flwor.clauses,
-                    _conjunction(conjuncts[fragment.name]),
-                    (),
-                    Literal(1),
-                ),
-                [step.name for step in fragment.path.steps],
-            )
-            if rooted is None:
-                return None
-            origin = PathApply(
-                VarRef(variable), (AxisStep("child", PXORIGIN, True),)
-            )
-            key_scans.append(
-                self._rename_scan(
-                    collection,
-                    fragment.name,
-                    FLWOR(
-                        rooted.clauses,
-                        rooted.where,
-                        (),
-                        FunctionCall("string", (origin,)),
-                    ),
-                    analysis.selectivity_hint(),
-                    purpose="keys",
-                )
-            )
-
-        answered = FLWOR(
-            flwor.clauses,
-            _conjunction(conjuncts.get(answering.name, [])),
-            flwor.order_by,
-            flwor.return_expr,
-        )
-        if shaped is not flwor:
-            answered = FunctionCall(shaped.name, (answered,))
-        rooted = rewrite_paths_for_fragment_root(
-            self._shippable_ast(answered, analysis),
-            [step.name for step in answering.path.steps],
-        )
-        if rooted is None:
-            return None
-        notes.append(
-            "vertical semi-join: keys from "
-            + ", ".join(fragment.name for fragment in keyed)
-            + f" restrict {answering.name}"
-        )
-        return self._assemble(
-            collection,
-            [
-                self._rename_scan(
-                    collection,
-                    answering.name,
-                    rooted,
-                    analysis.selectivity_hint(),
-                    function="px:collection",
-                )
-            ],
-            self._value_composition(analysis, query, collection, fragmentation),
-            notes,
-            key_scans=key_scans,
+            query, collection, fragmentation, fetched, notes, analysis
         )
 
     def _reconstruction_plan(
@@ -681,11 +530,11 @@ class QueryDecomposer:
         query: str,
         collection: str,
         fragmentation: FragmentationSchema,
-        relevant,
+        fetched,
         notes: list[str],
         analysis: Optional[QueryAnalysis] = None,
     ) -> LogicalPlan:
-        """Projected fetch of every relevant fragment + ID-join + re-query.
+        """Projected fetch of the ``fetched`` fragments + ID-join + re-query.
 
         With the query's ``analysis`` (the pure vertical designs) each
         fetch ships the fragment's documents projected onto the paths the
@@ -693,10 +542,10 @@ class QueryDecomposer:
         fallbacks, whose unit fragments are stored under two document
         shapes — the whole documents travel.
         """
-        roots = [fragment.path for fragment in relevant]
+        roots = [fragment.path for fragment in fetched]
         project = analysis is not None and all(p.is_simple for p in roots)
         scans = []
-        for fragment in relevant:
+        for fragment in fetched:
             paths = (WHOLE_DOCUMENT,)
             if project:
                 paths = projection_paths(
@@ -760,12 +609,22 @@ class QueryDecomposer:
             f"hybrid localization: units={touches_units}, remainder={touches_rest}"
         ]
         if touches_units and not touches_rest:
-            return self._hybrid_unit_plan(
-                query, expr, analysis, collection, fragmentation, hybrids, notes
+            plan = self._hybrid_unit_plan(
+                expr, analysis, collection, hybrids, notes
             )
-        if touches_rest and not touches_units:
-            return self._hybrid_remainder_plan(
-                query, expr, analysis, collection, others, notes, fragmentation
+            if plan is not None:
+                return plan
+        elif not touches_units and len(others) == 1:
+            remainder = others[0].name
+            notes.append(f"query confined to remainder fragment {remainder}")
+            scan = self._rename_scan(
+                collection,
+                remainder,
+                self._shippable_ast(expr, analysis),
+                analysis.selectivity_hint(),
+            )
+            return self._assemble(
+                collection, [scan], self._value_composition(analysis), notes
             )
         return self._reconstruction_plan(
             query, collection, fragmentation, list(fragmentation), notes
@@ -794,14 +653,14 @@ class QueryDecomposer:
 
     def _hybrid_unit_plan(
         self,
-        query: str,
         expr: Expr,
         analysis: QueryAnalysis,
         collection: str,
-        fragmentation: FragmentationSchema,
         hybrids: list[HybridFragment],
         notes: list[str],
-    ) -> LogicalPlan:
+    ) -> Optional[LogicalPlan]:
+        """The query shipped to every unit fragment it may select from;
+        None when it must be reconstructed (the caller does that)."""
         # Concat composition is only sound when every iteration variable
         # ranges over units (or deeper): a variable bound to the chain
         # (e.g. the Store root) sees one document per *fragment*, so
@@ -816,16 +675,12 @@ class QueryDecomposer:
                 "iteration over the chain (per-document semantics);"
                 " falling back to reconstruction"
             )
-            return self._reconstruction_plan(
-                query, collection, fragmentation, list(fragmentation), notes
-            )
+            return None
         if len(hybrids) > 1:
             _refuse_fragmented_inputs(analysis)
             _refuse_fragmented_positions(analysis, unit_path)
         unit_predicate = (
-            _reroot_predicate(
-                analysis.predicate, hybrids[0].unit_path(), hybrids[0].unit_label
-            )
+            _reroot_predicate(analysis.predicate, unit_path, hybrids[0].unit_label)
             if analysis.predicate is not None
             else None
         )
@@ -864,13 +719,7 @@ class QueryDecomposer:
                                 f"FragMode1 rewrite failed for {fragment.name};"
                                 " falling back to reconstruction"
                             )
-                            return self._reconstruction_plan(
-                                query,
-                                collection,
-                                fragmentation,
-                                list(fragmentation),
-                                notes,
-                            )
+                            return None
                     fragment_expr = mode1_expr
                 renamed = rename_collections(
                     fragment_expr, {collection: entry.stored_collection}
@@ -893,37 +742,7 @@ class QueryDecomposer:
         return self._assemble(
             collection,
             scans,
-            self._value_composition(analysis, query, collection, fragmentation),
-            notes,
-        )
-
-    def _hybrid_remainder_plan(
-        self,
-        query: str,
-        expr: Expr,
-        analysis: QueryAnalysis,
-        collection: str,
-        others,
-        notes: list[str],
-        fragmentation: FragmentationSchema,
-    ) -> LogicalPlan:
-        if len(others) != 1:
-            return self._reconstruction_plan(
-                query, collection, fragmentation, list(fragmentation), notes
-            )
-        fragment = others[0]
-        shipped = self._shippable_ast(expr, analysis)
-        notes.append(f"query confined to remainder fragment {fragment.name}")
-        scan = self._rename_scan(
-            collection,
-            fragment.name,
-            shipped,
-            analysis.selectivity_hint(),
-        )
-        return self._assemble(
-            collection,
-            [scan],
-            self._value_composition(analysis, query, collection, fragmentation),
+            self._value_composition(analysis),
             notes,
         )
 
@@ -997,13 +816,189 @@ def _path_touches_fragment(fragment: VerticalFragment, path: PathExpr) -> bool:
     return True
 
 
+def relevant_fragments(
+    analysis: QueryAnalysis, fragments: list[VerticalFragment]
+) -> list[VerticalFragment]:
+    """The vertical fragments a query reads: those a touched path may
+    select nodes in — every fragment when the analysis cannot tell."""
+    if analysis.paths_exact and analysis.touched_paths:
+        relevant = [
+            fragment
+            for fragment in fragments
+            if any(
+                _path_touches_fragment(fragment, path)
+                for path in analysis.touched_paths
+            )
+        ]
+        if relevant:
+            return relevant
+    return list(fragments)
+
+
+class _VerticalSplit:
+    """A vertical query split by fragment for the one planning rule.
+
+    Of a root-bound FLWOR (``flwor``; None for any other shape or an
+    inexact analysis) each ``where`` conjunct must read one fragment and
+    ``order by`` + ``return`` one fragment **B** (with nothing to read,
+    the last fragment a conjunct reads): ``answering`` is B, ``keyed``
+    the other fragments a conjunct reads. Any other query reading one
+    fragment is answered by it alone. ``answering`` is None when the
+    rule declines.
+    """
+
+    def __init__(
+        self,
+        expr: Expr,
+        analysis: QueryAnalysis,
+        collection: str,
+        relevant: list[VerticalFragment],
+    ):
+        self.analysis = analysis
+        self.relevant = relevant
+        self.flwor: Optional[FLWOR] = None
+        self.conjuncts: list[tuple[Expr, Optional[set[str]]]] = []
+        self.by_fragment: dict[str, list[Expr]] = {}
+        self.answering: Optional[VerticalFragment] = None
+        self.keyed: list[VerticalFragment] = []
+        self.shaped = (
+            _neutralize_counted_returns(expr)
+            if analysis.aggregate == "count"
+            else expr
+        )
+        if (
+            analysis.paths_exact
+            and analysis.bindings_exact
+            and all(fragment.path.is_simple for fragment in relevant)
+        ):
+            self.flwor = _root_bound_flwor(self.shaped, collection, relevant)
+        if self.flwor is None:
+            if len(relevant) == 1:
+                self.answering = relevant[0]
+            return
+        clause = self.flwor.clauses[0]
+        self.variable = clause.var
+        self.scope = {clause.var: steps_to_path(clause.seq.steps)}
+        self.conjuncts = [
+            (conjunct, self.reads([conjunct]))
+            for conjunct in _conjuncts(self.flwor.where)
+        ]
+        if any(read is None or len(read) != 1 for _, read in self.conjuncts):
+            return  # a conjunct reads two fragments (an ``or`` across them)
+        for conjunct, read in self.conjuncts:
+            self.by_fragment.setdefault(next(iter(read)), []).append(conjunct)
+        rest = self.reads(
+            [*(spec.key for spec in self.flwor.order_by), self.flwor.return_expr]
+        )
+        if rest is None or len(rest) > 1:
+            return
+        filtering = [f for f in relevant if f.name in self.by_fragment]
+        answering = next(
+            (f for f in relevant if f.name in rest),
+            filtering[-1] if filtering else None,
+        )
+        keyed = [f for f in filtering if f is not answering]
+        if keyed and not (
+            analysis.predicate_exact
+            and all(
+                self._needs_node(conjunct)
+                for fragment in keyed
+                for conjunct in self.by_fragment[fragment.name]
+            )
+        ):
+            return  # a key side that could hold without a part there
+        self.answering, self.keyed = answering, keyed
+
+    def reads(self, parts: list[Expr]) -> Optional[set[str]]:
+        """Names of the fragments ``parts`` read; None unless every path
+        they navigate lies in exactly one relevant fragment."""
+        read = analyze_in_scope(parts, self.scope)
+        if not (read.paths_exact and read.bindings_exact):
+            return None
+        names: set[str] = set()
+        for path in read.touched_paths:
+            holders = self._holders(path)
+            if len(holders) != 1:
+                return None
+            names.update(holders)
+        return names
+
+    def where_of(self, fragment: VerticalFragment) -> Optional[Expr]:
+        return _conjunction(self.by_fragment.get(fragment.name, []))
+
+    def origin(self) -> Expr:
+        """``string($v/@pxorigin)``: what a key scan returns."""
+        step = AxisStep("child", PXORIGIN, True)
+        return FunctionCall("string", (PathApply(VarRef(self.variable), (step,)),))
+
+    def _holders(self, path: PathExpr) -> set[str]:
+        return {
+            fragment.name
+            for fragment in self.relevant
+            if _path_touches_fragment(fragment, path)
+        }
+
+    def _needs_node(self, conjunct: Expr) -> bool:
+        """Does ``conjunct`` fail for a document with no node on its paths?"""
+        predicate = condition_predicate(conjunct, self.scope)
+        return predicate is not None and not _holds_without_nodes(predicate)
+
+    def part_needed(self, names: set[str]) -> bool:
+        """Must a document have a part in one of the fragments ``names``
+        to contribute to the answer? The rule's one guard. It holds when
+        every variable the query iterates is bound at or below one of
+        their roots and every path it touches lies in them (XBench Q5,
+        a plain path); or, of a root-bound FLWOR, when a conjunct reading
+        only them needs a node there (the ``where`` fails), or the
+        ``return`` is a plain path from ``$v`` into them (it selects
+        nothing). ``return count($v/epilog/x)``, a constructor or a
+        literal over conditions that hold without such a node would
+        answer ``0``, an empty element or the literal: the guard fails.
+        """
+        analysis = self.analysis
+        roots = [
+            fragment.path
+            for fragment in self.relevant
+            if fragment.name in names and fragment.path.is_simple
+        ]
+        if (
+            analysis.paths_exact
+            and analysis.bindings_exact
+            and all(
+                binding.is_simple
+                and any(root.is_prefix_of(binding) for root in roots)
+                for binding in analysis.binding_paths
+            )
+            and all(
+                self._holders(path) <= names for path in analysis.touched_paths
+            )
+        ):
+            return True
+        if self.flwor is None:
+            return False
+        if any(
+            read is not None and read <= names and self._needs_node(conjunct)
+            for conjunct, read in self.conjuncts
+        ):
+            return True
+        returned = self.flwor.return_expr
+        if not (
+            isinstance(returned, PathApply)
+            and returned.primary == VarRef(self.variable)
+            and returned.steps
+        ):
+            return False
+        read = self.reads([returned])
+        return read is not None and read <= names
+
+
 def _root_bound_flwor(
     expr: Expr, collection: str, fragments: list[VerticalFragment]
 ) -> Optional[FLWOR]:
-    """The FLWOR of a semi-join candidate: ``expr`` itself, or the one
-    argument of a decomposable aggregate, when it is a single
-    ``for $v in collection("collection")/<root label>`` with a ``where``
-    and the binding is its only input call. None for anything else — a
+    """The FLWOR the vertical rule splits by fragment: ``expr`` itself,
+    or the one argument of a decomposable aggregate, when it is a single
+    ``for $v in collection("collection")/<root label>`` (with or without
+    a ``where``) and the binding is its only input call. None for anything else — a
     ``let`` or second ``for``, ``at $p``, a binding below the root or
     with a step predicate, another ``collection()``/``doc()`` inside."""
     if (
@@ -1014,7 +1009,6 @@ def _root_bound_flwor(
         expr = expr.args[0]
     if (
         not isinstance(expr, FLWOR)
-        or expr.where is None
         or len(expr.clauses) != 1
         or not isinstance(expr.clauses[0], ForClause)
         or expr.clauses[0].position_var
@@ -1044,8 +1038,11 @@ def _root_bound_flwor(
     return expr if len(inputs) == 1 else None
 
 
-def _conjuncts(condition: Expr) -> list[Expr]:
-    """The operands of a (nested) ``and``, left to right."""
+def _conjuncts(condition: Optional[Expr]) -> list[Expr]:
+    """The operands of a (nested) ``and``, left to right (none for no
+    condition)."""
+    if condition is None:
+        return []
     if isinstance(condition, BinaryOp) and condition.op == "and":
         return _conjuncts(condition.left) + _conjuncts(condition.right)
     return [condition]
@@ -1063,8 +1060,8 @@ def _conjunction(conjuncts: list[Expr]) -> Optional[Expr]:
 
 def _holds_without_nodes(predicate: Predicate) -> bool:
     """Could ``predicate`` hold for a document with no node on any of
-    its paths? A key scan only sees documents that *have* a part in its
-    fragment, so such a condition would lose the documents without one.
+    its paths? A fragment's sub-query only sees documents that *have* a
+    part there, so such a condition would lose the documents without one.
     Comparisons, ``exists`` and searches for a non-empty string need a
     node; negations and ``empty`` do not (conservatively: any ``not``)."""
     if isinstance(predicate, And):
@@ -1310,38 +1307,34 @@ class _FragmentRootRewriter:
         self, seq: Expr, strips: dict[str, list[str]]
     ) -> tuple[Expr, Optional[list[str]]]:
         """Rewrite a binding sequence; returns (new_seq, strip-for-var)."""
-        if not isinstance(seq, PathApply):
-            return self.rewrite(seq, strips), []
-        anchored = seq.primary is None or (
-            isinstance(seq.primary, FunctionCall)
-            and seq.primary.name in ("collection", "doc")
-        )
-        if anchored:
-            rewritten, strip = self._strip_anchored(seq, strips, binding=True)
-            return rewritten, strip
-        if isinstance(seq.primary, VarRef):
-            rewritten, strip = self._strip_var_rooted(seq, strips, binding=True)
-            return rewritten, strip
+        if isinstance(seq, PathApply) and _is_anchored(seq):
+            return self._strip_anchored(seq, strips, binding=True)
+        if isinstance(seq, PathApply) and isinstance(seq.primary, VarRef):
+            return self._strip_var_rooted(seq, strips, binding=True)
         return self.rewrite(seq, strips), []
 
     # ------------------------------------------------------------------
     def _rewrite_path(self, expr: PathApply, strips: dict[str, list[str]]) -> Expr:
-        anchored = expr.primary is None or (
-            isinstance(expr.primary, FunctionCall)
-            and expr.primary.name in ("collection", "doc")
-        )
-        if anchored:
+        if _is_anchored(expr):
             rewritten, strip = self._strip_anchored(expr, strips, binding=False)
-            if strip:  # non-binding use must map fully
-                self.failed = True
-            return rewritten
-        if isinstance(expr.primary, VarRef):
+        elif isinstance(expr.primary, VarRef):
             rewritten, strip = self._strip_var_rooted(expr, strips, binding=False)
-            if strip:
-                self.failed = True
-            return rewritten
-        primary = self.rewrite(expr.primary, strips)
-        return PathApply(primary, self._rewrite_step_predicates(expr.steps, strips), expr.absolute)
+        else:
+            primary = self.rewrite(expr.primary, strips)
+            return PathApply(
+                primary, self._rewrite_step_predicates(expr.steps, strips), expr.absolute
+            )
+        if strip:  # non-binding use must map fully
+            self.failed = True
+        return rewritten
+
+    def _keep(
+        self, expr: PathApply, steps: tuple[AxisStep, ...], strips: dict[str, list[str]]
+    ) -> PathApply:
+        """``expr``'s primary followed by ``steps``, predicates rewritten."""
+        return PathApply(
+            expr.primary, self._rewrite_step_predicates(steps, strips), expr.absolute
+        )
 
     def _strip_anchored(
         self, expr: PathApply, strips: dict[str, list[str]], binding: bool
@@ -1350,24 +1343,12 @@ class _FragmentRootRewriter:
         if not steps:
             return expr, []
         first = steps[0]
-        if first.axis == "descendant-or-self":
-            return (
-                PathApply(
-                    expr.primary,
-                    self._rewrite_step_predicates(steps, strips),
-                    expr.absolute,
-                ),
-                [],
-            )
-        if first.name != self.chain[0] or first.is_attribute:
-            return (
-                PathApply(
-                    expr.primary,
-                    self._rewrite_step_predicates(steps, strips),
-                    expr.absolute,
-                ),
-                [],
-            )
+        if (
+            first.axis == "descendant-or-self"
+            or first.name != self.chain[0]
+            or first.is_attribute
+        ):
+            return self._keep(expr, steps, strips), []
         matched = 0
         for step, label in zip(steps, self.chain):
             if step.axis != "child" or step.name != label or step.is_attribute:
@@ -1390,15 +1371,7 @@ class _FragmentRootRewriter:
         if any(step.predicates for step in steps[: len(self.chain) - 1]):
             self.failed = True  # predicates on dropped chain steps
             return expr, None
-        kept = steps[len(self.chain) - 1 :]
-        return (
-            PathApply(
-                expr.primary,
-                self._rewrite_step_predicates(kept, strips),
-                expr.absolute,
-            ),
-            [],
-        )
+        return self._keep(expr, steps[len(self.chain) - 1 :], strips), []
 
     def _strip_var_rooted(
         self, expr: PathApply, strips: dict[str, list[str]], binding: bool
@@ -1407,14 +1380,7 @@ class _FragmentRootRewriter:
         strip = strips.get(expr.primary.name) or []
         steps = expr.steps
         if not strip:
-            return (
-                PathApply(
-                    expr.primary,
-                    self._rewrite_step_predicates(steps, strips),
-                    expr.absolute,
-                ),
-                [],
-            )
+            return self._keep(expr, steps, strips), []
         consumable = min(len(strip), len(steps))
         for index in range(consumable):
             step = steps[index]
@@ -1426,14 +1392,7 @@ class _FragmentRootRewriter:
             ):
                 if step.axis == "descendant-or-self":
                     # '//' skips the missing ancestors by itself.
-                    return (
-                        PathApply(
-                            expr.primary,
-                            self._rewrite_step_predicates(steps, strips),
-                            expr.absolute,
-                        ),
-                        [],
-                    )
+                    return self._keep(expr, steps, strips), []
                 self.failed = True
                 return expr, None
         remaining_strip = strip[consumable:]
@@ -1443,28 +1402,31 @@ class _FragmentRootRewriter:
             return expr, None
         if not kept:
             return expr.primary, remaining_strip
-        return (
-            PathApply(
-                expr.primary,
-                self._rewrite_step_predicates(kept, strips),
-                expr.absolute,
-            ),
-            remaining_strip,
-        )
+        return self._keep(expr, kept, strips), remaining_strip
 
     def _rewrite_step_predicates(
         self, steps: tuple[AxisStep, ...], strips: dict[str, list[str]]
     ) -> tuple[AxisStep, ...]:
-        return tuple(
-            AxisStep(
-                s.axis,
-                s.name,
-                s.is_attribute,
-                s.is_text,
-                tuple(self.rewrite(p, strips) for p in s.predicates),
-            )
-            for s in steps
+        return _map_step_predicates(steps, lambda p: self.rewrite(p, strips))
+
+
+def _is_anchored(expr: PathApply) -> bool:
+    """Does ``expr`` start at a document root (``collection()``, ``doc()``,
+    a leading ``/``)?"""
+    return expr.primary is None or (
+        isinstance(expr.primary, FunctionCall)
+        and expr.primary.name in ("collection", "doc")
+    )
+
+
+def _map_step_predicates(steps: tuple[AxisStep, ...], fn) -> tuple[AxisStep, ...]:
+    """``steps`` with ``fn`` applied to every step predicate."""
+    return tuple(
+        AxisStep(
+            s.axis, s.name, s.is_attribute, s.is_text, tuple(map(fn, s.predicates))
         )
+        for s in steps
+    )
 
 
 def rewrite_avg_to_sum_count(expr: Expr) -> Expr:
@@ -1517,17 +1479,9 @@ def _rebuild(expr: Expr, fn) -> Expr:
         return FunctionCall(expr.name, tuple(fn(a) for a in expr.args))
     if isinstance(expr, PathApply):
         primary = fn(expr.primary) if expr.primary is not None else None
-        steps = tuple(
-            AxisStep(
-                s.axis,
-                s.name,
-                s.is_attribute,
-                s.is_text,
-                tuple(fn(p) for p in s.predicates),
-            )
-            for s in expr.steps
+        return PathApply(
+            primary, _map_step_predicates(expr.steps, fn), expr.absolute
         )
-        return PathApply(primary, steps, expr.absolute)
     if isinstance(expr, FilterExpr):
         return FilterExpr(
             fn(expr.primary),

@@ -71,13 +71,14 @@ from repro.partix.catalog import (
     SchemaCatalog,
 )
 from repro.partix.composer import ComposedResult, ResultComposer
-from repro.partix.decomposer import DecomposedQuery, QueryDecomposer
+from repro.partix.decomposer import QueryDecomposer
 from repro.partix.fragments import FragmentationSchema
 from repro.partix.publisher import DataPublisher, FragMode, PublicationReport
 from repro.plan.cache import PlanCache
 from repro.plan.cost import CostModel
 from repro.plan.executor import ExecutionMode, PlanExecutor
 from repro.plan.lower import lower
+from repro.plan.physical import PhysicalPlan
 from repro.plan.spec import SubQuery
 
 
@@ -91,7 +92,7 @@ class PartixResult:
     round: ParallelRound
     composed: ComposedResult
     transmission_seconds: float
-    plan: Optional[DecomposedQuery] = None
+    plan: Optional[PhysicalPlan] = None
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -289,7 +290,7 @@ class Partix:
         self,
         query: str,
         collection: Optional[str] = None,
-        plan: Optional[DecomposedQuery] = None,
+        plan: Optional[PhysicalPlan] = None,
         execution_mode: str = "simulated",
         dispatcher: Optional[ParallelDispatcher] = None,
         deadline_seconds: Optional[float] = None,
@@ -355,7 +356,7 @@ class Partix:
 
     def _plan_for(
         self, query: str, collection: Optional[str]
-    ) -> DecomposedQuery:
+    ) -> PhysicalPlan:
         """Plan a query through :attr:`plan_cache`.
 
         The cache stores the *logical* plan keyed on the catalog version;
@@ -484,7 +485,7 @@ class Partix:
 
     def explain(
         self, query: str, collection: Optional[str] = None
-    ) -> DecomposedQuery:
+    ) -> PhysicalPlan:
         """The physical plan the middleware would execute — lanes, target
         sites, composition and per-node cost estimates — without running
         anything. ``.render()`` formats it as an indented tree."""

@@ -4,8 +4,7 @@ A :class:`PhysicalPlan` is what :meth:`Partix.explain` returns and what
 the single plan executor runs, whatever the execution mode. It keeps the
 decomposer-era surface (``subqueries`` / ``composition`` / ``notes`` /
 ``fragment_names``) so existing callers — the composer, the fuzz oracle,
-the bench scenarios — read it unchanged; ``repro.partix.decomposer``
-aliases its old ``DecomposedQuery`` name to this class.
+the bench scenarios — read it unchanged.
 """
 
 from __future__ import annotations

@@ -602,6 +602,35 @@ SPARSE_SEMIJOINS = {
     ),
 }
 
+#: Queries reading one fragment whose answer a document without a part
+#: there changes: only a reconstruction over every fragment sees it.
+SPARSE_WHOLE_DESIGN = {
+    "count of an optional part per article, counted": (
+        'count(for $a in collection("C")/article'
+        " return count($a/epilog/references/a_id))"
+    ),
+    "negation alone, counted": (
+        'count(for $a in collection("C")/article'
+        ' where not(contains($a/body/abstract, "zzz")) return $a)'
+    ),
+    "count of an optional part per article, constructed": (
+        'for $a in collection("C")/article'
+        " return element e {count($a/epilog/references/a_id)}"
+    ),
+}
+
+#: Queries reading one fragment that a missing part cannot change.
+SPARSE_ONE_LANE = {
+    "conjunct that needs the part, path return": (
+        'for $a in collection("C")/article where $a/prolog/genre = "demo"'
+        " return $a/prolog/title/text()"
+    ),
+    "binding below the fragment root": (
+        'for $s in collection("C")/article/body/section'
+        ' where contains($s/p, "text") return $s/title/text()'
+    ),
+}
+
 SPARSE_DECLINED = (
     "count() returned per document of an optional part",
     "constructor over a part no conjunct needs",
@@ -633,6 +662,25 @@ class TestDocumentsWithoutAPart:
     def test_what_a_missing_part_would_change_reconstructs(self, sparse, trigger):
         result = sparse.answer(FALLBACKS[trigger])
         assert result.plan.composition.kind == "reconstruct", trigger
+        assert result.result_text != ""
+
+    @pytest.mark.parametrize("shape", sorted(SPARSE_WHOLE_DESIGN))
+    def test_one_fragment_query_a_missing_part_changes(self, sparse, shape):
+        result = sparse.answer(SPARSE_WHOLE_DESIGN[shape])
+        assert result.plan.composition.kind == "reconstruct", shape
+        assert sorted(lane.subquery.fragment for lane in result.plan.lanes) == [
+            "Fb",
+            "Fe",
+            "Fp",
+        ]
+        assert all(lane.subquery.purpose == "fetch" for lane in result.plan.lanes)
+
+    @pytest.mark.parametrize("shape", sorted(SPARSE_ONE_LANE))
+    def test_one_fragment_query_no_missing_part_changes(self, sparse, shape):
+        result = sparse.answer(SPARSE_ONE_LANE[shape])
+        assert len(result.plan.lanes) == 1, shape
+        assert not result.plan.key_lanes
+        assert result.plan.lanes[0].subquery.purpose == "answer"
         assert result.result_text != ""
 
 
