@@ -16,7 +16,7 @@ from typing import Optional
 
 from repro.errors import TransportError
 from repro.net.client import SiteClient
-from repro.net.protocol import FrameType, payload_to_exception
+from repro.net.protocol import FrameType
 
 
 class CoordinatorClient(SiteClient):
@@ -38,28 +38,20 @@ class CoordinatorClient(SiteClient):
         ``result_bytes``, timing and failover stats). The coordinator
         picks the reply's form by the answer's size — inline, or
         RESULT_CHUNK frames ahead of the QUERY_RESULT — and the payload
-        returned is the same either way. QUERY_ERROR replies raise
-        their mapped exception.
+        returned is the same either way (assembled as a site's reply
+        is). QUERY_ERROR replies raise their mapped exception.
         """
         payload: dict = {"query": query}
         if collection is not None:
             payload["collection"] = collection
         if deadline_seconds is not None:
             payload["deadline_seconds"] = deadline_seconds
-        chunks: list[bytes] = []
-        reply, _, _ = self._exchange(
+        return self._answer(
             FrameType.QUERY,
             payload,
             read_timeout,
-            terminal=(FrameType.QUERY_RESULT, FrameType.QUERY_ERROR),
-            on_chunk=chunks.append,
-        )
-        if reply.type is FrameType.QUERY_ERROR:
-            raise payload_to_exception(reply.payload)
-        if not chunks:
-            return reply.payload
-        # A chunk may end inside a multi-byte character: join, then decode.
-        return {**reply.payload, "result_text": b"".join(chunks).decode("utf-8")}
+            (FrameType.QUERY_RESULT, FrameType.QUERY_ERROR),
+        )[0]
 
     def coordinator_stats(self, read_timeout: Optional[float] = 5.0) -> dict:
         """The coordinator's serving stats (admission, plan cache, pools)."""

@@ -51,7 +51,6 @@ from repro.errors import (
     RebalanceError,
 )
 from repro.net.protocol import (
-    MAX_INLINE_RESULT_BYTES,
     Frame,
     FrameType,
     ProtocolError,
@@ -59,6 +58,7 @@ from repro.net.protocol import (
     encode_frame,
     exception_to_payload,
     read_frame_async,
+    reply_frames,
 )
 from repro.coordinate.admission import AdmissionController
 from repro.partix.advisor import RebalanceAction, WorkloadAdvisor
@@ -68,8 +68,9 @@ from repro.rebalance import QueryLog, Rebalancer
 
 
 def _query_result_payload(result: PartixResult, elapsed: float) -> dict:
-    """QUERY_RESULT payload (without the text — added when it goes inline)."""
+    """The QUERY_RESULT answer, text and size both (see ``reply_frames``)."""
     return {
+        "result_text": result.result_text,
         "result_bytes": result.result_bytes,
         "elapsed_seconds": elapsed,
         "subqueries": len(result.round.executions),
@@ -424,33 +425,13 @@ class Coordinator:
             catalog.version,
             catalog=catalog,
         )
-        reply = _query_result_payload(result, elapsed)
-        if (
-            result.result_bytes < chunk_bytes
-            and result.result_bytes <= MAX_INLINE_RESULT_BYTES
+        for reply in reply_frames(
+            FrameType.QUERY_RESULT,
+            rid,
+            _query_result_payload(result, elapsed),
+            chunk_bytes,
         ):
-            reply["result_text"] = result.result_text
-        else:
-            # The site's reply rule one layer up: an answer that fills a
-            # chunk travels as RESULT_CHUNK frames (raw UTF-8 slices of
-            # the negotiated size), closed by a QUERY_RESULT carrying
-            # only the stats.
-            data = result.result_text.encode("utf-8")
-            for start in range(0, len(data), chunk_bytes):
-                await self._send(
-                    writer,
-                    write_lock,
-                    Frame(
-                        type=FrameType.RESULT_CHUNK,
-                        request_id=rid,
-                        raw=data[start:start + chunk_bytes],
-                    ),
-                )
-        await self._send(
-            writer,
-            write_lock,
-            Frame(type=FrameType.QUERY_RESULT, request_id=rid, payload=reply),
-        )
+            await self._send(writer, write_lock, reply)
 
     # ------------------------------------------------------------------
     # Rebalancing (ADVISE / REBALANCE frames)

@@ -19,10 +19,12 @@ execution pipeline per query is:
    over) — and evaluate on the node tables in place: path steps,
    predicates and string values read the preorder arrays, no tree is
    built;
-4. serialize each result node straight from its span of the table. The
-   only DOM a query builds is the copy of a stored subtree that an
-   element constructor embeds — what ``documents_parsed``,
-   ``bytes_parsed``, ``binary_decodes`` and ``parse_seconds`` count.
+4. serialize the result sequence into the answer's one text, each
+   result node straight from its span of the table; ``result_bytes`` is
+   that text's UTF-8 size. The only DOM a query builds is the copy of a
+   stored subtree that an element constructor embeds — what
+   ``documents_parsed``, ``bytes_parsed``, ``binary_decodes`` and
+   ``parse_seconds`` count.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import replace
 from typing import Iterable, Optional, Union
 
 from repro.datamodel.binary import NodeHandle
@@ -168,11 +169,6 @@ class XMLEngine:
         self._require_collection(collection)
         return self.store.collection(collection).total_bytes()
 
-    def _commit_stats(self, delta: EngineStats) -> None:
-        """Fold a per-query accumulator into the shared counters."""
-        with self._stats_lock:
-            self.stats.absorb(delta)
-
     # ------------------------------------------------------------------
     # Query execution
     # ------------------------------------------------------------------
@@ -242,22 +238,20 @@ class XMLEngine:
         stats.documents_pruned += len(collection) - len(candidates)
         return candidates
 
-    def execute_iter(
+    def execute(
         self,
         query: Union[str, Expr],
         options: Optional[ExecOptions] = None,
-    ) -> "StreamedExecution":
-        """Execute a query as a stream of serialized pieces.
+    ) -> QueryResult:
+        """Execute a query and return its :class:`QueryResult`.
 
         The one site-local operator pipeline: parse and analyse
         (:meth:`_compile`, once per text) → **scan/prune**
         (:meth:`scan_candidates`, once per ``collection()`` call) →
-        **evaluate** over the candidates → **serialize**, handed out
-        piece by piece, one per result item, through the returned
-        :class:`StreamedExecution` — a consumer (the site server) can
-        put each piece on the wire while the next one is still being
-        serialized. The ``"\\n"``-join of the pieces is
-        exactly the serialized answer.
+        **evaluate** over the candidates → **serialize**
+        (:func:`serialize_sequence`). Elapsed time is the wall clock up
+        to the serialized answer plus the simulated document access cost
+        the query accumulated.
         """
         options = options or ExecOptions()
         started = time.perf_counter()
@@ -274,19 +268,19 @@ class XMLEngine:
         )
         delta.evaluation_seconds += time.perf_counter() - eval_started
         delta.queries_executed += 1
-        return StreamedExecution(self, items, delta, started)
-
-    def execute(
-        self,
-        query: Union[str, Expr],
-        options: Optional[ExecOptions] = None,
-    ) -> QueryResult:
-        """Execute a query and return its :class:`QueryResult` — the
-        drained :meth:`execute_iter` stream, with the monolithic
-        ``result_text`` its pieces join to."""
-        stream = self.execute_iter(query, options)
-        result_text = "\n".join(stream)
-        return replace(stream.result, result_text=result_text)
+        text = serialize_sequence(items)
+        elapsed = time.perf_counter() - started
+        with self._stats_lock:
+            self.stats.absorb(delta)
+            cumulative = self.stats.snapshot()
+        return QueryResult.from_stats(
+            delta,
+            items=items,
+            result_text=text,
+            result_bytes=utf8_length(text),
+            elapsed_seconds=elapsed + delta.simulated_overhead_seconds,
+            cumulative=cumulative,
+        )
 
     def config(self) -> dict:
         """The constructor settings a twin of this engine needs to behave
@@ -392,71 +386,16 @@ class _EngineProvider:
         return None
 
 
-class StreamedExecution:
-    """One query's result as serialized pieces.
-
-    Iterating yields the pieces — one per result item (XML for nodes,
-    the canonical atomic form otherwise). The monolithic answer is
-    exactly ``"\\n".join(pieces)`` — the contract the site server's
-    reply framing relies on, and by construction identical to
-    :func:`serialize_sequence` over the same items.
-
-    ``result`` is ``None`` until iteration completes; draining the
-    stream commits the query's stats and builds the
-    :class:`QueryResult`, whose ``result_text`` stays empty (the text
-    went to the consumer piece by piece) while ``result_bytes`` counts
-    the streamed bytes, separators included. Elapsed time is the wall
-    clock up to the last piece plus the simulated document access cost
-    the query accumulated.
-    """
-
-    def __init__(
-        self,
-        engine: XMLEngine,
-        items: list,
-        delta: EngineStats,
-        started: float,
-    ):
-        self._engine = engine
-        self._delta = delta
-        self._started = started
-        self.items = items
-        self.result: Optional[QueryResult] = None
-
-    def __iter__(self):
-        streamed_bytes = 0
-        for index, piece in enumerate(map(serialize_item, self.items)):
-            if index:
-                streamed_bytes += 1  # the "\n" separator before this piece
-            streamed_bytes += utf8_length(piece)
-            yield piece
-        engine = self._engine
-        elapsed = time.perf_counter() - self._started
-        engine._commit_stats(self._delta)
-        with engine._stats_lock:
-            cumulative = engine.stats.snapshot()
-        self.result = QueryResult.from_stats(
-            self._delta,
-            items=self.items,
-            result_bytes=streamed_bytes,
-            elapsed_seconds=elapsed + self._delta.simulated_overhead_seconds,
-            cumulative=cumulative,
-        )
-
-
 def utf8_length(text: str) -> int:
     """UTF-8 size of ``text``: an ASCII string is as many bytes as
     characters; only others are encoded to be measured."""
     return len(text) if text.isascii() else len(text.encode("utf-8"))
 
 
-def serialize_item(item) -> str:
-    """One result item the way a driver would ship it."""
-    if isinstance(item, Node):
-        return serialize(item)
-    return atomic_to_string(item)
-
-
 def serialize_sequence(items: list) -> str:
-    """Serialize a result sequence the way a driver would ship it."""
-    return "\n".join(map(serialize_item, items))
+    """Serialize a result sequence the way a driver would ship it: one
+    line per item, XML for a node and the canonical form of an atomic."""
+    return "\n".join(
+        serialize(item) if isinstance(item, Node) else atomic_to_string(item)
+        for item in items
+    )

@@ -185,6 +185,7 @@ class QueryResult:
         cls,
         delta: EngineStats,
         items: list,
+        result_text: str,
         result_bytes: int,
         elapsed_seconds: float,
         cumulative: EngineStats,
@@ -192,30 +193,27 @@ class QueryResult:
         """The result record of one finished execution: every per-query
         counter is read off the query's ``delta`` accumulator by field
         name, so a counter added to both dataclasses needs no third
-        edit. ``result_text`` starts empty — the text went to the
-        consumer piece by piece (see ``XMLEngine.execute_iter``)."""
+        edit."""
         return cls(
             items=items,
-            result_text="",
+            result_text=result_text,
             result_bytes=result_bytes,
             elapsed_seconds=elapsed_seconds,
             stats=cumulative,
             **{name: getattr(delta, name) for name in _COUNTER_FIELDS},
         )
 
-    def to_payload(self, streamed: bool = False) -> dict:
-        """The RESULT-frame payload, or with ``streamed`` the RESULT_END
-        one: the text already went out as chunks, so its byte count
-        travels in its place."""
-        payload = {name: getattr(self, name) for name in _WIRE_FIELDS}
-        del payload["result_text" if streamed else "result_bytes"]
-        return payload
+    def to_payload(self) -> dict:
+        """The reply payload: every wire field, the text and its size
+        both — the reply rule (``net.protocol.reply_frames``) leaves out
+        whichever of the two its form does not carry."""
+        return {name: getattr(self, name) for name in _WIRE_FIELDS}
 
     @classmethod
     def from_payload(cls, payload: dict) -> "QueryResult":
-        """Rebuild a result from either payload form (``items`` stay
-        empty). Counters a peer does not send keep their defaults and
-        keys this version does not know are ignored."""
+        """Rebuild a result from a payload (``items`` stay empty).
+        Counters a peer does not send keep their defaults and keys this
+        version does not know are ignored."""
         known = {
             name: payload[name] for name in _WIRE_FIELDS if name in payload
         }

@@ -158,6 +158,10 @@ def _print_digest(summary: dict) -> None:
     rows.append(("fragments pruned by value summary", summary["summary_pruned"]))
     rows.append(("vertical semi-join plans", summary["semijoin_plans"]))
     rows.append(("whole-design vertical fetches", summary["whole_design_fetches"]))
+    forms = summary["reply_forms"]
+    rows.append(
+        ("tcp lanes inline / chunked", f"{forms['inline']} / {forms['chunked']}")
+    )
     if summary.get("migrate"):
         rows.append(("migrations completed", summary["migrations_completed"]))
     rows.append(("failures", len(summary["failures"])))

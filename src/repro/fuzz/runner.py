@@ -144,6 +144,9 @@ class CaseOutcome:
     #: read: reconstructions over the whole design, for the documents
     #: with no part in the fragments it does read.
     whole_design_fetches: int = 0
+    #: Lanes answered over a socket, by the form the reply rule gave
+    #: them: ``inline`` (one terminal frame) or ``chunked``.
+    reply_forms: Counter = field(default_factory=Counter)
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -167,6 +170,7 @@ class CaseOutcome:
             "summary_pruned": self.summary_pruned,
             "semijoin_plans": self.semijoin_plans,
             "whole_design_fetches": self.whole_design_fetches,
+            "reply_forms": dict(self.reply_forms),
             "mismatches": [m.to_dict() for m in self.mismatches],
             "notes": self.notes,
         }
@@ -596,11 +600,15 @@ def _run_query(
     outcome.index_oracle["existence_conditions"] += sum(
         isinstance(atom, (Exists, Empty)) for atom in atoms(analysis.predicate)
     )
-    outcome.index_oracle["index_lookups"] += sum(
-        execution.result.index_lookups
-        for result in results_by_mode.values()
-        for execution in result.round.executions
-    )
+    for result in results_by_mode.values():
+        for execution in result.round.executions:
+            outcome.index_oracle["index_lookups"] += (
+                execution.result.index_lookups
+            )
+            if execution.chunked_bytes:
+                outcome.reply_forms["chunked"] += 1
+            elif execution.on_wire:
+                outcome.reply_forms["inline"] += 1
     _check_plan_equivalence(partix, query, plan, outcome, index)
     _check_plan_order(partix, results_by_mode, outcome, index, query)
 
@@ -827,6 +835,7 @@ def run_fuzz(
         "summary_pruned": 0,
         "semijoin_plans": 0,
         "whole_design_fetches": 0,
+        "reply_forms": {"inline": 0, "chunked": 0},
         "failures": [],
         "ok": True,
     }
@@ -834,6 +843,7 @@ def run_fuzz(
     kinds: Counter = Counter()
     projections: Counter = Counter()
     index_oracle: Counter = Counter()
+    reply_forms: Counter = Counter(summary["reply_forms"])
     for iteration in range(iterations):
         spec = spec_for_iteration(seed, iteration)
         outcome = run_case(
@@ -855,6 +865,7 @@ def run_fuzz(
         kinds.update(outcome.composition_kinds)
         projections.update(outcome.fetch_projections)
         index_oracle.update(outcome.index_oracle)
+        reply_forms.update(outcome.reply_forms)
         summary["summary_pruned"] += outcome.summary_pruned
         summary["semijoin_plans"] += outcome.semijoin_plans
         summary["whole_design_fetches"] += outcome.whole_design_fetches
@@ -888,4 +899,5 @@ def run_fuzz(
     summary["composition_kinds"] = dict(kinds)
     summary["fetch_projections"] = dict(projections)
     summary["index_oracle"] = dict(index_oracle)
+    summary["reply_forms"] = dict(reply_forms)
     return summary

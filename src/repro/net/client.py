@@ -26,6 +26,7 @@ from typing import Iterable, Optional, Sequence, Union, TYPE_CHECKING
 
 from repro.cluster.dispatch import Transport
 from repro.cluster.site import SubQueryExecution
+from repro.engine.database import utf8_length
 from repro.engine.stats import ExecOptions, QueryResult
 from repro.errors import (
     ClusterError,
@@ -304,46 +305,30 @@ class SiteClient:
         reply, _, _ = self.call(FrameType.STATS, {})
         return reply.payload
 
-    def execute(
+    def _answer(
         self,
-        query: str,
-        options: Optional[ExecOptions] = None,
-        read_timeout: Optional[float] = None,
-        debug_sleep_seconds: Optional[float] = None,
-    ) -> tuple[QueryResult, int, int]:
-        """Run a query remotely; returns ``(result, sent, received)``.
-
-        The result's ``items`` stay empty — only the serialized text
-        crosses the wire, as with any real remote DBMS.
-        """
-        return self._execute(
-            query, options, read_timeout, debug_sleep_seconds
-        )[:3]
-
-    def _execute(
-        self,
-        query: str,
-        options: Optional[ExecOptions],
+        type_: FrameType,
+        payload: dict,
         read_timeout: Optional[float],
-        debug_sleep_seconds: Optional[float] = None,
-    ) -> tuple[QueryResult, int, int, int, Optional[float]]:
-        """:meth:`execute`, plus what :class:`TcpTransport` records of
-        the reply's form: ``(result, sent, received, chunked_bytes,
-        first_chunk_seconds)``.
+        terminal: tuple[FrameType, FrameType],
+    ) -> tuple[dict, int, int, int, Optional[float]]:
+        """One request answered under the reply rule (see
+        :func:`~repro.net.protocol.reply_frames`) — the one assembly of
+        a site's EXECUTE reply and the coordinator's QUERY reply.
 
-        The site picks the form (see :mod:`repro.net.protocol`). An
-        inline RESULT leaves ``0`` / ``None``; RESULT_CHUNK payloads are
+        ``terminal`` is ``(success, error)``; an error frame raises its
+        mapped exception. Returns ``(answer, sent, received,
+        chunked_bytes, first_chunk_seconds)``: ``answer`` is the
+        terminal payload with ``result_text`` and ``result_bytes`` both
+        filled, whichever of them travelled. RESULT_CHUNK payloads are
         kept as they arrive — one may end inside a multi-byte character
-        — and joined and decoded once at RESULT_END, so the result's
-        text is the whole answer either way. A connection that dies
-        before the terminal frame raises :class:`TransportError` (a
-        truncated reply never passes for a short answer), and the list
-        dies with the call: a retry starts from nothing.
+        — and joined and decoded once at the terminal frame; an inline
+        answer leaves ``0`` / ``None``. A terminal frame carrying text
+        after chunks (two answers in one reply) and a connection that
+        dies before the terminal frame raise :class:`TransportError`,
+        so a truncated reply never passes for a short answer, and the
+        chunk list dies with the call: a retry starts from nothing.
         """
-        payload = {"query": query}
-        payload.update((options or ExecOptions()).to_payload())
-        if debug_sleep_seconds:
-            payload["debug_sleep_seconds"] = debug_sleep_seconds
         chunks: list[bytes] = []
         first_chunk_seconds: Optional[float] = None
         started = time.perf_counter()
@@ -355,27 +340,49 @@ class SiteClient:
             chunks.append(raw)
 
         reply, sent, received = self._exchange(
-            FrameType.EXECUTE,
-            payload,
-            read_timeout,
-            terminal=(FrameType.RESULT, FrameType.RESULT_END, FrameType.ERROR),
-            on_chunk=collect,
+            type_, payload, read_timeout, terminal=terminal, on_chunk=collect
         )
-        if reply.type is FrameType.ERROR:
+        if reply.type is not terminal[0]:
             raise payload_to_exception(reply.payload)
-        if reply.type is FrameType.RESULT:
+        answer = reply.payload
+        if "result_text" in answer:
             if chunks:
                 raise TransportError(
                     f"{self._peer()} sent RESULT_CHUNK frames before an"
-                    " inline RESULT"
+                    f" inline {reply.type.name}"
                 )
-            result = QueryResult.from_payload(reply.payload)
-            return result, sent, received, 0, None
+            size = utf8_length(answer["result_text"])
+            return {**answer, "result_bytes": size}, sent, received, 0, None
         data = b"".join(chunks)
         chunks.clear()  # hold the answer twice (bytes, text), not thrice
-        result = QueryResult.from_payload(reply.payload)
-        result.result_text = data.decode("utf-8")
-        return result, sent, received, len(data), first_chunk_seconds
+        answer = {**answer, "result_text": data.decode("utf-8")}
+        return answer, sent, received, len(data), first_chunk_seconds
+
+    def execute(
+        self,
+        query: str,
+        options: Optional[ExecOptions] = None,
+        read_timeout: Optional[float] = None,
+        debug_sleep_seconds: Optional[float] = None,
+    ) -> tuple[QueryResult, int, int, int, Optional[float]]:
+        """Run a query remotely; returns ``(result, sent, received,
+        chunked_bytes, first_chunk_seconds)`` — the last two are what
+        :class:`TcpTransport` records of the reply's form.
+
+        The result's ``items`` stay empty — only the serialized text
+        crosses the wire, as with any real remote DBMS.
+        """
+        payload = {"query": query}
+        payload.update((options or ExecOptions()).to_payload())
+        if debug_sleep_seconds:
+            payload["debug_sleep_seconds"] = debug_sleep_seconds
+        answer, *counts = self._answer(
+            FrameType.EXECUTE,
+            payload,
+            read_timeout,
+            (FrameType.RESULT, FrameType.ERROR),
+        )
+        return (QueryResult.from_payload(answer), *counts)
 
     def create_collection(self, name: str) -> None:
         self.call(FrameType.CREATE_COLLECTION, {"collection": name})
@@ -518,7 +525,7 @@ class TcpTransport(Transport):
         client = self.clients.get(subquery.site)
         if client is None:
             raise ClusterError(f"no site named {subquery.site!r}")
-        result, sent, received, chunked, first_chunk = client._execute(
+        result, sent, received, chunked, first_chunk = client.execute(
             subquery.query,
             ExecOptions(default_collection=default_collection),
             read_timeout=timeout,

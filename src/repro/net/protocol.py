@@ -25,17 +25,18 @@ The one exception to the JSON rule is ``RESULT_CHUNK``: its payload is
 JSON escaping so large XML value streams cost exactly their own size on
 the wire.
 
-One reply rule: an ``EXECUTE`` has one form, and the site — the only
-party that knows the answer's size — picks the form of the reply. An
-answer that ends before the connection's first chunk fills travels
-inline in one JSON ``RESULT`` frame (text and execution stats
-together; at most :data:`MAX_INLINE_RESULT_BYTES`); a longer one goes
-out as ``RESULT_CHUNK`` frames while it is still being produced, closed
-by one JSON ``RESULT_END`` frame carrying the stats. Either way the
-client hands its caller the same text. Chunk size is negotiated per
-connection: the client proposes ``chunk_bytes`` in its HELLO, the
-server clamps it with :func:`negotiate_chunk_bytes` and echoes the
-effective value in its WELCOME.
+One reply rule, :func:`reply_frames`, frames every answer — a site's
+to an ``EXECUTE`` and the coordinator's to a ``QUERY``; the answering
+side, the only party that knows the answer's size, applies it. An
+answer shorter than the connection's chunk size (and at most
+:data:`MAX_INLINE_RESULT_BYTES`) travels inline in the one JSON
+terminal frame (text and stats together); a longer one goes out as
+``RESULT_CHUNK`` frames, closed by the terminal frame carrying its
+``result_bytes`` in place of the text. Either way the client hands its
+caller the same text. Chunk size is negotiated per connection: the
+client proposes ``chunk_bytes`` in its HELLO, the server clamps it with
+:func:`negotiate_chunk_bytes` and echoes the effective value in its
+WELCOME.
 
 Handshake: a client's first frame must be ``HELLO {"version": N}``. The
 server answers ``WELCOME {"version", "site"}`` when the version matches
@@ -58,16 +59,18 @@ import json
 import socket
 import struct
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.errors import ProtocolError, RemoteExecutionError
 
 MAGIC = b"PX"
 #: 2: EXECUTE lost its stream key — the site sizes the reply (RESULT,
-#: or RESULT_CHUNK… RESULT_END); 3: QUERY lost its own, the coordinator
-#: does the same. An older peer would meet frames it does not expect
-#: and is refused at the handshake instead.
-PROTOCOL_VERSION = 3
+#: or RESULT_CHUNK… and a closing frame of its own type); 3: QUERY lost
+#: its own, the coordinator does the same; 4: that closing frame (type
+#: 17) folded into RESULT, so a reply is RESULT_CHUNK* then one terminal
+#: frame. An older peer would meet frames it does not expect and is
+#: refused at the handshake instead.
+PROTOCOL_VERSION = 4
 
 #: ``!`` network byte order: magic, version, type, request id, payload size.
 _HEADER = struct.Struct("!2sBBQI")
@@ -119,7 +122,7 @@ class FrameType(enum.IntEnum):
     PING = 4  # health check: {}
     PONG = 5  # {"site": str, "queries_executed": int, ...}
     EXECUTE = 6  # {"query", ExecOptions keys that are set...}
-    RESULT = 7  # {"result_text", "elapsed_seconds", per-query stats...}
+    RESULT = 7  # {"result_text" | "result_bytes", "elapsed_seconds", stats...}
     ERROR = 8  # {"error_type": str, "message": str}
     CREATE_COLLECTION = 9  # {"collection": str}
     STORE_DOCUMENT = 10  # {"collection", "document", "name"?, "origin"?}
@@ -129,17 +132,13 @@ class FrameType(enum.IntEnum):
     SHUTDOWN = 14  # {} → OK, then the server drains and exits
     OK = 15  # generic success reply, payload depends on the request
     RESULT_CHUNK = 16  # raw bytes: one slice of a chunked answer
-    RESULT_END = 17  # {"result_bytes", "elapsed_seconds", stats...}
     # Coordinator frames (client ↔ repro.coordinate service). A QUERY is
     # answered by exactly one QUERY_RESULT or QUERY_ERROR carrying the
-    # same request id; the coordinator sizes the reply as a site does, so
-    # an answer that fills a chunk precedes its QUERY_RESULT as
-    # RESULT_CHUNK frames whose concatenation is the UTF-8 answer (the
-    # QUERY_RESULT then omits "result_text"). Replies to
-    # *different* request ids may interleave on one connection — the
-    # request id is the multiplexing key.
+    # same request id, framed by reply_frames as a site's RESULT is.
+    # Replies to *different* request ids may interleave on one
+    # connection — the request id is the multiplexing key.
     QUERY = 18  # {"query", "collection"?, "deadline_seconds"?}
-    QUERY_RESULT = 19  # {"result_text"?, "result_bytes", serving stats...}
+    QUERY_RESULT = 19  # {"result_text" | "result_bytes", serving stats...}
     QUERY_ERROR = 20  # {"error_type", "message", "shed": bool}
     # Rebalancing frames (client ↔ repro.coordinate service), both
     # answered by OK or ERROR. ADVISE mines the coordinator's query log
@@ -201,6 +200,35 @@ def answer_hello(hello: Frame, site: str) -> tuple[Frame, Optional[int]]:
         }
         return Frame(FrameType.WELCOME, hello.request_id, welcome), chunk_bytes
     return Frame(FrameType.REJECT, hello.request_id, {"reason": reason}), None
+
+
+def reply_frames(
+    terminal: FrameType, request_id: int, answer: dict, chunk_bytes: int
+) -> Iterator[Frame]:
+    """The one reply rule, shared by the threaded site server
+    (``terminal`` RESULT) and the asyncio coordinator (QUERY_RESULT).
+
+    ``answer`` is the terminal payload with both ``result_text`` and its
+    UTF-8 size ``result_bytes``. An answer shorter than the connection's
+    ``chunk_bytes`` and within :data:`MAX_INLINE_RESULT_BYTES` is one
+    terminal frame carrying the text; any other is ``RESULT_CHUNK``
+    slices of its UTF-8 bytes, then the terminal frame carrying
+    ``result_bytes`` instead. Pure: no I/O, so both servers decide
+    identically; the caller sends each frame as it is yielded.
+    """
+    size = answer["result_bytes"]
+    inline = size < chunk_bytes and size <= MAX_INLINE_RESULT_BYTES
+    dropped = "result_bytes" if inline else "result_text"
+    if not inline:
+        data = answer["result_text"].encode("utf-8")
+        for start in range(0, len(data), chunk_bytes):
+            yield Frame(
+                FrameType.RESULT_CHUNK,
+                request_id,
+                raw=data[start:start + chunk_bytes],
+            )
+    payload = {key: value for key, value in answer.items() if key != dropped}
+    yield Frame(terminal, request_id, payload)
 
 
 def encode_frame(frame: Frame) -> bytes:

@@ -30,7 +30,6 @@ import socketserver
 import threading
 import time
 from collections import Counter
-from dataclasses import replace
 from typing import Optional
 
 from repro.engine.stats import ExecOptions
@@ -38,12 +37,12 @@ from repro.errors import ProtocolError
 from repro.net.protocol import (
     Frame,
     FrameType,
-    MAX_INLINE_RESULT_BYTES,
     PROTOCOL_VERSION,
     answer_hello,
     exception_to_payload,
     frame_size_bucket,
     recv_frame,
+    reply_frames,
     send_frame,
 )
 from repro.partix.driver import MiniXDriver, PartixDriver
@@ -121,7 +120,7 @@ class _SiteHandler(socketserver.BaseRequestHandler):
             return False
         owner._count_in(received)
         reply, chunk_bytes = answer_hello(frame, owner.site)
-        self._reply(sock, reply.request_id, reply.type, reply.payload)
+        self._send(sock, reply)
         if chunk_bytes is None:
             return False
         self.chunk_bytes = chunk_bytes
@@ -197,47 +196,27 @@ class _SiteHandler(socketserver.BaseRequestHandler):
                 "EXECUTE no longer accepts 'extra_predicate': this site"
                 " would ignore the hint and answer a different query"
             )
-        stream = owner.driver.execute_iter(
+        result = owner.driver.execute(
             payload["query"], ExecOptions.from_payload(payload)
         )
-        # The driver's per-item pieces, "\n"-separated, are packed into
-        # chunks of the connection's negotiated size and go on the wire
-        # while later items are still being serialized.
-        chunk_bytes = self.chunk_bytes
-        buffer = bytearray()
-        chunked = False
-        for index, piece in enumerate(stream):
-            if index:
-                buffer += b"\n"
-            buffer += piece.encode("utf-8")
-            while len(buffer) >= chunk_bytes:
-                chunk = bytes(buffer[:chunk_bytes])
-                self._reply(sock, rid, FrameType.RESULT_CHUNK, raw=chunk)
-                del buffer[:chunk_bytes]
-                chunked = True
         owner._count_query()
-        result = stream.result
-        if not chunked and len(buffer) <= MAX_INLINE_RESULT_BYTES:
-            # The whole answer is here and no chunk went out: one frame.
-            result = replace(result, result_text=buffer.decode("utf-8"))
-            self._reply(sock, rid, FrameType.RESULT, result.to_payload())
-            return
-        if buffer:
-            self._reply(sock, rid, FrameType.RESULT_CHUNK, raw=bytes(buffer))
-        self._reply(
-            sock, rid, FrameType.RESULT_END, result.to_payload(streamed=True)
-        )
+        for frame in reply_frames(
+            FrameType.RESULT, rid, result.to_payload(), self.chunk_bytes
+        ):
+            self._send(sock, frame)
 
     def _reply(
         self,
         sock: socket.socket,
         rid: int,
         type_: FrameType,
-        payload: Optional[dict] = None,
-        raw: bytes = b"",
+        payload: dict,
     ) -> None:
+        self._send(sock, Frame(type_, rid, payload))
+
+    def _send(self, sock: socket.socket, frame: Frame) -> None:
         try:
-            sent = send_frame(sock, Frame(type_, rid, payload or {}, raw=raw))
+            sent = send_frame(sock, frame)
         except OSError:
             return
         self.server.owner._count_out(sent)

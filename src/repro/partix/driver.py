@@ -6,8 +6,10 @@ The PartiX driver allows different XML DBMSs to participate in the
 system. The only requirement is that they are able to process XQuery."
 
 :class:`PartixDriver` is the abstract interface; :class:`MiniXDriver`
-adapts our embedded engine (the eXist stand-in). A driver for a real
-remote DBMS would implement the same six methods over its wire protocol.
+adapts our embedded engine (the eXist stand-in). A driver for a remote
+DBMS implements the same abstract methods over its wire protocol
+(:class:`~repro.net.client.RemoteSiteDriver` does); of query processing
+they ask only what §4 asks, :meth:`PartixDriver.execute`.
 """
 
 from __future__ import annotations
@@ -102,29 +104,6 @@ class PartixDriver(abc.ABC):
         """
         return None
 
-    def execute_iter(self, query: str, options: Optional[ExecOptions] = None):
-        """Run an XQuery as a stream of serialized result pieces.
-
-        Returns an iterable of strings whose ``"\\n"``-join is exactly
-        the query's serialized answer, with a ``result`` attribute (a
-        :class:`QueryResult`) available once iteration completes. The
-        base implementation materializes through :meth:`execute` and
-        yields the whole text as one piece — correct for any driver;
-        engine-backed drivers override it with true per-item streaming.
-        """
-        return _MaterializedStream(self.execute(query, options))
-
-
-class _MaterializedStream:
-    """``execute_iter`` fallback: the whole result as a single piece."""
-
-    def __init__(self, result: QueryResult):
-        self.result = result
-
-    def __iter__(self):
-        if self.result.result_text:
-            yield self.result.result_text
-
 
 class MiniXDriver(PartixDriver):
     """Driver over the embedded MiniX engine."""
@@ -149,9 +128,6 @@ class MiniXDriver(PartixDriver):
         self, query: str, options: Optional[ExecOptions] = None
     ) -> QueryResult:
         return self.engine.execute(query, options)
-
-    def execute_iter(self, query: str, options: Optional[ExecOptions] = None):
-        return self.engine.execute_iter(query, options)
 
     def retain_documents(self, collection: str, keep: Iterable[str]) -> None:
         if self.engine.has_collection(collection):

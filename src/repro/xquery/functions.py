@@ -98,8 +98,7 @@ def _project(ctx: "DynamicContext", args: list[list]) -> list:
     (:mod:`repro.xmltext.projection`), in its wire form. A strict
     projection is one string per root, written from the kept spans alone
     (nothing else is decoded); a projection that keeps everything is the
-    root itself, which the result stream serializes piece by piece as it
-    does any node."""
+    root itself, which the engine serializes as it does any node."""
     if not args:
         raise XQueryTypeError("px:project() takes the nodes to project")
     for root in args[0]:

@@ -16,10 +16,11 @@ import pytest
 
 from repro.cluster import FAIL_FAST, ParallelDispatcher
 from repro.cluster.site import Cluster, Site
-from repro.coordinate import Coordinator, CoordinatorClient, run_traffic, service
+from repro.coordinate import Coordinator, CoordinatorClient, run_traffic
 from repro.coordinate.traffic import WorkloadQuery
 from repro.datamodel import Collection, doc, elem
 from repro.errors import AdmissionRejected, QueryDeadlineExceeded
+from repro.net import protocol
 from repro.net.protocol import (
     Frame,
     FrameType,
@@ -235,7 +236,7 @@ class TestConcurrentServing:
                     **reply, "elapsed_seconds": ANY
                 }
                 assert not frames
-                monkeypatch.setattr(service, "MAX_INLINE_RESULT_BYTES", 10)
+                monkeypatch.setattr(protocol, "MAX_INLINE_RESULT_BYTES", 10)
                 capped = wide.query(long_query, collection="C")
                 assert capped["result_text"] == long_answer
                 assert [raw.decode("utf-8") for raw in frames] == [long_answer]

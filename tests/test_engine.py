@@ -16,6 +16,7 @@ from repro.engine import (
     tokenize_text,
 )
 from repro.engine.stats import MODELED_SECONDS_PER_BYTE
+from repro.net.protocol import FrameType, reply_frames
 from repro.errors import (
     CollectionNotFoundError,
     DocumentNotFoundError,
@@ -502,9 +503,10 @@ class TestExecution:
         assert eng.execute('collection("c")/a').result_text == "<a>new</a>"
 
 
-class TestExecuteIsTheDrainedStream:
-    """``execute`` is ``"\\n".join(execute_iter(...))``: same text, same
-    counters, and scan/prune runs once per ``collection()`` call."""
+class TestExecuteIsOnePipeline:
+    """``execute`` runs scan/prune once per ``collection()`` call, reports
+    the counters it committed to the engine once, and sizes the text it
+    answers with."""
 
     COUNTERS = [
         "documents_parsed",
@@ -514,7 +516,6 @@ class TestExecuteIsTheDrainedStream:
         "documents_scanned",
         "documents_pruned",
         "simulated_overhead_seconds",
-        "result_bytes",
     ]
 
     @pytest.mark.parametrize(
@@ -528,12 +529,11 @@ class TestExecuteIsTheDrainedStream:
             'for $i in collection("items")/Item return element r { $i/Code }',
         ],
     )
-    def test_pieces_join_to_the_monolithic_answer(
+    def test_one_scan_per_collection_call_and_its_counters(
         self, engine, query, monkeypatch
     ):
         engine.per_document_overhead = 1.0 / 512.0
         options = ExecOptions(default_collection="items")
-        monolithic = engine.execute(query, options)
         scans = []
         scan_candidates = engine.scan_candidates
 
@@ -542,15 +542,25 @@ class TestExecuteIsTheDrainedStream:
             return scan_candidates(*args, **kwargs)
 
         monkeypatch.setattr(engine, "scan_candidates", counting_scan)
-        stream = engine.execute_iter(query, options)
-        assert stream.result is None
-        assert "\n".join(stream) == monolithic.result_text
+        before = engine.stats.snapshot()
+        result = engine.execute(query, options)
         assert scans == ["items"]
-        assert stream.result.result_text == ""
+        committed = engine.stats.diff(before)
+        assert committed.queries_executed == 1
         for name in self.COUNTERS:
-            assert getattr(stream.result, name) == getattr(monolithic, name)
+            expected = pytest.approx(getattr(committed, name))
+            assert getattr(result, name) == expected, name
+        assert result.result_bytes == len(result.result_text)  # ASCII
         # Elapsed is the wall clock plus the modeled access cost.
-        assert stream.result.measured_seconds > 0
+        assert result.measured_seconds > 0
+
+    def test_result_bytes_is_the_utf8_size_of_the_answer(self):
+        engine = XMLEngine("utf8")
+        engine.store_document("c", "<a>café ☃ \U0001f409</a>", name="d")
+        result = engine.execute('collection("c")/a')
+        assert result.result_text == "<a>café ☃ \U0001f409</a>"
+        assert result.result_bytes == len(result.result_text.encode("utf-8"))
+        assert result.result_bytes > len(result.result_text)
 
 
 class TestExecutionRecords:
@@ -569,16 +579,30 @@ class TestExecutionRecords:
             for f in dataclasses.fields(QueryResult)
             if f.name not in ("items", "stats")
         ]
-        rebuilt = QueryResult.from_payload(result.to_payload())
+        payload = result.to_payload()
+        assert list(payload) == wire_fields  # the text and its size both
+        rebuilt = QueryResult.from_payload(payload)
         for name in wire_fields:
             assert getattr(rebuilt, name) == getattr(result, name), name
         assert rebuilt.items == []
-        # RESULT_END form: the text already streamed, its size travels.
-        streamed = QueryResult.from_payload(result.to_payload(streamed=True))
-        for name in wire_fields:
-            expected = "" if name == "result_text" else getattr(result, name)
-            assert getattr(streamed, name) == expected, name
-        assert set(result.to_payload()) == set(wire_fields) - {"result_bytes"}
+        # The reply rule's two terminal forms: inline, the text travels
+        # and the size is derived from it; chunked, the text went ahead
+        # as chunks and its size travels in its place.
+        size = result.result_bytes
+        (inline,) = reply_frames(FrameType.RESULT, 1, payload, size + 1)
+        *chunks, chunked = reply_frames(FrameType.RESULT, 1, payload, size)
+        assert set(inline.payload) == set(wire_fields) - {"result_bytes"}
+        assert set(chunked.payload) == set(wire_fields) - {"result_text"}
+        assert b"".join(chunk.raw for chunk in chunks) == (
+            result.result_text.encode("utf-8")
+        )
+        for terminal in (inline, chunked):
+            rebuilt = QueryResult.from_payload(terminal.payload)
+            for name in wire_fields:
+                expected = getattr(result, name)
+                if name == "result_text" and terminal is chunked:
+                    expected = ""
+                assert getattr(rebuilt, name) == expected, name
 
     def test_result_payload_tolerates_unknown_and_missing_counters(self):
         rebuilt = QueryResult.from_payload(

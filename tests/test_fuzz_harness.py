@@ -87,7 +87,19 @@ class TestOracleGreenPath:
         assert summary["ok"] is True
         assert summary["cases"] == 3
         assert summary["failures"] == []
+        assert summary["reply_forms"] == {"inline": 0, "chunked": 0}
         json.dumps(summary)  # JSON-able end to end
+
+    def test_tcp_lanes_are_counted_by_reply_form(self):
+        # Iteration 0 of the tcp CI session: under the 7-byte chunk its
+        # short answers travel inline and the longer ones as chunks.
+        spec = spec_for_iteration(2006, 0)
+        outcome = run_case(spec, modes=("simulated", "tcp"))
+        assert outcome.ok, [m.detail for m in outcome.mismatches]
+        forms = outcome.reply_forms
+        assert forms["inline"] > 0 and forms["chunked"] > 0
+        assert outcome.to_dict()["reply_forms"] == dict(forms)
+        assert not run_case(spec).reply_forms  # no lane was on a socket
 
     def test_point_lookups_are_generated_and_routed_by_summary(self):
         # Iteration 0 of the CI session: an items case whose queries

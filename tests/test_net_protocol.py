@@ -51,7 +51,6 @@ PAYLOADS = {
     FrameType.SHUTDOWN: {},
     FrameType.OK: {"count": 7},
     FrameType.RESULT_CHUNK: {},  # raw-payload frame: payload stays {}
-    FrameType.RESULT_END: {"result_bytes": 42, "elapsed_seconds": 0.01},
     FrameType.QUERY: {
         "query": 'count(collection("C")//Item)',
         "collection": "C",

@@ -61,7 +61,7 @@ class TestServerOperations:
         client.store_document("C", "<Item><Code>8</Code></Item>", name="d1")
         assert client.document_count("C") == 2
         assert client.collection_bytes("C") > 0
-        result, sent, received = client.execute(ITEM_QUERY)
+        result, sent, received, _, _ = client.execute(ITEM_QUERY)
         assert "<Code>7</Code>" in result.result_text
         assert "<Code>8</Code>" in result.result_text
         assert sent > 0 and received > len(result.result_text.encode())
@@ -109,7 +109,7 @@ class TestServerOperations:
         assert reply.type is FrameType.ERROR
         assert reply.payload["error_type"] == "ProtocolError"
         assert "extra_predicate" in reply.payload["message"]
-        result, _, _ = client.execute(ITEM_QUERY)
+        result = client.execute(ITEM_QUERY)[0]
         assert result.result_text == "<Code>7</Code>"
         assert client.connections_created == 1  # same connection, still usable
 

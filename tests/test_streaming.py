@@ -2,8 +2,9 @@
 
 The contract under test: a lane's answer is its text. The site — the
 only party that knows the answer's size — picks the reply form (one
-inline RESULT frame, or RESULT_CHUNK frames closed by RESULT_END), the
-client assembles either into the same text, and that text equals the
+inline RESULT frame, or RESULT_CHUNK frames closed by a RESULT that
+carries the answer's size instead), the client assembles either into
+the same text, and that text equals the
 in-process answer byte for byte at every negotiated chunk size —
 including chunk boundaries that fall inside a multi-byte UTF-8
 character. A reply that ends before its terminal frame is an error,
@@ -19,11 +20,12 @@ import pytest
 
 from repro.cluster.dispatch import ParallelDispatcher
 from repro.cluster.site import Cluster, Site
+from repro.coordinate import Coordinator, CoordinatorClient
 from repro.datamodel import Collection, doc, elem
 from repro.engine.stats import QueryResult
 from repro.errors import StorageError, TransportError
 from repro.net import SiteClient, SiteServer, TcpTransport
-from repro.net import server as server_module
+from repro.net import protocol
 from repro.net.protocol import (
     DEFAULT_CHUNK_BYTES,
     Frame,
@@ -64,10 +66,11 @@ class TestChunkNegotiation:
 
     def test_a_version_1_peer_is_rejected_at_the_handshake(self):
         # Versions 1 and 2 selected a reply form with a "stream" key (on
-        # EXECUTE, then on QUERY); a peer still speaking either would
-        # meet frames it does not expect.
-        assert PROTOCOL_VERSION == 3
-        for version in (1, 2):
+        # EXECUTE, then on QUERY), version 3 closed a chunked reply with
+        # a frame type of its own; a peer still speaking any of them
+        # would meet frames it does not expect.
+        assert PROTOCOL_VERSION == 4
+        for version in (1, 2, 3):
             reply, chunk_bytes = answer_hello(
                 Frame(FrameType.HELLO, 1, {"version": version}), "s0"
             )
@@ -97,9 +100,10 @@ def server():
     srv.close()
 
 
-def _reply_frames(port, chunk_bytes, query):
-    """Every frame a real server answers one EXECUTE with, read off a
-    raw socket after negotiating ``chunk_bytes``."""
+def _reply_frames(port, chunk_bytes, query, request=FrameType.EXECUTE, **keys):
+    """Every frame a real server (a site, or with ``request`` QUERY the
+    coordinator) answers one request with, read off a raw socket after
+    negotiating ``chunk_bytes``."""
     with socket.create_connection(("127.0.0.1", port), timeout=5.0) as conn:
         send_frame(
             conn,
@@ -111,7 +115,7 @@ def _reply_frames(port, chunk_bytes, query):
         )
         welcome, _ = recv_frame(conn)
         assert welcome.payload["chunk_bytes"] == chunk_bytes
-        send_frame(conn, Frame(FrameType.EXECUTE, 2, {"query": query}))
+        send_frame(conn, Frame(request, 2, {"query": query, **keys}))
         frames = []
         while not frames or frames[-1].type is FrameType.RESULT_CHUNK:
             frames.append(recv_frame(conn)[0])
@@ -142,7 +146,7 @@ class TestTheSiteSizesTheReply:
         if chunk_bytes is None:
             chunk_bytes = len(data)  # the boundary: a chunk fills exactly
         *chunks, end = _reply_frames(server.port, chunk_bytes, NAMES_QUERY)
-        assert chunks and end.type is FrameType.RESULT_END
+        assert chunks and end.type is FrameType.RESULT
         assert all(len(chunk.raw) <= chunk_bytes for chunk in chunks)
         assert b"".join(chunk.raw for chunk in chunks) == data
         assert end.payload["result_bytes"] == len(data)
@@ -156,10 +160,11 @@ class TestTheSiteSizesTheReply:
     def test_an_unchunked_answer_above_the_inline_cap_is_chunked(
         self, server, monkeypatch
     ):
-        monkeypatch.setattr(server_module, "MAX_INLINE_RESULT_BYTES", 10)
+        monkeypatch.setattr(protocol, "MAX_INLINE_RESULT_BYTES", 10)
         chunk, end = _reply_frames(server.port, 4096, NAMES_QUERY)
         assert chunk.raw == NAMES_ANSWER.encode("utf-8")
-        assert end.type is FrameType.RESULT_END
+        assert end.type is FrameType.RESULT
+        assert end.payload["result_bytes"] == len(chunk.raw)
 
     @pytest.mark.parametrize("chunk_bytes", [1, 7, 64, None])
     def test_client_assembles_either_form_to_one_answer(
@@ -171,7 +176,7 @@ class TestTheSiteSizesTheReply:
             "127.0.0.1", server.port, site="s0", chunk_bytes=chunk_bytes
         )
         try:
-            result, sent, received = client.execute(NAMES_QUERY)
+            result, sent, received, _, _ = client.execute(NAMES_QUERY)
             assert result.result_text == local.result_text
             assert result.result_bytes == local.result_bytes
             assert result.documents_scanned == local.documents_scanned
@@ -199,10 +204,70 @@ class TestTheSiteSizesTheReply:
                 assert execution.first_chunk_seconds is None
 
 
+@pytest.fixture(scope="module")
+def coordinator():
+    """A real coordinator over the fixture's items, split over two
+    sites: it answers NAMES_QUERY with NAMES_ANSWER's lines."""
+    documents = [
+        doc(
+            elem("Item", elem("Name", text), elem("Odd", str(index % 2))),
+            name=f"d{index}",
+        )
+        for index, text in enumerate(TEXTS)
+    ]
+    design = FragmentationSchema(
+        "C",
+        [
+            HorizontalFragment("F_odd", "C", predicate=eq("/Item/Odd", "1")),
+            HorizontalFragment("F_even", "C", predicate=ne("/Item/Odd", "1")),
+        ],
+        root_label="Item",
+    )
+    with Partix(Cluster.with_sites(2)) as partix:
+        partix.publish(Collection("C", documents), design)
+        service = Coordinator(partix).serve_in_thread()
+        yield service
+        assert service.close()
+
+
+def _form(frames):
+    """What the reply rule decided: the chunk sizes, then the keys of
+    the terminal payload that carry the answer."""
+    *chunks, end = frames
+    assert all(chunk.type is FrameType.RESULT_CHUNK for chunk in chunks)
+    carried = sorted({"result_text", "result_bytes"} & set(end.payload))
+    return [len(chunk.raw) for chunk in chunks], carried
+
+
+class TestOneRuleFramesEveryReply:
+    @pytest.mark.parametrize("excess", [-1, 0, 1])
+    def test_site_and_coordinator_frame_an_answer_alike(
+        self, server, coordinator, excess
+    ):
+        # The answer is chunk - 1, chunk or chunk + 1 bytes long.
+        chunk = len(NAMES_ANSWER.encode("utf-8")) - excess
+        expected = {
+            -1: ([], ["result_text"]),
+            0: ([chunk], ["result_bytes"]),
+            1: ([chunk, 1], ["result_bytes"]),
+        }[excess]
+        site = _reply_frames(server.port, chunk, NAMES_QUERY)
+        central = _reply_frames(
+            coordinator.port,
+            chunk,
+            NAMES_QUERY,
+            request=FrameType.QUERY,
+            collection="C",
+        )
+        assert site[-1].type is FrameType.RESULT
+        assert central[-1].type is FrameType.QUERY_RESULT
+        assert _form(site) == _form(central) == expected
+
+
 class _ScriptedServer:
-    """A fake site server: follows the handshake, then answers the first
-    EXECUTE of each connection with that connection's script of frames
-    and closes it."""
+    """A fake site server (or coordinator): follows the handshake, then
+    answers the first request of each connection with that connection's
+    script of frames and closes it."""
 
     def __init__(self, *scripts):
         self.scripts = scripts
@@ -230,8 +295,9 @@ def _chunk(raw):
     return lambda rid: Frame(FrameType.RESULT_CHUNK, rid, raw=raw)
 
 
-def _result_end(result_bytes):
-    """A well-formed RESULT_END for an answer of ``result_bytes``."""
+def _chunked_result(result_bytes):
+    """A well-formed RESULT closing the chunks of an answer of
+    ``result_bytes``: the reply payload without its text."""
     result = QueryResult(
         items=[],
         result_text="",
@@ -243,7 +309,9 @@ def _result_end(result_bytes):
         documents_scanned=1,
         documents_pruned=0,
     )
-    return _json(FrameType.RESULT_END, result.to_payload(streamed=True))
+    payload = result.to_payload()
+    del payload["result_text"]
+    return _json(FrameType.RESULT, payload)
 
 
 def _json(type_, payload):
@@ -252,14 +320,13 @@ def _json(type_, payload):
 
 @pytest.fixture()
 def scripted():
-    """``scripted(*scripts)`` → a client of a :class:`_ScriptedServer`."""
+    """``scripted(*scripts, client=SiteClient)`` → a client of a
+    :class:`_ScriptedServer`."""
     started = []
 
-    def start(*scripts):
+    def start(*scripts, client=SiteClient):
         server = _ScriptedServer(*scripts)
-        client = SiteClient(
-            "127.0.0.1", server.port, site="fake", read_timeout=5.0
-        )
+        client = client("127.0.0.1", server.port, site="fake", read_timeout=5.0)
         started.append((server, client))
         return client
 
@@ -297,6 +364,21 @@ class TestStreamFailureSemantics:
         with pytest.raises(TransportError, match="RESULT_CHUNK"):
             client.execute("q")
 
+    def test_inline_query_result_after_chunks_is_refused(self, scripted):
+        # The coordinator's reply is assembled by the same rule.
+        client = scripted(
+            [
+                _chunk(b"<Item/>"),
+                _json(
+                    FrameType.QUERY_RESULT,
+                    {"result_text": "<Other/>", "elapsed_seconds": 0.001},
+                ),
+            ],
+            client=CoordinatorClient,
+        )
+        with pytest.raises(TransportError, match="RESULT_CHUNK"):
+            client.query("q")
+
     def test_error_frame_mid_stream_maps_to_original_exception(self, scripted):
         client = scripted(
             [
@@ -327,9 +409,9 @@ class TestStreamFailureSemantics:
             assert client.ping()  # connect: the chunk size is negotiated
             assert client.negotiated_chunk_bytes == 3
             local = server.driver.execute(NAMES_QUERY)
-            remote, _, received = client.execute(NAMES_QUERY)
+            remote, _, received, chunked, _ = client.execute(NAMES_QUERY)
             assert remote.result_text == local.result_text
-            assert remote.result_bytes == local.result_bytes
+            assert remote.result_bytes == local.result_bytes == chunked
             # chunk_bytes=3 really put the answer on the wire in slices:
             # a 16-byte header for every 3 bytes of it.
             assert received > 5 * local.result_bytes
@@ -347,7 +429,7 @@ class TestStreamFailureSemantics:
             [
                 _chunk(good[:9]),  # ends inside the first "ö"
                 _chunk(good[9:]),
-                _result_end(len(good)),
+                _chunked_result(len(good)),
             ],
         )
         dispatcher = ParallelDispatcher(retries=1, sleep=lambda seconds: None)
