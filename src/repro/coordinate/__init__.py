@@ -1,7 +1,8 @@
 """The multi-tenant coordinator service (``python -m repro.coordinate``).
 
-* :mod:`repro.coordinate.service` — the asyncio reactor serving
-  concurrent QUERY frames over one Partix middleware.
+* :mod:`repro.coordinate.service` — the site server's frame server
+  with QUERY, ADVISE and REBALANCE: concurrent queries over one Partix
+  middleware, admitted on the connection thread, run on a pool.
 * :mod:`repro.coordinate.admission` — bounded-concurrency /
   bounded-queue admission control with typed load shedding.
 * :mod:`repro.coordinate.client` — pooled client speaking the QUERY

@@ -82,19 +82,18 @@ def main(argv=None) -> int:
         queue_limit=args.queue_limit,
         default_deadline_seconds=args.deadline,
     )
-    coordinator.serve_in_thread()
-    print(
-        f"coordinator listening on {coordinator.host}:{coordinator.port}"
-        f" (collection {scenario.collection_name!r},"
-        f" {args.fragments} fragments, mode {args.mode})",
-        flush=True,
-    )
 
     def _request_stop(signum, frame):  # noqa: ARG001 - signal signature
         coordinator.request_shutdown()
 
     signal.signal(signal.SIGTERM, _request_stop)
     signal.signal(signal.SIGINT, _request_stop)
+    print(
+        f"coordinator listening on {coordinator.host}:{coordinator.port}"
+        f" (collection {scenario.collection_name!r},"
+        f" {args.fragments} fragments, mode {args.mode})",
+        flush=True,
+    )
     try:
         coordinator.serve_forever()
     finally:

@@ -8,9 +8,10 @@ letting latency collapse for everyone (the classic bounded-queue
 load-shedding policy).
 
 :class:`AdmissionController` is pure synchronous accounting over opaque
-*waiter* tokens, so it is directly unit-testable without an event loop;
-the asyncio service enqueues ``Future`` objects and completes whichever
-token :meth:`finish` hands back.
+*waiter* tokens, so it is directly unit-testable; the coordinator
+enqueues :class:`concurrent.futures.Future` objects, a queued query's
+worker waits on its own, and whichever token :meth:`finish` hands back
+is completed to wake it.
 """
 
 from __future__ import annotations

@@ -173,14 +173,14 @@ class Frame:
 
 
 def answer_hello(hello: Frame, site: str) -> tuple[Frame, Optional[int]]:
-    """The accepting side's handshake decision, shared by the threaded
-    site server and the asyncio coordinator.
+    """The accepting side's handshake decision, made once for every
+    frame server (:class:`repro.net.server.FrameServer`).
 
     Given a connection's first frame, returns ``(reply, chunk_bytes)``:
     a WELCOME and the negotiated chunk size when the peer sent a
     HELLO of this protocol version, else a REJECT and ``None`` — the
     caller sends the reply either way and closes the connection on
-    ``None``. Pure: no I/O, so both servers decide identically.
+    ``None``. Pure: no I/O.
     """
     version = hello.payload.get("version", hello.version)
     if hello.type is not FrameType.HELLO:
@@ -205,8 +205,8 @@ def answer_hello(hello: Frame, site: str) -> tuple[Frame, Optional[int]]:
 def reply_frames(
     terminal: FrameType, request_id: int, answer: dict, chunk_bytes: int
 ) -> Iterator[Frame]:
-    """The one reply rule, shared by the threaded site server
-    (``terminal`` RESULT) and the asyncio coordinator (QUERY_RESULT).
+    """The one reply rule, shared by the site server (``terminal``
+    RESULT) and the coordinator (QUERY_RESULT).
 
     ``answer`` is the terminal payload with both ``result_text`` and its
     UTF-8 size ``result_bytes``. An answer shorter than the connection's
@@ -252,19 +252,15 @@ def encode_frame(frame: Frame) -> bytes:
     return header + body
 
 
-def decode_frame(data: bytes) -> tuple[Frame, int]:
-    """Decode one frame from ``data``; returns ``(frame, bytes_consumed)``.
+def _parse_header(header) -> tuple[int, FrameType, int, int]:
+    """Validate one frame header; returns ``(version, type, request id,
+    payload size)``.
 
-    Raises :class:`ProtocolError` for truncated input, a bad magic, an
-    unknown frame type, an oversized payload length, or a payload that is
-    not a JSON object.
+    The one header check, shared by :func:`decode_frame` and
+    :func:`recv_frame`: a bad magic, an oversized length or an unknown
+    type raises :class:`ProtocolError` before any payload is read.
     """
-    if len(data) < HEADER_BYTES:
-        raise ProtocolError(
-            f"truncated frame header: need {HEADER_BYTES} bytes, got"
-            f" {len(data)}"
-        )
-    magic, version, type_code, request_id, size = _HEADER.unpack_from(data)
+    magic, version, type_code, request_id, size = _HEADER.unpack_from(header)
     if magic != MAGIC:
         raise ProtocolError(
             f"bad frame magic {magic!r} (expected {MAGIC!r}) — peer is not"
@@ -279,40 +275,47 @@ def decode_frame(data: bytes) -> tuple[Frame, int]:
         frame_type = FrameType(type_code)
     except ValueError:
         raise ProtocolError(f"unknown frame type {type_code}") from None
-    end = HEADER_BYTES + size
-    if len(data) < end:
-        raise ProtocolError(
-            f"truncated frame payload: header promises {size} bytes, got"
-            f" {len(data) - HEADER_BYTES}"
-        )
-    body = data[HEADER_BYTES:end]
+    return version, frame_type, request_id, size
+
+
+def _decode_body(
+    version: int, frame_type: FrameType, request_id: int, body
+) -> Frame:
+    """The frame a validated header and its payload bytes describe."""
     if frame_type in RAW_PAYLOAD_TYPES:
-        return (
-            Frame(
-                type=frame_type,
-                request_id=request_id,
-                version=version,
-                raw=bytes(body),
-            ),
-            end,
-        )
+        return Frame(frame_type, request_id, version=version, raw=bytes(body))
     try:
-        payload = json.loads(body.decode("utf-8"))
+        payload = json.loads(str(body, "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"garbage frame payload (not JSON): {exc}") from None
     if not isinstance(payload, dict):
         raise ProtocolError(
             f"frame payload must be a JSON object, got {type(payload).__name__}"
         )
-    return (
-        Frame(
-            type=frame_type,
-            request_id=request_id,
-            payload=payload,
-            version=version,
-        ),
-        end,
-    )
+    return Frame(frame_type, request_id, payload, version=version)
+
+
+def decode_frame(data: bytes) -> tuple[Frame, int]:
+    """Decode one frame from ``data``; returns ``(frame, bytes_consumed)``.
+
+    Raises :class:`ProtocolError` for truncated input, a bad magic, an
+    unknown frame type, an oversized payload length, or a payload that is
+    not a JSON object.
+    """
+    if len(data) < HEADER_BYTES:
+        raise ProtocolError(
+            f"truncated frame header: need {HEADER_BYTES} bytes, got"
+            f" {len(data)}"
+        )
+    version, frame_type, request_id, size = _parse_header(data)
+    end = HEADER_BYTES + size
+    if len(data) < end:
+        raise ProtocolError(
+            f"truncated frame payload: header promises {size} bytes, got"
+            f" {len(data) - HEADER_BYTES}"
+        )
+    body = memoryview(data)[HEADER_BYTES:end]
+    return _decode_body(version, frame_type, request_id, body), end
 
 
 # ----------------------------------------------------------------------
@@ -325,7 +328,7 @@ def send_frame(sock: socket.socket, frame: Frame) -> int:
     return len(data)
 
 
-def _recv_exactly(sock: socket.socket, count: int) -> bytes:
+def _recv_exactly(sock: socket.socket, count: int) -> bytearray:
     """Read exactly ``count`` bytes into one pre-sized buffer.
 
     A single ``bytearray`` is allocated up front and filled through
@@ -343,75 +346,22 @@ def _recv_exactly(sock: socket.socket, count: int) -> bytes:
                 f" {count} bytes read)"
             )
         received += read
-    return bytes(buffer)
+    return buffer
 
 
 def recv_frame(sock: socket.socket) -> tuple[Frame, int]:
     """Read one frame off a socket; returns ``(frame, bytes_received)``.
 
     The header is read first and validated, so a corrupt length prefix is
-    caught before any payload allocation.
+    caught before any payload allocation; the payload is then decoded
+    from its own buffer.
     """
-    header = _recv_exactly(sock, HEADER_BYTES)
-    magic, version, type_code, request_id, size = _HEADER.unpack(header)
-    if magic != MAGIC:
-        raise ProtocolError(
-            f"bad frame magic {magic!r} (expected {MAGIC!r}) — peer is not"
-            " speaking the PartiX protocol"
-        )
-    if size > MAX_PAYLOAD_BYTES:
-        raise ProtocolError(
-            f"frame payload length {size} exceeds the"
-            f" {MAX_PAYLOAD_BYTES}-byte limit"
-        )
-    body = _recv_exactly(sock, size) if size else b""
-    frame, _ = decode_frame(header + body)
-    return frame, HEADER_BYTES + size
-
-
-# ----------------------------------------------------------------------
-# asyncio helpers (the coordinator's reactor reads frames off
-# StreamReaders; same validation as the socket path)
-# ----------------------------------------------------------------------
-async def read_frame_async(reader) -> tuple[Frame, int]:
-    """Read one frame off an ``asyncio.StreamReader``.
-
-    Returns ``(frame, bytes_received)``; mirrors :func:`recv_frame`,
-    including the header-before-payload validation, and maps a mid-frame
-    EOF to the same :class:`ProtocolError` message so connection-closed
-    handling is shared between the threaded and async paths.
-    """
-    import asyncio
-
-    try:
-        header = await reader.readexactly(HEADER_BYTES)
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError(
-            f"connection closed mid-frame ({len(exc.partial)} of"
-            f" {HEADER_BYTES} bytes read)"
-        ) from None
-    magic, version, type_code, request_id, size = _HEADER.unpack(header)
-    if magic != MAGIC:
-        raise ProtocolError(
-            f"bad frame magic {magic!r} (expected {MAGIC!r}) — peer is not"
-            " speaking the PartiX protocol"
-        )
-    if size > MAX_PAYLOAD_BYTES:
-        raise ProtocolError(
-            f"frame payload length {size} exceeds the"
-            f" {MAX_PAYLOAD_BYTES}-byte limit"
-        )
-    if size:
-        try:
-            body = await reader.readexactly(size)
-        except asyncio.IncompleteReadError as exc:
-            raise ProtocolError(
-                f"connection closed mid-frame ({len(exc.partial)} of"
-                f" {size} bytes read)"
-            ) from None
-    else:
-        body = b""
-    frame, _ = decode_frame(header + body)
+    version, frame_type, request_id, size = _parse_header(
+        _recv_exactly(sock, HEADER_BYTES)
+    )
+    frame = _decode_body(
+        version, frame_type, request_id, _recv_exactly(sock, size)
+    )
     return frame, HEADER_BYTES + size
 
 

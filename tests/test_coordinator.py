@@ -1,11 +1,13 @@
 """The coordinator concurrency battery.
 
-Everything here runs against a real asyncio coordinator on a real
-socket. The core property is the one the serial tests cannot check:
-under heavy concurrency — 32+ clients, mixed workload, republishes and
-slow sites happening mid-flight — every answer stays byte-identical to
-a serial ``Partix.execute`` baseline, overload is shed with a typed
-error instead of latency collapse, and shutdown drains cleanly.
+Everything here runs against a real coordinator on a real socket: the
+threaded frame server of ``repro.net.server``, admitting each QUERY on
+its connection thread and executing it on the coordinator's pool. The
+core property is the one the serial tests cannot check: under heavy
+concurrency — 32+ clients, mixed workload, republishes and slow sites
+happening mid-flight — every answer stays byte-identical to a serial
+``Partix.execute`` baseline, overload is shed with a typed error
+instead of latency collapse, and shutdown drains cleanly.
 """
 
 import threading

@@ -1,6 +1,7 @@
 """Unit tests for the PartiX wire protocol (framing + error mapping)."""
 
 import json
+import socket
 import struct
 
 import pytest
@@ -23,6 +24,7 @@ from repro.net.protocol import (
     encode_frame,
     exception_to_payload,
     payload_to_exception,
+    recv_frame,
 )
 
 #: A representative payload for each frame type (round-trip coverage).
@@ -131,7 +133,57 @@ class TestRoundTrip:
         assert consumed == len(data) - len(b"extra")
 
 
-class TestRejection:
+def _recv_off_a_socket(data: bytes):
+    """``recv_frame`` on the read end of a socket pair carrying ``data``."""
+    writer, reader = socket.socketpair()
+    with writer, reader:
+        writer.sendall(data)
+        writer.shutdown(socket.SHUT_WR)
+        return recv_frame(reader)
+
+
+def _header(type_code, size):
+    return struct.Struct("!2sBBQI").pack(
+        MAGIC, PROTOCOL_VERSION, type_code, 1, size
+    )
+
+
+class _MalformedFrames:
+    """The malformed frames every reader refuses with the same error.
+
+    ``read`` is the reader under test: ``decode_frame`` here, and
+    ``recv_frame`` on a socket in :class:`TestRejectionOffASocket`.
+    """
+
+    read = staticmethod(decode_frame)
+
+    def test_bad_magic(self):
+        data = bytearray(encode_frame(Frame(type=FrameType.PING)))
+        data[:2] = b"ZZ"
+        with pytest.raises(ProtocolError, match="bad frame magic"):
+            self.read(bytes(data))
+
+    def test_unknown_frame_type(self):
+        with pytest.raises(ProtocolError, match="unknown frame type 200"):
+            self.read(_header(200, 0))
+
+    def test_oversized_length_prefix_rejected_before_allocation(self):
+        header = _header(int(FrameType.PING), MAX_PAYLOAD_BYTES + 1)
+        with pytest.raises(ProtocolError, match="exceeds"):
+            self.read(header)
+
+    def test_garbage_payload_is_not_json(self):
+        body = b"not json at all"
+        with pytest.raises(ProtocolError, match="garbage frame payload"):
+            self.read(_header(int(FrameType.OK), len(body)) + body)
+
+    def test_payload_must_be_a_json_object(self):
+        body = json.dumps([1, 2, 3]).encode()
+        with pytest.raises(ProtocolError, match="must be a JSON object"):
+            self.read(_header(int(FrameType.OK), len(body)) + body)
+
+
+class TestRejection(_MalformedFrames):
     def test_truncated_header(self):
         with pytest.raises(ProtocolError, match="truncated frame header"):
             decode_frame(b"PX\x01")
@@ -143,25 +195,6 @@ class TestRejection:
         with pytest.raises(ProtocolError, match="truncated frame payload"):
             decode_frame(data[:-4])
 
-    def test_bad_magic(self):
-        data = bytearray(encode_frame(Frame(type=FrameType.PING)))
-        data[:2] = b"ZZ"
-        with pytest.raises(ProtocolError, match="bad frame magic"):
-            decode_frame(bytes(data))
-
-    def test_unknown_frame_type(self):
-        header = struct.Struct("!2sBBQI").pack(MAGIC, PROTOCOL_VERSION, 200, 1, 0)
-        with pytest.raises(ProtocolError, match="unknown frame type 200"):
-            decode_frame(header)
-
-    def test_oversized_length_prefix_rejected_before_allocation(self):
-        header = struct.Struct("!2sBBQI").pack(
-            MAGIC, PROTOCOL_VERSION, int(FrameType.PING), 1,
-            MAX_PAYLOAD_BYTES + 1,
-        )
-        with pytest.raises(ProtocolError, match="exceeds"):
-            decode_frame(header)
-
     def test_oversized_payload_refused_on_encode(self, monkeypatch):
         monkeypatch.setattr(protocol, "MAX_PAYLOAD_BYTES", 16)
         with pytest.raises(ProtocolError, match="oversized frame"):
@@ -169,21 +202,9 @@ class TestRejection:
                 Frame(type=FrameType.OK, payload={"blob": "x" * 64})
             )
 
-    def test_garbage_payload_is_not_json(self):
-        body = b"not json at all"
-        header = struct.Struct("!2sBBQI").pack(
-            MAGIC, PROTOCOL_VERSION, int(FrameType.OK), 1, len(body)
-        )
-        with pytest.raises(ProtocolError, match="garbage frame payload"):
-            decode_frame(header + body)
 
-    def test_payload_must_be_a_json_object(self):
-        body = json.dumps([1, 2, 3]).encode()
-        header = struct.Struct("!2sBBQI").pack(
-            MAGIC, PROTOCOL_VERSION, int(FrameType.OK), 1, len(body)
-        )
-        with pytest.raises(ProtocolError, match="must be a JSON object"):
-            decode_frame(header + body)
+class TestRejectionOffASocket(_MalformedFrames):
+    read = staticmethod(_recv_off_a_socket)
 
 
 class TestErrorMapping:
@@ -218,8 +239,8 @@ class TestErrorMapping:
 
 
 class TestAnswerHello:
-    """The one handshake decision both servers (threaded site server,
-    asyncio coordinator) send verbatim."""
+    """The one handshake decision the frame server sends verbatim, for
+    the site server and the coordinator alike."""
 
     def test_matching_version_is_welcomed_with_the_default_chunk_size(self):
         hello = Frame(FrameType.HELLO, 9, {"version": PROTOCOL_VERSION})

@@ -7,12 +7,15 @@ middleware uses, including fault injection (killed servers).
 """
 
 import socket
+import struct
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.cluster import DEGRADE, FAIL_FAST, ParallelDispatcher
+from repro.coordinate import Coordinator
 from repro.errors import (
     DispatchError,
     ProtocolError,
@@ -26,6 +29,7 @@ from repro.net.protocol import (
     Frame,
     FrameType,
     PROTOCOL_VERSION,
+    encode_frame,
     recv_frame,
     send_frame,
 )
@@ -36,6 +40,7 @@ from repro.workloads.virtual_store import (
     build_items_collection,
     items_horizontal_fragmentation,
 )
+from tests.lane_threads import live_threads
 
 ITEM_QUERY = 'for $i in collection("C")//Item return $i/Code'
 
@@ -48,13 +53,66 @@ def server():
 
 
 @pytest.fixture()
+def coordinator():
+    with Partix(Cluster.with_sites(2)) as partix:
+        partix.publish(
+            build_items_collection(4, kind="small", seed=9),
+            items_horizontal_fragmentation(2),
+        )
+        srv = Coordinator(partix, site="s0").serve_in_thread()
+        yield srv
+        srv.close()
+
+
+@pytest.fixture(params=["site", "coordinator"])
+def either_server(request):
+    """A site server, then a coordinator: the one frame server twice."""
+    return request.getfixturevalue(
+        "server" if request.param == "site" else "coordinator"
+    )
+
+
+@pytest.fixture()
 def client(server):
     cli = SiteClient("127.0.0.1", server.port, site="s0")
     yield cli
     cli.close()
 
 
-class TestServerOperations:
+class _ServerLifecycle:
+    """How every frame server closes, whatever it serves (``server``)."""
+
+    def test_graceful_shutdown_drains(self, server, client):
+        assert client.shutdown_server()
+        deadline = time.perf_counter() + 5.0
+        while time.perf_counter() < deadline:
+            try:
+                SiteClient("127.0.0.1", server.port, connect_timeout=0.2).ping(
+                    read_timeout=0.2
+                )
+            except (TransportError, ProtocolError):
+                break
+            time.sleep(0.05)
+        else:
+            pytest.fail("server kept answering after SHUTDOWN")
+
+    def test_close_is_clean_with_an_idle_connection_open(self, server, client):
+        # Regression: close() used to race the accept loop — a handler
+        # parked in recv on an idle connection kept the serve thread
+        # alive past the join, and the swallowed OSError hid it.
+        client.ping()  # leaves a pooled, idle connection open
+        assert server.close()
+
+    def test_close_is_clean_mid_handshake(self, server):
+        # A connection that dialed but never sent its HELLO must not
+        # wedge shutdown either: the handshake poll notices the
+        # shutdown request and gives up on the silent peer.
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5.0):
+            time.sleep(0.05)  # let the server park in its HELLO read
+            assert server.close()
+
+
+class TestServerOperations(_ServerLifecycle):
     def test_store_count_bytes_and_execute(self, server, client):
         client.create_collection("C")
         client.store_document("C", "<Item><Code>7</Code></Item>", name="d0")
@@ -148,35 +206,6 @@ class TestServerOperations:
                 ITEM_QUERY, read_timeout=0.05, debug_sleep_seconds=1.0
             )
 
-    def test_graceful_shutdown_drains(self, server, client):
-        assert client.shutdown_server()
-        deadline = time.perf_counter() + 5.0
-        while time.perf_counter() < deadline:
-            try:
-                SiteClient("127.0.0.1", server.port, connect_timeout=0.2).ping(
-                    read_timeout=0.2
-                )
-            except (TransportError, ProtocolError):
-                break
-            time.sleep(0.05)
-        else:
-            pytest.fail("server kept answering after SHUTDOWN")
-
-    def test_close_is_clean_with_an_idle_connection_open(self, server, client):
-        # Regression: close() used to race the accept loop — a handler
-        # parked in recv on an idle connection kept the serve thread
-        # alive past the join, and the swallowed OSError hid it.
-        client.ping()  # leaves a pooled, idle connection open
-        assert server.close()
-
-    def test_close_is_clean_mid_handshake(self, server):
-        # A connection that dialed but never sent its HELLO must not
-        # wedge shutdown either: the handshake poll notices the
-        # shutdown request and gives up on the silent peer.
-        with socket.create_connection(("127.0.0.1", server.port), timeout=5.0):
-            time.sleep(0.05)  # let the server park in its HELLO read
-            assert server.close()
-
 
 class TestHandshake:
     def test_version_mismatch_is_refused(self, server):
@@ -210,6 +239,145 @@ class TestHandshake:
             assert sock.recv(4096) is not None  # REJECT or close, not a hang
         # A well-behaved client still gets service afterwards.
         assert client.ping()["site"] == "s0"
+
+
+class TestTheCoordinatorIsTheSameFrameServer(_ServerLifecycle, TestHandshake):
+    """The handshake and close() battery again, against a coordinator."""
+
+    @pytest.fixture()
+    def server(self, coordinator):
+        return coordinator
+
+
+def _handshaken(server) -> socket.socket:
+    sock = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
+    send_frame(
+        sock,
+        Frame(FrameType.HELLO, 1, {"version": PROTOCOL_VERSION}),
+    )
+    assert recv_frame(sock)[0].type is FrameType.WELCOME
+    return sock
+
+
+def _in_flight_request(server):
+    """A request that takes ~0.3 s to answer, and the reply it gets."""
+    if isinstance(server, Coordinator):
+        partix = server.partix
+
+        def slow_execute(query, **kwargs):
+            time.sleep(0.3)
+            return Partix.execute(partix, query, **kwargs)
+
+        partix.execute = slow_execute  # served queries look it up afresh
+        query = 'count(collection("Citems")//Item)'
+        return (
+            Frame(FrameType.QUERY, 7, {"query": query, "collection": "Citems"}),
+            FrameType.QUERY_RESULT,
+        )
+    return (
+        Frame(
+            FrameType.EXECUTE,
+            7,
+            {"query": "1 + 1", "debug_sleep_seconds": 0.3},
+        ),
+        FrameType.RESULT,
+    )
+
+
+class TestOneFrameServer:
+    def test_a_malformed_frame_gets_an_error_then_eof(self, either_server):
+        with _handshaken(either_server) as sock:
+            sock.sendall(
+                struct.pack("!2sBBQI", b"XX", PROTOCOL_VERSION, 4, 1, 0)
+            )
+            reply, _ = recv_frame(sock)
+            assert reply.type is FrameType.ERROR
+            assert reply.payload["error_type"] == "ProtocolError"
+            assert "bad frame magic b'XX'" in reply.payload["message"]
+            assert sock.recv(1) == b""
+
+    def test_an_unserved_frame_type_gets_an_error_and_the_connection_stays(
+        self, either_server
+    ):
+        with _handshaken(either_server) as sock:
+            send_frame(sock, Frame(FrameType.WELCOME, 3, {}))
+            reply, _ = recv_frame(sock)
+            assert reply.type is FrameType.ERROR and reply.request_id == 3
+            assert "unexpected frame type WELCOME" in reply.payload["message"]
+            send_frame(sock, Frame(FrameType.PING, 4))
+            assert recv_frame(sock)[0].type is FrameType.PONG
+
+    def test_both_byte_counters_count_every_frame_handshake_included(
+        self, either_server
+    ):
+        before = either_server.stats_payload()
+        with _handshaken(either_server) as sock:
+            ping = Frame(FrameType.PING, 2)
+            send_frame(sock, ping)
+            _, pong_bytes = recv_frame(sock)
+        hello = Frame(FrameType.HELLO, 1, {"version": PROTOCOL_VERSION})
+        after = either_server.stats_payload()
+        assert after["bytes_received"] - before["bytes_received"] == len(
+            encode_frame(hello)
+        ) + len(encode_frame(ping))
+        # WELCOME (its size is the server's business) plus the PONG.
+        assert after["bytes_sent"] - before["bytes_sent"] > pong_bytes
+
+    def test_the_counters_lose_no_update_under_concurrent_connections(
+        self, either_server
+    ):
+        hello = Frame(FrameType.HELLO, 1, {"version": PROTOCOL_VERSION})
+        ping = Frame(FrameType.PING, 2)
+        connections, pings = 8, 40
+        before = either_server.stats_payload()["bytes_received"]
+
+        def _pinger():
+            with _handshaken(either_server) as sock:
+                for _ in range(pings):
+                    send_frame(sock, ping)
+                    assert recv_frame(sock)[0].type is FrameType.PONG
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=_pinger) for _ in range(connections)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        received = either_server.stats_payload()["bytes_received"] - before
+        assert received == connections * (
+            len(encode_frame(hello)) + pings * len(encode_frame(ping))
+        )
+
+    def test_close_leaves_no_thread_and_no_listener(self, either_server):
+        # One idle, one mid-handshake and one in-flight connection: close()
+        # answers the in-flight request, then nothing of the server lives.
+        request, answered = _in_flight_request(either_server)
+        idle = _handshaken(either_server)
+        silent = socket.create_connection(
+            ("127.0.0.1", either_server.port), timeout=5.0
+        )
+        busy = _handshaken(either_server)
+        try:
+            send_frame(busy, request)
+            time.sleep(0.1)  # the request is being served
+            assert either_server.close()
+            reply, _ = recv_frame(busy)
+            assert reply.type is answered and reply.request_id == 7
+            assert live_threads(either_server.thread_name) == set()
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(
+                    ("127.0.0.1", either_server.port), timeout=5.0
+                ).close()
+        finally:
+            for sock in (idle, silent, busy):
+                sock.close()
 
 
 def _spawn(names=("s0", "s1")):
