@@ -37,10 +37,10 @@ PLAN_SCENARIOS: dict[str, Callable[[float], Scenario]] = {
         paper_mb=100, scale=scale
     ),
     "store-hybrid-mode1": lambda scale: build_store_scenario(
-        paper_mb=100, frag_mode=FragMode.SINGLE_DOCUMENT, scale=scale
+        paper_mb=100, frag_mode=FragMode.INDEPENDENT_DOCUMENTS, scale=scale
     ),
     "store-hybrid-mode2": lambda scale: build_store_scenario(
-        paper_mb=100, frag_mode=FragMode.INDEPENDENT_DOCUMENTS, scale=scale
+        paper_mb=100, frag_mode=FragMode.SINGLE_DOCUMENT, scale=scale
     ),
 }
 
