@@ -158,6 +158,13 @@ def _print_digest(summary: dict) -> None:
     rows.append(("fragments pruned by value summary", summary["summary_pruned"]))
     rows.append(("vertical semi-join plans", summary["semijoin_plans"]))
     rows.append(("whole-design vertical fetches", summary["whole_design_fetches"]))
+    hybrid = summary["hybrid_plans"]
+    rows.append(
+        (
+            "hybrid plans units / remainder / reconstruct",
+            f"{hybrid['units']} / {hybrid['remainder']} / {hybrid['reconstruct']}",
+        )
+    )
     forms = summary["reply_forms"]
     rows.append(
         ("tcp lanes inline / chunked", f"{forms['inline']} / {forms['chunked']}")

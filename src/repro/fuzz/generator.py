@@ -16,7 +16,10 @@ shapes:
   prune complement (π/article,{/article/body} ⋈ π/article/body);
 * ``store`` — an SD repository (one Store document), hybrid-fragmented
   into a remainder fragment pruning ``/Store/Items`` plus a random
-  Section partition of the items, materialized as FragMode1 or FragMode2.
+  Section partition of the items, materialized as FragMode1 or FragMode2;
+  besides unit and remainder queries it draws paths at or above the unit
+  region and ``//`` paths from the root, which only a reconstruction
+  answers.
 
 Queries are assembled as ASTs from the supported subset — FLWOR with
 ``where`` predicates (comparisons against values spelled ``5``, ``5.0``,
@@ -837,7 +840,7 @@ def _generate_store(spec: CaseSpec) -> GeneratedCase:
 
 def _one_store_query(rng: random.Random, sections: tuple[str, ...]) -> Expr:
     recipe = rng.choice(
-        ("unit-value", "unit-value", "unit-count", "remainder", "chain")
+        ("unit-value", "unit-value", "unit-count", "remainder", "chain", "region")
     )
     items = _coll("Cfuzz", "Store", "Items", "Item")
     if recipe == "unit-value":
@@ -859,6 +862,20 @@ def _one_store_query(rng: random.Random, sections: tuple[str, ...]) -> Expr:
         )
         binding = _coll("Cfuzz", "Store", region, label)
         return _flwor("e", binding, None, _var_path("e", "Name", text=True))
+    if recipe == "region":
+        # Unbound paths at or above the unit region, or ``//`` from the
+        # root: every FragMode2 fragment holds its own copy of the spine,
+        # and ``//Name`` matches units and remainder alike — only the
+        # reconstruction answers them.
+        return rng.choice(
+            (
+                FunctionCall("count", (_coll("Cfuzz", "Store", "Items"),)),
+                _coll("Cfuzz", "Store", "Items"),
+                FunctionCall(
+                    "count", (_coll("Cfuzz", "Name", descendant_first=True),)
+                ),
+            )
+        )
     # chain — iterate over the Store root itself: per-document semantics
     # that force the reconstruction fallback (units + remainder).
     binding = _coll("Cfuzz", "Store")

@@ -144,6 +144,10 @@ class CaseOutcome:
     #: read: reconstructions over the whole design, for the documents
     #: with no part in the fragments it does read.
     whole_design_fetches: int = 0
+    #: Compared hybrid plans by the branch of the hybrid rule that made
+    #: them: ``units`` (the horizontal rule over the unit fragments),
+    #: ``remainder`` (the vertical rule) or ``reconstruct``.
+    hybrid_plans: Counter = field(default_factory=Counter)
     #: Lanes answered over a socket, by the form the reply rule gave
     #: them: ``inline`` (one terminal frame) or ``chunked``.
     reply_forms: Counter = field(default_factory=Counter)
@@ -170,6 +174,7 @@ class CaseOutcome:
             "summary_pruned": self.summary_pruned,
             "semijoin_plans": self.semijoin_plans,
             "whole_design_fetches": self.whole_design_fetches,
+            "hybrid_plans": dict(self.hybrid_plans),
             "reply_forms": dict(self.reply_forms),
             "mismatches": [m.to_dict() for m in self.mismatches],
             "notes": self.notes,
@@ -244,6 +249,21 @@ def _fetches_unread_fragment(partix: Partix, analysis, plan) -> bool:
         lane.subquery.purpose == "fetch" and lane.subquery.fragment not in read
         for lane in plan.lanes
     )
+
+
+def _hybrid_branch(partix: Partix, plan) -> Optional[str]:
+    """The branch of the hybrid rule that made ``plan`` (None for the
+    other designs): ``reconstruct``, ``units`` when every lane (of none
+    or more) reads a unit fragment, else ``remainder``."""
+    design = partix.distribution_catalog.fragmentation("Cfuzz")
+    if "hybrid" not in design.kinds:
+        return None
+    if plan.composition.kind == "reconstruct":
+        return "reconstruct"
+    units = {fragment.name for fragment in design.hybrid_fragments()}
+    if all(lane.subquery.fragment in units for lane in plan.lanes):
+        return "units"
+    return "remainder"
 
 
 def evaluate_on_dom(engine: XMLEngine, query: str) -> str:
@@ -593,6 +613,9 @@ def _run_query(
     outcome.fetch_projections.update(_fetch_projections(plan))
     outcome.summary_pruned += len(plan.summary_pruned)
     outcome.semijoin_plans += bool(plan.key_lanes)
+    branch = _hybrid_branch(partix, plan)
+    if branch is not None:
+        outcome.hybrid_plans[branch] += 1
     analysis = analyze_query(parse_query(query))
     outcome.whole_design_fetches += _fetches_unread_fragment(
         partix, analysis, plan
@@ -835,6 +858,7 @@ def run_fuzz(
         "summary_pruned": 0,
         "semijoin_plans": 0,
         "whole_design_fetches": 0,
+        "hybrid_plans": {"units": 0, "remainder": 0, "reconstruct": 0},
         "reply_forms": {"inline": 0, "chunked": 0},
         "failures": [],
         "ok": True,
@@ -844,6 +868,7 @@ def run_fuzz(
     projections: Counter = Counter()
     index_oracle: Counter = Counter()
     reply_forms: Counter = Counter(summary["reply_forms"])
+    hybrid_plans: Counter = Counter(summary["hybrid_plans"])
     for iteration in range(iterations):
         spec = spec_for_iteration(seed, iteration)
         outcome = run_case(
@@ -866,6 +891,7 @@ def run_fuzz(
         projections.update(outcome.fetch_projections)
         index_oracle.update(outcome.index_oracle)
         reply_forms.update(outcome.reply_forms)
+        hybrid_plans.update(outcome.hybrid_plans)
         summary["summary_pruned"] += outcome.summary_pruned
         summary["semijoin_plans"] += outcome.semijoin_plans
         summary["whole_design_fetches"] += outcome.whole_design_fetches
@@ -900,4 +926,5 @@ def run_fuzz(
     summary["fetch_projections"] = dict(projections)
     summary["index_oracle"] = dict(index_oracle)
     summary["reply_forms"] = dict(reply_forms)
+    summary["hybrid_plans"] = dict(hybrid_plans)
     return summary

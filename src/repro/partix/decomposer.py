@@ -46,13 +46,15 @@ Localization rules:
   the query navigates nothing outside ``touched_paths``, and the subset
   has no upward axis — the same fact, applied inside a fragment. A
   fragment the query does not read travels as bare roots.
-* **hybrid** — unit-region queries behave like horizontal over the unit
-  fragments (with the query predicate re-rooted at the unit); FragMode1
-  storage additionally needs the chain prefix stripped; a query reading
-  only a lone remainder fragment is shipped to it unchanged; everything
-  else falls back to reconstruction over every fragment (fetching whole
-  documents: unit fragments are stored under two shapes,
-  FragMode1/FragMode2).
+* **hybrid** — no rule of its own: a hybrid fragment is π • σ
+  (Definition 4), so a query whose every touched and bound path walks
+  the unit path takes the horizontal rule over the unit fragments (the
+  predicate re-rooted at the unit; a FragMode1 replica runs the query
+  with the chain prefix stripped), a query no path of which may reach
+  the units takes the vertical rule over the remainder fragments, and
+  everything else — or an inexact analysis — is reconstructed from
+  every fragment (fetching whole documents: unit fragments are stored
+  under two shapes, FragMode1/FragMode2).
 
 Aggregates (``count``/``sum``/``min``/``max``/``avg``) are decomposed into
 partial aggregates merged by the composer; ``avg`` ships as a
@@ -206,7 +208,7 @@ class QueryDecomposer:
         kinds = fragmentation.kinds
         if kinds == {"horizontal"}:
             return self._decompose_horizontal(
-                query, expr, analysis, collection, fragmentation
+                expr, analysis, collection, fragmentation.horizontal_fragments()
             )
         if kinds == {"vertical"}:
             return self._decompose_vertical(
@@ -262,16 +264,21 @@ class QueryDecomposer:
         selectivity: float,
         purpose: str = "answer",
         function: str = "collection",
+        stripped: Optional[Expr] = None,
     ) -> FragmentScan:
         """One scan with a renamed-query candidate per replica:
-        ``collection(C)`` becomes ``function("stored collection")``."""
+        ``collection(C)`` becomes ``function("stored collection")``.
+        A FragMode1 replica runs ``stripped`` when it is given (the hybrid
+        unit fragments: those replicas store bare units)."""
         candidates = tuple(
             ScanCandidate(
                 site=entry.site,
                 stored_collection=entry.stored_collection,
                 query=unparse(
                     rename_collections(
-                        shipped,
+                        stripped
+                        if stripped is not None and entry.hybrid_mode == 1
+                        else shipped,
                         {collection: entry.stored_collection},
                         function,
                     )
@@ -308,18 +315,28 @@ class QueryDecomposer:
     # ------------------------------------------------------------------
     def _decompose_horizontal(
         self,
-        query: str,
         expr: Expr,
         analysis: QueryAnalysis,
         collection: str,
-        fragmentation: FragmentationSchema,
+        fragments: Sequence[Union[HorizontalFragment, HybridFragment]],
+        unit_path: Optional[PathExpr] = None,
+        stripped: Optional[Expr] = None,
     ) -> LogicalPlan:
-        fragments = fragmentation.horizontal_fragments()
+        """The horizontal rule: the query shipped to every fragment
+        :meth:`_prune_by_predicate` keeps, the partial answers unioned
+        or merged. Over a hybrid design's unit fragments (``unit_path``)
+        the predicate is re-rooted at the unit, positions among the
+        units are refused, and a FragMode1 replica runs ``stripped``,
+        the query with the chain stripped (it stores bare units).
+        """
         if len(fragments) > 1:
             _refuse_fragmented_inputs(analysis)
-            _refuse_fragmented_positions(analysis)
+            _refuse_fragmented_positions(analysis, unit_path)
+        predicate = analysis.predicate
+        if unit_path is not None and predicate is not None:
+            predicate = _reroot_predicate(predicate, unit_path)
         relevant, pruned, summary_pruned = self._prune_by_predicate(
-            collection, fragments, analysis.predicate
+            collection, fragments, predicate
         )
         notes = []
         if pruned:
@@ -343,6 +360,7 @@ class QueryDecomposer:
                 fragment.name,
                 shipped,
                 selectivity,
+                stripped=stripped,
             )
             for fragment in relevant
         ]
@@ -354,11 +372,12 @@ class QueryDecomposer:
     def _prune_by_predicate(
         self,
         collection: str,
-        fragments: list[HorizontalFragment],
+        fragments: Sequence[Union[HorizontalFragment, HybridFragment]],
         predicate: Optional[Predicate],
-    ) -> tuple[list[HorizontalFragment], list[str], list[str]]:
+    ) -> tuple[list, list[str], list[str]]:
         """``(relevant, pruned by contradiction, pruned by summary)`` —
-        the one place a horizontal fragment is dropped from a plan.
+        the one place a horizontal or hybrid unit fragment is dropped
+        from a plan.
 
         ``predicate`` is a necessary condition for a document to
         contribute to the answer. A fragment goes when that condition
@@ -595,155 +614,51 @@ class QueryDecomposer:
         collection: str,
         fragmentation: FragmentationSchema,
     ) -> LogicalPlan:
+        """A hybrid fragment is π • σ (Definition 4), so a hybrid design
+        takes the rules of the other two kinds. A query whose every
+        touched and bound path walks the unit path as plain child steps
+        reads the units alone: the horizontal rule plans it over the unit
+        fragments. A query no path of which may reach the units, at or
+        above the unit path, reads the remainder alone: the vertical rule
+        plans it over the vertical fragments. Anything else — or an
+        inexact analysis — is reconstructed from every fragment.
+        """
         hybrids = fragmentation.hybrid_fragments()
-        others = [f for f in fragmentation if not isinstance(f, HybridFragment)]
         if not hybrids:
             raise DecompositionError(
                 "mixed fragmentation without hybrid fragments is unsupported"
             )
         unit_path = hybrids[0].unit_path()
-        touches_units, touches_rest = self._hybrid_touch_sets(
-            analysis, unit_path, others
-        )
-        notes = [
-            f"hybrid localization: units={touches_units}, remainder={touches_rest}"
-        ]
-        if touches_units and not touches_rest:
-            plan = self._hybrid_unit_plan(
-                expr, analysis, collection, hybrids, notes
-            )
-            if plan is not None:
-                return plan
-        elif not touches_units and len(others) == 1:
-            remainder = others[0].name
-            notes.append(f"query confined to remainder fragment {remainder}")
-            scan = self._rename_scan(
-                collection,
-                remainder,
-                self._shippable_ast(expr, analysis),
-                analysis.selectivity_hint(),
-            )
-            return self._assemble(
-                collection, [scan], self._value_composition(analysis), notes
-            )
-        return self._reconstruction_plan(
-            query, collection, fragmentation, list(fragmentation), notes
-        )
-
-    def _hybrid_touch_sets(
-        self,
-        analysis: QueryAnalysis,
-        unit_path: PathExpr,
-        others,
-    ) -> tuple[bool, bool]:
-        if not analysis.paths_exact or not analysis.touched_paths:
-            return True, bool(others)
-        touches_units = False
-        touches_rest = False
-        for path in analysis.touched_paths:
-            if unit_path.is_prefix_of(path):
-                touches_units = True
-            elif path.is_prefix_of(unit_path):
-                # Chain prefix (/Store, /Store/Items): present in FragMode2
-                # documents; counts as the unit region.
-                touches_units = True
-            else:
-                touches_rest = True
-        return touches_units, touches_rest
-
-    def _hybrid_unit_plan(
-        self,
-        expr: Expr,
-        analysis: QueryAnalysis,
-        collection: str,
-        hybrids: list[HybridFragment],
-        notes: list[str],
-    ) -> Optional[LogicalPlan]:
-        """The query shipped to every unit fragment it may select from;
-        None when it must be reconstructed (the caller does that)."""
-        # Concat composition is only sound when every iteration variable
-        # ranges over units (or deeper): a variable bound to the chain
-        # (e.g. the Store root) sees one document per *fragment*, so
-        # per-document constructs (inner aggregates, one-element-per-doc
-        # returns) would multiply. Fall back to reconstruction otherwise.
-        unit_path = hybrids[0].unit_path()
-        if not analysis.bindings_exact or not all(
-            unit_path.is_prefix_of(binding)
-            for binding in analysis.binding_paths
-        ):
-            notes.append(
-                "iteration over the chain (per-document semantics);"
-                " falling back to reconstruction"
-            )
-            return None
-        if len(hybrids) > 1:
-            _refuse_fragmented_inputs(analysis)
-            _refuse_fragmented_positions(analysis, unit_path)
-        unit_predicate = (
-            _reroot_predicate(analysis.predicate, unit_path, hybrids[0].unit_label)
-            if analysis.predicate is not None
-            else None
-        )
-        relevant, pruned = [], []
-        for fragment in hybrids:
-            if (
-                unit_predicate is not None
-                and fragment.predicate is not None
-                and definitely_disjoint(unit_predicate, fragment.predicate)
-            ):
-                pruned.append(fragment.name)
-            else:
-                relevant.append(fragment)
-        if pruned:
-            notes.append("pruned hybrid fragments: " + ", ".join(pruned))
-        shipped = self._shippable_ast(expr, analysis)
-        selectivity = analysis.selectivity_hint()
-        scans = []
-        for fragment in relevant:
-            # FragMode1 replicas store bare unit documents, so their
-            # candidate query needs the chain prefix stripped; FragMode2
-            # replicas ship the query as-is. The rewrite is computed once
-            # per fragment and reused across its Mode1 replicas.
-            mode1_expr: Optional[Expr] = None
-            candidates = []
-            for entry in self.catalog.replicas(collection, fragment.name):
-                fragment_expr = shipped
-                if entry.hybrid_mode == 1:
-                    if mode1_expr is None:
-                        chain = [s.name for s in fragment.unit_path().steps]
-                        mode1_expr = rewrite_paths_for_fragment_root(
-                            shipped, chain
-                        )
-                        if mode1_expr is None:
-                            notes.append(
-                                f"FragMode1 rewrite failed for {fragment.name};"
-                                " falling back to reconstruction"
-                            )
-                            return None
-                    fragment_expr = mode1_expr
-                renamed = rename_collections(
-                    fragment_expr, {collection: entry.stored_collection}
+        read = [*analysis.touched_paths, *analysis.binding_paths]
+        exact = analysis.paths_exact and analysis.bindings_exact
+        if exact and analysis.touched_paths:
+            if all(_walks(path, unit_path) for path in read):
+                # FragMode1 replicas store bare units: they run the query
+                # with the chain stripped; without that text, reconstruct.
+                mode1 = any(
+                    entry.hybrid_mode == 1
+                    for fragment in hybrids
+                    for entry in self.catalog.replicas(collection, fragment.name)
                 )
-                candidates.append(
-                    ScanCandidate(
-                        site=entry.site,
-                        stored_collection=entry.stored_collection,
-                        query=unparse(renamed),
+                stripped = None
+                if mode1:
+                    stripped = rewrite_paths_for_fragment_root(
+                        self._shippable_ast(expr, analysis),
+                        [step.name for step in unit_path.steps],
                     )
+                if stripped is not None or not mode1:
+                    return self._decompose_horizontal(
+                        expr, analysis, collection, hybrids, unit_path, stripped
+                    )
+            elif fragmentation.vertical_fragments() and not any(
+                unit_path.may_contain(path) or path.may_contain(unit_path)
+                for path in read
+            ):
+                return self._decompose_vertical(
+                    query, expr, analysis, collection, fragmentation
                 )
-            scans.append(
-                FragmentScan(
-                    fragment=fragment.name,
-                    candidates=tuple(candidates),
-                    selectivity=selectivity,
-                )
-            )
-        self._note_order_by(expr, len(scans), notes)
-        return self._assemble(
-            collection,
-            scans,
-            self._value_composition(analysis),
-            notes,
+        return self._reconstruction_plan(
+            query, collection, fragmentation, list(fragmentation), []
         )
 
 
@@ -801,6 +716,17 @@ def _refuse_fragmented_positions(
             " spread over several fragments; evaluating it per fragment"
             " would count positions per fragment"
         )
+
+
+def _walks(path: PathExpr, prefix: PathExpr) -> bool:
+    """Does ``path`` start with ``prefix``'s labels as plain child steps?
+    What follows may be anything (``$i//Code`` below the units walks)."""
+    return len(path.steps) >= len(prefix.steps) and all(
+        step.axis is Axis.CHILD
+        and not step.is_attribute
+        and step.name == mine.name
+        for step, mine in zip(path.steps, prefix.steps)
+    )
 
 
 def _path_touches_fragment(fragment: VerticalFragment, path: PathExpr) -> bool:
@@ -1134,7 +1060,7 @@ def _keep_below_root(
 
 
 def _reroot_predicate(
-    predicate: Predicate, unit_path: PathExpr, unit_label: str
+    predicate: Predicate, unit_path: PathExpr
 ) -> Optional[Predicate]:
     """Translate a document-rooted predicate to a unit-rooted one.
 
@@ -1147,7 +1073,7 @@ def _reroot_predicate(
         parts = [
             p
             for p in (
-                _reroot_predicate(part, unit_path, unit_label)
+                _reroot_predicate(part, unit_path)
                 for part in predicate.parts
             )
             if p is not None
@@ -1158,18 +1084,18 @@ def _reroot_predicate(
     if isinstance(predicate, Or):
         parts = []
         for part in predicate.parts:
-            rerooted = _reroot_predicate(part, unit_path, unit_label)
+            rerooted = _reroot_predicate(part, unit_path)
             if rerooted is None:
                 return None  # a disjunct escaping the unit defeats pruning
             parts.append(rerooted)
         return Or(tuple(parts))
     if isinstance(predicate, Not):
-        inner = _reroot_predicate(predicate.inner, unit_path, unit_label)
+        inner = _reroot_predicate(predicate.inner, unit_path)
         return Not(inner) if inner is not None else None
     path = getattr(predicate, "path", None)
     if path is None:
         return None
-    rerooted_path = _reroot_path(path, unit_path, unit_label)
+    rerooted_path = _reroot_path(path, unit_path)
     if rerooted_path is None:
         return None
     if isinstance(predicate, Comparison):
@@ -1185,9 +1111,7 @@ def _reroot_predicate(
     return None
 
 
-def _reroot_path(
-    path: PathExpr, unit_path: PathExpr, unit_label: str
-) -> Optional[PathExpr]:
+def _reroot_path(path: PathExpr, unit_path: PathExpr) -> Optional[PathExpr]:
     if not unit_path.is_simple or not path.is_simple:
         return None
     unit_labels = [s.name for s in unit_path.steps]
@@ -1197,7 +1121,7 @@ def _reroot_path(
     if path_labels[: len(unit_labels)] != unit_labels:
         return None
     kept = path.steps[len(unit_labels) :]
-    steps = (Step(Axis.CHILD, unit_label),) + kept
+    steps = (Step(Axis.CHILD, unit_path.last.name),) + kept
     return PathExpr(steps)
 
 

@@ -130,6 +130,25 @@ class TestOracleGreenPath:
         summary = run_fuzz(seed=2006, iterations=2, minimize=False)
         assert summary["semijoin_plans"] == outcome.semijoin_plans
 
+    def test_store_plans_are_counted_by_hybrid_branch(self):
+        # Iteration 2 of the CI session: a store case holding a ``//``
+        # path from the root, which only the reconstruction answers.
+        spec = spec_for_iteration(2006, 2)
+        assert spec.family == "store"
+        assert any("//Name" in query for query in generate_case(spec).queries)
+        outcome = run_case(spec)
+        assert outcome.ok, [m.detail for m in outcome.mismatches]
+        branches = outcome.hybrid_plans
+        assert sum(branches.values()) == outcome.queries_run
+        assert branches["reconstruct"] > 0
+        assert outcome.to_dict()["hybrid_plans"] == dict(branches)
+        summary = run_fuzz(seed=2006, iterations=3, minimize=False)
+        assert summary["hybrid_plans"] == {
+            "units": branches["units"],
+            "remainder": branches["remainder"],
+            "reconstruct": branches["reconstruct"],
+        }
+
 
 def _order_scrambling_partix(cluster):
     """A middleware whose dispatcher mis-aligns completed sub-queries —

@@ -216,6 +216,99 @@ class TestHybridDecomposition:
         assert plan.composition.kind == "reconstruct"
 
 
+@pytest.mark.parametrize(
+    "frag_mode", [FragMode.INDEPENDENT_DOCUMENTS, FragMode.SINGLE_DOCUMENT]
+)
+class TestHybridRule:
+    """StoreHyb localized by the other kinds' rules: the units by the
+    horizontal rule, the remainder by the vertical rule, anything else by
+    reconstruction — never by a private test that errs toward the units."""
+
+    @staticmethod
+    def _store(frag_mode):
+        from repro.bench.scenarios import build_store_scenario
+
+        return build_store_scenario(
+            paper_mb=100, frag_mode=frag_mode, scale=0.01
+        ).partix
+
+    @staticmethod
+    def _assert_central(partix, query):
+        answer = partix.execute(query, collection="Cstore").result_text
+        assert answer == partix.execute_centralized(query, "central").result_text
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            # A ``//`` path reaches the remainder's Names and Codes too.
+            'count(collection("Cstore")//Name)',
+            'count(collection("Cstore")//Code)',
+            # Every FragMode2 fragment holds its own copy of the spine.
+            'count(collection("Cstore")/Store)',
+            'count(collection("Cstore")/Store/Items)',
+            'collection("Cstore")/Store/Items',
+        ],
+    )
+    def test_paths_above_or_across_the_units_reconstruct(self, frag_mode, query):
+        with self._store(frag_mode) as partix:
+            plan = partix.explain(query, "Cstore")
+            assert plan.composition.kind == "reconstruct"
+            self._assert_central(partix, query)
+
+    def test_unit_lookup_is_routed_by_value(self, frag_mode):
+        lookup = (
+            'for $i in collection("Cstore")/Store/Items/Item'
+            ' where $i/Code = "{}" return $i'
+        )
+        with self._store(frag_mode) as partix:
+            plan = partix.explain(lookup.format("I-000050"), "Cstore")
+            assert len(plan.lanes) == 1
+            units = {"F2", "F3", "F4", "F5"}
+            assert set(plan.summary_pruned) == units - set(plan.fragment_names)
+            self._assert_central(partix, lookup.format("I-000050"))
+            assert partix.explain(lookup.format("I-999999"), "Cstore").lanes == []
+            self._assert_central(partix, lookup.format("I-999999"))
+
+    def test_two_remainder_fragments_take_the_vertical_rule(self, frag_mode):
+        from repro.cluster import Site
+        from repro.partix import Partix
+        from repro.workloads import (
+            build_store_collection,
+            store_hybrid_fragmentation,
+        )
+
+        collection = build_store_collection(40)
+        design = FragmentationSchema("Cstore", [
+            VerticalFragment(
+                "R1", "Cstore", path="/Store",
+                prune=("/Store/Items", "/Store/Employees"), stub_prunes=True,
+            ),
+            VerticalFragment("R2", "Cstore", path="/Store/Employees"),
+            *store_hybrid_fragmentation(4, "Cstore").hybrid_fragments(),
+        ], root_label="Store")
+        cluster = Cluster.with_sites(6)
+        cluster.add(Site("central"))
+        with Partix(cluster) as partix:
+            partix.publish(collection, design, frag_mode=frag_mode)
+            partix.publish_centralized(collection, "central")
+            names = (
+                'for $e in collection("Cstore")/Store/Employees/Employee'
+                " return $e/Name/text()"
+            )
+            plan = partix.explain(names, "Cstore")
+            assert plan.composition.kind == "concat"
+            assert plan.fragment_names == ["R2"]
+            self._assert_central(partix, names)
+            both = (
+                '(collection("Cstore")/Store/Name/text(),'
+                ' collection("Cstore")/Store/Employees/Employee/Name/text())'
+            )
+            plan = partix.explain(both, "Cstore")
+            assert plan.composition.kind == "reconstruct"
+            assert sorted(plan.fragment_names) == ["R1", "R2"]
+            self._assert_central(partix, both)
+
+
 class TestRewriters:
     def test_rename_collections(self):
         ast = parse_query('count(collection("a")/x) + count(collection("b")/y)')

@@ -397,32 +397,33 @@ class TestLocalization:
         plan = partix.explain(_lookup("I-0006"), "Citems")
         assert [sub.fragment for sub in plan.subqueries] == ["F2", "F3"]
 
-    def test_vertical_and_hybrid_plans_carry_no_summary_note(
-        self, papers_collection, store_collection
-    ):
-        from repro.workloads import (
-            store_hybrid_fragmentation,
-            xbench_vertical_fragmentation,
-        )
+    def test_vertical_plans_carry_no_summary_note(self, papers_collection):
+        from repro.workloads import xbench_vertical_fragmentation
 
-        for collection, design, query in (
-            (
-                papers_collection,
-                xbench_vertical_fragmentation("Cpapers"),
-                'for $a in collection("Cpapers")/article'
-                ' where $a/prolog/genre = "none" return $a/prolog/title',
-            ),
-            (
-                store_collection,
-                store_hybrid_fragmentation(2, "Cstore"),
-                'for $i in collection("Cstore")/Store/Items/Item'
-                ' where $i/Code = "I-999" return $i/Name',
-            ),
-        ):
-            partix = Partix(Cluster.with_sites(4))
-            partix.publish(collection, design)
-            plan = partix.explain(query, collection.name)
-            assert plan.subqueries and not plan.summary_pruned
+        query = (
+            'for $a in collection("Cpapers")/article'
+            ' where $a/prolog/genre = "none" return $a/prolog/title'
+        )
+        partix = Partix(Cluster.with_sites(4))
+        partix.publish(papers_collection, xbench_vertical_fragmentation("Cpapers"))
+        plan = partix.explain(query, papers_collection.name)
+        assert plan.subqueries and not plan.summary_pruned
+
+    def test_hybrid_unit_lookups_are_routed_by_value(self, store_collection):
+        from repro.workloads import store_hybrid_fragmentation
+
+        # The unit fragments take the horizontal rule: F2's summary
+        # proves no unit holds the Code. F3 holds no unit at all, so its
+        # summary records no Code and proves nothing.
+        query = (
+            'for $i in collection("Cstore")/Store/Items/Item'
+            ' where $i/Code = "I-999" return $i/Name'
+        )
+        partix = Partix(Cluster.with_sites(4))
+        partix.publish(store_collection, store_hybrid_fragmentation(2, "Cstore"))
+        plan = partix.explain(query, store_collection.name)
+        assert plan.summary_pruned == ["F2"]
+        assert [sub.fragment for sub in plan.subqueries] == ["F3"]
 
 
 # ----------------------------------------------------------------------
