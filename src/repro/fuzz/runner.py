@@ -225,13 +225,9 @@ def _fetch_projections(plan) -> Counter:
     """The plan's fetch scans counted as ``strict`` projections or
     ``whole`` documents (the ``project=[...]`` annotation of EXPLAIN)."""
     counts: Counter = Counter()
-    nodes = [plan.root]
-    while nodes:
-        node = nodes.pop()
-        nodes.extend(node.children)
-        project = node.detail.get("project")
-        if project is not None:
-            whole = list(project) == [WHOLE_DOCUMENT]
+    for lane in plan.lanes:
+        if lane.project is not None:
+            whole = lane.project == (WHOLE_DOCUMENT,)
             counts["whole" if whole else "strict"] += 1
     return counts
 

@@ -60,13 +60,13 @@ Aggregates (``count``/``sum``/``min``/``max``/``avg``) are decomposed into
 partial aggregates merged by the composer; ``avg`` ships as a
 ``(sum, count)`` pair.
 
-The decomposer emits a *logical plan* (:mod:`repro.plan.logical`):
-``FragmentScan`` leaves — one per relevant fragment, carrying one
-candidate per replica — under the composition-shaped interior nodes
-(``Union`` / ``MergeAggregate``+``PartialAggregate`` / ``IdJoin``).
-:meth:`QueryDecomposer.decompose` lowers it to a
-:class:`~repro.plan.physical.PhysicalPlan` with cost-based site/replica
-selection.
+The decomposer emits a *logical plan* (:mod:`repro.plan.logical`): its
+scans — one ``FragmentScan`` per relevant fragment, carrying one
+candidate per replica, after the key scans of a semi-join — plus the
+``CompositionSpec`` that combines their answers (union, merge of partial
+aggregates, or ID-join). :meth:`QueryDecomposer.decompose` lowers it to
+a :class:`~repro.plan.physical.PhysicalPlan` with cost-based
+site/replica selection.
 
 The paper's prototype shipped *annotated* sub-queries (locations supplied
 by hand); :func:`annotated` builds the same structure for that mode.
@@ -80,19 +80,10 @@ from repro.errors import DecompositionError
 from repro.algebra.annotations import PXORIGIN
 from repro.partix.catalog import DistributionCatalog
 from repro.plan.cost import CostModel
-from repro.plan.logical import (
-    Compose,
-    FragmentScan,
-    IdJoin,
-    LogicalPlan,
-    MergeAggregate,
-    PartialAggregate,
-    ScanCandidate,
-)
-from repro.plan.logical import Union as UnionNode
-from repro.plan.lower import lower, lower_annotated
+from repro.plan.logical import FragmentScan, LogicalPlan
+from repro.plan.lower import lower
 from repro.plan.physical import PhysicalPlan
-from repro.plan.spec import CompositionSpec, SubQuery
+from repro.plan.spec import CompositionSpec, SubQuery, SubQueryTarget
 from repro.partix.fragments import (
     FragmentationSchema,
     HorizontalFragment,
@@ -160,10 +151,22 @@ def annotated(
     subqueries: list[SubQuery],
     composition: CompositionSpec,
 ) -> PhysicalPlan:
-    """Build a hand-annotated decomposition (the paper's prototype mode)."""
+    """Build a hand-annotated decomposition (the paper's prototype mode).
+
+    Each sub-query already names its site, so every scan has exactly one
+    candidate; lowering only contributes the estimates.
+    """
     if not subqueries:
         raise DecompositionError("an annotated decomposition needs sub-queries")
-    return lower_annotated(collection, list(subqueries), composition)
+    scans = tuple(
+        FragmentScan(
+            fragment=subquery.fragment,
+            candidates=subquery.targets()[:1],
+            purpose=subquery.purpose,
+        )
+        for subquery in subqueries
+    )
+    return lower(LogicalPlan(collection, composition, scans))
 
 
 class QueryDecomposer:
@@ -218,44 +221,6 @@ class QueryDecomposer:
             query, expr, analysis, collection, fragmentation
         )
 
-    # ------------------------------------------------------------------
-    # Logical-plan assembly
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _assemble(
-        collection: str,
-        scans: list[FragmentScan],
-        composition: CompositionSpec,
-        notes: list[str],
-        summary_pruned: Sequence[str] = (),
-        key_scans: Sequence[FragmentScan] = (),
-    ) -> LogicalPlan:
-        if composition.kind == "aggregate":
-            inner = MergeAggregate(
-                composition.aggregate,
-                tuple(
-                    PartialAggregate(composition.aggregate, scan)
-                    for scan in scans
-                ),
-            )
-        elif composition.kind == "reconstruct":
-            inner = IdJoin(
-                composition.original_query,
-                composition.source_collection,
-                composition.root_label,
-                tuple(scans),
-            )
-        else:
-            inner = UnionNode(tuple(scans))
-        return LogicalPlan(
-            collection=collection,
-            root=Compose(inner),
-            composition=composition,
-            notes=tuple(notes),
-            summary_pruned=tuple(summary_pruned),
-            key_scans=tuple(key_scans),
-        )
-
     def _rename_scan(
         self,
         collection: str,
@@ -271,9 +236,9 @@ class QueryDecomposer:
         A FragMode1 replica runs ``stripped`` when it is given (the hybrid
         unit fragments: those replicas store bare units)."""
         candidates = tuple(
-            ScanCandidate(
+            SubQueryTarget(
                 site=entry.site,
-                stored_collection=entry.stored_collection,
+                collection=entry.stored_collection,
                 query=unparse(
                     rename_collections(
                         stripped
@@ -349,12 +314,15 @@ class QueryDecomposer:
             # The query contradicts every fragment: answer is empty, but we
             # must still return a well-formed plan; ship to none and let the
             # composer produce the aggregate identity / empty result.
-            return self._assemble(
-                collection, [], composition, notes, summary_pruned
+            return LogicalPlan(
+                collection,
+                composition,
+                notes=tuple(notes),
+                summary_pruned=tuple(summary_pruned),
             )
         shipped = self._shippable_ast(expr, analysis)
         selectivity = analysis.selectivity_hint()
-        scans = [
+        scans = tuple(
             self._rename_scan(
                 collection,
                 fragment.name,
@@ -363,10 +331,14 @@ class QueryDecomposer:
                 stripped=stripped,
             )
             for fragment in relevant
-        ]
+        )
         self._note_order_by(expr, len(scans), notes)
-        return self._assemble(
-            collection, scans, composition, notes, summary_pruned
+        return LogicalPlan(
+            collection,
+            composition,
+            scans,
+            notes=tuple(notes),
+            summary_pruned=tuple(summary_pruned),
         )
 
     def _prune_by_predicate(
@@ -505,7 +477,7 @@ class QueryDecomposer:
                 [step.name for step in answering.path.steps],
             )
             if rooted is not None and None not in keys:
-                key_scans = [
+                key_scans = tuple(
                     self._rename_scan(
                         collection,
                         fragment.name,
@@ -514,7 +486,7 @@ class QueryDecomposer:
                         purpose="keys",
                     )
                     for fragment, key in zip(split.keyed, keys)
-                ]
+                )
                 if key_scans:
                     notes.append(
                         "vertical semi-join: keys from "
@@ -525,12 +497,12 @@ class QueryDecomposer:
                 answer = self._rename_scan(
                     collection, answering.name, rooted, hint, function=function
                 )
-                return self._assemble(
+                return LogicalPlan(
                     collection,
-                    [answer],
                     self._value_composition(analysis),
-                    notes,
+                    scans=(answer,),
                     key_scans=key_scans,
+                    notes=tuple(notes),
                 )
         fetched = relevant
         if not split.part_needed({fragment.name for fragment in relevant}):
@@ -572,9 +544,9 @@ class QueryDecomposer:
                 )
             arguments = "".join(f', "{path}"' for path in paths)
             candidates = tuple(
-                ScanCandidate(
+                SubQueryTarget(
                     site=entry.site,
-                    stored_collection=entry.stored_collection,
+                    collection=entry.stored_collection,
                     query=(
                         f'px:project(collection("{entry.stored_collection}")'
                         f"{arguments})"
@@ -601,7 +573,9 @@ class QueryDecomposer:
             source_collection=collection,
             root_label=fragmentation.root_label,
         )
-        return self._assemble(collection, scans, composition, notes)
+        return LogicalPlan(
+            collection, composition, tuple(scans), notes=tuple(notes)
+        )
 
     # ------------------------------------------------------------------
     # Hybrid

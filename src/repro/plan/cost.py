@@ -52,7 +52,7 @@ JOIN_SECONDS_PER_BYTE = 1e-7
 
 @dataclass(frozen=True)
 class CostEstimate:
-    """Per-node cost estimate of a physical plan node."""
+    """Cost estimate of one lane or of a plan's composition step."""
 
     documents: int = 0
     result_bytes: int = 0
@@ -82,7 +82,8 @@ class CostEstimate:
 
 
 class CostModel:
-    """Estimates node costs from catalog statistics + the network model.
+    """Estimates lane and composition costs from catalog statistics +
+    the network model.
 
     ``catalog`` is duck-typed: anything with a
     ``statistics(collection, fragment, site)`` method (returning an
@@ -160,6 +161,16 @@ class CostModel:
         )
 
     # ------------------------------------------------------------------
+    def composition_estimate(self, kind: str, lanes: list) -> CostEstimate:
+        """The composition step of a plan of ``kind`` over its answer
+        lanes' estimates: a union, a merge of the partial aggregates, or
+        an ID-join."""
+        if kind == "aggregate":
+            return self.merge_estimate(lanes)
+        if kind == "reconstruct":
+            return self.id_join_estimate(lanes)
+        return self.union_estimate(lanes)
+
     def union_estimate(self, children: list) -> CostEstimate:
         result_bytes = sum(child.result_bytes for child in children)
         return CostEstimate(

@@ -20,10 +20,14 @@ Lowering makes the two decisions the logical plan left open:
   A keys-then-answer plan is scheduled stage by stage: the key lanes
   share one budget, the answer lane starts from idle sites (the stages
   never overlap).
-* **cost annotation** — every physical node carries a
-  :class:`~repro.plan.cost.CostEstimate`, so EXPLAIN can render the tree
-  with per-node costs and measured per-lane timings can be compared
-  against the estimates.
+* **cost annotation** — every lane carries a
+  :class:`~repro.plan.cost.CostEstimate`, and the composition is priced
+  once (:meth:`~repro.plan.cost.CostModel.composition_estimate`), so
+  EXPLAIN can draw the tree with per-node costs and measured per-lane
+  timings can be compared against the estimates.
+
+Nothing else: the plan's shape is its ``composition.kind`` and whether
+it has key lanes, and only EXPLAIN spells that shape out as a tree.
 """
 
 from __future__ import annotations
@@ -31,18 +35,9 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.plan.cost import CostModel
-from repro.plan.logical import (
-    Compose,
-    FragmentScan,
-    IdJoin,
-    LogicalPlan,
-    MergeAggregate,
-    PartialAggregate,
-    ScanCandidate,
-    Union,
-)
-from repro.plan.physical import Lane, PhysicalPlan, PlanNode
-from repro.plan.spec import CompositionSpec, SubQuery, SubQueryTarget
+from repro.plan.logical import FragmentScan, LogicalPlan
+from repro.plan.physical import Lane, PhysicalPlan
+from repro.plan.spec import SubQuery
 
 
 class _LaneScheduler:
@@ -116,6 +111,42 @@ class _LaneScheduler:
         self.counts[candidate.site] = self.counts.get(candidate.site, 0) + 1
         return candidate, estimate
 
+    def lanes(
+        self,
+        scans,
+        prefix: str,
+        pushdown: Optional[str],
+        restricted: bool = False,
+    ) -> list:
+        """One stage's lanes (ids ``{prefix}{i}``): each scan at its
+        chosen candidate, the others kept as failover ``replicas``."""
+        lanes = []
+        for index, scan in enumerate(scans):
+            candidate, estimate = self.assign(scan, pushdown, restricted)
+            subquery = SubQuery(
+                fragment=scan.fragment,
+                site=candidate.site,
+                collection=candidate.collection,
+                query=candidate.query,
+                purpose=scan.purpose,
+                replicas=tuple(
+                    other
+                    for other in scan.candidates
+                    if other.site != candidate.site
+                ),
+            )
+            lanes.append(
+                Lane(
+                    index=index,
+                    node_id=f"{prefix}{index}",
+                    subquery=subquery,
+                    estimate=estimate,
+                    candidates=len(scan.candidates),
+                    project=scan.project,
+                )
+            )
+        return lanes
+
 
 def lower(
     logical: LogicalPlan,
@@ -130,145 +161,16 @@ def lower(
     """
     model = cost_model if cost_model is not None else CostModel()
     scheduler = _LaneScheduler(model, logical.collection, site_health)
-    lanes: list = []
-    key_lanes: list = []
-    key_nodes: list = []
-
-    def scan_node(
-        scan: FragmentScan, pushdown: Optional[str], into: list = lanes
-    ) -> PlanNode:
-        """Lower one scan to a lane (appended to ``into``, by default the
-        answer stage) and its plan node. Under a keys-then-answer plan
-        the answer scan comes back wrapped in the ``semi-join`` node
-        that lists the key scans before it."""
-        restricted = into is lanes and bool(key_lanes)
-        candidate, estimate = scheduler.assign(
-            scan, pushdown, restricted=restricted
-        )
-        index = len(into)
-        node_id = f"{'keys' if into is key_lanes else 'scan'}{index}"
-        subquery = SubQuery(
-            fragment=scan.fragment,
-            site=candidate.site,
-            collection=candidate.stored_collection,
-            query=candidate.query,
-            purpose=scan.purpose,
-            replicas=tuple(
-                SubQueryTarget(
-                    site=other.site,
-                    collection=other.stored_collection,
-                    query=other.query,
-                )
-                for other in scan.candidates
-                if other.site != candidate.site
-            ),
-        )
-        into.append(
-            Lane(
-                index=index,
-                node_id=node_id,
-                subquery=subquery,
-                estimate=estimate,
-                candidates=len(scan.candidates),
-            )
-        )
-        detail = {
-            "fragment": scan.fragment,
-            "site": candidate.site,
-            "collection": candidate.stored_collection,
-            "purpose": scan.purpose,
-            "selectivity": scan.selectivity,
-            "candidates": len(scan.candidates),
-        }
-        if scan.project is not None:
-            detail["project"] = list(scan.project)
-        if restricted:
-            detail["restricted"] = True
-        node = PlanNode(
-            op="scan",
-            node_id=node_id,
-            detail=detail,
-            estimate=estimate,
-        )
-        if not restricted:
-            return node
-        return PlanNode(
-            op="semi-join",
-            node_id="semi-join",
-            detail={
-                "keys": [lane.subquery.fragment for lane in key_lanes],
-                "answer": scan.fragment,
-            },
-            estimate=estimate,
-            children=[*key_nodes, node],
-        )
-
-    for scan in logical.key_scans:
-        # ("keys" sizes the reply like a pushed-down scalar: a few names)
-        key_nodes.append(scan_node(scan, pushdown="keys", into=key_lanes))
+    # ("keys" sizes the reply like a pushed-down scalar: a few names)
+    key_lanes = scheduler.lanes(logical.key_scans, "keys", pushdown="keys")
     if key_lanes:
         scheduler.next_stage()
-
-    child = logical.root.child
-    if isinstance(child, MergeAggregate):
-        partial_nodes = []
-        for position, partial in enumerate(child.children):
-            scan = scan_node(partial.child, pushdown=partial.op)
-            partial_nodes.append(
-                PlanNode(
-                    op="partial-aggregate",
-                    node_id=f"partial{position}",
-                    detail={"aggregate": partial.op},
-                    estimate=scan.estimate,
-                    children=[scan],
-                )
-            )
-        inner = PlanNode(
-            op="merge-aggregate",
-            node_id="merge",
-            detail={"aggregate": child.op},
-            estimate=model.merge_estimate(
-                [node.estimate for node in partial_nodes]
-            ),
-            children=partial_nodes,
-        )
-    elif isinstance(child, IdJoin):
-        scan_nodes = [scan_node(scan, pushdown=None) for scan in child.children]
-        inner = PlanNode(
-            op="id-join",
-            node_id="id-join",
-            detail={
-                "source_collection": child.source_collection,
-                "root_label": child.root_label,
-            },
-            estimate=model.id_join_estimate(
-                [node.estimate for node in scan_nodes]
-            ),
-            children=scan_nodes,
-        )
-    elif isinstance(child, Union):
-        scan_nodes = [scan_node(scan, pushdown=None) for scan in child.children]
-        inner = PlanNode(
-            op="union",
-            node_id="union",
-            detail={},
-            estimate=model.union_estimate(
-                [node.estimate for node in scan_nodes]
-            ),
-            children=scan_nodes,
-        )
-    else:  # pragma: no cover - the decomposer only emits the three shapes
-        raise TypeError(f"cannot lower plan child {type(child).__name__}")
-
-    root = PlanNode(
-        op="compose",
-        node_id="compose",
-        detail={
-            "kind": logical.composition.kind,
-            "aggregate": logical.composition.aggregate,
-        },
-        estimate=inner.estimate,
-        children=[inner],
+    composition = logical.composition
+    lanes = scheduler.lanes(
+        logical.scans,
+        "scan",
+        pushdown=composition.aggregate if composition.kind == "aggregate" else None,
+        restricted=bool(key_lanes),
     )
     notes = list(logical.notes)
     if scheduler.avoided_sites:
@@ -276,61 +178,12 @@ def lower(
         notes.append(f"lowering: avoided ejected site(s) {avoided}")
     return PhysicalPlan(
         collection=logical.collection,
-        root=root,
         lanes=lanes,
-        composition=logical.composition,
+        composition=composition,
+        composition_estimate=model.composition_estimate(
+            composition.kind, [lane.estimate for lane in lanes]
+        ),
         notes=notes,
         summary_pruned=list(logical.summary_pruned),
         key_lanes=key_lanes,
     )
-
-
-def lower_annotated(
-    collection: str,
-    subqueries: list,
-    composition: CompositionSpec,
-    cost_model: Optional[CostModel] = None,
-    notes: Optional[list] = None,
-) -> PhysicalPlan:
-    """Lower a hand-annotated sub-query list (the paper's prototype mode).
-
-    Each sub-query already names its site, so every scan has exactly one
-    candidate; lowering only contributes the tree shape and estimates.
-    """
-    scans = tuple(
-        FragmentScan(
-            fragment=subquery.fragment,
-            candidates=(
-                ScanCandidate(
-                    site=subquery.site,
-                    stored_collection=subquery.collection,
-                    query=subquery.query,
-                ),
-            ),
-            purpose=subquery.purpose,
-        )
-        for subquery in subqueries
-    )
-    if composition.kind == "aggregate":
-        child = MergeAggregate(
-            composition.aggregate,
-            tuple(
-                PartialAggregate(composition.aggregate, scan) for scan in scans
-            ),
-        )
-    elif composition.kind == "reconstruct":
-        child = IdJoin(
-            composition.original_query,
-            composition.source_collection,
-            composition.root_label,
-            scans,
-        )
-    else:
-        child = Union(scans)
-    logical = LogicalPlan(
-        collection=collection,
-        root=Compose(child),
-        composition=composition,
-        notes=list(notes) if notes else [],
-    )
-    return lower(logical, cost_model=cost_model)

@@ -1,16 +1,21 @@
-"""The physical plan: lanes and node tree.
+"""The physical plan: lanes plus one composition.
 
 A :class:`PhysicalPlan` is what :meth:`Partix.explain` returns and what
-the single plan executor runs, whatever the execution mode. It keeps the
+the single plan executor runs, whatever the execution mode: the answer
+lanes (after the key lanes of a keys-then-answer plan), the
+:class:`CompositionSpec` the composer folds their partial results with,
+and the composition step's one cost estimate. It keeps the
 decomposer-era surface (``subqueries`` / ``composition`` / ``notes`` /
 ``fragment_names``) so existing callers — the composer, the fuzz oracle,
-the bench scenarios — read it unchanged.
+the bench scenarios — read it unchanged. The plan has no node tree:
+:func:`repro.plan.explain.render_plan` draws one from
+``composition.kind`` and the key lanes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.cluster.site import staged_seconds
 from repro.plan.cost import CostEstimate
@@ -18,28 +23,13 @@ from repro.plan.spec import CompositionSpec, SubQuery
 
 
 @dataclass
-class PlanNode:
-    """One node of the physical plan tree.
-
-    ``op`` is the node kind (``compose`` / ``union`` /
-    ``merge-aggregate`` / ``id-join`` / ``partial-aggregate`` /
-    ``semi-join`` / ``scan``); ``node_id`` is its
-    stable identity, threaded into ``SubQueryExecution.plan_node`` so measured per-lane timings can be
-    joined back to the estimates; ``detail`` carries op-specific
-    attributes (fragment, site, aggregate, purpose, …) as a JSON-able
-    dict.
-    """
-
-    op: str
-    node_id: str
-    detail: dict = field(default_factory=dict)
-    estimate: Optional[CostEstimate] = None
-    children: list = field(default_factory=list)
-
-
-@dataclass
 class Lane:
-    """One physical scan assignment: plan index, node and sub-query."""
+    """One physical scan assignment: plan index, node and sub-query.
+
+    ``node_id`` (``scan{i}`` / ``keys{i}``) is the lane's stable
+    identity, threaded into ``SubQueryExecution.plan_node`` so measured
+    per-lane timings can be joined back to the estimates.
+    """
 
     index: int
     node_id: str
@@ -47,6 +37,10 @@ class Lane:
     estimate: Optional[CostEstimate] = None
     #: How many replica candidates lowering chose between.
     candidates: int = 1
+    #: What a fetch lane keeps of each stored document (its
+    #: ``px:project`` paths; ``(".",)`` is the whole document), None on
+    #: answer and key lanes.
+    project: Optional[Tuple[str, ...]] = None
 
 
 @dataclass
@@ -54,11 +48,13 @@ class PhysicalPlan:
     """The lowered plan the executor runs (all modes, one code path)."""
 
     collection: str
-    root: PlanNode
     lanes: list = field(default_factory=list)
     composition: CompositionSpec = field(
         default_factory=lambda: CompositionSpec(kind="concat")
     )
+    #: The composition step's estimate (union, merge of the partial
+    #: aggregates, or ID-join) over the answer lanes.
+    composition_estimate: Optional[CostEstimate] = None
     notes: list = field(default_factory=list)
     #: Horizontal fragments that got no lane because their recorded
     #: value summary proves the query's selection empty there (EXPLAIN
@@ -86,8 +82,8 @@ class PhysicalPlan:
     @property
     def estimated_parallel_seconds(self) -> float:
         """Estimated completion: each stage's slowest site's lane budget
-        (the stages run one after the other) plus the interior
-        (composition-side) node costs."""
+        (the stages run one after the other) plus the composition's
+        CPU."""
         stages = [
             [
                 (lane.subquery.site, lane.estimate.total_seconds)
@@ -96,26 +92,10 @@ class PhysicalPlan:
             ]
             for lanes in (self.key_lanes, self.lanes)
         ]
-        return staged_seconds(stages) + self._interior_cpu_seconds(self.root)
-
-    def _interior_cpu_seconds(self, node: PlanNode) -> float:
-        own = 0.0
-        if (
-            node.op not in ("scan", "compose", "semi-join")
-            and node.estimate is not None
-        ):
-            own = node.estimate.cpu_seconds
-        return own + sum(
-            self._interior_cpu_seconds(child) for child in node.children
+        composing = self.composition_estimate
+        return staged_seconds(stages) + (
+            composing.cpu_seconds if composing is not None else 0.0
         )
-
-    def estimated_lane_seconds(self) -> dict:
-        """Per-lane estimated total seconds, keyed by plan node id."""
-        return {
-            lane.node_id: lane.estimate.total_seconds
-            for lane in (*self.key_lanes, *self.lanes)
-            if lane.estimate is not None
-        }
 
     # ------------------------------------------------------------------
     def with_execution(self, streaming, chunk_bytes) -> "PhysicalPlan":

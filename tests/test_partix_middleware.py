@@ -326,14 +326,10 @@ class TestSitesOwnIndexAccess:
         with Partix(cluster) as px:
             px.publish(items_collection, design)
             plan = px.explain(query, "Citems")
-            nodes = [plan.root]
-            scans = []
-            while nodes:
-                node = nodes.pop()
-                nodes.extend(node.children)
-                if not node.children:
-                    scans.append(node.op)
-            assert scans == ["scan"] * 3
+            assert plan.key_lanes == []
+            assert [lane.node_id for lane in plan.lanes] == [
+                "scan0", "scan1", "scan2"
+            ]
             assert "index-scan" not in plan.render()
             assert "pred=" not in plan.render()
             px.start_tcp()

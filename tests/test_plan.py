@@ -23,17 +23,8 @@ from repro.partix import (
     annotated,
 )
 from repro.paths import eq, ne
-from repro.plan import (
-    Compose,
-    ExecutionMode,
-    FragmentScan,
-    IdJoin,
-    MergeAggregate,
-    PartialAggregate,
-    Union,
-    lower,
-    plan_from_dict,
-)
+from repro.plan import CostModel, ExecutionMode, FragmentScan, lower, plan_from_dict
+from repro.plan.spec import SubQueryTarget
 
 
 def _publish(collection, design, sites=4):
@@ -64,46 +55,71 @@ def vertical(papers_collection):
     return _publish(papers_collection, design)
 
 
+def _tree(plan):
+    """The EXPLAIN tree's lines without the header, notes and estimates."""
+    return [
+        line.split("  est[")[0]
+        for line in plan.render().splitlines()[1:]
+        if not line.startswith("note: ")
+    ]
+
+
 class TestLogicalShapes:
     def test_concat_is_compose_union_of_scans(self, horizontal):
         logical = horizontal.decompose_logical(
             'for $i in collection("Citems")/Item return $i/Code/text()'
         )
-        assert isinstance(logical.root, Compose)
-        assert isinstance(logical.root.child, Union)
-        scans = logical.scans()
+        assert logical.composition.kind == "concat"
+        assert logical.key_scans == ()
+        scans = logical.scans
         assert [scan.fragment for scan in scans] == ["F_cd", "F_dvd", "F_rest"]
         assert all(isinstance(scan, FragmentScan) for scan in scans)
         assert all(scan.purpose == "answer" for scan in scans)
+        assert all(
+            isinstance(candidate, SubQueryTarget)
+            for scan in scans
+            for candidate in scan.candidates
+        )
+        assert _tree(lower(logical)) == [
+            "compose [concat]",
+            "└─ union",
+            "   ├─ scan F_cd @ site0/F_cd",
+            "   ├─ scan F_dvd @ site1/F_dvd",
+            "   └─ scan F_rest @ site2/F_rest",
+        ]
 
     def test_aggregate_is_merge_of_partials(self, horizontal):
         logical = horizontal.decompose_logical(
             'count(for $i in collection("Citems")/Item return $i)'
         )
-        merge = logical.root.child
-        assert isinstance(merge, MergeAggregate)
-        assert merge.op == "count"
-        assert all(
-            isinstance(partial, PartialAggregate) and partial.op == "count"
-            for partial in merge.children
-        )
-        assert len(merge.children) == 3
+        assert logical.composition.kind == "aggregate"
+        assert logical.composition.aggregate == "count"
+        assert len(logical.scans) == 3
+        assert _tree(lower(logical)) == [
+            "compose [aggregate]",
+            "└─ merge-aggregate(count)",
+            "   ├─ partial-aggregate(count)",
+            "   │  └─ scan F_cd @ site0/F_cd",
+            "   ├─ partial-aggregate(count)",
+            "   │  └─ scan F_dvd @ site1/F_dvd",
+            "   └─ partial-aggregate(count)",
+            "      └─ scan F_rest @ site2/F_rest",
+        ]
 
     def test_all_fragments_pruned_keeps_shape_with_zero_scans(self, horizontal):
         logical = horizontal.decompose_logical(
             'for $i in collection("Citems")/Item'
             ' where $i/Section = "CD" and $i/Section = "DVD" return $i'
         )
-        assert isinstance(logical.root.child, Union)
-        assert logical.scans() == []
+        assert logical.composition.kind == "concat"
+        assert logical.scans == ()
         plan = lower(logical)
         assert plan.lanes == []
         assert plan.subqueries == []
         assert plan.estimated_parallel_seconds == 0.0
         # The empty plan still renders: header plus compose/union nodes.
-        rendered = plan.render()
-        assert "lanes=0" in rendered
-        assert "union" in rendered
+        assert "lanes=0" in plan.render()
+        assert _tree(plan) == ["compose [concat]", "└─ union"]
 
     def test_single_fragment_vertical_rewrite(self, vertical):
         logical = vertical.decompose_logical(
@@ -111,34 +127,42 @@ class TestLogicalShapes:
             ' where contains($a/prolog/title, "x")'
             " return $a/prolog/title/text()"
         )
-        assert isinstance(logical.root.child, Union)
-        (scan,) = logical.scans()
+        assert logical.composition.kind == "concat"
+        (scan,) = logical.scans
         assert scan.fragment == "F_prolog"
         # Every candidate carries the sub-query rewritten for that
         # replica's stored collection and the fragment-local path shape.
         for candidate in scan.candidates:
-            assert f'collection("{candidate.stored_collection}")' in candidate.query
+            assert isinstance(candidate, SubQueryTarget)
+            assert f'collection("{candidate.collection}")' in candidate.query
         plan = lower(logical)
         assert plan.fragment_names == ["F_prolog"]
         assert plan.composition.kind == "concat"
-        assert "scan F_prolog" in plan.render()
+        assert _tree(plan) == [
+            "compose [concat]",
+            "└─ union",
+            "   └─ scan F_prolog @ site0/F_prolog",
+        ]
 
     def test_multi_fragment_id_join_shape(self, vertical):
         logical = vertical.decompose_logical(
             'for $a in collection("Cpapers")/article'
             ' where contains($a/body/abstract, "novel") return $a'
         )
-        join = logical.root.child
-        assert isinstance(join, IdJoin)
-        assert join.root_label == "article"
-        fetched = {scan.fragment for scan in join.children}
+        assert logical.composition.kind == "reconstruct"
+        assert logical.composition.root_label == "article"
+        fetched = {scan.fragment for scan in logical.scans}
         assert fetched == {"F_prolog", "F_body", "F_epilog"}
-        assert all(scan.purpose == "fetch" for scan in join.children)
+        assert all(scan.purpose == "fetch" for scan in logical.scans)
         plan = lower(logical)
         assert plan.composition.kind == "reconstruct"
-        rendered = plan.render()
-        assert "id-join root=article" in rendered
-        assert "purpose=fetch" in rendered
+        assert _tree(plan) == [
+            "compose [reconstruct]",
+            "└─ id-join root=article",
+            "   ├─ scan F_prolog @ site0/F_prolog purpose=fetch project=[.]",
+            "   ├─ scan F_body @ site1/F_body purpose=fetch project=[.]",
+            "   └─ scan F_epilog @ site2/F_epilog purpose=fetch project=[.]",
+        ]
 
 
 class TestLowering:
@@ -152,7 +176,19 @@ class TestLowering:
             assert lane.estimate is not None
             assert lane.estimate.total_seconds > 0.0
         assert plan.estimated_parallel_seconds > 0.0
-        assert set(plan.estimated_lane_seconds()) == {"scan0", "scan1", "scan2"}
+
+    def test_est_parallel_is_the_slowest_lane_plus_the_merge(self, horizontal):
+        # Each partial aggregate's scan is priced once, as its lane: the
+        # estimate is the slowest site's lanes plus the merge's CPU.
+        plan = horizontal.decompose(
+            'count(for $i in collection("Citems")/Item return $i)'
+        )
+        estimates = [lane.estimate for lane in plan.lanes]
+        assert len({lane.subquery.site for lane in plan.lanes}) == 3
+        slowest = max(estimate.total_seconds for estimate in estimates)
+        merge = CostModel().merge_estimate(estimates).cpu_seconds
+        assert merge == pytest.approx(3e-05)
+        assert plan.estimated_parallel_seconds == pytest.approx(slowest + merge)
 
     def test_aggregate_pushdown_estimates_scalar_results(self, horizontal):
         plan = horizontal.decompose(
@@ -225,13 +261,24 @@ class TestExplainStability:
 
     def test_a_stored_plan_still_carrying_a_shard_degree_loads(self, horizontal):
         # Plans serialized before the shard pipeline went may carry
-        # ``parallel_degree`` on a lane and its scan node: ignored.
+        # ``parallel_degree`` on a lane and on its scan node, inside the
+        # node tree (``root``) that plans no longer keep: both ignored.
         plan = horizontal.decompose(self.QUERIES[0])
         payload = json.loads(json.dumps(plan.to_dict()))
+        assert "root" not in payload
         payload["lanes"][0]["subquery"]["parallel_degree"] = 2
-        payload["root"]["children"][0]["children"][0]["detail"][
-            "parallel_degree"
-        ] = 2
+        scan = {
+            "op": "scan",
+            "node_id": "scan0",
+            "detail": {"fragment": "F_cd", "parallel_degree": 2},
+            "children": [],
+        }
+        union = {"op": "union", "node_id": "union", "children": [scan]}
+        payload["root"] = {
+            "op": "compose",
+            "node_id": "compose",
+            "children": [union],
+        }
         restored = plan_from_dict(payload)
         assert restored.subqueries == plan.subqueries
         assert restored.render() == plan.render()
