@@ -2,8 +2,6 @@
 and the real concurrent dispatcher."""
 
 from repro.cluster.dispatch import (
-    DEGRADE,
-    FAIL_FAST,
     DispatchOutcome,
     InProcessTransport,
     ParallelDispatcher,
@@ -16,9 +14,7 @@ from repro.cluster.site import Cluster, ParallelRound, Site, SubQueryExecution
 
 __all__ = [
     "Cluster",
-    "DEGRADE",
     "DispatchOutcome",
-    "FAIL_FAST",
     "FREE_NETWORK",
     "GIGABIT_PER_SECOND",
     "InProcessTransport",

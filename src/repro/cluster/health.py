@@ -10,35 +10,32 @@ consumers read it back:
   to ejected sites, so a crashed site falls out of fresh plans instead
   of burning a retry budget per query.
 
-Ejection is consecutive-failure based: ``ejection_threshold`` failures
+Ejection is consecutive-failure based: ``EJECTION_THRESHOLD`` failures
 in a row (any successful attempt resets the streak) mark the site
 ejected. An ejected site is not gone forever — after
-``probe_interval_seconds`` a health *probe* (the transport's PING, see
-:meth:`check`) is allowed; a successful probe readmits the site, a
-failed one re-arms the probe timer. The tracker is thread-safe: lane
-threads of one round and concurrent rounds share a single instance.
+``PROBE_INTERVAL_SECONDS`` one readmission probe may run (see
+:meth:`SiteHealth.begin_probe`); a successful probe readmits the site, a
+failed one re-arms the probe timer.
 
-Probes run **off the dispatch hot path**: a due probe is handed to a
-background probe worker and the calling lane waits at most
-``probe_wait_seconds`` for the verdict (the per-lane probe budget). A
-fast prober — an in-process transport, a healthy server — answers well
-inside the budget and readmission is effectively synchronous; a *dead*
-TCP site whose PING blocks on a connect timeout costs the lane only the
-budget, and the probe keeps running in the background so a late success
-still readmits the site for subsequent rounds. Before this, a lane
-thread pinged the corpse inline and stalled for the full transport
-timeout.
-
-The clock is injectable so tests can step time deterministically.
+The tracker holds state only: the dispatcher runs each probe — the
+transport's PING — on its own lane pool and reports the verdict back
+through :meth:`SiteHealth.end_probe`. It is thread-safe: lane threads of
+one round and concurrent rounds share a single instance. The clock is
+injectable so tests can step time deterministically.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
+
+#: Consecutive failed attempts that eject a site.
+EJECTION_THRESHOLD = 3
+
+#: Seconds an ejected site waits before (another) readmission probe.
+PROBE_INTERVAL_SECONDS = 5.0
 
 
 @dataclass
@@ -46,39 +43,18 @@ class _SiteState:
     consecutive_failures: int = 0
     ejected: bool = False
     next_probe_at: float = 0.0
-    #: A probe for this site is in flight on the worker; further lanes
-    #: must not enqueue a duplicate (or wait on someone else's probe).
+    #: A probe for this site is in flight; further lanes must not start
+    #: a duplicate (or wait on someone else's probe).
     probing: bool = False
 
 
 class SiteHealth:
     """Consecutive-failure ejection with timed readmission probes."""
 
-    def __init__(
-        self,
-        ejection_threshold: int = 3,
-        probe_interval_seconds: float = 5.0,
-        clock: Callable[[], float] = time.monotonic,
-        probe_wait_seconds: float = 0.25,
-    ):
-        if ejection_threshold < 1:
-            raise ValueError("ejection_threshold must be at least 1")
-        if probe_interval_seconds < 0:
-            raise ValueError("probe_interval_seconds must be non-negative")
-        if probe_wait_seconds < 0:
-            raise ValueError("probe_wait_seconds must be non-negative")
-        self.ejection_threshold = ejection_threshold
-        self.probe_interval_seconds = probe_interval_seconds
-        #: Per-lane probe budget: how long :meth:`check` waits for the
-        #: background probe verdict before treating the site as still
-        #: ejected (real wall time, not the injectable clock — it bounds
-        #: an actual thread wait).
-        self.probe_wait_seconds = probe_wait_seconds
+    def __init__(self, clock: Callable[[], float] = time.monotonic):
         self._clock = clock
         self._lock = threading.Lock()
         self._states: dict[str, _SiteState] = {}
-        self._probe_queue: "queue.Queue" = queue.Queue()
-        self._probe_thread: Optional[threading.Thread] = None
 
     def _state(self, site: str) -> _SiteState:
         state = self._states.get(site)
@@ -101,129 +77,49 @@ class SiteHealth:
         with self._lock:
             state = self._state(site)
             state.consecutive_failures += 1
-            if (
-                not state.ejected
-                and state.consecutive_failures >= self.ejection_threshold
-            ):
-                state.ejected = True
-                state.next_probe_at = (
-                    self._clock() + self.probe_interval_seconds
-                )
-                return True
             if state.ejected:
                 # A failed probe (or a racing lane) re-arms the timer.
-                state.next_probe_at = (
-                    self._clock() + self.probe_interval_seconds
-                )
+                state.next_probe_at = self._clock() + PROBE_INTERVAL_SECONDS
+                return False
+            if state.consecutive_failures >= EJECTION_THRESHOLD:
+                state.ejected = True
+                state.next_probe_at = self._clock() + PROBE_INTERVAL_SECONDS
+                return True
             return False
 
     def readmit(self, site: str) -> None:
         """Explicitly clear ``site``'s ejection (e.g. after a restart)."""
         self.record_success(site)
 
+    # -- probing -------------------------------------------------------
+    def begin_probe(self, site: str) -> bool:
+        """Claim ``site``'s readmission probe: True when the site is
+        ejected, its probe timer expired and no probe is in flight. The
+        claimant runs the probe and must report it to :meth:`end_probe`."""
+        with self._lock:
+            state = self._states.get(site)
+            if (
+                state is None
+                or not state.ejected
+                or state.probing
+                or self._clock() < state.next_probe_at
+            ):
+                return False
+            state.probing = True
+            return True
+
+    def end_probe(self, site: str, alive: bool) -> None:
+        """The verdict of a probe claimed with :meth:`begin_probe`: a live
+        site is readmitted, a dead one's probe timer re-armed."""
+        if alive:
+            self.record_success(site)
+        else:
+            self.record_failure(site)
+        with self._lock:
+            self._state(site).probing = False
+
     # -- queries -------------------------------------------------------
     def is_ejected(self, site: str) -> bool:
         with self._lock:
             state = self._states.get(site)
             return bool(state and state.ejected)
-
-    def probe_due(self, site: str) -> bool:
-        """True when ``site`` is ejected and its probe timer expired."""
-        with self._lock:
-            state = self._states.get(site)
-            return bool(
-                state
-                and state.ejected
-                and self._clock() >= state.next_probe_at
-            )
-
-    def check(
-        self,
-        site: str,
-        prober: Optional[Callable[[], bool]] = None,
-    ) -> bool:
-        """Is ``site`` usable as a sub-query target right now?
-
-        A healthy site is always usable. An ejected site is usable only
-        if its probe timer expired *and* ``prober`` (typically the
-        transport's PING) confirms it answers — a successful probe
-        readmits the site, a failed or unavailable probe re-arms the
-        timer and keeps the site ejected.
-
-        The probe itself runs on a shared background worker; this call
-        waits at most :attr:`probe_wait_seconds` for the verdict. A
-        prober that hangs (a dead TCP site's connect timeout) therefore
-        cannot stall the calling lane beyond the budget — the probe
-        finishes in the background and a late success readmits the site
-        for the next round.
-        """
-        if not self.is_ejected(site):
-            return True
-        with self._lock:
-            state = self._states.get(site)
-            if state is None or not state.ejected:
-                return True
-            if self._clock() < state.next_probe_at:
-                return False
-            if prober is None:
-                return False
-            if state.probing:
-                # Another lane's probe is already in flight; don't pile a
-                # second wait (or a duplicate ping) onto the site.
-                return False
-            state.probing = True
-        done = threading.Event()
-        self._ensure_probe_worker()
-        self._probe_queue.put((site, prober, done))
-        done.wait(self.probe_wait_seconds)
-        return not self.is_ejected(site)
-
-    # -- background probing --------------------------------------------
-    def _ensure_probe_worker(self) -> None:
-        with self._lock:
-            if self._probe_thread is not None and self._probe_thread.is_alive():
-                return
-            self._probe_thread = threading.Thread(
-                target=self._probe_loop,
-                name="site-health-probe",
-                daemon=True,
-            )
-            self._probe_thread.start()
-
-    def _probe_loop(self) -> None:
-        while True:
-            site, prober, done = self._probe_queue.get()
-            try:
-                alive = bool(prober())
-            except Exception:
-                alive = False
-            try:
-                if alive:
-                    self.record_success(site)
-                else:
-                    self.record_failure(site)
-            finally:
-                with self._lock:
-                    state = self._states.get(site)
-                    if state is not None:
-                        state.probing = False
-                done.set()
-
-    def snapshot(self) -> dict:
-        """Per-site health for reporting: {site: {...}} (sorted keys)."""
-        with self._lock:
-            return {
-                site: {
-                    "ejected": state.ejected,
-                    "consecutive_failures": state.consecutive_failures,
-                }
-                for site, state in sorted(self._states.items())
-            }
-
-    def ejected_sites(self) -> list[str]:
-        with self._lock:
-            return sorted(
-                site
-                for site, state in self._states.items()
-                if state.ejected
-            )

@@ -176,8 +176,9 @@ class QueryDeadlineExceeded(CoordinatorError, TimeoutError):
 
 
 class DispatchError(ClusterError):
-    """Raised when concurrent sub-query dispatch fails under the
-    ``fail_fast`` policy.
+    """Raised when a sub-query exhausted every attempt at every replica
+    of its fragment (or its deadline): the query has no answer, since an
+    answer needs every fragment.
 
     ``failures`` lists each exhausted sub-query as a
     :class:`repro.cluster.dispatch.SubQueryFailure`.

@@ -23,8 +23,8 @@ function of the lanes' answer texts *in plan order* — how each text's
 bytes travelled (in process, inline in one frame, as chunks) is the
 transport's business and never reaches here, and folding in plan order
 makes order-sensitive folds (float ``sum``) byte-identical no matter
-which lane finished first. A lane the degrade policy dropped is simply
-not among the partials.
+which lane finished first. Every lane answered: a fragment with no
+live replica fails the query before anything composes.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ Three execution modes cover the paper's simulation *and* the real thing:
   sequentially in-process, as the paper's prototype did;
 * ``execution_mode="threads"`` — sub-queries run concurrently through a
   :class:`~repro.cluster.dispatch.ParallelDispatcher` (one worker lane
-  per site, timeout/retry/failure policy);
+  per site, deadline, retry and replica failover);
 * ``execution_mode="tcp"`` — the same dispatcher drives socket lanes to
   real site-server *processes* (see :mod:`repro.net`): serialization
   and transport costs are paid, not modeled. Call :meth:`Partix.start_tcp`
@@ -42,7 +42,9 @@ physical plan (render it with ``.render()``) without executing anything.
 
 In every mode ``ParallelRound.measured_wall_seconds`` records the real
 wall-clock of the round, and results are byte-identical across modes
-(partial results always compose in plan order).
+(partial results always compose in plan order). Every mode has one
+failure rule: each fragment answers — from a replica if need be — or
+the query raises :class:`~repro.errors.DispatchError`.
 """
 
 from __future__ import annotations
@@ -194,14 +196,8 @@ class Partix:
         )
         #: Shared site-health tracker: the dispatcher reports attempt
         #: outcomes into it, lowering reads it back so new plans avoid
-        #: ejected sites. A caller-supplied dispatcher brings its own;
-        #: exotic dispatcher substitutes without one get a private
-        #: tracker (lowering still works, it just never sees ejections).
-        self.site_health = getattr(self.dispatcher, "site_health", None)
-        if self.site_health is None:
-            from repro.cluster.health import SiteHealth
-
-            self.site_health = SiteHealth()
+        #: ejected sites.
+        self.site_health = self.dispatcher.site_health
         self.schema_catalog = (
             schema_catalog if schema_catalog is not None else SchemaCatalog()
         )
@@ -229,10 +225,12 @@ class Partix:
 
     def close(self) -> None:
         """Give back what this instance started: the site-server
-        processes of :meth:`start_tcp` and the lane threads of the
-        dispatcher it created. Idempotent, and the instance stays usable
-        (lane threads restart on demand). ``with Partix(...) as partix:``
-        closes on exit."""
+        processes of :meth:`start_tcp` and the pool threads of the
+        dispatcher it created — its lanes and its readmission probes.
+        ``close()`` may wait for a probe that is in flight; the
+        transport's PING timeout bounds that wait. Idempotent, and the
+        instance stays usable (pool threads restart on demand).
+        ``with Partix(...) as partix:`` closes on exit."""
         self.stop_tcp()
         if self._owns_dispatcher:
             self.dispatcher.close()
@@ -292,7 +290,6 @@ class Partix:
         collection: Optional[str] = None,
         plan: Optional[PhysicalPlan] = None,
         execution_mode: str = "simulated",
-        dispatcher: Optional[ParallelDispatcher] = None,
         deadline_seconds: Optional[float] = None,
     ) -> PartixResult:
         """Run a query over the fragmented repository.
@@ -305,17 +302,18 @@ class Partix:
         ``execution_mode`` selects how sub-queries run: ``"simulated"``
         executes them sequentially in-process (paper methodology),
         ``"threads"`` dispatches them concurrently — one worker lane per
-        site — through ``dispatcher`` (default: this instance's
-        :class:`ParallelDispatcher`), and ``"tcp"`` sends them through
-        the same dispatcher to real site-server processes (requires
-        :meth:`start_tcp`). All modes compose partial results in plan
-        order, so the answer is byte-identical.
+        site — through this instance's :class:`ParallelDispatcher`, and
+        ``"tcp"`` sends them through the same dispatcher to real
+        site-server processes (requires :meth:`start_tcp`). All modes
+        compose partial results in plan order, so the answer is
+        byte-identical. A fragment none of whose replicas answers raises
+        :class:`~repro.errors.DispatchError`.
 
         ``deadline_seconds`` bounds this query: it is handed to the
-        dispatcher as the round's per-sub-query budget override (lanes
-        run in parallel, so it bounds the round's wall time through the
-        PR 6 shared-budget machinery). The coordinator threads each
-        client's remaining deadline through here.
+        dispatcher as the round's per-sub-query budget (lanes run in
+        parallel, so it bounds the round's wall time; attempts and
+        backoffs of one sub-query share it). The coordinator threads
+        each client's remaining deadline through here.
 
         Whether a site probes its indexes or scans every document is that
         site's own engine setting; no plan or query overrides it.
@@ -324,11 +322,10 @@ class Partix:
         if plan is None:
             plan = self._plan_for(query, collection)
         notes = list(plan.notes)
-        active = dispatcher if dispatcher is not None else self.dispatcher
         executed = self.plan_executor.run(
             plan,
             self._transport_for(mode),
-            active,
+            self.dispatcher,
             subquery_timeout=deadline_seconds,
         )
         notes.extend(executed.notes)

@@ -12,7 +12,10 @@ and then the answer lane of a vertical semi-join — through a
 :class:`~repro.cluster.dispatch.Transport` the mode selects (a
 lock-serialized in-process transport reproduces the paper's sequential
 "simulated" round), threads the plan-node identities into the measured
-executions, and composes the lanes' answer texts in plan order.
+executions, and composes the lanes' answer texts in plan order. A lane
+whose every replica failed raises :class:`~repro.errors.DispatchError`,
+whatever the composition kind — nothing composes an answer with a
+fragment missing.
 """
 
 from __future__ import annotations
@@ -104,15 +107,28 @@ class PlanExecutor:
         default_collection: Optional[str] = None,
         subquery_timeout: Optional[float] = None,
     ) -> ExecutedPlan:
-        def dispatch(lanes: list, timeout: Optional[float], joined: bool):
-            return self._dispatch_stage(
-                lanes, transport, dispatcher, default_collection, timeout, joined
+        def dispatch(lanes: list, timeout: Optional[float]) -> DispatchOutcome:
+            """One round over ``lanes``, its executions stamped with
+            their plan nodes."""
+            outcome = dispatcher.dispatch(
+                transport,
+                [lane.subquery for lane in lanes],
+                default_collection=default_collection,
+                subquery_timeout=timeout,
             )
+            for lane, execution in zip(lanes, outcome.round.executions):
+                execution.plan_node = lane.node_id
+                execution.estimated_seconds = (
+                    lane.estimate.total_seconds
+                    if lane.estimate is not None
+                    else None
+                )
+            return outcome
 
         lanes = plan.lanes
         keyed = None
         if plan.key_lanes:
-            keyed = dispatch(plan.key_lanes, subquery_timeout, joined=True)
+            keyed = dispatch(plan.key_lanes, subquery_timeout)
             keys = _common_keys(
                 [execution.result.result_text for execution in keyed.round.executions]
             )
@@ -129,16 +145,10 @@ class PlanExecutor:
                     subquery_timeout -= keyed.round.measured_wall_seconds
                     if subquery_timeout <= 0:
                         raise _deadline_passed(lanes)
-        # A reconstruction that lost an input is not a subset of the answer.
-        answered = dispatch(
-            lanes, subquery_timeout, joined=plan.composition.kind == "reconstruct"
-        )
-        # A lane the degrade policy dropped has no execution and is left
-        # out of the answer.
+        answered = dispatch(lanes, subquery_timeout)
         partials = [
             (lane.subquery, execution.result.result_text)
-            for lane, execution in zip(lanes, answered.executions_by_index)
-            if execution is not None
+            for lane, execution in zip(lanes, answered.round.executions)
         ]
         composed = self.composer.compose(plan.composition, partials)
         round_, notes = answered.round, list(answered.notes)
@@ -152,42 +162,6 @@ class PlanExecutor:
             notes = keyed.notes + notes
         return ExecutedPlan(round=round_, composed=composed, notes=notes)
 
-    @staticmethod
-    def _dispatch_stage(
-        lanes: list,
-        transport: Transport,
-        dispatcher: ParallelDispatcher,
-        default_collection: Optional[str],
-        subquery_timeout: Optional[float],
-        joined: bool,
-    ) -> DispatchOutcome:
-        """One dispatch round over ``lanes``, its executions stamped with
-        their plan nodes. ``joined``: every lane is a side of a join, so
-        one that exhausted its replicas fails the query under either
-        failure policy (a union merely drops the fragment)."""
-        # The timeout is only passed when set so dispatcher subclasses
-        # with older dispatch() signatures keep working.
-        extra: dict = {}
-        if subquery_timeout is not None:
-            extra["subquery_timeout"] = subquery_timeout
-        outcome = dispatcher.dispatch(
-            transport,
-            [lane.subquery for lane in lanes],
-            default_collection=default_collection,
-            **extra,
-        )
-        if joined and outcome.failures:
-            raise _dispatch_error(outcome.failures)
-        for lane, execution in zip(lanes, outcome.executions_by_index):
-            if execution is not None:
-                execution.plan_node = lane.node_id
-                execution.estimated_seconds = (
-                    lane.estimate.total_seconds
-                    if lane.estimate is not None
-                    else None
-                )
-        return outcome
-
 
 def _common_keys(answers: list) -> list:
     """The join keys every key lane answered, in the first lane's order
@@ -198,13 +172,6 @@ def _common_keys(answers: list) -> list:
     return first
 
 
-def _dispatch_error(failures: list) -> DispatchError:
-    return DispatchError(
-        "; ".join(failure.describe() for failure in failures),
-        failures=failures,
-    )
-
-
 def _deadline_passed(lanes: list) -> DispatchError:
     """The typed failure of an answer stage the key stage left no time
     for: nothing is dispatched, every lane counts as timed out."""
@@ -212,16 +179,18 @@ def _deadline_passed(lanes: list) -> DispatchError:
         "the deadline passed during the key stage; the answer stage was"
         " not dispatched"
     )
-    return _dispatch_error(
-        [
-            SubQueryFailure(
-                site=lane.subquery.site,
-                fragment=lane.subquery.fragment,
-                query=lane.subquery.query,
-                attempts=0,
-                error=error,
-                timed_out=True,
-            )
-            for lane in lanes
-        ]
+    failures = [
+        SubQueryFailure(
+            site=lane.subquery.site,
+            fragment=lane.subquery.fragment,
+            query=lane.subquery.query,
+            attempts=0,
+            error=error,
+            timed_out=True,
+        )
+        for lane in lanes
+    ]
+    return DispatchError(
+        "; ".join(failure.describe() for failure in failures),
+        failures=failures,
     )

@@ -56,8 +56,7 @@ class _LaneScheduler:
         """The scan's candidates minus ejected sites — unless *every*
         replica is ejected, in which case all stay eligible (a plan that
         targets a possibly-dead site still beats one with no target;
-        the dispatcher's rotation and failure policy take it from
-        there)."""
+        the dispatcher's replica rotation takes it from there)."""
         if self.site_health is None:
             return list(enumerate(scan.candidates))
         eligible = []

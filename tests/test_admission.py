@@ -8,9 +8,9 @@ assertion is exact — no real sleeps anywhere in this file.
 
 import pytest
 
-from repro.cluster import DEGRADE, ParallelDispatcher
+from repro.cluster import ParallelDispatcher
 from repro.coordinate.admission import AdmissionController
-from repro.errors import AdmissionRejected
+from repro.errors import AdmissionRejected, DispatchError
 from repro.partix.middleware import Partix
 from repro.workloads.virtual_store import (
     build_items_collection,
@@ -104,103 +104,57 @@ class TestAdmissionController:
 
 
 class TestDispatchTimeoutOverride:
-    """The per-dispatch ``subquery_timeout`` override behind per-query
-    deadlines: narrower than the constructor's, or None to disable."""
-
-    def test_override_narrows_the_constructor_budget(self):
-        clock = FakeClock()
-        drivers = [StubDriver(delay=0.05, sleep=clock.sleep)]
-        dispatcher = ParallelDispatcher(
-            subquery_timeout=10.0,
-            retries=0,
-            failure_policy=DEGRADE,
-            sleep=clock.sleep,
-            clock=clock,
-        )
-        outcome = dispatcher.dispatch(
-            _cluster(drivers),
-            _subqueries(1, site_for=lambda i: "site0"),
-            subquery_timeout=0.01,
-        )
-        (failure,) = outcome.failures
-        assert failure.timed_out
-        assert "0.010s" in str(failure.error)
+    """The per-dispatch ``subquery_timeout`` behind per-query deadlines:
+    it bounds a round, or is None to run without a budget."""
 
     def test_explicit_none_disables_the_budget(self):
         clock = FakeClock()
         drivers = [StubDriver(delay=60.0, sleep=clock.sleep)]
-        dispatcher = ParallelDispatcher(
-            subquery_timeout=0.01,
-            retries=0,
-            sleep=clock.sleep,
-            clock=clock,
-        )
+        dispatcher = ParallelDispatcher(sleep=clock.sleep, clock=clock)
         outcome = dispatcher.dispatch(
             _cluster(drivers),
             _subqueries(1, site_for=lambda i: "site0"),
             subquery_timeout=None,
         )
-        assert outcome.complete
-
-    def test_omitted_override_keeps_the_constructor_budget(self):
-        clock = FakeClock()
-        drivers = [StubDriver(delay=0.05, sleep=clock.sleep)]
-        dispatcher = ParallelDispatcher(
-            subquery_timeout=0.01,
-            retries=0,
-            failure_policy=DEGRADE,
-            sleep=clock.sleep,
-            clock=clock,
-        )
-        outcome = dispatcher.dispatch(
-            _cluster(drivers), _subqueries(1, site_for=lambda i: "site0")
-        )
-        (failure,) = outcome.failures
-        assert failure.timed_out
+        assert len(outcome.round.executions) == 1
 
     def test_total_wall_respects_the_override_budget(self):
-        # The shared-budget bound (PR 6) holds for the per-query override
-        # exactly as for the constructor value: attempts + backoffs draw
-        # down one deadline.
+        # Attempts + backoffs draw down one deadline: a dead primary
+        # burns 150ms, the replica answers 150ms later — past the 0.2s
+        # budget, by at most that one in-flight attempt.
         clock = FakeClock()
         drivers = [
-            StubDriver(delay=0.06, fail_times=50, sleep=clock.sleep),
-            StubDriver(delay=0.06, fail_times=50, sleep=clock.sleep),
+            StubDriver(delay=0.15, fail_times=50, sleep=clock.sleep),
+            StubDriver(delay=0.15, sleep=clock.sleep),
         ]
-        dispatcher = ParallelDispatcher(
-            retries=8,
-            subquery_timeout=30.0,
-            backoff_seconds=0.005,
-            backoff_multiplier=1.0,
-            failure_policy=DEGRADE,
-            sleep=clock.sleep,
-            clock=clock,
-        )
+        dispatcher = ParallelDispatcher(sleep=clock.sleep, clock=clock)
         started = clock()
-        outcome = dispatcher.dispatch(
-            _cluster(drivers),
-            [_replicated_subquery(["site0", "site1"])],
-            subquery_timeout=0.2,
-        )
-        (failure,) = outcome.failures
+        with pytest.raises(DispatchError) as info:
+            dispatcher.dispatch(
+                _cluster(drivers),
+                [_replicated_subquery(["site0", "site1"])],
+                subquery_timeout=0.2,
+            )
+        (failure,) = info.value.failures
         assert failure.timed_out
-        assert clock() - started <= 0.2 + 0.06
+        assert clock() - started <= 0.2 + 0.15
 
 
 class _RecordingDispatcher(ParallelDispatcher):
     """Captures the subquery_timeout each dispatch was handed."""
 
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
+    def __init__(self):
+        super().__init__()
         self.seen_timeouts = []
 
-    def dispatch(self, transport, subqueries, default_collection=None, **extra):
-        if "subquery_timeout" in extra:
-            self.seen_timeouts.append(extra["subquery_timeout"])
-        else:
-            self.seen_timeouts.append("<default>")
+    def dispatch(self, transport, subqueries, default_collection=None,
+                 subquery_timeout=None):
+        self.seen_timeouts.append(subquery_timeout)
         return super().dispatch(
-            transport, subqueries, default_collection=default_collection, **extra
+            transport,
+            subqueries,
+            default_collection=default_collection,
+            subquery_timeout=subquery_timeout,
         )
 
 
@@ -213,7 +167,7 @@ class TestMiddlewareDeadline:
         return partix, collection
 
     def test_deadline_seconds_overrides_the_dispatcher_default(self):
-        dispatcher = _RecordingDispatcher(subquery_timeout=30.0)
+        dispatcher = _RecordingDispatcher()
         partix, collection = self._partix(dispatcher)
         partix.execute(
             'count(collection("%s")//Item)' % collection.name,
@@ -223,10 +177,11 @@ class TestMiddlewareDeadline:
         assert dispatcher.seen_timeouts == [0.75]
 
     def test_no_deadline_keeps_the_dispatcher_default(self):
-        dispatcher = _RecordingDispatcher(subquery_timeout=30.0)
+        # The dispatcher's default is no budget at all.
+        dispatcher = _RecordingDispatcher()
         partix, collection = self._partix(dispatcher)
         partix.execute(
             'count(collection("%s")//Item)' % collection.name,
             collection=collection.name,
         )
-        assert dispatcher.seen_timeouts == ["<default>"]
+        assert dispatcher.seen_timeouts == [None]

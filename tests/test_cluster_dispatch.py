@@ -7,15 +7,18 @@ import pytest
 
 from repro.cluster import (
     Cluster,
-    DEGRADE,
-    FAIL_FAST,
     InProcessTransport,
     ParallelDispatcher,
     Site,
     SiteHealth,
     Transport,
 )
-from repro.cluster.dispatch import SerialTransport
+from repro.cluster.dispatch import (
+    BACKOFF_SECONDS,
+    PROBE_WAIT_SECONDS,
+    SerialTransport,
+)
+from repro.cluster.health import EJECTION_THRESHOLD, PROBE_INTERVAL_SECONDS
 from repro.engine.stats import QueryResult
 from repro.errors import DispatchError
 from repro.partix.decomposer import SubQuery
@@ -111,267 +114,6 @@ def _subqueries(count, site_for=None):
     ]
 
 
-class TestDispatchBasics:
-    def test_all_subqueries_run_and_stay_in_plan_order(self):
-        drivers = [StubDriver() for _ in range(3)]
-        outcome = ParallelDispatcher().dispatch(
-            _cluster(drivers), _subqueries(3)
-        )
-        assert outcome.complete
-        assert [e.fragment for e in outcome.round.executions] == [
-            "F0",
-            "F1",
-            "F2",
-        ]
-        assert [
-            e.result.result_text for e in outcome.executions_by_index
-        ] == ["result:q0", "result:q1", "result:q2"]
-        assert outcome.round.measured_wall_seconds > 0.0
-
-    def test_sites_actually_overlap(self):
-        drivers = [StubDriver(delay=0.15) for _ in range(4)]
-        started = time.perf_counter()
-        outcome = ParallelDispatcher().dispatch(
-            _cluster(drivers), _subqueries(4)
-        )
-        wall = time.perf_counter() - started
-        assert outcome.complete
-        # Four 150ms sub-queries: sequential would be >= 600ms.
-        assert wall < 0.45
-        assert outcome.round.measured_wall_seconds < 0.45
-
-    def test_same_site_subqueries_serialize_in_one_lane(self):
-        driver = StubDriver(delay=0.02)
-        outcome = ParallelDispatcher().dispatch(
-            _cluster([driver]), _subqueries(4, site_for=lambda i: "site0")
-        )
-        assert outcome.complete
-        assert driver.max_active == 1
-        assert driver.calls == ["q0", "q1", "q2", "q3"]
-
-    def test_max_workers_one_still_completes(self):
-        drivers = [StubDriver() for _ in range(3)]
-        outcome = ParallelDispatcher(max_workers=1).dispatch(
-            _cluster(drivers), _subqueries(3)
-        )
-        assert outcome.complete
-        assert len(outcome.round.executions) == 3
-
-    def test_empty_round(self):
-        outcome = ParallelDispatcher().dispatch(Cluster(), [])
-        assert outcome.complete
-        assert outcome.round.executions == []
-
-    def test_hanging_prober_cannot_stall_a_lane_beyond_the_budget(self):
-        """Regression: probes run on a background worker with a per-lane
-        wait budget. A prober that blocks (a dead TCP site's connect
-        timeout) must not stall the calling lane for its full duration —
-        and its late success must still readmit the site."""
-        health = SiteHealth(
-            ejection_threshold=1,
-            probe_interval_seconds=0.0,
-            probe_wait_seconds=0.05,
-        )
-        health.record_failure("s0")
-        release = threading.Event()
-
-        def slow_prober():
-            release.wait(5.0)
-            return True
-
-        started = time.monotonic()
-        usable = health.check("s0", prober=slow_prober)
-        waited = time.monotonic() - started
-        assert not usable  # verdict not in within the budget
-        assert waited < 1.0  # the lane did not wait out the hang
-        assert health.is_ejected("s0")
-
-        release.set()  # the probe finishes late, in the background
-        deadline = time.monotonic() + 2.0
-        while health.is_ejected("s0") and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert not health.is_ejected("s0")  # late success readmitted it
-
-    def test_concurrent_lanes_share_one_probe_in_flight(self):
-        """While a probe is on the worker, other lanes return ejected
-        immediately instead of piling up duplicate pings."""
-        health = SiteHealth(
-            ejection_threshold=1,
-            probe_interval_seconds=0.0,
-            probe_wait_seconds=0.02,
-        )
-        health.record_failure("s0")
-        release = threading.Event()
-        calls = []
-
-        def slow_prober():
-            calls.append(threading.get_ident())
-            release.wait(2.0)
-            return True
-
-        assert not health.check("s0", prober=slow_prober)
-        started = time.monotonic()
-        assert not health.check("s0", prober=slow_prober)
-        assert time.monotonic() - started < 0.5
-        release.set()
-        deadline = time.monotonic() + 2.0
-        while health.is_ejected("s0") and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert len(calls) == 1
-
-    def test_invalid_configuration_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelDispatcher(failure_policy="shrug")
-        with pytest.raises(ValueError):
-            ParallelDispatcher(max_workers=0)
-        with pytest.raises(ValueError):
-            ParallelDispatcher(retries=-1)
-
-
-class TestRetries:
-    def test_transient_failure_retried_with_backoff(self):
-        waits = []
-        drivers = [StubDriver(fail_times=2)]
-        dispatcher = ParallelDispatcher(
-            retries=2,
-            backoff_seconds=0.01,
-            backoff_multiplier=2.0,
-            sleep=waits.append,
-        )
-        outcome = dispatcher.dispatch(
-            _cluster(drivers), _subqueries(1, site_for=lambda i: "site0")
-        )
-        assert outcome.complete
-        assert drivers[0].calls == ["q0", "q0", "q0"]
-        assert waits == [pytest.approx(0.01), pytest.approx(0.02)]
-
-    def test_retries_exhausted_fails(self):
-        drivers = [StubDriver(fail_times=3)]
-        dispatcher = ParallelDispatcher(retries=1, sleep=lambda s: None)
-        with pytest.raises(DispatchError) as info:
-            dispatcher.dispatch(
-                _cluster(drivers), _subqueries(1, site_for=lambda i: "site0")
-            )
-        (failure,) = info.value.failures
-        assert failure.attempts == 2
-        assert failure.fragment == "F0"
-        assert "boom" in str(info.value)
-
-
-class TestFailurePolicies:
-    def test_fail_fast_cancels_rest_of_lane(self):
-        driver = StubDriver(fail_times=1)
-        dispatcher = ParallelDispatcher(retries=0, failure_policy=FAIL_FAST)
-        with pytest.raises(DispatchError):
-            dispatcher.dispatch(
-                _cluster([driver]),
-                _subqueries(3, site_for=lambda i: "site0"),
-            )
-        # q0 failed; q1/q2 never dispatched.
-        assert driver.calls == ["q0"]
-
-    def test_degrade_drops_failed_fragment_and_notes_it(self):
-        failing = StubDriver(fail_times=5)
-        healthy = StubDriver()
-        dispatcher = ParallelDispatcher(
-            retries=1, failure_policy=DEGRADE, sleep=lambda s: None
-        )
-        outcome = dispatcher.dispatch(
-            _cluster([failing, healthy]), _subqueries(2)
-        )
-        assert not outcome.complete
-        assert [e.fragment for e in outcome.round.executions] == ["F1"]
-        assert outcome.executions_by_index[0] is None
-        (failure,) = outcome.failures
-        assert failure.attempts == 2
-        assert any("degraded" in note and "F0" in note for note in outcome.notes)
-
-    def test_unknown_site_raises_regardless_of_policy(self):
-        from repro.errors import ClusterError
-
-        dispatcher = ParallelDispatcher(failure_policy=DEGRADE)
-        with pytest.raises(ClusterError):
-            dispatcher.dispatch(Cluster(), _subqueries(1))
-
-
-class TestBackoffJitter:
-    def _waits_for(self, jitter, seed):
-        waits = []
-        drivers = [StubDriver(fail_times=3)]
-        dispatcher = ParallelDispatcher(
-            retries=3,
-            backoff_seconds=0.1,
-            backoff_multiplier=2.0,
-            backoff_jitter=jitter,
-            jitter_seed=seed,
-            sleep=waits.append,
-        )
-        dispatcher.dispatch(
-            _cluster(drivers), _subqueries(1, site_for=lambda i: "site0")
-        )
-        return waits
-
-    def test_jitter_defaults_off(self):
-        assert ParallelDispatcher().backoff_jitter == 0.0
-
-    def test_jitter_is_deterministic_for_a_seed(self):
-        assert self._waits_for(0.5, seed=7) == self._waits_for(0.5, seed=7)
-
-    def test_different_seeds_desynchronize(self):
-        assert self._waits_for(0.5, seed=1) != self._waits_for(0.5, seed=2)
-
-    def test_jittered_waits_stay_within_the_spread(self):
-        waits = self._waits_for(0.25, seed=3)
-        for attempt, wait in enumerate(waits):
-            base = 0.1 * 2.0 ** attempt
-            assert base * 0.75 <= wait <= base * 1.25
-        # And the spread actually moved something off the exact schedule.
-        assert waits != [0.1, 0.2, 0.4]
-
-    def test_invalid_jitter_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelDispatcher(backoff_jitter=1.5)
-        with pytest.raises(ValueError):
-            ParallelDispatcher(backoff_jitter=-0.1)
-
-
-class TestRetryDeadline:
-    def test_backoff_never_overshoots_the_subquery_deadline(self):
-        waits = []
-        drivers = [StubDriver(fail_times=10)]
-        dispatcher = ParallelDispatcher(
-            retries=5,
-            subquery_timeout=0.05,
-            backoff_seconds=0.1,  # first backoff alone exceeds the budget
-            failure_policy=DEGRADE,
-            sleep=waits.append,
-        )
-        outcome = dispatcher.dispatch(
-            _cluster(drivers), _subqueries(1, site_for=lambda i: "site0")
-        )
-        (failure,) = outcome.failures
-        assert failure.timed_out
-        assert failure.attempts == 1  # no retry was taken
-        assert "retry budget exhausted" in str(failure.error)
-        assert "boom" in str(failure.error)  # the last real error survives
-        assert waits == []  # the overshooting sleep never happened
-
-    def test_retries_within_budget_still_happen(self):
-        waits = []
-        drivers = [StubDriver(fail_times=2)]
-        dispatcher = ParallelDispatcher(
-            retries=3,
-            subquery_timeout=10.0,
-            backoff_seconds=0.001,
-            sleep=waits.append,
-        )
-        outcome = dispatcher.dispatch(
-            _cluster(drivers), _subqueries(1, site_for=lambda i: "site0")
-        )
-        assert outcome.complete
-        assert len(waits) == 2
-
-
 def _replicated_subquery(sites, fragment="F0", query="q0"):
     return SubQuery(
         fragment=fragment,
@@ -385,14 +127,252 @@ def _replicated_subquery(sites, fragment="F0", query="q0"):
     )
 
 
+def _ejected_health(site):
+    """A tracker on a fake clock with ``site`` ejected and its
+    readmission probe due."""
+    now = [0.0]
+    health = SiteHealth(clock=lambda: now[0])
+    for _ in range(EJECTION_THRESHOLD):
+        health.record_failure(site)
+    now[0] = PROBE_INTERVAL_SECONDS
+    return health
+
+
+class _SlowPing(InProcessTransport):
+    """In-process lanes whose PING blocks until ``release`` is set."""
+
+    def __init__(self, cluster, release):
+        super().__init__(cluster)
+        self.release = release
+        self.pings = []
+
+    def ping(self, site):
+        self.pings.append(site)
+        self.release.wait(5.0)
+        return super().ping(site)
+
+
+class TestDispatchBasics:
+    def test_all_subqueries_run_and_stay_in_plan_order(self):
+        drivers = [StubDriver() for _ in range(3)]
+        outcome = ParallelDispatcher().dispatch(
+            _cluster(drivers), _subqueries(3)
+        )
+        assert [e.fragment for e in outcome.round.executions] == [
+            "F0",
+            "F1",
+            "F2",
+        ]
+        assert [
+            e.result.result_text for e in outcome.round.executions
+        ] == ["result:q0", "result:q1", "result:q2"]
+        assert outcome.round.measured_wall_seconds > 0.0
+
+    def test_sites_actually_overlap(self):
+        drivers = [StubDriver(delay=0.15) for _ in range(4)]
+        started = time.perf_counter()
+        outcome = ParallelDispatcher().dispatch(
+            _cluster(drivers), _subqueries(4)
+        )
+        wall = time.perf_counter() - started
+        assert len(outcome.round.executions) == 4
+        # Four 150ms sub-queries: sequential would be >= 600ms.
+        assert wall < 0.45
+        assert outcome.round.measured_wall_seconds < 0.45
+
+    def test_same_site_subqueries_serialize_in_one_lane(self):
+        driver = StubDriver(delay=0.02)
+        outcome = ParallelDispatcher().dispatch(
+            _cluster([driver]), _subqueries(4, site_for=lambda i: "site0")
+        )
+        assert len(outcome.round.executions) == 4
+        assert driver.max_active == 1
+        assert driver.calls == ["q0", "q1", "q2", "q3"]
+
+    def test_empty_round(self):
+        outcome = ParallelDispatcher().dispatch(Cluster(), [])
+        assert outcome.round.executions == []
+
+    def test_hanging_prober_cannot_stall_a_lane_beyond_the_budget(self):
+        """Regression: probes run on the lane pool with a per-lane wait
+        budget. A PING that blocks (a dead TCP site's connect timeout)
+        must not stall the calling lane for its full duration — and its
+        late success must still readmit the site."""
+        health = _ejected_health("site1")
+        release = threading.Event()
+        transport = _SlowPing(
+            _cluster([StubDriver(fail_times=10), StubDriver()]), release
+        )
+        dispatcher = ParallelDispatcher(site_health=health, sleep=lambda s: None)
+        try:
+            started = time.monotonic()
+            with pytest.raises(DispatchError) as info:
+                dispatcher.dispatch(
+                    transport, [_replicated_subquery(["site0", "site1"])]
+                )
+            waited = time.monotonic() - started
+            # The verdict was not in within the budget: the ejected replica
+            # was passed over and the lane did not wait out the hang.
+            (failure,) = info.value.failures
+            assert failure.attempt_sites == ["site0", "site0"]
+            assert waited < PROBE_WAIT_SECONDS + 0.75
+            assert health.is_ejected("site1")
+
+            release.set()  # the probe finishes late, on the lane pool
+            deadline = time.monotonic() + 2.0
+            while health.is_ejected("site1") and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not health.is_ejected("site1")  # late success readmitted it
+        finally:
+            release.set()
+            dispatcher.close()
+
+    def test_concurrent_lanes_share_one_probe_in_flight(self):
+        """While a probe is in flight, other lanes find the site ejected
+        at once instead of piling up duplicate pings."""
+        health = _ejected_health("site0")
+        release = threading.Event()
+        transport = _SlowPing(_cluster([StubDriver()]), release)
+        dispatcher = ParallelDispatcher(site_health=health)
+        try:
+            assert not dispatcher._usable(transport, "site0")
+            started = time.monotonic()
+            assert not dispatcher._usable(transport, "site0")
+            assert time.monotonic() - started < PROBE_WAIT_SECONDS
+            release.set()
+            deadline = time.monotonic() + 2.0
+            while health.is_ejected("site0") and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert transport.pings == ["site0"]
+        finally:
+            release.set()
+            dispatcher.close()
+
+    def test_invalid_configuration_rejected(self):
+        # The dispatcher has no tuning knobs left: only the test seams
+        # (site_health, sleep, clock) are accepted.
+        for knob in ("failure_policy", "max_workers", "retries",
+                     "subquery_timeout", "backoff_jitter"):
+            with pytest.raises(TypeError):
+                ParallelDispatcher(**{knob: 1})
+
+
+class TestRetries:
+    def test_transient_failure_retried_with_backoff(self):
+        # One driver behind three replica sites: three attempts, and the
+        # backoff doubles per retry.
+        waits = []
+        driver = StubDriver(fail_times=2)
+        dispatcher = ParallelDispatcher(sleep=waits.append)
+        outcome = dispatcher.dispatch(
+            _cluster([driver] * 3),
+            [_replicated_subquery(["site0", "site1", "site2"])],
+        )
+        assert outcome.round.executions[0].site == "site2"
+        assert driver.calls == ["q0", "q0", "q0"]
+        assert waits == [
+            pytest.approx(BACKOFF_SECONDS),
+            pytest.approx(2 * BACKOFF_SECONDS),
+        ]
+
+    def test_retries_exhausted_fails(self):
+        drivers = [StubDriver(fail_times=3)]
+        dispatcher = ParallelDispatcher(sleep=lambda s: None)
+        with pytest.raises(DispatchError) as info:
+            dispatcher.dispatch(
+                _cluster(drivers), _subqueries(1, site_for=lambda i: "site0")
+            )
+        (failure,) = info.value.failures
+        assert failure.attempts == 2
+        assert failure.fragment == "F0"
+        assert "boom" in str(info.value)
+
+
+class TestFailurePolicies:
+    def test_fail_fast_cancels_rest_of_lane(self):
+        driver = StubDriver(fail_times=2)
+        dispatcher = ParallelDispatcher(sleep=lambda s: None)
+        with pytest.raises(DispatchError):
+            dispatcher.dispatch(
+                _cluster([driver]),
+                _subqueries(3, site_for=lambda i: "site0"),
+            )
+        # q0 failed twice; q1/q2 never dispatched.
+        assert driver.calls == ["q0", "q0"]
+
+    def test_degrade_drops_failed_fragment_and_notes_it(self):
+        # There is no degrade: a fragment that exhausted its attempts
+        # fails the round, even when every other fragment answered.
+        failing = StubDriver(fail_times=5)
+        healthy = StubDriver()
+        dispatcher = ParallelDispatcher(sleep=lambda s: None)
+        with pytest.raises(DispatchError) as info:
+            dispatcher.dispatch(_cluster([failing, healthy]), _subqueries(2))
+        (failure,) = info.value.failures
+        assert failure.fragment == "F0"
+        assert failure.attempts == 2
+        assert failure.attempt_sites == ["site0", "site0"]
+
+    def test_unknown_site_raises_regardless_of_policy(self):
+        from repro.errors import ClusterError
+
+        with pytest.raises(ClusterError) as info:
+            ParallelDispatcher().dispatch(Cluster(), _subqueries(1))
+        assert not isinstance(info.value, DispatchError)  # a plan error
+
+
+class TestBackoffJitter:
+    def test_jitter_defaults_off(self):
+        # The backoff has no jitter: every rerun waits the exact schedule.
+        waits = []
+        driver = StubDriver(fail_times=3)
+        ParallelDispatcher(sleep=waits.append).dispatch(
+            _cluster([driver] * 4),
+            [_replicated_subquery(["site0", "site1", "site2", "site3"])],
+        )
+        assert waits == [BACKOFF_SECONDS * 2 ** n for n in range(3)]
+
+
+class TestRetryDeadline:
+    def test_backoff_never_overshoots_the_subquery_deadline(self):
+        clock = FakeClock()
+        waits = []
+        drivers = [StubDriver(fail_times=10)]
+        dispatcher = ParallelDispatcher(sleep=waits.append, clock=clock)
+        with pytest.raises(DispatchError) as info:
+            dispatcher.dispatch(
+                _cluster(drivers),
+                _subqueries(1, site_for=lambda i: "site0"),
+                # The first backoff alone exceeds the budget.
+                subquery_timeout=BACKOFF_SECONDS / 2,
+            )
+        (failure,) = info.value.failures
+        assert failure.timed_out
+        assert failure.attempts == 1  # no retry was taken
+        assert "retry budget exhausted" in str(failure.error)
+        assert "boom" in str(failure.error)  # the last real error survives
+        assert waits == []  # the overshooting sleep never happened
+
+    def test_retries_within_budget_still_happen(self):
+        waits = []
+        driver = StubDriver(fail_times=2)
+        dispatcher = ParallelDispatcher(sleep=waits.append)
+        outcome = dispatcher.dispatch(
+            _cluster([driver] * 3),
+            [_replicated_subquery(["site0", "site1", "site2"])],
+            subquery_timeout=10.0,
+        )
+        assert len(outcome.round.executions) == 1
+        assert len(waits) == 2
+
+
 class TestReplicaFailover:
     def test_retry_rotates_to_the_next_replica(self):
         drivers = [StubDriver(fail_times=10), StubDriver()]
-        dispatcher = ParallelDispatcher(retries=1, sleep=lambda s: None)
+        dispatcher = ParallelDispatcher(sleep=lambda s: None)
         outcome = dispatcher.dispatch(
             _cluster(drivers), [_replicated_subquery(["site0", "site1"])]
         )
-        assert outcome.complete
         (execution,) = outcome.round.executions
         assert execution.site == "site1"
         assert execution.failover_count == 1
@@ -407,12 +387,11 @@ class TestReplicaFailover:
             StubDriver(fail_times=10),
             StubDriver(),
         ]
-        dispatcher = ParallelDispatcher(retries=2, sleep=lambda s: None)
+        dispatcher = ParallelDispatcher(sleep=lambda s: None)
         outcome = dispatcher.dispatch(
             _cluster(drivers),
             [_replicated_subquery(["site0", "site1", "site2"])],
         )
-        assert outcome.complete
         (execution,) = outcome.round.executions
         assert execution.attempt_sites == ["site0", "site1", "site2"]
         assert execution.failover_count == 2
@@ -420,7 +399,7 @@ class TestReplicaFailover:
 
     def test_all_replicas_dead_fails_and_names_every_site_tried(self):
         drivers = [StubDriver(fail_times=10), StubDriver(fail_times=10)]
-        dispatcher = ParallelDispatcher(retries=1, sleep=lambda s: None)
+        dispatcher = ParallelDispatcher(sleep=lambda s: None)
         with pytest.raises(DispatchError) as info:
             dispatcher.dispatch(
                 _cluster(drivers), [_replicated_subquery(["site0", "site1"])]
@@ -431,42 +410,36 @@ class TestReplicaFailover:
         assert "tried sites site0, site1" in failure.describe()
 
     def test_rotation_skips_an_ejected_replica(self):
-        health = SiteHealth(ejection_threshold=3, clock=lambda: 0.0)
-        for _ in range(3):
+        health = SiteHealth(clock=lambda: 0.0)
+        for _ in range(EJECTION_THRESHOLD):
             health.record_failure("site1")
         assert health.is_ejected("site1")
         drivers = [StubDriver(fail_times=10), StubDriver(), StubDriver()]
         dispatcher = ParallelDispatcher(
-            retries=1, site_health=health, sleep=lambda s: None
+            site_health=health, sleep=lambda s: None
         )
         outcome = dispatcher.dispatch(
             _cluster(drivers),
             [_replicated_subquery(["site0", "site1", "site2"])],
         )
-        assert outcome.complete
         (execution,) = outcome.round.executions
         assert execution.site == "site2"
         assert execution.attempt_sites == ["site0", "site2"]
         assert drivers[1].calls == []  # the ejected replica was never hit
 
     def test_due_probe_readmits_an_ejected_replica(self):
-        now = [0.0]
-        health = SiteHealth(
-            ejection_threshold=3,
-            probe_interval_seconds=5.0,
-            clock=lambda: now[0],
-        )
-        for _ in range(3):
-            health.record_failure("site1")
-        now[0] = 6.0  # probe timer expired; InProcessTransport PING is up
+        # Probe timer expired; InProcessTransport PING is up.
+        health = _ejected_health("site1")
         drivers = [StubDriver(fail_times=10), StubDriver()]
         dispatcher = ParallelDispatcher(
-            retries=1, site_health=health, sleep=lambda s: None
+            site_health=health, sleep=lambda s: None
         )
-        outcome = dispatcher.dispatch(
-            _cluster(drivers), [_replicated_subquery(["site0", "site1"])]
-        )
-        assert outcome.complete
+        try:
+            outcome = dispatcher.dispatch(
+                _cluster(drivers), [_replicated_subquery(["site0", "site1"])]
+            )
+        finally:
+            dispatcher.close()
         (execution,) = outcome.round.executions
         assert execution.site == "site1"
         assert not health.is_ejected("site1")
@@ -484,47 +457,51 @@ class TestReplicaFailover:
 
 class TestSiteHealthTracker:
     def test_ejects_after_consecutive_failures(self):
-        health = SiteHealth(ejection_threshold=2, clock=lambda: 0.0)
-        assert not health.record_failure("s0")
+        health = SiteHealth(clock=lambda: 0.0)
+        for _ in range(EJECTION_THRESHOLD - 1):
+            assert not health.record_failure("s0")
         assert health.record_failure("s0")  # crossing returns True
         assert health.is_ejected("s0")
-        assert health.ejected_sites() == ["s0"]
 
     def test_success_resets_the_streak(self):
-        health = SiteHealth(ejection_threshold=2)
-        health.record_failure("s0")
+        health = SiteHealth()
+        for _ in range(EJECTION_THRESHOLD - 1):
+            health.record_failure("s0")
         health.record_success("s0")
-        health.record_failure("s0")
+        for _ in range(EJECTION_THRESHOLD - 1):
+            health.record_failure("s0")
         assert not health.is_ejected("s0")
 
     def test_probe_gates_readmission_on_the_timer_and_the_prober(self):
         now = [0.0]
-        health = SiteHealth(
-            ejection_threshold=1,
-            probe_interval_seconds=5.0,
-            clock=lambda: now[0],
-        )
-        health.record_failure("s0")
-        assert not health.check("s0", prober=lambda: True)  # timer not due
-        now[0] = 5.0
-        assert not health.check("s0", prober=lambda: False)  # probe fails
-        now[0] = 9.0
-        assert not health.probe_due("s0")  # failed probe re-armed the timer
-        now[0] = 10.0
-        assert health.check("s0", prober=lambda: True)  # probe readmits
+        health = SiteHealth(clock=lambda: now[0])
+        for _ in range(EJECTION_THRESHOLD):
+            health.record_failure("s0")
+        assert not health.begin_probe("s0")  # timer not due
+        now[0] = PROBE_INTERVAL_SECONDS
+        assert health.begin_probe("s0")
+        assert not health.begin_probe("s0")  # one probe in flight
+        health.end_probe("s0", alive=False)
+        assert health.is_ejected("s0")
+        now[0] = 2 * PROBE_INTERVAL_SECONDS - 1.0
+        assert not health.begin_probe("s0")  # failed probe re-armed the timer
+        now[0] = 2 * PROBE_INTERVAL_SECONDS
+        assert health.begin_probe("s0")
+        health.end_probe("s0", alive=True)  # probe readmits
         assert not health.is_ejected("s0")
 
-    def test_healthy_site_checks_true_without_probing(self):
-        health = SiteHealth()
-        probed = []
-        assert health.check("s0", prober=lambda: probed.append(True))
-        assert probed == []
-
     def test_invalid_configuration_rejected(self):
-        with pytest.raises(ValueError):
-            SiteHealth(ejection_threshold=0)
-        with pytest.raises(ValueError):
-            SiteHealth(probe_interval_seconds=-1.0)
+        # Ejection and probing run on constants; the clock is the only
+        # seam.
+        for knob in ("ejection_threshold", "probe_interval_seconds",
+                     "probe_wait_seconds"):
+            with pytest.raises(TypeError):
+                SiteHealth(**{knob: 1})
+
+    def test_healthy_site_checks_true_without_probing(self):
+        transport = _SlowPing(_cluster([StubDriver()]), threading.Event())
+        assert ParallelDispatcher()._usable(transport, "site0")
+        assert transport.pings == []
 
 
 class _BudgetRecorder(Transport):
@@ -559,102 +536,71 @@ class TestRetryBudget:
             StubDriver(sleep=clock.sleep),
         ]
         recorder = _BudgetRecorder(InProcessTransport(_cluster(drivers)))
-        dispatcher = ParallelDispatcher(
-            retries=2,
+        dispatcher = ParallelDispatcher(sleep=clock.sleep, clock=clock)
+        dispatcher.dispatch(
+            recorder,
+            [_replicated_subquery(["site0", "site1"])],
             subquery_timeout=1.0,
-            backoff_seconds=0.001,
-            sleep=clock.sleep,
-            clock=clock,
         )
-        outcome = dispatcher.dispatch(
-            recorder, [_replicated_subquery(["site0", "site1"])]
-        )
-        assert outcome.complete
         assert len(recorder.timeouts) == 2
         # The first attempt gets the whole budget; the retry exactly what
-        # the failed attempt (0.03) and the backoff (0.001) left over.
+        # the failed attempt (0.03) and the backoff left over.
         assert recorder.timeouts[0] == pytest.approx(1.0)
-        assert recorder.timeouts[1] == pytest.approx(1.0 - 0.03 - 0.001)
+        assert recorder.timeouts[1] == pytest.approx(
+            1.0 - 0.03 - BACKOFF_SECONDS
+        )
 
     def test_total_wall_stays_within_the_budget_plus_slack(self):
-        # Dead primary that burns 60ms per attempt, dead replica too: the
-        # old code gave every attempt a fresh full timeout (~(retries+1)×
-        # overshoot); the shared deadline keeps the whole envelope near
-        # subquery_timeout + one attempt's overshoot. On the fake clock
-        # the bound is exact, not slack-padded.
+        # Dead primary that burns 150ms, slow replica that answers after
+        # another 150ms: the retry gets only what the budget has left, so
+        # the whole envelope stays within subquery_timeout + one
+        # attempt's overshoot. On the fake clock the bound is exact, not
+        # slack-padded.
         clock = FakeClock()
         drivers = [
-            StubDriver(delay=0.06, fail_times=50, sleep=clock.sleep),
-            StubDriver(delay=0.06, fail_times=50, sleep=clock.sleep),
+            StubDriver(delay=0.15, fail_times=50, sleep=clock.sleep),
+            StubDriver(delay=0.15, sleep=clock.sleep),
         ]
-        dispatcher = ParallelDispatcher(
-            retries=8,
-            subquery_timeout=0.2,
-            backoff_seconds=0.005,
-            backoff_multiplier=1.0,
-            failure_policy=DEGRADE,
-            sleep=clock.sleep,
-            clock=clock,
-        )
+        dispatcher = ParallelDispatcher(sleep=clock.sleep, clock=clock)
         started = clock()
-        outcome = dispatcher.dispatch(
-            _cluster(drivers), [_replicated_subquery(["site0", "site1"])]
-        )
+        with pytest.raises(DispatchError) as info:
+            dispatcher.dispatch(
+                _cluster(drivers),
+                [_replicated_subquery(["site0", "site1"])],
+                subquery_timeout=0.2,
+            )
         wall = clock() - started
-        (failure,) = outcome.failures
+        (failure,) = info.value.failures
         assert failure.timed_out
-        # Budget 0.2s + at most one in-flight attempt (0.06s), exactly.
-        assert wall <= 0.2 + 0.06
-
-
-class TestJitterPerTarget:
-    def test_jitter_schedule_differs_across_replica_targets(self):
-        dispatcher = ParallelDispatcher(backoff_jitter=0.5, jitter_seed=7)
-        subquery = _replicated_subquery(["site0", "site1"])
-        waits_primary = [
-            dispatcher._backoff_wait(subquery, attempt, "site0")
-            for attempt in range(3)
-        ]
-        waits_replica = [
-            dispatcher._backoff_wait(subquery, attempt, "site1")
-            for attempt in range(3)
-        ]
-        assert waits_primary != waits_replica
-
-    def test_jitter_defaults_to_the_primary_site(self):
-        dispatcher = ParallelDispatcher(backoff_jitter=0.5, jitter_seed=7)
-        subquery = _replicated_subquery(["site0", "site1"])
-        assert dispatcher._backoff_wait(subquery, 1) == dispatcher._backoff_wait(
-            subquery, 1, "site0"
-        )
+        assert failure.attempt_sites == ["site0", "site1"]
+        # Budget 0.2s + at most one in-flight attempt (0.15s), exactly.
+        assert wall <= 0.2 + 0.15
 
 
 class TestTimeouts:
     def test_overbudget_subquery_counts_as_timeout(self):
         clock = FakeClock()
         drivers = [StubDriver(delay=0.05, sleep=clock.sleep)]
-        dispatcher = ParallelDispatcher(
-            subquery_timeout=0.005,
-            retries=0,
-            failure_policy=DEGRADE,
-            sleep=clock.sleep,
-            clock=clock,
-        )
-        outcome = dispatcher.dispatch(
-            _cluster(drivers), _subqueries(1, site_for=lambda i: "site0")
-        )
-        (failure,) = outcome.failures
+        dispatcher = ParallelDispatcher(sleep=clock.sleep, clock=clock)
+        with pytest.raises(DispatchError) as info:
+            dispatcher.dispatch(
+                _cluster(drivers),
+                _subqueries(1, site_for=lambda i: "site0"),
+                subquery_timeout=0.005,
+            )
+        (failure,) = info.value.failures
         assert failure.timed_out
         assert isinstance(failure.error, TimeoutError)
-        assert any("timed out" in note for note in outcome.notes)
+        assert "timed out" in str(info.value)
 
     def test_fast_subquery_passes_timeout(self):
         drivers = [StubDriver()]
-        dispatcher = ParallelDispatcher(subquery_timeout=5.0)
-        outcome = dispatcher.dispatch(
-            _cluster(drivers), _subqueries(1, site_for=lambda i: "site0")
+        outcome = ParallelDispatcher().dispatch(
+            _cluster(drivers),
+            _subqueries(1, site_for=lambda i: "site0"),
+            subquery_timeout=5.0,
         )
-        assert outcome.complete
+        assert len(outcome.round.executions) == 1
 
 
 class _Gate:
@@ -696,12 +642,10 @@ class TestSharedLanePool:
         # Fails once the other lane is parked: a failure any earlier
         # would cancel that lane before it started.
         failing = StubDriver(
-            delay=1.0, fail_times=1, sleep=lambda _: gate.reached.wait(10.0)
+            delay=1.0, fail_times=2, sleep=lambda _: gate.reached.wait(10.0)
         )
         parked = StubDriver(delay=1.0, sleep=gate)
-        dispatcher = ParallelDispatcher(
-            retries=0, clock=clock, sleep=clock.sleep
-        )
+        dispatcher = ParallelDispatcher(clock=clock, sleep=clock.sleep)
         subqueries = _subqueries(3, site_for=lambda i: f"site{min(i, 1)}")
         recorder = _BudgetRecorder(
             InProcessTransport(_cluster([failing, parked]))
@@ -759,41 +703,10 @@ class TestSharedLanePool:
         finally:
             gate.opened.set()
             dispatcher.close()
-        assert outcomes["a"].complete and outcomes["b"].complete
+        assert len(outcomes["a"].round.executions) == 4
         assert [
-            e.result.result_text for e in outcomes["b"].executions_by_index
+            e.result.result_text for e in outcomes["b"].round.executions
         ] == [f"result:q{i}" for i in range(4)]
-
-    def test_max_workers_one_serializes_a_four_site_round(self):
-        drivers = [StubDriver(delay=0.005) for _ in range(4)]
-        dispatcher = ParallelDispatcher(max_workers=1)
-        before = _lane_threads()
-        outcome = dispatcher.dispatch(_cluster(drivers), _subqueries(4))
-        assert outcome.complete
-        # One worker = the caller: site after site, in plan order.
-        assert [driver.threads for driver in drivers] == [
-            [threading.get_ident()]
-        ] * 4
-        assert _lane_threads() <= before
-
-    def test_max_workers_caps_the_lanes_running_at_once(self):
-        gate = _Gate()
-        drivers = [StubDriver(delay=1.0, sleep=gate) for _ in range(4)]
-        dispatcher = ParallelDispatcher(max_workers=2)
-        try:
-            caller = _in_thread(
-                lambda: dispatcher.dispatch(_cluster(drivers), _subqueries(4))
-            )
-            gate.wait_entered(2)
-            assert not gate.entered.acquire(timeout=0.1)  # no third lane
-            gate.opened.set()
-            _joined(caller)
-        finally:
-            gate.opened.set()
-            dispatcher.close()
-        assert [driver.calls for driver in drivers] == [
-            [f"q{i}"] for i in range(4)
-        ]
 
     def test_a_one_lane_round_starts_no_thread(self):
         driver = StubDriver()
@@ -802,7 +715,7 @@ class TestSharedLanePool:
         outcome = dispatcher.dispatch(
             _cluster([driver]), _subqueries(3, site_for=lambda i: "site0")
         )
-        assert outcome.complete
+        assert len(outcome.round.executions) == 3
         assert driver.threads == [threading.get_ident()] * 3
         assert _lane_threads() <= before
 
@@ -814,7 +727,7 @@ class TestSharedLanePool:
             SerialTransport(InProcessTransport(_cluster(drivers))),
             _subqueries(4),
         )
-        assert outcome.complete
+        assert len(outcome.round.executions) == 4
         assert [driver.threads for driver in drivers] == [
             [threading.get_ident()]
         ] * 4
@@ -846,7 +759,7 @@ class TestSharedLanePool:
         dispatcher.close()  # idempotent
         try:
             outcome = dispatcher.dispatch(_cluster(drivers), _subqueries(4))
-            assert outcome.complete
+            assert len(outcome.round.executions) == 4
             assert _lane_threads() - before
         finally:
             dispatcher.close()
@@ -875,7 +788,7 @@ class TestSharedLanePool:
             for _ in range(40):
                 outcome = dispatcher.dispatch(cluster, subqueries)
                 texts = [
-                    e.result.result_text for e in outcome.executions_by_index
+                    e.result.result_text for e in outcome.round.executions
                 ]
                 if texts != [f"result:{tag}-{i}" for i in range(4)]:
                     wrong.append(texts)

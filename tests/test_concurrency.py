@@ -7,8 +7,9 @@ import threading
 import pytest
 
 from repro.bench import build_items_scenario, build_xbench_scenario
-from repro.cluster import Cluster, DEGRADE, ParallelDispatcher, Site
+from repro.cluster import Cluster, ParallelDispatcher, Site
 from repro.engine.database import XMLEngine
+from repro.errors import DispatchError
 from repro.partix import (
     CompositionSpec,
     FragmentationSchema,
@@ -247,16 +248,15 @@ class TestRangeIndexConcurrentFirstLookup:
 
 class TestDegradedExecutionThroughMiddleware:
     def test_degrade_policy_surfaces_notes_and_partial_answer(self):
+        # No partial answer: the fragment that fails raises, even though
+        # the other one answered.
         cluster = Cluster.with_sites(2)
         for i in range(4):
             cluster.site("site0").driver.store_document(
                 "frag0", f"<Item><Code>A{i}</Code></Item>", name=f"a{i}.xml"
             )
         partix = Partix(
-            cluster,
-            dispatcher=ParallelDispatcher(
-                retries=0, failure_policy=DEGRADE
-            ),
+            cluster, dispatcher=ParallelDispatcher(sleep=lambda s: None)
         )
         plan = annotated(
             "frag0",
@@ -276,11 +276,13 @@ class TestDegradedExecutionThroughMiddleware:
             ],
             CompositionSpec(kind="concat"),
         )
-        result = partix.execute(
-            'collection("frag0")/Item/Code',
-            plan=plan,
-            execution_mode="threads",
-        )
-        assert result.result_text.count("<Code>") == 4
-        assert any("degraded" in note for note in result.notes)
-        assert [e.fragment for e in result.round.executions] == ["F_ok"]
+        with pytest.raises(DispatchError) as info:
+            partix.execute(
+                'collection("frag0")/Item/Code',
+                plan=plan,
+                execution_mode="threads",
+            )
+        partix.close()
+        (failure,) = info.value.failures
+        assert failure.fragment == "F_missing"
+        assert failure.attempt_sites == ["site1", "site1"]

@@ -16,7 +16,7 @@ from unittest.mock import ANY
 
 import pytest
 
-from repro.cluster import FAIL_FAST, ParallelDispatcher
+from repro.cluster import ParallelDispatcher
 from repro.cluster.site import Cluster, Site
 from repro.coordinate import Coordinator, CoordinatorClient, run_traffic
 from repro.coordinate.traffic import WorkloadQuery
@@ -583,14 +583,12 @@ class TestAdmissionOverTheWire:
             assert coordinator.close()
 
     def test_deadline_expires_during_dispatch(self):
-        # The per-query deadline overrides the dispatcher's 30s default:
-        # a site that stalls longer than the deadline turns the reply
-        # into QueryDeadlineExceeded once the budgeted attempt expires.
+        # A site that stalls longer than the per-query deadline turns
+        # the reply into QueryDeadlineExceeded once the budgeted attempt
+        # expires.
         partix, collection = _published_partix(
             fragment_count=2,
-            dispatcher=ParallelDispatcher(
-                retries=0, failure_policy=FAIL_FAST, subquery_timeout=30.0
-            ),
+            dispatcher=ParallelDispatcher(sleep=lambda s: None),
         )
         entry = _workload(partix, collection, count=1)[0]
         gated = _GatedDriver(

@@ -2,15 +2,17 @@
 
 Every collection here is published twice — each fragment's primary on
 its own site plus a replica of everything on a ``mirror`` site — so a
-dead primary leaves exactly one live copy. The middleware must answer
+dead primary leaves exactly one live copy (the third-replica tests add a
+``mirror2``, so two dead sites leave one). The middleware must answer
 byte-identically through the replica (simulated and tcp transports),
-report the failover, and only degrade / fail fast once *every* replica
-of a fragment is gone.
+report the failover, and raise ``DispatchError`` only once *every*
+replica of a fragment is gone.
 """
 
 import pytest
 
-from repro.cluster import DEGRADE, ParallelDispatcher
+from repro.cluster import ParallelDispatcher
+from repro.cluster.health import EJECTION_THRESHOLD
 from repro.cluster.site import Cluster, Site
 from repro.errors import DispatchError
 from repro.partix.catalog import FragmentAllocation
@@ -36,12 +38,15 @@ class _DeadDriver(PartixDriver):
     execute = _die
 
 
-def _replicated_partix(fragment_count=2, item_count=24, dispatcher=None):
-    """A published Partix where the ``mirror`` site replicates every
+def _replicated_partix(
+    fragment_count=2, item_count=24, dispatcher=None, mirrors=("mirror",)
+):
+    """A published Partix where each ``mirrors`` site replicates every
     fragment (primaries keep the default one-site-per-fragment layout)."""
     collection = build_items_collection(item_count, kind="small", seed=11)
     cluster = Cluster.with_sites(fragment_count)
-    cluster.add(Site("mirror"))
+    for mirror in mirrors:
+        cluster.add(Site(mirror))
     cluster.add(Site("central"))
     partix = Partix(cluster, dispatcher=dispatcher)
     design = items_horizontal_fragmentation(fragment_count)
@@ -54,12 +59,13 @@ def _replicated_partix(fragment_count=2, item_count=24, dispatcher=None):
                 stored_collection=fragment.name,
             )
         )
-        allocations.append(
+        allocations.extend(
             FragmentAllocation(
                 fragment=fragment.name,
-                site="mirror",
+                site=mirror,
                 stored_collection=fragment.name,
             )
+            for mirror in mirrors
         )
     partix.publish(collection, design, allocations=allocations)
     partix.publish_centralized(collection, "central")
@@ -91,7 +97,6 @@ class TestSimulatedFailover:
         assert result.result_text == healthy.result_text
         assert result.failover_count >= 1
         assert any(e.site == "mirror" for e in result.round.executions)
-        assert not any("degraded" in note for note in result.notes)
         assert any("failover" in note for note in result.notes)
 
     def test_failed_over_count_matches_the_centralized_oracle(self):
@@ -118,23 +123,35 @@ class TestSimulatedFailover:
         assert "tried sites" in str(info.value)
 
     def test_all_replicas_dead_degrade_reports_the_dropped_fragment(self):
-        dispatcher = ParallelDispatcher(
-            retries=1, failure_policy=DEGRADE, sleep=lambda s: None
-        )
-        partix, collection = _replicated_partix(dispatcher=dispatcher)
-        query = _item_query(collection)
-        healthy = partix.execute(
-            query, collection=collection.name, execution_mode="simulated"
-        )
+        # No answer drops a fragment: the query raises and names it.
+        partix, collection = _replicated_partix(dispatcher=_no_backoff())
+        partix.cluster.site("site0").driver = _DeadDriver()
+        partix.cluster.site("mirror").driver = _DeadDriver()
+        with pytest.raises(DispatchError) as info:
+            partix.execute(
+                _item_query(collection),
+                collection=collection.name,
+                execution_mode="simulated",
+            )
+        (failure,) = info.value.failures
+        assert failure.fragment == "F1"
+        assert failure.attempt_sites == ["site0", "mirror"]
+        assert "tried sites site0, mirror" in str(info.value)
+
+    def test_a_third_replica_answers_when_two_are_dead(self):
+        partix, collection = _replicated_partix(mirrors=("mirror", "mirror2"))
+        query = _count_query(collection)
+        central = partix.execute_centralized(query, "central").result_text
         partix.cluster.site("site0").driver = _DeadDriver()
         partix.cluster.site("mirror").driver = _DeadDriver()
         result = partix.execute(
             query, collection=collection.name, execution_mode="simulated"
         )
-        assert result.result_text != healthy.result_text  # fragment dropped
-        degraded = [note for note in result.notes if "degraded" in note]
-        assert len(degraded) == 1
-        assert "tried sites site0, mirror" in degraded[0]
+        assert result.result_text == central
+        assert result.failover_count == 2
+        assert result.round.executions[0].attempt_sites == [
+            "site0", "mirror", "mirror2"
+        ]
 
     def test_lowering_routes_new_plans_away_from_an_ejected_site(self):
         partix, collection = _replicated_partix()
@@ -142,7 +159,7 @@ class TestSimulatedFailover:
         before = partix.explain(query, collection.name)
         assert any(sq.site == "site0" for sq in before.subqueries)
 
-        for _ in range(partix.site_health.ejection_threshold):
+        for _ in range(EJECTION_THRESHOLD):
             partix.site_health.record_failure("site0")
         after = partix.explain(query, collection.name)
         assert not any(sq.site == "site0" for sq in after.subqueries)
@@ -153,6 +170,10 @@ class TestSimulatedFailover:
         partix.site_health.readmit("site0")
         restored = partix.explain(query, collection.name)
         assert restored.render() == before.render()
+
+
+def _no_backoff():
+    return ParallelDispatcher(sleep=lambda s: None)
 
 
 def _vertical_partix(dispatcher):
@@ -171,16 +192,20 @@ def _vertical_partix(dispatcher):
 
 
 class TestJoinsNeverDegrade:
-    """A join that lost an input is not a subset of the answer: under
-    ``degrade`` a horizontal union drops the fragment, a join raises."""
+    """An answer needs every fragment: whatever the composition — a
+    semi-join's key or answer stage, a reconstruction, a horizontal
+    union — a fragment with no live replica raises ``DispatchError``."""
 
-    def _degrading(self):
-        return ParallelDispatcher(
-            retries=0, failure_policy=DEGRADE, sleep=lambda s: None
-        )
+    def _raises_for_f2papers(self, partix, query):
+        partix.cluster.site("site1").driver = _DeadDriver()  # F2papers
+        with pytest.raises(DispatchError) as info:
+            partix.execute(query, collection="Cpapers")
+        (failure,) = info.value.failures
+        assert failure.fragment == "F2papers"
+        assert failure.attempt_sites == ["site1", "site1"]
 
     def test_semijoin_missing_its_key_lane_raises(self):
-        partix = _vertical_partix(self._degrading())
+        partix = _vertical_partix(_no_backoff())
         # Without the body's keys *every* title would be the answer.
         query = (
             'for $a in collection("Cpapers")/article'
@@ -188,43 +213,38 @@ class TestJoinsNeverDegrade:
             " return $a/prolog/title/text()"
         )
         assert partix.explain(query, "Cpapers").key_lanes
-        partix.cluster.site("site1").driver = _DeadDriver()  # F2papers
-        with pytest.raises(DispatchError) as info:
-            partix.execute(query, collection="Cpapers")
-        assert [failure.fragment for failure in info.value.failures] == ["F2papers"]
+        self._raises_for_f2papers(partix, query)
 
     def test_semijoin_missing_its_answer_lane_only_degrades(self):
-        partix = _vertical_partix(self._degrading())
+        partix = _vertical_partix(_no_backoff())
         query = (
             'for $a in collection("Cpapers")/article'
             ' where $a/prolog/genre != "none" return $a/body/abstract/text()'
         )
-        assert partix.explain(query, "Cpapers").key_lanes
-        partix.cluster.site("site1").driver = _DeadDriver()  # F2papers answers
-        result = partix.execute(query, collection="Cpapers")
-        assert result.result_text == ""
-        assert any("degraded" in note for note in result.notes)
+        plan = partix.explain(query, "Cpapers")
+        assert plan.key_lanes
+        assert plan.lanes[0].subquery.fragment == "F2papers"  # answers
+        self._raises_for_f2papers(partix, query)
 
     def test_reconstruction_missing_an_input_raises(self):
-        partix = _vertical_partix(self._degrading())
+        partix = _vertical_partix(_no_backoff())
         query = (
             'for $a in collection("Cpapers")/article'
             ' where not(contains($a/body/abstract, "novel"))'
             " return $a/prolog/title/text()"
         )
         assert partix.explain(query, "Cpapers").composition.kind == "reconstruct"
-        partix.cluster.site("site1").driver = _DeadDriver()
-        with pytest.raises(DispatchError) as info:
-            partix.execute(query, collection="Cpapers")
-        assert [failure.fragment for failure in info.value.failures] == ["F2papers"]
+        self._raises_for_f2papers(partix, query)
 
     def test_horizontal_union_still_drops_the_fragment(self):
-        partix, collection = _replicated_partix(dispatcher=self._degrading())
+        partix, collection = _replicated_partix(dispatcher=_no_backoff())
         partix.cluster.site("site0").driver = _DeadDriver()
         partix.cluster.site("mirror").driver = _DeadDriver()
-        result = partix.execute(_item_query(collection), collection=collection.name)
-        assert result.result_text
-        assert any("degraded" in note for note in result.notes)
+        with pytest.raises(DispatchError) as info:
+            partix.execute(_item_query(collection), collection=collection.name)
+        (failure,) = info.value.failures
+        assert failure.fragment == "F1"
+        assert failure.attempt_sites == ["site0", "mirror"]
 
 
 class TestTcpFailover:
@@ -251,7 +271,6 @@ class TestTcpFailover:
             assert result.result_text == healthy.result_text
             assert result.failover_count >= 1
             assert any(e.site == "mirror" for e in result.round.executions)
-            assert not any("degraded" in note for note in result.notes)
 
             counted = partix.execute(
                 _count_query(collection),
@@ -276,6 +295,25 @@ class TestTcpFailover:
                 )
         finally:
             partix.stop_tcp()
+
+    def test_a_third_replica_answers_when_two_are_dead(self):
+        partix, collection = _replicated_partix(mirrors=("mirror", "mirror2"))
+        query = _count_query(collection)
+        central = partix.execute_centralized(query, "central").result_text
+        partix.start_tcp()
+        try:
+            partix.tcp.kill("site0")
+            partix.tcp.kill("mirror")
+            result = partix.execute(
+                query, collection=collection.name, execution_mode="tcp"
+            )
+            assert result.result_text == central
+            assert result.failover_count == 2
+            assert result.round.executions[0].attempt_sites == [
+                "site0", "mirror", "mirror2"
+            ]
+        finally:
+            partix.close()
 
     def test_tcp_transport_ping_tracks_liveness(self):
         partix, _ = _replicated_partix()

@@ -10,11 +10,12 @@ import dataclasses
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from repro.cluster.dispatch import ParallelDispatcher
+from repro.cluster.dispatch import ParallelDispatcher, Transport
 from repro.fuzz import (
     CaseSpec,
     generate_case,
@@ -155,12 +156,34 @@ def _order_scrambling_partix(cluster):
     the composer-ordering bug the oracle must catch."""
 
     class ScramblingDispatcher(ParallelDispatcher):
-        def dispatch(self, cluster_, subqueries, default_collection=None):
-            outcome = super().dispatch(cluster_, subqueries, default_collection)
-            outcome.executions_by_index.reverse()
+        def dispatch(self, cluster_, subqueries, **kwargs):
+            outcome = super().dispatch(cluster_, subqueries, **kwargs)
+            outcome.round.executions.reverse()
             return outcome
 
     return Partix(cluster, dispatcher=ScramblingDispatcher())
+
+
+class _Delayed(Transport):
+    """Another transport whose sub-queries each start after their own
+    delay (keyed by sub-query identity)."""
+
+    def __init__(self, inner, delays):
+        self.inner = inner
+        self.delays = delays
+        self.concurrent = inner.concurrent
+
+    def resolve(self, site_names):
+        self.inner.resolve(site_names)
+
+    def ping(self, site):
+        return self.inner.ping(site)
+
+    def execute(self, subquery, default_collection=None, timeout=None):
+        time.sleep(self.delays.get(id(subquery), 0.0))
+        return self.inner.execute(
+            subquery, default_collection=default_collection, timeout=timeout
+        )
 
 
 def _find_injected_failure():
@@ -259,8 +282,8 @@ class TestShrinkingRepublish:
 class TestPlanOrderStability:
     """Regression for the composer-ordering satellite: composition must
     follow plan order no matter in which order dispatch lanes complete.
-    The middleware guarantees this by re-pairing results through
-    ``executions_by_index``; these tests pin that contract."""
+    The dispatcher guarantees this by filing each execution under its
+    sub-query's position in the round; these tests pin that contract."""
 
     def test_threads_mode_is_byte_identical_across_repeats(self):
         spec = CaseSpec(seed=99, family="items", doc_count=6, fragment_count=4)
@@ -282,17 +305,18 @@ class TestPlanOrderStability:
                 assert threaded == baseline
 
     def test_completion_order_does_not_leak_into_composition(self):
-        # A dispatcher that reports completions in reverse plan order but
-        # keeps the index alignment intact: the composed answer must not
-        # change — only misaligned *indices* (the injected bug above) may
-        # break it.
+        # Lanes that complete in reverse plan order: the composed answer
+        # must not change — only misaligned executions (the injected bug
+        # above) may break it.
         class ReverseCompletion(ParallelDispatcher):
-            def dispatch(self, cluster_, subqueries, default_collection=None):
-                outcome = super().dispatch(
-                    cluster_, subqueries, default_collection
+            def dispatch(self, transport, subqueries, **kwargs):
+                delays = {
+                    id(subquery): 0.005 * (len(subqueries) - position)
+                    for position, subquery in enumerate(subqueries)
+                }
+                return super().dispatch(
+                    _Delayed(transport, delays), subqueries, **kwargs
                 )
-                outcome.round.executions.reverse()  # completion log only
-                return outcome
 
         spec = CaseSpec(seed=41, family="items", doc_count=5, fragment_count=3)
         outcome = run_case(

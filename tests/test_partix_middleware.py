@@ -25,7 +25,8 @@ from repro.partix import (
     annotated,
 )
 from repro.paths import eq, ne
-from tests.lane_threads import lane_threads as _lane_threads
+from repro.partix.catalog import FragmentAllocation
+from tests.lane_threads import lane_threads as _lane_threads, live_threads
 
 
 @pytest.fixture
@@ -300,6 +301,48 @@ class TestLifetime:
         assert all(thread.is_alive() for thread in mine)  # still owned
         partix.close()
         assert not any(thread.is_alive() for thread in mine)
+
+    def test_close_ends_the_probe_threads_too(self, items_collection):
+        """A readmission probe runs on a thread of the dispatcher the
+        instance owns, and ``close()`` ends it with the lanes."""
+        cluster = Cluster.with_sites(2)
+        cluster.add(Site("mirror"))
+        px = Partix(cluster)
+        design = FragmentationSchema("Citems", [
+            HorizontalFragment("F_cd", "Citems", predicate=eq("/Item/Section", "CD")),
+            HorizontalFragment("F_rest", "Citems", predicate=ne("/Item/Section", "CD")),
+        ], root_label="Item")
+        px.publish(items_collection, design, allocations=[
+            FragmentAllocation("F_cd", "site0", "F_cd"),
+            FragmentAllocation("F_cd", "mirror", "F_cd"),
+            FragmentAllocation("F_rest", "site1", "F_rest"),
+        ])
+        expected = px.execute(ALL_ITEMS, collection="Citems").result_text
+        before = live_threads("partix-dispatch") | live_threads(
+            "site-health-probe"
+        )
+        # Eject the mirror and let its probe fall due, then kill the
+        # primary: the retry probes the mirror, which readmits it.
+        while not px.site_health.is_ejected("mirror"):
+            px.site_health.record_failure("mirror")
+        monotonic = time.monotonic
+        px.site_health._clock = lambda: monotonic() + 3600.0
+        px.cluster.site("site0").driver = _DeadDriver()
+        result = px.execute(
+            ALL_ITEMS, collection="Citems", execution_mode="threads"
+        )
+        assert result.result_text == expected
+        assert not px.site_health.is_ejected("mirror")
+        px.close()
+        after = live_threads("partix-dispatch") | live_threads(
+            "site-health-probe"
+        )
+        assert not after - before
+
+
+class _DeadDriver:
+    def execute(self, *args, **kwargs):
+        raise RuntimeError("site is down")
 
 
 class TestSitesOwnIndexAccess:

@@ -9,6 +9,7 @@ ejected after the plan was cached.
 
 import pytest
 
+from repro.cluster.health import EJECTION_THRESHOLD
 from repro.cluster.site import Cluster, Site
 from repro.partix.catalog import FragmentAllocation
 from repro.partix.middleware import Partix
@@ -128,7 +129,7 @@ class TestPlanCacheInMiddleware:
             execution.site == "site0" for execution in warm.round.executions
         )
 
-        for _ in range(partix.site_health.ejection_threshold):
+        for _ in range(EJECTION_THRESHOLD):
             partix.site_health.record_failure("site0")
         rerouted = partix.execute(query, collection=collection.name)
         assert cache.stats()["hits"] >= 1  # the plan DID come from the cache

@@ -685,7 +685,7 @@ class TestDocumentsWithoutAPart:
 
 
 # ----------------------------------------------------------------------
-# Failover, deadlines, degrade
+# Failover and deadlines
 # ----------------------------------------------------------------------
 class _Recording(Transport):
     """Passes through to ``inner``; ``after(subquery)`` runs once each
@@ -757,9 +757,7 @@ BODIES_OF_SURVEYS = (
 
 class TestStagesUnderFaults:
     def test_replica_answers_stage_two_with_the_same_keys(self):
-        partix, central = _replicated(
-            ParallelDispatcher(retries=1, sleep=lambda s: None)
-        )
+        partix, central = _replicated(ParallelDispatcher(sleep=lambda s: None))
         with partix, central:
             expected = central.execute_centralized(
                 BODIES_OF_SURVEYS, CENTRAL
@@ -785,7 +783,7 @@ class TestStagesUnderFaults:
     def test_deadline_shorter_than_stage_one_is_typed(self):
         clock = [0.0]
         dispatcher = ParallelDispatcher(
-            retries=0, clock=lambda: clock[0], sleep=lambda s: None
+            clock=lambda: clock[0], sleep=lambda s: None
         )
         partix, central = _replicated(dispatcher)
         with partix, central:
@@ -809,7 +807,7 @@ class TestStagesUnderFaults:
     def test_stage_two_gets_the_remaining_deadline(self):
         clock = [0.0]
         dispatcher = ParallelDispatcher(
-            retries=0, clock=lambda: clock[0], sleep=lambda s: None
+            clock=lambda: clock[0], sleep=lambda s: None
         )
         partix, central = _replicated(dispatcher)
         with partix, central:

@@ -432,12 +432,11 @@ class TestStreamFailureSemantics:
                 _chunked_result(len(good)),
             ],
         )
-        dispatcher = ParallelDispatcher(retries=1, sleep=lambda seconds: None)
+        dispatcher = ParallelDispatcher(sleep=lambda seconds: None)
         outcome = dispatcher.dispatch(
             TcpTransport({"fake": client}), [SubQuery("F", "fake", "C", "q")]
         )
-        assert outcome.complete
-        (execution,) = outcome.executions_by_index
+        (execution,) = outcome.round.executions
         assert execution.result.result_text == "<Item>gööd</Item>"
         assert execution.chunked_bytes == len(good)
         assert outcome.round.peak_buffered_bytes == len(good)
