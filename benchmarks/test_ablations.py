@@ -378,50 +378,3 @@ class TestBinaryHotPath:
             "binary decode regressed behind re-parsing the XML text"
         )
 
-
-class TestAdvisorDesign:
-    """The auto-designed fragmentation (paper future work) should hold
-    its own against the paper's hand-made Section design."""
-
-    def test_advisor_matches_manual_design(self, scale, repetitions):
-        from repro.bench.scenarios import CENTRAL_SITE, Scenario, _make_cluster
-        from repro.bench.scenarios import PAPER_DOC_OVERHEAD
-        from repro.bench import build_items_scenario, scaled_point, items_count_for
-        from repro.partix import FragmentationAdvisor, Partix, WorkloadQuery
-        from repro.workloads import build_items_collection, items_queries
-
-        manual = build_items_scenario(
-            "small", paper_mb=PAPER_MB, fragment_count=4, scale=scale
-        ).run(repetitions=repetitions)
-
-        point = scaled_point(PAPER_MB, scale)
-        collection = build_items_collection(
-            items_count_for(point.target_bytes, "small"), kind="small", seed=42
-        )
-        workload = [WorkloadQuery(q.text) for q in items_queries()]
-        design = FragmentationAdvisor(
-            collection, workload, site_count=4
-        ).recommend()
-        cluster = _make_cluster(
-            4, use_indexes=False, per_document_overhead=PAPER_DOC_OVERHEAD
-        )
-        partix = Partix(cluster)
-        partix.publish(collection, design.fragmentation)
-        partix.publish_centralized(collection, CENTRAL_SITE)
-        scenario = Scenario(
-            "Advisor", partix, collection.name, items_queries(),
-            PAPER_MB, point.target_bytes, len(design.fragmentation),
-        )
-        auto = scenario.run(repetitions=repetitions)
-
-        manual_total = sum(run.fragmented_seconds for run in manual.runs)
-        auto_total = sum(run.fragmented_seconds for run in auto.runs)
-        print(
-            f"\nworkload totals: manual design {manual_total * 1000:.0f}ms,"
-            f" advisor design {auto_total * 1000:.0f}ms"
-        )
-        assert all(run.results_match for run in auto.runs)
-        assert auto_total < manual_total * 1.6, (
-            "advisor design should be in the same league as the manual one"
-        )
-

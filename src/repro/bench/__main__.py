@@ -17,10 +17,7 @@ against the golden files; with ``--update-golden`` it rewrites them
 instead.
 
 Wall-clock measurement is not done here: ``benchmarks/e2e/run.py`` is the
-repo's one wall-clock harness. One figure outside the modeled world
-remains, ``rebalance`` (advised migration under traffic), and it stays
-**only** until a benchmark-only change ports a mid-run migration into
-``benchmarks/e2e`` as a workload.
+repo's one wall-clock harness.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ import json
 import sys
 
 from repro.bench.plans import run_plans
-from repro.bench.rebalance import run_rebalance
 from repro.bench.reporting import (
     format_scenario_table,
     format_speedup_series,
@@ -94,7 +90,6 @@ FIGURES = {
     "7c": run_figure_7c,
     "7d": run_figure_7d,
     "headline": run_headline,
-    "rebalance": run_rebalance,
     # "plans" is dispatched specially in main(): it takes the golden-file
     # flags instead of repetitions/transmission.
     "plans": run_plans,

@@ -2,9 +2,9 @@
 
 :class:`CoordinatorClient` reuses the :class:`~repro.net.client.SiteClient`
 connection pool and handshake — the coordinator speaks the same frame
-protocol as a site server — and adds the QUERY round trip: a
-QUERY_RESULT answer returns the serving payload, a QUERY_ERROR raises
-the coordinator's typed exception
+protocol as a site server — and adds the QUERY and REBALANCE round
+trips: a QUERY_RESULT answer returns the serving payload, a QUERY_ERROR
+raises the coordinator's typed exception
 (:class:`~repro.errors.AdmissionRejected` for a shed query,
 :class:`~repro.errors.QueryDeadlineExceeded` for an expired deadline,
 and so on) rebuilt by class name exactly as site ERROR frames are.
@@ -57,42 +57,17 @@ class CoordinatorClient(SiteClient):
         """The coordinator's serving stats (admission, plan cache, pools)."""
         return self.ping(read_timeout=read_timeout)
 
-    def advise(
-        self,
-        collection: Optional[str] = None,
-        top: int = 5,
-        read_timeout: Optional[float] = None,
-    ) -> dict:
-        """Ask the workload advisor for ranked rebalance actions.
-
-        Returns ``{"actions": [...], "catalog_version", "query_log"}``;
-        each action dict round-trips through
-        :meth:`repro.partix.advisor.RebalanceAction.from_dict`.
-        """
-        payload: dict = {"top": top}
-        if collection is not None:
-            payload["collection"] = collection
-        reply, _, _ = self.call(FrameType.ADVISE, payload, read_timeout)
-        if reply.type is not FrameType.OK:
-            raise TransportError(f"ADVISE answered with {reply.type.name}")
-        return reply.payload
-
     def rebalance(
-        self,
-        collection: Optional[str] = None,
-        action: Optional[dict] = None,
-        read_timeout: Optional[float] = None,
+        self, action: dict, read_timeout: Optional[float] = None
     ) -> dict:
-        """Apply one rebalance action online (the advisor's top pick when
-        ``action`` is None). Returns ``{"action", "report",
-        "catalog_version"}``; failures raise the coordinator's typed
-        exception (e.g. :class:`~repro.errors.RebalanceError`)."""
-        payload: dict = {}
-        if collection is not None:
-            payload["collection"] = collection
-        if action is not None:
-            payload["action"] = action
-        reply, _, _ = self.call(FrameType.REBALANCE, payload, read_timeout)
+        """Apply one rebalance action online: ``action`` is a
+        :meth:`repro.rebalance.RebalanceAction.to_dict` payload. Returns
+        ``{"action", "report", "catalog_version"}``; failures raise the
+        coordinator's typed exception (e.g.
+        :class:`~repro.errors.RebalanceError`)."""
+        reply, _, _ = self.call(
+            FrameType.REBALANCE, {"action": action}, read_timeout
+        )
         if reply.type is not FrameType.OK:
             raise TransportError(f"REBALANCE answered with {reply.type.name}")
         return reply.payload

@@ -5,7 +5,7 @@ speaking the frame protocol of :mod:`repro.net.protocol` and multiplexes
 their QUERY frames onto one :class:`~repro.partix.middleware.Partix`
 instance. It is a :class:`~repro.net.server.FrameServer` — the site
 server's threaded connection loop, handshake, common frames, counters
-and drain — that adds QUERY, ADVISE and REBALANCE:
+and drain — that adds QUERY and REBALANCE:
 
 * **Admission on the connection thread** — a QUERY claims an execution
   slot or a place in the queue of the
@@ -31,6 +31,9 @@ and drain — that adds QUERY, ADVISE and REBALANCE:
 * **Shared site pools** — in tcp mode every query runs over the one
   ``TcpSiteCluster`` client-pool set; pool reuse shows up in the serving
   stats (``connections_created`` stays near the pool size).
+* **Rebalancing** — a REBALANCE frame carries one operator
+  :class:`~repro.rebalance.RebalanceAction`, which the
+  :class:`~repro.rebalance.Rebalancer` applies online.
 
 Shutdown is the frame server's drain: the listener closes first, every
 query already admitted finishes and its reply reaches its client, then
@@ -48,7 +51,6 @@ from repro.errors import (
     CoordinatorError,
     DispatchError,
     QueryDeadlineExceeded,
-    RebalanceError,
 )
 from repro.net.protocol import (
     Frame,
@@ -58,10 +60,9 @@ from repro.net.protocol import (
 )
 from repro.net.server import Connection, FrameServer, RequestHandler
 from repro.coordinate.admission import AdmissionController
-from repro.partix.advisor import RebalanceAction, WorkloadAdvisor
 from repro.partix.middleware import Partix, PartixResult
 from repro.plan.cache import PlanCache
-from repro.rebalance import QueryLog, Rebalancer
+from repro.rebalance import QueryLog, RebalanceAction, Rebalancer
 
 
 def _query_result_payload(result: PartixResult, elapsed: float) -> dict:
@@ -107,9 +108,9 @@ class Coordinator(FrameServer):
         if plan_cache is not None:
             partix.plan_cache = plan_cache
         self.plan_cache = partix.plan_cache
-        #: Workload memory for the rebalancing advisor: every successful
-        #: query records which fragments it scanned where and how long
-        #: each lane took (see ``repro.rebalance``).
+        #: Workload memory: every successful query records which
+        #: fragments it scanned where and how long each lane took (see
+        #: ``repro.rebalance.log``).
         self.query_log = query_log if query_log is not None else QueryLog()
         self.rebalancer = Rebalancer(partix)
         # Admission caps active plus queued queries at the pool's size,
@@ -122,7 +123,6 @@ class Coordinator(FrameServer):
     def request_handlers(self) -> dict[FrameType, RequestHandler]:
         return {
             FrameType.QUERY: self._query,
-            FrameType.ADVISE: self._advise,
             FrameType.REBALANCE: self._rebalance,
         }
 
@@ -179,14 +179,12 @@ class Coordinator(FrameServer):
         try:
             result = self._execute(payload, arrived, waiter)
             elapsed = time.perf_counter() - arrived
-            catalog = self.partix.distribution_catalog
             self.query_log.record_result(
                 payload["query"],
                 payload.get("collection"),
                 result,
                 elapsed,
-                catalog.version,
-                catalog=catalog,
+                self.partix.distribution_catalog.version,
             )
         except Exception as exc:  # noqa: BLE001 - becomes a QUERY_ERROR
             self._query_error(connection, frame.request_id, exc)
@@ -210,45 +208,13 @@ class Coordinator(FrameServer):
         connection.reply(rid, FrameType.QUERY_ERROR, error_payload)
 
     # ------------------------------------------------------------------
-    # Rebalancing (ADVISE / REBALANCE frames)
+    # Rebalancing (REBALANCE frame)
     # ------------------------------------------------------------------
-    def _advisor(self) -> WorkloadAdvisor:
-        return WorkloadAdvisor(
-            self.partix.distribution_catalog,
-            self.partix.cost_model,
-            self.query_log,
-            self.partix.cluster.site_names(),
-        )
-
-    def _advise(self, connection: Connection, frame: Frame) -> dict:
-        payload = frame.payload
-        actions = self._advisor().advise(
-            collection=payload.get("collection"),
-            top=int(payload.get("top", 5)),
-        )
-        return {
-            "actions": [action.to_dict() for action in actions],
-            "catalog_version": self.partix.distribution_catalog.version,
-            "query_log": self.query_log.stats_payload(),
-        }
-
     def _rebalance(self, connection: Connection, frame: Frame) -> dict:
-        """Pick (or decode) an action, migrate, report."""
+        """Decode the operator's action, migrate, report."""
         if self._shutdown_requested.is_set():
             raise CoordinatorError("coordinator is draining; reconnect")
-        payload = frame.payload
-        if payload.get("action"):
-            action = RebalanceAction.from_dict(payload["action"])
-        else:
-            actions = self._advisor().advise(
-                collection=payload.get("collection"), top=1
-            )
-            if not actions:
-                raise RebalanceError(
-                    "the advisor found no rebalance action to apply (is the"
-                    " query log empty?)"
-                )
-            action = actions[0]
+        action = RebalanceAction.from_dict(frame.payload.get("action"))
         report = self.rebalancer.apply(action)
         return {
             "action": action.to_dict(),

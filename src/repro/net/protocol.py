@@ -68,9 +68,10 @@ MAGIC = b"PX"
 #: or RESULT_CHUNK… and a closing frame of its own type); 3: QUERY lost
 #: its own, the coordinator does the same; 4: that closing frame (type
 #: 17) folded into RESULT, so a reply is RESULT_CHUNK* then one terminal
-#: frame. An older peer would meet frames it does not expect and is
+#: frame; 5: frame type 21 is retired and REBALANCE must carry an
+#: action. An older peer would meet frames it does not expect and is
 #: refused at the handshake instead.
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 #: ``!`` network byte order: magic, version, type, request id, payload size.
 _HEADER = struct.Struct("!2sBBQI")
@@ -140,12 +141,10 @@ class FrameType(enum.IntEnum):
     QUERY = 18  # {"query", "collection"?, "deadline_seconds"?}
     QUERY_RESULT = 19  # {"result_text" | "result_bytes", serving stats...}
     QUERY_ERROR = 20  # {"error_type", "message", "shed": bool}
-    # Rebalancing frames (client ↔ repro.coordinate service), both
-    # answered by OK or ERROR. ADVISE mines the coordinator's query log
-    # for ranked RebalanceActions; REBALANCE applies one online (the
-    # advisor's top action when the payload names none).
-    ADVISE = 21  # {"collection"?, "top"?}
-    REBALANCE = 22  # {"collection"?, "action"?: RebalanceAction dict}
+    # Rebalancing frame (client ↔ repro.coordinate service), answered
+    # by OK or ERROR: REBALANCE applies the operator's RebalanceAction
+    # online. (Type 21 is retired since protocol version 5.)
+    REBALANCE = 22  # {"action": RebalanceAction dict}
     # Site frame: delete every document of a stored collection whose name
     # is not listed (a republish retiring what it did not overwrite).
     # Answered by OK.

@@ -20,7 +20,7 @@ and serves each on its own thread with the frame protocol of
 A server adds only its own request frames (:meth:`request_handlers`):
 :class:`SiteServer` the driver frames of one engine database per
 process (``python -m repro.serve``), the coordinator
-(:mod:`repro.coordinate.service`) QUERY, ADVISE and REBALANCE.
+(:mod:`repro.coordinate.service`) QUERY and REBALANCE.
 
 Drain: SHUTDOWN, :meth:`~FrameServer.request_shutdown` or SIGTERM stop
 the accept loop and close the listener; idle handlers give up within

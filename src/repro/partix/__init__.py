@@ -5,11 +5,6 @@ definitions with correctness rules (§3), and the middleware that
 decomposes XQuery over fragments and composes results (§4).
 """
 
-from repro.partix.advisor import (
-    DesignRecommendation,
-    FragmentationAdvisor,
-    WorkloadQuery,
-)
 from repro.partix.catalog import (
     CollectionDeclaration,
     DistributionCatalog,
@@ -61,9 +56,6 @@ from repro.plan.physical import PhysicalPlan
 
 __all__ = [
     "CollectionDeclaration",
-    "DesignRecommendation",
-    "FragmentationAdvisor",
-    "WorkloadQuery",
     "ComposedResult",
     "CompositionSpec",
     "CorrectnessReport",

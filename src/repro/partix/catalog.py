@@ -88,8 +88,8 @@ class FragmentStatistics:
     storing site's :class:`~repro.engine.indexes.ValueSummary` of the
     replica, by which localization drops a horizontal fragment that
     provably holds no match — so planning never has to touch a site.
-    ``None`` (a driver that reports none, a hypothetical replica the
-    advisor prices) means unknown: nothing is pruned on it.
+    ``None`` (a driver that reports none) means unknown: nothing is
+    pruned on it.
     """
 
     documents: int

@@ -1,20 +1,14 @@
-"""``python -m repro.rebalance`` — drive the rebalancer from the CLI.
+"""``python -m repro.rebalance`` — apply a rebalance action from the CLI.
 
-Three subcommands against a running coordinator (start one with
-``python -m repro.coordinate``), plus a self-contained demo::
+One subcommand against a running coordinator (start one with
+``python -m repro.coordinate``)::
 
-    python -m repro.rebalance advise --port 7400
-    python -m repro.rebalance advise --port 7400 --collection Citems --top 3
-    python -m repro.rebalance apply  --port 7400 --collection Citems
-    python -m repro.rebalance apply  --port 7400 --action '{"kind": "move", ...}'
-    python -m repro.rebalance demo
+    python -m repro.rebalance apply --port 7400 \\
+        --action '{"kind": "split", "collection": "Citems", "fragment": "F1"}'
 
-``advise`` prints the workload advisor's ranked
-:class:`~repro.partix.advisor.RebalanceAction`\\ s mined from the
-coordinator's query log; ``apply`` performs one online (the top-ranked
-action when ``--action`` is omitted) and prints the migration report;
-``demo`` runs the ``--figure rebalance`` benchmark end to end — hot
-fragment, closed-loop traffic, advised split, before/after p95.
+``apply`` sends one :class:`~repro.rebalance.RebalanceAction` (JSON, as
+:meth:`~repro.rebalance.RebalanceAction.to_dict` writes it) in a
+REBALANCE frame, waits for the online migration and prints its report.
 """
 
 from __future__ import annotations
@@ -26,49 +20,11 @@ import sys
 from repro.coordinate.client import CoordinatorClient
 
 
-def _client(args) -> CoordinatorClient:
-    return CoordinatorClient(args.host, args.port, site="coordinator")
-
-
-def _print_action(rank: int, action: dict) -> None:
-    targets = ", ".join(action["target_sites"]) or "-"
-    print(
-        f"  #{rank} {action['kind']:<9} {action['fragment']:<12}"
-        f" -> {targets:<16} score={action['score']:+.4f}s"
-    )
-    print(f"      {action['rationale']}")
-
-
-def _advise(args) -> int:
-    client = _client(args)
-    try:
-        reply = client.advise(collection=args.collection, top=args.top)
-    finally:
-        client.close()
-    log = reply["query_log"]
-    print(
-        f"query log: {log['entries']} entries"
-        f" ({log['distinct_queries']} distinct queries),"
-        f" catalog version {reply['catalog_version']}"
-    )
-    if not reply["actions"]:
-        print("no rebalance actions (empty log or nothing to gain)")
-        return 1
-    for rank, action in enumerate(reply["actions"], start=1):
-        _print_action(rank, action)
-    if args.json:
-        print(json.dumps(reply, indent=2))
-    return 0
-
-
 def _apply(args) -> int:
-    action = json.loads(args.action) if args.action else None
-    client = _client(args)
+    client = CoordinatorClient(args.host, args.port, site="coordinator")
     try:
         reply = client.rebalance(
-            collection=args.collection,
-            action=action,
-            read_timeout=args.timeout,
+            json.loads(args.action), read_timeout=args.timeout
         )
     finally:
         client.close()
@@ -96,47 +52,19 @@ def _apply(args) -> int:
     return 0 if report["completed"] else 1
 
 
-def _demo(args) -> int:
-    from repro.bench.rebalance import run_rebalance
-
-    run_rebalance(
-        scale=args.scale, repetitions=args.repetitions, transmission="model"
-    )
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.rebalance",
-        description="online fragment rebalancing + workload advisor",
+        description="online fragment rebalancing",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    advise = commands.add_parser(
-        "advise", help="print the advisor's ranked rebalance actions"
-    )
     apply_ = commands.add_parser(
         "apply", help="apply one rebalance action online"
     )
-    for sub in (advise, apply_):
-        sub.add_argument("--host", default="127.0.0.1")
-        sub.add_argument("--port", type=int, default=7400)
-        sub.add_argument(
-            "--collection",
-            default=None,
-            help="restrict to one collection (default: all logged)",
-        )
-        sub.add_argument(
-            "--json", action="store_true", help="also dump the raw payload"
-        )
-    advise.add_argument(
-        "--top", type=int, default=5, help="how many actions to show"
-    )
-    advise.set_defaults(run=_advise)
+    apply_.add_argument("--host", default="127.0.0.1")
+    apply_.add_argument("--port", type=int, default=7400)
     apply_.add_argument(
-        "--action",
-        default=None,
-        help="explicit RebalanceAction as JSON (default: advisor's top pick)",
+        "--action", required=True, help="the RebalanceAction as JSON"
     )
     apply_.add_argument(
         "--timeout",
@@ -144,14 +72,10 @@ def main(argv=None) -> int:
         default=120.0,
         help="seconds to wait for the migration",
     )
-    apply_.set_defaults(run=_apply)
-
-    demo = commands.add_parser(
-        "demo", help="run the --figure rebalance benchmark end to end"
+    apply_.add_argument(
+        "--json", action="store_true", help="also dump the raw payload"
     )
-    demo.add_argument("--scale", type=float, default=0.002)
-    demo.add_argument("--repetitions", type=int, default=1)
-    demo.set_defaults(run=_demo)
+    apply_.set_defaults(run=_apply)
 
     args = parser.parse_args(argv)
     return args.run(args)

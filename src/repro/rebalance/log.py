@@ -1,20 +1,14 @@
-"""The coordinator's query log — the advisor's raw material.
+"""The coordinator's query log.
 
-Fragmentation design should be *mined from the workload* (Mahboubi &
-Darmont, PAPERS.md): which queries run, how often, which fragments they
-actually touch, and how selective their predicates turned out to be.
 The :class:`QueryLog` is a bounded, thread-safe ring buffer of
 :class:`QueryLogEntry` records built from executed
 :class:`~repro.partix.middleware.PartixResult`\\ s:
 
 * one :class:`LaneObservation` per sub-query execution, carrying the
   fragment, the site that answered, the planner's estimate next to the
-  measured seconds, and the *observed selectivity* — result bytes over
-  the fragment replica's published bytes from the catalog's
-  :class:`~repro.partix.catalog.FragmentStatistics` (1.0 ≈ the predicate
-  kept everything, 0.0 ≈ the lane was pure overhead);
-* the catalog version the query planned against, so the advisor can
-  discard observations from designs that no longer exist.
+  measured seconds, and the bytes the lane returned;
+* the catalog version the query planned against, so observations from
+  a design that no longer exists can be told apart.
 
 The coordinator records every successful query; recording is O(lanes)
 with one short lock hold, cheap enough for the serving hot path.
@@ -28,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.partix.catalog import DistributionCatalog
     from repro.partix.middleware import PartixResult
 
 
@@ -41,9 +34,6 @@ class LaneObservation:
     measured_seconds: float
     estimated_seconds: Optional[float]
     result_bytes: int
-    #: result bytes / the replica's published bytes (None when the
-    #: catalog holds no statistics for the fragment at that site).
-    selectivity: Optional[float]
 
     def to_dict(self) -> dict:
         return {
@@ -52,13 +42,12 @@ class LaneObservation:
             "measured_seconds": self.measured_seconds,
             "estimated_seconds": self.estimated_seconds,
             "result_bytes": self.result_bytes,
-            "selectivity": self.selectivity,
         }
 
 
 @dataclass(frozen=True)
 class QueryLogEntry:
-    """One executed query as the advisor sees it."""
+    """One executed query."""
 
     query: str
     collection: Optional[str]
@@ -100,41 +89,23 @@ class QueryLog:
         result: "PartixResult",
         elapsed_seconds: float,
         catalog_version: int,
-        catalog: Optional["DistributionCatalog"] = None,
     ) -> QueryLogEntry:
-        """Build an entry from a finished execution and record it.
-
-        Per-lane selectivity comes from the catalog's fragment
-        statistics when available: the bytes a lane returned over the
-        bytes its fragment replica holds.
-        """
-        lanes = []
-        for execution in result.round.executions:
-            selectivity = None
-            if catalog is not None and collection is not None:
-                stats = catalog.statistics(
-                    collection, execution.fragment, execution.site
-                )
-                if stats is not None and stats.bytes > 0:
-                    selectivity = min(
-                        1.0, execution.bytes_received / stats.bytes
-                    )
-            lanes.append(
+        """Build an entry from a finished execution and record it."""
+        entry = QueryLogEntry(
+            query=query,
+            collection=collection,
+            catalog_version=catalog_version,
+            elapsed_seconds=elapsed_seconds,
+            lanes=tuple(
                 LaneObservation(
                     fragment=execution.fragment,
                     site=execution.site,
                     measured_seconds=execution.elapsed,
                     estimated_seconds=execution.estimated_seconds,
                     result_bytes=execution.bytes_received,
-                    selectivity=selectivity,
                 )
-            )
-        entry = QueryLogEntry(
-            query=query,
-            collection=collection,
-            catalog_version=catalog_version,
-            elapsed_seconds=elapsed_seconds,
-            lanes=tuple(lanes),
+                for execution in result.round.executions
+            ),
         )
         self.record(entry)
         return entry
@@ -149,15 +120,6 @@ class QueryLog:
         if collection is None:
             return snapshot
         return [e for e in snapshot if e.collection == collection]
-
-    def frequencies(
-        self, collection: Optional[str] = None
-    ) -> Counter:
-        """How often each (query, collection) pair appears in the buffer."""
-        tally: Counter = Counter()
-        for entry in self.entries(collection):
-            tally[(entry.query, entry.collection)] += 1
-        return tally
 
     def clear(self) -> None:
         with self._lock:

@@ -54,8 +54,57 @@ from repro.xmltext.serializer import serialize
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.store import StoredDocument
-    from repro.partix.advisor import RebalanceAction
     from repro.partix.middleware import Partix
+
+
+@dataclass(frozen=True)
+class RebalanceAction:
+    """One re-placement an operator asks for: plain data that
+    :meth:`Rebalancer.apply` performs and the REBALANCE frame carries."""
+
+    kind: str  # "split" | "move" | "replicate" | "merge"
+    collection: str
+    fragment: str
+    target_sites: tuple[str, ...] = ()
+    #: Second fragment of a merge (unused otherwise).
+    fragment_b: Optional[str] = None
+    #: Explicit split boundary path (None = let the rebalancer probe).
+    split_path: Optional[str] = None
+
+    def to_dict(self) -> dict:
+        return {
+            "kind": self.kind,
+            "collection": self.collection,
+            "fragment": self.fragment,
+            "target_sites": list(self.target_sites),
+            "fragment_b": self.fragment_b,
+            "split_path": self.split_path,
+        }
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "RebalanceAction":
+        """Decode a wire payload; a malformed one raises RebalanceError."""
+        if not isinstance(payload, dict):
+            raise RebalanceError(
+                f"REBALANCE needs an action object, got {payload!r}"
+            )
+        missing = [
+            key
+            for key in ("kind", "collection", "fragment")
+            if not payload.get(key)
+        ]
+        if missing:
+            raise RebalanceError(
+                f"rebalance action lacks {', '.join(missing)}"
+            )
+        return cls(
+            kind=payload["kind"],
+            collection=payload["collection"],
+            fragment=payload["fragment"],
+            target_sites=tuple(payload.get("target_sites") or ()),
+            fragment_b=payload.get("fragment_b"),
+            split_path=payload.get("split_path"),
+        )
 
 
 @dataclass
@@ -109,9 +158,11 @@ class Rebalancer:
     # ------------------------------------------------------------------
     # Entry points
     # ------------------------------------------------------------------
-    def apply(self, action: "RebalanceAction") -> MigrationReport:
-        """Apply one advisor action; raises :class:`RebalanceError` when
-        the action's kind is unknown or its migration is impossible."""
+    def apply(self, action: RebalanceAction) -> MigrationReport:
+        """Apply one operator action; raises :class:`RebalanceError` when
+        the action is malformed or its migration is impossible."""
+        if action.kind in ("move", "replicate") and not action.target_sites:
+            raise RebalanceError(f"{action.kind} action needs a target site")
         if action.kind == "split":
             return self.split(
                 action.collection,

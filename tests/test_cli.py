@@ -4,11 +4,13 @@ import pytest
 
 from repro.bench.__main__ import FIGURES, main
 
-REMAINING_FIGURES = ("7a", "7b", "7c", "7d", "headline", "plans", "rebalance")
+REMAINING_FIGURES = ("7a", "7b", "7c", "7d", "headline", "plans")
 #: Wall-clock figures retired in favour of ``benchmarks/e2e`` workloads,
-#: and ``parallel``, which went with the intra-site shard pipeline.
+#: ``parallel``, which went with the intra-site shard pipeline, and
+#: ``rebalance``, which went with the workload advisor.
 REMOVED_FIGURES = (
     "modes", "transport", "streaming", "serving", "pushdown", "parallel",
+    "rebalance",
 )
 
 

@@ -18,8 +18,7 @@ import pytest
 
 from repro.cluster import ParallelDispatcher
 from repro.cluster.site import Cluster, Site
-from repro.coordinate import Coordinator, CoordinatorClient, run_traffic
-from repro.coordinate.traffic import WorkloadQuery
+from repro.coordinate import Coordinator, CoordinatorClient
 from repro.datamodel import Collection, doc, elem
 from repro.errors import AdmissionRejected, QueryDeadlineExceeded
 from repro.net import protocol
@@ -40,6 +39,7 @@ from repro.workloads.virtual_store import (
     build_items_collection,
     items_horizontal_fragmentation,
 )
+from tests.traffic import WorkloadQuery, run_traffic
 
 
 def _published_partix(fragment_count=2, item_count=24, dispatcher=None):

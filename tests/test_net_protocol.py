@@ -68,9 +68,7 @@ PAYLOADS = {
         "message": "coordinator overloaded",
         "shed": True,
     },
-    FrameType.ADVISE: {"collection": "Citems", "top": 3},
     FrameType.REBALANCE: {
-        "collection": "Citems",
         "action": {"kind": "split", "collection": "Citems", "fragment": "F1"},
     },
     FrameType.RETAIN_DOCUMENTS: {"collection": "C", "keep": ["doc1"]},

@@ -1,4 +1,4 @@
-"""The online-rebalancing battery: Rebalancer, QueryLog, WorkloadAdvisor.
+"""The online-rebalancing battery: Rebalancer, RebalanceAction, QueryLog.
 
 The core property mirrors the fuzz ``--migrate`` oracle: every
 migration — split, move, promote, replicate, merge — must preserve
@@ -15,12 +15,12 @@ from repro.cluster.site import Cluster
 from repro.datamodel import Collection, doc, elem
 from repro.coordinate import Coordinator, CoordinatorClient
 from repro.errors import CatalogContention, RebalanceError
-from repro.partix.advisor import RebalanceAction, WorkloadAdvisor
+from repro.net.protocol import FrameType
 from repro.partix.fragments import FragmentationSchema, HorizontalFragment
 from repro.partix.middleware import Partix
 from repro.paths import eq, ne
 from repro.plan.cache import PlanCache
-from repro.rebalance import QueryLog, Rebalancer
+from repro.rebalance import QueryLog, RebalanceAction, Rebalancer
 from repro.workloads.queries import items_queries
 from repro.workloads.virtual_store import (
     build_items_collection,
@@ -80,7 +80,6 @@ def _fill_log(partix, collection, repetitions=3):
                 result,
                 elapsed_seconds=0.01,
                 catalog_version=catalog.version,
-                catalog=catalog,
             )
     return log
 
@@ -327,7 +326,7 @@ class TestQueryLog:
         assert log.stats_payload()["recorded"] == 5
         assert [e.query for e in log.entries()] == ["q2", "q3", "q4"]
 
-    def test_record_result_builds_lanes_with_selectivity(self):
+    def test_record_result_builds_lane_observations(self):
         partix, collection = _published_partix()
         log = _fill_log(partix, collection, repetitions=1)
         lanes = [
@@ -338,15 +337,16 @@ class TestQueryLog:
         assert lanes, "executions should become lane observations"
         for lane in lanes:
             assert lane.site and lane.fragment
-            assert lane.selectivity is None or 0.0 <= lane.selectivity <= 1.0
+            assert lane.result_bytes >= 0
 
-    def test_frequencies_and_stats_payload(self):
+    def test_stats_payload_counts_distinct_queries(self):
         partix, collection = _published_partix()
         log = _fill_log(partix, collection, repetitions=2)
-        tally = log.frequencies(collection.name)
-        assert all(count == 2 for count in tally.values())
         payload = log.stats_payload()
-        assert payload["distinct_queries"] == len(tally)
+        assert payload["entries"] == 2 * len(items_queries(collection.name))
+        assert payload["distinct_queries"] == len(
+            items_queries(collection.name)
+        )
         assert payload["busiest_sites"]
 
     def test_invalid_capacity_rejected(self):
@@ -354,87 +354,16 @@ class TestQueryLog:
             QueryLog(capacity=0)
 
 
-class TestWorkloadAdvisor:
-    def _advisor(self, partix, log):
-        return WorkloadAdvisor(
-            partix.distribution_catalog,
-            partix.cost_model,
-            log,
-            partix.cluster.site_names(),
-        )
-
-    def test_empty_log_advises_nothing(self):
-        partix, collection = _published_partix()
-        assert self._advisor(partix, QueryLog()).advise() == []
-
-    def test_ranked_actions_lead_with_a_positive_score(self):
-        partix, collection = _published_partix()
-        log = _fill_log(partix, collection)
-        actions = self._advisor(partix, log).advise(collection=collection.name)
-        assert actions
-        scores = [action.score for action in actions]
-        assert scores == sorted(scores, reverse=True)
-        top = actions[0]
-        assert top.kind in ("split", "move")
-        assert top.score > 0.0
-        assert top.projected_bottleneck_seconds < top.current_bottleneck_seconds
-        assert top.rationale
-
-    def test_split_targets_keep_the_bottleneck_and_use_a_cold_site(self):
-        partix, collection = _published_partix()
-        log = _fill_log(partix, collection)
-        actions = self._advisor(partix, log).advise(collection=collection.name)
-        split = next(a for a in actions if a.kind == "split")
-        assert len(split.target_sites) == 2
-        # The second target is a site holding no fragment yet.
-        catalog = partix.distribution_catalog
-        primaries = {
-            catalog.allocation(collection.name, name).site
-            for name in catalog.fragmentation(collection.name).fragment_names()
-        }
-        assert split.target_sites[1] not in primaries
-
-    def test_replicate_is_scored_at_zero_latency_benefit(self):
-        partix, collection = _published_partix()
-        log = _fill_log(partix, collection)
-        actions = self._advisor(partix, log).advise(collection=collection.name)
-        replicate = next(a for a in actions if a.kind == "replicate")
-        assert replicate.score == 0.0
-        assert (
-            replicate.projected_bottleneck_seconds
-            == replicate.current_bottleneck_seconds
-        )
-
-    def test_top_limits_the_ranking(self):
-        partix, collection = _published_partix()
-        log = _fill_log(partix, collection)
-        actions = self._advisor(partix, log).advise(
-            collection=collection.name, top=1
-        )
-        assert len(actions) == 1
-
+class TestRebalanceAction:
     def test_action_round_trips_through_dict(self):
         action = RebalanceAction(
             kind="split",
             collection="C",
             fragment="F1",
             target_sites=("a", "b"),
-            score=1.25,
-            current_bottleneck_seconds=3.0,
-            projected_bottleneck_seconds=1.75,
-            rationale="because",
             split_path="/Item/Section",
         )
         assert RebalanceAction.from_dict(action.to_dict()) == action
-
-    def test_advised_top_action_is_applicable(self):
-        partix, collection = _published_partix()
-        log = _fill_log(partix, collection)
-        top = self._advisor(partix, log).advise(collection=collection.name)[0]
-        baselines = _baselines(partix, collection)
-        report = Rebalancer(partix).apply(top)
-        assert report.completed
-        _assert_answers_preserved(partix, collection, baselines)
 
 
 class TestCoordinatorRebalanceFrames:
@@ -443,33 +372,30 @@ class TestCoordinatorRebalanceFrames:
             partix, execution_mode="threads", max_active=4, queue_limit=64
         ).serve_in_thread()
 
-    def test_advise_and_rebalance_over_the_wire(self):
+    def _client(self, coordinator):
+        return CoordinatorClient(
+            coordinator.host, coordinator.port, site="test"
+        )
+
+    def test_rebalance_over_the_wire(self):
         partix, collection = _published_partix()
         baselines = _baselines(partix, collection)
         coordinator = self._serve(partix)
         client = None
         try:
-            client = CoordinatorClient(
-                coordinator.host, coordinator.port, site="test"
-            )
-            for _ in range(2):
-                for qid, (text, expected) in baselines.items():
-                    payload = client.query(text, collection=collection.name)
-                    assert payload["result_text"] == expected, qid
+            client = self._client(coordinator)
+            for qid, (text, expected) in baselines.items():
+                payload = client.query(text, collection=collection.name)
+                assert payload["result_text"] == expected, qid
+            version = partix.distribution_catalog.version
 
-            advice = client.advise(collection=collection.name)
-            assert advice["actions"]
-            assert advice["query_log"]["entries"] > 0
-            version = advice["catalog_version"]
-
-            reply = client.rebalance(
-                collection=collection.name, read_timeout=60.0
-            )
+            action = RebalanceAction(
+                kind="split", collection=collection.name, fragment="F1"
+            ).to_dict()
+            reply = client.rebalance(action=action, read_timeout=60.0)
             assert reply["report"]["completed"]
             assert reply["catalog_version"] > version
-            assert (
-                reply["action"]["kind"] == advice["actions"][0]["kind"]
-            )
+            assert reply["action"] == action
 
             for qid, (text, expected) in baselines.items():
                 payload = client.query(text, collection=collection.name)
@@ -483,16 +409,16 @@ class TestCoordinatorRebalanceFrames:
                 client.close()
             coordinator.close()
 
-    def test_rebalance_with_empty_log_raises_typed_error(self):
+    def test_rebalance_without_an_action_is_refused(self):
         partix, collection = _published_partix()
         coordinator = self._serve(partix)
         client = None
         try:
-            client = CoordinatorClient(
-                coordinator.host, coordinator.port, site="test"
-            )
-            with pytest.raises(RebalanceError, match="no rebalance action"):
-                client.rebalance(collection=collection.name)
+            client = self._client(coordinator)
+            with pytest.raises(RebalanceError, match="needs an action"):
+                client.call(
+                    FrameType.REBALANCE, {"collection": collection.name}
+                )
         finally:
             if client is not None:
                 client.close()
@@ -503,18 +429,48 @@ class TestCoordinatorRebalanceFrames:
         coordinator = self._serve(partix)
         client = None
         try:
-            client = CoordinatorClient(
-                coordinator.host, coordinator.port, site="test"
-            )
+            client = self._client(coordinator)
             action = RebalanceAction(
                 kind="defragment", collection=collection.name, fragment="F1"
             ).to_dict()
             with pytest.raises(RebalanceError, match="unknown"):
-                client.rebalance(collection=collection.name, action=action)
+                client.rebalance(action=action)
         finally:
             if client is not None:
                 client.close()
             coordinator.close()
+
+    @pytest.mark.parametrize(
+        "action, message",
+        [
+            ({"kind": "move", "fragment": "F1"}, "target site"),
+            ({"kind": "replicate", "fragment": "F1"}, "target site"),
+            ({"fragment": "F1", "target_sites": ["site3"]}, "kind"),
+            ({"kind": "split", "collection": None}, "collection, fragment"),
+            ({"kind": "split"}, "fragment"),
+            ({"kind": "move", "target_sites": ["site3"]}, "fragment"),
+        ],
+    )
+    def test_malformed_actions_raise_typed_errors_over_the_wire(
+        self, action, message
+    ):
+        # Refused as RebalanceError, not as an IndexError / KeyError from
+        # inside the handler; the placement is untouched.
+        partix, collection = _published_partix()
+        coordinator = self._serve(partix)
+        client = None
+        version = partix.distribution_catalog.version
+        try:
+            client = self._client(coordinator)
+            with pytest.raises(RebalanceError, match=message):
+                client.rebalance(
+                    action={"collection": collection.name, **action}
+                )
+        finally:
+            if client is not None:
+                client.close()
+            coordinator.close()
+        assert partix.distribution_catalog.version == version
 
 
 class _ChurningCatalog:

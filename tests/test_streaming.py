@@ -67,10 +67,11 @@ class TestChunkNegotiation:
     def test_a_version_1_peer_is_rejected_at_the_handshake(self):
         # Versions 1 and 2 selected a reply form with a "stream" key (on
         # EXECUTE, then on QUERY), version 3 closed a chunked reply with
-        # a frame type of its own; a peer still speaking any of them
+        # a frame type of its own, version 4 had a frame type 21 and a
+        # REBALANCE without an action; a peer still speaking any of them
         # would meet frames it does not expect.
-        assert PROTOCOL_VERSION == 4
-        for version in (1, 2, 3):
+        assert PROTOCOL_VERSION == 5
+        for version in (1, 2, 3, 4):
             reply, chunk_bytes = answer_hello(
                 Frame(FrameType.HELLO, 1, {"version": version}), "s0"
             )
