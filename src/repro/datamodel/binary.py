@@ -16,9 +16,22 @@ resolve on integer comparisons instead of pointer walks:
 Subtree sizes are derived from the parent array, so the persistent form
 stays minimal.
 
+An element's attributes come before its other children in the table
+(XDM document order, and the order the parser and every writer emit),
+whatever their place in the tree :meth:`BinaryXMLDocument.encode` is
+given. A forward pass over a node's span therefore meets all of an
+element's attributes before its content, which is what lets the span
+serializer write a subtree in one pass.
+
+Path steps are range arithmetic too. Each table lazily keeps a *name
+posting* — ``(kind, name id) → sorted positions`` — so a named step
+bisects the posting inside the context node's range instead of visiting
+every node in it.
+
 Round-trip contract: ``BinaryXMLDocument.encode(doc).materialize()``
 reproduces ``doc`` exactly — structure, values, and ``node_id``s (the
-vertical-reconstruction keys, which fragments keep non-contiguous).
+vertical-reconstruction keys, which fragments keep non-contiguous) — up
+to the attributes-first order above, which ``tree_equal`` ignores.
 
 Queries never make that round trip: :class:`NodeHandle` implements the
 evaluators' node accessor (:class:`~repro.datamodel.tree.Node`) directly
@@ -30,7 +43,8 @@ from __future__ import annotations
 
 import struct
 from array import array
-from typing import Iterable, Iterator, Optional
+from bisect import bisect_left
+from typing import Optional
 
 from repro.datamodel.document import XMLDocument
 from repro.datamodel.tree import Node, NodeKind, XMLNode
@@ -46,6 +60,9 @@ _KIND_TO_BYTE = {
     NodeKind.TEXT: KIND_TEXT,
 }
 _BYTE_TO_KIND = {code: kind for kind, code in _KIND_TO_BYTE.items()}
+
+_ELEMENT = NodeKind.ELEMENT
+_ATTRIBUTE = NodeKind.ATTRIBUTE
 
 _POOL_MAGIC = b"PXSP"
 _DOC_MAGIC = b"PXB1"
@@ -128,7 +145,9 @@ class BinaryXMLDocument:
     * ``parents[i]``  — preorder position of the parent (-1 for the root);
     * ``node_ids[i]`` — the document's stable node id (fragments keep the
       source document's ids, so these are explicit, not positional);
-    * ``sizes[i]``    — subtree size including self (derived).
+    * ``sizes[i]``    — subtree size including self (derived);
+
+    and, built on first use, the name postings (:meth:`posting`).
     """
 
     __slots__ = (
@@ -139,6 +158,7 @@ class BinaryXMLDocument:
         "parents",
         "node_ids",
         "sizes",
+        "_postings",
     )
 
     def __init__(
@@ -157,13 +177,17 @@ class BinaryXMLDocument:
         self.parents = parents
         self.node_ids = node_ids
         self.sizes = _subtree_sizes(parents)
+        self._postings: Optional[dict[tuple[int, int], array]] = None
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     @classmethod
     def encode(cls, document: XMLDocument, pool: StringPool) -> "BinaryXMLDocument":
-        """Encode a parsed document into the table (interning via ``pool``)."""
+        """Encode a parsed document into the table (interning via ``pool``).
+
+        Each element's attributes are written before its other children.
+        """
         kinds = bytearray()
         names = array("q")
         values = array("q")
@@ -178,8 +202,16 @@ class BinaryXMLDocument:
             values.append(pool.intern(node.value) if node.value is not None else -1)
             parents.append(parent)
             node_ids.append(node.node_id)
-            for child in reversed(node.children):
-                stack.append((child, index))
+            children = node.children
+            if children:
+                # Pushed last, the attributes are popped (written) first.
+                attributes = []
+                for child in reversed(children):
+                    if child.kind is _ATTRIBUTE:
+                        attributes.append((child, index))
+                    else:
+                        stack.append((child, index))
+                stack.extend(attributes)
         return cls(pool, kinds, names, values, parents, node_ids)
 
     def materialize(
@@ -234,13 +266,27 @@ class BinaryXMLDocument:
     def __len__(self) -> int:
         return len(self.kinds)
 
-    def children(self, index: int) -> Iterator[int]:
-        """Preorder positions of the children of node ``index``."""
-        end = index + self.sizes[index]
-        child = index + 1
-        while child < end:
-            yield child
-            child += self.sizes[child]
+    def posting(self, kind: int, name_id: int) -> array:
+        """Sorted positions of the nodes of ``kind`` named ``name_id``.
+
+        All postings are built together in one pass over ``names`` on
+        first use, into a local that is then published with one attribute
+        store: lanes sharing the table need no lock, and two lanes racing
+        on the first use each build the same map.
+        """
+        postings = self._postings
+        if postings is None:
+            postings = {}
+            kinds = self.kinds
+            for position, name in enumerate(self.names):
+                if name >= 0:
+                    key = (kinds[position], name)
+                    found = postings.get(key)
+                    if found is None:
+                        postings[key] = found = array("I")
+                    found.append(position)
+            self._postings = postings
+        return postings.get((kind, name_id), _NO_POSITIONS)
 
     def descendant_range(self, index: int) -> range:
         """The contiguous preorder slice holding the strict descendants."""
@@ -283,20 +329,34 @@ class BinaryXMLDocument:
         return tuple(labels)
 
     def sibling_ordinal(self, index: int) -> int:
-        """1-based position among same-kind, same-name siblings (``e[i]``)."""
-        parent = self.parents[index]
+        """1-based position among same-kind, same-name siblings (``e[i]``).
+
+        A named node's earlier namesakes are the posting's entries between
+        its parent and itself whose parent is that parent; a text node's
+        are counted by walking the parent's child list.
+        """
+        parents = self.parents
+        parent = parents[index]
         if parent < 0:
             return 1
-        position = 0
-        for sibling in self.children(parent):
-            if (
-                self.kinds[sibling] == self.kinds[index]
-                and self.names[sibling] == self.names[index]
-            ):
+        kind = self.kinds[index]
+        name = self.names[index]
+        position = 1
+        if name >= 0:
+            posting = self.posting(kind, name)
+            low = bisect_left(posting, parent + 1)
+            for earlier in posting[low : bisect_left(posting, index, low)]:
+                if parents[earlier] == parent:
+                    position += 1
+            return position
+        kinds = self.kinds
+        sizes = self.sizes
+        sibling = parent + 1
+        while sibling < index:
+            if kinds[sibling] == kind:
                 position += 1
-                if sibling == index:
-                    return position
-        raise ValueError("node is not among its parent's children")
+            sibling += sizes[sibling]
+        return position
 
     # ------------------------------------------------------------------
     # Persistence
@@ -370,7 +430,15 @@ class NodeHandle(Node):
     @property
     def children(self) -> list["NodeHandle"]:
         table = self.table
-        return [NodeHandle(table, child) for child in table.children(self.index)]
+        sizes = table.sizes
+        index = self.index
+        end = index + sizes[index]
+        children = []
+        child = index + 1
+        while child < end:
+            children.append(NodeHandle(table, child))
+            child += sizes[child]
+        return children
 
     def select(
         self,
@@ -379,29 +447,53 @@ class NodeHandle(Node):
         descend: bool = False,
         or_self: bool = False,
     ) -> list["NodeHandle"]:
-        """One path step from this node (see :class:`Node`): an integer
-        scan of the node's child list or contiguous descendant range."""
+        """One path step from this node (see :class:`Node`), answered by
+        range arithmetic: a named step bisects the name's posting inside
+        the node's range ``(i, i + size(i))`` (a child step keeps the
+        positions whose parent is ``i``); an unnamed one (``*``,
+        ``text()``) walks the range, skipping child to child by size."""
         table = self.table
         index = self.index
-        # A name the pool never interned labels no node of any document
-        # the pool serves.
-        name_id = None if name is None else table.pool.lookup(name)
-        if name is not None and name_id is None:
-            return []
-        if descend:
-            candidates: Iterable[int] = range(
-                index if or_self else index + 1, index + table.sizes[index]
-            )
-        else:
-            candidates = (index,) if or_self else table.children(index)
-        code = _KIND_TO_BYTE[kind]
+        code = (
+            KIND_ELEMENT
+            if kind is _ELEMENT
+            else KIND_ATTRIBUTE if kind is _ATTRIBUTE else KIND_TEXT
+        )
+        if or_self and not descend:
+            # The node plays the virtual document node's only child.
+            if table.kinds[index] != code or (
+                name is not None and table.name_of(index) != name
+            ):
+                return []
+            return [self]
+        end = index + table.sizes[index]
+        start = index if or_self else index + 1
+        if name is not None:
+            # A name the pool never interned labels no node of any
+            # document the pool serves.
+            name_id = table.pool.lookup(name)
+            if name_id is None:
+                return []
+            posting = table.posting(code, name_id)
+            low = bisect_left(posting, start)
+            matches = posting[low : bisect_left(posting, end, low)]
+            if descend:
+                return [NodeHandle(table, i) for i in matches]
+            parents = table.parents
+            return [NodeHandle(table, i) for i in matches if parents[i] == index]
         kinds = table.kinds
-        names = table.names
-        return [
-            NodeHandle(table, i)
-            for i in candidates
-            if kinds[i] == code and (name_id is None or names[i] == name_id)
-        ]
+        if descend:
+            return [
+                NodeHandle(table, i) for i in range(start, end) if kinds[i] == code
+            ]
+        sizes = table.sizes
+        selected = []
+        child = start
+        while child < end:
+            if kinds[child] == code:
+                selected.append(NodeHandle(table, child))
+            child += sizes[child]
+        return selected
 
     def text_value(self) -> str:
         return self.table.text_value(self.index)
@@ -421,6 +513,9 @@ class NodeHandle(Node):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<handle {self.kind.value} {self.label!r} @{self.index}>"
+
+
+_NO_POSITIONS = array("I")
 
 
 def _subtree_sizes(parents: array) -> array:

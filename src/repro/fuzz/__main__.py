@@ -169,6 +169,10 @@ def _print_digest(summary: dict) -> None:
     rows.append(
         ("tcp lanes inline / chunked", f"{forms['inline']} / {forms['chunked']}")
     )
+    rows.extend(
+        (f"accessor step shape {name}", count)
+        for name, count in summary["step_shapes"].items()
+    )
     if summary.get("migrate"):
         rows.append(("migrations completed", summary["migrations_completed"]))
     rows.append(("failures", len(summary["failures"])))

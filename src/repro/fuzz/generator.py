@@ -484,21 +484,33 @@ def _one_items_query(rng: random.Random, sections: tuple[str, ...]) -> Expr:
             (step, AxisStep("child", "Name"), AxisStep("child", "text()", is_text=True)),
         )
     if recipe == "count":
-        return FunctionCall(
-            "count", (_flwor("i", binding, where, VarRef("i")),)
+        # ``//`` below the binding: Picture sits under the optional
+        # PictureList, so the step reaches a grandchild or nothing.
+        pictures = PathApply(
+            VarRef("i"), (AxisStep("descendant-or-self", "Picture"),)
         )
+        return FunctionCall("count", (_flwor("i", binding, where, pictures),))
     if recipe == "sum":
         return FunctionCall(
             "sum", (_flwor("i", binding, where, _var_path("i", "Price")),)
         )
     if recipe == "constructor":
+        # The votes attribute is copied onto the constructed element.
+        votes = PathApply(
+            VarRef("i"),
+            (
+                AxisStep("child", "Rating"),
+                AxisStep("child", "votes", is_attribute=True),
+            ),
+        )
         ret: Expr = ElementConstructor(
-            "hit", (_var_path("i", "Code", text=True),)
+            "hit", (votes, _var_path("i", "Code", text=True))
         )
     else:
         ret = rng.choice(
             (
-                _var_path("i", "Name", text=True),
+                # Every child's text: a wildcard step, then text().
+                _var_path("i", "*", text=True),
                 _var_path("i", "Code", text=True),
                 VarRef("i"),
             )

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from repro.cluster.site import Cluster, Site
@@ -74,6 +74,7 @@ from repro.plan.executor import ExecutionMode
 from repro.plan.explain import plan_from_dict
 from repro.xmltext.projection import WHOLE_DOCUMENT
 from repro.xquery.analysis import analyze_query
+from repro.xquery.ast_nodes import INPUT_FUNCTIONS, AxisStep, FunctionCall, PathApply
 from repro.xquery.evaluator import DynamicContext, Evaluator
 from repro.xquery.parser import parse_query
 from repro.xquery.values import atomic_to_string
@@ -88,6 +89,20 @@ MIRROR_SITE = "mirror"
 SPARE_SITE = "spare"
 EXECUTION_MODES = ("simulated", "threads")
 ALL_EXECUTION_MODES = ExecutionMode.names()
+#: The branches of the table kernel (``NodeHandle.select``) a path step
+#: takes: a named child or descendant step bisects a name posting, a
+#: wildcard or ``text()`` step walks the range, an attribute step
+#: bisects the attribute posting, and the leading step after
+#: ``collection()``/``doc()`` (or of an absolute path) starts at the
+#: context node itself.
+STEP_SHAPES = (
+    "named_child",
+    "named_descendant",
+    "wildcard",
+    "text",
+    "attribute",
+    "or_self",
+)
 
 #: Chunk size proposed to the site servers when a tcp mode is under
 #: test. Tiny on purpose: every answer of 7 bytes or more is chunked,
@@ -151,6 +166,9 @@ class CaseOutcome:
     #: Lanes answered over a socket, by the form the reply rule gave
     #: them: ``inline`` (one terminal frame) or ``chunked``.
     reply_forms: Counter = field(default_factory=Counter)
+    #: Queries the accessor oracle compared, by every :data:`STEP_SHAPES`
+    #: branch their path steps take.
+    step_shapes: Counter = field(default_factory=Counter)
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -176,6 +194,7 @@ class CaseOutcome:
             "whole_design_fetches": self.whole_design_fetches,
             "hybrid_plans": dict(self.hybrid_plans),
             "reply_forms": dict(self.reply_forms),
+            "step_shapes": dict(self.step_shapes),
             "mismatches": [m.to_dict() for m in self.mismatches],
             "notes": self.notes,
         }
@@ -260,6 +279,41 @@ def _hybrid_branch(partix: Partix, plan) -> Optional[str]:
     if all(lane.subquery.fragment in units for lane in plan.lanes):
         return "units"
     return "remainder"
+
+
+def step_shapes(query: str) -> set[str]:
+    """The :data:`STEP_SHAPES` branches the path steps of ``query`` take."""
+    shapes: set[str] = set()
+
+    def visit(value: Any) -> None:
+        if isinstance(value, PathApply):
+            leading = value.primary is None or (
+                isinstance(value.primary, FunctionCall)
+                and value.primary.name in INPUT_FUNCTIONS
+            )
+            for index, step in enumerate(value.steps):
+                shapes.add(_step_shape(step, leading and index == 0))
+        if isinstance(value, (tuple, list)):
+            for item in value:
+                visit(item)
+        elif is_dataclass(value):
+            for member in fields(value):
+                visit(getattr(value, member.name))
+
+    visit(parse_query(query))
+    return shapes
+
+
+def _step_shape(step: AxisStep, leading: bool) -> str:
+    if leading:
+        return "or_self"
+    if step.is_text:
+        return "text"
+    if step.is_attribute:
+        return "attribute"
+    if step.name == "*":
+        return "wildcard"
+    return "named_child" if step.axis == "child" else "named_descendant"
 
 
 def evaluate_on_dom(engine: XMLEngine, query: str) -> str:
@@ -685,6 +739,7 @@ def _check_accessor(
     """Table-vs-DOM: the centralized answer (evaluated on the node tables)
     against :func:`evaluate_on_dom` over the same site's documents."""
     outcome.comparisons += 1
+    outcome.step_shapes.update(step_shapes(query))
     dom_text, dom_error = _attempt(
         lambda: evaluate_on_dom(
             partix.cluster.site(CENTRAL_SITE).driver.engine, query
@@ -856,6 +911,7 @@ def run_fuzz(
         "whole_design_fetches": 0,
         "hybrid_plans": {"units": 0, "remainder": 0, "reconstruct": 0},
         "reply_forms": {"inline": 0, "chunked": 0},
+        "step_shapes": dict.fromkeys(STEP_SHAPES, 0),
         "failures": [],
         "ok": True,
     }
@@ -865,6 +921,7 @@ def run_fuzz(
     index_oracle: Counter = Counter()
     reply_forms: Counter = Counter(summary["reply_forms"])
     hybrid_plans: Counter = Counter(summary["hybrid_plans"])
+    shapes: Counter = Counter(summary["step_shapes"])
     for iteration in range(iterations):
         spec = spec_for_iteration(seed, iteration)
         outcome = run_case(
@@ -888,6 +945,7 @@ def run_fuzz(
         index_oracle.update(outcome.index_oracle)
         reply_forms.update(outcome.reply_forms)
         hybrid_plans.update(outcome.hybrid_plans)
+        shapes.update(outcome.step_shapes)
         summary["summary_pruned"] += outcome.summary_pruned
         summary["semijoin_plans"] += outcome.semijoin_plans
         summary["whole_design_fetches"] += outcome.whole_design_fetches
@@ -923,4 +981,5 @@ def run_fuzz(
     summary["index_oracle"] = dict(index_oracle)
     summary["reply_forms"] = dict(reply_forms)
     summary["hybrid_plans"] = dict(hybrid_plans)
+    summary["step_shapes"] = dict(shapes)
     return summary

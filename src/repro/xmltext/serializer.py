@@ -39,32 +39,54 @@ def serialize(node: XMLNode | NodeHandle | XMLDocument) -> str:
 
 
 def _write_span(table: BinaryXMLDocument, index: int, out: list[str]) -> None:
-    """:func:`_write_compact` over a stored node table: same output, read
-    from the arrays (attributes first wherever they sit among the
-    children, exactly as the tree writer orders them)."""
+    """:func:`_write_compact` over a stored node table: same output, in
+    one forward pass over the node's preorder span. A stack holds the
+    open elements (where each span ends, its label); only the innermost
+    can still await its ``>``, because the table puts an element's
+    attributes before its other children."""
     kinds = table.kinds
     if kinds[index] == KIND_TEXT:
         out.append(escape_text(table.text_value(index)))
         return
     if kinds[index] == KIND_ATTRIBUTE:
         raise ValueError("cannot serialize a detached attribute node")
-    label = table.name_of(index)
-    out.append("<")
-    out.append(label)
-    content = []
-    for child in table.children(index):
-        if kinds[child] == KIND_ATTRIBUTE:
-            value = escape_attribute(table.text_value(child))
-            out.append(f' {table.name_of(child)}="{value}"')
+    names = table.names
+    values = table.values
+    sizes = table.sizes
+    string = table.pool.get
+    append = out.append
+    end = index + sizes[index]
+    stack: list[tuple[int, str]] = []  # (span end, label), innermost last
+    close_at = end  # span end of the innermost open element
+    unopened = False  # the innermost open element still lacks its ">"
+    for position in range(index, end):
+        while position == close_at:
+            label = stack.pop()[1]
+            append("/>" if unopened else f"</{label}>")
+            unopened = False
+            close_at = stack[-1][0]
+        kind = kinds[position]
+        if kind == KIND_ATTRIBUTE:
+            value = values[position]
+            text = escape_attribute(string(value) if value >= 0 else "")
+            append(f' {string(names[position])}="{text}"')
+            continue
+        if unopened:
+            append(">")
+        if kind == KIND_TEXT:
+            value = values[position]
+            append(escape_text(string(value) if value >= 0 else ""))
+            unopened = False
         else:
-            content.append(child)
-    if not content:
-        out.append("/>")
-        return
-    out.append(">")
-    for child in content:
-        _write_span(table, child, out)
-    out.append(f"</{label}>")
+            label = string(names[position])
+            append("<" + label)
+            close_at = position + sizes[position]
+            stack.append((close_at, label))
+            unopened = True
+    while stack:
+        label = stack.pop()[1]
+        append("/>" if unopened else f"</{label}>")
+        unopened = False
 
 
 def _write_compact(node: XMLNode, out: list[str]) -> None:

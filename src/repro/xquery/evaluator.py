@@ -9,9 +9,9 @@ Sequences are Python lists of nodes and atomics (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import methodcaller
-from typing import Optional, Protocol, Union
+from typing import Callable, Optional, Protocol, Union
 
 from repro.datamodel.tree import Node, NodeKind, XMLNode
 from repro.errors import XQueryEvaluationError, XQueryTypeError
@@ -93,13 +93,17 @@ class DynamicContext:
     position: int = 1
     size: int = 1
 
+    # Built directly rather than through ``dataclasses.replace``: these
+    # run once per bound tuple and per predicate candidate.
     def with_var(self, name: str, value: list) -> "DynamicContext":
         variables = dict(self.variables)
         variables[name] = value
-        return replace(self, variables=variables)
+        return DynamicContext(
+            self.provider, variables, self.context_item, self.position, self.size
+        )
 
     def with_focus(self, item, position: int, size: int) -> "DynamicContext":
-        return replace(self, context_item=item, position=position, size=size)
+        return DynamicContext(self.provider, self.variables, item, position, size)
 
 
 def evaluate_query(
@@ -133,12 +137,12 @@ class Evaluator:
         self._clone = clone
 
     def evaluate(self, expr: Expr, ctx: DynamicContext) -> list:
-        method = getattr(self, "_eval_" + type(expr).__name__, None)
-        if method is None:
+        rule = _RULES.get(type(expr))
+        if rule is None:
             raise XQueryEvaluationError(
                 f"no evaluation rule for {type(expr).__name__}"
             )
-        return method(expr, ctx)
+        return rule(self, expr, ctx)
 
     # ------------------------------------------------------------------
     # Primaries
@@ -298,6 +302,10 @@ class Evaluator:
             matched = item.select(kind, name, descend, or_self=virtual_first)
             if step.predicates:
                 matched = self._filter(matched, step.predicates, ctx)
+            if len(sequence) == 1:
+                # One context node: ``select`` is already unique and in
+                # document order.
+                return matched
             for node in matched:
                 results[node] = None
         return list(results)
@@ -434,6 +442,15 @@ class Evaluator:
                     else atomic_to_string(item)
                 )
         return [XMLNode.text(" ".join(parts))]
+
+
+#: ``Evaluator._eval_<AST type name>`` by AST type, so that dispatch is
+#: one dict lookup.
+_RULES: dict[type, Callable] = {
+    expr_type: rule
+    for expr_type in Expr.__subclasses__()
+    if (rule := getattr(Evaluator, "_eval_" + expr_type.__name__, None))
+}
 
 
 def _node_set_op(op: str, left: list, right: list) -> list:

@@ -10,6 +10,7 @@ tables, and requires identical bytes — errors included.
 import pytest
 
 from repro.datamodel import XMLNode, doc, elem
+from repro.datamodel.tree import NodeKind
 from repro.datamodel.binary import BinaryXMLDocument, NodeHandle, StringPool
 from repro.engine.database import serialize_sequence
 from repro.errors import PartixError
@@ -241,7 +242,75 @@ def test_wide_document_orders_its_nodes_without_rescanning_siblings():
 
 
 # ----------------------------------------------------------------------
-# (b) the span serializer
+# (b) single path steps
+# ----------------------------------------------------------------------
+def _shared_name_document():
+    """An attribute and an element that share a name, at two depths."""
+    return doc(
+        elem(
+            "k",
+            elem("k", elem("v", "1"), k="inner"),
+            elem("v", elem("k", "2"), k="deep"),
+            elem("v", "3"),
+            k="outer",
+        ),
+        name="shared.xml",
+    )
+
+
+def _step_tables():
+    """Tables of two fuzz cases of each family (one pool per case) plus
+    the shared-name table, each with the names to try on it."""
+    cases = [[_shared_name_document()]]
+    cases += [
+        list(generate_case(spec_for_iteration(11, iteration)).collection)
+        for iteration in range(6)
+    ]
+    for documents in cases:
+        pool = StringPool()
+        tables = [BinaryXMLDocument.encode(d, pool) for d in documents]
+        # Interned by the pool, carried by no document of it.
+        pool.intern("interned-but-absent")
+        names = [pool.get(i) for i in range(len(pool))]
+        names += [None, "never-interned"]
+        for table in tables:
+            yield table, names
+
+
+def _ids(table, handles):
+    return [table.node_ids[handle.index] for handle in handles]
+
+
+def test_every_step_from_every_node_matches_the_dom():
+    """``NodeHandle.select`` against ``XMLNode.select`` on the decoded
+    subtree, for every position, kind, name, axis and ``or_self``; and
+    ``sibling_index`` against the decoded document's."""
+    steps = 0
+    shared_kinds = set()
+    for table, names in _step_tables():
+        tree = list(table.materialize().root.descendants_or_self())
+        for index in range(len(table)):
+            handle = NodeHandle(table, index)
+            subtree = table.decode(index)
+            assert handle.sibling_index() == tree[index].sibling_index()
+            for kind in NodeKind:
+                for name in names:
+                    for descend in (False, True):
+                        for or_self in (False, True):
+                            on_table = handle.select(kind, name, descend, or_self)
+                            on_dom = subtree.select(kind, name, descend, or_self)
+                            assert _ids(table, on_table) == [
+                                node.node_id for node in on_dom
+                            ], (index, kind, name, descend, or_self)
+                            steps += 1
+                            if name == "k" and on_table:
+                                shared_kinds.add(kind)
+    assert steps > 100_000
+    assert shared_kinds == {NodeKind.ELEMENT, NodeKind.ATTRIBUTE}
+
+
+# ----------------------------------------------------------------------
+# (c) the span serializer
 # ----------------------------------------------------------------------
 def _awkward_document():
     """What the generators do not emit: escapes in text and attribute

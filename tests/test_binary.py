@@ -9,7 +9,7 @@ XML text.
 
 import pytest
 
-from repro.datamodel import doc, elem
+from repro.datamodel import XMLNode, doc, elem
 from repro.datamodel.binary import (
     KIND_ATTRIBUTE,
     KIND_ELEMENT,
@@ -63,6 +63,29 @@ class TestEncodeDecode:
         materialized = restored.materialize(name=document.name)
         assert materialized.tree_equal(document, compare_ids=True)
         assert materialized.name == document.name
+
+    def test_a_trailing_attribute_is_stored_before_the_content(self):
+        """A hand-built element may hold an attribute after an element
+        child; the table puts it first, so the span serializer writes it
+        in the start tag exactly as the tree serializer does."""
+        late = elem("late", elem("first", "x"), elem("second"))
+        late.children.append(XMLNode.attribute("k", 'a"b'))
+        late.children[-1].parent = late
+        document = doc(elem("root", late, id="r"), name="late.xml")
+        engine = XMLEngine("late")
+        stored = engine.store_document("c", document)
+        table = stored.binary
+        assert serialize(table.root) == serialize(document) == (
+            '<root id="r"><late k="a&quot;b"><first>x</first><second/></late></root>'
+        )
+        assert table.materialize().tree_equal(document, compare_ids=True)
+        (stored_late,) = evaluate_path("/root/late", table.root)
+        assert [table.kinds[child.index] for child in stored_late.children] == [
+            KIND_ATTRIBUTE,
+            KIND_ELEMENT,
+            KIND_ELEMENT,
+        ]
+        assert [n.text_value() for n in evaluate_path("//@k", table.root)] == ['a"b']
 
     def test_kinds_and_interning(self):
         document = _sample_document()

@@ -8,6 +8,9 @@ import pytest
 
 from repro.bench import build_items_scenario, build_xbench_scenario
 from repro.cluster import Cluster, ParallelDispatcher, Site
+from repro.datamodel import doc, elem
+from repro.datamodel.binary import KIND_ELEMENT, BinaryXMLDocument, StringPool
+from repro.datamodel.tree import NodeKind
 from repro.engine.database import XMLEngine
 from repro.errors import DispatchError
 from repro.partix import (
@@ -244,6 +247,52 @@ class TestRangeIndexConcurrentFirstLookup:
         finally:
             sys.setswitchinterval(interval)
         assert found == [expected] * (self.THREADS * self.ROUNDS)
+
+
+class TestNamePostingConcurrentFirstUse:
+    """A table builds its name postings on the first named step and
+    publishes them with one attribute store, without a lock. Lanes
+    racing on that first step must each get the whole answer: a
+    half-built map seen by another lane would drop nodes."""
+
+    THREADS = 8
+    ROUNDS = 6
+
+    def test_racing_first_steps_all_see_every_node(self):
+        document = doc(
+            elem("r", *[elem("a", elem("b", str(i)), elem("c")) for i in range(1500)]),
+            name="wide.xml",
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(self.ROUNDS):
+                table = BinaryXMLDocument.encode(document, StringPool())
+                name_id = table.pool.lookup("b")
+                expected = [
+                    i
+                    for i in range(len(table))
+                    if table.kinds[i] == KIND_ELEMENT and table.names[i] == name_id
+                ]
+                barrier = threading.Barrier(self.THREADS)
+                answers = []
+
+                def worker():
+                    barrier.wait(timeout=10.0)
+                    selected = table.root.select(NodeKind.ELEMENT, "b", descend=True)
+                    answers.append([handle.index for handle in selected])
+
+                threads = [
+                    threading.Thread(target=worker) for _ in range(self.THREADS)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert answers == [expected] * self.THREADS
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestDegradedExecutionThroughMiddleware:

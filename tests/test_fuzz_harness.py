@@ -26,6 +26,7 @@ from repro.fuzz import (
     write_repro,
 )
 from repro.fuzz.generator import FAMILIES, GenerationError
+from repro.fuzz.runner import STEP_SHAPES, step_shapes
 from repro.partix.middleware import Partix
 from repro.xmltext import serialize
 
@@ -89,7 +90,19 @@ class TestOracleGreenPath:
         assert summary["cases"] == 3
         assert summary["failures"] == []
         assert summary["reply_forms"] == {"inline": 0, "chunked": 0}
+        # Iteration 0's items case alone takes every kernel branch.
+        assert list(summary["step_shapes"]) == list(STEP_SHAPES)
+        assert all(count > 0 for count in summary["step_shapes"].values())
         json.dumps(summary)  # JSON-able end to end
+
+    def test_queries_are_classified_by_kernel_branch(self):
+        assert step_shapes(
+            'for $i in collection("C")//Item return ($i//Picture, $i/@id)'
+        ) == {"or_self", "named_descendant", "attribute"}
+        assert step_shapes(
+            'count(collection("C")/Item[./Code = "x"]/*/text())'
+        ) == {"or_self", "named_child", "wildcard", "text"}
+        assert step_shapes("count((1, 2))") == set()
 
     def test_tcp_lanes_are_counted_by_reply_form(self):
         # Iteration 0 of the tcp CI session: under the 7-byte chunk its
