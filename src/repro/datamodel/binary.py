@@ -21,7 +21,8 @@ An element's attributes come before its other children in the table
 whatever their place in the tree :meth:`BinaryXMLDocument.encode` is
 given. A forward pass over a node's span therefore meets all of an
 element's attributes before its content, which is what lets the span
-serializer write a subtree in one pass.
+serializer write a subtree in one pass; :meth:`BinaryXMLDocument.from_bytes`
+refuses a persisted table that breaks the rule.
 
 Path steps are range arithmetic too. Each table lazily keeps a *name
 posting* — ``(kind, name id) → sorted positions`` — so a named step
@@ -329,31 +330,20 @@ class BinaryXMLDocument:
         return tuple(labels)
 
     def sibling_ordinal(self, index: int) -> int:
-        """1-based position among same-kind, same-name siblings (``e[i]``).
-
-        A named node's earlier namesakes are the posting's entries between
-        its parent and itself whose parent is that parent; a text node's
-        are counted by walking the parent's child list.
-        """
-        parents = self.parents
-        parent = parents[index]
+        """1-based position among same-kind, same-name siblings (``e[i]``),
+        counted by walking the parent's child list by subtree size."""
+        parent = self.parents[index]
         if parent < 0:
             return 1
-        kind = self.kinds[index]
-        name = self.names[index]
-        position = 1
-        if name >= 0:
-            posting = self.posting(kind, name)
-            low = bisect_left(posting, parent + 1)
-            for earlier in posting[low : bisect_left(posting, index, low)]:
-                if parents[earlier] == parent:
-                    position += 1
-            return position
         kinds = self.kinds
+        names = self.names
         sizes = self.sizes
+        kind = kinds[index]
+        name = names[index]
+        position = 1
         sibling = parent + 1
         while sibling < index:
-            if kinds[sibling] == kind:
+            if kinds[sibling] == kind and names[sibling] == name:
                 position += 1
             sibling += sizes[sibling]
         return position
@@ -389,6 +379,18 @@ class BinaryXMLDocument:
             offset += 8 * count
             tables.append(table)
         names, values, parents, node_ids = tables
+        # The span serializer needs attributes first (see the module
+        # docstring): an attribute follows its element or a sibling
+        # attribute. A table that breaks it is refused like a corrupt one.
+        position = kinds.find(KIND_ATTRIBUTE)
+        while position >= 0:
+            previous = position - 1
+            parent = parents[position]
+            if previous != parent and (
+                kinds[previous] != KIND_ATTRIBUTE or parents[previous] != parent
+            ):
+                raise ValueError("attribute stored after its element's content")
+            position = kinds.find(KIND_ATTRIBUTE, position + 1)
         return cls(pool, kinds, names, values, parents, node_ids)
 
 

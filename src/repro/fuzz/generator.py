@@ -495,7 +495,9 @@ def _one_items_query(rng: random.Random, sections: tuple[str, ...]) -> Expr:
             "sum", (_flwor("i", binding, where, _var_path("i", "Price")),)
         )
     if recipe == "constructor":
-        # The votes attribute is copied onto the constructed element.
+        # The votes attribute is copied onto the constructed element, and
+        # the pictures' captions follow the code: ``//text()`` below the
+        # optional PictureList is an unnamed descendant step.
         votes = PathApply(
             VarRef("i"),
             (
@@ -503,8 +505,15 @@ def _one_items_query(rng: random.Random, sections: tuple[str, ...]) -> Expr:
                 AxisStep("child", "votes", is_attribute=True),
             ),
         )
+        captions = PathApply(
+            VarRef("i"),
+            (
+                AxisStep("child", "PictureList"),
+                AxisStep("descendant-or-self", "text()", is_text=True),
+            ),
+        )
         ret: Expr = ElementConstructor(
-            "hit", (votes, _var_path("i", "Code", text=True))
+            "hit", (votes, _var_path("i", "Code", text=True), captions)
         )
     else:
         ret = rng.choice(

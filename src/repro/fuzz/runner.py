@@ -90,18 +90,20 @@ SPARE_SITE = "spare"
 EXECUTION_MODES = ("simulated", "threads")
 ALL_EXECUTION_MODES = ExecutionMode.names()
 #: The branches of the table kernel (``NodeHandle.select``) a path step
-#: takes: a named child or descendant step bisects a name posting, a
-#: wildcard or ``text()`` step walks the range, an attribute step
-#: bisects the attribute posting, and the leading step after
-#: ``collection()``/``doc()`` (or of an absolute path) starts at the
-#: context node itself.
+#: takes: the leading child step after ``collection()``/``doc()`` (or of
+#: an absolute path) tests the context node itself; a named descendant
+#: step slices a name posting and an unnamed one (``//*``,
+#: ``//text()``) filters the range, leading or not; a named child step
+#: (an attribute step is one) filters a posting slice by parent, and a
+#: wildcard or ``text()`` child step walks the child list.
 STEP_SHAPES = (
-    "named_child",
+    "or_self",
     "named_descendant",
+    "unnamed_descendant",
+    "named_child",
+    "attribute",
     "wildcard",
     "text",
-    "attribute",
-    "or_self",
 )
 
 #: Chunk size proposed to the site servers when a tcp mode is under
@@ -305,15 +307,17 @@ def step_shapes(query: str) -> set[str]:
 
 
 def _step_shape(step: AxisStep, leading: bool) -> str:
+    # Named exactly when the evaluator hands ``select`` a name.
+    named = step.is_attribute or not (step.is_text or step.name == "*")
+    if step.axis != "child":
+        return "named_descendant" if named else "unnamed_descendant"
     if leading:
         return "or_self"
-    if step.is_text:
-        return "text"
     if step.is_attribute:
         return "attribute"
-    if step.name == "*":
-        return "wildcard"
-    return "named_child" if step.axis == "child" else "named_descendant"
+    if step.is_text:
+        return "text"
+    return "named_child" if named else "wildcard"
 
 
 def evaluate_on_dom(engine: XMLEngine, query: str) -> str:

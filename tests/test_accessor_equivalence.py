@@ -258,10 +258,33 @@ def _shared_name_document():
     )
 
 
+def _recursive_name_document():
+    """Names that nest inside themselves: a named child step's posting
+    slice then holds namesakes at every depth below the context node."""
+    return doc(
+        elem(
+            "section",
+            elem(
+                "section",
+                elem("section", elem("title", "a"), id="3"),
+                elem("title", "b"),
+                elem("section", elem("section", "c")),
+            ),
+            elem(
+                "parlist",
+                elem("listitem", elem("parlist", elem("listitem", "d"))),
+                elem("listitem", "e"),
+            ),
+        ),
+        name="recursive.xml",
+    )
+
+
 def _step_tables():
-    """Tables of two fuzz cases of each family (one pool per case) plus
-    the shared-name table, each with the names to try on it."""
-    cases = [[_shared_name_document()]]
+    """Tables of two fuzz cases of each family (one pool per case), the
+    shared-name table and the recursive-name table, each with the names
+    to try on it."""
+    cases = [[_shared_name_document()], [_recursive_name_document()]]
     cases += [
         list(generate_case(spec_for_iteration(11, iteration)).collection)
         for iteration in range(6)

@@ -7,6 +7,8 @@ evaluator and predicate engine run directly over it, and engines with a
 XML text.
 """
 
+from array import array
+
 import pytest
 
 from repro.datamodel import XMLNode, doc, elem
@@ -258,6 +260,66 @@ class TestPersistence:
         # Old on-disk stores hold raw bytes only: the documents parse
         # once and the indexes still ingest from a freshly built table.
         assert reloaded.store.collection("c").index.values.lookup("Code", "=", 5)
+
+
+def _late_attribute_document():
+    """A hand-built element whose attribute follows an element child."""
+    late = elem("late", elem("first", "x"))
+    late.children.append(XMLNode.attribute("k", "v"))
+    late.children[-1].parent = late
+    return doc(elem("root", late), name="late.xml")
+
+
+def _tree_order_table(document, pool):
+    """The table of an encoder that kept each child list's order — an
+    attribute after content stays there."""
+    nodes = list(document.root.descendants_or_self())
+    position = {id(node): index for index, node in enumerate(nodes)}
+    return BinaryXMLDocument(
+        pool,
+        bytearray(
+            {"element": KIND_ELEMENT, "attribute": KIND_ATTRIBUTE}.get(
+                node.kind.value, KIND_TEXT
+            )
+            for node in nodes
+        ),
+        array("q", (pool.intern(n.label) if n.label else -1 for n in nodes)),
+        array("q", (pool.intern(n.value) if n.value else -1 for n in nodes)),
+        array(
+            "q", (position[id(n.parent)] if n.parent else -1 for n in nodes)
+        ),
+        array("q", (n.node_id for n in nodes)),
+    )
+
+
+class TestAttributesFirstOnLoad:
+    """The span serializer relies on attributes first; a persisted table
+    without that order is refused, never served as malformed XML."""
+
+    def test_a_table_with_a_trailing_attribute_is_refused(self):
+        pool = StringPool()
+        document = _late_attribute_document()
+        table = _tree_order_table(document, pool)
+        assert table.kinds[-1] == KIND_ATTRIBUTE  # after <first>x</first>
+        with pytest.raises(ValueError, match="attribute"):
+            BinaryXMLDocument.from_bytes(table.to_bytes(), pool)
+        encoded = BinaryXMLDocument.encode(document, pool)
+        restored = BinaryXMLDocument.from_bytes(encoded.to_bytes(), pool)
+        assert serialize(restored.root) == '<root><late k="v"><first>x</first></late></root>'
+
+    def test_reload_re_parses_a_refused_table(self, tmp_path):
+        engine = XMLEngine("p", storage_dir=str(tmp_path))
+        engine.create_collection("c")
+        document = _late_attribute_document()
+        engine.store_document("c", document)
+        pool = engine.store.collection("c").pool
+        (tmp_path / "c" / "late.xml.pxb").write_bytes(
+            _tree_order_table(document, pool).to_bytes()
+        )
+        reloaded = XMLEngine("p2", storage_dir=str(tmp_path), use_indexes=False)
+        table = reloaded.store.load_document("c", "late.xml").binary
+        assert serialize(table.root) == serialize(document)
+        assert table.materialize().tree_equal(document)
 
 
 class TestIndexCandidates:

@@ -96,12 +96,17 @@ class TestOracleGreenPath:
         json.dumps(summary)  # JSON-able end to end
 
     def test_queries_are_classified_by_kernel_branch(self):
+        # A descendant step is named or unnamed whether or not it leads;
+        # only a leading child step tests the context node itself.
         assert step_shapes(
             'for $i in collection("C")//Item return ($i//Picture, $i/@id)'
-        ) == {"or_self", "named_descendant", "attribute"}
+        ) == {"named_descendant", "attribute"}
         assert step_shapes(
             'count(collection("C")/Item[./Code = "x"]/*/text())'
         ) == {"or_self", "named_child", "wildcard", "text"}
+        assert step_shapes(
+            '(collection("C")//text(), doc("d.xml")/Item//*)'
+        ) == {"unnamed_descendant", "or_self"}
         assert step_shapes("count((1, 2))") == set()
 
     def test_tcp_lanes_are_counted_by_reply_form(self):
