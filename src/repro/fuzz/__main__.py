@@ -158,6 +158,7 @@ def _print_digest(summary: dict) -> None:
     rows.append(("fragments pruned by value summary", summary["summary_pruned"]))
     rows.append(("vertical semi-join plans", summary["semijoin_plans"]))
     rows.append(("whole-design vertical fetches", summary["whole_design_fetches"]))
+    rows.append(("answers on a deep chain", summary["deep_chain_plans"]))
     hybrid = summary["hybrid_plans"]
     rows.append(
         (

@@ -13,7 +13,10 @@ shapes:
   are optional, so their fragments hold fewer parts than there are
   documents),
   vertically fragmented either three ways (prolog/body/epilog) or as a
-  prune complement (π/article,{/article/body} ⋈ π/article/body);
+  prune complement (π/article,{/article/body} ⋈ π/article/body) of one
+  part or, at three fragments or more, of two — each part the body, the
+  epilog or ``/article/prolog/authors``, whose fragment path is three
+  labels deep;
 * ``store`` — an SD repository (one Store document), hybrid-fragmented
   into a remainder fragment pruning ``/Store/Items`` plus a random
   Section partition of the items, materialized as FragMode1 or FragMode2;
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 from typing import Optional
 
 from repro.datamodel.collection import Collection, RepositoryKind
@@ -608,7 +612,15 @@ def _generate_articles(spec: CaseSpec) -> GeneratedCase:
     collection = Collection(
         "Cfuzz", documents, kind=RepositoryKind.MULTIPLE_DOCUMENTS
     )
-    if spec.fragment_count >= 3 or design_rng.random() < 0.5:
+    # Single-valued parts (Definition 3 holds); the authors sit three
+    # labels deep, so two are stripped off a variable bound to articles.
+    parts = ("/article/body", "/article/epilog", "/article/prolog/authors")
+    if spec.fragment_count >= 3:
+        # Three fragments: the three-way split or a two-part complement.
+        pruned = design_rng.choice((None, *combinations(parts, 2)))
+    else:
+        pruned = None if design_rng.random() < 0.5 else (design_rng.choice(parts),)
+    if pruned is None:
         fragments = [
             VerticalFragment("F1", "Cfuzz", path="/article/prolog"),
             VerticalFragment("F2", "Cfuzz", path="/article/body"),
@@ -616,12 +628,14 @@ def _generate_articles(spec: CaseSpec) -> GeneratedCase:
         ]
         note = "vertical 3-way prolog/body/epilog"
     else:
-        pruned = design_rng.choice(("/article/body", "/article/epilog"))
         fragments = [
-            VerticalFragment("F1", "Cfuzz", path="/article", prune=(pruned,)),
-            VerticalFragment("F2", "Cfuzz", path=pruned),
+            VerticalFragment("F1", "Cfuzz", path="/article", prune=pruned),
+            *(
+                VerticalFragment(f"F{number}", "Cfuzz", path=path)
+                for number, path in enumerate(pruned, 2)
+            ),
         ]
-        note = f"vertical prune-complement on {pruned}"
+        note = f"vertical prune-complement on {', '.join(pruned)}"
     design = FragmentationSchema("Cfuzz", fragments, root_label="article")
     queries = []
     for index in range(spec.query_count):
@@ -681,11 +695,17 @@ def _one_article_query(rng: random.Random) -> Expr:
         ret = _var_path("a", "prolog", "title", text=True)
     elif recipe == "bodies-by-genre":
         # Whole subtrees from another fragment than the filter's: the
-        # semi-join ships the matching bodies and nothing else.
+        # semi-join ships the matching bodies and nothing else. Or the
+        # authors' names: under a complement on the authors their
+        # fragment sits three labels deep, two of them stripped off $a.
         where = BinaryOp(
             "=", _var_path("a", "prolog", "genre"), Literal(rng.choice(GENRES))
         )
-        ret = _var_path("a", "body")
+        ret = (
+            _var_path("a", "body")
+            if rng.random() < 0.5
+            else _var_path("a", "prolog", "authors", "author", text=True)
+        )
     elif recipe == "or-across-fragments":
         # No fragment decides an `or` alone: reconstruction.
         where = _or(

@@ -161,6 +161,9 @@ class CaseOutcome:
     #: read: reconstructions over the whole design, for the documents
     #: with no part in the fragments it does read.
     whole_design_fetches: int = 0
+    #: Compared plans answered on a vertical fragment whose path has three
+    #: or more steps (two chain labels or more stripped off the query).
+    deep_chain_plans: int = 0
     #: Compared hybrid plans by the branch of the hybrid rule that made
     #: them: ``units`` (the horizontal rule over the unit fragments),
     #: ``remainder`` (the vertical rule) or ``reconstruct``.
@@ -194,6 +197,7 @@ class CaseOutcome:
             "summary_pruned": self.summary_pruned,
             "semijoin_plans": self.semijoin_plans,
             "whole_design_fetches": self.whole_design_fetches,
+            "deep_chain_plans": self.deep_chain_plans,
             "hybrid_plans": dict(self.hybrid_plans),
             "reply_forms": dict(self.reply_forms),
             "step_shapes": dict(self.step_shapes),
@@ -264,6 +268,18 @@ def _fetches_unread_fragment(partix: Partix, analysis, plan) -> bool:
     }
     return any(
         lane.subquery.purpose == "fetch" and lane.subquery.fragment not in read
+        for lane in plan.lanes
+    )
+
+
+def _answers_on_deep_chain(partix: Partix, plan) -> bool:
+    """Does an answer lane of ``plan`` run on a vertical fragment whose
+    path has three or more steps?"""
+    design = partix.distribution_catalog.fragmentation("Cfuzz")
+    paths = {fragment.name: fragment.path for fragment in design.vertical_fragments()}
+    return any(
+        lane.subquery.purpose == "answer"
+        and len(paths.get(lane.subquery.fragment, ())) >= 3
         for lane in plan.lanes
     )
 
@@ -674,6 +690,7 @@ def _run_query(
     outcome.whole_design_fetches += _fetches_unread_fragment(
         partix, analysis, plan
     )
+    outcome.deep_chain_plans += _answers_on_deep_chain(partix, plan)
     outcome.index_oracle["existence_conditions"] += sum(
         isinstance(atom, (Exists, Empty)) for atom in atoms(analysis.predicate)
     )
@@ -913,6 +930,7 @@ def run_fuzz(
         "summary_pruned": 0,
         "semijoin_plans": 0,
         "whole_design_fetches": 0,
+        "deep_chain_plans": 0,
         "hybrid_plans": {"units": 0, "remainder": 0, "reconstruct": 0},
         "reply_forms": {"inline": 0, "chunked": 0},
         "step_shapes": dict.fromkeys(STEP_SHAPES, 0),
@@ -953,6 +971,7 @@ def run_fuzz(
         summary["summary_pruned"] += outcome.summary_pruned
         summary["semijoin_plans"] += outcome.semijoin_plans
         summary["whole_design_fetches"] += outcome.whole_design_fetches
+        summary["deep_chain_plans"] += outcome.deep_chain_plans
         if outcome.ok:
             continue
         summary["ok"] = False

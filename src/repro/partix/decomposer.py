@@ -74,6 +74,7 @@ by hand); :func:`annotated` builds the same structure for that mode.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional, Sequence, Union
 
 from repro.errors import DecompositionError
@@ -603,10 +604,11 @@ class QueryDecomposer:
                 "mixed fragmentation without hybrid fragments is unsupported"
             )
         unit_path = hybrids[0].unit_path()
+        labels = [step.name for step in unit_path.steps]
         read = [*analysis.touched_paths, *analysis.binding_paths]
         exact = analysis.paths_exact and analysis.bindings_exact
         if exact and analysis.touched_paths:
-            if all(_walks(path, unit_path) for path in read):
+            if all(_walk_chain(path.steps, labels)[1] == "walks" for path in read):
                 # FragMode1 replicas store bare units: they run the query
                 # with the chain stripped; without that text, reconstruct.
                 mode1 = any(
@@ -617,8 +619,7 @@ class QueryDecomposer:
                 stripped = None
                 if mode1:
                     stripped = rewrite_paths_for_fragment_root(
-                        self._shippable_ast(expr, analysis),
-                        [step.name for step in unit_path.steps],
+                        self._shippable_ast(expr, analysis), labels
                     )
                 if stripped is not None or not mode1:
                     return self._decompose_horizontal(
@@ -692,19 +693,35 @@ def _refuse_fragmented_positions(
         )
 
 
-def _walks(path: PathExpr, prefix: PathExpr) -> bool:
-    """Does ``path`` start with ``prefix``'s labels as plain child steps?
-    What follows may be anything (``$i//Code`` below the units walks)."""
-    return len(path.steps) >= len(prefix.steps) and all(
-        step.axis is Axis.CHILD
-        and not step.is_attribute
-        and step.name == mine.name
-        for step, mine in zip(path.steps, prefix.steps)
-    )
+def _walk_chain(steps: Sequence, chain: Sequence[str]) -> tuple[int, str]:
+    """How a path's ``steps`` (path steps or XQuery axis steps) meet a
+    fragment's label ``chain`` from the top: the labels matched, and
+
+    * ``walks`` — every label matched by a plain child step;
+      ``steps[len(chain):]`` is the rest (anything: ``$i//Code``);
+    * ``above`` — the steps end on the chain, above ``chain[-1]``;
+    * ``unknown`` — a ``//`` or ``*`` step comes before the chain ends;
+    * ``leaves`` — a step names another label, an attribute or
+      ``text()``: the path never enters documents rooted at ``chain[-1]``.
+    """
+    for depth, label in enumerate(chain):
+        if depth == len(steps):
+            return depth, "above"
+        step = steps[depth]
+        if step.axis not in (Axis.CHILD, "child") or step.name == "*":
+            return depth, "unknown"
+        if step.is_attribute or step.name != label:
+            return depth, "leaves"
+    return len(chain), "walks"
 
 
 def _path_touches_fragment(fragment: VerticalFragment, path: PathExpr) -> bool:
-    """Could ``path`` select nodes inside the fragment's projected region?"""
+    """Could ``path`` select nodes inside the fragment's projected region?
+
+    Not a reading of :func:`_walk_chain`: the matcher takes a label
+    chain, and a vertical fragment's own path may carry ``//`` or ``*``
+    (``VerticalFragment.validate_against_schema`` accepts such paths), so
+    containment stays the two-sided conservative ``may_contain``."""
     inside = fragment.path.may_contain(path) or path.may_contain(fragment.path)
     if not inside:
         return False
@@ -1010,19 +1027,15 @@ def _keep_below_root(
 ) -> Keep:
     """``keep`` plus what ``path`` reaches in documents rooted at
     ``chain[-1]`` (``whole``: the selected subtrees; else the bare nodes)."""
-    steps = path.steps
-    for depth, label in enumerate(chain):
-        if depth == len(steps):
-            # Selects an ancestor of the fragment root: a whole path reads
-            # the entire fragment; a bare one needs only the root.
-            return None if whole else keep
-        step = steps[depth]
-        if step.axis is Axis.DESCENDANT or step.is_wildcard:
-            return None
-        if step.is_attribute or step.name != label:
-            return keep  # leaves the chain: never enters these documents
+    _, verdict = _walk_chain(path.steps, chain)
+    if verdict != "walks":
+        # Above the fragment root a whole path reads the entire fragment,
+        # a bare one needs only the root; past a '//' or '*' anything may
+        # be read; a path leaving the chain never enters these documents.
+        kept = verdict == "leaves" or verdict == "above" and not whole
+        return keep if kept else None
     labels = []
-    for step in steps[len(chain) :]:
+    for step in path.steps[len(chain) :]:
         if step.is_attribute:
             whole = False  # attributes travel with their bare owner
             break
@@ -1066,37 +1079,21 @@ def _reroot_predicate(
     if isinstance(predicate, Not):
         inner = _reroot_predicate(predicate.inner, unit_path)
         return Not(inner) if inner is not None else None
-    path = getattr(predicate, "path", None)
-    if path is None:
-        return None
-    rerooted_path = _reroot_path(path, unit_path)
-    if rerooted_path is None:
-        return None
-    if isinstance(predicate, Comparison):
-        return Comparison(rerooted_path, predicate.op, predicate.value)
-    if isinstance(predicate, Contains):
-        return Contains(rerooted_path, predicate.needle)
-    if isinstance(predicate, StartsWith):
-        return StartsWith(rerooted_path, predicate.prefix)
-    if isinstance(predicate, Exists):
-        return Exists(rerooted_path)
-    if isinstance(predicate, Empty):
-        return Empty(rerooted_path)
-    return None
+    if not isinstance(predicate, (Comparison, Contains, StartsWith, Exists, Empty)):
+        return None  # a FunctionComparison, or no path at all
+    rerooted = _reroot_path(predicate.path, unit_path)
+    return None if rerooted is None else replace(predicate, path=rerooted)
 
 
 def _reroot_path(path: PathExpr, unit_path: PathExpr) -> Optional[PathExpr]:
+    """``path`` from the unit instead of the document root; None unless
+    both are plain paths and ``path`` walks the unit path."""
     if not unit_path.is_simple or not path.is_simple:
         return None
-    unit_labels = [s.name for s in unit_path.steps]
-    path_labels = [s.name for s in path.steps]
-    if len(path_labels) < len(unit_labels):
+    labels = [step.name for step in unit_path.steps]
+    if _walk_chain(path.steps, labels)[1] != "walks":
         return None
-    if path_labels[: len(unit_labels)] != unit_labels:
-        return None
-    kept = path.steps[len(unit_labels) :]
-    steps = (Step(Axis.CHILD, unit_path.last.name),) + kept
-    return PathExpr(steps)
+    return PathExpr((Step(Axis.CHILD, labels[-1]),) + path.steps[len(labels) :])
 
 
 # ----------------------------------------------------------------------
@@ -1127,15 +1124,24 @@ def rewrite_paths_for_fragment_root(
 
     ``chain_labels`` are the labels of the fragment's path (e.g.
     ``[article, prolog]`` or ``[Store, Items, Item]``); fragment documents
-    are rooted at the *last* label. Collection-rooted paths starting with
-    the full chain keep only the last label onward; a ``for`` binding that
-    stops partway down the chain (``for $a in collection()/article``) is
-    re-bound to the fragment roots, and the chain remainder is stripped
-    from every path hanging off the variable (``$a/prolog/title`` →
-    ``$a/title``). Descendant-axis leading steps need no rewriting.
+    are rooted at the *last* label. A path from a document root meets
+    the chain, one from a variable the labels left to strip off it
+    (:func:`_walk_chain`), and the verdict decides:
 
-    Returns None when some path addresses the original document shape in a
-    way that cannot be mapped (the caller falls back to reconstruction).
+    * ``walks`` — the labels are dropped, a document root's but the last
+      (``collection()/a/b/c`` → ``collection()/b/c`` for ``[a, b]``);
+    * ``above`` — a binding (``for $a in collection()/a``) is re-bound
+      to the fragment roots and leaves the rest of the chain to strip
+      off the variable (``$a/b/c`` → ``$a/c``); any other use fails;
+    * ``unknown`` — a leading ``//`` is kept (it reaches the fragment's
+      nodes by itself); a ``*`` or a later ``//`` fails;
+    * ``leaves`` — kept when a document root's first step names neither
+      the chain's first label nor its last (``collection()/z/w`` selects
+      nothing, here as in the source); anything else fails
+      (``collection()/b/w`` would select fragment roots).
+
+    A bare use of a variable with labels left fails too, as does a
+    predicate on a dropped step. None on a failure: the caller reconstructs.
     """
     rewriter = _FragmentRootRewriter(chain_labels)
     rewritten = rewriter.rewrite(expr, {})
@@ -1165,13 +1171,12 @@ class _FragmentRootRewriter:
         if isinstance(expr, Quantified):
             scope = dict(strips)
             seq, strip = self._rewrite_binding(expr.seq, strips)
-            if strip is not None:
-                scope[expr.var] = strip
+            scope[expr.var] = strip or []
             return Quantified(
                 expr.kind, expr.var, seq, self.rewrite(expr.condition, scope)
             )
         if isinstance(expr, PathApply):
-            return self._rewrite_path(expr, strips)
+            return self._rewrite_path(expr, strips, binding=False)[0]
         if isinstance(expr, VarRef):
             if strips.get(expr.name):
                 # The variable's nominal node does not exist in fragment
@@ -1186,12 +1191,11 @@ class _FragmentRootRewriter:
         for clause in expr.clauses:
             if isinstance(clause, ForClause):
                 seq, strip = self._rewrite_binding(clause.seq, scope)
-                clauses.append(ForClause(clause.var, seq, clause.position_var))
-                scope[clause.var] = strip if strip is not None else []
+                clauses.append(replace(clause, seq=seq))
             else:
                 seq, strip = self._rewrite_binding(clause.expr, scope)
-                clauses.append(LetClause(clause.var, seq))
-                scope[clause.var] = strip if strip is not None else []
+                clauses.append(replace(clause, expr=seq))
+            scope[clause.var] = strip or []
         where = self.rewrite(expr.where, scope) if expr.where is not None else None
         order_by = tuple(
             OrderSpec(self.rewrite(s.key, scope), s.descending)
@@ -1205,107 +1209,65 @@ class _FragmentRootRewriter:
         self, seq: Expr, strips: dict[str, list[str]]
     ) -> tuple[Expr, Optional[list[str]]]:
         """Rewrite a binding sequence; returns (new_seq, strip-for-var)."""
-        if isinstance(seq, PathApply) and _is_anchored(seq):
-            return self._strip_anchored(seq, strips, binding=True)
-        if isinstance(seq, PathApply) and isinstance(seq.primary, VarRef):
-            return self._strip_var_rooted(seq, strips, binding=True)
+        if isinstance(seq, PathApply):
+            return self._rewrite_path(seq, strips, binding=True)
         return self.rewrite(seq, strips), []
 
     # ------------------------------------------------------------------
-    def _rewrite_path(self, expr: PathApply, strips: dict[str, list[str]]) -> Expr:
-        if _is_anchored(expr):
-            rewritten, strip = self._strip_anchored(expr, strips, binding=False)
-        elif isinstance(expr.primary, VarRef):
-            rewritten, strip = self._strip_var_rooted(expr, strips, binding=False)
-        else:
-            primary = self.rewrite(expr.primary, strips)
-            return PathApply(
-                primary, self._rewrite_step_predicates(expr.steps, strips), expr.absolute
-            )
-        if strip:  # non-binding use must map fully
-            self.failed = True
-        return rewritten
-
-    def _keep(
-        self, expr: PathApply, steps: tuple[AxisStep, ...], strips: dict[str, list[str]]
-    ) -> PathApply:
-        """``expr``'s primary followed by ``steps``, predicates rewritten."""
-        return PathApply(
-            expr.primary, self._rewrite_step_predicates(steps, strips), expr.absolute
-        )
-
-    def _strip_anchored(
+    def _rewrite_path(
         self, expr: PathApply, strips: dict[str, list[str]], binding: bool
     ) -> tuple[Expr, Optional[list[str]]]:
-        steps = expr.steps
-        if not steps:
-            return expr, []
-        first = steps[0]
-        if (
-            first.axis == "descendant-or-self"
-            or first.name != self.chain[0]
-            or first.is_attribute
-        ):
-            return self._keep(expr, steps, strips), []
-        matched = 0
-        for step, label in zip(steps, self.chain):
-            if step.axis != "child" or step.name != label or step.is_attribute:
-                break
-            matched += 1
-        if matched < len(self.chain):
+        """Rewrite a path (a binding's sequence when ``binding``); returns
+        (new path, strip-for-var)."""
+        if _is_anchored(expr):
+            return self._strip(expr, self.chain, 1, strips, binding)
+        if isinstance(expr.primary, VarRef):
+            chain = strips.get(expr.primary.name) or []
+            return self._strip(expr, chain, 0, strips, binding)
+        primary = self.rewrite(expr.primary, strips)
+        return self._with_steps(expr, primary, expr.steps, strips), []
+
+    def _strip(
+        self,
+        expr: PathApply,
+        chain: list[str],
+        keep: int,
+        strips: dict[str, list[str]],
+        binding: bool,
+    ) -> tuple[Expr, Optional[list[str]]]:
+        """``expr`` with the ``chain`` labels it walks dropped but the
+        last ``keep``, and the labels a binding leaves to strip off its
+        variable (the rules of :func:`rewrite_paths_for_fragment_root`)."""
+        steps, kept_labels = expr.steps, chain[len(chain) - keep :]
+        matched, verdict = _walk_chain(steps, chain)
+        if verdict == "walks":
+            dropped, left = len(chain) - keep, []
+            kept = steps[dropped:]
+        elif verdict == "above" and binding:
             # Binding stops partway down the chain: bind fragment roots and
             # leave the chain remainder to be stripped off the variable.
-            if not binding or matched < len(steps):
-                self.failed = True
-                return expr, None
-            if any(step.predicates for step in steps):
-                self.failed = True  # predicates on dropped chain steps
-                return expr, None
-            new_steps = (AxisStep("child", self.chain[-1]),)
-            remainder = self.chain[matched:]
-            return PathApply(expr.primary, new_steps, expr.absolute), remainder
-        # Full chain matched: keep the last chain step (with predicates)
-        # and everything after it.
-        if any(step.predicates for step in steps[: len(self.chain) - 1]):
-            self.failed = True  # predicates on dropped chain steps
-            return expr, None
-        return self._keep(expr, steps[len(self.chain) - 1 :], strips), []
-
-    def _strip_var_rooted(
-        self, expr: PathApply, strips: dict[str, list[str]], binding: bool
-    ) -> tuple[Expr, Optional[list[str]]]:
-        assert isinstance(expr.primary, VarRef)
-        strip = strips.get(expr.primary.name) or []
-        steps = expr.steps
-        if not strip:
-            return self._keep(expr, steps, strips), []
-        consumable = min(len(strip), len(steps))
-        for index in range(consumable):
-            step = steps[index]
-            if (
-                step.axis != "child"
-                or step.name != strip[index]
-                or step.is_attribute
-                or step.predicates
-            ):
-                if step.axis == "descendant-or-self":
-                    # '//' skips the missing ancestors by itself.
-                    return self._keep(expr, steps, strips), []
-                self.failed = True
-                return expr, None
-        remaining_strip = strip[consumable:]
-        kept = steps[consumable:]
-        if remaining_strip and not binding:
-            self.failed = True
+            dropped, left = matched, chain[matched:]
+            kept = tuple(AxisStep("child", label) for label in kept_labels)
+        elif matched == 0 and (
+            # A leading '//' reaches the fragment's nodes by itself; a path
+            # leaving the kept labels too selects nothing, here as there.
+            verdict == "unknown" and steps[0].axis == "descendant-or-self"
+            or verdict == "leaves" and _walk_chain(steps, kept_labels)[1] == "leaves"
+        ):
+            dropped, kept, left = 0, steps, []
+        else:
+            dropped = None
+        if dropped is None or any(step.predicates for step in steps[:dropped]):
+            self.failed = True  # unmappable, or predicates on dropped steps
             return expr, None
         if not kept:
-            return expr.primary, remaining_strip
-        return self._keep(expr, kept, strips), remaining_strip
+            return expr.primary, left
+        return self._with_steps(expr, expr.primary, kept, strips), left
 
-    def _rewrite_step_predicates(
-        self, steps: tuple[AxisStep, ...], strips: dict[str, list[str]]
-    ) -> tuple[AxisStep, ...]:
-        return _map_step_predicates(steps, lambda p: self.rewrite(p, strips))
+    def _with_steps(self, expr, primary, steps, strips) -> PathApply:
+        """``primary/steps`` as ``expr`` is, step predicates rewritten."""
+        steps = _map_step_predicates(steps, lambda p: self.rewrite(p, strips))
+        return PathApply(primary, steps, expr.absolute)
 
 
 def _is_anchored(expr: PathApply) -> bool:
@@ -1386,21 +1348,17 @@ def _rebuild(expr: Expr, fn) -> Expr:
             tuple(fn(p) for p in expr.predicates),
         )
     if isinstance(expr, FLWOR):
-        clauses = []
-        for clause in expr.clauses:
-            if isinstance(clause, ForClause):
-                clauses.append(
-                    ForClause(
-                        clause.var, fn(clause.seq), clause.position_var
-                    )
-                )
-            else:
-                clauses.append(LetClause(clause.var, fn(clause.expr)))
+        clauses = tuple(
+            replace(clause, seq=fn(clause.seq))
+            if isinstance(clause, ForClause)
+            else replace(clause, expr=fn(clause.expr))
+            for clause in expr.clauses
+        )
         where = fn(expr.where) if expr.where is not None else None
         order_by = tuple(
             OrderSpec(fn(s.key), s.descending) for s in expr.order_by
         )
-        return FLWOR(tuple(clauses), where, order_by, fn(expr.return_expr))
+        return FLWOR(clauses, where, order_by, fn(expr.return_expr))
     if isinstance(expr, IfExpr):
         return IfExpr(
             fn(expr.condition),

@@ -138,16 +138,24 @@ class TestOracleGreenPath:
 
     def test_vertical_joins_cover_the_semijoin_and_the_reconstruction(self):
         # Iteration 1 of the CI session: an articles case holding joins
-        # the semi-join answers and joins it declines (both counted).
+        # the semi-join answers and joins it declines (both counted). Its
+        # design prunes the authors off the articles, so the authors by
+        # genre are answered three labels deep (a deep-chain plan).
         spec = spec_for_iteration(2006, 1)
         assert spec.family == "articles"
+        assert any(
+            "/article/prolog/authors" in note for note in generate_case(spec).notes
+        )
         outcome = run_case(spec)
         assert outcome.ok, [m.detail for m in outcome.mismatches]
         assert outcome.semijoin_plans > 0
+        assert outcome.deep_chain_plans > 0
         assert outcome.fetch_projections["strict"] > 0
         assert outcome.to_dict()["semijoin_plans"] == outcome.semijoin_plans
+        assert outcome.to_dict()["deep_chain_plans"] == outcome.deep_chain_plans
         summary = run_fuzz(seed=2006, iterations=2, minimize=False)
         assert summary["semijoin_plans"] == outcome.semijoin_plans
+        assert summary["deep_chain_plans"] == outcome.deep_chain_plans
 
     def test_store_plans_are_counted_by_hybrid_branch(self):
         # Iteration 2 of the CI session: a store case holding a ``//``

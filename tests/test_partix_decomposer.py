@@ -19,7 +19,9 @@ from repro.partix import (
     rewrite_avg_to_sum_count,
     rewrite_paths_for_fragment_root,
 )
-from repro.paths import eq, exists, ne
+from repro.partix.decomposer import _reroot_path, projection_paths
+from repro.paths import eq, exists, ne, parse_path
+from repro.xquery.analysis import analyze_query
 from repro.xquery.parser import parse_query
 from repro.xquery.unparse import unparse
 
@@ -350,6 +352,142 @@ class TestRewriters:
         ast = parse_query('collection("c")/z/w')
         rewritten = rewrite_paths_for_fragment_root(ast, ["a", "b"])
         assert unparse(rewritten) == 'collection("c")/z/w'
+
+    def test_descendant_step_after_a_stripped_label_fails(self):
+        # On Item roots ``$s/Items//Code`` would select nothing.
+        ast = parse_query(
+            'for $s in collection("C")/Store return $s/Items//Code'
+        )
+        chain = ["Store", "Items", "Item"]
+        assert rewrite_paths_for_fragment_root(ast, chain) is None
+
+    def test_leading_wildcard_fails(self):
+        ast = parse_query('collection("C")/*/Items/Item/Code')
+        chain = ["Store", "Items", "Item"]
+        assert rewrite_paths_for_fragment_root(ast, chain) is None
+
+    def test_path_naming_the_fragment_root_first_fails(self):
+        # Kept as it is, /b/w would select below the fragment roots what
+        # the source documents (rooted at a) do not have there.
+        ast = parse_query('collection("c")/b/w')
+        assert rewrite_paths_for_fragment_root(ast, ["a", "b"]) is None
+
+    def test_attribute_in_place_of_the_unit_is_not_rerooted(self):
+        path = parse_path("/Store/Items/@Item")
+        assert _reroot_path(path, parse_path("/Store/Items/Item")) is None
+
+
+#: One row per (entry point, verdict, labels matched before it, root of
+#: the path the verdict is about): the query and what the entry point
+#: makes of it. ``rewrite`` and ``project`` read the fragment chain
+#: ``[a, b, c]``; ``hybrid`` is the StoreHyb-like design (unit path
+#: ``/Store/Items/Item``) and answers the branch its plan took. A path
+#: has a step, so nothing is ``above`` at depth 0; a document-rooted
+#: path walks the whole chain, so only a variable already bound to the
+#: fragment roots walks at depth 0.
+_VERDICT_CASES = [
+    ("rewrite", "walks", 3, "collection",
+     'collection("C")/a/b/c/d', 'collection("C")/c/d'),
+    ("rewrite", "walks", 0, "variable",
+     'for $x in collection("C")/a/b/c return $x/d',
+     'for $x in collection("C")/c return $x/d'),
+    ("rewrite", "walks", 2, "variable",
+     'for $x in collection("C")/a return $x/b/c/d',
+     'for $x in collection("C")/c return $x/d'),
+    ("rewrite", "above", 2, "collection", 'count(collection("C")/a/b)', None),
+    ("rewrite", "above", 1, "variable",
+     'for $x in collection("C")/a, $y in $x/b return $y/c/d',
+     'for $x in collection("C")/c for $y in $x return $y/d'),
+    ("rewrite", "above", 1, "variable",
+     'for $x in collection("C")/a return count($x/b)', None),
+    ("rewrite", "unknown", 0, "collection",
+     'collection("C")//d', 'collection("C")//d'),
+    ("rewrite", "unknown", 0, "collection", 'collection("C")/*/b/c/d', None),
+    ("rewrite", "unknown", 1, "collection", 'collection("C")/a//d', None),
+    ("rewrite", "unknown", 0, "variable",
+     'for $x in collection("C")/a return $x//d',
+     'for $x in collection("C")/c return $x//d'),
+    ("rewrite", "unknown", 1, "variable",
+     'for $x in collection("C")/a return $x/b//d', None),
+    ("rewrite", "leaves", 0, "collection",
+     'collection("C")/z/w', 'collection("C")/z/w'),
+    ("rewrite", "leaves", 0, "collection", 'collection("C")/c/w', None),
+    ("rewrite", "leaves", 1, "collection", 'collection("C")/a/z', None),
+    ("rewrite", "leaves", 0, "variable",
+     'for $x in collection("C")/a return $x/z', None),
+    ("rewrite", "leaves", 1, "variable",
+     'for $x in collection("C")/a return $x/b/@id', None),
+    ("project", "walks", 3, "collection", 'collection("C")/a/b/c/d', ("d",)),
+    ("project", "walks", 3, "variable",
+     'for $x in collection("C")/a/b/c return $x/d', ("d",)),
+    ("project", "above", 2, "collection", 'collection("C")/a/b', (".",)),
+    ("project", "above", 2, "variable",
+     'for $x in collection("C")/a return $x/b', (".",)),
+    ("project", "unknown", 0, "collection", 'collection("C")//d', (".",)),
+    ("project", "unknown", 1, "collection", 'collection("C")/a/*/c/d', (".",)),
+    ("project", "unknown", 2, "variable",
+     'for $x in collection("C")/a return $x/b//d', (".",)),
+    ("project", "leaves", 0, "collection", 'collection("C")/z/d', ()),
+    ("project", "leaves", 1, "collection", 'collection("C")/a/z', ()),
+    ("project", "leaves", 2, "variable",
+     'for $x in collection("C")/a return $x/b/@id', ()),
+    ("hybrid", "walks", 3, "collection",
+     'collection("Cstore")/Store/Items/Item/Code', "units"),
+    ("hybrid", "walks", 3, "variable",
+     'for $i in collection("Cstore")/Store/Items/Item return $i/Code', "units"),
+    ("hybrid", "above", 2, "collection",
+     'count(collection("Cstore")/Store/Items)', "reconstruct"),
+    ("hybrid", "above", 2, "variable",
+     'for $s in collection("Cstore")/Store return count($s/Items)',
+     "reconstruct"),
+    ("hybrid", "unknown", 0, "collection",
+     'count(collection("Cstore")//Code)', "reconstruct"),
+    ("hybrid", "unknown", 1, "collection",
+     'collection("Cstore")/Store/*/Item/Code', "reconstruct"),
+    ("hybrid", "unknown", 1, "variable",
+     'for $s in collection("Cstore")/Store return $s/*/Item/Code',
+     "reconstruct"),
+    ("hybrid", "leaves", 0, "collection",
+     'count(collection("Cstore")/Other)', "remainder"),
+    ("hybrid", "leaves", 0, "variable",
+     'for $o in collection("Cstore")/Other return $o/Name', "remainder"),
+    ("hybrid", "leaves", 1, "collection",
+     'collection("Cstore")/Store/Sections/SectionEntry/Name', "remainder"),
+    ("hybrid", "leaves", 2, "collection",
+     'collection("Cstore")/Store/Items/@n', "remainder"),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, query, expected",
+    [pytest.param(entry, query, expected, id=f"{entry}-{verdict}-depth{depth}"
+                  f"-{rooted}-{index}")
+     for index, (entry, verdict, depth, rooted, query, expected)
+     in enumerate(_VERDICT_CASES)],
+)
+def test_each_chain_verdict_through_every_entry_point(
+    request, entry, query, expected
+):
+    if entry == "rewrite":
+        rewritten = rewrite_paths_for_fragment_root(
+            parse_query(query), ["a", "b", "c"]
+        )
+        assert (rewritten if rewritten is None else unparse(rewritten)) == expected
+    elif entry == "project":
+        analysis = analyze_query(parse_query(query))
+        assert projection_paths(analysis, ["a", "b", "c"], []) == expected
+    else:
+        decomposer = _publish(
+            request.getfixturevalue("store_collection"),
+            request.getfixturevalue("store_design"),
+        )
+        fetched = set(decomposer.decompose(query).fragment_names)
+        branch = (
+            "units" if fetched <= {"F2", "F3"}
+            else "remainder" if fetched == {"F1"}
+            else "reconstruct"
+        )
+        assert branch == expected
 
 
 class TestAnnotatedMode:

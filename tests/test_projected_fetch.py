@@ -176,14 +176,17 @@ class _Repository:
         return ResultComposer().compose(spec, partials).result_text
 
 
-def _prune_complement(pruned: str, stubs: bool = False) -> FragmentationSchema:
+def _prune_complement(*pruned: str, stubs: bool = False) -> FragmentationSchema:
     return FragmentationSchema(
         "Cpapers",
         [
             VerticalFragment(
-                "F1", "Cpapers", path="/article", prune=(pruned,), stub_prunes=stubs
+                "F1", "Cpapers", path="/article", prune=pruned, stub_prunes=stubs
             ),
-            VerticalFragment("F2", "Cpapers", path=pruned),
+            *(
+                VerticalFragment(f"F{number}", "Cpapers", path=path)
+                for number, path in enumerate(pruned, 2)
+            ),
         ],
         root_label="article",
     )
@@ -204,6 +207,10 @@ ARTICLE_DESIGNS = {
     "three-way": xbench_vertical_fragmentation(),
     "prune-body": _prune_complement("/article/body"),
     "prune-epilog": _prune_complement("/article/epilog"),
+    "prune-authors": _prune_complement("/article/prolog/authors"),
+    "prune-body-authors": _prune_complement(
+        "/article/body", "/article/prolog/authors"
+    ),
     "prune-body-stubs": _prune_complement("/article/body", stubs=True),
     "nested-prune": _NESTED,
 }
