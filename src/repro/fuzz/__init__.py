@@ -11,9 +11,12 @@ standing randomized oracle:
   fragmentation designs over them, and random queries from the supported
   XQuery subset, all derived deterministically from a :class:`CaseSpec`;
 * :mod:`repro.fuzz.runner` — the differential oracle: each query runs
-  centralized and against the fragmented repository in both execution
-  modes, answers are compared, and the §3.3 correctness rules are
-  re-verified empirically;
+  centralized and against the fragmented repository in every execution
+  mode of the case's configuration (a transport, in-process or tcp, and
+  a disturbance between two passes: none, a killed site or a live
+  migration — drawn per case from the seed, so a failure minimizes and
+  replays with it), answers are compared, and the §3.3 correctness
+  rules are re-verified empirically;
 * :mod:`repro.fuzz.minimize` — a greedy case minimizer that shrinks a
   failing (collection, design, query) triple to a minimal reproducer and
   writes it as a ready-to-run pytest file under ``tests/repros/``;

@@ -2,8 +2,10 @@
 
 Writes the JSON summary to stdout (or ``--output``), a human-readable
 digest to stderr, and exits non-zero when the oracle found mismatches —
-the contract the CI ``fuzz-smoke`` job relies on. ``--replay`` re-runs a
-single spec (as emitted in reproducer files) instead of a whole session.
+the contract the CI ``fuzz-smoke`` job relies on. Each case runs under
+the configuration its spec carries. ``--replay`` re-runs a single spec
+(as emitted in reproducer files, configuration included) instead of a
+whole session.
 """
 
 from __future__ import annotations
@@ -13,13 +15,8 @@ import json
 import sys
 
 from repro.bench.reporting import format_kv_table
-from repro.fuzz.generator import CaseSpec
-from repro.fuzz.runner import (
-    ALL_EXECUTION_MODES,
-    EXECUTION_MODES,
-    run_case,
-    run_fuzz,
-)
+from repro.fuzz.generator import CaseSpec, GenerationError
+from repro.fuzz.runner import run_case, run_fuzz
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -61,51 +58,14 @@ def main(argv: list[str] | None = None) -> int:
         metavar="SPEC_JSON",
         help="run one CaseSpec (JSON dict) instead of a fuzz session",
     )
-    parser.add_argument(
-        "--modes",
-        default=",".join(EXECUTION_MODES),
-        help="comma-separated fragmented execution modes to compare"
-        " (subset of %s; default: %%(default)s)"
-        % "/".join(ALL_EXECUTION_MODES),
-    )
-    parser.add_argument(
-        "--kill-site",
-        action="store_true",
-        help="failover oracle: replicate every fragment on a mirror"
-        " site, kill one primary's server mid-case, and require the"
-        " answers to still converge via the replica (needs a tcp mode)",
-    )
-    parser.add_argument(
-        "--migrate",
-        action="store_true",
-        help="online-rebalancing oracle: run every case once, fire a"
-        " live split/move migration onto a spare site, run it again —"
-        " answers must converge on both catalog versions",
-    )
     options = parser.parse_args(argv)
 
-    modes = tuple(
-        mode.strip() for mode in options.modes.split(",") if mode.strip()
-    )
-    unknown = [mode for mode in modes if mode not in ALL_EXECUTION_MODES]
-    if not modes or unknown:
-        parser.error(
-            f"--modes must name at least one of"
-            f" {', '.join(ALL_EXECUTION_MODES)}"
-            + (f" (got {', '.join(unknown)})" if unknown else "")
-        )
-    if options.kill_site and not any(mode.startswith("tcp") for mode in modes):
-        parser.error("--kill-site requires a tcp mode in --modes")
-    if options.kill_site and options.migrate:
-        parser.error("--kill-site and --migrate are mutually exclusive")
-
     if options.replay is not None:
-        outcome = run_case(
-            CaseSpec.from_dict(json.loads(options.replay)),
-            modes=modes,
-            kill_site=options.kill_site,
-            migrate=options.migrate,
-        )
+        try:
+            spec = CaseSpec.from_dict(json.loads(options.replay))
+        except GenerationError as error:
+            parser.error(f"--replay: {error}")
+        outcome = run_case(spec)
         payload = outcome.to_dict()
         ok = outcome.ok
     else:
@@ -115,9 +75,6 @@ def main(argv: list[str] | None = None) -> int:
             minimize=not options.no_minimize,
             repro_dir=None if options.no_repros else options.repro_dir,
             max_failures=options.max_failures,
-            modes=modes,
-            kill_site=options.kill_site,
-            migrate=options.migrate,
         )
         ok = payload["ok"]
         _print_digest(payload)
@@ -142,6 +99,10 @@ def _print_digest(summary: dict) -> None:
     rows.extend(
         (f"family {name}", count)
         for name, count in sorted(summary["families"].items())
+    )
+    rows.extend(
+        (f"configuration {name}", count)
+        for name, count in sorted(summary["configurations"].items())
     )
     rows.extend(
         (f"composition {kind}", count)
@@ -174,15 +135,11 @@ def _print_digest(summary: dict) -> None:
         (f"accessor step shape {name}", count)
         for name, count in summary["step_shapes"].items()
     )
-    if summary.get("migrate"):
-        rows.append(("migrations completed", summary["migrations_completed"]))
+    rows.append(("migrations completed", summary["migrations_completed"]))
     rows.append(("failures", len(summary["failures"])))
     title = (
         f"repro.fuzz — seed {summary['seed']},"
-        f" {summary['iterations']} iterations,"
-        f" modes {'/'.join(summary['execution_modes'])}"
-        + (" [kill-site]" if summary.get("kill_site") else "")
-        + (" [migrate]" if summary.get("migrate") else "")
+        f" {summary['iterations']} iterations"
     )
     print(format_kv_table(title, rows), file=sys.stderr)
     for failure in summary["failures"]:

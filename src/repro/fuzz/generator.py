@@ -101,6 +101,19 @@ COUNTRIES = ("BR", "US", "DE", "FR")
 NUMERALS = ("1", "2", "3", "4", "5", "1.0", "02", "40e-1", "5.0", "05")
 
 
+#: The (transport, disturbance) pairs a case runs under. ``tcp`` adds
+#: real site-server processes to the in-process modes; ``kill`` kills one
+#: of those processes between two passes, so it needs ``tcp``; ``migrate``
+#: moves data between the passes.
+CONFIGURATIONS = (
+    ("in-process", None),
+    ("in-process", "migrate"),
+    ("tcp", None),
+    ("tcp", "kill"),
+    ("tcp", "migrate"),
+)
+
+
 class GenerationError(RuntimeError):
     """A generated artifact violated one of the generator's own invariants."""
 
@@ -114,7 +127,9 @@ class CaseSpec:
 
     ``query_index`` pins a single query (None runs the whole generated
     set); ``strip_where`` / ``simple_return`` are minimizer knobs that
-    simplify the pinned query after generation.
+    simplify the pinned query after generation. ``transport`` and
+    ``disturbance`` are the case's configuration, one of
+    :data:`CONFIGURATIONS` (see :func:`repro.fuzz.runner.run_case`).
     """
 
     seed: int
@@ -126,6 +141,8 @@ class CaseSpec:
     query_index: Optional[int] = None
     strip_where: bool = False
     simple_return: bool = False
+    transport: str = "in-process"
+    disturbance: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -135,6 +152,16 @@ class CaseSpec:
                 "doc_count >= 1, fragment_count >= 2 and query_count >= 1"
                 " required"
             )
+        if (self.transport, self.disturbance) not in CONFIGURATIONS:
+            raise GenerationError(
+                f"unknown configuration {self.configuration!r}: a case"
+                f" runs under one of {CONFIGURATIONS} (kill needs tcp)"
+            )
+
+    @property
+    def configuration(self) -> str:
+        """``transport/disturbance``, the key the session summary counts."""
+        return f"{self.transport}/{self.disturbance or 'none'}"
 
     def to_dict(self) -> dict:
         return {
@@ -147,6 +174,8 @@ class CaseSpec:
             "query_index": self.query_index,
             "strip_where": self.strip_where,
             "simple_return": self.simple_return,
+            "transport": self.transport,
+            "disturbance": self.disturbance,
         }
 
     @classmethod
@@ -158,7 +187,7 @@ class CaseSpec:
         return (
             f"{self.family}(seed={self.seed}, docs={self.doc_count},"
             f" fragments={self.fragment_count}, frag_mode={self.frag_mode},"
-            f" query={pinned})"
+            f" query={pinned}, {self.configuration})"
         )
 
 
@@ -191,7 +220,7 @@ def spec_for_iteration(seed: int, iteration: int) -> CaseSpec:
         doc_count = rng.randint(3, 12)
     else:
         doc_count = rng.randint(3, 10)
-    return CaseSpec(
+    spec = CaseSpec(
         seed=rng.randrange(1 << 31),
         family=family,
         doc_count=doc_count,
@@ -199,6 +228,10 @@ def spec_for_iteration(seed: int, iteration: int) -> CaseSpec:
         frag_mode=rng.choice((1, 2)),
         query_count=5,
     )
+    # Drawn last: the draws above alone fix the case's documents, design
+    # and queries, which pinned iterations (CI seeds, tests) rely on.
+    transport, disturbance = rng.choice(CONFIGURATIONS)
+    return replace(spec, transport=transport, disturbance=disturbance)
 
 
 def generate_case(spec: CaseSpec) -> GeneratedCase:
@@ -927,6 +960,12 @@ def _one_store_query(rng: random.Random, sections: tuple[str, ...]) -> Expr:
 def shrink_candidates(spec: CaseSpec) -> list[CaseSpec]:
     """Greedy shrink moves, most aggressive first (used by the minimizer)."""
     candidates: list[CaseSpec] = []
+    # A reproducer spawns no process and moves no data unless the
+    # failure needs it.
+    if spec.disturbance is not None:
+        candidates.append(replace(spec, disturbance=None))
+    if spec.transport != "in-process" and spec.disturbance != "kill":
+        candidates.append(replace(spec, transport="in-process"))
     if spec.doc_count > 1:
         candidates.append(replace(spec, doc_count=max(1, spec.doc_count // 2)))
         candidates.append(replace(spec, doc_count=spec.doc_count - 1))

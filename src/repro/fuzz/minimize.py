@@ -8,14 +8,16 @@ artifacts — regeneration keeps every reproducer a one-line
 mismatch kinds) is preserved:
 
 1. pin the failing query (``query_index``);
-2. repeatedly apply the generator's shrink moves — halve/decrement the
-   document count, collapse to two fragments, strip the ``where`` clause,
-   simplify the ``return`` — accepting any move that still fails the same
-   way, until no move applies (a greedy fixpoint).
+2. repeatedly apply the generator's shrink moves — drop the disturbance,
+   fall back to the in-process transport, halve/decrement the document
+   count, collapse to two fragments, strip the ``where`` clause, simplify
+   the ``return`` — accepting any move that still fails the same way,
+   until no move applies (a greedy fixpoint).
 
 :func:`write_repro` then renders the minimal spec as a ready-to-run
 pytest file under ``tests/repros/`` so the failure becomes a committed
-regression test.
+regression test. The spec carries the case's configuration, so the
+reproducer replays the transport and disturbance that failed.
 """
 
 from __future__ import annotations
@@ -38,9 +40,6 @@ def minimize_spec(
     outcome: CaseOutcome,
     partix_factory: Optional[Callable] = None,
     budget: int = DEFAULT_BUDGET,
-    modes: Optional[tuple] = None,
-    kill_site: bool = False,
-    migrate: bool = False,
 ) -> CaseOutcome:
     """Shrink ``spec`` greedily while it keeps failing the same way.
 
@@ -60,10 +59,7 @@ def minimize_spec(
         if failing:
             candidate = replace(best_spec, query_index=failing[0])
             attempts += 1
-            reproduced = _reproduces(
-                candidate, fingerprint, partix_factory, modes, kill_site,
-                migrate,
-            )
+            reproduced = _reproduces(candidate, fingerprint, partix_factory)
             if reproduced is not None:
                 best_spec, best_outcome = candidate, reproduced
 
@@ -74,10 +70,7 @@ def minimize_spec(
             if attempts >= budget:
                 break
             attempts += 1
-            reproduced = _reproduces(
-                candidate, fingerprint, partix_factory, modes, kill_site,
-                migrate,
-            )
+            reproduced = _reproduces(candidate, fingerprint, partix_factory)
             if reproduced is not None:
                 best_spec, best_outcome = candidate, reproduced
                 progress = True
@@ -89,26 +82,9 @@ def _reproduces(
     spec: CaseSpec,
     fingerprint: tuple[str, ...],
     partix_factory: Optional[Callable],
-    modes: Optional[tuple] = None,
-    kill_site: bool = False,
-    migrate: bool = False,
 ) -> Optional[CaseOutcome]:
     try:
-        if modes is None:
-            outcome = run_case(
-                spec,
-                partix_factory=partix_factory,
-                kill_site=kill_site,
-                migrate=migrate,
-            )
-        else:
-            outcome = run_case(
-                spec,
-                partix_factory=partix_factory,
-                modes=modes,
-                kill_site=kill_site,
-                migrate=migrate,
-            )
+        outcome = run_case(spec, partix_factory=partix_factory)
     except Exception:  # noqa: BLE001 — a crashing shrink is just rejected
         return None
     if not outcome.ok and outcome.mismatch_kinds() == fingerprint:

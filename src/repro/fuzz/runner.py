@@ -3,14 +3,17 @@
 For each generated case the runner stands up a fresh cluster (one site
 per fragment plus a ``central`` baseline site), publishes the collection
 both ways, re-verifies the §3.3 correctness rules empirically, and runs
-every query once per configuration: centralized, then fragmented in each
-requested execution mode (``simulated`` and ``threads`` by default;
-``tcp`` adds real site-server processes — the case's repository is
-mirrored over the wire and sub-queries travel through sockets, with an
-adversarially tiny negotiated chunk size, so nearly every reply is
-chunked, chunk boundaries fall inside multi-byte UTF-8 characters and
-the assembled answer must still be byte-identical). Two comparisons
-apply:
+every query centralized, then fragmented in each execution mode of the
+case's configuration (its spec's ``transport`` and ``disturbance``, one
+of :data:`~repro.fuzz.generator.CONFIGURATIONS`): ``simulated`` and
+``threads`` always; the ``tcp`` transport adds real site-server
+processes — the case's repository is mirrored over the wire and
+sub-queries travel through sockets, with an adversarially tiny
+negotiated chunk size, so nearly every reply is chunked, chunk
+boundaries fall inside multi-byte UTF-8 characters and the assembled
+answer must still be byte-identical. A ``kill`` or ``migrate``
+disturbance runs every query a second time after it acts (see
+:func:`run_case`). Two comparisons apply:
 
 * **mode** — the composed answers of every execution mode must be
   byte-identical, always. Plan-order composition is a hard contract:
@@ -70,7 +73,6 @@ from repro.partix.correctness import verify_fragmentation
 from repro.partix.decomposer import relevant_fragments
 from repro.partix.middleware import Partix, PartixResult
 from repro.paths.predicates import Empty, Exists, as_number, atoms
-from repro.plan.executor import ExecutionMode
 from repro.plan.explain import plan_from_dict
 from repro.xmltext.projection import WHOLE_DOCUMENT
 from repro.xquery.analysis import analyze_query
@@ -80,15 +82,14 @@ from repro.xquery.parser import parse_query
 from repro.xquery.values import atomic_to_string
 
 CENTRAL_SITE = "central"
-#: Extra site holding one replica of every fragment in ``kill_site``
-#: mode, so killing a primary's server leaves a live copy reachable.
+#: Extra site holding one replica of every fragment under the ``kill``
+#: disturbance, so killing a primary's server leaves a live copy reachable.
 MIRROR_SITE = "mirror"
-#: Extra empty site added in ``migrate`` mode: the mid-run migration
+#: Extra empty site added under the ``migrate`` disturbance: the migration
 #: splits or moves a fragment onto it, so the second pass exercises a
 #: placement the first pass never saw.
 SPARE_SITE = "spare"
 EXECUTION_MODES = ("simulated", "threads")
-ALL_EXECUTION_MODES = ExecutionMode.names()
 #: The branches of the table kernel (``NodeHandle.select``) a path step
 #: takes: the leading child step after ``collection()``/``doc()`` (or of
 #: an absolute path) tests the context node itself; a named descendant
@@ -106,8 +107,8 @@ STEP_SHAPES = (
     "text",
 )
 
-#: Chunk size proposed to the site servers when a tcp mode is under
-#: test. Tiny on purpose: every answer of 7 bytes or more is chunked,
+#: Chunk size proposed to the site servers of a case over ``tcp``.
+#: Tiny on purpose: every answer of 7 bytes or more is chunked,
 #: and with 7-byte RESULT_CHUNK frames almost every multi-byte UTF-8
 #: character in a result is split across a chunk boundary; shorter
 #: answers keep the inline RESULT form covered in the same session.
@@ -351,49 +352,41 @@ def run_case(
     spec: CaseSpec,
     case: Optional[GeneratedCase] = None,
     partix_factory: Optional[Callable[[Cluster], Partix]] = None,
-    modes: Sequence[str] = EXECUTION_MODES,
-    kill_site: bool = False,
-    migrate: bool = False,
 ) -> CaseOutcome:
     """Generate (unless given) and differentially execute one case.
 
     ``partix_factory`` lets tests swap in a middleware with a tampered
     dispatcher — that is how the injected-bug acceptance test proves the
-    oracle actually bites. ``modes`` selects the fragmented execution
-    modes to compare; including ``"tcp"`` spawns real site-server
-    processes for the case (mirrored over the wire, reaped afterwards).
+    oracle actually bites.
 
-    ``kill_site`` is the failover oracle (requires a tcp mode): every
-    fragment is published twice — primary on its round-robin site plus a
-    replica on a dedicated ``mirror`` site — the queries run once
-    healthy, then the first primary's server process is killed and the
-    same queries run again. The answers must still converge to the
-    centralized baseline through the replica: an asymmetric error or a
-    differing answer is caught by the standard oracles, and if the dead
-    site was targeted but no sub-query ever failed over (nor was the
-    site ejected by health tracking) a mismatch of kind ``failover`` is
-    reported. Killing between the passes means the coordinator's pooled
-    sockets to the victim die mid-use — the retry loop discovers the
-    corpse on a live connection, not on a fresh connect.
+    The case's configuration comes from the spec. Every query runs once
+    through ``simulated`` and ``threads``, plus ``tcp`` when
+    ``spec.transport`` is ``"tcp"``: real site-server processes for the
+    case (mirrored over the wire, reaped afterwards). A disturbance then
+    acts and the same queries run a second time:
 
-    ``migrate`` is the online-rebalancing oracle (any execution mode):
-    the queries run once against the published design, then a live
-    migration fires — the first splittable horizontal fragment is split
-    onto a dedicated empty ``spare`` site, falling back to moving the
-    first fragment there — and the same queries run again against the
-    new catalog version. Both passes face the standard oracles, so at
-    least one query is compared on *each* catalog version and the
-    answers must keep converging to the centralized baseline; a
-    migration that fails to complete (or to bump the catalog version) is
-    reported as a mismatch of kind ``migrate``. A plan cache is
-    installed so the version bump also exercises cache invalidation.
+    * ``kill`` is the failover oracle: every fragment is published twice
+      — primary on its round-robin site plus a replica on a dedicated
+      ``mirror`` site — and after the first pass the first primary's
+      server process is killed. The answers must still converge to the
+      centralized baseline through the replica: an asymmetric error or a
+      differing answer is caught by the standard oracles, and if the
+      dead site was targeted but no sub-query ever failed over (nor was
+      the site ejected by health tracking) a mismatch of kind
+      ``failover`` is reported. Killing between the passes means the
+      coordinator's pooled sockets to the victim die mid-use — the retry
+      loop discovers the corpse on a live connection, not on a fresh
+      connect.
+    * ``migrate`` is the online-rebalancing oracle: after the first pass
+      a live migration fires — the first splittable horizontal fragment
+      is split onto a dedicated empty ``spare`` site, falling back to
+      moving the first fragment there — so the second pass runs against
+      the new catalog version and the plan cache's invalidation. A
+      migration that fails to complete (or to bump the catalog version)
+      is reported as a mismatch of kind ``migrate``, and no second pass
+      runs.
     """
     outcome = CaseOutcome(spec=spec)
-    if kill_site and migrate:
-        raise ValueError(
-            "kill_site and migrate are mutually exclusive oracles:"
-            " a mid-run migration needs every site alive"
-        )
     if case is None:
         case = generate_case(spec)
     outcome.notes.extend(case.notes)
@@ -404,13 +397,6 @@ def run_case(
         if node.value is not None
     )
 
-    parsed_modes = [ExecutionMode.parse(mode) for mode in modes]
-    if kill_site and not any(mode.transport == "tcp" for mode in parsed_modes):
-        raise ValueError(
-            "kill_site=True needs a tcp execution mode: killing a site"
-            " process only perturbs the networked transports"
-        )
-
     report = verify_fragmentation(case.design, case.collection)
     if not report.ok:
         for violation in report.violations:
@@ -420,44 +406,20 @@ def run_case(
         return outcome
 
     cluster = Cluster.with_sites(len(case.design), prefix="site")
-    if kill_site:
+    allocations = None
+    if spec.disturbance == "kill":
         cluster.add(Site(MIRROR_SITE))
+        allocations = _mirrored_allocations(case)
     partix = (
         partix_factory(cluster) if partix_factory is not None else Partix(cluster)
     )
-    allocations = None
-    victim = None
-    if kill_site:
-        # Mirror the publisher's default round-robin placement for the
-        # primaries (the mirror site must not absorb one), then add one
-        # replica of every fragment on the mirror site. Victim: the
-        # first primary — killing it leaves each of its fragments with
-        # exactly one live copy.
-        primaries = [f"site{index}" for index in range(len(case.design))]
-        allocations = []
-        for index, fragment in enumerate(case.design.fragments):
-            allocations.append(
-                FragmentAllocation(
-                    fragment=fragment.name,
-                    site=primaries[index % len(primaries)],
-                    stored_collection=fragment.name,
-                )
-            )
-            allocations.append(
-                FragmentAllocation(
-                    fragment=fragment.name,
-                    site=MIRROR_SITE,
-                    stored_collection=fragment.name,
-                )
-            )
-        victim = primaries[0]
     partix.publish(
         case.collection,
         case.design,
         allocations=allocations,
         frag_mode=case.frag_mode,
     )
-    if migrate:
+    if spec.disturbance == "migrate":
         # Added *after* publish so the round-robin placement ignores it:
         # the spare site is empty until the mid-run migration fills it.
         cluster.add(Site(SPARE_SITE))
@@ -465,90 +427,108 @@ def run_case(
     cluster.add(Site(CENTRAL_SITE, use_indexes=False))
     partix.publish_centralized(case.collection, CENTRAL_SITE)
 
+    modes = EXECUTION_MODES
     try:
-        if any(mode.transport == "tcp" for mode in parsed_modes):
+        if spec.transport == "tcp":
+            modes += ("tcp",)
             # Set before start_tcp so the clients negotiate it.
             partix.chunk_bytes = ADVERSARIAL_CHUNK_BYTES
             partix.start_tcp()
-        if migrate:
-            _run_migrate_case(partix, case, outcome, modes)
-            return outcome
-        if not kill_site:
-            for index, query in case.active_queries:
+
+        def run_pass() -> list[dict[str, PartixResult]]:
+            return [
                 _run_query(partix, index, query, outcome, modes)
-            return outcome
+                for index, query in case.active_queries
+            ]
 
-        tcp_modes = [
-            mode
-            for mode, parsed in zip(modes, parsed_modes)
-            if parsed.transport == "tcp"
-        ]
-        # Pass 1 — healthy run: standard oracles, and note whether any
-        # tcp plan actually routed a lane to the victim (pruning can
-        # legitimately skip its fragment for some queries).
-        victim_targeted = False
-        for index, query in case.active_queries:
-            results = _run_query(partix, index, query, outcome, modes)
-            for mode in tcp_modes:
-                result = results.get(mode)
-                if result is not None and result.plan is not None and any(
-                    subquery.site == victim
-                    for subquery in result.plan.subqueries
-                ):
-                    victim_targeted = True
-
-        partix.tcp.kill(victim)
-        outcome.notes.append(
-            f"killed tcp site {victim!r} between passes"
-            " (pooled sockets die mid-use)"
-        )
-
-        # Pass 2 — the victim is dead: answers must still converge to
-        # the centralized baseline through the mirror replica.
-        failovers = 0
-        for index, query in case.active_queries:
-            results = _run_query(partix, index, query, outcome, modes)
-            failovers += sum(
-                results[mode].failover_count
-                for mode in tcp_modes
-                if mode in results
-            )
-        outcome.notes.append(f"replica failovers observed: {failovers}")
-        if (
-            victim_targeted
-            and failovers == 0
-            and partix.site_health is not None
-            and not partix.site_health.is_ejected(victim)
-        ):
-            outcome.mismatches.append(
-                Mismatch(
-                    kind="failover",
-                    detail=(
-                        f"site {victim!r} was killed while hosting primary"
-                        " lanes, yet no tcp sub-query failed over to its"
-                        " replica and the site was never ejected"
-                    ),
-                )
-            )
+        healthy = run_pass()
+        if spec.disturbance == "kill":
+            _kill_primary(partix, outcome, healthy, run_pass)
+        elif spec.disturbance == "migrate":
+            _migrate_to_spare(partix, case, outcome, run_pass)
     finally:
         partix.close()
     return outcome
 
 
-def _run_migrate_case(
+def _mirrored_allocations(case: GeneratedCase) -> list[FragmentAllocation]:
+    """The publisher's default round-robin placement for the primaries
+    (the mirror site must not absorb one), plus one replica of every
+    fragment on the mirror site: killing ``site0`` leaves each of its
+    fragments with exactly one live copy."""
+    allocations = []
+    for index, fragment in enumerate(case.design.fragments):
+        for site in (f"site{index % len(case.design)}", MIRROR_SITE):
+            allocations.append(
+                FragmentAllocation(
+                    fragment=fragment.name,
+                    site=site,
+                    stored_collection=fragment.name,
+                )
+            )
+    return allocations
+
+
+def _kill_primary(
+    partix: Partix,
+    outcome: CaseOutcome,
+    healthy: list[dict[str, PartixResult]],
+    run_again: Callable[[], list[dict[str, PartixResult]]],
+) -> None:
+    """Kill ``site0``'s server, run the queries again, and require a
+    failover wherever the healthy pass sent a tcp lane there."""
+    victim = "site0"
+    # Pruning can legitimately keep every tcp lane off the victim.
+    targeted = any(
+        "tcp" in results
+        and results["tcp"].plan is not None
+        and any(
+            subquery.site == victim
+            for subquery in results["tcp"].plan.subqueries
+        )
+        for results in healthy
+    )
+    partix.tcp.kill(victim)
+    outcome.notes.append(
+        f"killed tcp site {victim!r} between passes"
+        " (pooled sockets die mid-use)"
+    )
+    failovers = sum(
+        results["tcp"].failover_count
+        for results in run_again()
+        if "tcp" in results
+    )
+    outcome.notes.append(f"replica failovers observed: {failovers}")
+    if (
+        targeted
+        and failovers == 0
+        and partix.site_health is not None
+        and not partix.site_health.is_ejected(victim)
+    ):
+        outcome.mismatches.append(
+            Mismatch(
+                kind="failover",
+                detail=(
+                    f"site {victim!r} was killed while hosting primary"
+                    " lanes, yet no tcp sub-query failed over to its"
+                    " replica and the site was never ejected"
+                ),
+            )
+        )
+
+
+def _migrate_to_spare(
     partix: Partix,
     case: GeneratedCase,
     outcome: CaseOutcome,
-    modes: Sequence[str],
+    run_again: Callable[[], list[dict[str, PartixResult]]],
 ) -> None:
-    """Two differential passes with a live migration fired in between."""
+    """Fire :func:`_fire_migration` and run the queries again on the new
+    catalog version; a ``migrate`` mismatch (and no second pass) when no
+    migration completed with a version bump."""
     catalog = partix.distribution_catalog
     version_before = catalog.version
-
-    for index, query in case.active_queries:
-        _run_query(partix, index, query, outcome, modes)
     first_pass = outcome.queries_run
-
     report = _fire_migration(partix, case, outcome)
     if report is None or not report.completed:
         outcome.mismatches.append(
@@ -569,16 +549,13 @@ def _run_migrate_case(
             )
         )
         return
-
-    for index, query in case.active_queries:
-        _run_query(partix, index, query, outcome, modes)
+    run_again()
     outcome.notes.append(
         f"queries compared on catalog v{version_before}: {first_pass},"
         f" on v{catalog.version}: {outcome.queries_run - first_pass}"
     )
-    stats = partix.plan_cache.stats()
     outcome.notes.append(
-        f"plan cache across the migration: {stats}"
+        f"plan cache across the migration: {partix.plan_cache.stats()}"
     )
 
 
@@ -631,7 +608,7 @@ def _run_query(
     outcome: CaseOutcome,
     modes: Sequence[str],
 ) -> dict[str, PartixResult]:
-    """Run one query through every configuration; returns the successful
+    """Run one query centralized and in every mode; returns the successful
     fragmented results keyed by mode (empty on error paths)."""
     central_text, central_error = _attempt(
         lambda: partix.execute_centralized(query, CENTRAL_SITE).result_text
@@ -900,24 +877,19 @@ def run_fuzz(
     repro_dir: Optional[str] = None,
     partix_factory: Optional[Callable[[Cluster], Partix]] = None,
     max_failures: int = 5,
-    modes: Sequence[str] = EXECUTION_MODES,
-    kill_site: bool = False,
-    migrate: bool = False,
 ) -> dict:
     """Run the full differential session; returns a JSON-able summary.
 
-    Stops early once ``max_failures`` distinct failing cases have been
-    collected (each one is expensive: it triggers minimization and a
-    written reproducer when ``repro_dir`` is set). ``kill_site`` runs
-    every case through the failover oracle, ``migrate`` through the
-    online-rebalancing oracle (see :func:`run_case`).
+    Each case runs under the configuration its spec drew
+    (``configurations`` counts them). Stops early once ``max_failures``
+    distinct failing cases have been collected (each one is expensive:
+    it triggers minimization and a written reproducer when
+    ``repro_dir`` is set).
     """
     summary: dict = {
         "seed": seed,
         "iterations": iterations,
-        "execution_modes": list(modes),
-        "kill_site": kill_site,
-        "migrate": migrate,
+        "configurations": {},
         "migrations_completed": 0,
         "cases": 0,
         "queries_run": 0,
@@ -938,6 +910,7 @@ def run_fuzz(
         "ok": True,
     }
     families: Counter = Counter()
+    configurations: Counter = Counter()
     kinds: Counter = Counter()
     projections: Counter = Counter()
     index_oracle: Counter = Counter()
@@ -946,15 +919,9 @@ def run_fuzz(
     shapes: Counter = Counter(summary["step_shapes"])
     for iteration in range(iterations):
         spec = spec_for_iteration(seed, iteration)
-        outcome = run_case(
-            spec,
-            partix_factory=partix_factory,
-            modes=modes,
-            kill_site=kill_site,
-            migrate=migrate,
-        )
-        if migrate and not any(
-            m.kind == "migrate" for m in outcome.mismatches
+        outcome = run_case(spec, partix_factory=partix_factory)
+        if spec.disturbance == "migrate" and (
+            "migrate" not in outcome.mismatch_kinds()
         ):
             summary["migrations_completed"] += 1
         summary["cases"] += 1
@@ -962,6 +929,7 @@ def run_fuzz(
         summary["queries_skipped"] += outcome.queries_skipped
         summary["comparisons"] += outcome.comparisons
         families[spec.family] += 1
+        configurations[spec.configuration] += 1
         kinds.update(outcome.composition_kinds)
         projections.update(outcome.fetch_projections)
         index_oracle.update(outcome.index_oracle)
@@ -980,14 +948,7 @@ def run_fuzz(
             from repro.fuzz.minimize import minimize_spec, write_repro
 
             minimized = (
-                minimize_spec(
-                    spec,
-                    outcome,
-                    partix_factory=partix_factory,
-                    modes=modes,
-                    kill_site=kill_site,
-                    migrate=migrate,
-                )
+                minimize_spec(spec, outcome, partix_factory=partix_factory)
                 if minimize
                 else outcome
             )
@@ -999,6 +960,7 @@ def run_fuzz(
             summary["stopped_early_at"] = iteration
             break
     summary["families"] = dict(families)
+    summary["configurations"] = dict(configurations)
     summary["composition_kinds"] = dict(kinds)
     summary["fetch_projections"] = dict(projections)
     summary["index_oracle"] = dict(index_oracle)

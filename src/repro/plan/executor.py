@@ -64,10 +64,6 @@ class ExecutionMode:
                 f"execution_mode must be one of {valid}; got {name!r}"
             ) from None
 
-    @classmethod
-    def names(cls) -> tuple:
-        return tuple(cls._REGISTRY)
-
 
 ExecutionMode._REGISTRY = {
     "simulated": ExecutionMode("simulated", "in-process", False),

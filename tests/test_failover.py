@@ -9,6 +9,12 @@ report the failover, and raise ``DispatchError`` only once *every*
 replica of a fragment is gone.
 """
 
+import dataclasses
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cluster import ParallelDispatcher
@@ -333,8 +339,10 @@ class TestKillSiteFuzzMode:
         from repro.fuzz.generator import spec_for_iteration
         from repro.fuzz.runner import run_case
 
-        spec = spec_for_iteration(20060807, 0)
-        outcome = run_case(spec, modes=("simulated", "tcp"), kill_site=True)
+        spec = dataclasses.replace(
+            spec_for_iteration(20060807, 0), transport="tcp", disturbance="kill"
+        )
+        outcome = run_case(spec)
         assert outcome.ok, [m.detail for m in outcome.mismatches]
         assert any("killed tcp site" in note for note in outcome.notes)
         failover_notes = [
@@ -345,12 +353,24 @@ class TestKillSiteFuzzMode:
         assert failover_notes, outcome.notes
 
     def test_kill_site_requires_a_tcp_mode(self):
-        from repro.fuzz.generator import spec_for_iteration
-        from repro.fuzz.runner import run_case
+        from repro.fuzz.generator import GenerationError, spec_for_iteration
 
-        with pytest.raises(ValueError, match="tcp"):
-            run_case(
-                spec_for_iteration(20060807, 0),
-                modes=("simulated",),
-                kill_site=True,
-            )
+        spec = spec_for_iteration(20060807, 0)
+        with pytest.raises(GenerationError, match="tcp"):
+            dataclasses.replace(spec, transport="in-process", disturbance="kill")
+        for transport, disturbance in (("udp", None), ("tcp", "flood")):
+            with pytest.raises(GenerationError):
+                dataclasses.replace(
+                    spec, transport=transport, disturbance=disturbance
+                )
+        # A spec from outside is refused at the --replay boundary.
+        payload = dict(spec.to_dict(), transport="in-process", disturbance="kill")
+        process = subprocess.run(
+            [sys.executable, "-m", "repro.fuzz", "--replay", json.dumps(payload)],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": "src"},
+            cwd=str(Path(__file__).resolve().parent.parent),
+        )
+        assert process.returncode != 0
+        assert "kill needs tcp" in process.stderr

@@ -7,10 +7,12 @@ written out as a runnable reproducer.
 """
 
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -25,7 +27,12 @@ from repro.fuzz import (
     spec_for_iteration,
     write_repro,
 )
-from repro.fuzz.generator import FAMILIES, GenerationError
+from repro.fuzz.generator import (
+    CONFIGURATIONS,
+    FAMILIES,
+    GenerationError,
+    shrink_candidates,
+)
 from repro.fuzz.runner import STEP_SHAPES, step_shapes
 from repro.partix.middleware import Partix
 from repro.xmltext import serialize
@@ -56,9 +63,33 @@ class TestGenerator:
         assert specs == again
         assert {s.family for s in specs} == set(FAMILIES)
 
+    def test_configuration_draw_leaves_the_case_draws_alone(self):
+        # The configuration is drawn after everything else, so it never
+        # moves the documents, designs and queries the CI seeds and the
+        # tests pin (a digest of the fields that fix them).
+        rows = [
+            [s.seed, s.family, s.doc_count, s.fragment_count, s.frag_mode,
+             s.query_count]
+            for seed in (2006, 2013)
+            for s in (spec_for_iteration(seed, i) for i in range(40))
+        ]
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+            "163f071afab8b8ad21bfc2969d25772dd6c4257d7bb583ebd51d32fda5f4e48d"
+        )
+        drawn = {
+            (s.transport, s.disturbance)
+            for s in (spec_for_iteration(2006, i) for i in range(25))
+        }
+        assert drawn == set(CONFIGURATIONS)
+
     def test_spec_roundtrips_through_dict(self):
         spec = spec_for_iteration(1, 4)
         assert CaseSpec.from_dict(spec.to_dict()) == spec
+        # A spec JSON without the two keys, as older reproducers hold.
+        payload = spec.to_dict()
+        del payload["transport"], payload["disturbance"]
+        old = CaseSpec.from_dict(payload)
+        assert (old.transport, old.disturbance) == ("in-process", None)
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(GenerationError):
@@ -89,7 +120,17 @@ class TestOracleGreenPath:
         assert summary["ok"] is True
         assert summary["cases"] == 3
         assert summary["failures"] == []
-        assert summary["reply_forms"] == {"inline": 0, "chunked": 0}
+        specs = [spec_for_iteration(2006, i) for i in range(3)]
+        assert summary["configurations"] == dict(
+            Counter(spec.configuration for spec in specs)
+        )
+        assert summary["migrations_completed"] == sum(
+            spec.disturbance == "migrate" for spec in specs
+        )
+        # Lanes travel on a socket exactly when a case drew tcp.
+        assert (sum(summary["reply_forms"].values()) > 0) == any(
+            spec.transport == "tcp" for spec in specs
+        )
         # Iteration 0's items case alone takes every kernel branch.
         assert list(summary["step_shapes"]) == list(STEP_SHAPES)
         assert all(count > 0 for count in summary["step_shapes"].values())
@@ -110,10 +151,11 @@ class TestOracleGreenPath:
         assert step_shapes("count((1, 2))") == set()
 
     def test_tcp_lanes_are_counted_by_reply_form(self):
-        # Iteration 0 of the tcp CI session: under the 7-byte chunk its
-        # short answers travel inline and the longer ones as chunks.
+        # Iteration 0 of the CI session, over tcp: under the 7-byte chunk
+        # its short answers travel inline and the longer ones as chunks.
         spec = spec_for_iteration(2006, 0)
-        outcome = run_case(spec, modes=("simulated", "tcp"))
+        assert spec.transport == "in-process"
+        outcome = run_case(dataclasses.replace(spec, transport="tcp"))
         assert outcome.ok, [m.detail for m in outcome.mismatches]
         forms = outcome.reply_forms
         assert forms["inline"] > 0 and forms["chunked"] > 0
@@ -190,6 +232,19 @@ def _order_scrambling_partix(cluster):
     return Partix(cluster, dispatcher=ScramblingDispatcher())
 
 
+def _tcp_corrupting_partix(cluster):
+    """A middleware that alters its answers over the tcp transport only."""
+
+    class TcpCorrupting(Partix):
+        def execute(self, query, *args, **kwargs):
+            result = super().execute(query, *args, **kwargs)
+            if kwargs.get("execution_mode") == "tcp":
+                result.result_text += "<tampered/>"
+            return result
+
+    return TcpCorrupting(cluster)
+
+
 class _Delayed(Transport):
     """Another transport whose sub-queries each start after their own
     delay (keyed by sub-query identity)."""
@@ -252,6 +307,21 @@ class TestInjectedOrderingBug:
             minimized.spec, partix_factory=_order_scrambling_partix
         ).ok
 
+        # The configuration shrinks with the rest: the ordering bug needs
+        # neither sockets nor a killed site, so a tcp/kill copy of the
+        # case drops the disturbance first (kill keeps tcp: no transport
+        # move is offered beside it), then the transport.
+        killed = dataclasses.replace(spec, transport="tcp", disturbance="kill")
+        assert [
+            candidate.configuration for candidate in shrink_candidates(killed)
+        ][:2] == ["tcp/none", "tcp/kill"]
+        outcome = run_case(killed, partix_factory=_order_scrambling_partix)
+        shrunk = minimize_spec(
+            killed, outcome, partix_factory=_order_scrambling_partix
+        )
+        assert shrunk.mismatch_kinds() == outcome.mismatch_kinds()
+        assert shrunk.spec.configuration == "in-process/none"
+
     def test_run_fuzz_reports_and_writes_repro(self, tmp_path):
         summary = run_fuzz(
             seed=2006,
@@ -266,6 +336,25 @@ class TestInjectedOrderingBug:
         assert failure["repro_path"].startswith(str(tmp_path))
         assert Path(failure["repro_path"]).is_file()
         assert "minimized" in failure
+
+    def test_a_tcp_only_failure_reproduces_over_tcp(self, tmp_path):
+        summary = run_fuzz(
+            seed=2006,
+            iterations=10,
+            partix_factory=_tcp_corrupting_partix,
+            repro_dir=str(tmp_path),
+            max_failures=1,
+        )
+        assert summary["failures"], "the tcp-only bug was never detected"
+        path = summary["failures"][0]["repro_path"]
+        namespace = {}
+        exec(compile(Path(path).read_text(), path, "exec"), namespace)  # noqa: S102
+        # The reproducer pins the configuration that failed: its spec
+        # still runs over tcp, so it fails under the bug.
+        assert namespace["SPEC"].transport == "tcp"
+        assert not run_case(
+            namespace["SPEC"], partix_factory=_tcp_corrupting_partix
+        ).ok
 
 
 def _shrinking_republish_partix(spec):

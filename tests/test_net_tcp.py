@@ -6,6 +6,7 @@ site-server *processes* and drive them through the same dispatcher the
 middleware uses, including fault injection (killed servers).
 """
 
+import dataclasses
 import socket
 import struct
 import sys
@@ -536,8 +537,12 @@ class TestPartixTcp:
         from repro.fuzz.runner import run_case
 
         for iteration in range(2):
-            spec = spec_for_iteration(20060806, iteration)
-            outcome = run_case(spec, modes=("simulated", "tcp"))
+            spec = dataclasses.replace(
+                spec_for_iteration(20060806, iteration),
+                transport="tcp",
+                disturbance=None,
+            )
+            outcome = run_case(spec)
             assert outcome.ok, [m.detail for m in outcome.mismatches]
             assert outcome.comparisons > 0
 

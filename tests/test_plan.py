@@ -296,9 +296,13 @@ class TestExplainStability:
         assert restored.render() == plan.render()
 
 
+PUBLIC_MODES = ("simulated", "threads", "tcp")
+
+
 class TestExecutionMode:
     def test_registry_covers_public_modes(self):
-        assert ExecutionMode.names() == ("simulated", "threads", "tcp")
+        for name in PUBLIC_MODES:
+            assert ExecutionMode.parse(name).name == name
 
     def test_simulated_is_serial_in_process(self):
         mode = ExecutionMode.parse("simulated")
@@ -319,5 +323,5 @@ class TestExecutionMode:
             ExecutionMode.parse("turbo")
         message = str(excinfo.value)
         assert "'turbo'" in message
-        for name in ExecutionMode.names():
+        for name in PUBLIC_MODES:
             assert repr(name) in message
