@@ -2,7 +2,7 @@
 
 * :mod:`repro.coordinate.service` — the site server's frame server
   with QUERY and REBALANCE: concurrent queries over one Partix
-  middleware, admitted on the connection thread, run on a pool.
+  middleware, admitted and answered on the connection thread.
 * :mod:`repro.coordinate.admission` — bounded-concurrency /
   bounded-queue admission control with typed load shedding.
 * :mod:`repro.coordinate.client` — pooled client speaking the QUERY

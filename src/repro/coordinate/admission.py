@@ -10,8 +10,8 @@ load-shedding policy).
 :class:`AdmissionController` is pure synchronous accounting over opaque
 *waiter* tokens, so it is directly unit-testable; the coordinator
 enqueues :class:`concurrent.futures.Future` objects, a queued query's
-worker waits on its own, and whichever token :meth:`finish` hands back
-is completed to wake it.
+connection thread waits on its own, and whichever token :meth:`finish`
+hands back is completed to wake it.
 """
 
 from __future__ import annotations

@@ -13,12 +13,12 @@ and drain — that adds QUERY and REBALANCE:
   at once with a typed :class:`~repro.errors.AdmissionRejected` carried
   by a QUERY_ERROR frame (``"shed": true``). At most ``max_active``
   queries execute and ``queue_limit`` wait.
-* **Execution on a pool** — an admitted query runs on a thread pool of
-  ``max_active + queue_limit`` workers (a queued one waits for its slot
-  there), so the connection thread reads the next frame at once: a
-  slow query never head-of-line blocks other queries, even on the
-  *same* connection (replies carry the request id they answer, and may
-  come out of order).
+* **Execution on the connection thread** — an admitted query executes
+  at once on the thread that read it, as a site server answers EXECUTE;
+  a queued one waits there for its slot, within its deadline. A slow
+  query never blocks other connections; frames pipelined on one
+  connection are answered in arrival order, each reply under the
+  request id it answers.
 * **Plan cache** — the middleware's :class:`~repro.plan.cache.PlanCache`
   lets repeat queries skip decompose; keyed on the catalog version, so
   a republish invalidates stale plans, and hits re-lower against live
@@ -35,9 +35,9 @@ and drain — that adds QUERY and REBALANCE:
   :class:`~repro.rebalance.RebalanceAction`, which the
   :class:`~repro.rebalance.Rebalancer` applies online.
 
-Shutdown is the frame server's drain: the listener closes first, every
-query already admitted finishes and its reply reaches its client, then
-the pool stops.
+Shutdown is the frame server's drain: the listener closes first, and
+every query already admitted or queued finishes and its reply reaches
+its client before its connection closes.
 """
 
 from __future__ import annotations
@@ -113,21 +113,12 @@ class Coordinator(FrameServer):
         #: ``repro.rebalance.log``).
         self.query_log = query_log if query_log is not None else QueryLog()
         self.rebalancer = Rebalancer(partix)
-        # Admission caps active plus queued queries at the pool's size,
-        # and the executor starts its threads only as they are needed.
-        self._pool = futures.ThreadPoolExecutor(
-            max_workers=max_active + queue_limit,
-            thread_name_prefix=f"{self.thread_name}-query",
-        )
 
     def request_handlers(self) -> dict[FrameType, RequestHandler]:
         return {
             FrameType.QUERY: self._query,
             FrameType.REBALANCE: self._rebalance,
         }
-
-    def _drained(self) -> None:
-        self._pool.shutdown(wait=True)
 
     def stats_payload(self) -> dict:
         payload = super().stats_payload()
@@ -148,36 +139,14 @@ class Coordinator(FrameServer):
     # Query handling
     # ------------------------------------------------------------------
     def _query(self, connection: Connection, frame: Frame) -> None:
-        """Admit or shed on the connection thread; answer on the pool."""
+        """Answer one QUERY on the connection thread.
+
+        Every failure, a shed or an expired deadline included, becomes
+        the QUERY_ERROR reply: the client waits for exactly one answer."""
         arrived = time.perf_counter()
-        waiter = None
-        try:
-            if self._shutdown_requested.is_set():
-                raise CoordinatorError("coordinator is draining; reconnect")
-            if not self.admission.try_start():
-                waiter = futures.Future()
-                self.admission.enqueue(waiter)  # may raise AdmissionRejected
-        except CoordinatorError as exc:
-            self._query_error(connection, frame.request_id, exc)
-            return
-        connection.owe(
-            self._pool.submit(self._answer, connection, frame, arrived, waiter)
-        )
-
-    def _answer(
-        self,
-        connection: Connection,
-        frame: Frame,
-        arrived: float,
-        waiter: Optional[futures.Future],
-    ) -> None:
-        """Runs on the pool: execute one admitted query, send its reply.
-
-        Every failure becomes the QUERY_ERROR reply: nothing reads this
-        worker's future, and the client waits for exactly one answer."""
         payload = frame.payload
         try:
-            result = self._execute(payload, arrived, waiter)
+            result = self._execute(payload, arrived)
             elapsed = time.perf_counter() - arrived
             self.query_log.record_result(
                 payload["query"],
@@ -187,7 +156,12 @@ class Coordinator(FrameServer):
                 self.partix.distribution_catalog.version,
             )
         except Exception as exc:  # noqa: BLE001 - becomes a QUERY_ERROR
-            self._query_error(connection, frame.request_id, exc)
+            self._tally("query_errors")
+            error_payload = exception_to_payload(exc)
+            error_payload["shed"] = isinstance(exc, AdmissionRejected)
+            connection.reply(
+                frame.request_id, FrameType.QUERY_ERROR, error_payload
+            )
             return
         self._tally("queries_served")
         connection.send(
@@ -198,14 +172,6 @@ class Coordinator(FrameServer):
                 connection.chunk_bytes,
             )
         )
-
-    def _query_error(
-        self, connection: Connection, rid: int, exc: Exception
-    ) -> None:
-        self._tally("query_errors")
-        error_payload = exception_to_payload(exc)
-        error_payload["shed"] = isinstance(exc, AdmissionRejected)
-        connection.reply(rid, FrameType.QUERY_ERROR, error_payload)
 
     # ------------------------------------------------------------------
     # Rebalancing (REBALANCE frame)
@@ -222,20 +188,18 @@ class Coordinator(FrameServer):
             "catalog_version": self.partix.distribution_catalog.version,
         }
 
-    def _execute(
-        self,
-        payload: dict,
-        arrived: float,
-        waiter: Optional[futures.Future],
-    ) -> PartixResult:
-        """Admission wait + deadline accounting around Partix.execute.
-
-        ``waiter`` is the queue place :meth:`_query` took when no slot
-        was free (None: the slot is already held)."""
+    def _execute(self, payload: dict, arrived: float) -> PartixResult:
+        """Admission, the queue wait and deadline accounting around
+        Partix.execute: the query claims a free slot, or waits in the
+        queue on this thread for one, or is shed (``AdmissionRejected``)."""
+        if self._shutdown_requested.is_set():
+            raise CoordinatorError("coordinator is draining; reconnect")
         deadline = payload.get(
             "deadline_seconds", self.default_deadline_seconds
         )
-        if waiter is not None:
+        if not self.admission.try_start():
+            waiter = futures.Future()
+            self.admission.enqueue(waiter)  # may raise AdmissionRejected
             remaining = None
             if deadline is not None:
                 remaining = deadline - (time.perf_counter() - arrived)

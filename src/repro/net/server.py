@@ -22,12 +22,14 @@ A server adds only its own request frames (:meth:`request_handlers`):
 process (``python -m repro.serve``), the coordinator
 (:mod:`repro.coordinate.service`) QUERY and REBALANCE.
 
+Every request is answered on its connection's thread, one frame at a
+time: frames pipelined on one connection are answered in arrival order.
+
 Drain: SHUTDOWN, :meth:`~FrameServer.request_shutdown` or SIGTERM stop
 the accept loop and close the listener; idle handlers give up within
-one poll; a handler busy with a request finishes it and returns only
-once every reply its connection is owed has been sent. ``server_close``
-joins every handler, so a served request's reply always reaches its
-client before the process exits.
+one poll; a handler busy with a request finishes it and sends its reply
+first. ``server_close`` joins every handler, so a served request's
+reply always reaches its client before the process exits.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ import socketserver
 import threading
 import time
 from collections import Counter
-from concurrent import futures
 from typing import Callable, Iterable, Optional
 
 from repro.engine.stats import ExecOptions
@@ -71,38 +72,27 @@ RequestHandler = Callable[["Connection", Frame], Optional[dict]]
 
 
 class Connection:
-    """One accepted connection: its socket, its negotiated chunk size,
-    the lock every reply goes out under, and the replies it is owed."""
+    """One accepted connection: its socket and its negotiated chunk
+    size. Only the connection's own thread reads and writes it."""
 
     def __init__(self, sock: socket.socket, server: "FrameServer"):
         self.sock = sock
         self.server = server
         self.chunk_bytes = DEFAULT_CHUNK_BYTES
-        self._send_lock = threading.Lock()
-        #: Futures that will send a reply on this connection.
-        self.owed: list[futures.Future] = []
         self._poll = select.poll()
         self._poll.register(sock, select.POLLIN)
 
     def send(self, frames: Iterable[Frame]) -> None:
-        """Send one reply's frames back to back; a reply another thread
-        sends on this connection waits for the lock."""
-        with self._send_lock:
-            for frame in frames:
-                try:
-                    sent = send_frame(self.sock, frame)
-                except OSError:
-                    return
-                self.server._count_out(sent)
+        """Send one reply's frames back to back."""
+        for frame in frames:
+            try:
+                sent = send_frame(self.sock, frame)
+            except OSError:
+                return
+            self.server._count_out(sent)
 
     def reply(self, request_id: int, type_: FrameType, payload: dict) -> None:
         self.send([Frame(type_, request_id, payload)])
-
-    def owe(self, future: futures.Future) -> None:
-        """Keep the connection open until ``future``, which sends a
-        reply on it, is done (only the connection's thread calls this)."""
-        self.owed = [owed for owed in self.owed if not owed.done()]
-        self.owed.append(future)
 
     def await_frame(self) -> bool:
         """Wait until the connection has bytes to read; False closes it.
@@ -114,8 +104,8 @@ class Connection:
         server starts draining, and a ``MSG_PEEK`` that tells a peer's
         close from its next frame; an in-flight request (already past
         this wait) still finishes, which is exactly the drain contract.
-        The socket's own timeout is never touched, so a reply another
-        thread is sending meanwhile cannot time out.
+        The socket's own timeout is never touched, so the poll interval
+        cannot cut short a long reply sent after the wait.
         """
         try:
             while not self._poll.poll(_IDLE_POLL_SECONDS * 1000):
@@ -216,14 +206,9 @@ class FrameServer:
         threading.current_thread().name = f"{self.thread_name}-conn"
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         connection = Connection(sock, self)
-        try:
-            if self._handshake(connection):
-                while self._serve_next(connection):
-                    pass
-        finally:
-            # The socket closes when this returns: not before every
-            # reply the connection is owed has been sent.
-            futures.wait(connection.owed)
+        if self._handshake(connection):
+            while self._serve_next(connection):
+                pass
 
     def _read(self, connection: Connection) -> Optional[Frame]:
         """The connection's next frame, or None once it should close."""
@@ -291,10 +276,6 @@ class FrameServer:
                 self._server.handle_request()
         finally:
             self._server.server_close()
-            self._drained()
-
-    def _drained(self) -> None:
-        """Runs once the listener is closed and every handler returned."""
 
     def serve_in_thread(self) -> "FrameServer":
         """Serve on a background thread (in-process use); returns self."""

@@ -293,7 +293,7 @@ class Evaluator:
         else:
             kind, name = NodeKind.ELEMENT, None if step.name == "*" else step.name
         descend = step.axis != "child"
-        results: dict[Node, None] = {}  # insertion-ordered identity set
+        results: list = []
         for item in sequence:
             if not isinstance(item, Node):
                 raise XQueryTypeError(
@@ -302,13 +302,14 @@ class Evaluator:
             matched = item.select(kind, name, descend, or_self=virtual_first)
             if step.predicates:
                 matched = self._filter(matched, step.predicates, ctx)
-            if len(sequence) == 1:
-                # One context node: ``select`` is already unique and in
-                # document order.
-                return matched
-            for node in matched:
-                results[node] = None
-        return list(results)
+            results += matched
+        if virtual_first or len(sequence) == 1:
+            # One context node, or the roots ``collection()``/``doc()``
+            # returned, each of its own document: every ``select`` is
+            # unique and in document order and no two overlap, so their
+            # concatenation is the answer.
+            return results
+        return list(dict.fromkeys(results))  # insertion-ordered identity set
 
     def _filter(
         self, sequence: list, predicates: tuple[Expr, ...], ctx: DynamicContext

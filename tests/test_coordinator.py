@@ -1,13 +1,13 @@
 """The coordinator concurrency battery.
 
 Everything here runs against a real coordinator on a real socket: the
-threaded frame server of ``repro.net.server``, admitting each QUERY on
-its connection thread and executing it on the coordinator's pool. The
-core property is the one the serial tests cannot check: under heavy
-concurrency — 32+ clients, mixed workload, republishes and slow sites
-happening mid-flight — every answer stays byte-identical to a serial
-``Partix.execute`` baseline, overload is shed with a typed error
-instead of latency collapse, and shutdown drains cleanly.
+threaded frame server of ``repro.net.server``, admitting and answering
+each QUERY on its connection thread. The core property is the one the
+serial tests cannot check: under heavy concurrency — 32+ clients, mixed
+workload, republishes and slow sites happening mid-flight — every
+answer stays byte-identical to a serial ``Partix.execute`` baseline,
+overload is shed with a typed error instead of latency collapse, and
+shutdown drains cleanly.
 """
 
 import threading
@@ -39,7 +39,20 @@ from repro.workloads.virtual_store import (
     build_items_collection,
     items_horizontal_fragmentation,
 )
+from tests.lane_threads import live_threads
 from tests.traffic import WorkloadQuery, run_traffic
+
+#: The prefix of every coordinator's ``thread_name`` here (the default
+#: site name, ``frame-server-coordinator:<port>``).
+_COORDINATOR_THREADS = "frame-server-coordinator"
+
+
+@pytest.fixture(autouse=True)
+def no_coordinator_thread_outlives_the_test():
+    before = live_threads(_COORDINATOR_THREADS)
+    yield
+    leaked = live_threads(_COORDINATOR_THREADS) - before
+    assert not leaked, sorted(thread.name for thread in leaked)
 
 
 def _published_partix(fragment_count=2, item_count=24, dispatcher=None):
@@ -409,10 +422,11 @@ def _publish_fast_lane(partix):
 
 
 class TestNoHeadOfLineBlocking:
-    def test_fast_queries_overtake_a_stalled_one_on_the_same_connection(self):
+    def test_pipelined_queries_answer_in_arrival_order(self):
         # Two QUERY frames pipelined on ONE connection: the first stalls
-        # on a gated site, the second is fast. The fast reply must arrive
-        # first — request ids, not arrival order, pair replies to queries.
+        # on a gated site, the second is fast. The connection's thread
+        # answers one frame at a time, so the stalled reply still comes
+        # first, and each reply carries the request id it answers.
         partix, collection = _published_partix(fragment_count=2)
         workload = _workload(partix, collection, count=2)
         gated = _GatedDriver(partix.cluster.site("site0").driver)
@@ -427,6 +441,7 @@ class TestNoHeadOfLineBlocking:
         sock = socketlib.create_connection(
             (coordinator.host, coordinator.port), timeout=10.0
         )
+        opener = threading.Timer(0.2, gated.gate.set)
         try:
             send_frame(
                 sock,
@@ -459,17 +474,20 @@ class TestNoHeadOfLineBlocking:
                     payload={"query": fast_query, "collection": "Cfast"},
                 ),
             )
+            # The fast query would be answered well within the stall.
+            opener.start()
             first, _ = recv_frame(sock)
-            assert first.request_id == 200  # the fast one overtook
+            assert first.request_id == 100
             assert first.type is FrameType.QUERY_RESULT
-            assert first.payload["result_text"] == fast_expected
+            assert first.payload["result_text"] == slow_entry.expected_text
 
-            gated.gate.set()
             second, _ = recv_frame(sock)
-            assert second.request_id == 100
+            assert second.request_id == 200
             assert second.type is FrameType.QUERY_RESULT
-            assert second.payload["result_text"] == slow_entry.expected_text
+            assert second.payload["result_text"] == fast_expected
         finally:
+            opener.cancel()
+            gated.gate.set()
             sock.close()
             assert coordinator.close()
 
@@ -512,22 +530,57 @@ class TestNoHeadOfLineBlocking:
         assert slow_reply["payload"]["result_text"] == workload[0].expected_text
 
 
-class TestAdmissionOverTheWire:
-    def _gated_coordinator(self, max_active, queue_limit):
-        partix, collection = _published_partix(fragment_count=2)
-        workload = _workload(partix, collection, count=1)
-        gated = _GatedDriver(partix.cluster.site("site0").driver)
-        partix.cluster.site("site0").driver = gated
-        coordinator = Coordinator(
-            partix,
-            execution_mode="threads",
-            max_active=max_active,
-            queue_limit=queue_limit,
-        ).serve_in_thread()
-        return coordinator, workload[0], gated
+def _gated_coordinator(max_active, queue_limit):
+    partix, collection = _published_partix(fragment_count=2)
+    workload = _workload(partix, collection, count=1)
+    gated = _GatedDriver(partix.cluster.site("site0").driver)
+    partix.cluster.site("site0").driver = gated
+    coordinator = Coordinator(
+        partix,
+        execution_mode="threads",
+        max_active=max_active,
+        queue_limit=queue_limit,
+    ).serve_in_thread()
+    return coordinator, workload[0], gated
 
+
+def _wait_until(condition, seconds=5.0):
+    deadline = time.perf_counter() + seconds
+    while not condition() and time.perf_counter() < deadline:
+        time.sleep(0.005)
+    assert condition()
+
+
+def _query_in_background(client, entry, replies):
+    """Send ``entry`` from ``client`` on a new thread, which appends the
+    reply to ``replies``; returns the started thread."""
+    thread = threading.Thread(
+        target=lambda: replies.append(
+            client.query(entry.text, collection=entry.collection)
+        )
+    )
+    thread.start()
+    return thread
+
+
+def _one_active_one_queued(coordinator, entry, gated):
+    """Two clients: the first query holds the one slot at the gate, the
+    second waits in the queue. Returns (clients, threads, replies)."""
+    clients = [
+        CoordinatorClient(coordinator.host, coordinator.port)
+        for _ in range(2)
+    ]
+    replies = []
+    threads = [_query_in_background(clients[0], entry, replies)]
+    _wait_until(lambda: gated.calls > 0)
+    threads.append(_query_in_background(clients[1], entry, replies))
+    _wait_until(lambda: coordinator.admission.queued == 1)
+    return clients, threads, replies
+
+
+class TestAdmissionOverTheWire:
     def test_overflow_is_shed_with_the_typed_error(self):
-        coordinator, entry, gated = self._gated_coordinator(
+        coordinator, entry, gated = _gated_coordinator(
             max_active=1, queue_limit=0
         )
         blocker = CoordinatorClient(coordinator.host, coordinator.port)
@@ -555,7 +608,7 @@ class TestAdmissionOverTheWire:
         assert stats["admission"]["shed"] == 1
 
     def test_deadline_expires_in_the_admission_queue(self):
-        coordinator, entry, gated = self._gated_coordinator(
+        coordinator, entry, gated = _gated_coordinator(
             max_active=1, queue_limit=8
         )
         blocker = CoordinatorClient(coordinator.host, coordinator.port)
@@ -581,6 +634,29 @@ class TestAdmissionOverTheWire:
             blocker.close()
             waiting.close()
             assert coordinator.close()
+
+    def test_a_queued_query_is_answered_once_the_slot_frees(self):
+        coordinator, entry, gated = _gated_coordinator(
+            max_active=1, queue_limit=1
+        )
+        clients, threads, replies = _one_active_one_queued(
+            coordinator, entry, gated
+        )
+        try:
+            assert gated.calls == 1  # the queued query has not started
+        finally:
+            gated.gate.set()
+            for thread in threads:
+                thread.join(timeout=10.0)
+            for client in clients:
+                client.close()
+            stats = coordinator.stats_payload()
+            assert coordinator.close()
+        assert [reply["result_text"] for reply in replies] == [
+            entry.expected_text
+        ] * 2
+        assert stats["admission"]["peak_queued"] == 1
+        assert stats["admission"]["shed"] == 0
 
     def test_deadline_expires_during_dispatch(self):
         # A site that stalls longer than the per-query deadline turns
@@ -653,6 +729,33 @@ class TestShutdown:
             opener.cancel()
             gated.gate.set()
             client.close()
+
+    def test_close_drains_a_queued_query(self):
+        coordinator, entry, gated = _gated_coordinator(
+            max_active=1, queue_limit=1
+        )
+        clients, threads, replies = _one_active_one_queued(
+            coordinator, entry, gated
+        )
+        opener = threading.Timer(0.2, gated.gate.set)
+        opener.start()
+        try:
+            # close() must wait for the active query and then for the
+            # queued one its slot passes to; both replies reach their
+            # clients before the connections are torn down.
+            assert coordinator.close()
+            for thread in threads:
+                thread.join(timeout=10.0)
+            assert [reply["result_text"] for reply in replies] == [
+                entry.expected_text
+            ] * 2
+        finally:
+            opener.cancel()
+            gated.gate.set()
+            for thread in threads:
+                thread.join(timeout=10.0)
+            for client in clients:
+                client.close()
 
     def test_shutdown_frame_drains_the_service(self):
         partix, _ = _published_partix(fragment_count=2)
