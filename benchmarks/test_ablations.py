@@ -9,6 +9,9 @@
    the whole query costs less than decoding its documents alone would.
 3. **Localization** — predicate-based fragment pruning (the decomposer's
    contribution) vs shipping every sub-query everywhere.
+4. **The write path does only what queries read** — counted, not timed:
+   publishing builds no copy, no text and no full-text postings; the
+   first text query tokenizes each stored collection once.
 """
 
 import pytest
@@ -378,3 +381,82 @@ class TestBinaryHotPath:
             "binary decode regressed behind re-parsing the XML text"
         )
 
+
+
+class TestPublishWorkGuard:
+    """Counts, never wall-clock: publishing the items horizontal design
+    calls ``serialize``, ``XMLNode.clone`` and ``tokenize_text`` zero
+    times; the first ``contains`` query then tokenizes every stored
+    document once, and a second one tokenizes none."""
+
+    QUERY = (
+        'for $i in collection("Citems")/Item'
+        ' where contains($i/Description, "good") return $i/Code'
+    )
+
+    def test_publish_builds_no_copy_text_or_tokens(self, monkeypatch):
+        import repro.engine.indexes as indexes
+        import repro.xmltext.serializer as serializer
+        from repro.cluster import Cluster
+        from repro.datamodel.tree import XMLNode
+        from repro.partix import Partix
+        from repro.workloads import items_horizontal_fragmentation
+
+        calls = {"serialize": 0, "clone": 0, "tokenize_text": 0}
+        tokenized = []
+
+        def counting(key, function):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        # Every ``serialize`` goes through one of the two writers.
+        for writer in ("_write_compact", "_write_span"):
+            monkeypatch.setattr(
+                serializer,
+                writer,
+                counting("serialize", getattr(serializer, writer)),
+            )
+        monkeypatch.setattr(XMLNode, "clone", counting("clone", XMLNode.clone))
+        monkeypatch.setattr(
+            indexes,
+            "tokenize_text",
+            counting("tokenize_text", indexes.tokenize_text),
+        )
+        document_tokens = indexes._document_tokens
+
+        def recording(binary):
+            tokenized.append(binary)
+            return document_tokens(binary)
+
+        monkeypatch.setattr(indexes, "_document_tokens", recording)
+
+        collection = build_items_collection(120, kind="small", seed=5)
+        with Partix(Cluster.with_sites(4)) as partix:
+            report = partix.publish(
+                collection, items_horizontal_fragmentation(4)
+            )
+            assert report.total_documents == len(collection)
+            assert calls == {"serialize": 0, "clone": 0, "tokenize_text": 0}
+
+            first = partix.execute(self.QUERY, collection="Citems")
+            stored = [
+                partix.cluster.site(publication.site)
+                .driver.engine.store.collection(publication.stored_collection)
+                for publication in report.fragments
+            ]
+            tables = [
+                stored_collection.get(name).binary
+                for stored_collection in stored
+                for name in stored_collection.names()
+            ]
+            assert len(tokenized) == len(tables) == len(collection)
+            assert all(
+                sum(table is seen for seen in tokenized) == 1
+                for table in tables
+            )
+            again = partix.execute(self.QUERY, collection="Citems")
+            assert len(tokenized) == len(collection)
+            assert again.result_text == first.result_text != ""

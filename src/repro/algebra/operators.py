@@ -56,14 +56,21 @@ class DocumentOperator(abc.ABC):
 
 
 class Selection(DocumentOperator):
-    """σμ — keep the documents satisfying the predicate μ."""
+    """σμ — keep the documents satisfying the predicate μ.
+
+    σ builds nothing: a kept document is the very object it was given,
+    not a copy. Its callers only read it (the publisher encodes it into
+    a site's node table, the correctness checks compare it) or hand it a
+    projection's fresh output (:class:`Composition`); a caller that
+    mutates a selected document clones it first.
+    """
 
     def __init__(self, predicate: Predicate):
         self.predicate = predicate
 
     def apply(self, document: XMLDocument) -> list[XMLDocument]:
         if self.predicate.evaluate(document):
-            return [document.clone()]
+            return [document]
         return []
 
     def __str__(self) -> str:

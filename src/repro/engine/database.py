@@ -51,7 +51,7 @@ from repro.errors import (
     XQueryEvaluationError,
 )
 from repro.paths.predicates import Predicate
-from repro.xmltext.serializer import serialize
+from repro.xmltext.serializer import serialize, utf8_length
 from repro.xquery.analysis import QueryAnalysis, analyze_query
 from repro.xquery.ast_nodes import Expr
 from repro.xquery.evaluator import DynamicContext, Evaluator
@@ -384,12 +384,6 @@ class _EngineProvider:
                 self._stats.documents_scanned += 1
                 return self._root(collection.get(name))
         return None
-
-
-def utf8_length(text: str) -> int:
-    """UTF-8 size of ``text``: an ASCII string is as many bytes as
-    characters; only others are encoded to be measured."""
-    return len(text) if text.isascii() else len(text.encode("utf-8"))
 
 
 def serialize_sequence(items: list) -> str:

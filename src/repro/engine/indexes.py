@@ -5,16 +5,22 @@ automatically created by the eXist DBMS to speed up text search operations
 and path expressions evaluation"). One :class:`CollectionIndex` per
 stored collection owns three families:
 
-* :class:`FullTextIndex` — inverted word index over all text content;
-  answers ``contains``/``starts-with`` with a superset of documents.
+* :class:`FullTextIndex` — inverted word index over all text content,
+  built on its first lookup; answers ``contains``/``starts-with`` with a
+  superset of documents.
 * :class:`RangeIndex` — per element or attribute label, the values kept
   in order; answers ``=``, ``<``, ``<=``, ``>``, ``>=``.
 * :class:`PathIndex` — root-to-node label paths; answers existential
   tests, exactly or by suffix (a bare label is a one-label suffix).
 
-**One pass.** :meth:`CollectionIndex.add_document` walks a document's
-preorder table once: each node's label, root-to-node path, text and
-tokens are computed there and posted to the three families.
+**One pass, and no tokens until a text lookup.**
+:meth:`CollectionIndex.add_document` walks a document's preorder table
+once: each node's label, root-to-node path and text are computed there
+and posted to the value and path families. The full-text family only
+records the table; the first :meth:`FullTextIndex.lookup_substring`
+tokenizes every table recorded since, so a collection no text query
+reads — every point lookup, every site with indexes off — is never
+tokenized.
 
 **One comparison rule.** A stored value and a probe compare numerically
 when both parse as numbers and as strings otherwise — the rule of
@@ -104,7 +110,30 @@ class _Postings:
 
 
 class FullTextIndex(_Postings):
-    """Inverted index: token → document names."""
+    """Inverted index: token → document names, built lazily.
+
+    :meth:`add_document` records a document's table and nothing else;
+    the first :meth:`lookup_substring` after it tokenizes every recorded
+    table and posts its tokens. Recording, removal and lookup hold one
+    lock, so a lookup never reads a half-built posting map, and a
+    document removed before the build is dropped from the pending
+    tables (O(1)) instead of being posted. The posting map counts (and
+    iterates) only what has been built.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._pending: dict[str, BinaryXMLDocument] = {}
+        self._lock = threading.Lock()
+
+    def add_document(self, name: str, binary: BinaryXMLDocument) -> None:
+        with self._lock:
+            self._pending[name] = binary
+
+    def remove_document(self, name: str) -> None:
+        with self._lock:
+            if self._pending.pop(name, None) is None:
+                super().remove_document(name)
 
     def lookup_substring(self, needle: str) -> Optional[set[str]]:
         """Documents whose text *may* contain ``needle``.
@@ -115,14 +144,32 @@ class FullTextIndex(_Postings):
         ``goodness``). A needle with no word characters cannot be pruned
         (None).
         """
-        result: Optional[set[str]] = None
-        for token in tokenize_text(needle):
-            matching: set[str] = set()
-            for vocab, postings in self._postings.items():
-                if token in vocab:
-                    matching |= postings
-            result = matching if result is None else (result & matching)
-        return result
+        with self._lock:
+            pending, self._pending = self._pending, {}
+            for name, binary in pending.items():
+                self.post(name, _document_tokens(binary))
+            result: Optional[set[str]] = None
+            for token in tokenize_text(needle):
+                matching: set[str] = set()
+                for vocab, postings in self._postings.items():
+                    if token in vocab:
+                        matching |= postings
+                result = matching if result is None else (result & matching)
+            return result
+
+
+def _document_tokens(binary: BinaryXMLDocument) -> set[str]:
+    """The tokens of a document's text and attribute values, each
+    distinct value tokenized once."""
+    string = binary.pool.get
+    tokens: set[str] = set()
+    for value in {
+        value
+        for kind, value in zip(binary.kinds, binary.values)
+        if kind != KIND_ELEMENT and value >= 0
+    }:
+        tokens |= tokenize_text(string(value))
+    return tokens
 
 
 class PathIndex(_Postings):
@@ -311,8 +358,9 @@ def _range_scan(entries, op: str, value) -> set[str]:
 
 
 class CollectionIndex:
-    """The indexes of one stored collection: three families fed by one
-    pass over each document's node table."""
+    """The indexes of one stored collection: the value and path families
+    fed by one pass over each document's node table, the full-text
+    family by its first lookup."""
 
     def __init__(self) -> None:
         self.fulltext = FullTextIndex()
@@ -321,16 +369,15 @@ class CollectionIndex:
 
     def add_document(self, name: str, binary: BinaryXMLDocument) -> None:
         """Index one document: a single preorder walk computes each
-        node's label, root-to-node path, text and tokens, then each
-        family takes its postings."""
+        node's label, root-to-node path and text, then the value and
+        path families take their postings; the full-text family records
+        the table for its first lookup."""
         pool_get = binary.pool.get
         name_ids, value_ids, parents = binary.names, binary.values, binary.parents
         # Root-to-node path by position (None for a text node).
         paths: list[Optional[tuple[str, ...]]] = []
         # Element position -> its direct text; None once it holds an element.
         content: dict[int, Optional[list[str]]] = {}
-        tokens: set[str] = set()
-        tokenized: set[int] = set()  # pool ids of the values already split
         values: list[tuple[str, str]] = []
         for index, kind in enumerate(binary.kinds):
             parent = parents[index]
@@ -342,9 +389,6 @@ class CollectionIndex:
             else:
                 value_id = value_ids[index]
                 text = pool_get(value_id) if value_id >= 0 else ""
-                if value_id not in tokenized:
-                    tokenized.add(value_id)
-                    tokens |= tokenize_text(text)
                 if kind == KIND_TEXT:
                     parts = content[parent]
                     if parts is not None:
@@ -360,7 +404,7 @@ class CollectionIndex:
                 unordered.add(paths[index][-1])
             else:
                 values.append((paths[index][-1], "".join(parts)))
-        self.fulltext.post(name, tokens)
+        self.fulltext.add_document(name, binary)
         self.values.post(name, values, unordered)
         self.paths.post(name, {path for path in paths if path is not None})
 
@@ -392,14 +436,14 @@ def candidate_documents(
     one collection each get their own lookup count. Whether to use the
     indexes at all is the caller's decision (``XMLEngine.scan_candidates``).
     """
-    all_names = collection.names()
     if predicate is None:
-        return all_names, 0
+        return collection.names(), 0
     candidates, lookups = _candidates_for(collection, predicate)
     if candidates is None:
-        return all_names, lookups
-    # Preserve store order for determinism.
-    return [name for name in all_names if name in candidates], lookups
+        return collection.names(), lookups
+    # Store order for determinism, paid per candidate, not per document
+    # of the collection.
+    return collection.in_store_order(candidates), lookups
 
 
 def _candidates_for(

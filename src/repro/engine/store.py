@@ -15,7 +15,10 @@ per-byte term). Text exists only at the edges: a caller that needs it
 
 ``size`` is the document's serialized UTF-8 length, measured once when
 it is stored — the unit of the planner's statistics and of the modeled
-clock's per-byte term.
+clock's per-byte term. A document handed over as a tree is measured on
+the table just encoded (:func:`~repro.xmltext.serializer.serialized_size`
+of its root: one pass, no text built); text handed over is as long as
+it came.
 
 Optional disk persistence keeps each collection in a directory of
 ``.xml`` files (plus ``<name>.xml.pxb`` node tables and one
@@ -30,14 +33,14 @@ from __future__ import annotations
 import json
 import struct
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.datamodel.binary import BinaryXMLDocument, StringPool
 from repro.datamodel.document import XMLDocument
 from repro.engine.indexes import CollectionIndex
 from repro.errors import CollectionNotFoundError, DocumentNotFoundError, StorageError
 from repro.xmltext.parser import parse_xml
-from repro.xmltext.serializer import serialize
+from repro.xmltext.serializer import serialize, serialized_size
 
 
 class StoredDocument:
@@ -63,12 +66,20 @@ class StoredDocument:
 
 
 class StoredCollection:
-    """A named set of stored documents with their index."""
+    """A named set of stored documents with their index.
+
+    Store order is insertion order (a replaced document moves to the
+    end); ``_sequence`` numbers each live name in that order, so a few
+    names are put in store order without listing the collection
+    (:meth:`in_store_order`).
+    """
 
     def __init__(self, name: str, pool: Optional[StringPool] = None):
         self.name = name
         self.pool = pool if pool is not None else StringPool()
         self._documents: dict[str, StoredDocument] = {}
+        self._sequence: dict[str, int] = {}
+        self._next = 0
         self.index = CollectionIndex()
 
     # ------------------------------------------------------------------
@@ -77,6 +88,8 @@ class StoredCollection:
         if stored.name in self._documents:
             self.remove(stored.name)
         self._documents[stored.name] = stored
+        self._sequence[stored.name] = self._next
+        self._next += 1
         self.index.add_document(stored.name, stored.binary)
 
     def remove(self, name: str) -> None:
@@ -85,7 +98,20 @@ class StoredCollection:
                 f"document {name!r} not in collection {self.name!r}"
             )
         del self._documents[name]
+        del self._sequence[name]
         self.index.remove_document(name)
+
+    def in_store_order(self, names: Iterable[str]) -> list[str]:
+        """The live ones of ``names``, in store order: one probe per name,
+        so a name retired meanwhile is dropped, never a ``KeyError``."""
+        sequence = self._sequence.get
+        ranked = [
+            (rank, name)
+            for name in names
+            if (rank := sequence(name)) is not None
+        ]
+        ranked.sort()
+        return [name for _, name in ranked]
 
     def get(self, name: str) -> StoredDocument:
         try:
@@ -164,10 +190,15 @@ class DocumentStore:
         origin: Optional[str] = None,
     ) -> StoredDocument:
         """Encode (parsing text if that is what came) and store a
-        document; returns the record."""
+        document; returns the record.
+
+        A tree is only read: its node table is encoded and its ``size``
+        measured on that table. It is serialized only when a
+        ``storage_dir`` needs the ``.xml`` file.
+        """
         collection = self.collection(collection_name)
+        data: Optional[bytes] = None
         if isinstance(document, XMLDocument):
-            data = serialize(document).encode("utf-8")
             name = name or document.name
             origin = origin or document.origin
         else:
@@ -175,14 +206,17 @@ class DocumentStore:
             document = _parse(data, name)
         if name is None:
             name = f"{collection_name}-{len(collection):06d}.xml"
+        binary = BinaryXMLDocument.encode(document, collection.pool)
         stored = StoredDocument(
             name,
-            BinaryXMLDocument.encode(document, collection.pool),
-            len(data),
+            binary,
+            serialized_size(binary.root) if data is None else len(data),
             origin,
         )
         collection.put(stored)
         if self._storage_dir is not None:
+            if data is None:
+                data = serialize(binary.root).encode("utf-8")
             directory = self._storage_dir / collection_name
             (directory / name).write_bytes(data)
             (directory / (name + ".pxb")).write_bytes(stored.binary.to_bytes())

@@ -11,12 +11,15 @@ Two styles are provided:
 :func:`serialize` also takes a :class:`~repro.datamodel.binary.NodeHandle`
 and writes the subtree straight from its span of the stored node table —
 the same bytes as serializing the decoded subtree, with no tree built.
+:func:`serialized_size` measures those bytes from the span without
+writing them.
 """
 
 from __future__ import annotations
 
 from repro.datamodel.binary import (
     KIND_ATTRIBUTE,
+    KIND_ELEMENT,
     KIND_TEXT,
     BinaryXMLDocument,
     NodeHandle,
@@ -142,6 +145,66 @@ def _write_pretty(node: XMLNode, out: list[str], indent: str, depth: int) -> Non
     out.append(f"{pad}</{node.label}>\n")
 
 
-def serialized_size(node: XMLNode | XMLDocument) -> int:
+def serialized_size(node: XMLNode | NodeHandle | XMLDocument) -> int:
     """Byte size of the compact UTF-8 serialization."""
-    return len(serialize(node).encode("utf-8"))
+    if isinstance(node, NodeHandle):
+        return _span_size(node.table, node.index)
+    return utf8_length(serialize(node))
+
+
+def utf8_length(text: str) -> int:
+    """UTF-8 size of ``text``: an ASCII string is as many bytes as
+    characters; only others are encoded to be measured."""
+    return len(text) if text.isascii() else len(text.encode("utf-8"))
+
+
+def _escaped_size(value: str, quotes: bool) -> int:
+    """UTF-8 size of :func:`escape_text` (``quotes=False``) or
+    :func:`escape_attribute` of ``value``, counted without escaping:
+    every escape is ASCII, so it adds its length minus the one byte of
+    the character it replaces."""
+    size = utf8_length(value)
+    if "&" in value or "<" in value or ">" in value:
+        size += 4 * value.count("&") + 3 * (value.count("<") + value.count(">"))
+    if quotes and ('"' in value or "'" in value):
+        size += 5 * (value.count('"') + value.count("'"))
+    return size
+
+
+def _span_size(table: BinaryXMLDocument, index: int) -> int:
+    """``utf8_length(serialize(NodeHandle(table, index)))`` in one forward
+    pass over the span that writes nothing: an element costs ``<L/>``
+    until its first content node turns that into ``<L>…</L>``, an
+    attribute `` N="…"`` and a text node its escaped value."""
+    kinds = table.kinds
+    if kinds[index] == KIND_ATTRIBUTE:
+        raise ValueError("cannot serialize a detached attribute node")
+    names = table.names
+    values = table.values
+    parents = table.parents
+    string = table.pool.get
+    label_sizes: dict[int, int] = {}  # name id -> UTF-8 size, this call only
+    holding = set()  # elements with a content node seen so far
+    size = 0
+    for position in range(index, index + table.sizes[index]):
+        kind = kinds[position]
+        if kind == KIND_ELEMENT:
+            name = names[position]
+            label = label_sizes.get(name)
+            if label is None:
+                label = label_sizes[name] = utf8_length(string(name))
+            size += label + 3
+        else:
+            value = values[position]
+            text = string(value) if value >= 0 else ""
+            if kind == KIND_ATTRIBUTE:
+                size += utf8_length(string(names[position])) + 4
+                size += _escaped_size(text, True)
+                continue
+            size += _escaped_size(text, False)
+        if position != index:
+            parent = parents[position]
+            if parent not in holding:
+                holding.add(parent)
+                size += label_sizes[names[parent]] + 2
+    return size

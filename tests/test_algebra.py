@@ -45,9 +45,9 @@ class TestSelection:
     def test_drops_non_matching(self, item):
         assert Selection(eq("/Item/Section", "DVD")).apply(item) == []
 
-    def test_result_is_a_copy(self, item):
+    def test_result_is_the_document_itself(self, item):
         produced = Selection(eq("/Item/Section", "CD")).apply(item)[0]
-        assert produced.root is not item.root
+        assert produced is item
 
     def test_apply_collection(self, item):
         other = doc(elem("Item", elem("Section", "DVD")), name="other.xml")

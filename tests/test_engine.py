@@ -1,10 +1,15 @@
 """Unit tests for the MiniX storage engine: store, indexes, planner, exec."""
 
 import dataclasses
+import random
+import sys
+import threading
 
 import pytest
 
+from benchmarks.e2e import data
 from repro.datamodel import doc, elem
+from repro.datamodel.binary import KIND_ATTRIBUTE, NodeHandle
 from repro.engine import (
     DocumentStore,
     EngineStats,
@@ -22,8 +27,8 @@ from repro.errors import (
     DocumentNotFoundError,
     StorageError,
 )
-from repro.paths import And, Or, contains, empty, eq, exists, ne
-from repro.xmltext.serializer import serialize
+from repro.paths import And, Or, contains, empty, eq, exists, ne, starts_with
+from repro.xmltext.serializer import serialize, serialized_size
 
 
 def make_item(i, section, description):
@@ -120,6 +125,84 @@ class TestDocumentStore:
         store.store_document("c", "<a/>", name="d.xml")
         store.drop_collection("c")
         assert not (tmp_path / "c").exists()
+
+
+def size_cases():
+    """Documents whose serialization exercises every term of the size
+    rule, then one of every collection kind the benchmark publishes."""
+    specials = "& < > \" '"
+    cases = [
+        doc(elem("a", "café ☃ \U0001f409 naïve"), name="non-ascii.xml"),
+        doc(elem("a", elem("b", specials), c=specials), name="specials.xml"),
+        doc(elem("a", elem("b"), elem("c", elem("d"))), name="empty.xml"),
+        doc(elem("a", elem("b", x="1", y="é"), z=""), name="attributes.xml"),
+        doc(
+            elem("r", elem("s", "t", k="<v>"), elem("e", q="'"), elem("u", "& x")),
+            name="mixed.xml",
+        ),
+    ]
+    collections = [
+        data.items_collection(3, "small", 7),
+        data.items_collection(1, "large", 7),
+        data.articles_collection(2, 20_000, 7),
+        *data.hot_variants(2, 7),
+    ]
+    for index, collection in enumerate(collections):
+        for document in collection:
+            document.name = f"{index}-{document.name}"
+            cases.append(document)
+    return cases
+
+
+class TestStoredSize:
+    """``StoredDocument.size`` is measured on the node table, never by
+    serializing; it must still be the serialization's UTF-8 length."""
+
+    def test_size_is_the_utf8_length_of_the_serialization(self):
+        store = DocumentStore()
+        store.create_collection("c")
+        for document in size_cases():
+            stored = store.store_document("c", document)
+            assert stored.size == len(serialize(document).encode("utf-8")), (
+                document.name
+            )
+
+    def test_every_subtree_of_a_table_measures_its_span(self):
+        store = DocumentStore()
+        store.create_collection("c")
+        for document in size_cases()[:5]:
+            table = store.store_document("c", document).binary
+            for index in range(len(table)):
+                if table.kinds[index] == KIND_ATTRIBUTE:
+                    continue
+                handle = NodeHandle(table, index)
+                assert serialized_size(handle) == len(
+                    serialize(handle).encode("utf-8")
+                )
+
+    def test_a_disk_backed_reload_gives_the_same_sizes(self, tmp_path):
+        store = DocumentStore(storage_dir=tmp_path)
+        store.create_collection("c")
+        sizes = {
+            document.name: store.store_document("c", document).size
+            for document in size_cases()
+        }
+        collection = DocumentStore(storage_dir=tmp_path).collection("c")
+        assert {
+            name: collection.get(name).size for name in collection.names()
+        } == sizes
+
+    def test_a_stored_tree_is_not_serialized(self, monkeypatch):
+        import repro.xmltext.serializer as serializer
+
+        def refuse(*args):
+            raise AssertionError("serialized while storing")
+
+        monkeypatch.setattr(serializer, "_write_compact", refuse)
+        monkeypatch.setattr(serializer, "_write_span", refuse)
+        store = DocumentStore()
+        store.create_collection("c")
+        store.store_document("c", doc(elem("a", "x & y", b="1")), name="d.xml")
 
 
 class TestIndexes:
@@ -258,6 +341,7 @@ class TestIndexMaintenance:
 
         def key_count(engine):
             index = engine.store.collection("c").index
+            index.fulltext.lookup_substring("word")  # builds what is pending
             return len(index.fulltext) + len(index.values) + len(index.paths)
 
         def publish(engine, documents):
@@ -277,7 +361,147 @@ class TestIndexMaintenance:
         ) == set()
 
 
+def eager_candidates(documents, needle):
+    """What an index tokenizing every document on ingest answers for a
+    text lookup: the live documents holding, for every needle token,
+    some token that contains it (None: the needle cannot prune)."""
+    wanted = tokenize_text(needle)
+    if not wanted:
+        return None
+    found = set()
+    for name, document in documents.items():
+        tokens = set()
+        for node in document.nodes():
+            if node.value is not None:
+                tokens |= tokenize_text(node.value)
+        if all(any(token in vocab for vocab in tokens) for token in wanted):
+            found.add(name)
+    return found
+
+
+class TestLazyFullText:
+    """The full-text postings are built on the first text lookup; every
+    answer must equal that of an index built eagerly on ingest."""
+
+    NEEDLES = ["alpha", "bra", "charlie delta", "echo", "zulu", "4", "&"]
+    WORDS = ["alpha", "bravo", "charlie", "delta", "echo", "x1", "y42"]
+
+    def _document(self, rng, name):
+        words = lambda: " ".join(rng.sample(self.WORDS, 2))  # noqa: E731
+        return doc(
+            elem("a", elem("b", words()), elem("c", words(), k=words())),
+            name=name,
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_candidates_equal_an_eager_index(self, seed):
+        """Puts, replaces and retirements, checked at random points — so
+        documents are put, replaced and retired both while pending and
+        after a build — and at the end."""
+        rng = random.Random(seed)
+        engine = XMLEngine("lazy")
+        live = {}
+        for step in range(60):
+            if rng.random() < 0.7 or not live:  # a replace when the name exists
+                name = f"d{rng.randrange(12)}.xml"
+                live[name] = self._document(rng, name)
+                engine.store_document("c", live[name])
+            else:
+                keep = {name for name in live if rng.random() < 0.7}
+                engine.retain_documents("c", keep)
+                live = {name: live[name] for name in keep}
+            if rng.random() < 0.2 or step == 59:
+                self._check(engine.store.collection("c"), live)
+
+    def _check(self, collection, live):
+        for needle in self.NEEDLES:
+            expected = eager_candidates(live, needle)
+            assert collection.index.fulltext.lookup_substring(needle) == expected
+            if expected is None:
+                expected = set(live)
+            for predicate in (
+                contains("/a/b", needle),
+                starts_with("/a/c/@k", needle),
+            ):
+                names, _ = candidate_documents(collection, predicate)
+                assert names == [n for n in collection.names() if n in expected]
+
+    def test_ingest_records_and_the_first_lookup_builds(self):
+        engine = XMLEngine("lazy")
+        engine.store_document("c", "<a>alpha</a>", name="1.xml")
+        engine.store_document("c", "<a>bravo</a>", name="2.xml")
+        fulltext = engine.store.collection("c").index.fulltext
+        assert len(fulltext) == 0
+        engine.retain_documents("c", {"2.xml"})  # a pending one retires
+        assert fulltext.lookup_substring("alpha") == set()
+        assert len(fulltext) == 1
+        engine.store_document("c", "<a>alpha</a>", name="3.xml")
+        assert fulltext.lookup_substring("alpha") == {"3.xml"}
+
+    def test_lookups_racing_the_first_build_each_get_a_superset(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(5):
+                self._race(random.Random(seed))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def _race(self, rng):
+        """8 lookups released with a writer onto a fresh collection."""
+        engine = XMLEngine("race")
+        initial = [self._document(rng, f"d{i}.xml") for i in range(300)]
+        for document in initial:
+            engine.store_document("c", document)
+        expected = eager_candidates({d.name: d for d in initial}, "alpha")
+        fulltext = engine.store.collection("c").index.fulltext
+        results, errors = [], []
+        start = threading.Barrier(9)
+
+        def lookup():
+            try:
+                start.wait(timeout=10)
+                results.append(fulltext.lookup_substring("alpha"))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        def write():
+            try:
+                start.wait(timeout=10)
+                for index in range(200):
+                    engine.store_document(
+                        "c", self._document(rng, f"new{index % 50}.xml")
+                    )
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=lookup) for _ in range(8)]
+        threads.append(threading.Thread(target=write))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(results) == 8
+        for found in results:
+            assert found >= expected
+
+
 class TestCandidateDocuments:
+    def test_candidates_come_in_store_order(self):
+        engine = XMLEngine("order")
+        for name in ("c.xml", "a.xml", "b.xml", "d.xml"):
+            engine.store_document("c", f"<a><v>1</v></a>", name=name)
+        engine.store_document("c", "<a><v>1</v></a>", name="a.xml")  # moves last
+        collection = engine.store.collection("c")
+        names, _ = candidate_documents(collection, eq("/a/v", 1))
+        assert names == ["c.xml", "b.xml", "d.xml", "a.xml"] == collection.names()
+        assert collection.in_store_order({"a.xml", "gone.xml", "c.xml"}) == [
+            "c.xml",
+            "a.xml",
+        ]
+
     def test_no_predicate_scans_all(self, engine):
         collection = engine.store.collection("items")
         names, lookups = candidate_documents(collection, None)

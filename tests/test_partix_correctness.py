@@ -66,6 +66,18 @@ class TestHorizontalRules:
             report.raise_if_invalid()
         assert info.value.rule == "completeness"
 
+    def test_checking_leaves_the_collection_unchanged(self):
+        from repro.xmltext import serialize
+
+        collection = make_items(["CD", "DVD", "CD"])
+        before = [serialize(d) for d in collection]
+        for second in (ne("/Item/Section", "CD"), TruePredicate()):
+            verify_fragmentation(FragmentationSchema("c", [
+                HorizontalFragment("F1", "c", predicate=eq("/Item/Section", "CD")),
+                HorizontalFragment("F2", "c", predicate=second),
+            ]), collection)
+        assert [serialize(d) for d in collection] == before
+
     def test_reconstruction_checked(self):
         collection = make_items(["CD", "DVD"])
         schema = FragmentationSchema("c", [

@@ -313,3 +313,31 @@ class TestReplaceReplaces:
         engine.execute('collection("c")/a')
         engine.retain_documents("c", {"d.xml"})
         assert engine.execute('collection("c")/a').result_text == "<a>2</a>"
+
+
+class TestNothingIsAliased:
+    """σ hands the publisher the caller's own documents; what a site
+    stores must not change when the caller later edits them."""
+
+    QUERIES = [
+        'collection("Citems")/Item',
+        'for $i in collection("Citems")/Item where $i/Section = "CD"'
+        " return $i/Name",
+        'for $i in collection("Citems")/Item where contains($i/Description,'
+        ' "good") return $i/Code',
+        'count(collection("Citems")/Item[Release >= "2003-01-01"])',
+    ]
+
+    def test_editing_published_documents_changes_no_answer(self, items_collection):
+        from repro.partix.middleware import Partix
+
+        with Partix(Cluster.with_sites(3)) as partix:
+            partix.publish(items_collection, items_design(), verify=True)
+            before = [partix.execute(q).result_text for q in self.QUERIES]
+            for document in items_collection:
+                for node in document.nodes():
+                    if node.value is not None:
+                        node.value = "edited good 2009"
+            after = [partix.execute(q).result_text for q in self.QUERIES]
+        assert after == before
+        assert "edited" not in "".join(after)
